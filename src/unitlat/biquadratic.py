@@ -3,7 +3,8 @@
 Elements live in the basis {1, sqrt(d1), sqrt(d2), sqrt(d3)} where d3 is
 the squarefree part of d1*d2 and sqrt(d1)*sqrt(d2) = s*sqrt(d3) with
 s = gcd(d1, d2).  Coordinates stay rational under multiplication even
-when d1*d2 is not squarefree.
+when d1*d2 is not squarefree.  Integrality and square roots are exact,
+computed in the tower L = K(sqrt(d2)) over K = Q(sqrt(d1)).
 """
 
 import math
@@ -12,8 +13,9 @@ from fractions import Fraction
 
 import mpmath
 
-from .precision import DEFAULT_PRECISION, mpf_ctx, reconstruct_rational
-from .quadratic import QuadElem, is_squarefree
+from .precision import DEFAULT_PRECISION, mpf_ctx
+from .quadratic import (QuadElem, is_quad_integer, is_squarefree, quad_inv,
+                        quad_mul, quad_norm, quad_sqrt)
 
 GALOIS_KLEIN = ("id", "s1", "s2", "s3")
 
@@ -178,44 +180,24 @@ def biq_pow(a, k):
     return r
 
 
-def char_poly(a):
-    """Characteristic polynomial of multiplication-by-a on the rational
-    4-dimensional basis, exact, via Faddeev-LeVerrier.  Coefficients are
-    returned monic, highest degree first."""
-    basis = [
-        BiquadElem(a.field, 1, 0, 0, 0),
-        BiquadElem(a.field, 0, 1, 0, 0),
-        BiquadElem(a.field, 0, 0, 1, 0),
-        BiquadElem(a.field, 0, 0, 0, 1),
-    ]
-    m = [list(biq_mul(a, e).coords()) for e in basis]
-    m = [[m[j][i] for j in range(4)] for i in range(4)]  # columns -> matrix
-
-    def mat_mul(p, q):
-        return [[sum(p[i][k] * q[k][j] for k in range(4)) for j in range(4)]
-                for i in range(4)]
-
-    def trace(p):
-        return sum(p[i][i] for i in range(4))
-
-    ident = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
-    coeffs = [Fraction(1)]
-    mk = [row[:] for row in ident]
-    for k in range(1, 5):
-        mk = mat_mul(m, mk)
-        c = -trace(mk) / k
-        coeffs.append(c)
-        for i in range(4):
-            mk[i][i] += c
-    return coeffs
+def _relative_norm(a):
+    """N_{L/K}(a) = alpha^2 - d2*beta^2, an element of K."""
+    f = a.field
+    x, y, z, w = a.x, a.y, a.z, a.w / f.s
+    return QuadElem(f.d1, x * x + f.d1 * y * y - f.d2 * (z * z + f.d1 * w * w),
+                    2 * (x * y - f.d2 * z * w))
 
 
 def is_algebraic_integer(a):
-    return all(c.denominator == 1 for c in char_poly(a))
+    """a lies in O_L iff its relative trace 2*alpha and norm N_{L/K}(a)
+    lie in O_K, each tested by trace and norm in Z."""
+    return (is_quad_integer(QuadElem(a.field.d1, 2 * a.x, 2 * a.y))
+            and is_quad_integer(_relative_norm(a)))
 
 
 def is_unit(a):
-    return is_algebraic_integer(a) and abs(biq_norm_to_Q(a)) == 1
+    # N_{L/Q}(a) = N_{K/Q}(N_{L/K}(a))
+    return is_algebraic_integer(a) and abs(quad_norm(_relative_norm(a))) == 1
 
 
 def _coord_bits(coords):
@@ -248,34 +230,33 @@ def embed_real(a, precision_bits=DEFAULT_PRECISION):
         return tuple(out)
 
 
-def sqrt_in_field(a, precision_bits=256, denom_bound=10 ** 9):
-    """Search for beta in L with beta^2 = a; exact verification, so a
-    returned element is always correct.  Returns None when no candidate
-    passes at the given precision / denominator bound (sound, not
-    complete: caller may escalate)."""
+def sqrt_in_field(a):
+    """Exact square root of a with positive id-embedding, or None when a
+    is not a square in L.  As in quad_sqrt, one level up: if
+    (g + h*sqrt(d2))^2 = alpha + beta*sqrt(d2) then g^2 = (alpha +- n)/2
+    with n^2 = N_{L/K}(a), and h = beta/(2g), or h^2 = (alpha -+ n)/(2*d2)
+    when g = 0."""
     f = a.field
-    with mpf_ctx(precision_bits):
-        emb = embed_real(a, precision_bits)
-        if any(v <= 0 for v in emb):
-            return None  # totally real field: squares are totally positive
-        sqrts = [mpmath.sqrt(v) for v in emb]
-        roots = (mpmath.sqrt(f.d1), mpmath.sqrt(f.d2), mpmath.sqrt(f.d3))
-        for signs in ((1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
-                      (-1, 1, 1), (-1, 1, -1), (-1, -1, 1), (-1, -1, -1)):
-            # id-embedding fixed positive; signs for (s1, s2, s3) images
-            y = [sqrts[0]] + [sg * v for sg, v in zip(signs, sqrts[1:])]
-            # invert the fixed sign-pattern basis matrix in closed form
-            cx = (y[0] + y[1] + y[2] + y[3]) / 4
-            cy = (y[0] + y[1] - y[2] - y[3]) / (4 * roots[0])
-            cz = (y[0] - y[1] + y[2] - y[3]) / (4 * roots[1])
-            cw = (y[0] - y[1] - y[2] + y[3]) / (4 * roots[2])
-            try:
-                cand = BiquadElem(f, *[reconstruct_rational(c, denom_bound)
-                                       for c in (cx, cy, cz, cw)])
-            except (OverflowError, ValueError):
+    alpha = QuadElem(f.d1, a.x, a.y)
+    beta = QuadElem(f.d1, a.z, a.w / f.s)  # sqrt(d3) = sqrt(d1)*sqrt(d2)/s
+    n = quad_sqrt(_relative_norm(a))
+    if n is None:
+        return None
+    for sign in (1, -1):
+        g = quad_sqrt(QuadElem(f.d1, (alpha.a + sign * n.a) / 2,
+                               (alpha.b + sign * n.b) / 2))
+        if g is None:
+            continue
+        if g.a or g.b:
+            h = quad_mul(beta, quad_inv(QuadElem(f.d1, 2 * g.a, 2 * g.b)))
+        else:
+            h = quad_sqrt(QuadElem(f.d1, (alpha.a - sign * n.a) / (2 * f.d2),
+                                   (alpha.b - sign * n.b) / (2 * f.d2)))
+            if h is None:
                 continue
-            if biq_mul(cand, cand) == a:
-                if embed_real(cand, 64)[0] < 0:
-                    cand = biq_neg(cand)
-                return cand
+        cand = BiquadElem(f, g.a, g.b, h.a, h.b * f.s)
+        if biq_mul(cand, cand) == a:
+            if embed_real(cand, 64)[0] < 0:
+                cand = biq_neg(cand)
+            return cand
     return None

@@ -32,7 +32,6 @@ _DEFAULTS = {
     "precision": 128,
     "coeff_bound": 20,
     "scan_limit": 30,
-    "denom_bound": 10 ** 9,
 }
 
 
@@ -98,11 +97,8 @@ def cmd_klein(args, out):
         _check_squarefree_arg(d)
     if args.d1 == args.d2:
         raise CliError("d1 and d2 must be distinct", EXIT_INVALID_INPUT)
-    try:
-        struct, value, certified, reports = vf.klein_field_report(
-            args.d1, args.d2, cfg["coeff_bound"], cfg["precision"])
-    except us.UnresolvedPatternError as exc:
-        raise CliError(str(exc), EXIT_UNRESOLVED)
+    struct, value, certified, reports = vf.klein_field_report(
+        args.d1, args.d2, cfg["coeff_bound"], cfg["precision"])
     detail = reports[0].details
     payload = {
         "d1": args.d1, "d2": args.d2, "d3": struct.field.d3,
@@ -287,8 +283,6 @@ def build_parser():
                         help="coefficient box half-width for lattice enumeration")
     parser.add_argument("--scan-limit", type=int, dest="scan_limit",
                         help="largest squarefree d for field scans")
-    parser.add_argument("--denom-bound", type=int, dest="denom_bound",
-                        help="denominator bound for rational reconstruction")
     parser.add_argument("--catalog", help="path to a cyclic-field catalog JSON")
     parser.add_argument("--format", choices=("json", "csv", "text"),
                         help="output format (default: csv for scan, else text)")

@@ -194,14 +194,6 @@ def _lambda_min_lower_bound(gram):
     raise ValueError("dependent basis: could not certify Gram positivity")
 
 
-def _admissible(parity):
-    def check(n1, n2, n3):
-        if parity == "even":
-            return (n1 + n2 + n3) % 2 == 0
-        return True
-    return check
-
-
 def min_one_norm(spec, coeff_bound):
     """Certified minimal 1-norm over nonzero admissible coefficient triples
     with max|n_i| <= coeff_bound.
@@ -209,6 +201,9 @@ def min_one_norm(spec, coeff_bound):
     Returns (value: mpf, argmin: (n1, n2, n3), certified: bool); certified
     means no triple outside the box can beat the minimum (2-norm bound from
     the smallest Gram eigenvalue).
+    Every triple has 1-norm >= sqrt(lambda_min)*max|n_i|/den, so only the
+    box of half-width R = v0*(1 + 1e-6)*den/sqrt(lambda_min), v0 the best
+    admissible norm over {-1, 0, 1}^3, can hold near-minimal triples.
     """
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be >= 1")
@@ -218,16 +213,25 @@ def min_one_norm(spec, coeff_bound):
            + gram[0][2] * (gram[1][0] * gram[2][1] - gram[1][1] * gram[2][0]))
     if det <= _GRAM_DET_MARGIN:
         raise ValueError("dependent basis: Gram determinant below margin")
+    prec = spec.basis[0].precision_bits
+    with mpf_ctx(prec):
+        root_lam = mpmath.sqrt(_lambda_min_lower_bound(gram))
 
     bmat = np.array([[float(c) for c in v.coords] for v in spec.basis])
-    rng = np.arange(-coeff_bound, coeff_bound + 1)
-    grid = np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), axis=-1)
-    triples = grid.reshape(-1, 3)
-    mask = np.any(triples != 0, axis=1)
-    if spec.parity_constraint == "even":
-        mask &= triples.sum(axis=1) % 2 == 0
-    triples = triples[mask]
-    norms = np.abs(triples @ bmat).sum(axis=1) / spec.denominator
+
+    def admissible_norms(radius):
+        rng = np.arange(-radius, radius + 1)
+        grid = np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), axis=-1)
+        triples = grid.reshape(-1, 3)
+        mask = np.any(triples != 0, axis=1)
+        if spec.parity_constraint == "even":
+            mask &= triples.sum(axis=1) % 2 == 0
+        triples = triples[mask]
+        return triples, np.abs(triples @ bmat).sum(axis=1) / spec.denominator
+
+    v0 = admissible_norms(1)[1].min()
+    radius = int(v0 * (1 + 1e-6) * spec.denominator / float(root_lam))
+    triples, norms = admissible_norms(max(1, min(coeff_bound, radius)))
     best = norms.min()
     near = triples[norms <= best * (1 + 1e-9) + 1e-300]
 
@@ -238,15 +242,13 @@ def min_one_norm(spec, coeff_bound):
             total += abs(sum(int(n[i]) * spec.basis[i].coords[k] for i in range(3)))
         return total / spec.denominator
 
-    prec = spec.basis[0].precision_bits
     with mpf_ctx(prec):
         evals = sorted((exact_norm(n), tuple(int(v) for v in n)) for n in near)
         value, _ = evals[0]
         tol = mpmath.mpf(2) ** (-prec // 2) * max(value, mpmath.mpf(1))
         argmin = min(t for v, t in evals if v <= value + tol)
 
-        lam = _lambda_min_lower_bound(gram)
-        outside = mpmath.sqrt(lam) * (coeff_bound + 1) / spec.denominator
+        outside = root_lam * (coeff_bound + 1) / spec.denominator
         certified = bool(outside >= value)
     return value, argmin, certified
 

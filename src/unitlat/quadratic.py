@@ -96,6 +96,34 @@ def is_quad_integer(x):
     return trace.denominator == 1 and quad_norm(x).denominator == 1
 
 
+def _rational_sqrt(q):
+    """Exact square root of a Fraction, or None when q is not a square."""
+    if q < 0:
+        return None
+    n, d = isqrt(q.numerator), isqrt(q.denominator)
+    if n * n != q.numerator or d * d != q.denominator:
+        return None
+    return Fraction(n, d)
+
+
+def quad_sqrt(x):
+    """Exact square root in Q(sqrt(d)), or None when x is not a square.
+    If (u + v*sqrt(d))^2 = a + b*sqrt(d) then u^2 - d*v^2 = +-m with
+    m^2 = N(x), so u^2 = (a +- m)/2 and v = b/(2u), or v^2 = (a -+ m)/(2d)
+    when u = 0; either way the result squares to x exactly."""
+    m = _rational_sqrt(quad_norm(x))
+    if m is None:
+        return None
+    for pm in (m, -m):
+        u = _rational_sqrt((x.a + pm) / 2)
+        if u is None:
+            continue
+        v = x.b / (2 * u) if u else _rational_sqrt((x.a - pm) / (2 * x.d))
+        if v is not None:
+            return QuadElem(x.d, u, v)
+    return None
+
+
 def quad_embed(x, precision_bits=DEFAULT_PRECISION):
     """Real value of x under the positive-root embedding sqrt(d) > 0."""
     with mpf_ctx(precision_bits):

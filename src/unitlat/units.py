@@ -25,13 +25,6 @@ from . import quartic as qt
 from .biquadratic import BiquadField, biq_mul, biq_pow, sqrt_in_field
 from .loglattice import log_embed_klein, log_embed_cyclic, LogVector
 
-SQRT_SEARCH_LEVELS = ((256, 10 ** 9), (512, 10 ** 15))
-
-
-class UnresolvedPatternError(ArithmeticError):
-    """A square-root pattern stayed unresolved after escalation."""
-
-
 class CatalogValidationError(ValueError):
     """A cyclic catalog entry failed an exact Hasse relation."""
 
@@ -76,7 +69,6 @@ class KleinUnitStructure:
     sqrt_elements: dict    # pattern -> exact square root (BiquadElem)
     index_over_E: int
     generators: tuple      # 3 BiquadElems generating O_L^* mod +-1
-    unresolved: tuple = ()
 
     def galois_order(self):
         return ("id",) + self.fixers
@@ -88,7 +80,6 @@ class KleinUnitStructure:
             "sqrt_patterns": [list(p) for p in self.sqrt_patterns],
             "index_over_E": self.index_over_E,
             "generators": [g.to_json() for g in self.generators],
-            "unresolved": [list(p) for p in self.unresolved],
         }
 
 
@@ -112,17 +103,15 @@ def _f2_basis(patterns):
     return len(basis_rows), chosen
 
 
-def klein_unit_structure(d1, d2, precision_bits=DEFAULT_PRECISION,
-                         search_levels=SQRT_SEARCH_LEVELS):
+def klein_unit_structure(d1, d2, precision_bits=DEFAULT_PRECISION):
     """Determine [O_L^*: +-E] and a generating set by testing all seven
-    square-root patterns, with one precision/denominator escalation."""
+    square-root patterns exactly."""
     field = BiquadField(d1, d2)
     units, fixers, _ = subfield_units(d1, d2, precision_bits)
     lifts = [field.lift_quad(u) for u in units]
 
     patterns = []
     roots = {}
-    unresolved = []
     for e in itertools.product((0, 1), repeat=3):
         if e == (0, 0, 0):
             continue
@@ -130,11 +119,7 @@ def klein_unit_structure(d1, d2, precision_bits=DEFAULT_PRECISION,
         for ei, lift in zip(e, lifts):
             if ei:
                 prod = biq_mul(prod, lift)
-        root = None
-        for bits, bound in search_levels:
-            root = sqrt_in_field(prod, bits, bound)
-            if root is not None:
-                break
+        root = sqrt_in_field(prod)
         if root is not None:
             assert bq.is_unit(root)
             patterns.append(e)
@@ -148,8 +133,7 @@ def klein_unit_structure(d1, d2, precision_bits=DEFAULT_PRECISION,
     return KleinUnitStructure(
         field=field, units=units, fixers=fixers,
         sqrt_patterns=tuple(patterns), sqrt_elements=roots,
-        index_over_E=2 ** rank, generators=tuple(generators),
-        unresolved=tuple(unresolved))
+        index_over_E=2 ** rank, generators=tuple(generators))
 
 
 def klein_log_vectors(struct, precision_bits=DEFAULT_PRECISION):

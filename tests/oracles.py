@@ -1,10 +1,15 @@
 """Independent brute-force oracles used to cross-check library results.
 
 Deliberately naive: plain Python loops and integer arithmetic, sharing no
-code with the library's closed forms or numpy enumeration.
+code with the library's closed forms or numpy enumeration.  char_poly
+uses only the library's basis multiplication `biq_mul`, which the ring
+axiom tests check, and nothing of its tower integrality test.
 """
 
+from fractions import Fraction
 from math import isqrt
+
+from unitlat.biquadratic import BiquadElem, biq_mul
 
 
 def smaller_quad_unit_exists(d, q2_limit):
@@ -31,12 +36,12 @@ def smaller_quad_unit_exists(d, q2_limit):
     return False
 
 
-def brute_min_one_norm(basis, denominator, bound, parity_even=False):
-    """Minimal 1-norm over nonzero coefficient triples with |n_i| <= bound.
+def brute_norms(basis, denominator, bound, parity_even=False):
+    """(1-norm, triple) for every nonzero coefficient triple with
+    |n_i| <= bound, n1+n2+n3 even when parity_even.
 
     basis: three length-6 float rows.
     """
-    best = None
     for n1 in range(-bound, bound + 1):
         for n2 in range(-bound, bound + 1):
             for n3 in range(-bound, bound + 1):
@@ -48,12 +53,40 @@ def brute_min_one_norm(basis, denominator, bound, parity_even=False):
                 for k in range(6):
                     total += abs(n1 * basis[0][k] + n2 * basis[1][k]
                                  + n3 * basis[2][k])
-                total /= denominator
-                if best is None or total < best:
-                    best = total
-    return best
+                yield total / denominator, (n1, n2, n3)
+
+
+def brute_min_one_norm(basis, denominator, bound, parity_even=False):
+    """Minimal 1-norm over nonzero coefficient triples with |n_i| <= bound."""
+    return min(t for t, _ in brute_norms(basis, denominator, bound,
+                                         parity_even))
 
 
 def float_rows(spec):
     """Float copy of a LatticeSpec basis for the brute enumerator."""
     return [[float(c) for c in v.coords] for v in spec.basis]
+
+
+def char_poly(a):
+    """Characteristic polynomial of multiplication-by-a on the rational
+    basis 1, sqrt(d1), sqrt(d2), sqrt(d3) of a biquadratic field, exact,
+    via Faddeev-LeVerrier.  Coefficients are monic, highest degree first;
+    a is an algebraic integer iff all of them are integers."""
+    basis = [BiquadElem(a.field, *[int(i == j) for j in range(4)])
+             for i in range(4)]
+    m = [list(biq_mul(a, e).coords()) for e in basis]
+    m = [[m[j][i] for j in range(4)] for i in range(4)]  # columns -> matrix
+
+    def mat_mul(p, q):
+        return [[sum(p[i][k] * q[k][j] for k in range(4)) for j in range(4)]
+                for i in range(4)]
+
+    coeffs = [Fraction(1)]
+    mk = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+    for k in range(1, 5):
+        mk = mat_mul(m, mk)
+        c = -sum(mk[i][i] for i in range(4)) / k
+        coeffs.append(c)
+        for i in range(4):
+            mk[i][i] += c
+    return coeffs

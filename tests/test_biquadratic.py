@@ -1,14 +1,20 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from unitlat import units as us
 from unitlat.biquadratic import (BiquadElem, BiquadField, biq_add, biq_inv,
                                  biq_mul, biq_neg, biq_norm_to_Q, biq_pow,
-                                 char_poly, embed_real, galois_apply,
+                                 embed_real, galois_apply,
                                  is_algebraic_integer, is_unit, sqrt_in_field,
                                  GALOIS_KLEIN)
-from unitlat.quadratic import fundamental_unit
+from unitlat.quadratic import fundamental_unit, is_squarefree
+from oracles import char_poly
+
+SQUAREFREE = [d for d in range(2, 60) if is_squarefree(d)]
 
 
 def rand_elem(field, rng, span=6):
@@ -65,8 +71,37 @@ def test_char_poly_and_integrality():
     half_phi = BiquadElem(f, Fraction(1, 2), 0, Fraction(1, 2), 0)  # (1+sqrt5)/2
     assert is_algebraic_integer(half_phi)
     assert not is_algebraic_integer(f.from_rational(Fraction(1, 2)))
+    # (1+sqrt17)/4 has integral relative norm -1 but trace 1/2
+    quarter = BiquadElem(BiquadField(2, 17), Fraction(1, 4), 0,
+                         Fraction(1, 4), 0)
+    assert char_poly(quarter)[2] == Fraction(-7, 4)
+    assert not is_algebraic_integer(quarter)
     assert is_unit(half_phi)
     assert not is_unit(f.from_rational(2))
+
+
+@st.composite
+def klein_fields(draw):
+    d1, d2 = draw(st.lists(st.sampled_from(SQUAREFREE), min_size=2,
+                           max_size=2, unique=True))
+    return BiquadField(d1, d2)
+
+
+@st.composite
+def field_elements(draw, denominators=(1, 2, 3, 12), span=10 ** 6):
+    field = draw(klein_fields())
+    q = draw(st.sampled_from(denominators))
+    return BiquadElem(field, *[Fraction(draw(st.integers(-span, span)), q)
+                               for _ in range(4)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_elements(denominators=(1, 2, 4), span=12))
+def test_integrality_agrees_with_char_poly(a):
+    poly = char_poly(a)
+    expected = all(c.denominator == 1 for c in poly)
+    assert is_algebraic_integer(a) == expected
+    assert is_unit(a) == (expected and abs(poly[4]) == 1)
 
 
 def test_embeddings_match_floats():
@@ -94,6 +129,49 @@ def test_sqrt_roundtrip_random_squares():
         assert root is not None
         assert biq_mul(root, root) == sq
         assert root == a or root == biq_neg(a)
+
+
+@functools.lru_cache(maxsize=None)
+def _structure(d1, d2):
+    return us.klein_unit_structure(d1, d2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_elements())
+def test_sqrt_of_square_times_unit_pattern(a):
+    """sqrt(a^2) is +-a; a^2 * u^e is a square exactly for the square
+    patterns e of the field, with root +-a * sqrt(u^e)."""
+    if a.is_zero():
+        return
+    f = a.field
+    sq = biq_mul(a, a)
+    assert sqrt_in_field(sq) in (a, biq_neg(a))
+    struct = _structure(f.d1, f.d2)
+    lifts = [f.lift_quad(u) for u in struct.units]
+    for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1),
+              (0, 1, 1), (1, 1, 1)):
+        prod = sq
+        for ei, lift in zip(e, lifts):
+            if ei:
+                prod = biq_mul(prod, lift)
+        root = sqrt_in_field(prod)
+        if e in struct.sqrt_patterns:
+            expected = biq_mul(a, struct.sqrt_elements[e])
+            assert root in (expected, biq_neg(expected))
+        else:
+            assert root is None
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_sqrt_of_large_unit_product_powers(k):
+    # the roots' coordinates reach 767 bits at k = 4, beyond what a
+    # fixed-precision numeric search can reconstruct
+    f = BiquadField(919, 991)
+    prod = biq_mul(f.lift_quad(fundamental_unit(919).unit),
+                   f.lift_quad(fundamental_unit(991).unit))
+    power = biq_pow(prod, k)
+    assert max(abs(c.numerator).bit_length() for c in power.coords()) > 100 * k
+    assert sqrt_in_field(biq_mul(power, power)) in (power, biq_neg(power))
 
 
 def test_sqrt_of_known_unit_product():

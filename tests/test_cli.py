@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 
 import pytest
 
@@ -98,6 +99,18 @@ def test_scan_byte_stable(capsys):
     _, out1, _ = run(capsys, "--scan-limit", "6", "scan")
     _, out2, _ = run(capsys, "--scan-limit", "6", "scan")
     assert out1 == out2
+
+
+def test_scan_default_matches_pinned_csv(capsys, monkeypatch):
+    # tests/data/scan_30.csv pins the default scan byte for byte;
+    # regenerate it only for an intended change of output
+    for name in ("PRECISION", "COEFF_BOUND", "SCAN_LIMIT"):
+        monkeypatch.delenv("UNITLAT_" + name, raising=False)
+    code, out, _ = run(capsys, "scan")
+    assert code == 0
+    path = os.path.join(os.path.dirname(__file__), "data", "scan_30.csv")
+    with open(path, newline="") as fh:
+        assert out == fh.read()
 
 
 def test_scan_env_and_flag_precedence(capsys, monkeypatch):

@@ -1,17 +1,21 @@
 import random
 
 import mpmath
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from unitlat.loglattice import (LatticeSpec, LogVector, WEDGE_PAIRS,
-                                absin_check, cyclic_f, gram_matrix,
+from unitlat.loglattice import (LatticeSpec, LogVector, Wedge2Vector,
+                                WEDGE_PAIRS, absin_check, cyclic_f,
+                                gram_matrix,
                                 klein_norm_closed, log_embed_klein,
                                 min_one_norm, one_norm, summax_check,
                                 two_norm, wedge2)
 from unitlat.biquadratic import BiquadField
 from unitlat.quadratic import fundamental_unit
 from unitlat import units as us
-from oracles import brute_min_one_norm, float_rows
+from unitlat.verifier import klein_lattice
+from oracles import brute_min_one_norm, brute_norms, float_rows
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +148,70 @@ def test_min_one_norm_against_brute_force(klein25):
             direct = sum(abs(sum(argmin[i] * spec.basis[i].coords[k]
                                  for i in range(3))) for k in range(6)) / den
             assert abs(direct - value) < mpmath.mpf(2) ** -60
+
+
+def gram_eigenvalues(spec):
+    rows = np.array(float_rows(spec))
+    return np.linalg.eigvalsh(rows @ rows.T)
+
+
+def assert_matches_full_box(spec, bound):
+    """min_one_norm agrees with brute force over the whole box: value,
+    lexicographically first near-minimal triple, and certification."""
+    value, argmin, certified = min_one_norm(spec, bound)
+    rows = float_rows(spec)
+    norms = list(brute_norms(rows, spec.denominator, bound,
+                             parity_even=spec.parity_constraint == "even"))
+    best = min(t for t, _ in norms)
+    assert abs(float(value) - best) <= 1e-9 * best
+    assert argmin == min(n for t, n in norms if t <= best * (1 + 1e-9))
+    # certified iff sqrt(lambda_min) * (bound + 1) / den >= value
+    outside = (float(np.sqrt(gram_eigenvalues(spec)[0]))
+               * (bound + 1) / spec.denominator)
+    if abs(outside - best) > 1e-6 * best:
+        assert certified == (outside > best)
+
+
+LATTICE_SHAPES = [(1, None), (2, None), (2, "even"), (4, None), (1, "even")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(logs=st.lists(st.tuples(*[st.floats(-4, 4) for _ in range(3)]),
+                     min_size=3, max_size=3),
+       scales=st.tuples(*[st.sampled_from((1, 10, 300)) for _ in range(3)]),
+       shape=st.sampled_from(LATTICE_SHAPES), bound=st.integers(1, 5))
+def test_min_one_norm_matches_full_box(logs, scales, shape, bound):
+    vecs = []
+    for log, scale in zip(logs, scales):
+        coords = [mpmath.mpf(c) * scale for c in log]
+        vecs.append(LogVector(tuple(coords + [-sum(coords)]), "klein", 128))
+    l1, l2, l3 = vecs
+    spec = LatticeSpec((wedge2(l2, l3), wedge2(l1, l3), wedge2(l1, l2)),
+                       denominator=shape[0], parity_constraint=shape[1])
+    eig = gram_eigenvalues(spec)
+    assume(eig[0] > 1e-6 * eig[-1])
+    assert_matches_full_box(spec, bound)
+
+
+@pytest.mark.parametrize("shape", LATTICE_SHAPES)
+def test_min_one_norm_skewed_basis(shape):
+    # Q(sqrt2, sqrt661): subfield regulators 0.88, 11.0 and 14.4
+    spec, _ = klein_lattice(us.klein_unit_structure(2, 661))
+    spec = LatticeSpec(spec.basis, denominator=shape[0],
+                       parity_constraint=shape[1])
+    assert_matches_full_box(spec, 6)
+
+
+def test_min_one_norm_radius_is_tight():
+    # orthogonal rows of 1-norm 1, 1.5, 3 with n1+n2+n3 even: the minimum
+    # 2 at (-2, 0, 0) lies on the boundary of the radius-2 box that the
+    # best norm over {-1, 0, 1}^3, 2.5 at (1, 1, 0), allows
+    rows = ((1, 0, 0, 0, 0, 0), (0, 1.5, 0, 0, 0, 0), (0, 0, 3, 0, 0, 0))
+    spec = LatticeSpec(tuple(Wedge2Vector(tuple(mpmath.mpf(c) for c in r),
+                                          "klein", 128) for r in rows),
+                       parity_constraint="even")
+    assert_matches_full_box(spec, 6)
+    assert min_one_norm(spec, 6)[1] == (-2, 0, 0)
 
 
 def test_min_one_norm_certified_and_deterministic(klein25):

@@ -36,7 +36,6 @@ def test_klein_structure_2_5():
     assert root == BiquadElem(s.field, Fraction(3, 2), Fraction(1, 2),
                               Fraction(1, 2), Fraction(1, 2))
     assert is_unit(root)
-    assert not s.unresolved
     # the square root replaces exactly one subfield generator
     assert sum(g == root for g in s.generators) == 1
 
@@ -51,6 +50,19 @@ def test_klein_structure_3_5():
     s = us.klein_unit_structure(3, 5)
     assert s.index_over_E == 2
     assert s.sqrt_patterns == ((0, 1, 1),)
+
+
+@pytest.mark.parametrize("d1, d2, patterns, index", [
+    (383, 503, ((0, 0, 1), (1, 1, 0), (1, 1, 1)), 4),
+    (563, 827, ((0, 0, 1), (1, 1, 0), (1, 1, 1)), 4),
+    (433, 913, ((0, 1, 1),), 2),
+    (619, 661, ((0, 0, 1),), 2),
+])
+def test_klein_structure_large_square_roots(d1, d2, patterns, index):
+    # square roots with coordinates too large for a fixed-precision search
+    s = us.klein_unit_structure(d1, d2)
+    assert s.sqrt_patterns == patterns
+    assert s.index_over_E == index
 
 
 def test_generator_squares_land_in_E():
