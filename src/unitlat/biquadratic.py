@@ -19,14 +19,6 @@ from .quadratic import (QuadElem, is_quad_integer, is_squarefree, quad_inv,
 
 GALOIS_KLEIN = ("id", "s1", "s2", "s3")
 
-# group table of Z/2 x Z/2
-_KLEIN_MUL = {
-    ("id", "id"): "id", ("id", "s1"): "s1", ("id", "s2"): "s2", ("id", "s3"): "s3",
-    ("s1", "id"): "s1", ("s1", "s1"): "id", ("s1", "s2"): "s3", ("s1", "s3"): "s2",
-    ("s2", "id"): "s2", ("s2", "s1"): "s3", ("s2", "s2"): "id", ("s2", "s3"): "s1",
-    ("s3", "id"): "s3", ("s3", "s1"): "s2", ("s3", "s2"): "s1", ("s3", "s3"): "id",
-}
-
 # coordinate signs (on y, z, w) applied by each Galois element
 _GALOIS_SIGNS = {
     "id": (1, 1, 1),
@@ -34,10 +26,6 @@ _GALOIS_SIGNS = {
     "s2": (-1, 1, -1),   # fixes sqrt(d2)
     "s3": (-1, -1, 1),   # fixes sqrt(d3)
 }
-
-
-def klein_mul(g, h):
-    return _KLEIN_MUL[(g, h)]
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ defaults.  Decimal output is fixed at 12 significant digits so runs at a
 fixed configuration are byte-stable.
 
 Exit codes: 0 success, 1 assertable-check violation, 2 invalid input,
-3 unresolved computation, 4 catalog validation failure.
+4 catalog validation failure.
 """
 
 import argparse
@@ -17,7 +17,7 @@ import sys
 
 import mpmath
 
-from .precision import PrecisionError, fmt_sig
+from .precision import fmt_sig
 from .quadratic import fundamental_unit, is_squarefree
 from . import units as us
 from . import verifier as vf
@@ -25,7 +25,6 @@ from . import verifier as vf
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INVALID_INPUT = 2
-EXIT_UNRESOLVED = 3
 EXIT_CATALOG = 4
 
 _DEFAULTS = {
@@ -215,7 +214,7 @@ def cmd_scan(args, out):
         try:
             struct, value, certified, reports = vf.klein_field_report(
                 d1, d2, cfg["coeff_bound"], cfg["precision"])
-        except (ArithmeticError, ValueError, PrecisionError) as exc:
+        except (ArithmeticError, ValueError) as exc:
             sys.stderr.write("error at (%d, %d): %s\n" % (d1, d2, exc))
             rows.append({"d1": d1, "d2": d2, "d3": "", "index": "",
                          "min_1norm": "error", "certified": False,
@@ -318,9 +317,6 @@ def main(argv=None):
     except CliError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return exc.code
-    except PrecisionError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return EXIT_UNRESOLVED
     sys.stdout.write(buf.getvalue())
     return code
 

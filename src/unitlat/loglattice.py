@@ -19,12 +19,6 @@ from . import biquadratic, quartic
 # index pairs of the wedge basis, identical for both conventions
 WEDGE_PAIRS = ((0, 1), (2, 3), (0, 3), (1, 2), (0, 2), (1, 3))
 
-WEDGE_LABELS = {
-    "klein": ("id^s1", "s2^s3", "id^s3", "s1^s2", "id^s2", "s1^s3"),
-    "cyclic": ("id^s", "s2^s3", "id^s3", "s^s2", "id^s2", "s^s3"),
-}
-
-
 @dataclass(frozen=True)
 class LogVector:
     coords: tuple  # 4 mpfs
@@ -45,10 +39,6 @@ class Wedge2Vector:
     coords: tuple  # 6 mpfs
     convention: str
     precision_bits: int
-
-    def to_json(self):
-        return {"basis_order": list(WEDGE_LABELS[self.convention]),
-                "coords": [mpmath.nstr(c, 20) for c in self.coords]}
 
 
 def log_embed_klein(x, precision_bits=DEFAULT_PRECISION,
@@ -251,8 +241,3 @@ def min_one_norm(spec, coeff_bound):
         outside = root_lam * (coeff_bound + 1) / spec.denominator
         certified = bool(outside >= value)
     return value, argmin, certified
-
-
-def min_result_json(value, argmin, certified):
-    return {"min": {"value": mpmath.nstr(value, 15), "argmin": list(argmin),
-                    "certified": certified}}

@@ -1,8 +1,7 @@
 """Working-precision helpers shared by the numeric pipelines.
 
-Every numeric quantity that feeds a comparison is evaluated at p and 2p
-bits; the two runs must agree to relative 2^(-p/2) or we escalate once
-to 4p bits before giving up.
+Numeric quantities are evaluated once, at the working precision p plus
+16 bits of headroom (mpf_ctx); nothing is re-run at a higher precision.
 """
 
 from fractions import Fraction
@@ -14,37 +13,9 @@ from mpmath import mp
 DEFAULT_PRECISION = 128
 
 
-class PrecisionError(ArithmeticError):
-    """Raised when escalation to 4p bits still fails to stabilize a value."""
-
-
 def mpf_ctx(bits):
     """Context manager setting mpmath binary precision with headroom."""
     return mpmath.workprec(bits + 16)
-
-
-def stable_eval(func, bits=DEFAULT_PRECISION):
-    """Evaluate func(bits) at p and 2p bits; escalate to 4p on disagreement.
-
-    func must accept a precision argument and return an mpf (or a tuple of
-    mpfs).  Agreement means relative error below 2^(-p/2).
-    """
-    lo = func(bits)
-    hi = func(2 * bits)
-    if _agree(lo, hi, bits):
-        return hi
-    hi2 = func(4 * bits)
-    if _agree(hi, hi2, 2 * bits):
-        return hi2
-    raise PrecisionError("value did not stabilize at %d bits" % (4 * bits))
-
-
-def _agree(a, b, bits):
-    tol = mpmath.mpf(2) ** (-(bits // 2))
-    if isinstance(a, (tuple, list)):
-        return all(_agree(x, y, bits) for x, y in zip(a, b))
-    scale = max(abs(mpmath.mpf(a)), abs(mpmath.mpf(b)), mpmath.mpf(1))
-    return abs(mpmath.mpf(a) - mpmath.mpf(b)) <= tol * scale
 
 
 def mpf_to_fraction(x):

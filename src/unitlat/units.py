@@ -199,9 +199,6 @@ class CyclicCatalogEntry:
         if self.Q_index == 2 and self.u_star is None:
             raise CatalogValidationError("Q_index = 2 requires u_star")
 
-    def field(self):
-        return qt.CyclicQuarticField(self.coeffs)
-
     def to_json(self):
         return {
             "label": self.label,
@@ -276,26 +273,28 @@ def _isqrt_exact(n):
 
 @dataclass
 class CyclicFieldContext:
-    """Cached exact machinery for a verified-or-in-progress entry."""
+    """Cached exact machinery of one cyclic quartic field."""
 
     field: qt.CyclicQuarticField
     sigma: qt.Automorphism
     sqrt_d: qt.QuarticElem    # image of sqrt(quad_subfield_d) in L
-    u_l_emb: qt.QuarticElem   # image of the quadratic fundamental unit
+    u_l_emb: qt.QuarticElem   # image of the quadratic unit u_l
 
 
-def cyclic_context(entry):
-    field = entry.field()
-    if not quartic_is_irreducible(entry.coeffs):
+def cyclic_context(coeffs, quad_subfield_d, u_l):
+    """sigma, sqrt(quad_subfield_d) and the image of the quadratic unit u_l
+    in the cyclic quartic field defined by coeffs; entry callers pass the
+    entry's coeffs, quad_subfield_d and u_l."""
+    field = qt.CyclicQuarticField(tuple(coeffs))
+    if not quartic_is_irreducible(field.coeffs):
         raise CatalogValidationError("defining polynomial is reducible")
     sigma = qt.galois_generator(field)
-    sqrt_d = qt.sqrt_of_rational(field, entry.quad_subfield_d)
+    sqrt_d = qt.sqrt_of_rational(field, quad_subfield_d)
     if sqrt_d is None:
         raise CatalogValidationError(
-            "sqrt(%d) does not lie in the field" % entry.quad_subfield_d)
-    u = entry.u_l
-    u_l_emb = qt.qr_add(field.from_rational(u.a),
-                        qt.QuarticElem(field, tuple(u.b * c for c in sqrt_d.coords)))
+            "sqrt(%d) does not lie in the field" % quad_subfield_d)
+    u_l_emb = qt.qr_add(field.from_rational(u_l.a),
+                        qt.QuarticElem(field, tuple(u_l.b * c for c in sqrt_d.coords)))
     return CyclicFieldContext(field, sigma, sqrt_d, u_l_emb)
 
 
@@ -317,7 +316,7 @@ class HasseReport:
 
 def verify_hasse_relations(entry, ctx=None):
     """Exact pass/fail per Hasse relation for a catalog entry."""
-    ctx = ctx or cyclic_context(entry)
+    ctx = ctx or cyclic_context(entry.coeffs, entry.quad_subfield_d, entry.u_l)
     field, sigma = ctx.field, ctx.sigma
     s2 = sigma.compose(sigma)
     one = field.one()
@@ -355,10 +354,9 @@ def _independent_of_ul(entry, ctx, u0):
         return cross > mpmath.mpf(2) ** (-64)
 
 
-def cyclic_generators(entry, ctx=None):
+def cyclic_generators(entry, ctx):
     """Generators of O_L^* mod +-1: (u_l, u0, sigma(u0)) for Q=1 and
     (u_l, u0, u_star) for Q=2.  Requires the Hasse relations to pass."""
-    ctx = ctx or cyclic_context(entry)
     report = verify_hasse_relations(entry, ctx)
     if not report.passed:
         raise CatalogValidationError(
@@ -370,10 +368,9 @@ def cyclic_generators(entry, ctx=None):
     return (ctx.u_l_emb, u0, qt.QuarticElem(field, entry.u_star))
 
 
-def cyclic_log_vectors(entry, ctx=None, precision_bits=DEFAULT_PRECISION):
+def cyclic_log_vectors(entry, ctx, precision_bits=DEFAULT_PRECISION):
     """LOG(u_l), LOG(u0), LOG(sigma(u0)) in the cyclic Galois order, plus
     the scalar triple (W1, W2, W3)."""
-    ctx = ctx or cyclic_context(entry)
     u0 = qt.QuarticElem(ctx.field, entry.u0)
     lv_ul = log_embed_cyclic(ctx.u_l_emb, ctx.sigma, precision_bits)
     lv_u0 = log_embed_cyclic(u0, ctx.sigma, precision_bits)
@@ -386,11 +383,10 @@ def cyclic_log_vectors(entry, ctx=None, precision_bits=DEFAULT_PRECISION):
 # Relative unit search (desk-scale oracle used to populate catalog entries)
 
 
-def search_relative_units(coeffs, quad_subfield_d, height_bound,
-                          include_u_star=True):
+def search_relative_units(ctx, height_bound, include_u_star=True):
     """Enumerate power-basis integer vectors with |coords| <= height_bound,
-    keep units (N_{L/Q} = +-1) whose relative norm is +-u_l^k, and return
-    them sorted by log magnitude.
+    keep units (N_{L/Q} = +-1) whose relative norm is +-u_l^k, |k| <= 12,
+    and return them sorted by log magnitude.
 
     Returns a list of (element, k) pairs: k = 0 marks a relative unit,
     odd k marks a u_star witness (only when include_u_star).
@@ -398,17 +394,13 @@ def search_relative_units(coeffs, quad_subfield_d, height_bound,
     """
     if height_bound < 1:
         return []
-    field = qt.CyclicQuarticField(coeffs)
-    sigma = qt.galois_generator(field)
-    s2 = sigma.compose(sigma)
-    ul = fundamental_unit(quad_subfield_d)
-    sqrt_d = qt.sqrt_of_rational(field, quad_subfield_d)
-    if sqrt_d is None:
-        raise CatalogValidationError(
-            "sqrt(%d) does not lie in the field" % quad_subfield_d)
-    ul_emb = qt.qr_add(field.from_rational(ul.unit.a),
-                       qt.QuarticElem(field,
-                                      tuple(ul.unit.b * c for c in sqrt_d.coords)))
+    field = ctx.field
+    s2 = ctx.sigma.compose(ctx.sigma)
+    # +-u_l^k -> k; u_l has infinite order, so these 50 elements are distinct
+    ul_powers = {}
+    for k in range(-12, 13):
+        p = qt.qr_pow(ctx.u_l_emb, k)
+        ul_powers[p.coords] = ul_powers[qt.qr_neg(p).coords] = k
 
     with mpf_ctx(96):
         roots = [float(r) for r in field.roots(96)]
@@ -422,7 +414,6 @@ def search_relative_units(coeffs, quad_subfield_d, height_bound,
     cand_mask = np.abs(norms - 1.0) < 1e-4
     candidates = coords[cand_mask].astype(int)
 
-    w1 = float(ul.log_value)
     found = []
     seen = set()
     for c in candidates:
@@ -431,8 +422,7 @@ def search_relative_units(coeffs, quad_subfield_d, height_bound,
             continue
         if abs(qt.norm_to_Q(elem)) != 1:
             continue
-        rel = qt.qr_mul(elem, s2(elem))
-        k = _ul_power_exponent(rel, ul_emb, field)
+        k = ul_powers.get(qt.qr_mul(elem, s2(elem)).coords)
         if k is None:
             continue
         if not include_u_star and k % 2 != 0:
@@ -440,7 +430,7 @@ def search_relative_units(coeffs, quad_subfield_d, height_bound,
         # drop elements that are just +-u_l^m (log vector parallel to u_l's)
         le = [abs(float(v)) for v in qt.embed_all(elem, 96)]
         logs = [mpmath.log(v) for v in le]
-        if _parallel_to_ul(logs, w1):
+        if _parallel_to_ul(logs):
             continue
         key = tuple(int(v) for v in c)
         if key in seen or tuple(-v for v in key) in seen:
@@ -451,24 +441,7 @@ def search_relative_units(coeffs, quad_subfield_d, height_bound,
     return [(elem, k) for elem, k, _ in found]
 
 
-def _ul_power_exponent(rel, ul_emb, field, max_exp=12):
-    """If rel = +-u_l^k (k in Z), return k, else None; exact."""
-    one = field.one()
-    acc = one
-    for k in range(max_exp + 1):
-        if _is_pm(rel, acc):
-            return k
-        acc = qt.qr_mul(acc, ul_emb)
-    acc = one
-    inv = qt.qr_inv(ul_emb)
-    for k in range(1, max_exp + 1):
-        acc = qt.qr_mul(acc, inv)
-        if _is_pm(rel, acc):
-            return -k
-    return None
-
-
-def _parallel_to_ul(logs, w1):
+def _parallel_to_ul(logs):
     # u_l log pattern is (W1, -W1, W1, -W1) up to root ordering; parallel
     # candidates have all |log| equal
     avg = sum(logs) / 4
@@ -476,48 +449,47 @@ def _parallel_to_ul(logs, w1):
 
 
 def populate_cyclic_entry(coeffs, quad_subfield_d, label, height_bound=6):
-    """Build a catalog entry by brute-force search, then verify it."""
-    field = qt.CyclicQuarticField(tuple(coeffs))
-    sigma = qt.galois_generator(field)
-    ul = fundamental_unit(quad_subfield_d)
-    hits = search_relative_units(coeffs, quad_subfield_d, height_bound)
-    if not hits:
-        raise CatalogValidationError("no relative units found at height %d"
-                                     % height_bound)
-    star = next((e for e, k in hits if k % 2 != 0), None)
-    if star is not None:
-        k = next(k for e, k in hits if e == star)
-        sqrt_d = qt.sqrt_of_rational(field, quad_subfield_d)
-        ul_emb = qt.qr_add(field.from_rational(ul.unit.a),
-                           qt.QuarticElem(field,
-                                          tuple(ul.unit.b * c for c in sqrt_d.coords)))
-        star = qt.qr_mul(star, qt.qr_pow(ul_emb, -(k - 1) // 2))
+    """Build a catalog entry by brute-force search, then verify it: Q = 2
+    from the first u_star witness (odd k), else Q = 1 from the first
+    relative unit (k = 0)."""
+    ul = fundamental_unit(quad_subfield_d).unit
+    ctx = cyclic_context(coeffs, quad_subfield_d, ul)
+    hits = search_relative_units(ctx, height_bound)
+    star_hit = next(((e, k) for e, k in hits if k % 2 != 0), None)
+    if star_hit is not None:
+        star, k = star_hit
+        star = qt.qr_mul(star, qt.qr_pow(ctx.u_l_emb, -(k - 1) // 2))
         if qt.embed_all(star, 96)[0] < 0:
             star = qt.qr_neg(star)
-        u0 = qt.qr_mul(star, sigma(star))
+        u0 = qt.qr_mul(star, ctx.sigma(star))
         entry = CyclicCatalogEntry(
             label=label, coeffs=tuple(coeffs),
-            quad_subfield_d=quad_subfield_d, u_l=ul.unit,
+            quad_subfield_d=quad_subfield_d, u_l=ul,
             u0=u0.coords, u_star=star.coords, Q_index=2)
     else:
-        u0 = hits[0][0]
+        u0 = next((e for e, k in hits if k == 0), None)
+        if u0 is None:
+            raise CatalogValidationError(
+                "no relative units found at height %d" % height_bound)
         entry = CyclicCatalogEntry(
             label=label, coeffs=tuple(coeffs),
-            quad_subfield_d=quad_subfield_d, u_l=ul.unit,
+            quad_subfield_d=quad_subfield_d, u_l=ul,
             u0=u0.coords, Q_index=1)
-    report = verify_hasse_relations(entry)
+    report = verify_hasse_relations(entry, ctx)
     if not report.passed:
         raise CatalogValidationError(
             "populated entry failed relations: %s" % ", ".join(report.failures()))
     return entry
 
 
-def regulator_cross_check(entry, height_bound=6, ctx=None):
+def regulator_cross_check(entry, height_bound, ctx):
     """Compare the claimed-generator log lattice against all brute-force
     found units: every found unit must be an integer combination of the
     generators, and the index of the found sublattice must be a plausible
-    integer <= 4.  Returns (ok, index_estimate)."""
-    ctx = ctx or cyclic_context(entry)
+    integer <= 4.  Returns (ok, index_estimate).
+
+    The search uses ctx.u_l_emb, the entry's u_l: cyclic_generators has
+    already checked that it is the fundamental unit."""
     gens = cyclic_generators(entry, ctx)
     prec = 128
     with mpf_ctx(prec):
@@ -526,12 +498,10 @@ def regulator_cross_check(entry, height_bound=6, ctx=None):
         for i in range(4):
             for j in range(3):
                 gmat[i, j] = logvecs[j][i]
-        hits = search_relative_units(entry.coeffs, entry.quad_subfield_d,
-                                     height_bound)
+        hits = search_relative_units(ctx, height_bound)
         coeff_rows = []
         for elem, _k in hits:
-            b = mpmath.matrix([log_embed_cyclic(elem, ctx.sigma, prec).coords[i]
-                               for i in range(4)])
+            b = mpmath.matrix(list(log_embed_cyclic(elem, ctx.sigma, prec).coords))
             sol = mpmath.lu_solve(gmat, b)  # least squares (4x3)
             row = []
             for i in range(3):

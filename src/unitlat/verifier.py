@@ -165,7 +165,7 @@ def constrained_min(spec, precision_bits=DEFAULT_PRECISION):
     """Dense-grid global search plus golden-section refinement on the active
     constraint circle.  Returns (minimum, argmin, paper_claim, relation);
     relation is always "report-only"."""
-    lp = float(mpmath.log((1 + mpmath.sqrt(5)) / 2))
+    lp = float(_log_phi())
     res = spec.grid_resolution
     hi = 3.0 * lp
     axis = np.linspace(1e-9, hi, res)
@@ -217,7 +217,7 @@ def constrained_min(spec, precision_bits=DEFAULT_PRECISION):
 
 
 def constrained_min_reports(grid_resolution=1200):
-    lp = mpmath.log((1 + mpmath.sqrt(5)) / 2)
+    lp = _log_phi()
     out = []
     for tag, expected in (("q1_expr", 4 * lp),
                           ("q2_expr", 4 * mpmath.sqrt(6) * lp ** 2)):
@@ -274,21 +274,20 @@ def klein_field_report(d1, d2, coeff_bound=20,
         return struct, value, certified, reports
 
 
-def cyclic_lattice(entry, ctx=None, precision_bits=DEFAULT_PRECISION):
-    ctx = ctx or us.cyclic_context(entry)
+def cyclic_lattice(entry, ctx, precision_bits=DEFAULT_PRECISION):
     (lv_ul, lv_u0, lv_su0), ws = us.cyclic_log_vectors(entry, ctx, precision_bits)
     basis = (wedge2(lv_ul, lv_u0), wedge2(lv_ul, lv_su0), wedge2(lv_u0, lv_su0))
     if entry.Q_index == 2:
         spec = LatticeSpec(basis, denominator=2, parity_constraint="even")
     else:
         spec = LatticeSpec(basis, denominator=1)
-    return spec, ws, ctx
+    return spec, ws
 
 
 def cyclic_entry_report(entry, coeff_bound=20, precision_bits=DEFAULT_PRECISION,
                         regulator_height=6):
     with mpf_ctx(precision_bits):
-        ctx = us.cyclic_context(entry)
+        ctx = us.cyclic_context(entry.coeffs, entry.quad_subfield_d, entry.u_l)
         hasse = us.verify_hasse_relations(entry, ctx)
         reports = [BoundReport("hasse_" + name, None, None,
                                "holds" if ok else "violated")
@@ -300,7 +299,7 @@ def cyclic_entry_report(entry, coeff_bound=20, precision_bits=DEFAULT_PRECISION,
             "regulator_cross_check", None, None,
             "holds" if reg_ok else "violated",
             details={"sublattice_index": reg_idx}))
-        spec, (w1, w2, w3), ctx = cyclic_lattice(entry, ctx, precision_bits)
+        spec, (w1, w2, w3) = cyclic_lattice(entry, ctx, precision_bits)
         value, argmin, certified = min_one_norm(spec, coeff_bound)
         c = constants(precision_bits)
         reports.append(BoundReport(

@@ -113,6 +113,24 @@ def test_scan_default_matches_pinned_csv(capsys, monkeypatch):
         assert out == fh.read()
 
 
+@pytest.mark.parametrize("label, pinned", [
+    ("Q(sqrt(2+sqrt2))", "cyclic_sqrt_2_plus_sqrt2.json"),
+    ("Q(zeta20)+", "cyclic_zeta20_plus.json"),
+    ("Q(zeta15)+", "cyclic_zeta15_plus.json"),
+])
+def test_cyclic_json_matches_pinned(capsys, monkeypatch, label, pinned):
+    # tests/data/cyclic_*.json pin `--format json cyclic LABEL` for the
+    # shipped entries byte for byte; regenerate them only for an intended
+    # change of output
+    for name in ("PRECISION", "COEFF_BOUND", "SCAN_LIMIT"):
+        monkeypatch.delenv("UNITLAT_" + name, raising=False)
+    code, out, _ = run(capsys, "--format", "json", "cyclic", label)
+    assert code == 0
+    with open(os.path.join(os.path.dirname(__file__), "data", pinned),
+              newline="") as fh:
+        assert out == fh.read()
+
+
 def test_scan_env_and_flag_precedence(capsys, monkeypatch):
     monkeypatch.setenv("UNITLAT_SCAN_LIMIT", "6")
     _, out, _ = run(capsys, "scan")

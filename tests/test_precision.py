@@ -1,11 +1,9 @@
 from fractions import Fraction
 
 import mpmath
-import pytest
 
-from unitlat.precision import (PrecisionError, fmt_sig, mpf_ctx,
-                               mpf_to_fraction, reconstruct_rational,
-                               stable_eval)
+from unitlat.precision import (fmt_sig, mpf_ctx, mpf_to_fraction,
+                               reconstruct_rational)
 
 
 def test_mpf_to_fraction_exact():
@@ -23,26 +21,6 @@ def test_reconstruct_rational():
         assert reconstruct_rational(x, 100) == Fraction(22, 7)
         half = mpmath.mpf(10 ** 12) + mpmath.mpf("0.5")
         assert reconstruct_rational(half, 10) == Fraction(2 * 10 ** 12 + 1, 2)
-
-
-def test_stable_eval_agrees():
-    def f(bits):
-        with mpf_ctx(bits):
-            return mpmath.sqrt(2)
-    v = stable_eval(f, 64)
-    assert abs(v - mpmath.mpf(2) ** mpmath.mpf("0.5")) < 1e-15
-
-
-def test_stable_eval_escalates_and_fails():
-    calls = []
-
-    def flaky(bits):
-        calls.append(bits)
-        return mpmath.mpf(len(calls))  # never stabilizes
-
-    with pytest.raises(PrecisionError):
-        stable_eval(flaky, 64)
-    assert calls == [64, 128, 256]
 
 
 def test_fmt_sig_stable():

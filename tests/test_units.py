@@ -17,7 +17,7 @@ def entry():
 
 @pytest.fixture(scope="module")
 def ctx(entry):
-    return us.cyclic_context(entry)
+    return us.cyclic_context(entry.coeffs, entry.quad_subfield_d, entry.u_l)
 
 
 def test_subfield_units_sorted():
@@ -153,26 +153,36 @@ def test_irreducibility():
     assert us.quartic_is_irreducible((1, 0, -10, 0, 1))  # min poly of sqrt2+sqrt3
 
 
-def test_search_relative_units_finds_u_star(entry):
-    hits = us.search_relative_units(entry.coeffs, entry.quad_subfield_d, 2)
+def test_search_relative_units_finds_u_star(entry, ctx):
+    hits = us.search_relative_units(ctx, 2)
     assert hits
+    # each k is exact: the relative norm is +-u_l^k
+    s2 = ctx.sigma.compose(ctx.sigma)
+    for e, k in hits:
+        power = qt.qr_pow(ctx.u_l_emb, k)
+        assert qt.qr_mul(e, s2(e)) in (power, qt.qr_neg(power))
     odd = [(e, k) for e, k in hits if k % 2 != 0]
     assert odd, "no u_star witness at height 2"
     # the committed u_star is among them up to sign
-    star = qt.QuarticElem(qt.CyclicQuarticField(entry.coeffs), entry.u_star)
+    star = qt.QuarticElem(ctx.field, entry.u_star)
     assert any(e == star or e == qt.qr_neg(star) for e, _ in odd)
+    assert all(k % 2 == 0 for _, k in
+               us.search_relative_units(ctx, 2, include_u_star=False))
 
 
-def test_populated_entry_matches_catalog(entry):
-    # the committed fixture was produced at height 6; reproduction is exact
-    rebuilt = us.populate_cyclic_entry(entry.coeffs, entry.quad_subfield_d,
-                                       entry.label, height_bound=6)
-    assert rebuilt == entry
-    # a smaller search window finds a different but still valid witness
-    small = us.populate_cyclic_entry(entry.coeffs, entry.quad_subfield_d,
-                                     entry.label, height_bound=2)
-    assert small.Q_index == 2
-    assert us.verify_hasse_relations(small).passed
+@pytest.mark.parametrize("shipped", load_default_catalog(),
+                         ids=lambda e: e.label)
+def test_populated_entry_matches_catalog(shipped):
+    # the shipped entries were produced at height 6; reproduction is exact
+    rebuilt = us.populate_cyclic_entry(shipped.coeffs, shipped.quad_subfield_d,
+                                       shipped.label, height_bound=6)
+    assert rebuilt == shipped
+    if shipped.Q_index == 2:
+        # a smaller search window finds a different but still valid witness
+        small = us.populate_cyclic_entry(shipped.coeffs, shipped.quad_subfield_d,
+                                         shipped.label, height_bound=2)
+        assert small.Q_index == 2
+        assert us.verify_hasse_relations(small).passed
 
 
 def test_regulator_cross_check(entry, ctx):

@@ -41,7 +41,7 @@ def test_pohst_check_units(entry):
     assert r.relation == "holds"
     # the golden-ratio lift attains the floor
     assert abs(r.computed_value - r.paper_value) < 1e-9
-    ctx = us.cyclic_context(entry)
+    ctx = us.cyclic_context(entry.coeffs, entry.quad_subfield_d, entry.u_l)
     import unitlat.quartic as qt
     r2 = vf.pohst_check(qt.QuarticElem(ctx.field, entry.u0), ctx.sigma)
     assert r2.relation == "holds"
