@@ -247,10 +247,13 @@ def cmd_verify_paper(args, out):
         catalog = _load_catalog(args.catalog)
     except (OSError, KeyError, ValueError) as exc:
         raise CliError("cannot load catalog: %s" % exc, EXIT_INVALID_INPUT)
-    report = vf.verify_paper(scan_limit=cfg["scan_limit"],
-                             coeff_bound=cfg["coeff_bound"],
-                             precision_bits=cfg["precision"],
-                             catalog=catalog)
+    try:
+        report = vf.verify_paper(scan_limit=cfg["scan_limit"],
+                                 coeff_bound=cfg["coeff_bound"],
+                                 precision_bits=cfg["precision"],
+                                 catalog=catalog)
+    except us.CatalogValidationError as exc:
+        raise CliError(str(exc), EXIT_CATALOG)
     if args.format == "json":
         json.dump(report, out, indent=2)
         out.write("\n")

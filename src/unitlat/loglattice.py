@@ -60,17 +60,17 @@ def log_embed_klein(x, precision_bits=DEFAULT_PRECISION,
                          "klein", precision_bits)
 
 
-def log_embed_cyclic(x, sigma, precision_bits=DEFAULT_PRECISION):
+def log_embed_cyclic(x, precision_bits=DEFAULT_PRECISION):
     """LOG of a unit of a cyclic quartic field, coordinates ordered by
     id, sigma, sigma^2, sigma^3 (each image taken in the id-embedding)."""
-    if not (quartic.is_algebraic_integer(x) and abs(quartic.norm_to_Q(x)) == 1):
+    if not quartic.is_unit(x):
         raise ValueError("log_embed requires a unit")
     with mpf_ctx(precision_bits):
         coords = []
         img = x
         for _ in range(4):
             coords.append(mpmath.log(abs(quartic.embed_all(img, precision_bits)[0])))
-            img = sigma(img)
+            img = x.field.sigma(img)
         return LogVector(tuple(coords), "cyclic", precision_bits)
 
 

@@ -2,16 +2,21 @@
 
 alpha is a root of a monic integer quartic with four real roots and
 cyclic Galois group.  A generator sigma of the Galois group is recovered
-by matching root permutations numerically, rationally reconstructing the
-image of alpha, and verifying the automorphism exactly.
+once per field by matching root permutations numerically, rationally
+reconstructing the image of alpha, and verifying the automorphism
+exactly.  Everything else is exact in the tower L > k > Q, where
+k = Q(sqrt(d)) is the fixed field of sigma^2 and sigma restricts to the
+non-trivial automorphism of k.
 """
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 
 from .precision import mpf_ctx, reconstruct_rational
+from .quadratic import _rational_sqrt
 
 _AUT_PRECISION = 192
 _AUT_DENOM_BOUND = 10 ** 12
@@ -44,6 +49,15 @@ class CyclicQuarticField:
 
     def gen(self):
         return QuarticElem(self, (Fraction(0), Fraction(1), Fraction(0), Fraction(0)))
+
+    @functools.cached_property
+    def sigma(self):
+        """Generator of the Galois group; NotCyclicError if there is none."""
+        return galois_generator(self)
+
+    @functools.cached_property
+    def sigma2(self):
+        return self.sigma.compose(self.sigma)
 
     def roots(self, precision_bits=_AUT_PRECISION):
         """Real roots, descending; index 0 is the chosen id-embedding.
@@ -142,73 +156,47 @@ def _same(a, b):
         raise ValueError("elements from different quartic fields")
 
 
-def _mult_matrix(a):
-    cols = []
-    e = [a.field.one(), a.field.gen(),
-         qr_mul(a.field.gen(), a.field.gen()),
-         qr_pow(a.field.gen(), 3)]
-    for b in e:
-        cols.append(qr_mul(a, b).coords)
-    return [[cols[j][i] for j in range(4)] for i in range(4)]
+def _relative_norm(a):
+    """N_{L/k}(a) = a * sigma^2(a), an element of k."""
+    return qr_mul(a, a.field.sigma2(a))
 
 
-def char_poly(a):
-    """Monic char poly of multiplication-by-a, highest degree first, exact."""
-    m = _mult_matrix(a)
+def _trace_norm_to_Q(y):
+    """(Tr_{k/Q}(y), N_{k/Q}(y)) of y in k as rationals: sigma restricts to
+    the non-trivial automorphism of k."""
+    z = y.field.sigma(y)
+    return qr_add(y, z).rational_value(), qr_mul(y, z).rational_value()
 
-    def mat_mul(p, q):
-        return [[sum(p[i][k] * q[k][j] for k in range(4)) for j in range(4)]
-                for i in range(4)]
 
-    coeffs = [Fraction(1)]
-    mk = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
-    for k in range(1, 5):
-        mk = mat_mul(m, mk)
-        c = -sum(mk[i][i] for i in range(4)) / k
-        coeffs.append(c)
-        for i in range(4):
-            mk[i][i] += c
-    return coeffs
+def _is_k_integer(y):
+    return all(v.denominator == 1 for v in _trace_norm_to_Q(y))
 
 
 def is_algebraic_integer(a):
-    return all(c.denominator == 1 for c in char_poly(a))
+    """a lies in O_L iff its relative trace a + sigma^2(a) and norm
+    N_{L/k}(a) lie in O_k, each tested by trace and norm in Z."""
+    return (_is_k_integer(qr_add(a, a.field.sigma2(a)))
+            and _is_k_integer(_relative_norm(a)))
 
 
 def norm_to_Q(a):
-    """N_{L/Q}(a) as exact rational (det of the multiplication map)."""
-    return _det4(_mult_matrix(a))
+    """N_{L/Q}(a) = N_{k/Q}(N_{L/k}(a)), an exact rational."""
+    n = _relative_norm(a)
+    return qr_mul(n, a.field.sigma(n)).rational_value()
 
 
-def _det4(m):
-    # cofactor expansion, exact
-    def det3(r):
-        return (r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-                - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-                + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0]))
-    total = Fraction(0)
-    for j in range(4):
-        minor = [[m[i][k] for k in range(4) if k != j] for i in range(1, 4)]
-        total += (-1) ** j * m[0][j] * det3(minor)
-    return total
+def is_unit(a):
+    return is_algebraic_integer(a) and abs(norm_to_Q(a)) == 1
 
 
 def qr_inv(a):
+    """1/a = sigma^2(a) sigma(N_{L/k}(a)) / N_{L/Q}(a)."""
     if a.is_zero():
         raise ZeroDivisionError("zero element has no inverse")
-    # solve M x = e0 with M the multiplication matrix, exact Gauss
-    m = [row[:] + [Fraction(int(i == 0))] for i, row in enumerate(_mult_matrix(a))]
-    n = 4
-    for col in range(n):
-        piv = next(r for r in range(col, n) if m[r][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
-        pv = m[col][col]
-        m[col] = [v / pv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                factor = m[r][col]
-                m[r] = [v - factor * w for v, w in zip(m[r], m[col])]
-    return QuarticElem(a.field, tuple(m[i][4] for i in range(n)))
+    sigma_n = a.field.sigma(_relative_norm(a))
+    cofactor = qr_mul(a.field.sigma2(a), sigma_n)
+    n = qr_mul(a, cofactor).rational_value()
+    return QuarticElem(a.field, tuple(c / n for c in cofactor.coords))
 
 
 def eval_poly_at(field, elem):
@@ -231,12 +219,12 @@ class Automorphism:
         self._powers = gen_powers
 
     def __call__(self, elem):
-        acc = self.field.from_rational(0)
+        acc = [Fraction(0)] * 4
         for c, p in zip(elem.coords, self._powers):
             if c:
-                acc = qr_add(acc, QuarticElem(self.field,
-                                              tuple(c * v for v in p.coords)))
-        return acc
+                for i, v in enumerate(p.coords):
+                    acc[i] += c * v
+        return QuarticElem(self.field, tuple(acc))
 
     def compose(self, other):
         return Automorphism(self.field, self(other.image))
@@ -288,28 +276,34 @@ def galois_generator(field):
     raise NotCyclicError("no order-4 automorphism found; field is not cyclic")
 
 
-def sqrt_of_rational(field, q, precision_bits=_AUT_PRECISION,
-                     denom_bound=_AUT_DENOM_BOUND):
-    """Element x of L with x^2 = q (rational q > 0), or None.
+def sqrt_of_rational(field, q):
+    """Element x of L with x^2 = q and positive id-embedding, or None when
+    sqrt(q) is not in L (or q <= 0).
 
-    Chooses the root with positive id-embedding.  Exact verification.
+    Exact: y, the irrational one of Tr_{L/k}(alpha) and N_{L/k}(alpha),
+    has p = Tr_{k/Q}(y) and m = N_{k/Q}(y) rational with
+    (2y - p)^2 = p^2 - 4m, so k = Q(sqrt(p^2 - 4m)), and sqrt(q) lies in L
+    iff c = sqrt((p^2 - 4m)/q) is rational; then sqrt(q) = +-(2y - p)/c.
     """
     q = Fraction(q)
     if q <= 0:
         return None
-    with mpf_ctx(precision_bits):
-        roots = field.roots(precision_bits)
-        target = mpmath.sqrt(mpmath.mpf(q.numerator) / q.denominator)
-        for signs in ((1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
-                      (-1, 1, 1), (-1, 1, -1), (-1, -1, 1), (-1, -1, -1)):
-            values = [target] + [s * target for s in signs]
-            try:
-                cand = _reconstruct_elem(field, roots, values, denom_bound)
-            except (ZeroDivisionError, ValueError):
-                continue
-            if qr_mul(cand, cand) == field.from_rational(q):
-                return cand
-    return None
+    r = _rational_sqrt(q)
+    if r is not None:
+        return field.from_rational(r)
+    alpha = field.gen()
+    y = qr_add(alpha, field.sigma2(alpha))
+    if y.is_rational():  # then N_{L/k}(alpha) is not, as alpha has degree 4
+        y = _relative_norm(alpha)
+    p, m = _trace_norm_to_Q(y)
+    c = _rational_sqrt((p * p - 4 * m) / q)
+    if c is None:
+        return None
+    root = qr_add(y, qr_add(y, field.from_rational(-p)))
+    root = QuarticElem(field, tuple(v / c for v in root.coords))
+    if qr_mul(root, root) != field.from_rational(q):
+        raise ArithmeticError("square root check failed")
+    return qr_neg(root) if embed_all(root)[0] < 0 else root
 
 
 def embed_all(a, precision_bits=128):

@@ -273,29 +273,30 @@ def _isqrt_exact(n):
 
 @dataclass
 class CyclicFieldContext:
-    """Cached exact machinery of one cyclic quartic field."""
+    """A cyclic quartic field (sigma cached on it) and the image of u_l."""
 
     field: qt.CyclicQuarticField
-    sigma: qt.Automorphism
-    sqrt_d: qt.QuarticElem    # image of sqrt(quad_subfield_d) in L
     u_l_emb: qt.QuarticElem   # image of the quadratic unit u_l
 
 
 def cyclic_context(coeffs, quad_subfield_d, u_l):
-    """sigma, sqrt(quad_subfield_d) and the image of the quadratic unit u_l
-    in the cyclic quartic field defined by coeffs; entry callers pass the
-    entry's coeffs, quad_subfield_d and u_l."""
+    """The cyclic quartic field defined by coeffs, with sigma found, and the
+    image of the quadratic unit u_l in it; entry callers pass the entry's
+    coeffs, quad_subfield_d and u_l."""
     field = qt.CyclicQuarticField(tuple(coeffs))
     if not quartic_is_irreducible(field.coeffs):
         raise CatalogValidationError("defining polynomial is reducible")
-    sigma = qt.galois_generator(field)
+    try:
+        field.sigma
+    except qt.NotCyclicError as exc:
+        raise CatalogValidationError(str(exc)) from exc
     sqrt_d = qt.sqrt_of_rational(field, quad_subfield_d)
     if sqrt_d is None:
         raise CatalogValidationError(
             "sqrt(%d) does not lie in the field" % quad_subfield_d)
     u_l_emb = qt.qr_add(field.from_rational(u_l.a),
                         qt.QuarticElem(field, tuple(u_l.b * c for c in sqrt_d.coords)))
-    return CyclicFieldContext(field, sigma, sqrt_d, u_l_emb)
+    return CyclicFieldContext(field, u_l_emb)
 
 
 def _is_pm(x, target):
@@ -317,24 +318,22 @@ class HasseReport:
 def verify_hasse_relations(entry, ctx=None):
     """Exact pass/fail per Hasse relation for a catalog entry."""
     ctx = ctx or cyclic_context(entry.coeffs, entry.quad_subfield_d, entry.u_l)
-    field, sigma = ctx.field, ctx.sigma
-    s2 = sigma.compose(sigma)
+    field = ctx.field
+    sigma, s2 = field.sigma, field.sigma2
     one = field.one()
     u0 = qt.QuarticElem(field, entry.u0)
 
     rel = {}
     rel["u_l is the fundamental unit of Q(sqrt(d))"] = (
         entry.u_l == fundamental_unit(entry.quad_subfield_d).unit)
-    rel["u0 is a unit"] = (qt.is_algebraic_integer(u0)
-                           and abs(qt.norm_to_Q(u0)) == 1)
+    rel["u0 is a unit"] = qt.is_unit(u0)
     rel["N_{L/l}(u0) = +-1"] = _is_pm(qt.qr_mul(u0, s2(u0)), one)
     rel["sigma^2(u0) = +-1/u0"] = rel["N_{L/l}(u0) = +-1"]
     rel["u0 independent of u_l"] = _independent_of_ul(entry, ctx, u0)
 
     if entry.Q_index == 2:
         us = qt.QuarticElem(field, entry.u_star)
-        rel["u_star is a unit"] = (qt.is_algebraic_integer(us)
-                                   and abs(qt.norm_to_Q(us)) == 1)
+        rel["u_star is a unit"] = qt.is_unit(us)
         rel["N_{L/l}(u_star) = u_star sigma^2(u_star) = +-u_l"] = _is_pm(
             qt.qr_mul(us, s2(us)), ctx.u_l_emb)
         rel["u_star sigma(u_star) = +-u0"] = _is_pm(
@@ -347,8 +346,8 @@ def verify_hasse_relations(entry, ctx=None):
 
 def _independent_of_ul(entry, ctx, u0):
     with mpf_ctx(128):
-        lv_ul = log_embed_cyclic(ctx.u_l_emb, ctx.sigma, 128).coords
-        lv_u0 = log_embed_cyclic(u0, ctx.sigma, 128).coords
+        lv_ul = log_embed_cyclic(ctx.u_l_emb, 128).coords
+        lv_u0 = log_embed_cyclic(u0, 128).coords
         cross = max(abs(lv_ul[i] * lv_u0[j] - lv_ul[j] * lv_u0[i])
                     for i in range(4) for j in range(i + 1, 4))
         return cross > mpmath.mpf(2) ** (-64)
@@ -364,7 +363,7 @@ def cyclic_generators(entry, ctx):
     field = ctx.field
     u0 = qt.QuarticElem(field, entry.u0)
     if entry.Q_index == 1:
-        return (ctx.u_l_emb, u0, ctx.sigma(u0))
+        return (ctx.u_l_emb, u0, field.sigma(u0))
     return (ctx.u_l_emb, u0, qt.QuarticElem(field, entry.u_star))
 
 
@@ -372,9 +371,9 @@ def cyclic_log_vectors(entry, ctx, precision_bits=DEFAULT_PRECISION):
     """LOG(u_l), LOG(u0), LOG(sigma(u0)) in the cyclic Galois order, plus
     the scalar triple (W1, W2, W3)."""
     u0 = qt.QuarticElem(ctx.field, entry.u0)
-    lv_ul = log_embed_cyclic(ctx.u_l_emb, ctx.sigma, precision_bits)
-    lv_u0 = log_embed_cyclic(u0, ctx.sigma, precision_bits)
-    lv_su0 = log_embed_cyclic(ctx.sigma(u0), ctx.sigma, precision_bits)
+    lv_ul = log_embed_cyclic(ctx.u_l_emb, precision_bits)
+    lv_u0 = log_embed_cyclic(u0, precision_bits)
+    lv_su0 = log_embed_cyclic(ctx.field.sigma(u0), precision_bits)
     return (lv_ul, lv_u0, lv_su0), (lv_ul.coords[0], lv_u0.coords[0],
                                     lv_su0.coords[0])
 
@@ -395,7 +394,7 @@ def search_relative_units(ctx, height_bound, include_u_star=True):
     if height_bound < 1:
         return []
     field = ctx.field
-    s2 = ctx.sigma.compose(ctx.sigma)
+    s2 = field.sigma2
     # +-u_l^k -> k; u_l has infinite order, so these 50 elements are distinct
     ul_powers = {}
     for k in range(-12, 13):
@@ -420,8 +419,7 @@ def search_relative_units(ctx, height_bound, include_u_star=True):
         elem = qt.QuarticElem(field, tuple(Fraction(int(v)) for v in c))
         if elem.is_rational():
             continue
-        if abs(qt.norm_to_Q(elem)) != 1:
-            continue
+        # N_{L/Q}(elem) = N_{k/Q}(+-u_l^k) = +-1 for every hit
         k = ul_powers.get(qt.qr_mul(elem, s2(elem)).coords)
         if k is None:
             continue
@@ -461,7 +459,7 @@ def populate_cyclic_entry(coeffs, quad_subfield_d, label, height_bound=6):
         star = qt.qr_mul(star, qt.qr_pow(ctx.u_l_emb, -(k - 1) // 2))
         if qt.embed_all(star, 96)[0] < 0:
             star = qt.qr_neg(star)
-        u0 = qt.qr_mul(star, ctx.sigma(star))
+        u0 = qt.qr_mul(star, ctx.field.sigma(star))
         entry = CyclicCatalogEntry(
             label=label, coeffs=tuple(coeffs),
             quad_subfield_d=quad_subfield_d, u_l=ul,
@@ -494,14 +492,14 @@ def regulator_cross_check(entry, height_bound, ctx):
     prec = 128
     with mpf_ctx(prec):
         gmat = mpmath.matrix([[float(0)] * 3 for _ in range(4)])
-        logvecs = [log_embed_cyclic(g, ctx.sigma, prec).coords for g in gens]
+        logvecs = [log_embed_cyclic(g, prec).coords for g in gens]
         for i in range(4):
             for j in range(3):
                 gmat[i, j] = logvecs[j][i]
         hits = search_relative_units(ctx, height_bound)
         coeff_rows = []
         for elem, _k in hits:
-            b = mpmath.matrix(list(log_embed_cyclic(elem, ctx.sigma, prec).coords))
+            b = mpmath.matrix(list(log_embed_cyclic(elem, prec).coords))
             sol = mpmath.lu_solve(gmat, b)  # least squares (4x3)
             row = []
             for i in range(3):

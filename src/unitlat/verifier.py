@@ -101,22 +101,19 @@ def theorem_constants(precision_bits=DEFAULT_PRECISION):
         return reports
 
 
-def pohst_check(u, sigma=None, precision_bits=DEFAULT_PRECISION):
+def pohst_check(u, precision_bits=DEFAULT_PRECISION):
     """||LOG(u)||_2^2 >= 4 log(phi)^2 for a unit u != +-1 of a real
     quartic field."""
     with mpf_ctx(precision_bits):
         if isinstance(u, bq.BiquadElem):
-            if u.is_rational():
-                raise ValueError("Pohst bound excludes u = +-1")
-            lv = log_embed_klein(u, precision_bits)
+            log_embed = log_embed_klein
         elif isinstance(u, qt.QuarticElem):
-            if u.is_rational():
-                raise ValueError("Pohst bound excludes u = +-1")
-            if sigma is None:
-                raise ValueError("cyclic elements need the Galois generator")
-            lv = log_embed_cyclic(u, sigma, precision_bits)
+            log_embed = log_embed_cyclic
         else:
             raise TypeError("expected a quartic-field unit")
+        if u.is_rational():
+            raise ValueError("Pohst bound excludes u = +-1")
+        lv = log_embed(u, precision_bits)
         sq = sum((c * c for c in lv.coords), mpmath.mpf(0))
         floor = constants(precision_bits)["pohst_floor"]
         ok = sq >= floor - DERIVED_TOL

@@ -2,14 +2,16 @@
 
 Deliberately naive: plain Python loops and integer arithmetic, sharing no
 code with the library's closed forms or numpy enumeration.  char_poly
-uses only the library's basis multiplication `biq_mul`, which the ring
-axiom tests check, and nothing of its tower integrality test.
+uses only the library's basis multiplications `biq_mul` and `qr_mul`,
+which the ring axiom tests check, and nothing of their tower integrality
+tests, norms or Galois actions.
 """
 
 from fractions import Fraction
 from math import isqrt
 
 from unitlat.biquadratic import BiquadElem, biq_mul
+from unitlat.quartic import QuarticElem, qr_mul
 
 
 def smaller_quad_unit_exists(d, q2_limit):
@@ -69,12 +71,16 @@ def float_rows(spec):
 
 def char_poly(a):
     """Characteristic polynomial of multiplication-by-a on the rational
-    basis 1, sqrt(d1), sqrt(d2), sqrt(d3) of a biquadratic field, exact,
+    basis 1, sqrt(d1), sqrt(d2), sqrt(d3) of a biquadratic field, or the
+    power basis 1, alpha, alpha^2, alpha^3 of a cyclic quartic one, exact,
     via Faddeev-LeVerrier.  Coefficients are monic, highest degree first;
-    a is an algebraic integer iff all of them are integers."""
-    basis = [BiquadElem(a.field, *[int(i == j) for j in range(4)])
-             for i in range(4)]
-    m = [list(biq_mul(a, e).coords()) for e in basis]
+    a is an algebraic integer iff all of them are integers, and the last
+    one is the norm to Q."""
+    unit = [[int(i == j) for j in range(4)] for i in range(4)]
+    if isinstance(a, QuarticElem):
+        m = [qr_mul(a, QuarticElem(a.field, e)).coords for e in unit]
+    else:
+        m = [biq_mul(a, BiquadElem(a.field, *e)).coords() for e in unit]
     m = [[m[j][i] for j in range(4)] for i in range(4)]  # columns -> matrix
 
     def mat_mul(p, q):

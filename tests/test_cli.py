@@ -81,6 +81,35 @@ def test_cyclic_corrupted_entry(tmp_path, capsys):
     assert "u_star" in err
 
 
+def _catalog_with_polynomial(tmp_path, coeffs):
+    obj = vf.load_default_catalog()[0].to_json()
+    obj["defining_polynomial"] = list(coeffs)
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps([obj]))
+    return str(path), obj["label"]
+
+
+def test_cyclic_non_cyclic_polynomial(tmp_path, capsys):
+    # x^4 - 10x^2 + 1 is totally real but biquadratic: a catalog error,
+    # not a violated check
+    path, label = _catalog_with_polynomial(tmp_path, (1, 0, -10, 0, 1))
+    code, out, err = run(capsys, "--catalog", path, "cyclic", label)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("coeffs", [(4, 0, -4, 0, 1), (1, 0, -10, 0, 1)],
+                         ids=["reducible", "non-cyclic"])
+def test_verify_paper_bad_catalog_polynomial(tmp_path, capsys, coeffs):
+    path, _ = _catalog_with_polynomial(tmp_path, coeffs)
+    code, out, err = run(capsys, "--catalog", path, "--scan-limit", "3",
+                         "verify-paper")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_scan_csv(capsys):
     code, out, _ = run(capsys, "--scan-limit", "6", "scan")
     assert code == 0

@@ -1,16 +1,30 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unitlat.quartic import (CyclicQuarticField, NotCyclicError, QuarticElem,
-                             char_poly, embed_all, eval_poly_at,
-                             galois_generator, is_algebraic_integer, norm_to_Q,
-                             qr_add, qr_inv, qr_mul, qr_neg, qr_pow,
+                             embed_all, eval_poly_at,
+                             galois_generator, is_algebraic_integer, is_unit,
+                             norm_to_Q, qr_add, qr_inv, qr_mul, qr_neg, qr_pow,
                              sqrt_of_rational)
+from oracles import char_poly
 
 # maximal real subfield of the 16th cyclotomic field
 F = CyclicQuarticField((2, 0, -4, 0, 1))
+# the shipped catalog fields with d of their quadratic subfield
+# k = Q(sqrt(d)); Q(sqrt(2+sqrt2)) again through alpha = 2*sqrt(2+sqrt2),
+# where Z[alpha] is not the maximal order, and through its relative unit
+# u0, where N_{L/k}(alpha) = -1 is rational
+FIELDS = {
+    "sqrt(2+sqrt2)": (F, 2),
+    "zeta20+": (CyclicQuarticField((5, 0, -5, 0, 1)), 5),
+    "zeta15+": (CyclicQuarticField((1, 4, -4, -1, 1)), 5),
+    "2*sqrt(2+sqrt2)": (CyclicQuarticField((32, 0, -16, 0, 1)), 2),
+    "u0 of sqrt(2+sqrt2)": (CyclicQuarticField((1, 4, -6, -4, 1)), 2),
+}
 
 
 def rand_elem(field, rng, span=5):
@@ -52,6 +66,42 @@ def test_char_poly_of_generator():
     assert not is_algebraic_integer(F.from_rational(Fraction(1, 2)))
 
 
+def test_integrality_beyond_power_basis():
+    # alpha/2 and alpha^3/8 are sqrt(2+sqrt2) and its cube; alpha/4 is
+    # half of sqrt(2+sqrt2), not integral
+    g, _ = FIELDS["2*sqrt(2+sqrt2)"]
+    half, eighth = Fraction(1, 2), Fraction(1, 8)
+    assert is_algebraic_integer(QuarticElem(g, (0, half, 0, 0)))
+    assert is_algebraic_integer(QuarticElem(g, (0, 0, 0, eighth)))
+    assert not is_algebraic_integer(QuarticElem(g, (0, Fraction(1, 4), 0, 0)))
+    # 17 splits completely in F; with 56, 25 roots of the polynomial mod
+    # 17^2 not paired by sigma^2 (alpha -> -alpha), a = (alpha - 56)
+    # (alpha - 25)/17 has N_{L/k}(a) in O_k but Tr_{L/k}(a) not
+    a = QuarticElem(F, (Fraction(-45, 17), Fraction(-81, 17), Fraction(1, 17), 0))
+    assert not is_algebraic_integer(a)
+    assert not all(c.denominator == 1 for c in char_poly(a))
+
+
+@st.composite
+def quartic_elements(draw, denominators=(1, 2, 4, 5), span=12):
+    field, _ = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    q = draw(st.sampled_from(denominators))
+    return QuarticElem(field, [Fraction(draw(st.integers(-span, span)), q)
+                               for _ in range(4)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(quartic_elements())
+def test_tower_arithmetic_agrees_with_char_poly(a):
+    poly = char_poly(a)
+    integral = all(c.denominator == 1 for c in poly)
+    assert is_algebraic_integer(a) == integral
+    assert norm_to_Q(a) == poly[4]
+    assert is_unit(a) == (integral and abs(poly[4]) == 1)
+    if not a.is_zero():
+        assert qr_mul(a, qr_inv(a)) == a.field.one()
+
+
 def test_galois_generator_exact():
     sigma = galois_generator(F)
     # sigma(alpha) = alpha^3 - 3*alpha
@@ -73,6 +123,31 @@ def test_sqrt_of_rational():
     assert embed_all(root, 64)[0] > 0
     assert sqrt_of_rational(F, 3) is None
     assert sqrt_of_rational(F, -2) is None
+
+
+def _is_rational_square(q):
+    q = Fraction(q)
+    return all(isqrt(v) ** 2 == v for v in (q.numerator, q.denominator))
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_sqrt_of_rational_is_exact(name):
+    # the even polynomials have Tr_{L/k}(alpha) = 0, so the square root
+    # comes from N_{L/k}(alpha); for u0 it comes from the trace
+    field, d = FIELDS[name]
+    alpha = field.gen()
+    conj = field.sigma2(alpha)
+    assert qr_add(alpha, conj).is_rational() == (field.coeffs[3] == 0)
+    assert qr_mul(alpha, conj).is_rational() == name.startswith("u0")
+    for q in [Fraction(n) for n in range(1, 61)] + [
+            Fraction(5, 4), Fraction(1, 2), Fraction(8, 9), Fraction(20, 49),
+            Fraction(3, 5)]:
+        root = sqrt_of_rational(field, q)
+        expected = _is_rational_square(q) or _is_rational_square(q / d)
+        assert (root is not None) == expected, q
+        if root is not None:
+            assert qr_mul(root, root) == field.from_rational(q)
+            assert embed_all(root)[0] > 0
 
 
 def test_embeddings_descending_and_conjugate():

@@ -8,6 +8,7 @@ from unitlat import quartic as qt
 from unitlat.biquadratic import BiquadElem, biq_mul, is_unit
 from unitlat.quadratic import QuadElem, fundamental_unit
 from unitlat.verifier import load_default_catalog
+from oracles import char_poly
 
 
 @pytest.fixture(scope="module")
@@ -156,11 +157,13 @@ def test_irreducibility():
 def test_search_relative_units_finds_u_star(entry, ctx):
     hits = us.search_relative_units(ctx, 2)
     assert hits
-    # each k is exact: the relative norm is +-u_l^k
-    s2 = ctx.sigma.compose(ctx.sigma)
+    # each k is exact: the relative norm is +-u_l^k; so each hit is a unit
+    s2 = ctx.field.sigma2
     for e, k in hits:
         power = qt.qr_pow(ctx.u_l_emb, k)
         assert qt.qr_mul(e, s2(e)) in (power, qt.qr_neg(power))
+        assert qt.is_unit(e)
+        assert abs(char_poly(e)[4]) == 1
     odd = [(e, k) for e, k in hits if k % 2 != 0]
     assert odd, "no u_star witness at height 2"
     # the committed u_star is among them up to sign

@@ -43,7 +43,7 @@ def test_pohst_check_units(entry):
     assert abs(r.computed_value - r.paper_value) < 1e-9
     ctx = us.cyclic_context(entry.coeffs, entry.quad_subfield_d, entry.u_l)
     import unitlat.quartic as qt
-    r2 = vf.pohst_check(qt.QuarticElem(ctx.field, entry.u0), ctx.sigma)
+    r2 = vf.pohst_check(qt.QuarticElem(ctx.field, entry.u0))
     assert r2.relation == "holds"
     assert r2.computed_value > r2.paper_value
 
