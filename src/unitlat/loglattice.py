@@ -91,18 +91,48 @@ def two_norm(w):
     return mpmath.sqrt(sum((c * c for c in w.coords), mpmath.mpf(0)))
 
 
+def klein_wedge_rows(x1, x2, x3):
+    """Coordinates of L2^L3, L1^L3, L1^L2 for the sorted subfield units,
+    with X1 = W2*W3, X2 = W1*W3, X3 = W1*W2 and W_i = LOG(u_i)[id]."""
+    return (
+        (0, 0, 2 * x1, 2 * x1, -2 * x1, -2 * x1),
+        (-2 * x2, -2 * x2, 2 * x2, -2 * x2, 0, 0),
+        (-2 * x3, 2 * x3, 0, 0, 2 * x3, -2 * x3),
+    )
+
+
+def cyclic_wedge_rows(w1, w2, w3):
+    """Coordinates of LOG(u_l)^LOG(u0), LOG(u_l)^LOG(sigma u0) and
+    LOG(u0)^LOG(sigma u0), with (W1, W2, W3) the id-coordinates of
+    LOG(u_l), LOG(u0) and LOG(sigma u0)."""
+    y1 = w2 * w2 + w3 * w3
+    y2 = 2 * w1 * w2
+    y3 = 2 * w1 * w3
+    y4 = w1 * w2 + w1 * w3
+    y5 = w1 * w2 - w1 * w3
+    return (
+        (y4, -y4, y5, y5, -y2, y3),
+        (-y5, y5, y4, y4, -y3, -y2),
+        (-y1, -y1, y1, -y1, 0, 0),
+    )
+
+
+# The closed forms below take scalars (int, float, Fraction, mpf) or numpy
+# arrays that broadcast together, so one call can cover a whole box of n.
+
+
 def klein_norm_closed(n1, n2, n3, x1, x2, x3):
     """Closed form for the 1-norm of n1*L2^L3 + n2*L1^L3 + n3*L1^L2."""
-    if not (x1 > x2 > x3 > 0):
+    if not np.all((x1 > x2) & (x2 > x3) & (x3 > 0)):
         warnings.warn("expected X1 > X2 > X3 > 0 for a sorted Klein field",
                       stacklevel=2)
-    t1, t2, t3 = abs(n1 * x1), abs(n2 * x2), abs(n3 * x3)
-    return 4 * (max(t2, t3) + max(t1, t2) + max(t1, t3))
+    t1, t2, t3 = np.abs(n1 * x1), np.abs(n2 * x2), np.abs(n3 * x3)
+    return 4 * (np.maximum(t2, t3) + np.maximum(t1, t2) + np.maximum(t1, t3))
 
 
 def cyclic_f(n1, n2, n3, w1, w2, w3):
     """Closed form for the 1-norm of the cyclic wedge combination."""
-    if w1 == 0 or w2 == 0 or w3 == 0:
+    if not np.all(w1 * w2 * w3):
         warnings.warn("W1, W2, W3 should be nonzero for a unit triple",
                       stacklevel=2)
     y1 = w2 * w2 + w3 * w3
@@ -110,26 +140,9 @@ def cyclic_f(n1, n2, n3, w1, w2, w3):
     y3 = 2 * w1 * w3
     y4 = w1 * w2 + w1 * w3
     y5 = w1 * w2 - w1 * w3
-    return (2 * max(abs(n1 * y4 - n2 * y5), abs(n3 * y1))
-            + 2 * max(abs(n1 * y5 + n2 * y4), abs(n3 * y1))
-            + abs(-n1 * y2 - n2 * y3) + abs(n1 * y3 - n2 * y2))
-
-
-def summax_check(x, y, precision_bits=53):
-    """|X+Y| + |X-Y| == 2*max(|X|, |Y|) to relative tolerance."""
-    lhs = abs(x + y) + abs(x - y)
-    rhs = 2 * max(abs(x), abs(y))
-    tol = 2.0 ** (-precision_bits + 8)
-    return abs(lhs - rhs) <= tol * max(abs(lhs), abs(rhs), 1)
-
-
-def absin_check(m, n, x, y):
-    """|mX+nY| + |nX-mY| >= |X| + |Y| for (m, n) != (0, 0)."""
-    if m == 0 and n == 0:
-        raise ValueError("(m, n) = (0, 0) is excluded")
-    lhs = abs(m * x + n * y) + abs(n * x - m * y)
-    rhs = abs(x) + abs(y)
-    return lhs >= rhs * (1 - 1e-12)
+    return (2 * np.maximum(np.abs(n1 * y4 - n2 * y5), np.abs(n3 * y1))
+            + 2 * np.maximum(np.abs(n1 * y5 + n2 * y4), np.abs(n3 * y1))
+            + np.abs(-n1 * y2 - n2 * y3) + np.abs(n1 * y3 - n2 * y2))
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,9 @@ class CyclicQuarticField:
 
     def __post_init__(self):
         c = tuple(int(v) for v in self.coeffs)
-        if len(c) != 5 or c[4] != 1:
-            raise ValueError("need a monic quartic as 5 coefficients, constant first")
+        if len(c) != 5 or c[4] != 1 or c != tuple(self.coeffs):
+            raise ValueError("need a monic integer quartic as 5 coefficients, "
+                             "constant first")
         object.__setattr__(self, "coeffs", c)
 
     def one(self):
@@ -243,15 +244,54 @@ def _reconstruct_elem(field, roots, values, denom_bound):
                                     for i in range(n)))
 
 
+def quartic_is_irreducible(coeffs):
+    """Exact irreducibility over Q for a monic integer quartic: no integer
+    roots, no monic integer quadratic factors (Gauss)."""
+    c0, c1, c2, c3, _ = coeffs
+    if c0 == 0:
+        return False
+    for r in _divisors(abs(c0)):
+        for root in (r, -r):
+            if ((root ** 4) + c3 * root ** 3 + c2 * root ** 2
+                    + c1 * root + c0) == 0:
+                return False
+    for b in _divisors(abs(c0)):
+        for bb in (b, -b):
+            dd = c0 // bb
+            # (x^2+ax+bb)(x^2+cx+dd): a+c = c3, ac = c2-bb-dd, a*dd+c*bb = c1
+            s, prod = c3, c2 - bb - dd
+            sq = _rational_sqrt(s * s - 4 * prod)
+            if sq is None or (s + sq) % 2 != 0:
+                continue
+            for a in {(s + sq) // 2, (s - sq) // 2}:
+                c = s - a
+                if a * dd + c * bb == c1:
+                    return False
+    return True
+
+
+def _divisors(n):
+    out = []
+    i = 1
+    while i * i <= n:
+        if n % i == 0:
+            out.extend((i, n // i))
+        i += 1
+    return sorted(set(out))
+
+
 def galois_generator(field):
     """An exact order-4 automorphism, or raise NotCyclicError.
 
+    Refuses reducible polynomials, whose quotient ring is not a field.
     Tries every root permutation fixing no root, reconstructs the image of
     alpha, and keeps the first exactly-verified generator.  Deterministic:
     permutations are tried in lexicographic order over root indices.
     """
     import itertools
 
+    if not quartic_is_irreducible(field.coeffs):
+        raise NotCyclicError("defining polynomial is reducible")
     with mpf_ctx(_AUT_PRECISION):
         roots = field.roots(_AUT_PRECISION)
         for j in range(1, 4):

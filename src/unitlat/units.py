@@ -19,10 +19,10 @@ import mpmath
 import numpy as np
 
 from .precision import DEFAULT_PRECISION, mpf_ctx
-from .quadratic import (QuadElem, fundamental_unit, quad_cmp, quad_pow)
+from .quadratic import QuadElem, fundamental_unit, is_squarefree, quad_cmp
 from . import biquadratic as bq
 from . import quartic as qt
-from .biquadratic import BiquadField, biq_mul, biq_pow, sqrt_in_field
+from .biquadratic import BiquadField, biq_mul, sqrt_in_field
 from .loglattice import log_embed_klein, log_embed_cyclic, LogVector
 
 class CatalogValidationError(ValueError):
@@ -149,36 +149,6 @@ def klein_denominator(index_over_E):
     return {1: 1, 2: 2, 4: 4, 8: 4}[index_over_E]
 
 
-def generator_square_exponents(struct):
-    """For each generator g, exponents (m1, m2, m3) with g^2 = u1^m1 u2^m2 u3^m3,
-    solved exactly; confirms every generator squares into E."""
-    out = []
-    for g in struct.generators:
-        sq = biq_mul(g, g)
-        emb = bq.embed_real(sq, 256)
-        target = [mpmath.log(abs(v)) for v in emb]
-        # solve with the three unit log-embedding vectors (4 coords, rank 3)
-        rows = []
-        for u in struct.units:
-            rows.append([mpmath.log(abs(v))
-                         for v in bq.embed_real(struct.field.lift_quad(u), 256)])
-        a = mpmath.matrix([[rows[j][i] for j in range(3)] for i in range(3)])
-        b = mpmath.matrix([target[i] for i in range(3)])
-        sol = mpmath.lu_solve(a, b)
-        exps = tuple(int(mpmath.nint(sol[i])) for i in range(3))
-        check = struct.field.one()
-        for m, u in zip(exps, struct.units):
-            check = biq_mul(check, field_pow(struct.field, u, m))
-        if check != sq and check != bq.biq_neg(sq):
-            raise ArithmeticError("generator square does not land in E")
-        out.append(exps)
-    return out
-
-
-def field_pow(field, quad_unit, m):
-    return field.lift_quad(quad_pow(quad_unit, m))
-
-
 # ---------------------------------------------------------------------------
 # Cyclic case
 
@@ -224,53 +194,6 @@ class CyclicCatalogEntry:
         )
 
 
-def quartic_is_irreducible(coeffs):
-    """Exact irreducibility over Q for a monic integer quartic: no integer
-    roots, no monic integer quadratic factors (Gauss)."""
-    c0, c1, c2, c3, _ = coeffs
-    if c0 == 0:
-        return False
-    for r in _divisors(abs(c0)):
-        for root in (r, -r):
-            if ((root ** 4) + c3 * root ** 3 + c2 * root ** 2
-                    + c1 * root + c0) == 0:
-                return False
-    for b in _divisors(abs(c0)):
-        for bb in (b, -b):
-            if c0 % bb != 0:
-                continue
-            dd = c0 // bb
-            # (x^2+ax+bb)(x^2+cx+dd): a+c = c3, ac = c2-bb-dd, a*dd+c*bb = c1
-            s, prod = c3, c2 - bb - dd
-            disc = s * s - 4 * prod
-            if disc < 0:
-                continue
-            sq = _isqrt_exact(disc)
-            if sq is None or (s + sq) % 2 != 0:
-                continue
-            for a in {(s + sq) // 2, (s - sq) // 2}:
-                c = s - a
-                if a * dd + c * bb == c1:
-                    return False
-    return True
-
-
-def _divisors(n):
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.extend((i, n // i))
-        i += 1
-    return sorted(set(out))
-
-
-def _isqrt_exact(n):
-    from math import isqrt
-    r = isqrt(n)
-    return r if r * r == n else None
-
-
 @dataclass
 class CyclicFieldContext:
     """A cyclic quartic field (sigma cached on it) and the image of u_l."""
@@ -283,12 +206,14 @@ def cyclic_context(coeffs, quad_subfield_d, u_l):
     """The cyclic quartic field defined by coeffs, with sigma found, and the
     image of the quadratic unit u_l in it; entry callers pass the entry's
     coeffs, quad_subfield_d and u_l."""
-    field = qt.CyclicQuarticField(tuple(coeffs))
-    if not quartic_is_irreducible(field.coeffs):
-        raise CatalogValidationError("defining polynomial is reducible")
-    try:
+    if quad_subfield_d <= 1 or not is_squarefree(quad_subfield_d):
+        raise CatalogValidationError(
+            "quad_subfield_d must be a squarefree integer > 1, got %r"
+            % (quad_subfield_d,))
+    try:  # not a monic quartic, reducible, or not cyclic
+        field = qt.CyclicQuarticField(tuple(coeffs))
         field.sigma
-    except qt.NotCyclicError as exc:
+    except ValueError as exc:
         raise CatalogValidationError(str(exc)) from exc
     sqrt_d = qt.sqrt_of_rational(field, quad_subfield_d)
     if sqrt_d is None:

@@ -20,7 +20,8 @@ from .quadratic import is_squarefree, smallest_fundamental_units, surd_cmp
 from . import biquadratic as bq
 from . import quartic as qt
 from . import units as us
-from .loglattice import (LatticeSpec, cyclic_f, klein_norm_closed,
+from .loglattice import (LatticeSpec, cyclic_f, cyclic_wedge_rows,
+                         klein_norm_closed, klein_wedge_rows,
                          log_embed_cyclic, log_embed_klein, min_one_norm,
                          wedge2)
 
@@ -73,15 +74,6 @@ def _reproduced(name, computed, paper, tol=THEOREM_TOL):
     return BoundReport(name, computed, paper, rel, tol)
 
 
-def costa_friedman_bound(n, j, precision_bits=DEFAULT_PRECISION):
-    """The exterior-square lower bound from the Hermite-constant argument;
-    only the quartic case (gamma_2 = 2/sqrt(3)) is built in."""
-    if (n, j) != (4, 2):
-        raise ValueError("only (n, j) = (4, 2) is supported")
-    with mpf_ctx(precision_bits):
-        return 2 * mpmath.sqrt(3) * _log_phi() ** 2
-
-
 def theorem_constants(precision_bits=DEFAULT_PRECISION):
     with mpf_ctx(precision_bits):
         c = constants(precision_bits)
@@ -125,16 +117,8 @@ def pohst_check(u, precision_bits=DEFAULT_PRECISION):
 # Constrained minimization (cyclic-case "elementary consideration" oracle)
 
 
-@dataclass(frozen=True)
-class ConstraintSpec:
-    objective: str  # "q1_expr" | "q2_expr"
-    grid_resolution: int = 1200
-
-    def __post_init__(self):
-        if self.objective not in ("q1_expr", "q2_expr"):
-            raise ValueError("unknown objective %r" % (self.objective,))
-        if self.grid_resolution < 1000:
-            raise ValueError("grid_resolution must be >= 1000 per axis")
+# points per axis of the (W2, W3) grid that seeds the refinement
+GRID_RESOLUTION = 1200
 
 
 def _golden_min(fn, lo, hi, tol=1e-13, iters=200):
@@ -158,20 +142,22 @@ def _golden_min(fn, lo, hi, tol=1e-13, iters=200):
     return x, fn(x)
 
 
-def constrained_min(spec, precision_bits=DEFAULT_PRECISION):
+def constrained_min(objective):
     """Dense-grid global search plus golden-section refinement on the active
-    constraint circle.  Returns (minimum, argmin, paper_claim, relation);
-    relation is always "report-only"."""
+    constraint circle for objective "q1_expr" or "q2_expr".  Returns
+    (minimum, argmin, paper_claim, relation); relation is always
+    "report-only"."""
+    if objective not in ("q1_expr", "q2_expr"):
+        raise ValueError("unknown objective %r" % (objective,))
     lp = float(_log_phi())
-    res = spec.grid_resolution
     hi = 3.0 * lp
-    axis = np.linspace(1e-9, hi, res)
+    axis = np.linspace(1e-9, hi, GRID_RESOLUTION)
     w2, w3 = np.meshgrid(axis, axis, indexing="ij")
     shape = 2 * np.maximum(w2, w3) + w2 + w3
 
-    if spec.objective == "q1_expr":
+    if objective == "q1_expr":
         feasible = w2 ** 2 + w3 ** 2 >= 2 * lp ** 2
-        objective = np.where(feasible, shape, np.inf)
+        values = np.where(feasible, shape, np.inf)
         paper_claim = 3 * math.sqrt(2) * lp
         refine_circles = [(math.sqrt(2) * lp, lambda a, b: 2 * max(a, b) + a + b,
                            lambda a, b: (a, b))]
@@ -181,7 +167,7 @@ def constrained_min(spec, precision_bits=DEFAULT_PRECISION):
         w1 = np.maximum(lp, np.sqrt(np.maximum(0.0, 4 * lp ** 2
                                                - w2 ** 2 - w3 ** 2)))
         feasible = w2 ** 2 + w3 ** 2 >= 2 * lp ** 2
-        objective = np.where(feasible, 2 * w1 * shape, np.inf)
+        values = np.where(feasible, 2 * w1 * shape, np.inf)
         paper_claim = 6 * math.sqrt(3) * lp ** 2
         # two candidate active sets: sum constraint with W1 = log(phi), or
         # the relative-unit circle with W1 = sqrt(2)*log(phi)
@@ -193,10 +179,10 @@ def constrained_min(spec, precision_bits=DEFAULT_PRECISION):
              lambda a, b: (math.sqrt(2) * lp, a, b)),
         ]
 
-    idx = int(np.argmin(objective))
-    grid_min = float(objective.flat[idx])
-    i, j = divmod(idx, res)
-    if spec.objective == "q1_expr":
+    idx = int(np.argmin(values))
+    grid_min = float(values.flat[idx])
+    i, j = divmod(idx, GRID_RESOLUTION)
+    if objective == "q1_expr":
         grid_arg = (float(axis[i]), float(axis[j]))
     else:
         grid_arg = (float(w1[i, j]), float(axis[i]), float(axis[j]))
@@ -213,12 +199,12 @@ def constrained_min(spec, precision_bits=DEFAULT_PRECISION):
     return best, best_arg, paper_claim, "report-only"
 
 
-def constrained_min_reports(grid_resolution=1200):
+def constrained_min_reports():
     lp = _log_phi()
     out = []
     for tag, expected in (("q1_expr", 4 * lp),
                           ("q2_expr", 4 * mpmath.sqrt(6) * lp ** 2)):
-        value, arg, claim, rel = constrained_min(ConstraintSpec(tag, grid_resolution))
+        value, arg, claim, rel = constrained_min(tag)
         out.append(BoundReport(
             "constrained_min_%s" % tag, mpmath.mpf(value), mpmath.mpf(claim),
             rel, None,
@@ -365,53 +351,38 @@ def absin_fuzz(samples=10 ** 5, seed=1):
                        details={"samples": int(m.size)})
 
 
-def closed_form_equivalence(trials=100, nmax=5, seed=2):
-    """klein_norm_closed and cyclic_f against direct wedge evaluation."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        x1, x2, x3 = sorted(rng.uniform(0.1, 5.0, 3), reverse=True)
-        w1, w2, w3 = rng.uniform(0.1, 5.0, 3) * rng.choice([-1, 1], 3)
-        kb = _klein_wedge_rows(x1, x2, x3)
-        cb = _cyclic_wedge_rows(w1, w2, w3)
-        for n1 in range(-nmax, nmax + 1):
-            for n2 in range(-nmax, nmax + 1):
-                for n3 in range(-nmax, nmax + 1):
-                    direct_k = sum(abs(n1 * kb[0][i] + n2 * kb[1][i]
-                                       + n3 * kb[2][i]) for i in range(6))
-                    closed_k = klein_norm_closed(n1, n2, n3, x1, x2, x3)
-                    direct_c = sum(abs(n1 * cb[0][i] + n2 * cb[1][i]
-                                       + n3 * cb[2][i]) for i in range(6))
-                    closed_c = cyclic_f(n1, n2, n3, w1, w2, w3)
-                    for direct, closed in ((direct_k, closed_k),
-                                           (direct_c, closed_c)):
-                        scale = max(abs(direct), abs(closed), 1e-30)
-                        worst = max(worst, abs(direct - closed) / scale)
-    return BoundReport("closed_form_equivalence", mpmath.mpf(worst),
-                       mpmath.mpf("1e-10"),
-                       "holds" if worst <= 1e-10 else "violated",
-                       details={"trials": trials, "nmax": nmax})
+# closed_form_equivalence samples: TRIALS integer triples x1 > x2 > x3 > 0
+# and (W1, W2, W3) with 0 < |W_i| <= SAMPLE_MAX, each against every n with
+# max|n_i| <= NMAX.  Both closed forms are homogeneous (degree 1 in x,
+# degree 2 in W), so integer samples stand for all rational ones.
+TRIALS = 100
+NMAX = 5
+SAMPLE_MAX = 100
+EQUIVALENCE_SEED = 2
 
 
-def _klein_wedge_rows(x1, x2, x3):
-    return (
-        (0, 0, 2 * x1, 2 * x1, -2 * x1, -2 * x1),
-        (-2 * x2, -2 * x2, 2 * x2, -2 * x2, 0, 0),
-        (-2 * x3, 2 * x3, 0, 0, 2 * x3, -2 * x3),
-    )
-
-
-def _cyclic_wedge_rows(w1, w2, w3):
-    y1 = w2 * w2 + w3 * w3
-    y2 = 2 * w1 * w2
-    y3 = 2 * w1 * w3
-    y4 = w1 * w2 + w1 * w3
-    y5 = w1 * w2 - w1 * w3
-    return (
-        (y4, -y4, y5, y5, -y2, y3),
-        (-y5, y5, y4, y4, -y3, -y2),
-        (-y1, -y1, y1, -y1, 0, 0),
-    )
+def closed_form_equivalence():
+    """klein_norm_closed and cyclic_f against direct evaluation of the
+    wedge rows, exact in integers: the report counts mismatches."""
+    rng = np.random.default_rng(EQUIVALENCE_SEED)
+    xs = np.array([sorted(rng.choice(SAMPLE_MAX, 3, replace=False) + 1,
+                          reverse=True) for _ in range(TRIALS)])
+    ws = (rng.integers(1, SAMPLE_MAX + 1, (TRIALS, 3))
+          * rng.choice([-1, 1], (TRIALS, 3)))
+    axis = np.arange(-NMAX, NMAX + 1)
+    n = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
+                 axis=-1).reshape(-1, 3)
+    n1, n2, n3 = n.T
+    bad = 0
+    for samples, rows, closed in ((xs, klein_wedge_rows, klein_norm_closed),
+                                  (ws, cyclic_wedge_rows, cyclic_f)):
+        basis = np.array([rows(*v) for v in samples.tolist()])
+        direct = np.abs(np.einsum("ki,tij->tkj", n, basis)).sum(axis=2)
+        a, b, c = (samples[:, i, None] for i in range(3))
+        bad += int(np.sum(direct != closed(n1, n2, n3, a, b, c)))
+    return BoundReport("closed_form_equivalence", mpmath.mpf(bad),
+                       mpmath.mpf(0), "holds" if bad == 0 else "violated",
+                       details={"trials": TRIALS, "nmax": NMAX})
 
 
 def smallest_units_report(bound=200):
@@ -441,7 +412,7 @@ def scan_pairs(scan_limit):
 
 def verify_paper(scan_limit=30, coeff_bound=20,
                  precision_bits=DEFAULT_PRECISION, catalog=None,
-                 grid_resolution=1200, progress=None):
+                 progress=None):
     """Run every check; returns a report dict.  Exit-status contract: the
     caller fails iff any assertable relation is 'violated'."""
     checks = []
@@ -451,7 +422,7 @@ def verify_paper(scan_limit=30, coeff_bound=20,
     checks.append(absin_fuzz())
     checks.append(closed_form_equivalence())
     checks.extend(_wedge_fixture_reports(precision_bits))
-    checks.extend(constrained_min_reports(grid_resolution))
+    checks.extend(constrained_min_reports())
 
     with mpf_ctx(precision_bits):
         lp = _log_phi()
@@ -510,14 +481,12 @@ def _wedge_fixture_reports(precision_bits):
         x1 = l2.coords[0] * l3.coords[0]
         x2 = l1.coords[0] * l3.coords[0]
         x3 = l1.coords[0] * l2.coords[0]
-        expect = {
-            "wedge_L2^L3": (wedge2(l2, l3), _klein_wedge_rows(x1, x2, x3)[0]),
-            "wedge_L1^L3": (wedge2(l1, l3), _klein_wedge_rows(x1, x2, x3)[1]),
-            "wedge_L1^L2": (wedge2(l1, l2), _klein_wedge_rows(x1, x2, x3)[2]),
-        }
+        wedges = (("wedge_L2^L3", wedge2(l2, l3)),
+                  ("wedge_L1^L3", wedge2(l1, l3)),
+                  ("wedge_L1^L2", wedge2(l1, l2)))
         out = []
         tol = mpmath.mpf(2) ** (-precision_bits // 2)
-        for name, (got, want) in expect.items():
+        for (name, got), want in zip(wedges, klein_wedge_rows(x1, x2, x3)):
             err = max(abs(g - w) for g, w in zip(got.coords, want))
             out.append(BoundReport(name, err, mpmath.mpf(0),
                                    "holds" if err <= tol else "violated", tol))

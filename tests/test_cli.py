@@ -81,28 +81,37 @@ def test_cyclic_corrupted_entry(tmp_path, capsys):
     assert "u_star" in err
 
 
-def _catalog_with_polynomial(tmp_path, coeffs):
+def _catalog_with(tmp_path, changes):
     obj = vf.load_default_catalog()[0].to_json()
-    obj["defining_polynomial"] = list(coeffs)
+    obj.update(changes)
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps([obj]))
     return str(path), obj["label"]
 
 
-def test_cyclic_non_cyclic_polynomial(tmp_path, capsys):
-    # x^4 - 10x^2 + 1 is totally real but biquadratic: a catalog error,
-    # not a violated check
-    path, label = _catalog_with_polynomial(tmp_path, (1, 0, -10, 0, 1))
+# catalog entries that are catalog errors, not violated checks; the
+# non-cyclic x^4 - 10x^2 + 1 is totally real but biquadratic
+BAD_ENTRIES = {
+    "reducible": {"defining_polynomial": [4, 0, -4, 0, 1]},
+    "non-cyclic": {"defining_polynomial": [1, 0, -10, 0, 1]},
+    "non-monic": {"defining_polynomial": [2, 0, -4, 0, 2]},
+    "non-integer": {"defining_polynomial": [2.5, 0, -4, 0, 1]},
+    "d-not-squarefree": {"quad_subfield_d": 4},
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_ENTRIES))
+def test_cyclic_bad_catalog_entry(tmp_path, capsys, bad):
+    path, label = _catalog_with(tmp_path, BAD_ENTRIES[bad])
     code, out, err = run(capsys, "--catalog", path, "cyclic", label)
     assert code == 4
     assert out == ""
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("coeffs", [(4, 0, -4, 0, 1), (1, 0, -10, 0, 1)],
-                         ids=["reducible", "non-cyclic"])
-def test_verify_paper_bad_catalog_polynomial(tmp_path, capsys, coeffs):
-    path, _ = _catalog_with_polynomial(tmp_path, coeffs)
+@pytest.mark.parametrize("bad", sorted(BAD_ENTRIES))
+def test_verify_paper_bad_catalog_polynomial(tmp_path, capsys, bad):
+    path, _ = _catalog_with(tmp_path, BAD_ENTRIES[bad])
     code, out, err = run(capsys, "--catalog", path, "--scan-limit", "3",
                          "verify-paper")
     assert code == 4
@@ -157,6 +166,21 @@ def test_cyclic_json_matches_pinned(capsys, monkeypatch, label, pinned):
     assert code == 0
     with open(os.path.join(os.path.dirname(__file__), "data", pinned),
               newline="") as fh:
+        assert out == fh.read()
+
+
+def test_verify_paper_matches_pinned_json(capsys, monkeypatch):
+    # tests/data/verify_paper_10.json pins `--scan-limit 10 --format json
+    # verify-paper` byte for byte; regenerate it only for an intended
+    # change of output
+    for name in ("PRECISION", "COEFF_BOUND", "SCAN_LIMIT"):
+        monkeypatch.delenv("UNITLAT_" + name, raising=False)
+    code, out, _ = run(capsys, "--scan-limit", "10", "--format", "json",
+                       "verify-paper")
+    assert code == 0
+    path = os.path.join(os.path.dirname(__file__), "data",
+                        "verify_paper_10.json")
+    with open(path, newline="") as fh:
         assert out == fh.read()
 
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -6,11 +7,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from unitlat.loglattice import (LatticeSpec, LogVector, Wedge2Vector,
-                                WEDGE_PAIRS, absin_check, cyclic_f,
-                                gram_matrix,
-                                klein_norm_closed, log_embed_klein,
-                                min_one_norm, one_norm, summax_check,
-                                two_norm, wedge2)
+                                WEDGE_PAIRS, cyclic_f, cyclic_wedge_rows,
+                                gram_matrix, klein_norm_closed,
+                                klein_wedge_rows, log_embed_klein,
+                                min_one_norm, one_norm, two_norm, wedge2)
 from unitlat.biquadratic import BiquadField
 from unitlat.quadratic import fundamental_unit
 from unitlat import units as us
@@ -121,16 +121,26 @@ def test_cyclic_closed_form_matches_direct():
             assert abs(direct - closed) <= 1e-10 * max(1.0, direct)
 
 
-def test_summax_and_absin_checks():
-    rng = random.Random(10)
-    for _ in range(1000):
-        x, y = rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3)
-        assert summax_check(x, y)
-        m, n = rng.randint(-50, 50), rng.randint(-50, 50)
-        if (m, n) != (0, 0):
-            assert absin_check(m, n, x, y)
-    with pytest.raises(ValueError):
-        absin_check(0, 0, 1.0, 2.0)
+def test_closed_forms_exact_on_fractions_and_arrays():
+    # Fraction scalars give exact values equal to the direct 1-norm of the
+    # rows; numpy arrays of n give the same values elementwise
+    rng = random.Random(11)
+    for _ in range(20):
+        q = rng.randint(1, 9)
+        x = [Fraction(v, q) for v in sorted(rng.sample(range(1, 1000), 3),
+                                            reverse=True)]
+        w = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 99), q)
+             for _ in range(3)]
+        ns = [tuple(rng.randint(-5, 5) for _ in range(3)) for _ in range(20)]
+        for rows, closed, args in ((klein_wedge_rows, klein_norm_closed, x),
+                                   (cyclic_wedge_rows, cyclic_f, w)):
+            basis = rows(*args)
+            want = [sum(abs(sum(n[i] * basis[i][k] for i in range(3)))
+                        for k in range(6)) for n in ns]
+            got = [closed(*n, *args) for n in ns]
+            assert got == want
+            assert all(type(v) is Fraction for v in got)
+            assert list(closed(*np.array(ns).T, *args)) == want
 
 
 def test_min_one_norm_against_brute_force(klein25):

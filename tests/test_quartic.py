@@ -9,7 +9,7 @@ from unitlat.quartic import (CyclicQuarticField, NotCyclicError, QuarticElem,
                              embed_all, eval_poly_at,
                              galois_generator, is_algebraic_integer, is_unit,
                              norm_to_Q, qr_add, qr_inv, qr_mul, qr_neg, qr_pow,
-                             sqrt_of_rational)
+                             quartic_is_irreducible, sqrt_of_rational)
 from oracles import char_poly
 
 # maximal real subfield of the 16th cyclotomic field
@@ -168,10 +168,26 @@ def test_not_cyclic_rejected():
     with pytest.raises(NotCyclicError):
         # x^4 - 10x^2 + 1 is totally real but biquadratic (Klein group)
         galois_generator(CyclicQuarticField((1, 0, -10, 0, 1)))
+    # reducible: Q[x]/(f) is not a field, although it has an automorphism
+    # of order 4 permuting the roots
+    for coeffs in ((4, 0, -5, 0, 1), (1, 0, -3, 0, 1)):
+        with pytest.raises(NotCyclicError, match="reducible"):
+            CyclicQuarticField(coeffs).sigma
+
+
+def test_irreducibility():
+    assert quartic_is_irreducible((2, 0, -4, 0, 1))
+    assert not quartic_is_irreducible((4, 0, -4, 0, 1))   # (x^2-2)^2
+    assert not quartic_is_irreducible((4, 0, -5, 0, 1))   # (x^2-1)(x^2-4)
+    assert not quartic_is_irreducible((1, 0, -3, 0, 1))   # (x^2-x-1)(x^2+x-1)
+    assert not quartic_is_irreducible((-2, 1, 0, -2, 1))  # root x = 2
+    assert quartic_is_irreducible((1, 0, -10, 0, 1))  # min poly of sqrt2+sqrt3
 
 
 def test_bad_polynomial_rejected():
     with pytest.raises(ValueError):
         CyclicQuarticField((1, 0, -4, 0, 2))  # not monic
+    with pytest.raises(ValueError):
+        CyclicQuarticField((2.5, 0, -4, 0, 1))  # not integer
     with pytest.raises(ValueError):
         CyclicQuarticField((1, 0, 1))

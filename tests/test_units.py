@@ -1,11 +1,14 @@
+import itertools
 import json
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from unitlat import units as us
 from unitlat import quartic as qt
-from unitlat.biquadratic import BiquadElem, biq_mul, is_unit
+from unitlat.biquadratic import BiquadElem, biq_mul, biq_neg, is_unit
+from unitlat.loglattice import cyclic_wedge_rows, wedge2
 from unitlat.quadratic import QuadElem, fundamental_unit
 from unitlat.verifier import load_default_catalog
 from oracles import char_poly
@@ -67,17 +70,19 @@ def test_klein_structure_large_square_roots(d1, d2, patterns, index):
 
 
 def test_generator_squares_land_in_E():
+    # exactly: g^2 = +-u1^m1 u2^m2 u3^m3 for some m in {0, 1, 2}^3
     for d1, d2 in ((2, 5), (3, 5), (2, 3)):
         s = us.klein_unit_structure(d1, d2)
-        exps = us.generator_square_exponents(s)
-        assert len(exps) == 3
-        for g, e in zip(s.generators, exps):
-            sq = biq_mul(g, g)
-            check = s.field.one()
-            for m, u in zip(e, s.units):
-                check = biq_mul(check, us.field_pow(s.field, u, m))
-            assert check == sq or check == BiquadElem(
-                s.field, -sq.x, -sq.y, -sq.z, -sq.w)
+        lifts = [s.field.lift_quad(u) for u in s.units]
+        products = set()
+        for m in itertools.product(range(3), repeat=3):
+            p = s.field.one()
+            for mi, lift in zip(m, lifts):
+                for _ in range(mi):
+                    p = biq_mul(p, lift)
+            products.update((p, biq_neg(p)))
+        for g in s.generators:
+            assert biq_mul(g, g) in products
 
 
 def test_klein_denominator_map():
@@ -146,14 +151,6 @@ def test_hasse_relations_fail_on_corruption(entry, ctx):
         us.cyclic_generators(bad, ctx)
 
 
-def test_irreducibility():
-    assert us.quartic_is_irreducible((2, 0, -4, 0, 1))
-    assert not us.quartic_is_irreducible((4, 0, -4, 0, 1))   # (x^2-2)^2
-    assert not us.quartic_is_irreducible((4, 0, -5, 0, 1))   # (x^2-1)(x^2-4)
-    assert not us.quartic_is_irreducible((-2, 1, 0, -2, 1))  # root x = 2
-    assert us.quartic_is_irreducible((1, 0, -10, 0, 1))  # min poly of sqrt2+sqrt3
-
-
 def test_search_relative_units_finds_u_star(entry, ctx):
     hits = us.search_relative_units(ctx, 2)
     assert hits
@@ -192,6 +189,23 @@ def test_regulator_cross_check(entry, ctx):
     ok, index = us.regulator_cross_check(entry, 4, ctx)
     assert ok
     assert index == 1
+
+
+@pytest.mark.parametrize("shipped", load_default_catalog(),
+                         ids=lambda e: e.label)
+def test_cyclic_wedge_rows_are_wedges(shipped):
+    # cyclic_wedge_rows in terms of (W1, W2, W3) against wedge2 of the log
+    # vectors of u_l, u0 and sigma(u0), at working precision
+    ctx = us.cyclic_context(shipped.coeffs, shipped.quad_subfield_d,
+                            shipped.u_l)
+    (lv_ul, lv_u0, lv_su0), ws = us.cyclic_log_vectors(shipped, ctx)
+    wedges = (wedge2(lv_ul, lv_u0), wedge2(lv_ul, lv_su0),
+              wedge2(lv_u0, lv_su0))
+    with mpmath.workprec(128):
+        rows = cyclic_wedge_rows(*ws)
+    for got, want in zip(wedges, rows):
+        assert all(abs(g - w) < mpmath.mpf(2) ** -100
+                   for g, w in zip(got.coords, want))
 
 
 def test_cyclic_log_vectors(entry, ctx):

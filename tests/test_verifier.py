@@ -25,15 +25,6 @@ def test_constants_reproduced():
         assert c["costa_friedman"] < c["theorem_lower"] < c["upper_bound"]
 
 
-def test_costa_friedman_only_quartic_case():
-    v = vf.costa_friedman_bound(4, 2)
-    assert abs(float(v) - 0.802164068971) < 1e-10
-    with pytest.raises(ValueError):
-        vf.costa_friedman_bound(4, 1)
-    with pytest.raises(ValueError):
-        vf.costa_friedman_bound(6, 2)
-
-
 def test_pohst_check_units(entry):
     f = BiquadField(2, 5)
     lift = f.lift_quad(fundamental_unit(5).unit)
@@ -58,39 +49,31 @@ def test_pohst_check_domain_errors():
 
 def test_constraint_spec_validation():
     with pytest.raises(ValueError):
-        vf.ConstraintSpec("q3_expr")
-    with pytest.raises(ValueError):
-        vf.ConstraintSpec("q1_expr", grid_resolution=10)
+        vf.constrained_min("q3_expr")
 
 
 def test_constrained_min_q1():
-    value, arg, claim, rel = vf.constrained_min(vf.ConstraintSpec("q1_expr"))
+    value, arg, claim, rel = vf.constrained_min("q1_expr")
     lp = float(mpmath.log((1 + mpmath.sqrt(5)) / 2))
-    assert abs(value - 4 * lp) < 1e-4
+    assert abs(value - 4 * lp) < 1e-9
     assert rel == "report-only"
     assert value < claim  # the claimed bound is above the true minimum
     assert abs(arg[0] - lp) < 1e-3 and abs(arg[1] - lp) < 1e-3
 
 
 def test_constrained_min_q2():
-    value, arg, claim, rel = vf.constrained_min(vf.ConstraintSpec("q2_expr"))
+    value, arg, claim, rel = vf.constrained_min("q2_expr")
     lp = float(mpmath.log((1 + mpmath.sqrt(5)) / 2))
-    assert abs(value - 4 * 6 ** 0.5 * lp * lp) < 1e-4
+    assert abs(value - 4 * 6 ** 0.5 * lp * lp) < 1e-9
     assert value < claim
     assert abs(arg[0] - lp) < 1e-3  # W1 sits at the lower box corner
-
-
-def test_constrained_min_grid_stability():
-    for tag in ("q1_expr", "q2_expr"):
-        v1, _, _, _ = vf.constrained_min(vf.ConstraintSpec(tag, 1200))
-        v2, _, _, _ = vf.constrained_min(vf.ConstraintSpec(tag, 2400))
-        assert abs(v1 - v2) < 1e-6
 
 
 def test_fuzz_suites():
     assert vf.summax_fuzz().relation == "holds"
     assert vf.absin_fuzz().relation == "holds"
-    assert vf.closed_form_equivalence(trials=20).relation == "holds"
+    r = vf.closed_form_equivalence()
+    assert r.relation == "holds" and r.computed_value == 0
 
 
 def test_smallest_units_report():
