@@ -95,15 +95,6 @@ class BiquadElem:
         return "(%s) + (%s)*sqrt(%d) + (%s)*sqrt(%d) + (%s)*sqrt(%d)" % (
             self.x, self.y, f.d1, self.z, f.d2, self.w, f.d3)
 
-    def to_json(self):
-        return {"d1": self.field.d1, "d2": self.field.d2,
-                "coords": [str(c) for c in self.coords()]}
-
-    @classmethod
-    def from_json(cls, obj):
-        field = BiquadField(obj["d1"], obj["d2"])
-        return cls(field, *[Fraction(c) for c in obj["coords"]])
-
 
 def _same_field(a, b):
     if a.field != b.field:

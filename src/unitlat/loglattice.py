@@ -62,16 +62,23 @@ def log_embed_klein(x, precision_bits=DEFAULT_PRECISION,
 
 def log_embed_cyclic(x, precision_bits=DEFAULT_PRECISION):
     """LOG of a unit of a cyclic quartic field, coordinates ordered by
-    id, sigma, sigma^2, sigma^3 (each image taken in the id-embedding)."""
+    id, sigma, sigma^2, sigma^3 (each image taken in the id-embedding):
+    coordinate k is log|x| at root p_k of the field's sigma-orbit."""
     if not quartic.is_unit(x):
         raise ValueError("log_embed requires a unit")
     with mpf_ctx(precision_bits):
-        coords = []
-        img = x
-        for _ in range(4):
-            coords.append(mpmath.log(abs(quartic.embed_all(img, precision_bits)[0])))
-            img = x.field.sigma(img)
-        return LogVector(tuple(coords), "cyclic", precision_bits)
+        emb = quartic.embed_all(x, precision_bits)
+        return LogVector(tuple(mpmath.log(abs(emb[p]))
+                               for p in x.field.root_orbit),
+                         "cyclic", precision_bits)
+
+
+def log_sigma(lv):
+    """LOG(sigma(x)) from the cyclic LOG(x): sigma^k(sigma(x)) at id is x
+    at root p_(k+1), so the coordinates shift one step along the orbit."""
+    with mpf_ctx(lv.precision_bits):
+        return LogVector(lv.coords[1:] + lv.coords[:1], "cyclic",
+                         lv.precision_bits)
 
 
 def wedge2(a, b):
@@ -169,6 +176,12 @@ def gram_matrix(spec):
                  mpmath.mpf(0)) for j in range(3)] for i in range(3)]
 
 
+def _det3(g):
+    return (g[0][0] * (g[1][1] * g[2][2] - g[1][2] * g[2][1])
+            - g[0][1] * (g[1][0] * g[2][2] - g[1][2] * g[2][0])
+            + g[0][2] * (g[1][0] * g[2][1] - g[1][1] * g[2][0]))
+
+
 _GRAM_DET_MARGIN = 1e-24
 
 
@@ -188,10 +201,7 @@ def _lambda_min_lower_bound(gram):
         g = [[gram[i][j] - (mu if i == j else 0) for j in range(3)] for i in range(3)]
         m1 = g[0][0]
         m2 = g[0][0] * g[1][1] - g[0][1] * g[1][0]
-        m3 = (g[0][0] * (g[1][1] * g[2][2] - g[1][2] * g[2][1])
-              - g[0][1] * (g[1][0] * g[2][2] - g[1][2] * g[2][0])
-              + g[0][2] * (g[1][0] * g[2][1] - g[1][1] * g[2][0]))
-        if m1 > 0 and m2 > 0 and m3 > 0:
+        if m1 > 0 and m2 > 0 and _det3(g) > 0:
             return mu
         mu = mu / 2
     raise ValueError("dependent basis: could not certify Gram positivity")
@@ -205,22 +215,24 @@ def min_one_norm(spec, coeff_bound):
     means no triple outside the box can beat the minimum (2-norm bound from
     the smallest Gram eigenvalue).
     Every triple has 1-norm >= sqrt(lambda_min)*max|n_i|/den, so only the
-    box of half-width R = v0*(1 + 1e-6)*den/sqrt(lambda_min), v0 the best
-    admissible norm over {-1, 0, 1}^3, can hold near-minimal triples.
+    box of half-width R = v0*den/sqrt(lambda_min), v0 an upper bound on the
+    best admissible norm over {-1, 0, 1}^3, can hold near-minimal triples.
     """
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be >= 1")
     gram = gram_matrix(spec)
-    det = (gram[0][0] * (gram[1][1] * gram[2][2] - gram[1][2] * gram[2][1])
-           - gram[0][1] * (gram[1][0] * gram[2][2] - gram[1][2] * gram[2][0])
-           + gram[0][2] * (gram[1][0] * gram[2][1] - gram[1][1] * gram[2][0]))
-    if det <= _GRAM_DET_MARGIN:
+    if _det3(gram) <= _GRAM_DET_MARGIN:
         raise ValueError("dependent basis: Gram determinant below margin")
     prec = spec.basis[0].precision_bits
     with mpf_ctx(prec):
         root_lam = mpmath.sqrt(_lambda_min_lower_bound(gram))
 
     bmat = np.array([[float(c) for c in v.coords] for v in spec.basis])
+    # A float norm is within err(n) = 16u*sum_i |n_i| sum_j |b_ij|/den of
+    # the true one, u = eps/2: rounding b costs u, the 3-term sums of
+    # triples @ bmat 3u and the 6-term sum of |.| 5u, each relative to
+    # sum_i |n_i| sum_j |b_ij| up to O(u^2) (the integers n are exact).
+    row_err = 8 * np.finfo(float).eps * np.abs(bmat).sum(axis=1)
 
     def admissible_norms(radius):
         rng = np.arange(-radius, radius + 1)
@@ -230,13 +242,17 @@ def min_one_norm(spec, coeff_bound):
         if spec.parity_constraint == "even":
             mask &= triples.sum(axis=1) % 2 == 0
         triples = triples[mask]
-        return triples, np.abs(triples @ bmat).sum(axis=1) / spec.denominator
+        norms = np.abs(triples @ bmat).sum(axis=1) / spec.denominator
+        return triples, norms, np.abs(triples) @ row_err / spec.denominator
 
-    v0 = admissible_norms(1)[1].min()
-    radius = int(v0 * (1 + 1e-6) * spec.denominator / float(root_lam))
-    triples, norms = admissible_norms(max(1, min(coeff_bound, radius)))
-    best = norms.min()
-    near = triples[norms <= best * (1 + 1e-9) + 1e-300]
+    _, norms, err = admissible_norms(1)
+    with mpf_ctx(prec):
+        radius = int(mpmath.floor(mpmath.mpf((norms + err).min())
+                                  * spec.denominator / root_lam))
+    triples, norms, err = admissible_norms(max(1, min(coeff_bound, radius)))
+    # keep every triple whose true norm can be at most the smallest
+    # upper bound on a true norm in the box
+    near = triples[norms - err <= (norms + err).min()]
 
     # re-evaluate the near-minimal triples at working precision
     def exact_norm(n):

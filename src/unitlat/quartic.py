@@ -60,6 +60,14 @@ class CyclicQuarticField:
     def sigma2(self):
         return self.sigma.compose(self.sigma)
 
+    @functools.cached_property
+    def root_orbit(self):
+        """Root indices (p0, p1, p2, p3) with p_k = perm^k(0), perm the
+        root permutation sigma was matched on: the id-embedding of
+        sigma^k(x) is x evaluated at root p_k."""
+        perm = self.sigma.root_perm
+        return (0, perm[0], perm[perm[0]], perm[perm[perm[0]]])
+
     def roots(self, precision_bits=_AUT_PRECISION):
         """Real roots, descending; index 0 is the chosen id-embedding.
         Cached per (polynomial, precision): embeddings are hot paths."""
@@ -209,11 +217,13 @@ def eval_poly_at(field, elem):
 
 
 class Automorphism:
-    """Field automorphism given by the exact image of alpha."""
+    """Field automorphism given by the exact image of alpha; root_perm, when
+    known, maps each root index i to that of sigma(alpha) at root i."""
 
-    def __init__(self, field, image):
+    def __init__(self, field, image, root_perm=None):
         self.field = field
         self.image = image
+        self.root_perm = root_perm
         gen_powers = [field.one()]
         for _ in range(3):
             gen_powers.append(qr_mul(gen_powers[-1], image))
@@ -306,7 +316,7 @@ def galois_generator(field):
                     continue
                 if not eval_poly_at(field, cand).is_zero():
                     continue
-                tau = Automorphism(field, cand)
+                tau = Automorphism(field, cand, perm)
                 t2 = tau.compose(tau)
                 if t2.is_identity():
                     continue

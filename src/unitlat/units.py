@@ -11,8 +11,9 @@ exactly against Hasse's relations plus a regulator cross-check against a
 brute-force-found sublattice.
 """
 
+import functools
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -20,13 +21,13 @@ import numpy as np
 
 from .precision import DEFAULT_PRECISION, mpf_ctx
 from .quadratic import QuadElem, fundamental_unit, is_squarefree, quad_cmp
-from . import biquadratic as bq
 from . import quartic as qt
 from .biquadratic import BiquadField, biq_mul, sqrt_in_field
-from .loglattice import log_embed_klein, log_embed_cyclic, LogVector
+from .loglattice import log_embed_cyclic, log_sigma
 
 class CatalogValidationError(ValueError):
-    """A cyclic catalog entry failed an exact Hasse relation."""
+    """A cyclic catalog entry is malformed, or failed an exact Hasse
+    relation or the regulator cross-check."""
 
 
 # ---------------------------------------------------------------------------
@@ -37,33 +38,29 @@ def subfield_units(d1, d2, precision_bits=DEFAULT_PRECISION):
     """Fundamental units of the three quadratic subfields of Q(sqrt(d1),
     sqrt(d2)), sorted ascending by real value.
 
-    Returns (units, fixers, permutation): fixers[i] is the Galois element
+    Returns (units, logs, fixers, permutation): logs[i] is the regulator
+    log(units[i]) at precision_bits; fixers[i] is the Galois element
     fixing the subfield of units[i]; permutation maps sorted positions to
     the native (d1, d2, d3) order.
     """
     field = BiquadField(d1, d2)
-    native = [(fundamental_unit(d, precision_bits).unit, fixer)
+    native = [(fundamental_unit(d, precision_bits), fixer)
               for d, fixer in ((field.d1, "s1"), (field.d2, "s2"),
                                (field.d3, "s3"))]
-    order = sorted(range(3), key=_cmp_key([u for u, _ in native]))
-    units = tuple(native[i][0] for i in order)
+    order = sorted(range(3), key=functools.cmp_to_key(
+        lambda i, j: quad_cmp(native[i][0].unit, native[j][0].unit)))
+    units = tuple(native[i][0].unit for i in order)
+    logs = tuple(native[i][0].log_value for i in order)
     fixers = tuple(native[i][1] for i in order)
-    return units, fixers, tuple(order)
-
-
-def _cmp_key(units):
-    import functools
-
-    @functools.cmp_to_key
-    def key(i, j):
-        return quad_cmp(units[i], units[j])
-    return key
+    return units, logs, fixers, tuple(order)
 
 
 @dataclass(frozen=True)
 class KleinUnitStructure:
     field: BiquadField
     units: tuple           # (u1, u2, u3) sorted ascending, QuadElems
+    logs: tuple            # (W1, W2, W3), W_i = log(u_i) = LOG(u_i)[id]
+    precision_bits: int    # working precision of logs
     fixers: tuple          # Galois element fixing the subfield of each unit
     sqrt_patterns: tuple   # exponent triples e with sqrt(u1^e1 u2^e2 u3^e3) in O_L^*
     sqrt_elements: dict    # pattern -> exact square root (BiquadElem)
@@ -72,15 +69,6 @@ class KleinUnitStructure:
 
     def galois_order(self):
         return ("id",) + self.fixers
-
-    def to_json(self):
-        return {
-            "d1": self.field.d1, "d2": self.field.d2, "d3": self.field.d3,
-            "units": [u.to_json() for u in self.units],
-            "sqrt_patterns": [list(p) for p in self.sqrt_patterns],
-            "index_over_E": self.index_over_E,
-            "generators": [g.to_json() for g in self.generators],
-        }
 
 
 def _f2_basis(patterns):
@@ -107,7 +95,7 @@ def klein_unit_structure(d1, d2, precision_bits=DEFAULT_PRECISION):
     """Determine [O_L^*: +-E] and a generating set by testing all seven
     square-root patterns exactly."""
     field = BiquadField(d1, d2)
-    units, fixers, _ = subfield_units(d1, d2, precision_bits)
+    units, logs, fixers, _ = subfield_units(d1, d2, precision_bits)
     lifts = [field.lift_quad(u) for u in units]
 
     patterns = []
@@ -119,9 +107,10 @@ def klein_unit_structure(d1, d2, precision_bits=DEFAULT_PRECISION):
         for ei, lift in zip(e, lifts):
             if ei:
                 prod = biq_mul(prod, lift)
+        # a square root of a unit is a unit: it is integral over O_L, as a
+        # root of t^2 - prod, and its norm squared is +-1
         root = sqrt_in_field(prod)
         if root is not None:
-            assert bq.is_unit(root)
             patterns.append(e)
             roots[e] = root
 
@@ -131,16 +120,10 @@ def klein_unit_structure(d1, d2, precision_bits=DEFAULT_PRECISION):
         generators[slot] = roots[p]
 
     return KleinUnitStructure(
-        field=field, units=units, fixers=fixers,
+        field=field, units=units, logs=logs, precision_bits=precision_bits,
+        fixers=fixers,
         sqrt_patterns=tuple(patterns), sqrt_elements=roots,
         index_over_E=2 ** rank, generators=tuple(generators))
-
-
-def klein_log_vectors(struct, precision_bits=DEFAULT_PRECISION):
-    """LOG(u1), LOG(u2), LOG(u3) in the sorted-unit Galois labelling."""
-    order = struct.galois_order()
-    return tuple(log_embed_klein(struct.field.lift_quad(u), precision_bits,
-                                 order=order) for u in struct.units)
 
 
 def klein_denominator(index_over_E):
@@ -254,7 +237,10 @@ def verify_hasse_relations(entry, ctx=None):
     rel["u0 is a unit"] = qt.is_unit(u0)
     rel["N_{L/l}(u0) = +-1"] = _is_pm(qt.qr_mul(u0, s2(u0)), one)
     rel["sigma^2(u0) = +-1/u0"] = rel["N_{L/l}(u0) = +-1"]
-    rel["u0 independent of u_l"] = _independent_of_ul(entry, ctx, u0)
+    # u0^a = +-u_l^b gives +-1 = u_l^(2b) under N_{L/l}, so b = 0 and u0 is
+    # a root of unity: a relative unit other than +-1 is independent of u_l
+    rel["u0 independent of u_l"] = (rel["u0 is a unit"] and not u0.is_rational()
+                                    and rel["N_{L/l}(u0) = +-1"])
 
     if entry.Q_index == 2:
         us = qt.QuarticElem(field, entry.u_star)
@@ -269,38 +255,21 @@ def verify_hasse_relations(entry, ctx=None):
     return HasseReport(rel)
 
 
-def _independent_of_ul(entry, ctx, u0):
-    with mpf_ctx(128):
-        lv_ul = log_embed_cyclic(ctx.u_l_emb, 128).coords
-        lv_u0 = log_embed_cyclic(u0, 128).coords
-        cross = max(abs(lv_ul[i] * lv_u0[j] - lv_ul[j] * lv_u0[i])
-                    for i in range(4) for j in range(i + 1, 4))
-        return cross > mpmath.mpf(2) ** (-64)
-
-
-def cyclic_generators(entry, ctx):
-    """Generators of O_L^* mod +-1: (u_l, u0, sigma(u0)) for Q=1 and
-    (u_l, u0, u_star) for Q=2.  Requires the Hasse relations to pass."""
-    report = verify_hasse_relations(entry, ctx)
-    if not report.passed:
+def cyclic_generator_logs(entry, ctx, hasse, precision_bits=DEFAULT_PRECISION):
+    """LOG of the generators of O_L^* mod +-1, (u_l, u0, sigma(u0)) for
+    Q=1 and (u_l, u0, u_star) for Q=2, given the entry's Hasse report,
+    which must have passed.  Each unit is evaluated at the roots once;
+    LOG(sigma(u0)) is read off LOG(u0)."""
+    if not hasse.passed:
         raise CatalogValidationError(
-            "entry failed relations: %s" % ", ".join(report.failures()))
+            "entry failed relations: %s" % ", ".join(hasse.failures()))
     field = ctx.field
-    u0 = qt.QuarticElem(field, entry.u0)
-    if entry.Q_index == 1:
-        return (ctx.u_l_emb, u0, field.sigma(u0))
-    return (ctx.u_l_emb, u0, qt.QuarticElem(field, entry.u_star))
-
-
-def cyclic_log_vectors(entry, ctx, precision_bits=DEFAULT_PRECISION):
-    """LOG(u_l), LOG(u0), LOG(sigma(u0)) in the cyclic Galois order, plus
-    the scalar triple (W1, W2, W3)."""
-    u0 = qt.QuarticElem(ctx.field, entry.u0)
     lv_ul = log_embed_cyclic(ctx.u_l_emb, precision_bits)
-    lv_u0 = log_embed_cyclic(u0, precision_bits)
-    lv_su0 = log_embed_cyclic(ctx.field.sigma(u0), precision_bits)
-    return (lv_ul, lv_u0, lv_su0), (lv_ul.coords[0], lv_u0.coords[0],
-                                    lv_su0.coords[0])
+    lv_u0 = log_embed_cyclic(qt.QuarticElem(field, entry.u0), precision_bits)
+    if entry.Q_index == 1:
+        return lv_ul, lv_u0, log_sigma(lv_u0)
+    return lv_ul, lv_u0, log_embed_cyclic(
+        qt.QuarticElem(field, entry.u_star), precision_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +282,9 @@ def search_relative_units(ctx, height_bound, include_u_star=True):
     and return them sorted by log magnitude.
 
     Returns a list of (element, k) pairs: k = 0 marks a relative unit,
-    odd k marks a u_star witness (only when include_u_star).
-    Elements multiplicatively dependent on u_l alone are dropped.
+    odd k marks a u_star witness (only when include_u_star).  Hits
+    +-u_l^m are kept: they are units too, and their even k = 2m != 0
+    keeps them out of populate's choices.
     """
     if height_bound < 1:
         return []
@@ -350,11 +320,7 @@ def search_relative_units(ctx, height_bound, include_u_star=True):
             continue
         if not include_u_star and k % 2 != 0:
             continue
-        # drop elements that are just +-u_l^m (log vector parallel to u_l's)
-        le = [abs(float(v)) for v in qt.embed_all(elem, 96)]
-        logs = [mpmath.log(v) for v in le]
-        if _parallel_to_ul(logs):
-            continue
+        logs = [mpmath.log(abs(float(v))) for v in qt.embed_all(elem, 96)]
         key = tuple(int(v) for v in c)
         if key in seen or tuple(-v for v in key) in seen:
             continue
@@ -364,17 +330,11 @@ def search_relative_units(ctx, height_bound, include_u_star=True):
     return [(elem, k) for elem, k, _ in found]
 
 
-def _parallel_to_ul(logs):
-    # u_l log pattern is (W1, -W1, W1, -W1) up to root ordering; parallel
-    # candidates have all |log| equal
-    avg = sum(logs) / 4
-    return all(abs(v - avg) < 1e-9 for v in logs)
-
-
 def populate_cyclic_entry(coeffs, quad_subfield_d, label, height_bound=6):
     """Build a catalog entry by brute-force search, then verify it: Q = 2
     from the first u_star witness (odd k), else Q = 1 from the first
-    relative unit (k = 0)."""
+    relative unit (k = 0).  CatalogValidationError unless the entry passes
+    its Hasse relations and the regulator cross-check on the same hits."""
     ul = fundamental_unit(quad_subfield_d).unit
     ctx = cyclic_context(coeffs, quad_subfield_d, ul)
     hits = search_relative_units(ctx, height_bound)
@@ -385,54 +345,46 @@ def populate_cyclic_entry(coeffs, quad_subfield_d, label, height_bound=6):
         if qt.embed_all(star, 96)[0] < 0:
             star = qt.qr_neg(star)
         u0 = qt.qr_mul(star, ctx.field.sigma(star))
-        entry = CyclicCatalogEntry(
-            label=label, coeffs=tuple(coeffs),
-            quad_subfield_d=quad_subfield_d, u_l=ul,
-            u0=u0.coords, u_star=star.coords, Q_index=2)
+        q2 = {"u_star": star.coords, "Q_index": 2}
     else:
         u0 = next((e for e, k in hits if k == 0), None)
         if u0 is None:
             raise CatalogValidationError(
                 "no relative units found at height %d" % height_bound)
-        entry = CyclicCatalogEntry(
-            label=label, coeffs=tuple(coeffs),
-            quad_subfield_d=quad_subfield_d, u_l=ul,
-            u0=u0.coords, Q_index=1)
-    report = verify_hasse_relations(entry, ctx)
-    if not report.passed:
+        q2 = {}
+    entry = CyclicCatalogEntry(
+        label=label, coeffs=tuple(coeffs), quad_subfield_d=quad_subfield_d,
+        u_l=ul, u0=u0.coords, **q2)
+    gen_logs = cyclic_generator_logs(entry, ctx,
+                                     verify_hasse_relations(entry, ctx))
+    ok, index = regulator_cross_check(gen_logs, hits)
+    if not ok:
         raise CatalogValidationError(
-            "populated entry failed relations: %s" % ", ".join(report.failures()))
+            "populated entry fails the regulator cross-check at height %d "
+            "(sublattice index %s)" % (height_bound, index))
     return entry
 
 
-def regulator_cross_check(entry, height_bound, ctx):
-    """Compare the claimed-generator log lattice against all brute-force
-    found units: every found unit must be an integer combination of the
+def regulator_cross_check(gen_logs, hits):
+    """Compare the generators' log lattice (cyclic_generator_logs) against
+    search hits: every hit must be an integer combination of the
     generators, and the index of the found sublattice must be a plausible
     integer <= 4.  Returns (ok, index_estimate).
 
-    The search uses ctx.u_l_emb, the entry's u_l: cyclic_generators has
-    already checked that it is the fundamental unit."""
-    gens = cyclic_generators(entry, ctx)
-    prec = 128
+    Hits are embedded once each, at the generators' precision, and mapped
+    to coefficients by one least-squares pseudo-inverse."""
+    prec = gen_logs[0].precision_bits
     with mpf_ctx(prec):
-        gmat = mpmath.matrix([[float(0)] * 3 for _ in range(4)])
-        logvecs = [log_embed_cyclic(g, prec).coords for g in gens]
-        for i in range(4):
-            for j in range(3):
-                gmat[i, j] = logvecs[j][i]
-        hits = search_relative_units(ctx, height_bound)
+        gmat = mpmath.matrix([[lv.coords[i] for lv in gen_logs]
+                              for i in range(4)])
+        pinv = mpmath.inverse(gmat.T * gmat) * gmat.T
         coeff_rows = []
         for elem, _k in hits:
-            b = mpmath.matrix(list(log_embed_cyclic(elem, prec).coords))
-            sol = mpmath.lu_solve(gmat, b)  # least squares (4x3)
-            row = []
-            for i in range(3):
-                r = mpmath.nint(sol[i])
-                if abs(sol[i] - r) > mpmath.mpf(2) ** (-32):
-                    return False, None
-                row.append(int(r))
-            coeff_rows.append(row)
+            sol = pinv * mpmath.matrix(list(log_embed_cyclic(elem, prec).coords))
+            row = [mpmath.nint(v) for v in sol]
+            if any(abs(v - r) > mpmath.mpf(2) ** (-32) for v, r in zip(sol, row)):
+                return False, None
+            coeff_rows.append([int(r) for r in row])
         if not coeff_rows:
             return True, 1
         idx = _integer_lattice_index(coeff_rows)

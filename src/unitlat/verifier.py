@@ -20,10 +20,10 @@ from .quadratic import is_squarefree, smallest_fundamental_units, surd_cmp
 from . import biquadratic as bq
 from . import quartic as qt
 from . import units as us
-from .loglattice import (LatticeSpec, cyclic_f, cyclic_wedge_rows,
-                         klein_norm_closed, klein_wedge_rows,
-                         log_embed_cyclic, log_embed_klein, min_one_norm,
-                         wedge2)
+from .loglattice import (LatticeSpec, Wedge2Vector, cyclic_f,
+                         cyclic_wedge_rows, klein_norm_closed,
+                         klein_wedge_rows, log_embed_cyclic, log_embed_klein,
+                         log_sigma, min_one_norm, wedge2)
 
 THEOREM_TOL = mpmath.mpf("1e-5")
 DERIVED_TOL = mpmath.mpf("1e-9")
@@ -218,13 +218,15 @@ def constrained_min_reports():
 # Field reports
 
 
-def klein_lattice(struct, precision_bits=DEFAULT_PRECISION):
-    """E-wedge basis lattice spec for a Klein structure, with the
-    index-appropriate denominator."""
-    l1, l2, l3 = us.klein_log_vectors(struct, precision_bits)
-    basis = (wedge2(l2, l3), wedge2(l1, l3), wedge2(l1, l2))
-    den = us.klein_denominator(struct.index_over_E)
-    return LatticeSpec(basis, denominator=den), (l1, l2, l3)
+def klein_lattice(struct):
+    """E-wedge lattice spec of a Klein structure: the klein_wedge_rows of
+    its subfield regulators W_i, with the index-appropriate denominator."""
+    w1, w2, w3 = struct.logs
+    prec = struct.precision_bits
+    with mpf_ctx(prec):
+        basis = tuple(Wedge2Vector(tuple(map(mpmath.mpf, row)), "klein", prec)
+                      for row in klein_wedge_rows(w2 * w3, w1 * w3, w1 * w2))
+    return LatticeSpec(basis, us.klein_denominator(struct.index_over_E))
 
 
 def klein_field_report(d1, d2, coeff_bound=20,
@@ -232,11 +234,12 @@ def klein_field_report(d1, d2, coeff_bound=20,
     """Certified enumerated minimum for one Klein field plus bound checks."""
     with mpf_ctx(precision_bits):
         struct = us.klein_unit_structure(d1, d2, precision_bits)
-        spec, (l1, l2, l3) = klein_lattice(struct, precision_bits)
+        spec = klein_lattice(struct)
         value, argmin, certified = min_one_norm(spec, coeff_bound)
-        x3 = l1.coords[0] * l2.coords[0]
+        w1, w2, _ = struct.logs
+        x3 = w1 * w2
         bound_8x3 = 8 * x3 / spec.denominator
-        thin = 2 * l1.coords[0] * l2.coords[0]
+        thin = 2 * x3
         theorem = constants(precision_bits)["theorem_lower"]
         reports = [
             BoundReport("min_1norm", value, None, "holds", None,
@@ -257,14 +260,18 @@ def klein_field_report(d1, d2, coeff_bound=20,
         return struct, value, certified, reports
 
 
-def cyclic_lattice(entry, ctx, precision_bits=DEFAULT_PRECISION):
-    (lv_ul, lv_u0, lv_su0), ws = us.cyclic_log_vectors(entry, ctx, precision_bits)
+def cyclic_lattice(entry, gen_logs):
+    """Wedge basis of LOG(u_l), LOG(u0), LOG(sigma(u0)) from the entry's
+    generator logs, with the Q-appropriate denominator and parity, plus
+    the id-coordinates (W1, W2, W3) of the three log vectors."""
+    lv_ul, lv_u0 = gen_logs[:2]
+    lv_su0 = log_sigma(lv_u0)
     basis = (wedge2(lv_ul, lv_u0), wedge2(lv_ul, lv_su0), wedge2(lv_u0, lv_su0))
     if entry.Q_index == 2:
         spec = LatticeSpec(basis, denominator=2, parity_constraint="even")
     else:
         spec = LatticeSpec(basis, denominator=1)
-    return spec, ws
+    return spec, tuple(lv.coords[0] for lv in (lv_ul, lv_u0, lv_su0))
 
 
 def cyclic_entry_report(entry, coeff_bound=20, precision_bits=DEFAULT_PRECISION,
@@ -277,12 +284,14 @@ def cyclic_entry_report(entry, coeff_bound=20, precision_bits=DEFAULT_PRECISION,
                    for name, ok in hasse.relations.items()]
         if not hasse.passed:
             return None, reports
-        reg_ok, reg_idx = us.regulator_cross_check(entry, regulator_height, ctx)
+        gen_logs = us.cyclic_generator_logs(entry, ctx, hasse, precision_bits)
+        reg_ok, reg_idx = us.regulator_cross_check(
+            gen_logs, us.search_relative_units(ctx, regulator_height))
         reports.append(BoundReport(
             "regulator_cross_check", None, None,
             "holds" if reg_ok else "violated",
             details={"sublattice_index": reg_idx}))
-        spec, (w1, w2, w3) = cyclic_lattice(entry, ctx, precision_bits)
+        spec, (w1, w2, w3) = cyclic_lattice(entry, gen_logs)
         value, argmin, certified = min_one_norm(spec, coeff_bound)
         c = constants(precision_bits)
         reports.append(BoundReport(
@@ -476,7 +485,9 @@ def verify_paper(scan_limit=30, coeff_bound=20,
 def _wedge_fixture_reports(precision_bits):
     """The printed wedge coordinate tables, checked on Q(sqrt2, sqrt5)."""
     struct = us.klein_unit_structure(2, 5, precision_bits)
-    l1, l2, l3 = us.klein_log_vectors(struct, precision_bits)
+    order = struct.galois_order()
+    l1, l2, l3 = (log_embed_klein(struct.field.lift_quad(u), precision_bits,
+                                  order=order) for u in struct.units)
     with mpf_ctx(precision_bits):
         x1 = l2.coords[0] * l3.coords[0]
         x2 = l1.coords[0] * l3.coords[0]

@@ -4,14 +4,17 @@ Deliberately naive: plain Python loops and integer arithmetic, sharing no
 code with the library's closed forms or numpy enumeration.  char_poly
 uses only the library's basis multiplications `biq_mul` and `qr_mul`,
 which the ring axiom tests check, and nothing of their tower integrality
-tests, norms or Galois actions.
+tests, norms or Galois actions.  sigma_loop_log applies the exact sigma
+and evaluates at root 0 only, sharing nothing with the root orbit.
 """
 
 from fractions import Fraction
 from math import isqrt
 
+import mpmath
+
 from unitlat.biquadratic import BiquadElem, biq_mul
-from unitlat.quartic import QuarticElem, qr_mul
+from unitlat.quartic import QuarticElem, embed_all, qr_mul
 
 
 def smaller_quad_unit_exists(d, q2_limit):
@@ -96,3 +99,14 @@ def char_poly(a):
         for i in range(4):
             mk[i][i] += c
     return coeffs
+
+
+def sigma_loop_log(x, precision_bits=128):
+    """LOG of a cyclic quartic unit as coordinates log|sigma^k(x)| at the
+    id-embedding, k = 0..3, each image computed by the exact sigma."""
+    coords = []
+    with mpmath.workprec(precision_bits + 16):
+        for _ in range(4):
+            coords.append(mpmath.log(abs(embed_all(x, precision_bits)[0])))
+            x = x.field.sigma(x)
+    return coords

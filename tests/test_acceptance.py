@@ -14,7 +14,7 @@ from unitlat import units as us
 from unitlat import verifier as vf
 from unitlat import quartic as qt
 from unitlat.biquadratic import BiquadField, biq_mul, is_unit
-from unitlat.loglattice import log_embed_klein, log_embed_cyclic, min_one_norm
+from unitlat.loglattice import log_embed_klein, min_one_norm
 from unitlat.quadratic import (fundamental_unit, quad_cmp,
                                smallest_fundamental_units)
 from oracles import brute_min_one_norm, float_rows
@@ -35,14 +35,14 @@ def constants():
 @pytest.fixture(scope="module")
 def klein25():
     struct = us.klein_unit_structure(2, 5)
-    spec, _ = vf.klein_lattice(struct)
+    spec = vf.klein_lattice(struct)
     return struct, spec, min_one_norm(spec, COEFF_BOUND)
 
 
 @pytest.fixture(scope="module")
 def klein513():
     struct = us.klein_unit_structure(5, 13)
-    spec, _ = vf.klein_lattice(struct)
+    spec = vf.klein_lattice(struct)
     return struct, spec, min_one_norm(spec, COEFF_BOUND)
 
 
@@ -193,8 +193,8 @@ def test_criterion_09_pohst_floor(scan, cyclic):
                 checked += 1
         entry, _, _ = cyclic
         ctx = us.cyclic_context(entry.coeffs, entry.quad_subfield_d, entry.u_l)
-        for g in us.cyclic_generators(entry, ctx):
-            lv = log_embed_cyclic(g, 128)
+        for lv in us.cyclic_generator_logs(
+                entry, ctx, us.verify_hasse_relations(entry, ctx), 128):
             assert sum(c * c for c in lv.coords) >= floor - 1e-9
             checked += 1
         # equality at the lift of (1+sqrt5)/2
@@ -244,7 +244,7 @@ def test_criterion_12_brute_force_oracle(klein25, klein513, scan):
         assert abs(float(value) - oracle) < 1e-9, name
     small_bound = 3
     for d1, d2, struct, value, _, _ in scan:
-        spec, _ = vf.klein_lattice(struct)
+        spec = vf.klein_lattice(struct)
         oracle = brute_min_one_norm(float_rows(spec), spec.denominator,
                                     small_bound)
         assert abs(float(value) - oracle) < 1e-9, (d1, d2)

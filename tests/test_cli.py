@@ -151,6 +151,19 @@ def test_scan_default_matches_pinned_csv(capsys, monkeypatch):
         assert out == fh.read()
 
 
+def test_scan_60_matches_pinned_csv(capsys, monkeypatch):
+    # tests/data/scan_60.csv pins `--scan-limit 60 scan` byte for byte:
+    # 630 pairs, d up to 60; regenerate it only for an intended change of
+    # output
+    for name in ("PRECISION", "COEFF_BOUND", "SCAN_LIMIT"):
+        monkeypatch.delenv("UNITLAT_" + name, raising=False)
+    code, out, _ = run(capsys, "--scan-limit", "60", "scan")
+    assert code == 0
+    path = os.path.join(os.path.dirname(__file__), "data", "scan_60.csv")
+    with open(path, newline="") as fh:
+        assert out == fh.read()
+
+
 @pytest.mark.parametrize("label, pinned", [
     ("Q(sqrt(2+sqrt2))", "cyclic_sqrt_2_plus_sqrt2.json"),
     ("Q(zeta20)+", "cyclic_zeta20_plus.json"),

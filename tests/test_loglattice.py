@@ -12,7 +12,7 @@ from unitlat.loglattice import (LatticeSpec, LogVector, Wedge2Vector,
                                 klein_wedge_rows, log_embed_klein,
                                 min_one_norm, one_norm, two_norm, wedge2)
 from unitlat.biquadratic import BiquadField
-from unitlat.quadratic import fundamental_unit
+from unitlat.quadratic import fundamental_unit, is_squarefree
 from unitlat import units as us
 from unitlat.verifier import klein_lattice
 from oracles import brute_min_one_norm, brute_norms, float_rows
@@ -21,7 +21,9 @@ from oracles import brute_min_one_norm, brute_norms, float_rows
 @pytest.fixture(scope="module")
 def klein25():
     struct = us.klein_unit_structure(2, 5)
-    vecs = us.klein_log_vectors(struct)
+    vecs = tuple(log_embed_klein(struct.field.lift_quad(u),
+                                 order=struct.galois_order())
+                 for u in struct.units)
     return struct, vecs
 
 
@@ -206,10 +208,50 @@ def test_min_one_norm_matches_full_box(logs, scales, shape, bound):
 @pytest.mark.parametrize("shape", LATTICE_SHAPES)
 def test_min_one_norm_skewed_basis(shape):
     # Q(sqrt2, sqrt661): subfield regulators 0.88, 11.0 and 14.4
-    spec, _ = klein_lattice(us.klein_unit_structure(2, 661))
+    spec = klein_lattice(us.klein_unit_structure(2, 661))
     spec = LatticeSpec(spec.basis, denominator=shape[0],
                        parity_constraint=shape[1])
     assert_matches_full_box(spec, 6)
+
+
+def test_min_one_norm_keeps_argmin_lost_to_cancellation():
+    # row 1 minus row 0 is (-1 - 1.5e-9, 0, ...), but 3e7 + 1 + 1.5e-9
+    # rounds to 3e7 + 1 in float, so its float norm is exactly 1 and a
+    # fixed relative slack drops the true argmin (0, 0, -1), 1 + 1.2e-9
+    m = mpmath.mpf(3) * 10 ** 7
+    with mpmath.workprec(144):
+        rows = ((m + 1 + mpmath.mpf("1.5e-9"), 0, m, 0, 0, 0),
+                (m, 0, m, 0, 0, 0),
+                (0, 1 + mpmath.mpf("1.2e-9"), 0, 0, 0, 0))
+        spec = LatticeSpec(tuple(Wedge2Vector(tuple(mpmath.mpf(c) for c in r),
+                                              "klein", 128) for r in rows))
+    value, argmin, certified = min_one_norm(spec, 5)
+    assert argmin == (0, 0, -1)
+    with mpmath.workprec(144):
+        assert abs(value - (1 + mpmath.mpf("1.2e-9"))) < mpmath.mpf(2) ** -100
+    assert certified
+
+
+SQUAREFREE_1000 = [d for d in range(2, 1001) if is_squarefree(d)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(pair=st.lists(st.sampled_from(SQUAREFREE_1000), min_size=2,
+                     max_size=2, unique=True))
+def test_klein_lattice_rows_are_wedges(pair):
+    # the basis built from the subfield regulators W_i equals wedge2 of the
+    # log embeddings of the lifted units, at working precision
+    struct = us.klein_unit_structure(*pair)
+    order = struct.galois_order()
+    l1, l2, l3 = (log_embed_klein(struct.field.lift_quad(u), order=order)
+                  for u in struct.units)
+    spec = klein_lattice(struct)
+    with mpmath.workprec(144):
+        for got, want in zip(spec.basis, (wedge2(l2, l3), wedge2(l1, l3),
+                                          wedge2(l1, l2))):
+            scale = max(abs(c) for c in want.coords)
+            err = max(abs(g - w) for g, w in zip(got.coords, want.coords))
+            assert err <= mpmath.mpf(2) ** -120 * scale
 
 
 def test_min_one_norm_radius_is_tight():

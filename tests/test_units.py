@@ -8,10 +8,10 @@ import pytest
 from unitlat import units as us
 from unitlat import quartic as qt
 from unitlat.biquadratic import BiquadElem, biq_mul, biq_neg, is_unit
-from unitlat.loglattice import cyclic_wedge_rows, wedge2
+from unitlat.loglattice import cyclic_wedge_rows, log_embed_cyclic, wedge2
 from unitlat.quadratic import QuadElem, fundamental_unit
-from unitlat.verifier import load_default_catalog
-from oracles import char_poly
+from unitlat.verifier import cyclic_lattice, load_default_catalog
+from oracles import char_poly, sigma_loop_log
 
 
 @pytest.fixture(scope="module")
@@ -25,9 +25,10 @@ def ctx(entry):
 
 
 def test_subfield_units_sorted():
-    units, fixers, perm = us.subfield_units(2, 5)
+    units, logs, fixers, perm = us.subfield_units(2, 5)
     # ascending: (1+sqrt5)/2 < 1+sqrt2 < 3+sqrt10
     assert [u.d for u in units] == [5, 2, 10]
+    assert logs == tuple(fundamental_unit(u.d).log_value for u in units)
     assert fixers == ("s2", "s1", "s3")
     assert perm == (1, 0, 2)
 
@@ -148,7 +149,18 @@ def test_hasse_relations_fail_on_corruption(entry, ctx):
     assert "N_{L/l}(u_star) = u_star sigma^2(u_star) = +-u_l" \
         in report2.failures()
     with pytest.raises(us.CatalogValidationError):
-        us.cyclic_generators(bad, ctx)
+        us.cyclic_generator_logs(bad, ctx, report)
+
+
+def test_hasse_relations_report_non_unit_u0(entry, ctx):
+    # a non-unit u0 fails its relations instead of raising from a log
+    # embedding
+    bad = us.CyclicCatalogEntry(
+        entry.label, entry.coeffs, entry.quad_subfield_d, entry.u_l,
+        u0=(2, 0, 0, 0), u_star=entry.u_star, Q_index=2)
+    failures = us.verify_hasse_relations(bad, ctx).failures()
+    assert "u0 is a unit" in failures
+    assert "u0 independent of u_l" in failures
 
 
 def test_search_relative_units_finds_u_star(entry, ctx):
@@ -186,7 +198,10 @@ def test_populated_entry_matches_catalog(shipped):
 
 
 def test_regulator_cross_check(entry, ctx):
-    ok, index = us.regulator_cross_check(entry, 4, ctx)
+    gen_logs = us.cyclic_generator_logs(entry, ctx,
+                                        us.verify_hasse_relations(entry, ctx))
+    ok, index = us.regulator_cross_check(gen_logs,
+                                         us.search_relative_units(ctx, 4))
     assert ok
     assert index == 1
 
@@ -198,7 +213,11 @@ def test_cyclic_wedge_rows_are_wedges(shipped):
     # vectors of u_l, u0 and sigma(u0), at working precision
     ctx = us.cyclic_context(shipped.coeffs, shipped.quad_subfield_d,
                             shipped.u_l)
-    (lv_ul, lv_u0, lv_su0), ws = us.cyclic_log_vectors(shipped, ctx)
+    u0 = qt.QuarticElem(ctx.field, shipped.u0)
+    lv_ul, lv_u0, lv_su0 = (log_embed_cyclic(x) for x in
+                            (ctx.u_l_emb, u0, ctx.field.sigma(u0)))
+    _, ws = cyclic_lattice(shipped, us.cyclic_generator_logs(
+        shipped, ctx, us.verify_hasse_relations(shipped, ctx)))
     wedges = (wedge2(lv_ul, lv_u0), wedge2(lv_ul, lv_su0),
               wedge2(lv_u0, lv_su0))
     with mpmath.workprec(128):
@@ -209,8 +228,40 @@ def test_cyclic_wedge_rows_are_wedges(shipped):
 
 
 def test_cyclic_log_vectors(entry, ctx):
-    (lv_ul, lv_u0, lv_su0), (w1, w2, w3) = us.cyclic_log_vectors(entry, ctx)
+    gen_logs = us.cyclic_generator_logs(entry, ctx,
+                                        us.verify_hasse_relations(entry, ctx))
+    _, (w1, w2, w3) = cyclic_lattice(entry, gen_logs)
     assert abs(float(w1) - 0.8813735870195430) < 1e-12  # log(1+sqrt2)
     assert float(w2) > 0 and float(w3) > 0
-    for lv in (lv_ul, lv_u0, lv_su0):
+    for lv in gen_logs:
         assert lv.convention == "cyclic"
+
+
+@pytest.mark.parametrize("shipped", load_default_catalog(),
+                         ids=lambda e: e.label)
+def test_orbit_log_matches_sigma_loop(shipped):
+    # log_embed_cyclic reads each coordinate off one evaluation at the
+    # sigma-orbit of the roots; the oracle applies the exact sigma instead
+    ctx = us.cyclic_context(shipped.coeffs, shipped.quad_subfield_d,
+                            shipped.u_l)
+    u0 = qt.QuarticElem(ctx.field, shipped.u0)
+    units = [ctx.u_l_emb, u0, ctx.field.sigma(u0)]
+    if shipped.u_star is not None:
+        units.append(qt.QuarticElem(ctx.field, shipped.u_star))
+    hits = us.search_relative_units(ctx, 6)
+    assert len(hits) >= 80
+    with mpmath.workprec(144):
+        for x in units + [e for e, _ in hits]:
+            got = log_embed_cyclic(x).coords
+            want = sigma_loop_log(x)
+            assert max(abs(g - w) for g, w in zip(got, want)) \
+                < mpmath.mpf(2) ** -100
+
+
+@pytest.mark.parametrize("coeffs, d", [((5, 0, -10, 0, 1), 5),
+                                       ((656, 0, -82, 0, 1), 41)])
+def test_populate_rejects_failed_cross_check(coeffs, d):
+    # both searches return an entry whose Hasse relations hold, but a unit
+    # found at height 6 is not an integer combination of its generators
+    with pytest.raises(us.CatalogValidationError, match="cross-check"):
+        us.populate_cyclic_entry(coeffs, d, "probe")

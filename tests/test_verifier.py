@@ -122,3 +122,21 @@ def test_verify_paper_small_scan(entry):
     assert "klein_min_2_5" in names
     assert "constrained_min_q1_expr" in names
     json.dumps(report)  # fully serializable
+
+
+def test_hasse_relations_verified_once_per_entry(monkeypatch):
+    # the report's own Hasse pass is the only one: the regulator cross-check
+    # reuses the generators it verified
+    calls = []
+    verify = us.verify_hasse_relations
+
+    def counting(entry, ctx=None):
+        calls.append(entry.label)
+        return verify(entry, ctx)
+
+    monkeypatch.setattr(us, "verify_hasse_relations", counting)
+    catalog = vf.load_default_catalog()
+    for entry in catalog:
+        value, _ = vf.cyclic_entry_report(entry)
+        assert value is not None
+    assert calls == [entry.label for entry in catalog]
