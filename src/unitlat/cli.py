@@ -69,10 +69,6 @@ def _check_squarefree_arg(d):
                        EXIT_INVALID_INPUT)
 
 
-def _quad_str(u):
-    return "(%s) + (%s)*sqrt(%d)" % (u.a, u.b, u.d)
-
-
 def cmd_fund_unit(args, out):
     cfg = _config(args)
     _check_squarefree_arg(args.d)
@@ -84,7 +80,7 @@ def cmd_fund_unit(args, out):
         out.write("\n")
     else:
         out.write("fundamental unit of Q(sqrt(%d)): %s\n"
-                  % (args.d, _quad_str(res.unit)))
+                  % (args.d, res.unit))
         out.write("norm: %d\n" % res.norm_sign)
         out.write("log:  %s\n" % fmt_sig(res.log_value))
     return EXIT_OK
@@ -101,7 +97,7 @@ def cmd_klein(args, out):
     detail = reports[0].details
     payload = {
         "d1": args.d1, "d2": args.d2, "d3": struct.field.d3,
-        "subfield_units": [_quad_str(u) for u in struct.units],
+        "subfield_units": [str(u) for u in struct.units],
         "sqrt_patterns": [list(p) for p in struct.sqrt_patterns],
         "index_over_E": struct.index_over_E,
         "generators": [str(g) for g in struct.generators],
@@ -119,7 +115,7 @@ def cmd_klein(args, out):
         out.write("Q(sqrt(%d), sqrt(%d)), third subfield sqrt(%d)\n"
                   % (args.d1, args.d2, struct.field.d3))
         for label, u in zip("123", struct.units):
-            out.write("u%s = %s\n" % (label, _quad_str(u)))
+            out.write("u%s = %s\n" % (label, u))
         out.write("square patterns: %s\n"
                   % (", ".join(str(p) for p in struct.sqrt_patterns) or "none"))
         out.write("index over +-E: %d (lattice denominator %d)\n"

@@ -28,10 +28,11 @@ class LogVector:
     def __post_init__(self):
         if self.convention not in ("klein", "cyclic"):
             raise ValueError("unknown convention %r" % (self.convention,))
-        tol = 4 * mpmath.mpf(2) ** (-self.precision_bits + 8)
-        scale = max([abs(c) for c in self.coords] + [mpmath.mpf(1)])
-        if abs(sum(self.coords, mpmath.mpf(0))) > tol * scale:
-            raise ValueError("log vector of a unit must sum to zero")
+        with mpf_ctx(self.precision_bits):
+            tol = 4 * mpmath.mpf(2) ** (-self.precision_bits + 8)
+            scale = max([abs(c) for c in self.coords] + [mpmath.mpf(1)])
+            if abs(sum(self.coords, mpmath.mpf(0))) > tol * scale:
+                raise ValueError("log vector of a unit must sum to zero")
 
 
 @dataclass(frozen=True)
@@ -61,24 +62,30 @@ def log_embed_klein(x, precision_bits=DEFAULT_PRECISION,
 
 
 def log_embed_cyclic(x, precision_bits=DEFAULT_PRECISION):
-    """LOG of a unit of a cyclic quartic field, coordinates ordered by
-    id, sigma, sigma^2, sigma^3 (each image taken in the id-embedding):
-    coordinate k is log|x| at root p_k of the field's sigma-orbit."""
+    """LOG of a unit of a cyclic quartic field; domain error on non-units."""
     if not quartic.is_unit(x):
         raise ValueError("log_embed requires a unit")
+    emb = quartic.embed_all(x, precision_bits)
+    return orbit_log(x.field, emb, precision_bits)
+
+
+def orbit_log(field, emb, precision_bits):
+    """LOG of a cyclic quartic unit x, which the caller has proven a unit,
+    from its values emb at the roots (quartic.embed_all): coordinates
+    ordered by id, sigma, sigma^2, sigma^3 (each image taken in the
+    id-embedding), coordinate k being log|x| at root p_k of the field's
+    sigma-orbit."""
     with mpf_ctx(precision_bits):
-        emb = quartic.embed_all(x, precision_bits)
         return LogVector(tuple(mpmath.log(abs(emb[p]))
-                               for p in x.field.root_orbit),
+                               for p in field.root_orbit),
                          "cyclic", precision_bits)
 
 
 def log_sigma(lv):
     """LOG(sigma(x)) from the cyclic LOG(x): sigma^k(sigma(x)) at id is x
     at root p_(k+1), so the coordinates shift one step along the orbit."""
-    with mpf_ctx(lv.precision_bits):
-        return LogVector(lv.coords[1:] + lv.coords[:1], "cyclic",
-                         lv.precision_bits)
+    return LogVector(lv.coords[1:] + lv.coords[:1], "cyclic",
+                     lv.precision_bits)
 
 
 def wedge2(a, b):

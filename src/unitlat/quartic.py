@@ -110,13 +110,6 @@ class QuarticElem:
     def __str__(self):
         return "[" + ", ".join(str(c) for c in self.coords) + "]"
 
-    def to_json(self):
-        return [str(c) for c in self.coords]
-
-    @classmethod
-    def from_json(cls, field, obj):
-        return cls(field, tuple(Fraction(c) for c in obj))
-
 
 def qr_add(a, b):
     _same(a, b)

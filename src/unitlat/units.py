@@ -23,7 +23,7 @@ from .precision import DEFAULT_PRECISION, mpf_ctx
 from .quadratic import QuadElem, fundamental_unit, is_squarefree, quad_cmp
 from . import quartic as qt
 from .biquadratic import BiquadField, biq_mul, sqrt_in_field
-from .loglattice import log_embed_cyclic, log_sigma
+from .loglattice import log_embed_cyclic, log_sigma, orbit_log
 
 class CatalogValidationError(ValueError):
     """A cyclic catalog entry is malformed, or failed an exact Hasse
@@ -179,13 +179,16 @@ class CyclicCatalogEntry:
 
 @dataclass
 class CyclicFieldContext:
-    """A cyclic quartic field (sigma cached on it) and the image of u_l."""
+    """A cyclic quartic field (sigma cached on it), the image of u_l, and
+    the precision of the field's log vectors."""
 
     field: qt.CyclicQuarticField
     u_l_emb: qt.QuarticElem   # image of the quadratic unit u_l
+    precision_bits: int
 
 
-def cyclic_context(coeffs, quad_subfield_d, u_l):
+def cyclic_context(coeffs, quad_subfield_d, u_l,
+                   precision_bits=DEFAULT_PRECISION):
     """The cyclic quartic field defined by coeffs, with sigma found, and the
     image of the quadratic unit u_l in it; entry callers pass the entry's
     coeffs, quad_subfield_d and u_l."""
@@ -204,7 +207,7 @@ def cyclic_context(coeffs, quad_subfield_d, u_l):
             "sqrt(%d) does not lie in the field" % quad_subfield_d)
     u_l_emb = qt.qr_add(field.from_rational(u_l.a),
                         qt.QuarticElem(field, tuple(u_l.b * c for c in sqrt_d.coords)))
-    return CyclicFieldContext(field, u_l_emb)
+    return CyclicFieldContext(field, u_l_emb, precision_bits)
 
 
 def _is_pm(x, target):
@@ -255,79 +258,79 @@ def verify_hasse_relations(entry, ctx=None):
     return HasseReport(rel)
 
 
-def cyclic_generator_logs(entry, ctx, hasse, precision_bits=DEFAULT_PRECISION):
+def cyclic_generator_logs(entry, ctx, hasse):
     """LOG of the generators of O_L^* mod +-1, (u_l, u0, sigma(u0)) for
-    Q=1 and (u_l, u0, u_star) for Q=2, given the entry's Hasse report,
-    which must have passed.  Each unit is evaluated at the roots once;
-    LOG(sigma(u0)) is read off LOG(u0)."""
+    Q=1 and (u_l, u0, u_star) for Q=2, at the context's precision, given
+    the entry's Hasse report, which must have passed.  Each unit is
+    evaluated at the roots once; LOG(sigma(u0)) is read off LOG(u0)."""
     if not hasse.passed:
         raise CatalogValidationError(
             "entry failed relations: %s" % ", ".join(hasse.failures()))
-    field = ctx.field
-    lv_ul = log_embed_cyclic(ctx.u_l_emb, precision_bits)
-    lv_u0 = log_embed_cyclic(qt.QuarticElem(field, entry.u0), precision_bits)
+    field, prec = ctx.field, ctx.precision_bits
+    lv_ul = log_embed_cyclic(ctx.u_l_emb, prec)
+    lv_u0 = log_embed_cyclic(qt.QuarticElem(field, entry.u0), prec)
     if entry.Q_index == 1:
         return lv_ul, lv_u0, log_sigma(lv_u0)
     return lv_ul, lv_u0, log_embed_cyclic(
-        qt.QuarticElem(field, entry.u_star), precision_bits)
+        qt.QuarticElem(field, entry.u_star), prec)
 
 
 # ---------------------------------------------------------------------------
 # Relative unit search (desk-scale oracle used to populate catalog entries)
 
 
-def search_relative_units(ctx, height_bound, include_u_star=True):
-    """Enumerate power-basis integer vectors with |coords| <= height_bound,
-    keep units (N_{L/Q} = +-1) whose relative norm is +-u_l^k, |k| <= 12,
-    and return them sorted by log magnitude.
+def search_relative_units(ctx, height_bound):
+    """Enumerate power-basis integer vectors c with |c_i| <= height_bound,
+    one of each pair +-c, keep those whose relative norm is +-u_l^k,
+    |k| <= 12, and return them sorted by log magnitude.
 
-    Returns a list of (element, k) pairs: k = 0 marks a relative unit,
-    odd k marks a u_star witness (only when include_u_star).  Hits
+    Returns a list of (element, k, LOG) triples, LOG at the context's
+    precision: k = 0 marks a relative unit, odd k a u_star witness.  Hits
     +-u_l^m are kept: they are units too, and their even k = 2m != 0
-    keeps them out of populate's choices.
+    keeps them out of populate's choices.  The relative-norm test proves
+    each hit a unit: it lies in Z[alpha], inside O_L, and N_{L/Q} =
+    N_{k/Q}(+-u_l^k) = +-1.  One evaluation at the roots gives the LOG and
+    the sort key, sum |log| of the values rounded to float64, ties by
+    coords: the order populate picks from.
     """
-    if height_bound < 1:
-        return []
-    field = ctx.field
+    field, prec = ctx.field, ctx.precision_bits
     s2 = field.sigma2
     # +-u_l^k -> k; u_l has infinite order, so these 50 elements are distinct
     ul_powers = {}
-    for k in range(-12, 13):
-        p = qt.qr_pow(ctx.u_l_emb, k)
-        ul_powers[p.coords] = ul_powers[qt.qr_neg(p).coords] = k
+    for step, sign in ((ctx.u_l_emb, 1), (qt.qr_inv(ctx.u_l_emb), -1)):
+        p = field.one()
+        for k in range(13):
+            ul_powers[p.coords] = ul_powers[qt.qr_neg(p).coords] = sign * k
+            p = qt.qr_mul(p, step)
 
-    with mpf_ctx(96):
-        roots = [float(r) for r in field.roots(96)]
-    vr = np.array([[r ** k for k in range(4)] for r in roots])  # 4 x 4
+    vr = np.array([[float(r) ** k for k in range(4)]
+                   for r in field.roots(prec)])  # 4 x 4
     h = height_bound
     rng = np.arange(-h, h + 1)
     grid = np.stack(np.meshgrid(rng, rng, rng, rng, indexing="ij"), axis=-1)
     coords = grid.reshape(-1, 4).astype(float)
     emb = coords @ vr.T
     norms = np.abs(emb).prod(axis=1)
-    cand_mask = np.abs(norms - 1.0) < 1e-4
-    candidates = coords[cand_mask].astype(int)
+    candidates = coords[np.abs(norms - 1.0) < 1e-4].astype(int)
+    # of +-c keep the one the grid reaches first: first nonzero entry < 0
+    first = candidates[np.arange(len(candidates)),
+                       np.argmax(candidates != 0, axis=1)]
+    candidates = candidates[first < 0]
 
     found = []
-    seen = set()
     for c in candidates:
         elem = qt.QuarticElem(field, tuple(Fraction(int(v)) for v in c))
         if elem.is_rational():
             continue
-        # N_{L/Q}(elem) = N_{k/Q}(+-u_l^k) = +-1 for every hit
         k = ul_powers.get(qt.qr_mul(elem, s2(elem)).coords)
         if k is None:
             continue
-        if not include_u_star and k % 2 != 0:
-            continue
-        logs = [mpmath.log(abs(float(v))) for v in qt.embed_all(elem, 96)]
-        key = tuple(int(v) for v in c)
-        if key in seen or tuple(-v for v in key) in seen:
-            continue
-        seen.add(key)
-        found.append((elem, k, sum(abs(v) for v in logs)))
-    found.sort(key=lambda t: (float(t[2]), t[0].coords))
-    return [(elem, k) for elem, k, _ in found]
+        emb = qt.embed_all(elem, prec)
+        key = float(sum(abs(mpmath.log(abs(float(v)))) for v in emb))
+        lv = orbit_log(field, emb, prec)
+        found.append(((key, elem.coords), (elem, k, lv)))
+    found.sort(key=lambda t: t[0])
+    return [hit for _, hit in found]
 
 
 def populate_cyclic_entry(coeffs, quad_subfield_d, label, height_bound=6):
@@ -338,16 +341,16 @@ def populate_cyclic_entry(coeffs, quad_subfield_d, label, height_bound=6):
     ul = fundamental_unit(quad_subfield_d).unit
     ctx = cyclic_context(coeffs, quad_subfield_d, ul)
     hits = search_relative_units(ctx, height_bound)
-    star_hit = next(((e, k) for e, k in hits if k % 2 != 0), None)
+    star_hit = next(((e, k) for e, k, _ in hits if k % 2 != 0), None)
     if star_hit is not None:
         star, k = star_hit
         star = qt.qr_mul(star, qt.qr_pow(ctx.u_l_emb, -(k - 1) // 2))
-        if qt.embed_all(star, 96)[0] < 0:
+        if qt.embed_all(star, ctx.precision_bits)[0] < 0:
             star = qt.qr_neg(star)
         u0 = qt.qr_mul(star, ctx.field.sigma(star))
         q2 = {"u_star": star.coords, "Q_index": 2}
     else:
-        u0 = next((e for e, k in hits if k == 0), None)
+        u0 = next((e for e, k, _ in hits if k == 0), None)
         if u0 is None:
             raise CatalogValidationError(
                 "no relative units found at height %d" % height_bound)
@@ -357,7 +360,7 @@ def populate_cyclic_entry(coeffs, quad_subfield_d, label, height_bound=6):
         u_l=ul, u0=u0.coords, **q2)
     gen_logs = cyclic_generator_logs(entry, ctx,
                                      verify_hasse_relations(entry, ctx))
-    ok, index = regulator_cross_check(gen_logs, hits)
+    ok, index = regulator_cross_check(gen_logs, [lv for _, _, lv in hits])
     if not ok:
         raise CatalogValidationError(
             "populated entry fails the regulator cross-check at height %d "
@@ -365,28 +368,27 @@ def populate_cyclic_entry(coeffs, quad_subfield_d, label, height_bound=6):
     return entry
 
 
-def regulator_cross_check(gen_logs, hits):
+def regulator_cross_check(gen_logs, hit_logs):
     """Compare the generators' log lattice (cyclic_generator_logs) against
-    search hits: every hit must be an integer combination of the
-    generators, and the index of the found sublattice must be a plausible
-    integer <= 4.  Returns (ok, index_estimate).
-
-    Hits are embedded once each, at the generators' precision, and mapped
-    to coefficients by one least-squares pseudo-inverse."""
+    the search hits' log vectors, at the same precision: every hit must be
+    an integer combination of the generators (one least-squares
+    pseudo-inverse), and the found sublattice must have rank 3, so no
+    hits fail, and a plausible integer index <= 4.  Returns (ok, index)."""
     prec = gen_logs[0].precision_bits
+    if any(lv.precision_bits != prec for lv in hit_logs):
+        raise ValueError("hit log vectors are not at the generators' "
+                         "precision of %d bits" % prec)
     with mpf_ctx(prec):
         gmat = mpmath.matrix([[lv.coords[i] for lv in gen_logs]
                               for i in range(4)])
         pinv = mpmath.inverse(gmat.T * gmat) * gmat.T
         coeff_rows = []
-        for elem, _k in hits:
-            sol = pinv * mpmath.matrix(list(log_embed_cyclic(elem, prec).coords))
+        for lv in hit_logs:
+            sol = pinv * mpmath.matrix(list(lv.coords))
             row = [mpmath.nint(v) for v in sol]
             if any(abs(v - r) > mpmath.mpf(2) ** (-32) for v, r in zip(sol, row)):
                 return False, None
             coeff_rows.append([int(r) for r in row])
-        if not coeff_rows:
-            return True, 1
         idx = _integer_lattice_index(coeff_rows)
         return (idx is not None and 1 <= idx <= 4), idx
 

@@ -277,16 +277,17 @@ def cyclic_lattice(entry, gen_logs):
 def cyclic_entry_report(entry, coeff_bound=20, precision_bits=DEFAULT_PRECISION,
                         regulator_height=6):
     with mpf_ctx(precision_bits):
-        ctx = us.cyclic_context(entry.coeffs, entry.quad_subfield_d, entry.u_l)
+        ctx = us.cyclic_context(entry.coeffs, entry.quad_subfield_d,
+                                entry.u_l, precision_bits)
         hasse = us.verify_hasse_relations(entry, ctx)
         reports = [BoundReport("hasse_" + name, None, None,
                                "holds" if ok else "violated")
                    for name, ok in hasse.relations.items()]
         if not hasse.passed:
             return None, reports
-        gen_logs = us.cyclic_generator_logs(entry, ctx, hasse, precision_bits)
-        reg_ok, reg_idx = us.regulator_cross_check(
-            gen_logs, us.search_relative_units(ctx, regulator_height))
+        gen_logs = us.cyclic_generator_logs(entry, ctx, hasse)
+        reg_ok, reg_idx = us.regulator_cross_check(gen_logs, [
+            lv for _, _, lv in us.search_relative_units(ctx, regulator_height)])
         reports.append(BoundReport(
             "regulator_cross_check", None, None,
             "holds" if reg_ok else "violated",

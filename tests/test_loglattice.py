@@ -4,17 +4,20 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from unitlat.loglattice import (LatticeSpec, LogVector, Wedge2Vector,
                                 WEDGE_PAIRS, cyclic_f, cyclic_wedge_rows,
                                 gram_matrix, klein_norm_closed,
-                                klein_wedge_rows, log_embed_klein,
-                                min_one_norm, one_norm, two_norm, wedge2)
+                                klein_wedge_rows, log_embed_cyclic,
+                                log_embed_klein, min_one_norm, one_norm,
+                                two_norm, wedge2)
 from unitlat.biquadratic import BiquadField
+from unitlat.precision import mpf_ctx
+from unitlat.quartic import QuarticElem
 from unitlat.quadratic import fundamental_unit, is_squarefree
 from unitlat import units as us
-from unitlat.verifier import klein_lattice
+from unitlat.verifier import klein_lattice, load_default_catalog
 from oracles import brute_min_one_norm, brute_norms, float_rows
 
 
@@ -33,6 +36,21 @@ def test_log_vector_zero_sum_enforced():
                   "klein", 128)
     with pytest.raises(ValueError):
         LogVector((mpmath.mpf(0),) * 4, "bogus", 128)
+
+
+def test_log_vector_zero_sum_checked_at_its_precision():
+    # the check runs at the vector's precision_bits, not the ambient 53
+    # bits: a rotated 128-bit LOG(u0) is accepted, and a vector summing to
+    # zero only at 53 bits is refused as a 128-bit one
+    for entry in load_default_catalog():
+        ctx = us.cyclic_context(entry.coeffs, entry.quad_subfield_d,
+                                entry.u_l)
+        lv = log_embed_cyclic(QuarticElem(ctx.field, entry.u0))
+        for r in range(1, 4):
+            LogVector(lv.coords[r:] + lv.coords[:r], "cyclic", 128)
+    coords = [mpmath.mpf(1) / 3, mpmath.mpf(2) / 7, mpmath.mpf(5) / 11]
+    with pytest.raises(ValueError, match="sum to zero"):
+        LogVector(tuple(coords + [-sum(coords)]), "klein", 128)
 
 
 def test_log_embed_rejects_non_units():
@@ -176,7 +194,17 @@ def assert_matches_full_box(spec, bound):
                              parity_even=spec.parity_constraint == "even"))
     best = min(t for t, _ in norms)
     assert abs(float(value) - best) <= 1e-9 * best
-    assert argmin == min(n for t, n in norms if t <= best * (1 + 1e-9))
+    # float norms cannot rank near-ties: re-evaluate those within 1e-9 at
+    # 160 bits; argmin is the first triple within 2^-64 of their min, the
+    # tie rule of min_one_norm at 128 bits
+    near = [n for t, n in norms if t <= best * (1 + 1e-9)]
+    with mpmath.workprec(160):
+        exact = {n: sum(abs(sum(n[i] * spec.basis[i].coords[k]
+                                for i in range(3))) for k in range(6))
+                 / spec.denominator for n in near}
+        low = min(exact.values())
+        tol = mpmath.mpf(2) ** -64 * max(low, 1)
+        assert argmin == min(n for n in near if exact[n] <= low + tol)
     # certified iff sqrt(lambda_min) * (bound + 1) / den >= value
     outside = (float(np.sqrt(gram_eigenvalues(spec)[0]))
                * (bound + 1) / spec.denominator)
@@ -192,11 +220,17 @@ LATTICE_SHAPES = [(1, None), (2, None), (2, "even"), (4, None), (1, "even")]
                      min_size=3, max_size=3),
        scales=st.tuples(*[st.sampled_from((1, 10, 300)) for _ in range(3)]),
        shape=st.sampled_from(LATTICE_SHAPES), bound=st.integers(1, 5))
+# exact argmin (-1, 0, 1) at 18.999999999997, 2e-12 below (-1, 0, -1)
+@example(logs=[(0.0, -2.0, 0.0), (-1.0, 0.0, -0.999999999999),
+               (0.0, 0.0, 1.0)], scales=(1, 1, 10), shape=(2, "even"),
+         bound=1)
 def test_min_one_norm_matches_full_box(logs, scales, shape, bound):
     vecs = []
-    for log, scale in zip(logs, scales):
-        coords = [mpmath.mpf(c) * scale for c in log]
-        vecs.append(LogVector(tuple(coords + [-sum(coords)]), "klein", 128))
+    with mpf_ctx(128):
+        for log, scale in zip(logs, scales):
+            coords = [mpmath.mpf(c) * scale for c in log]
+            vecs.append(LogVector(tuple(coords + [-sum(coords)]), "klein",
+                                  128))
     l1, l2, l3 = vecs
     spec = LatticeSpec((wedge2(l2, l3), wedge2(l1, l3), wedge2(l1, l2)),
                        denominator=shape[0], parity_constraint=shape[1])

@@ -1,6 +1,7 @@
 import itertools
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -8,10 +9,13 @@ import pytest
 from unitlat import units as us
 from unitlat import quartic as qt
 from unitlat.biquadratic import BiquadElem, biq_mul, biq_neg, is_unit
-from unitlat.loglattice import cyclic_wedge_rows, log_embed_cyclic, wedge2
+from unitlat.loglattice import (LogVector, cyclic_wedge_rows,
+                                log_embed_cyclic, wedge2)
 from unitlat.quadratic import QuadElem, fundamental_unit
 from unitlat.verifier import cyclic_lattice, load_default_catalog
 from oracles import char_poly, sigma_loop_log
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -168,18 +172,71 @@ def test_search_relative_units_finds_u_star(entry, ctx):
     assert hits
     # each k is exact: the relative norm is +-u_l^k; so each hit is a unit
     s2 = ctx.field.sigma2
-    for e, k in hits:
+    for e, k, _ in hits:
         power = qt.qr_pow(ctx.u_l_emb, k)
         assert qt.qr_mul(e, s2(e)) in (power, qt.qr_neg(power))
         assert qt.is_unit(e)
         assert abs(char_poly(e)[4]) == 1
-    odd = [(e, k) for e, k in hits if k % 2 != 0]
+    odd = [(e, k) for e, k, _ in hits if k % 2 != 0]
     assert odd, "no u_star witness at height 2"
     # the committed u_star is among them up to sign
     star = qt.QuarticElem(ctx.field, entry.u_star)
     assert any(e == star or e == qt.qr_neg(star) for e, _ in odd)
-    assert all(k % 2 == 0 for _, k in
-               us.search_relative_units(ctx, 2, include_u_star=False))
+
+
+def _pinned_hit_fields():
+    with open(DATA / "cyclic_search_hits_6.json") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("pinned", _pinned_hit_fields(),
+                         ids=lambda f: "x4_%s_d%d" % (
+                             "_".join(map(str, f["coeffs"][:4])),
+                             f["quad_subfield_d"]))
+def test_search_hit_order_matches_pinned(pinned):
+    # the order populate picks u0 and u_star from, pinned at height 6 for
+    # the three shipped fields and the two populate rejects
+    d = pinned["quad_subfield_d"]
+    ctx = us.cyclic_context(pinned["coeffs"], d, fundamental_unit(d).unit)
+    hits = us.search_relative_units(ctx, 6)
+    assert [[[int(c) for c in e.coords], k] for e, k, _ in hits] \
+        == pinned["hits"]
+
+
+@pytest.mark.parametrize("bits", [64, 128, 300])
+def test_search_logs_equal_log_embed_cyclic(entry, bits):
+    ctx = us.cyclic_context(entry.coeffs, entry.quad_subfield_d, entry.u_l,
+                            bits)
+    hits = us.search_relative_units(ctx, 4)
+    assert hits
+    for e, _, lv in hits:
+        assert lv.precision_bits == bits
+        assert lv == log_embed_cyclic(e, bits)
+
+
+def test_each_hit_embedded_once_and_cross_check_embeds_nothing(
+        entry, ctx, monkeypatch):
+    gen_logs = us.cyclic_generator_logs(entry, ctx,
+                                        us.verify_hasse_relations(entry, ctx))
+    calls = []
+    embed_all = qt.embed_all
+
+    def counting(a, *args):
+        calls.append(a.coords)
+        return embed_all(a, *args)
+
+    monkeypatch.setattr(qt, "embed_all", counting)
+    hits = us.search_relative_units(ctx, 6)
+    assert sorted(calls) == sorted(e.coords for e, _, _ in hits)
+
+    def forbidden(*args):
+        raise AssertionError("regulator_cross_check must not embed or "
+                             "prove units")
+
+    monkeypatch.setattr(qt, "embed_all", forbidden)
+    monkeypatch.setattr(qt, "is_unit", forbidden)
+    assert us.regulator_cross_check(gen_logs, [lv for _, _, lv in hits]) \
+        == (True, 1)
 
 
 @pytest.mark.parametrize("shipped", load_default_catalog(),
@@ -200,10 +257,22 @@ def test_populated_entry_matches_catalog(shipped):
 def test_regulator_cross_check(entry, ctx):
     gen_logs = us.cyclic_generator_logs(entry, ctx,
                                         us.verify_hasse_relations(entry, ctx))
-    ok, index = us.regulator_cross_check(gen_logs,
-                                         us.search_relative_units(ctx, 4))
+    hits = us.search_relative_units(ctx, 4)
+    ok, index = us.regulator_cross_check(gen_logs, [lv for _, _, lv in hits])
     assert ok
     assert index == 1
+
+
+def test_regulator_cross_check_needs_hits(entry, ctx):
+    # an empty search proves nothing, so it must not read as "holds"
+    gen_logs = us.cyclic_generator_logs(entry, ctx,
+                                        us.verify_hasse_relations(entry, ctx))
+    assert us.regulator_cross_check(gen_logs, []) == (False, None)
+    # and hits at another precision are refused, not compared
+    lv = gen_logs[1]
+    lv64 = LogVector(lv.coords, lv.convention, 64)
+    with pytest.raises(ValueError, match="precision"):
+        us.regulator_cross_check(gen_logs, [lv64])
 
 
 @pytest.mark.parametrize("shipped", load_default_catalog(),
@@ -250,11 +319,14 @@ def test_orbit_log_matches_sigma_loop(shipped):
         units.append(qt.QuarticElem(ctx.field, shipped.u_star))
     hits = us.search_relative_units(ctx, 6)
     assert len(hits) >= 80
+    # log_embed_cyclic on the generators and the hits, and the LOG the
+    # search returns with each hit
+    logs = [(x, log_embed_cyclic(x)) for x in units + [e for e, _, _ in hits]]
+    logs += [(e, lv) for e, _, lv in hits]
     with mpmath.workprec(144):
-        for x in units + [e for e, _ in hits]:
-            got = log_embed_cyclic(x).coords
+        for x, lv in logs:
             want = sigma_loop_log(x)
-            assert max(abs(g - w) for g, w in zip(got, want)) \
+            assert max(abs(g - w) for g, w in zip(lv.coords, want)) \
                 < mpmath.mpf(2) ** -100
 
 
