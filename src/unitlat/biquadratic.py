@@ -15,7 +15,7 @@ import mpmath
 
 from .precision import DEFAULT_PRECISION, mpf_ctx
 from .quadratic import (QuadElem, is_quad_integer, is_squarefree, quad_inv,
-                        quad_mul, quad_norm, quad_sqrt)
+                        quad_mul, quad_norm, quad_sqrt, surd_sign)
 
 GALOIS_KLEIN = ("id", "s1", "s2", "s3")
 
@@ -235,7 +235,11 @@ def sqrt_in_field(a):
                 continue
         cand = BiquadElem(f, g.a, g.b, h.a, h.b * f.s)
         if biq_mul(cand, cand) == a:
-            if embed_real(cand, 64)[0] < 0:
-                cand = biq_neg(cand)
-            return cand
+            # exact sign at the id-embedding: when g and h*sqrt(d2) differ
+            # in sign, the larger of g^2 and d2*h^2 wins
+            sg, sh = (surd_sign(x.a, x.b, f.d1) for x in (g, h))
+            if sg * sh < 0:
+                g2, h2 = quad_mul(g, g), quad_mul(h, h)
+                sg *= surd_sign(g2.a - f.d2 * h2.a, g2.b - f.d2 * h2.b, f.d1)
+            return cand if (sg or sh) > 0 else biq_neg(cand)
     return None

@@ -191,10 +191,6 @@ class FundamentalUnitResult:
     norm_sign: int
     log_value: object  # mpf, natural log of the real embedding
 
-    def to_json(self):
-        return {"unit": self.unit.to_json(), "norm_sign": self.norm_sign,
-                "log_value": mpmath.nstr(self.log_value, 30)}
-
 
 def _floor_surd(p, q, d, sqrt_floor):
     """Exact floor((p + sqrt(d)) / q) for integers p, q != 0 and nonsquare d."""

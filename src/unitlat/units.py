@@ -23,7 +23,7 @@ from .precision import DEFAULT_PRECISION, mpf_ctx
 from .quadratic import QuadElem, fundamental_unit, is_squarefree, quad_cmp
 from . import quartic as qt
 from .biquadratic import BiquadField, biq_mul, sqrt_in_field
-from .loglattice import log_embed_cyclic, log_sigma, orbit_log
+from .loglattice import log_sigma, orbit_log
 
 class CatalogValidationError(ValueError):
     """A cyclic catalog entry is malformed, or failed an exact Hasse
@@ -261,18 +261,20 @@ def verify_hasse_relations(entry, ctx=None):
 def cyclic_generator_logs(entry, ctx, hasse):
     """LOG of the generators of O_L^* mod +-1, (u_l, u0, sigma(u0)) for
     Q=1 and (u_l, u0, u_star) for Q=2, at the context's precision, given
-    the entry's Hasse report, which must have passed.  Each unit is
-    evaluated at the roots once; LOG(sigma(u0)) is read off LOG(u0)."""
+    the entry's Hasse report, which must have passed: it proved them
+    units, so each is evaluated at the roots once and not re-proved;
+    LOG(sigma(u0)) is read off LOG(u0)."""
     if not hasse.passed:
         raise CatalogValidationError(
             "entry failed relations: %s" % ", ".join(hasse.failures()))
     field, prec = ctx.field, ctx.precision_bits
-    lv_ul = log_embed_cyclic(ctx.u_l_emb, prec)
-    lv_u0 = log_embed_cyclic(qt.QuarticElem(field, entry.u0), prec)
+    gens = [ctx.u_l_emb, qt.QuarticElem(field, entry.u0)]
+    if entry.Q_index == 2:
+        gens.append(qt.QuarticElem(field, entry.u_star))
+    logs = [orbit_log(field, qt.embed_all(x, prec), prec) for x in gens]
     if entry.Q_index == 1:
-        return lv_ul, lv_u0, log_sigma(lv_u0)
-    return lv_ul, lv_u0, log_embed_cyclic(
-        qt.QuarticElem(field, entry.u_star), prec)
+        logs.append(log_sigma(logs[1]))
+    return tuple(logs)
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,13 @@
 constrained minimizations, emitting a machine-readable report.
 
 The two "elementary consideration" bounds for the cyclic case are treated
-as report-only comparisons: the grid-plus-refinement oracle locates
-feasible points below the claimed values (4*log(phi) < 3*sqrt(2)*log(phi)
+as report-only comparisons: their exact minima, taken over a finite
+candidate set, lie below the claimed values (4*log(phi) < 3*sqrt(2)*log(phi)
 and 4*sqrt(6)*log(phi)^2 < 6*sqrt(3)*log(phi)^2), so those claims are
 surfaced, never asserted.  The downstream bound that remains derivable
 (8*log(phi)^2 for the relative-unit branch) is asserted instead.
 """
 
-import math
 from dataclasses import dataclass, field as dc_field
 
 import mpmath
@@ -117,86 +116,43 @@ def pohst_check(u, precision_bits=DEFAULT_PRECISION):
 # Constrained minimization (cyclic-case "elementary consideration" oracle)
 
 
-# points per axis of the (W2, W3) grid that seeds the refinement
-GRID_RESOLUTION = 1200
-
-
-def _golden_min(fn, lo, hi, tol=1e-13, iters=200):
-    invphi = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if b - a < tol:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    x = (a + b) / 2
-    return x, fn(x)
-
-
 def constrained_min(objective):
-    """Dense-grid global search plus golden-section refinement on the active
-    constraint circle for objective "q1_expr" or "q2_expr".  Returns
-    (minimum, argmin, paper_claim, relation); relation is always
-    "report-only"."""
+    """Exact minimum of a cyclic-case "elementary consideration" objective
+    at the current mpmath precision.  Both range over (W2, W3) >= 0 on or
+    outside the relative unit's Pohst circle W2^2 + W3^2 >= 2*log(phi)^2:
+    "q1_expr" is S = 2*max(W2, W3) + W2 + W3, and "q2_expr" is 2*W1*S with
+    W1 >= log(phi) and W1^2 + r^2 >= 4*log(phi)^2, r = |(W2, W3)|; it
+    increases in W1, so W1 = max(log(phi), sqrt(4*log(phi)^2 - r^2)).
+    Returns (minimum, argmin, paper_claim, relation): argmin is (W2, W3)
+    or (W1, W2, W3), and relation is always "report-only".
+
+    The minimum lies at one of six candidate points.  Write (W2, W3) =
+    r*(cos t, sin t).  S is positively homogeneous, and linear in (cos t,
+    sin t) on each side of t = pi/4, so concave in t there: its minimum
+    over each side is at an endpoint t in {0, pi/4, pi/2}.  S increases
+    in r, so q1_expr needs only r = sqrt(2)*log(phi).  q2_expr is
+    2*(r*W1(r))*(S/r), and r*W1(r) decreases on [sqrt(2), sqrt(3)]*log(phi)
+    and increases after, so r in {sqrt(2), sqrt(3)}*log(phi).
+
+    The paper's claims 3*sqrt(2)*log(phi) and 6*sqrt(3)*log(phi)^2 are
+    the objectives at the axis candidates t in {0, pi/2}; the diagonal
+    t = pi/4 is lower, 4*log(phi) and 4*sqrt(6)*log(phi)^2, so the claims
+    are reported, never asserted."""
     if objective not in ("q1_expr", "q2_expr"):
         raise ValueError("unknown objective %r" % (objective,))
-    lp = float(_log_phi())
-    hi = 3.0 * lp
-    axis = np.linspace(1e-9, hi, GRID_RESOLUTION)
-    w2, w3 = np.meshgrid(axis, axis, indexing="ij")
-    shape = 2 * np.maximum(w2, w3) + w2 + w3
-
-    if objective == "q1_expr":
-        feasible = w2 ** 2 + w3 ** 2 >= 2 * lp ** 2
-        values = np.where(feasible, shape, np.inf)
-        paper_claim = 3 * math.sqrt(2) * lp
-        refine_circles = [(math.sqrt(2) * lp, lambda a, b: 2 * max(a, b) + a + b,
-                           lambda a, b: (a, b))]
-    else:
-        # optimal W1 given (W2, W3): smallest feasible value, since the
-        # objective 2*W1*shape increases in W1
-        w1 = np.maximum(lp, np.sqrt(np.maximum(0.0, 4 * lp ** 2
-                                               - w2 ** 2 - w3 ** 2)))
-        feasible = w2 ** 2 + w3 ** 2 >= 2 * lp ** 2
-        values = np.where(feasible, 2 * w1 * shape, np.inf)
-        paper_claim = 6 * math.sqrt(3) * lp ** 2
-        # two candidate active sets: sum constraint with W1 = log(phi), or
-        # the relative-unit circle with W1 = sqrt(2)*log(phi)
-        refine_circles = [
-            (math.sqrt(3) * lp, lambda a, b: 2 * lp * (2 * max(a, b) + a + b),
-             lambda a, b: (lp, a, b)),
-            (math.sqrt(2) * lp,
-             lambda a, b: 2 * math.sqrt(2) * lp * (2 * max(a, b) + a + b),
-             lambda a, b: (math.sqrt(2) * lp, a, b)),
-        ]
-
-    idx = int(np.argmin(values))
-    grid_min = float(values.flat[idx])
-    i, j = divmod(idx, GRID_RESOLUTION)
-    if objective == "q1_expr":
-        grid_arg = (float(axis[i]), float(axis[j]))
-    else:
-        grid_arg = (float(w1[i, j]), float(axis[i]), float(axis[j]))
-
-    best, best_arg = grid_min, grid_arg
-    for radius, val_fn, arg_fn in refine_circles:
-        def on_theta(theta, radius=radius, val_fn=val_fn):
-            return val_fn(radius * math.cos(theta), radius * math.sin(theta))
-        theta, val = _golden_min(on_theta, 1e-9, math.pi / 2 - 1e-9)
-        if val < best:
-            best = val
-            best_arg = arg_fn(radius * math.cos(theta), radius * math.sin(theta))
-
-    return best, best_arg, paper_claim, "report-only"
+    lp = _log_phi()
+    q1 = objective == "q1_expr"
+    candidates = []
+    for r in (mpmath.sqrt(k) * lp for k in ((2,) if q1 else (2, 3))):
+        w1 = max(lp, mpmath.sqrt(max(0, 4 * lp ** 2 - r ** 2)))
+        for t in (0, mpmath.pi / 4, mpmath.pi / 2):
+            w2, w3 = r * mpmath.cos(t), r * mpmath.sin(t)
+            shape = 2 * max(w2, w3) + w2 + w3
+            candidates.append((shape, (w2, w3)) if q1
+                              else (2 * w1 * shape, (w1, w2, w3)))
+    value, argmin = min(candidates, key=lambda c: c[0])
+    claim = 3 * mpmath.sqrt(2) * lp if q1 else 6 * mpmath.sqrt(3) * lp ** 2
+    return value, argmin, claim, "report-only"
 
 
 def constrained_min_reports():
@@ -206,9 +162,8 @@ def constrained_min_reports():
                           ("q2_expr", 4 * mpmath.sqrt(6) * lp ** 2)):
         value, arg, claim, rel = constrained_min(tag)
         out.append(BoundReport(
-            "constrained_min_%s" % tag, mpmath.mpf(value), mpmath.mpf(claim),
-            rel, None,
-            details={"argmin": [round(v, 9) for v in arg],
+            "constrained_min_%s" % tag, value, claim, rel, None,
+            details={"argmin": [round(float(v), 9) for v in arg],
                      "oracle_closed_form": expected,
                      "below_paper_claim": bool(value < claim)}))
     return out
@@ -432,9 +387,9 @@ def verify_paper(scan_limit=30, coeff_bound=20,
     checks.append(absin_fuzz())
     checks.append(closed_form_equivalence())
     checks.extend(_wedge_fixture_reports(precision_bits))
-    checks.extend(constrained_min_reports())
 
     with mpf_ctx(precision_bits):
+        checks.extend(constrained_min_reports())
         lp = _log_phi()
         named = {
             (2, 5): ("klein_min_2_5", 4 * lp * mpmath.log(1 + mpmath.sqrt(2))),

@@ -6,10 +6,12 @@ uses only the library's basis multiplications `biq_mul` and `qr_mul`,
 which the ring axiom tests check, and nothing of their tower integrality
 tests, norms or Galois actions.  sigma_loop_log applies the exact sigma
 and evaluates at root 0 only, sharing nothing with the root orbit.
+sampled_constrained_min restates the cyclic-case minimization problems
+in floats and samples a grid, knowing nothing of their candidate points.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, log, sqrt
 
 import mpmath
 
@@ -110,3 +112,33 @@ def sigma_loop_log(x, precision_bits=128):
             coords.append(mpmath.log(abs(embed_all(x, precision_bits)[0])))
             x = x.field.sigma(x)
     return coords
+
+
+def sampled_constrained_min(objective, steps=60):
+    """Smallest float value of a cyclic-case "elementary consideration"
+    objective over a Cartesian grid of feasible points, with its point.
+
+    Both objectives need W2, W3 >= 0 and W2^2 + W3^2 >= 2*log(phi)^2.
+    "q1_expr" is 2*max(W2, W3) + W2 + W3 on (W2, W3); "q2_expr" is
+    2*W1*(2*max(W2, W3) + W2 + W3) on (W1, W2, W3), which also needs
+    W1 >= log(phi) and W1^2 + W2^2 + W3^2 >= 4*log(phi)^2.  W2 and W3
+    take steps + 1 values in [0, 3*log(phi)], W1 as many in
+    [log(phi), 3*log(phi)].
+    """
+    lp = log((1 + sqrt(5)) / 2)
+    axis = [3 * lp * i / steps for i in range(steps + 1)]
+    w1_axis = [lp + 2 * lp * i / steps for i in range(steps + 1)]
+    best = (float("inf"), None)
+    for w2 in axis:
+        for w3 in axis:
+            r2 = w2 * w2 + w3 * w3
+            if r2 < 2 * lp * lp:
+                continue
+            shape = 2 * max(w2, w3) + w2 + w3
+            if objective == "q1_expr":
+                best = min(best, (shape, (w2, w3)))
+                continue
+            for w1 in w1_axis:
+                if w1 * w1 + r2 >= 4 * lp * lp:
+                    best = min(best, (2 * w1 * shape, (w1, w2, w3)))
+    return best

@@ -15,6 +15,7 @@ from unitlat import verifier as vf
 from unitlat import quartic as qt
 from unitlat.biquadratic import BiquadField, biq_mul, is_unit
 from unitlat.loglattice import log_embed_klein, min_one_norm
+from unitlat.precision import mpf_ctx
 from unitlat.quadratic import (fundamental_unit, quad_cmp,
                                smallest_fundamental_units)
 from oracles import brute_min_one_norm, float_rows
@@ -222,18 +223,22 @@ def test_criterion_10_cyclic_entry(cyclic):
 
 
 def test_criterion_11_constrained_minimization():
-    lp = float(mpmath.log((1 + mpmath.sqrt(5)) / 2))
-    targets = {"q1_expr": 4 * lp, "q2_expr": 4 * 6 ** 0.5 * lp * lp}
-    claims = {"q1_expr": 3 * 2 ** 0.5 * lp, "q2_expr": 6 * 3 ** 0.5 * lp * lp}
-    for tag, target in targets.items():
-        value, _, claim, rel = vf.constrained_min(tag)
-        assert abs(value - target) < 1e-9
-        assert rel == "report-only"
-        assert abs(claim - claims[tag]) < 1e-9
-        assert value < claim  # reported, never asserted as a bound
+    tol = mpmath.mpf(2) ** -100
+    with mpf_ctx(128):
+        lp = mpmath.log((1 + mpmath.sqrt(5)) / 2)
+        targets = {"q1_expr": 4 * lp, "q2_expr": 4 * mpmath.sqrt(6) * lp ** 2}
+        claims = {"q1_expr": 3 * mpmath.sqrt(2) * lp,
+                  "q2_expr": 6 * mpmath.sqrt(3) * lp ** 2}
+        for tag, target in targets.items():
+            value, _, claim, rel = vf.constrained_min(tag)
+            assert abs(value - target) < tol
+            assert rel == "report-only"
+            assert abs(claim - claims[tag]) < tol
+            assert value < claim  # reported, never asserted as a bound
     _report("criterion 11",
-            "grid+refinement minima 1.924847 / 2.268863 match the closed "
-            "forms to 1e-9; claimed 2.041609 / 2.406492 reported only")
+            "exact minima over the candidate points 1.924847 / 2.268863 "
+            "match the closed forms to 2^-100; claimed 2.041609 / 2.406492 "
+            "(the axis candidates) reported only")
 
 
 def test_criterion_12_brute_force_oracle(klein25, klein513, scan):

@@ -139,13 +139,16 @@ def _structure(d1, d2):
 @settings(max_examples=60, deadline=None)
 @given(field_elements())
 def test_sqrt_of_square_times_unit_pattern(a):
-    """sqrt(a^2) is +-a; a^2 * u^e is a square exactly for the square
-    patterns e of the field, with root +-a * sqrt(u^e)."""
+    """sqrt(a^2) is +-a, the one with positive id-embedding; a^2 * u^e is
+    a square exactly for the square patterns e of the field, with root
+    +-a * sqrt(u^e)."""
     if a.is_zero():
         return
     f = a.field
     sq = biq_mul(a, a)
-    assert sqrt_in_field(sq) in (a, biq_neg(a))
+    root = sqrt_in_field(sq)
+    assert root in (a, biq_neg(a))
+    assert embed_real(root)[0] > 0
     struct = _structure(f.d1, f.d2)
     lifts = [f.lift_quad(u) for u in struct.units]
     for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1),

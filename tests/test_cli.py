@@ -182,17 +182,31 @@ def test_cyclic_json_matches_pinned(capsys, monkeypatch, label, pinned):
         assert out == fh.read()
 
 
+def _verify_paper_10(capsys, monkeypatch, fmt):
+    for name in ("PRECISION", "COEFF_BOUND", "SCAN_LIMIT"):
+        monkeypatch.delenv("UNITLAT_" + name, raising=False)
+    code, out, _ = run(capsys, "--scan-limit", "10", "--format", fmt,
+                       "verify-paper")
+    assert code == 0
+    return out
+
+
 def test_verify_paper_matches_pinned_json(capsys, monkeypatch):
     # tests/data/verify_paper_10.json pins `--scan-limit 10 --format json
     # verify-paper` byte for byte; regenerate it only for an intended
     # change of output
-    for name in ("PRECISION", "COEFF_BOUND", "SCAN_LIMIT"):
-        monkeypatch.delenv("UNITLAT_" + name, raising=False)
-    code, out, _ = run(capsys, "--scan-limit", "10", "--format", "json",
-                       "verify-paper")
-    assert code == 0
+    out = _verify_paper_10(capsys, monkeypatch, "json")
     path = os.path.join(os.path.dirname(__file__), "data",
                         "verify_paper_10.json")
+    with open(path, newline="") as fh:
+        assert out == fh.read()
+
+
+def test_verify_paper_matches_pinned_text(capsys, monkeypatch):
+    # tests/data/verify_paper_10.txt pins the text form of the same run
+    out = _verify_paper_10(capsys, monkeypatch, "text")
+    path = os.path.join(os.path.dirname(__file__), "data",
+                        "verify_paper_10.txt")
     with open(path, newline="") as fh:
         assert out == fh.read()
 

@@ -8,6 +8,7 @@ import pytest
 
 from unitlat import units as us
 from unitlat import quartic as qt
+from unitlat import biquadratic as bq
 from unitlat.biquadratic import BiquadElem, biq_mul, biq_neg, is_unit
 from unitlat.loglattice import (LogVector, cyclic_wedge_rows,
                                 log_embed_cyclic, wedge2)
@@ -72,6 +73,20 @@ def test_klein_structure_large_square_roots(d1, d2, patterns, index):
     s = us.klein_unit_structure(d1, d2)
     assert s.sqrt_patterns == patterns
     assert s.index_over_E == index
+
+
+@pytest.mark.parametrize("d1, d2", [(2, 5), (383, 503), (922, 991)])
+def test_klein_structure_makes_no_float_embedding(d1, d2, monkeypatch):
+    # square-root signs are taken exactly in the tower over Q(sqrt(d1))
+    want = us.klein_unit_structure(d1, d2)
+
+    def forbidden(*args):
+        raise AssertionError("klein_unit_structure must not embed")
+
+    monkeypatch.setattr(bq, "embed_real", forbidden)
+    got = us.klein_unit_structure(d1, d2)
+    assert got.sqrt_patterns == want.sqrt_patterns
+    assert got.generators == want.generators
 
 
 def test_generator_squares_land_in_E():
@@ -237,6 +252,26 @@ def test_each_hit_embedded_once_and_cross_check_embeds_nothing(
     monkeypatch.setattr(qt, "is_unit", forbidden)
     assert us.regulator_cross_check(gen_logs, [lv for _, _, lv in hits]) \
         == (True, 1)
+
+
+@pytest.mark.parametrize("shipped", load_default_catalog(),
+                         ids=lambda e: e.label)
+def test_generator_logs_do_not_reprove_units(shipped, monkeypatch):
+    # the passed Hasse report already proved u_l, u0 and u_star units
+    ctx = us.cyclic_context(shipped.coeffs, shipped.quad_subfield_d,
+                            shipped.u_l)
+    hasse = us.verify_hasse_relations(shipped, ctx)
+    gens = [ctx.u_l_emb, qt.QuarticElem(ctx.field, shipped.u0)]
+    if shipped.Q_index == 2:
+        gens.append(qt.QuarticElem(ctx.field, shipped.u_star))
+    want = [log_embed_cyclic(x) for x in gens]
+
+    def forbidden(*args):
+        raise AssertionError("cyclic_generator_logs must not prove units")
+
+    monkeypatch.setattr(qt, "is_unit", forbidden)
+    got = us.cyclic_generator_logs(shipped, ctx, hasse)
+    assert list(got[:len(want)]) == want
 
 
 @pytest.mark.parametrize("shipped", load_default_catalog(),

@@ -6,7 +6,9 @@ import pytest
 from unitlat import units as us
 from unitlat import verifier as vf
 from unitlat.biquadratic import BiquadField
+from unitlat.precision import mpf_ctx
 from unitlat.quadratic import fundamental_unit
+from oracles import sampled_constrained_min
 
 
 @pytest.fixture(scope="module")
@@ -52,21 +54,42 @@ def test_constraint_spec_validation():
         vf.constrained_min("q3_expr")
 
 
+EXACT_TOL = mpmath.mpf(2) ** -100
+
+
 def test_constrained_min_q1():
-    value, arg, claim, rel = vf.constrained_min("q1_expr")
-    lp = float(mpmath.log((1 + mpmath.sqrt(5)) / 2))
-    assert abs(value - 4 * lp) < 1e-9
-    assert rel == "report-only"
-    assert value < claim  # the claimed bound is above the true minimum
-    assert abs(arg[0] - lp) < 1e-3 and abs(arg[1] - lp) < 1e-3
+    with mpf_ctx(128):
+        value, arg, claim, rel = vf.constrained_min("q1_expr")
+        lp = mpmath.log((1 + mpmath.sqrt(5)) / 2)
+        assert abs(value - 4 * lp) < EXACT_TOL
+        assert abs(claim - 3 * mpmath.sqrt(2) * lp) < EXACT_TOL
+        assert rel == "report-only"
+        assert value < claim  # the claimed bound is above the true minimum
+        # the diagonal of the Pohst circle, not its axes
+        assert len(arg) == 2
+        assert all(abs(a - lp) < EXACT_TOL for a in arg)
 
 
 def test_constrained_min_q2():
-    value, arg, claim, rel = vf.constrained_min("q2_expr")
-    lp = float(mpmath.log((1 + mpmath.sqrt(5)) / 2))
-    assert abs(value - 4 * 6 ** 0.5 * lp * lp) < 1e-9
-    assert value < claim
-    assert abs(arg[0] - lp) < 1e-3  # W1 sits at the lower box corner
+    with mpf_ctx(128):
+        value, arg, claim, rel = vf.constrained_min("q2_expr")
+        lp = mpmath.log((1 + mpmath.sqrt(5)) / 2)
+        assert abs(value - 4 * mpmath.sqrt(6) * lp ** 2) < EXACT_TOL
+        assert abs(claim - 6 * mpmath.sqrt(3) * lp ** 2) < EXACT_TOL
+        assert rel == "report-only"
+        assert value < claim
+        # W1 = log(phi) with (W2, W3) on the diagonal of radius sqrt(3)*lp
+        want = (lp, mpmath.sqrt(1.5) * lp, mpmath.sqrt(1.5) * lp)
+        assert len(arg) == 3
+        assert all(abs(a - w) < EXACT_TOL for a, w in zip(arg, want))
+
+
+@pytest.mark.parametrize("objective", ["q1_expr", "q2_expr"])
+def test_constrained_min_no_sampled_point_lower(objective):
+    value = float(vf.constrained_min(objective)[0])
+    sampled, point = sampled_constrained_min(objective)
+    assert sampled >= value - 1e-12, point
+    assert sampled < 1.05 * value  # the grid comes close to the minimum
 
 
 def test_fuzz_suites():
