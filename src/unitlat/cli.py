@@ -92,8 +92,8 @@ def cmd_klein(args, out):
         _check_squarefree_arg(d)
     if args.d1 == args.d2:
         raise CliError("d1 and d2 must be distinct", EXIT_INVALID_INPUT)
-    struct, value, certified, reports = vf.klein_field_report(
-        args.d1, args.d2, cfg["coeff_bound"], cfg["precision"])
+    struct, value, reports = vf.klein_field_report(args.d1, args.d2,
+                                                   cfg["precision"])
     detail = reports[0].details
     payload = {
         "d1": args.d1, "d2": args.d2, "d3": struct.field.d3,
@@ -104,7 +104,7 @@ def cmd_klein(args, out):
         "denominator": detail["denominator"],
         "min_1norm": fmt_sig(value),
         "argmin": detail["argmin"],
-        "certified": certified,
+        "certified": detail["certified"],
         "bounds": [{"name": r.name, "value": fmt_sig(r.paper_value),
                     "relation": r.relation} for r in reports[1:]],
     }
@@ -121,7 +121,8 @@ def cmd_klein(args, out):
         out.write("index over +-E: %d (lattice denominator %d)\n"
                   % (struct.index_over_E, detail["denominator"]))
         out.write("min 1-norm: %s at %s (certified: %s)\n"
-                  % (fmt_sig(value), tuple(detail["argmin"]), certified))
+                  % (fmt_sig(value), tuple(detail["argmin"]),
+                     detail["certified"]))
         for r in reports[1:]:
             out.write("%s: %s (bound %s)\n"
                       % (r.name, r.relation, fmt_sig(r.paper_value)))
@@ -208,8 +209,8 @@ def cmd_scan(args, out):
     rows = []
     for d1, d2 in vf.scan_pairs(cfg["scan_limit"]):
         try:
-            struct, value, certified, reports = vf.klein_field_report(
-                d1, d2, cfg["coeff_bound"], cfg["precision"])
+            struct, value, reports = vf.klein_field_report(
+                d1, d2, cfg["precision"])
         except (ArithmeticError, ValueError) as exc:
             sys.stderr.write("error at (%d, %d): %s\n" % (d1, d2, exc))
             rows.append({"d1": d1, "d2": d2, "d3": "", "index": "",
@@ -222,7 +223,7 @@ def cmd_scan(args, out):
             "d1": d1, "d2": d2, "d3": struct.field.d3,
             "index": struct.index_over_E,
             "min_1norm": fmt_sig(value),
-            "certified": certified,
+            "certified": reports[0].details["certified"],
             "bound_8X3": fmt_sig(bound),
             "theorem_margin": fmt_sig(value - theorem),
         })

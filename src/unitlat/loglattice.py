@@ -97,14 +97,6 @@ def wedge2(a, b):
     return Wedge2Vector(c, a.convention, a.precision_bits)
 
 
-def one_norm(w):
-    return sum((abs(c) for c in w.coords), mpmath.mpf(0))
-
-
-def two_norm(w):
-    return mpmath.sqrt(sum((c * c for c in w.coords), mpmath.mpf(0)))
-
-
 def klein_wedge_rows(x1, x2, x3):
     """Coordinates of L2^L3, L1^L3, L1^L2 for the sorted subfield units,
     with X1 = W2*W3, X2 = W1*W3, X3 = W1*W2 and W_i = LOG(u_i)[id]."""
@@ -189,6 +181,8 @@ def _det3(g):
             + g[0][2] * (g[1][0] * g[2][1] - g[1][1] * g[2][0]))
 
 
+# dependent-basis margin on det(G) relative to Hadamard's bound
+# G11*G22*G33, so that it does not depend on the scale of the basis
 _GRAM_DET_MARGIN = 1e-24
 
 
@@ -228,7 +222,7 @@ def min_one_norm(spec, coeff_bound):
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be >= 1")
     gram = gram_matrix(spec)
-    if _det3(gram) <= _GRAM_DET_MARGIN:
+    if _det3(gram) <= _GRAM_DET_MARGIN * gram[0][0] * gram[1][1] * gram[2][2]:
         raise ValueError("dependent basis: Gram determinant below margin")
     prec = spec.basis[0].precision_bits
     with mpf_ctx(prec):

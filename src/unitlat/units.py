@@ -60,7 +60,6 @@ class KleinUnitStructure:
     field: BiquadField
     units: tuple           # (u1, u2, u3) sorted ascending, QuadElems
     logs: tuple            # (W1, W2, W3), W_i = log(u_i) = LOG(u_i)[id]
-    precision_bits: int    # working precision of logs
     fixers: tuple          # Galois element fixing the subfield of each unit
     sqrt_patterns: tuple   # exponent triples e with sqrt(u1^e1 u2^e2 u3^e3) in O_L^*
     sqrt_elements: dict    # pattern -> exact square root (BiquadElem)
@@ -120,8 +119,7 @@ def klein_unit_structure(d1, d2, precision_bits=DEFAULT_PRECISION):
         generators[slot] = roots[p]
 
     return KleinUnitStructure(
-        field=field, units=units, logs=logs, precision_bits=precision_bits,
-        fixers=fixers,
+        field=field, units=units, logs=logs, fixers=fixers,
         sqrt_patterns=tuple(patterns), sqrt_elements=roots,
         index_over_E=2 ** rank, generators=tuple(generators))
 

@@ -8,6 +8,9 @@ tests, norms or Galois actions.  sigma_loop_log applies the exact sigma
 and evaluates at root 0 only, sharing nothing with the root orbit.
 sampled_constrained_min restates the cyclic-case minimization problems
 in floats and samples a grid, knowing nothing of their candidate points.
+klein_spec builds the enumerable E-wedge lattice of a Klein field from
+`klein_wedge_rows`, which the wedge tests pin to `wedge2` of real log
+vectors, so `min_one_norm` can check the report's closed-form minimum.
 """
 
 from fractions import Fraction
@@ -16,7 +19,10 @@ from math import isqrt, log, sqrt
 import mpmath
 
 from unitlat.biquadratic import BiquadElem, biq_mul
+from unitlat.loglattice import LatticeSpec, Wedge2Vector, klein_wedge_rows
+from unitlat.precision import mpf_ctx
 from unitlat.quartic import QuarticElem, embed_all, qr_mul
+from unitlat.units import klein_denominator
 
 
 def smaller_quad_unit_exists(d, q2_limit):
@@ -67,6 +73,18 @@ def brute_min_one_norm(basis, denominator, bound, parity_even=False):
     """Minimal 1-norm over nonzero coefficient triples with |n_i| <= bound."""
     return min(t for t, _ in brute_norms(basis, denominator, bound,
                                          parity_even))
+
+
+def klein_spec(struct):
+    """E-wedge lattice of a Klein structure built at the default 128 bits:
+    (1/den) times the integer span of klein_wedge_rows(W2*W3, W1*W3,
+    W1*W2), W_i its subfield regulators, den the index-appropriate
+    denominator."""
+    w1, w2, w3 = struct.logs
+    with mpf_ctx(128):
+        basis = tuple(Wedge2Vector(tuple(map(mpmath.mpf, row)), "klein", 128)
+                      for row in klein_wedge_rows(w2 * w3, w1 * w3, w1 * w2))
+    return LatticeSpec(basis, klein_denominator(struct.index_over_E))
 
 
 def float_rows(spec):

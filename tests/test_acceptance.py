@@ -14,11 +14,11 @@ from unitlat import units as us
 from unitlat import verifier as vf
 from unitlat import quartic as qt
 from unitlat.biquadratic import BiquadField, biq_mul, is_unit
-from unitlat.loglattice import log_embed_klein, min_one_norm
+from unitlat.loglattice import log_embed_klein
 from unitlat.precision import mpf_ctx
 from unitlat.quadratic import (fundamental_unit, quad_cmp,
                                smallest_fundamental_units)
-from oracles import brute_min_one_norm, float_rows
+from oracles import brute_min_one_norm, float_rows, klein_spec
 
 COEFF_BOUND = 20
 SCAN_LIMIT = 30
@@ -33,27 +33,30 @@ def constants():
     return vf.constants()
 
 
+def _klein(d1, d2):
+    struct, value, reports = vf.klein_field_report(d1, d2)
+    detail = reports[0].details
+    return (struct, klein_spec(struct),
+            (value, tuple(detail["argmin"]), detail["certified"]))
+
+
 @pytest.fixture(scope="module")
 def klein25():
-    struct = us.klein_unit_structure(2, 5)
-    spec = vf.klein_lattice(struct)
-    return struct, spec, min_one_norm(spec, COEFF_BOUND)
+    return _klein(2, 5)
 
 
 @pytest.fixture(scope="module")
 def klein513():
-    struct = us.klein_unit_structure(5, 13)
-    spec = vf.klein_lattice(struct)
-    return struct, spec, min_one_norm(spec, COEFF_BOUND)
+    return _klein(5, 13)
 
 
 @pytest.fixture(scope="module")
 def scan():
     out = []
     for d1, d2 in vf.scan_pairs(SCAN_LIMIT):
-        struct, value, certified, reports = vf.klein_field_report(
-            d1, d2, COEFF_BOUND)
-        out.append((d1, d2, struct, value, certified, reports))
+        struct, value, reports = vf.klein_field_report(d1, d2)
+        out.append((d1, d2, struct, value, reports[0].details["certified"],
+                    reports))
     return out
 
 
@@ -249,7 +252,7 @@ def test_criterion_12_brute_force_oracle(klein25, klein513, scan):
         assert abs(float(value) - oracle) < 1e-9, name
     small_bound = 3
     for d1, d2, struct, value, _, _ in scan:
-        spec = vf.klein_lattice(struct)
+        spec = klein_spec(struct)
         oracle = brute_min_one_norm(float_rows(spec), spec.denominator,
                                     small_bound)
         assert abs(float(value) - oracle) < 1e-9, (d1, d2)

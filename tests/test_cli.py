@@ -133,6 +133,23 @@ def test_scan_csv(capsys):
         assert float(r["theorem_margin"]) > 0
 
 
+def test_klein_minimum_certified_at_coeff_bound_1(capsys):
+    # the Klein minimum sits exactly on the Gram eigenvalue bound (the rows
+    # are orthogonal), so a box certificate at --coeff-bound 1 read it as
+    # uncertified; the closed form is certified at every coefficient bound
+    code, out, _ = run(capsys, "--coeff-bound", "1", "--scan-limit", "10",
+                       "scan")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == len(vf.scan_pairs(10))
+    assert all(r["certified"] == "True" for r in rows)
+    code, out, _ = run(capsys, "--coeff-bound", "1", "--scan-limit", "10",
+                       "verify-paper")
+    assert code == 0
+    assert "[holds] klein_scan_all_above_theorem_constant" in out
+    assert "all certified: True" in out
+
+
 def test_scan_byte_stable(capsys):
     _, out1, _ = run(capsys, "--scan-limit", "6", "scan")
     _, out2, _ = run(capsys, "--scan-limit", "6", "scan")

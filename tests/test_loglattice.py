@@ -10,15 +10,14 @@ from unitlat.loglattice import (LatticeSpec, LogVector, Wedge2Vector,
                                 WEDGE_PAIRS, cyclic_f, cyclic_wedge_rows,
                                 gram_matrix, klein_norm_closed,
                                 klein_wedge_rows, log_embed_cyclic,
-                                log_embed_klein, min_one_norm, one_norm,
-                                two_norm, wedge2)
+                                log_embed_klein, min_one_norm, wedge2)
 from unitlat.biquadratic import BiquadField
 from unitlat.precision import mpf_ctx
 from unitlat.quartic import QuarticElem
 from unitlat.quadratic import fundamental_unit, is_squarefree
 from unitlat import units as us
-from unitlat.verifier import klein_lattice, load_default_catalog
-from oracles import brute_min_one_norm, brute_norms, float_rows
+from unitlat.verifier import klein_field_report, load_default_catalog
+from oracles import brute_min_one_norm, brute_norms, float_rows, klein_spec
 
 
 @pytest.fixture(scope="module")
@@ -224,6 +223,10 @@ LATTICE_SHAPES = [(1, None), (2, None), (2, "even"), (4, None), (1, "even")]
 @example(logs=[(0.0, -2.0, 0.0), (-1.0, 0.0, -0.999999999999),
                (0.0, 0.0, 1.0)], scales=(1, 1, 10), shape=(2, "even"),
          bound=1)
+# a well-conditioned basis of small scale: Gram determinant 8e-25
+@example(logs=[(0.0, 0.0, 0.0078125), (0.0, 0.0078125, 0.0),
+               (0.0078125, 0.0, 0.0)], scales=(1, 1, 1), shape=(1, None),
+         bound=1)
 def test_min_one_norm_matches_full_box(logs, scales, shape, bound):
     vecs = []
     with mpf_ctx(128):
@@ -242,7 +245,7 @@ def test_min_one_norm_matches_full_box(logs, scales, shape, bound):
 @pytest.mark.parametrize("shape", LATTICE_SHAPES)
 def test_min_one_norm_skewed_basis(shape):
     # Q(sqrt2, sqrt661): subfield regulators 0.88, 11.0 and 14.4
-    spec = klein_lattice(us.klein_unit_structure(2, 661))
+    spec = klein_spec(us.klein_unit_structure(2, 661))
     spec = LatticeSpec(spec.basis, denominator=shape[0],
                        parity_constraint=shape[1])
     assert_matches_full_box(spec, 6)
@@ -279,13 +282,54 @@ def test_klein_lattice_rows_are_wedges(pair):
     order = struct.galois_order()
     l1, l2, l3 = (log_embed_klein(struct.field.lift_quad(u), order=order)
                   for u in struct.units)
-    spec = klein_lattice(struct)
+    spec = klein_spec(struct)
     with mpmath.workprec(144):
         for got, want in zip(spec.basis, (wedge2(l2, l3), wedge2(l1, l3),
                                           wedge2(l1, l2))):
             scale = max(abs(c) for c in want.coords)
             err = max(abs(g - w) for g, w in zip(got.coords, want.coords))
             assert err <= mpmath.mpf(2) ** -120 * scale
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a.coords, b.coords))
+
+
+@settings(max_examples=25, deadline=None)
+@given(pair=st.lists(st.sampled_from(SQUAREFREE_1000), min_size=2,
+                     max_size=2, unique=True))
+@example(pair=[2, 5])
+def test_klein_report_minimum_is_sound(pair):
+    # the report's closed-form minimum is what min_one_norm enumerates on
+    # the E-wedge lattice, and it is at least 2*X3
+    struct, value, reports = klein_field_report(*pair)
+    detail = reports[0].details
+    spec = klein_spec(struct)
+    enum_value, enum_argmin, enum_certified = min_one_norm(spec, 20)
+    assert tuple(detail["argmin"]) == enum_argmin == (0, 0, -1)
+    assert detail["certified"] is enum_certified is True
+    w1, w2, _ = struct.logs
+    with mpmath.workprec(160):
+        assert abs(value - enum_value) <= mpmath.mpf(2) ** -120 * value
+        assert value >= 2 * w1 * w2 * (1 - mpmath.mpf(2) ** -120)
+    # the wedges of the generators of O_L^* have den-integral coordinates
+    # in the E-wedge basis, so their lattice lies inside the reported one
+    # and its minimum is no smaller
+    den, order = spec.denominator, struct.galois_order()
+    l1, l2, l3 = (log_embed_klein(struct.field.lift_quad(u), 192, order)
+                  for u in struct.units)
+    g1, g2, g3 = (log_embed_klein(g, 192, order) for g in struct.generators)
+    e_rows = (wedge2(l2, l3), wedge2(l1, l3), wedge2(l1, l2))
+    gen_wedges = (wedge2(g2, g3), wedge2(g1, g3), wedge2(g1, g2))
+    with mpmath.workprec(208):
+        for w in gen_wedges:
+            for row in e_rows:  # the E-wedge rows are orthogonal
+                c = den * _dot(w, row) / _dot(row, row)
+                assert abs(c - mpmath.nint(c)) < mpmath.mpf(2) ** -100
+    gen_value, _, gen_certified = min_one_norm(LatticeSpec(gen_wedges), 20)
+    assert gen_certified
+    with mpmath.workprec(160):
+        assert gen_value >= value * (1 - mpmath.mpf(2) ** -100)
 
 
 def test_min_one_norm_radius_is_tight():
@@ -332,6 +376,5 @@ def test_spec_validation(klein25):
 def test_norm_helpers(klein25):
     _, (l1, l2, _) = klein25
     w = wedge2(l1, l2)
-    assert one_norm(w) >= two_norm(w) > 0
     g = gram_matrix(LatticeSpec((w, w, w)))
     assert g[0][0] > 0 and g[0][1] == g[1][0]

@@ -3,6 +3,7 @@ import json
 import mpmath
 import pytest
 
+from unitlat import loglattice as ll
 from unitlat import units as us
 from unitlat import verifier as vf
 from unitlat.biquadratic import BiquadField
@@ -106,13 +107,32 @@ def test_smallest_units_report():
 
 
 def test_klein_field_report_3_5():
-    struct, value, certified, reports = vf.klein_field_report(3, 5)
-    assert certified
+    struct, value, reports = vf.klein_field_report(3, 5)
+    assert reports[0].details["certified"]
     # published per-field bound for this field: 2 log(u1) log(u2)
     thin = next(r for r in reports if r.name == "min_ge_2X3")
     assert abs(float(thin.paper_value) - 1.267463) < 1e-5
     assert value >= thin.paper_value
     assert all(r.relation != "violated" for r in reports)
+
+
+def test_klein_field_report_enumerates_nothing(monkeypatch):
+    # the Klein minimum is the closed form 8*X3/den: no Gram matrix, no
+    # lattice enumeration
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Klein report enumerated a lattice")
+
+    for module, name in ((ll, "min_one_norm"), (ll, "gram_matrix"),
+                         (vf, "min_one_norm")):
+        monkeypatch.setattr(module, name, refuse)
+    struct, value, reports = vf.klein_field_report(2, 5)
+    assert reports[0].details["argmin"] == [0, 0, -1]
+    assert reports[0].details["certified"] is True
+    w1, w2, _ = struct.logs
+    with mpf_ctx(128):
+        assert value == 8 * w1 * w2 / 2
+        lp = mpmath.log((1 + mpmath.sqrt(5)) / 2)
+        assert abs(value - 4 * lp * mpmath.log(1 + mpmath.sqrt(2))) < 1e-30
 
 
 def test_scan_pairs():
