@@ -214,7 +214,11 @@ def sqrt_in_field(a):
     is not a square in L.  As in quad_sqrt, one level up: if
     (g + h*sqrt(d2))^2 = alpha + beta*sqrt(d2) then g^2 = (alpha +- n)/2
     with n^2 = N_{L/K}(a), and h = beta/(2g), or h^2 = (alpha -+ n)/(2*d2)
-    when g = 0."""
+    when g = 0.
+
+    klein_unit_structure calls it once per field, and only when all three
+    subfield units have norm -1, for the pattern u1*u2*u3; every other
+    pattern is decided by integers."""
     f = a.field
     alpha = QuadElem(f.d1, a.x, a.y)
     beta = QuadElem(f.d1, a.z, a.w / f.s)  # sqrt(d3) = sqrt(d1)*sqrt(d2)/s

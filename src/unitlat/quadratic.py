@@ -6,6 +6,7 @@ when d = 1 mod 4, so that half-integer units like (1+sqrt(5))/2 are not
 missed), with every step in exact integer arithmetic.
 """
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -15,7 +16,9 @@ import mpmath
 from .precision import DEFAULT_PRECISION, mpf_ctx
 
 
+@functools.lru_cache(maxsize=4096, typed=True)
 def is_squarefree(d):
+    # memoized: every QuadElem construction checks its d by trial division
     if d < 1:
         return False
     i = 2
@@ -243,8 +246,10 @@ def _cf_unit_search(d, max_steps=100000):
     raise ArithmeticError("continued fraction of sqrt(%d) did not close" % d)
 
 
+@functools.lru_cache(maxsize=1024, typed=True)
 def fundamental_unit(d, precision_bits=DEFAULT_PRECISION):
-    """Fundamental unit > 1 of Q(sqrt(d)), exact, with its norm sign."""
+    """Fundamental unit > 1 of Q(sqrt(d)), exact, with its norm sign.
+    Cached per (d, precision_bits); the result is immutable."""
     _check_squarefree(d)
     unit, norm = _cf_unit_search(d)
     assert is_quad_integer(unit) and abs(quad_norm(unit)) == 1
@@ -257,8 +262,6 @@ def fundamental_unit(d, precision_bits=DEFAULT_PRECISION):
 def smallest_fundamental_units(bound, precision_bits=DEFAULT_PRECISION):
     """All (d, fundamental unit) for squarefree 2 <= d <= bound, sorted
     ascending by the real value of the unit (exact comparison)."""
-    import functools
-
     entries = [(d, fundamental_unit(d, precision_bits))
                for d in range(2, bound + 1) if is_squarefree(d)]
 

@@ -1,9 +1,11 @@
-"""Unit-group structure: Klein generator sets via square-root tests, and
+"""Unit-group structure: Klein generator sets via square-class tests, and
 cyclic-quartic catalog entries validated through Hasse's exact relations.
 
 Klein case: the square classes of O_L^* over the subfield-unit group E are
-determined by testing which products u1^e1 u2^e2 u3^e3 are squares in L;
-the F2-rank of the found patterns gives the index [O_L^*: +-E].
+determined by which products u1^e1 u2^e2 u3^e3 are squares in L, decided
+by integer square roots on the traces (one exact tower test remains when
+all three units have norm -1); the F2-rank of the found patterns gives
+the index [O_L^*: +-E].
 
 Cyclic case: full unit-group computation is out of scope, so entries carry
 claimed generators (relative unit u0, optional u_star) which are verified
@@ -13,6 +15,7 @@ brute-force-found sublattice.
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,9 +23,11 @@ import mpmath
 import numpy as np
 
 from .precision import DEFAULT_PRECISION, mpf_ctx
-from .quadratic import QuadElem, fundamental_unit, is_squarefree, quad_cmp
+from .quadratic import (QuadElem, fundamental_unit, is_squarefree, quad_cmp,
+                        quad_norm)
 from . import quartic as qt
-from .biquadratic import BiquadField, biq_mul, sqrt_in_field
+from .biquadratic import (BiquadElem, BiquadField, biq_add, biq_mul,
+                          sqrt_in_field)
 from .loglattice import log_sigma, orbit_log
 
 class CatalogValidationError(ValueError):
@@ -90,25 +95,60 @@ def _f2_basis(patterns):
     return len(basis_rows), chosen
 
 
+def _pattern_product(field, e, elems):
+    prod = field.one()
+    for ei, x in zip(e, elems):
+        if ei:
+            prod = biq_mul(prod, x)
+    return prod
+
+
 def klein_unit_structure(d1, d2, precision_bits=DEFAULT_PRECISION):
-    """Determine [O_L^*: +-E] and a generating set by testing all seven
-    square-root patterns exactly."""
+    """Determine [O_L^*: +-E] and a generating set from the square classes
+    of the seven patterns u1^e1 u2^e2 u3^e3, decided with integers.
+
+    Norm rule: a square is totally positive.  s_j fixes the subfield of
+    u_j > 0 and sends each other u_i to its conjugate N(u_i)/u_i, so under
+    s_j the sign of the product over a pattern P is
+    prod_{i in P, i != j} N(u_i).  So a pattern containing a norm -1 unit
+    is not a square unless it is (1, 1, 1) with all three norms -1; that
+    pattern keeps one exact tower test, sqrt_in_field on u1*u2*u3.
+
+    Norm +1 patterns: for a unit u > 1 of norm +1, (u + 1)^2 = u*(Tr u + 2),
+    and Tr u + 2 = 2a + 2 (u = a + b*sqrt(d)) is a positive integer.  So
+    prod_P u_i is a square in L iff m = prod_P (Tr u_i + 2) is, and a
+    positive rational is a square in L iff m*delta is a rational square
+    for some delta in {1, d1, d2, d3}.  The root is
+    prod_P (u_i + 1) * sqrt(delta) / isqrt(m*delta), positive at the
+    id-embedding because every factor is.
+    """
     field = BiquadField(d1, d2)
     units, logs, fixers, _ = subfield_units(d1, d2, precision_bits)
     lifts = [field.lift_quad(u) for u in units]
+    positive = [quad_norm(u) > 0 for u in units]
+    shifted = [biq_add(x, field.one()) for x in lifts]
+    trace_plus_2 = [int(2 * u.a) + 2 for u in units]
+    deltas = (1, field.d1, field.d2, field.d3)  # sqrt(delta): basis slot k
 
     patterns = []
     roots = {}
     for e in itertools.product((0, 1), repeat=3):
         if e == (0, 0, 0):
             continue
-        prod = field.one()
-        for ei, lift in zip(e, lifts):
-            if ei:
-                prod = biq_mul(prod, lift)
+        root = None
+        if all(pos for ei, pos in zip(e, positive) if ei):
+            m = math.prod(t for ei, t in zip(e, trace_plus_2) if ei)
+            for k, delta in enumerate(deltas):
+                r = math.isqrt(m * delta)
+                if r * r == m * delta:
+                    scale = BiquadElem(field, *(Fraction(int(i == k), r)
+                                                for i in range(4)))
+                    root = biq_mul(_pattern_product(field, e, shifted), scale)
+                    break
+        elif e == (1, 1, 1) and not any(positive):
+            root = sqrt_in_field(_pattern_product(field, e, lifts))
         # a square root of a unit is a unit: it is integral over O_L, as a
         # root of t^2 - prod, and its norm squared is +-1
-        root = sqrt_in_field(prod)
         if root is not None:
             patterns.append(e)
             roots[e] = root

@@ -11,18 +11,25 @@ in floats and samples a grid, knowing nothing of their candidate points.
 klein_spec builds the enumerable E-wedge lattice of a Klein field from
 `klein_wedge_rows`, which the wedge tests pin to `wedge2` of real log
 vectors, so `min_one_norm` can check the report's closed-form minimum.
+klein_patterns_tower decides all seven Klein square classes by the exact
+tower square root, knowing nothing of the integer criterion on traces.
 """
 
+import itertools
 from fractions import Fraction
 from math import isqrt, log, sqrt
 
 import mpmath
 
-from unitlat.biquadratic import BiquadElem, biq_mul
+from unitlat.biquadratic import BiquadElem, BiquadField, biq_mul, sqrt_in_field
 from unitlat.loglattice import LatticeSpec, Wedge2Vector, klein_wedge_rows
 from unitlat.precision import mpf_ctx
+from unitlat.quadratic import is_squarefree
 from unitlat.quartic import QuarticElem, embed_all, qr_mul
-from unitlat.units import klein_denominator
+from unitlat.units import (KleinUnitStructure, _f2_basis, klein_denominator,
+                           subfield_units)
+
+SQUAREFREE_1000 = [d for d in range(2, 1001) if is_squarefree(d)]
 
 
 def smaller_quad_unit_exists(d, q2_limit):
@@ -85,6 +92,37 @@ def klein_spec(struct):
         basis = tuple(Wedge2Vector(tuple(map(mpmath.mpf, row)), "klein", 128)
                       for row in klein_wedge_rows(w2 * w3, w1 * w3, w1 * w2))
     return LatticeSpec(basis, klein_denominator(struct.index_over_E))
+
+
+def klein_patterns_tower(d1, d2):
+    """The Klein unit structure with every one of the seven square-root
+    patterns u1^e1 u2^e2 u3^e3 tested by the exact tower square root
+    `sqrt_in_field`; the F2 step that turns patterns into generators is
+    the library's."""
+    field = BiquadField(d1, d2)
+    units, logs, fixers, _ = subfield_units(d1, d2)
+    lifts = [field.lift_quad(u) for u in units]
+    patterns = []
+    roots = {}
+    for e in itertools.product((0, 1), repeat=3):
+        if e == (0, 0, 0):
+            continue
+        prod = field.one()
+        for ei, lift in zip(e, lifts):
+            if ei:
+                prod = biq_mul(prod, lift)
+        root = sqrt_in_field(prod)
+        if root is not None:
+            patterns.append(e)
+            roots[e] = root
+    rank, basis_patterns = _f2_basis(patterns)
+    generators = list(lifts)
+    for p, slot in basis_patterns:
+        generators[slot] = roots[p]
+    return KleinUnitStructure(
+        field=field, units=units, logs=logs, fixers=fixers,
+        sqrt_patterns=tuple(patterns), sqrt_elements=roots,
+        index_over_E=2 ** rank, generators=tuple(generators))
 
 
 def float_rows(spec):

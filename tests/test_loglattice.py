@@ -14,10 +14,11 @@ from unitlat.loglattice import (LatticeSpec, LogVector, Wedge2Vector,
 from unitlat.biquadratic import BiquadField
 from unitlat.precision import mpf_ctx
 from unitlat.quartic import QuarticElem
-from unitlat.quadratic import fundamental_unit, is_squarefree
+from unitlat.quadratic import fundamental_unit
 from unitlat import units as us
 from unitlat.verifier import klein_field_report, load_default_catalog
-from oracles import brute_min_one_norm, brute_norms, float_rows, klein_spec
+from oracles import (SQUAREFREE_1000, brute_min_one_norm, brute_norms,
+                     float_rows, klein_spec)
 
 
 @pytest.fixture(scope="module")
@@ -267,9 +268,6 @@ def test_min_one_norm_keeps_argmin_lost_to_cancellation():
     with mpmath.workprec(144):
         assert abs(value - (1 + mpmath.mpf("1.2e-9"))) < mpmath.mpf(2) ** -100
     assert certified
-
-
-SQUAREFREE_1000 = [d for d in range(2, 1001) if is_squarefree(d)]
 
 
 @settings(max_examples=25, deadline=None)

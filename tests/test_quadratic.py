@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from unitlat.quadratic import (QuadElem, fundamental_unit, is_quad_integer,
@@ -105,3 +106,14 @@ def test_quad_embed_value():
     u = fundamental_unit(5)
     assert abs(quad_embed(u.unit) - (1 + 5 ** 0.5) / 2) < 1e-12
     assert abs(float(u.log_value) - math.log((1 + 5 ** 0.5) / 2)) < 1e-12
+
+
+def test_fundamental_unit_cached_per_d_and_precision():
+    assert fundamental_unit(94) is fundamental_unit(94)
+    low, high = fundamental_unit(94, 64), fundamental_unit(94, 128)
+    assert low.unit == high.unit
+    with mpmath.workprec(128):
+        assert 0 < abs(low.log_value - high.log_value) < mpmath.mpf(2) ** -60
+    with pytest.raises(ValueError):
+        fundamental_unit(94.0)  # a cached int key does not admit a float
+

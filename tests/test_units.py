@@ -2,9 +2,11 @@ import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unitlat import units as us
 from unitlat import quartic as qt
@@ -12,9 +14,10 @@ from unitlat import biquadratic as bq
 from unitlat.biquadratic import BiquadElem, biq_mul, biq_neg, is_unit
 from unitlat.loglattice import (LogVector, cyclic_wedge_rows,
                                 log_embed_cyclic, wedge2)
-from unitlat.quadratic import QuadElem, fundamental_unit
+from unitlat.quadratic import QuadElem, fundamental_unit, quad_norm
 from unitlat.verifier import cyclic_lattice, load_default_catalog
-from oracles import char_poly, sigma_loop_log
+from oracles import (SQUAREFREE_1000, char_poly, klein_patterns_tower,
+                     sigma_loop_log)
 
 DATA = Path(__file__).parent / "data"
 
@@ -118,6 +121,69 @@ def test_f2_basis_rank():
     assert rank == 2
     pivots = [p for _, p in rows]
     assert len(set(pivots)) == len(pivots)
+
+
+def _matches_tower_oracle(d1, d2):
+    """klein_unit_structure against the seven-test tower oracle: same
+    patterns, roots, index and generators; every root squares to its
+    pattern product; sqrt_in_field runs once when all three subfield
+    units have norm -1, and never otherwise."""
+    want = klein_patterns_tower(d1, d2)
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return bq.sqrt_in_field(a)
+
+    with mock.patch.object(us, "sqrt_in_field", counting):
+        got = us.klein_unit_structure(d1, d2)
+    assert got.sqrt_patterns == want.sqrt_patterns
+    assert got.sqrt_elements == want.sqrt_elements
+    assert got.index_over_E == want.index_over_E
+    assert got.generators == want.generators
+    lifts = [got.field.lift_quad(u) for u in got.units]
+    for e, root in got.sqrt_elements.items():
+        prod = got.field.one()
+        for ei, lift in zip(e, lifts):
+            if ei:
+                prod = biq_mul(prod, lift)
+        assert biq_mul(root, root) == prod
+    all_negative = all(quad_norm(u) < 0 for u in got.units)
+    assert len(calls) == (1 if all_negative else 0)
+    return got
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=st.lists(st.sampled_from(SQUAREFREE_1000), min_size=2,
+                     max_size=2, unique=True))
+def test_klein_square_classes_match_tower_oracle(pair):
+    _matches_tower_oracle(*pair)
+
+
+@pytest.mark.parametrize("d1, d2, patterns", [
+    (2, 3, ((0, 0, 1), (0, 1, 0), (0, 1, 1))),  # delta = d2, d3, d1
+    (2, 7, ((0, 0, 1), (0, 1, 0), (0, 1, 1))),  # delta = d1, d1, 1
+    (2, 5, ((1, 1, 1),)),      # all norms -1: u1*u2*u3 is a square
+    (2, 85, ()),               # all norms -1: u1*u2*u3 is not
+    (383, 503, ((0, 0, 1), (1, 1, 0), (1, 1, 1))),
+])
+def test_klein_square_classes_fixed(d1, d2, patterns):
+    assert _matches_tower_oracle(d1, d2).sqrt_patterns == patterns
+
+
+@pytest.mark.parametrize("d1, d2", [(2, 3), (3, 5), (383, 503)])
+def test_norm_plus_one_fields_skip_tower_test(d1, d2, monkeypatch):
+    # a field with a norm +1 subfield unit is decided by integers alone
+    want = klein_patterns_tower(d1, d2)
+
+    def forbidden(a):
+        raise AssertionError("sqrt_in_field must not run")
+
+    monkeypatch.setattr(us, "sqrt_in_field", forbidden)
+    got = us.klein_unit_structure(d1, d2)
+    assert any(quad_norm(u) > 0 for u in got.units)
+    assert got.sqrt_elements == want.sqrt_elements
+    assert got.generators == want.generators
 
 
 def test_catalog_roundtrip(entry):
