@@ -128,37 +128,6 @@ def galois_apply(g, a):
     return BiquadElem(a.field, a.x, sy * a.y, sz * a.z, sw * a.w)
 
 
-def biq_norm_to_Q(a):
-    """N_{L/Q}(a) = a * s1(a) * s2(a) * s3(a), an exact rational."""
-    prod = biq_mul(biq_mul(a, galois_apply("s1", a)),
-                   biq_mul(galois_apply("s2", a), galois_apply("s3", a)))
-    assert prod.is_rational(), "norm must land in Q"
-    return prod.x
-
-
-def biq_inv(a):
-    if a.is_zero():
-        raise ZeroDivisionError("zero element has no inverse")
-    cofactor = biq_mul(biq_mul(galois_apply("s1", a), galois_apply("s2", a)),
-                       galois_apply("s3", a))
-    n = biq_norm_to_Q(a)
-    return BiquadElem(a.field, cofactor.x / n, cofactor.y / n,
-                      cofactor.z / n, cofactor.w / n)
-
-
-def biq_pow(a, k):
-    if k < 0:
-        return biq_pow(biq_inv(a), -k)
-    r = a.field.one()
-    base = a
-    while k:
-        if k & 1:
-            r = biq_mul(r, base)
-        base = biq_mul(base, base)
-        k >>= 1
-    return r
-
-
 def _relative_norm(a):
     """N_{L/K}(a) = alpha^2 - d2*beta^2, an element of K."""
     f = a.field

@@ -1,4 +1,4 @@
-"""Logarithmic embeddings, exterior squares and minimal 1-norm search.
+"""Logarithmic embeddings, exterior squares and their minimal 1-norms.
 
 Coordinate conventions: log vectors are indexed by Galois elements,
 (id, s1, s2, s3) for Klein fields and (id, s, s^2, s^3) for cyclic ones.
@@ -7,6 +7,7 @@ The 6 exterior-square coordinates follow the fixed basis order
 (with s->s_k relabelled accordingly in the cyclic convention).
 """
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -151,123 +152,67 @@ def cyclic_f(n1, n2, n3, w1, w2, w3):
             + np.abs(-n1 * y2 - n2 * y3) + np.abs(n1 * y3 - n2 * y2))
 
 
-@dataclass(frozen=True)
-class LatticeSpec:
-    """Coefficient lattice (1/denominator) * {n in Z^3 : parity} over basis."""
+def cyclic_lower_bounds(w1, w2, w3):
+    """(c12, c3) with cyclic_f(n; W) >= c12*||(n1, n2)||_2 and
+    cyclic_f(n; W) >= c3*|n3| for every integer n, at the current mpmath
+    precision: c12 = 2*(1 + sqrt(2))*|W1|*r and c3 = 4*r^2, with
+    r^2 = W2^2 + W3^2 = y1.
 
-    basis: tuple  # 3 Wedge2Vectors
-    denominator: int = 1
-    parity_constraint: str = None  # None | "even" (n1+n2+n3 even)
-
-    def __post_init__(self):
-        if len(self.basis) != 3:
-            raise ValueError("need a rank-3 basis")
-        if self.denominator not in (1, 2, 4):
-            raise ValueError("denominator must be 1, 2 or 4")
-        if self.parity_constraint not in (None, "even"):
-            raise ValueError("unknown parity constraint %r"
-                             % (self.parity_constraint,))
-
-
-def gram_matrix(spec):
-    b = spec.basis
-    return [[sum((x * y for x, y in zip(b[i].coords, b[j].coords)),
-                 mpmath.mpf(0)) for j in range(3)] for i in range(3)]
-
-
-def _det3(g):
-    return (g[0][0] * (g[1][1] * g[2][2] - g[1][2] * g[2][1])
-            - g[0][1] * (g[1][0] * g[2][2] - g[1][2] * g[2][0])
-            + g[0][2] * (g[1][0] * g[2][1] - g[1][1] * g[2][0]))
-
-
-# dependent-basis margin on det(G) relative to Hadamard's bound
-# G11*G22*G33, so that it does not depend on the scale of the basis
-_GRAM_DET_MARGIN = 1e-24
-
-
-def _lambda_min_lower_bound(gram):
-    """Certified positive lower bound on the smallest Gram eigenvalue.
-
-    Starts from a floating estimate, shrinks it slightly, and certifies
-    G - mu*I positive definite by its leading principal minors at working
-    precision (Sylvester).
+    - c3: both maxima in cyclic_f are >= |n3|*y1.
+    - c12: the pairs (n1*y4 - n2*y5, n1*y5 + n2*y4) and
+      (n1*y2 + n2*y3, n1*y3 - n2*y2) are (n1, n2) turned by an orthogonal
+      map and scaled by |(y4, y5)| = sqrt(2)*|W1|*r and
+      |(y2, y3)| = 2*|W1|*r, and |A| + |B| >= sqrt(A^2 + B^2).
     """
-    gnp = np.array([[float(v) for v in row] for row in gram])
-    est = float(np.linalg.eigvalsh(gnp)[0])
-    if est <= 0:
-        raise ValueError("dependent basis: Gram matrix not positive definite")
-    mu = mpmath.mpf(est) * (1 - mpmath.mpf("1e-9"))
-    for _ in range(60):
-        g = [[gram[i][j] - (mu if i == j else 0) for j in range(3)] for i in range(3)]
-        m1 = g[0][0]
-        m2 = g[0][0] * g[1][1] - g[0][1] * g[1][0]
-        if m1 > 0 and m2 > 0 and _det3(g) > 0:
-            return mu
-        mu = mu / 2
-    raise ValueError("dependent basis: could not certify Gram positivity")
+    r = mpmath.sqrt(w2 * w2 + w3 * w3)
+    return 2 * (1 + mpmath.sqrt(2)) * abs(w1) * r, 4 * r * r
 
 
-def min_one_norm(spec, coeff_bound):
-    """Certified minimal 1-norm over nonzero admissible coefficient triples
-    with max|n_i| <= coeff_bound.
+def cyclic_min(w1, w2, w3, q_index, coeff_bound):
+    """Minimal 1-norm of the cyclic wedge lattice over nonzero admissible
+    n with max|n_i| <= coeff_bound, at the current mpmath precision.
 
-    Returns (value: mpf, argmin: (n1, n2, n3), certified: bool); certified
-    means no triple outside the box can beat the minimum (2-norm bound from
-    the smallest Gram eigenvalue).
-    Every triple has 1-norm >= sqrt(lambda_min)*max|n_i|/den, so only the
-    box of half-width R = v0*den/sqrt(lambda_min), v0 an upper bound on the
-    best admissible norm over {-1, 0, 1}^3, can hold near-minimal triples.
+    The lattice is (1/den) times the integer span of cyclic_wedge_rows(W1,
+    W2, W3): den = 1 for Q = 1, den = 2 with n1 + n2 + n3 even for Q = 2.
+    Returns (value, argmin, certified).  argmin is the lexicographically
+    least triple within 2^(-prec/2)*max(value, 1) of the minimum, and
+    certified means no triple outside the box can do better.
+
+    By cyclic_lower_bounds, a triple of value at most v has
+    |n1|, |n2| <= v*den/c12 and |n3| <= v*den/c3.  With v the best value
+    over {-1, 0, 1}^3 widened by the tie tolerance, that box, capped at
+    coeff_bound, holds the minimum and every triple that ties with it.
+    A triple with some |n_i| > coeff_bound has value at least
+    min(c12, c3)*(coeff_bound + 1)/den.
     """
+    if q_index not in (1, 2):
+        raise ValueError("Q index must be 1 or 2")
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be >= 1")
-    gram = gram_matrix(spec)
-    if _det3(gram) <= _GRAM_DET_MARGIN * gram[0][0] * gram[1][1] * gram[2][2]:
-        raise ValueError("dependent basis: Gram determinant below margin")
-    prec = spec.basis[0].precision_bits
-    with mpf_ctx(prec):
-        root_lam = mpmath.sqrt(_lambda_min_lower_bound(gram))
+    w1, w2, w3 = (mpmath.mpf(w) for w in (w1, w2, w3))
+    c12, c3 = cyclic_lower_bounds(w1, w2, w3)
+    if not c12:
+        raise ValueError("dependent basis: W1 = 0 or W2 = W3 = 0")
+    den = q_index
+    slack = mpmath.mpf(2) ** (-mpmath.mp.prec // 2)
 
-    bmat = np.array([[float(c) for c in v.coords] for v in spec.basis])
-    # A float norm is within err(n) = 16u*sum_i |n_i| sum_j |b_ij|/den of
-    # the true one, u = eps/2: rounding b costs u, the 3-term sums of
-    # triples @ bmat 3u and the 6-term sum of |.| 5u, each relative to
-    # sum_i |n_i| sum_j |b_ij| up to O(u^2) (the integers n are exact).
-    row_err = 8 * np.finfo(float).eps * np.abs(bmat).sum(axis=1)
+    def evaluate(radii):
+        axes = (range(-k, k + 1) for k in radii)
+        # n1 + n2 + n3 even when den = 2
+        n = np.array([t for t in itertools.product(*axes)
+                      if any(t) and sum(t) % den == 0], dtype=object)
+        return n, cyclic_f(*n.T, w1, w2, w3) / den
 
-    def admissible_norms(radius):
-        rng = np.arange(-radius, radius + 1)
-        grid = np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), axis=-1)
-        triples = grid.reshape(-1, 3)
-        mask = np.any(triples != 0, axis=1)
-        if spec.parity_constraint == "even":
-            mask &= triples.sum(axis=1) % 2 == 0
-        triples = triples[mask]
-        norms = np.abs(triples @ bmat).sum(axis=1) / spec.denominator
-        return triples, norms, np.abs(triples) @ row_err / spec.denominator
-
-    _, norms, err = admissible_norms(1)
-    with mpf_ctx(prec):
-        radius = int(mpmath.floor(mpmath.mpf((norms + err).min())
-                                  * spec.denominator / root_lam))
-    triples, norms, err = admissible_norms(max(1, min(coeff_bound, radius)))
-    # keep every triple whose true norm can be at most the smallest
-    # upper bound on a true norm in the box
-    near = triples[norms - err <= (norms + err).min()]
-
-    # re-evaluate the near-minimal triples at working precision
-    def exact_norm(n):
-        total = mpmath.mpf(0)
-        for k in range(6):
-            total += abs(sum(int(n[i]) * spec.basis[i].coords[k] for i in range(3)))
-        return total / spec.denominator
-
-    with mpf_ctx(prec):
-        evals = sorted((exact_norm(n), tuple(int(v) for v in n)) for n in near)
-        value, _ = evals[0]
-        tol = mpmath.mpf(2) ** (-prec // 2) * max(value, mpmath.mpf(1))
-        argmin = min(t for v, t in evals if v <= value + tol)
-
-        outside = root_lam * (coeff_bound + 1) / spec.denominator
-        certified = bool(outside >= value)
+    box = (1, 1, 1)
+    n, values = evaluate(box)
+    v0 = min(values)
+    reach = (v0 + slack * max(v0, 1)) * den
+    radii = tuple(max(1, min(coeff_bound, int(reach / c)))
+                  for c in (c12, c12, c3))
+    if radii != box:
+        n, values = evaluate(radii)
+    value = min(values)
+    tol = slack * max(value, 1)
+    argmin = min(tuple(t) for t, v in zip(n, values) if v <= value + tol)
+    certified = bool(min(c12, c3) * (coeff_bound + 1) / den >= value)
     return value, argmin, certified

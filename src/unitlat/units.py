@@ -436,8 +436,6 @@ def regulator_cross_check(gen_logs, hit_logs):
 def _integer_lattice_index(rows):
     """Index in Z^3 of the lattice spanned by integer rows (None if rank < 3),
     via an incremental Hermite normal form over Z."""
-    import math
-
     basis = {}  # pivot column -> echelon row
 
     def insert(row):

@@ -16,13 +16,10 @@ import numpy as np
 
 from .precision import DEFAULT_PRECISION, mpf_ctx, fmt_sig
 from .quadratic import is_squarefree, smallest_fundamental_units, surd_cmp
-from . import biquadratic as bq
-from . import quartic as qt
 from . import units as us
-from .loglattice import (LatticeSpec, cyclic_f, cyclic_wedge_rows,
+from .loglattice import (cyclic_f, cyclic_min, cyclic_wedge_rows,
                          klein_norm_closed, klein_wedge_rows,
-                         log_embed_cyclic, log_embed_klein, log_sigma,
-                         min_one_norm, wedge2)
+                         log_embed_klein, wedge2)
 
 THEOREM_TOL = mpmath.mpf("1e-5")
 DERIVED_TOL = mpmath.mpf("1e-9")
@@ -90,26 +87,6 @@ def theorem_constants(precision_bits=DEFAULT_PRECISION):
             "constant_ordering_CF<lower<upper", None,
             relation="holds" if ordering_ok else "violated"))
         return reports
-
-
-def pohst_check(u, precision_bits=DEFAULT_PRECISION):
-    """||LOG(u)||_2^2 >= 4 log(phi)^2 for a unit u != +-1 of a real
-    quartic field."""
-    with mpf_ctx(precision_bits):
-        if isinstance(u, bq.BiquadElem):
-            log_embed = log_embed_klein
-        elif isinstance(u, qt.QuarticElem):
-            log_embed = log_embed_cyclic
-        else:
-            raise TypeError("expected a quartic-field unit")
-        if u.is_rational():
-            raise ValueError("Pohst bound excludes u = +-1")
-        lv = log_embed(u, precision_bits)
-        sq = sum((c * c for c in lv.coords), mpmath.mpf(0))
-        floor = constants(precision_bits)["pohst_floor"]
-        ok = sq >= floor - DERIVED_TOL
-        return BoundReport("pohst_2norm_sq", sq, floor,
-                           "holds" if ok else "violated", DERIVED_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -217,20 +194,6 @@ def klein_field_report(d1, d2, precision_bits=DEFAULT_PRECISION):
         return struct, value, reports
 
 
-def cyclic_lattice(entry, gen_logs):
-    """Wedge basis of LOG(u_l), LOG(u0), LOG(sigma(u0)) from the entry's
-    generator logs, with the Q-appropriate denominator and parity, plus
-    the id-coordinates (W1, W2, W3) of the three log vectors."""
-    lv_ul, lv_u0 = gen_logs[:2]
-    lv_su0 = log_sigma(lv_u0)
-    basis = (wedge2(lv_ul, lv_u0), wedge2(lv_ul, lv_su0), wedge2(lv_u0, lv_su0))
-    if entry.Q_index == 2:
-        spec = LatticeSpec(basis, denominator=2, parity_constraint="even")
-    else:
-        spec = LatticeSpec(basis, denominator=1)
-    return spec, tuple(lv.coords[0] for lv in (lv_ul, lv_u0, lv_su0))
-
-
 def cyclic_entry_report(entry, coeff_bound=20, precision_bits=DEFAULT_PRECISION,
                         regulator_height=6):
     with mpf_ctx(precision_bits):
@@ -249,8 +212,11 @@ def cyclic_entry_report(entry, coeff_bound=20, precision_bits=DEFAULT_PRECISION,
             "regulator_cross_check", None, None,
             "holds" if reg_ok else "violated",
             details={"sublattice_index": reg_idx}))
-        spec, (w1, w2, w3) = cyclic_lattice(entry, gen_logs)
-        value, argmin, certified = min_one_norm(spec, coeff_bound)
+        # W3 = LOG(sigma(u0))[id] is LOG(u0) one step along the orbit
+        lv_ul, lv_u0 = gen_logs[:2]
+        w1, (w2, w3) = lv_ul.coords[0], lv_u0.coords[:2]
+        value, argmin, certified = cyclic_min(w1, w2, w3, entry.Q_index,
+                                              coeff_bound)
         c = constants(precision_bits)
         reports.append(BoundReport(
             "cyclic_min_1norm", value, None, "holds",

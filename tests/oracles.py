@@ -8,11 +8,16 @@ tests, norms or Galois actions.  sigma_loop_log applies the exact sigma
 and evaluates at root 0 only, sharing nothing with the root orbit.
 sampled_constrained_min restates the cyclic-case minimization problems
 in floats and samples a grid, knowing nothing of their candidate points.
-klein_spec builds the enumerable E-wedge lattice of a Klein field from
+klein_e_wedge builds the E-wedge lattice of a Klein field from
 `klein_wedge_rows`, which the wedge tests pin to `wedge2` of real log
-vectors, so `min_one_norm` can check the report's closed-form minimum.
-klein_patterns_tower decides all seven Klein square classes by the exact
-tower square root, knowing nothing of the integer criterion on traces.
+vectors, so `brute_min_one_norm` can check the report's closed-form
+minimum.  klein_patterns_tower decides all seven Klein square classes by
+the exact tower square root, knowing nothing of the integer criterion on
+traces.
+
+The rest is package-style code that only tests call: biquadratic norm,
+inverse and power (biq_norm_to_Q, biq_inv, biq_pow) and the Pohst floor
+check on one unit (pohst_check).
 """
 
 import itertools
@@ -21,13 +26,16 @@ from math import isqrt, log, sqrt
 
 import mpmath
 
-from unitlat.biquadratic import BiquadElem, BiquadField, biq_mul, sqrt_in_field
-from unitlat.loglattice import LatticeSpec, Wedge2Vector, klein_wedge_rows
-from unitlat.precision import mpf_ctx
+from unitlat.biquadratic import (BiquadElem, BiquadField, biq_mul,
+                                 galois_apply, sqrt_in_field)
+from unitlat.loglattice import (klein_wedge_rows, log_embed_cyclic,
+                                log_embed_klein)
+from unitlat.precision import DEFAULT_PRECISION, mpf_ctx
 from unitlat.quadratic import is_squarefree
 from unitlat.quartic import QuarticElem, embed_all, qr_mul
 from unitlat.units import (KleinUnitStructure, _f2_basis, klein_denominator,
                            subfield_units)
+from unitlat.verifier import DERIVED_TOL, BoundReport, constants
 
 SQUAREFREE_1000 = [d for d in range(2, 1001) if is_squarefree(d)]
 
@@ -82,16 +90,15 @@ def brute_min_one_norm(basis, denominator, bound, parity_even=False):
                                          parity_even))
 
 
-def klein_spec(struct):
+def klein_e_wedge(struct):
     """E-wedge lattice of a Klein structure built at the default 128 bits:
-    (1/den) times the integer span of klein_wedge_rows(W2*W3, W1*W3,
-    W1*W2), W_i its subfield regulators, den the index-appropriate
-    denominator."""
+    the rows klein_wedge_rows(W2*W3, W1*W3, W1*W2) at that precision, W_i
+    its subfield regulators, and the index-appropriate denominator."""
     w1, w2, w3 = struct.logs
     with mpf_ctx(128):
-        basis = tuple(Wedge2Vector(tuple(map(mpmath.mpf, row)), "klein", 128)
-                      for row in klein_wedge_rows(w2 * w3, w1 * w3, w1 * w2))
-    return LatticeSpec(basis, klein_denominator(struct.index_over_E))
+        rows = tuple(tuple(map(mpmath.mpf, row))
+                     for row in klein_wedge_rows(w2 * w3, w1 * w3, w1 * w2))
+    return rows, klein_denominator(struct.index_over_E)
 
 
 def klein_patterns_tower(d1, d2):
@@ -125,9 +132,9 @@ def klein_patterns_tower(d1, d2):
         index_over_E=2 ** rank, generators=tuple(generators))
 
 
-def float_rows(spec):
-    """Float copy of a LatticeSpec basis for the brute enumerator."""
-    return [[float(c) for c in v.coords] for v in spec.basis]
+def float_rows(rows):
+    """Float copy of three wedge rows for the brute enumerator."""
+    return [[float(c) for c in row] for row in rows]
 
 
 def char_poly(a):
@@ -198,3 +205,54 @@ def sampled_constrained_min(objective, steps=60):
                 if w1 * w1 + r2 >= 4 * lp * lp:
                     best = min(best, (2 * w1 * shape, (w1, w2, w3)))
     return best
+
+
+def biq_norm_to_Q(a):
+    """N_{L/Q}(a) = a * s1(a) * s2(a) * s3(a), an exact rational."""
+    prod = biq_mul(biq_mul(a, galois_apply("s1", a)),
+                   biq_mul(galois_apply("s2", a), galois_apply("s3", a)))
+    assert prod.is_rational(), "norm must land in Q"
+    return prod.x
+
+
+def biq_inv(a):
+    if a.is_zero():
+        raise ZeroDivisionError("zero element has no inverse")
+    cofactor = biq_mul(biq_mul(galois_apply("s1", a), galois_apply("s2", a)),
+                       galois_apply("s3", a))
+    n = biq_norm_to_Q(a)
+    return BiquadElem(a.field, cofactor.x / n, cofactor.y / n,
+                      cofactor.z / n, cofactor.w / n)
+
+
+def biq_pow(a, k):
+    if k < 0:
+        return biq_pow(biq_inv(a), -k)
+    r = a.field.one()
+    base = a
+    while k:
+        if k & 1:
+            r = biq_mul(r, base)
+        base = biq_mul(base, base)
+        k >>= 1
+    return r
+
+
+def pohst_check(u, precision_bits=DEFAULT_PRECISION):
+    """||LOG(u)||_2^2 >= 4 log(phi)^2 for a unit u != +-1 of a real
+    quartic field."""
+    with mpf_ctx(precision_bits):
+        if isinstance(u, BiquadElem):
+            log_embed = log_embed_klein
+        elif isinstance(u, QuarticElem):
+            log_embed = log_embed_cyclic
+        else:
+            raise TypeError("expected a quartic-field unit")
+        if u.is_rational():
+            raise ValueError("Pohst bound excludes u = +-1")
+        lv = log_embed(u, precision_bits)
+        sq = sum((c * c for c in lv.coords), mpmath.mpf(0))
+        floor = constants(precision_bits)["pohst_floor"]
+        ok = sq >= floor - DERIVED_TOL
+        return BoundReport("pohst_2norm_sq", sq, floor,
+                           "holds" if ok else "violated", DERIVED_TOL)

@@ -18,7 +18,7 @@ from unitlat.loglattice import log_embed_klein
 from unitlat.precision import mpf_ctx
 from unitlat.quadratic import (fundamental_unit, quad_cmp,
                                smallest_fundamental_units)
-from oracles import brute_min_one_norm, float_rows, klein_spec
+from oracles import brute_min_one_norm, float_rows, klein_e_wedge
 
 COEFF_BOUND = 20
 SCAN_LIMIT = 30
@@ -36,7 +36,7 @@ def constants():
 def _klein(d1, d2):
     struct, value, reports = vf.klein_field_report(d1, d2)
     detail = reports[0].details
-    return (struct, klein_spec(struct),
+    return (struct, klein_e_wedge(struct),
             (value, tuple(detail["argmin"]), detail["certified"]))
 
 
@@ -94,7 +94,7 @@ def test_criterion_02_smallest_units_ordering():
 
 
 def test_criterion_03_klein_2_5(klein25):
-    struct, spec, (value, argmin, certified) = klein25
+    struct, _, (value, argmin, certified) = klein25
     assert struct.index_over_E == 2
     root = struct.sqrt_elements[(1, 1, 1)]
     assert is_unit(root)
@@ -113,7 +113,7 @@ def test_criterion_03_klein_2_5(klein25):
 
 
 def test_criterion_04_klein_5_13(klein513):
-    struct, spec, (value, argmin, certified) = klein513
+    struct, _, (value, argmin, certified) = klein513
     assert certified
     with mpmath.workprec(160):
         target = (4 * mpmath.log((1 + mpmath.sqrt(5)) / 2)
@@ -245,16 +245,14 @@ def test_criterion_11_constrained_minimization():
 
 
 def test_criterion_12_brute_force_oracle(klein25, klein513, scan):
-    for name, (struct, spec, (value, _, _)) in (("(2,5)", klein25),
-                                                ("(5,13)", klein513)):
-        oracle = brute_min_one_norm(float_rows(spec), spec.denominator,
-                                    COEFF_BOUND)
+    for name, (struct, (rows, den), (value, _, _)) in (("(2,5)", klein25),
+                                                       ("(5,13)", klein513)):
+        oracle = brute_min_one_norm(float_rows(rows), den, COEFF_BOUND)
         assert abs(float(value) - oracle) < 1e-9, name
     small_bound = 3
     for d1, d2, struct, value, _, _ in scan:
-        spec = klein_spec(struct)
-        oracle = brute_min_one_norm(float_rows(spec), spec.denominator,
-                                    small_bound)
+        rows, den = klein_e_wedge(struct)
+        oracle = brute_min_one_norm(float_rows(rows), den, small_bound)
         assert abs(float(value) - oracle) < 1e-9, (d1, d2)
     _report("criterion 12",
             "independent exhaustive enumerator reproduces the (2,5) and "

@@ -150,6 +150,17 @@ def test_klein_minimum_certified_at_coeff_bound_1(capsys):
     assert "all certified: True" in out
 
 
+@pytest.mark.parametrize("label", [e.label for e in vf.load_default_catalog()])
+def test_cyclic_minimum_certified_at_coeff_bound_1(capsys, label):
+    # f(n) >= 2*(1 + sqrt(2))*|W1|*r*||(n1, n2)|| and f(n) >= 4*r^2*|n3|
+    # certify the shipped minima at --coeff-bound 1; the Gram eigenvalue
+    # bound, sqrt(8)*|W1|*r and 2*r^2, could not
+    code, out, _ = run(capsys, "--coeff-bound", "1", "--format", "json",
+                       "cyclic", label)
+    assert code == 0
+    assert json.loads(out)["certified"] is True
+
+
 def test_scan_byte_stable(capsys):
     _, out1, _ = run(capsys, "--scan-limit", "6", "scan")
     _, out2, _ = run(capsys, "--scan-limit", "6", "scan")

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from unitlat.loglattice import (LatticeSpec, LogVector, Wedge2Vector,
-                                WEDGE_PAIRS, cyclic_f, cyclic_wedge_rows,
-                                gram_matrix, klein_norm_closed,
-                                klein_wedge_rows, log_embed_cyclic,
-                                log_embed_klein, min_one_norm, wedge2)
+from unitlat.loglattice import (LogVector, cyclic_f, cyclic_lower_bounds,
+                                cyclic_min, cyclic_wedge_rows,
+                                klein_norm_closed, klein_wedge_rows,
+                                log_embed_cyclic, log_embed_klein, wedge2)
 from unitlat.biquadratic import BiquadField
 from unitlat.precision import mpf_ctx
 from unitlat.quartic import QuarticElem
@@ -18,7 +17,22 @@ from unitlat.quadratic import fundamental_unit
 from unitlat import units as us
 from unitlat.verifier import klein_field_report, load_default_catalog
 from oracles import (SQUAREFREE_1000, brute_min_one_norm, brute_norms,
-                     float_rows, klein_spec)
+                     float_rows, klein_e_wedge)
+
+
+@pytest.fixture(scope="module")
+def cyclic_logs():
+    """(Q index, LOG(u_l), LOG(u0), LOG(sigma(u0))) of each shipped
+    entry, embedded directly."""
+    out = []
+    for entry in load_default_catalog():
+        ctx = us.cyclic_context(entry.coeffs, entry.quad_subfield_d,
+                                entry.u_l)
+        u0 = QuarticElem(ctx.field, entry.u0)
+        out.append((entry.Q_index,) + tuple(
+            log_embed_cyclic(x) for x in (ctx.u_l_emb, u0,
+                                          ctx.field.sigma(u0))))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -163,110 +177,101 @@ def test_closed_forms_exact_on_fractions_and_arrays():
             assert list(closed(*np.array(ns).T, *args)) == want
 
 
-def test_min_one_norm_against_brute_force(klein25):
-    struct, (l1, l2, l3) = klein25
-    basis = (wedge2(l2, l3), wedge2(l1, l3), wedge2(l1, l2))
-    for den, parity in ((1, None), (2, None), (2, "even"), (4, None)):
-        spec = LatticeSpec(basis, denominator=den, parity_constraint=parity)
-        value, argmin, certified = min_one_norm(spec, 6)
-        oracle = brute_min_one_norm(float_rows(spec), den, 6,
-                                    parity_even=(parity == "even"))
-        assert abs(float(value) - oracle) < 1e-9
-        assert any(argmin)
-        # argmin reproduces the reported value
-        with mpmath.workprec(160):
-            direct = sum(abs(sum(argmin[i] * spec.basis[i].coords[k]
-                                 for i in range(3))) for k in range(6)) / den
-            assert abs(direct - value) < mpmath.mpf(2) ** -60
+def test_min_one_norm_against_brute_force(cyclic_logs):
+    # cyclic_min on the shipped entries' W against brute force over the
+    # wedges of their log vectors, for both lattice shapes
+    for _, l_ul, l_u0, l_su0 in cyclic_logs:
+        wedges = (wedge2(l_ul, l_u0), wedge2(l_ul, l_su0),
+                  wedge2(l_u0, l_su0))
+        ws = (l_ul.coords[0], l_u0.coords[0], l_su0.coords[0])
+        for q_index in (1, 2):
+            with mpf_ctx(128):
+                value, argmin, certified = cyclic_min(*ws, q_index, 6)
+            oracle = brute_min_one_norm(float_rows(w.coords for w in wedges),
+                                        q_index, 6, parity_even=q_index == 2)
+            assert abs(float(value) - oracle) < 1e-9
+            assert certified and any(argmin)
+            assert q_index == 1 or sum(argmin) % 2 == 0
+            # argmin reproduces the reported value
+            with mpmath.workprec(160):
+                direct = sum(abs(sum(argmin[i] * wedges[i].coords[k]
+                                     for i in range(3)))
+                             for k in range(6)) / q_index
+                assert abs(direct - value) < mpmath.mpf(2) ** -100
 
 
-def gram_eigenvalues(spec):
-    rows = np.array(float_rows(spec))
-    return np.linalg.eigvalsh(rows @ rows.T)
-
-
-def assert_matches_full_box(spec, bound):
-    """min_one_norm agrees with brute force over the whole box: value,
-    lexicographically first near-minimal triple, and certification."""
-    value, argmin, certified = min_one_norm(spec, bound)
-    rows = float_rows(spec)
-    norms = list(brute_norms(rows, spec.denominator, bound,
-                             parity_even=spec.parity_constraint == "even"))
+def assert_matches_full_box(w, q_index, bound):
+    """cyclic_min on float W agrees with brute force over the whole box on
+    cyclic_wedge_rows(W): value, lexicographically first near-minimal
+    triple, and certification."""
+    with mpf_ctx(128):
+        value, argmin, certified = cyclic_min(*w, q_index, bound)
+    rows = cyclic_wedge_rows(*w)
+    norms = list(brute_norms(rows, q_index, bound, parity_even=q_index == 2))
     best = min(t for t, _ in norms)
     assert abs(float(value) - best) <= 1e-9 * best
-    # float norms cannot rank near-ties: re-evaluate those within 1e-9 at
-    # 160 bits; argmin is the first triple within 2^-64 of their min, the
-    # tie rule of min_one_norm at 128 bits
-    near = [n for t, n in norms if t <= best * (1 + 1e-9)]
-    with mpmath.workprec(160):
-        exact = {n: sum(abs(sum(n[i] * spec.basis[i].coords[k]
-                                for i in range(3))) for k in range(6))
-                 / spec.denominator for n in near}
-        low = min(exact.values())
-        tol = mpmath.mpf(2) ** -64 * max(low, 1)
-        assert argmin == min(n for n in near if exact[n] <= low + tol)
-    # certified iff sqrt(lambda_min) * (bound + 1) / den >= value
-    outside = (float(np.sqrt(gram_eigenvalues(spec)[0]))
-               * (bound + 1) / spec.denominator)
+    # float norms cannot rank near-ties: re-evaluate those within 1e-9
+    # exactly on the rows of the exact rational W; argmin is the first
+    # triple within 2^-72*max(min, 1) of their min, the tie rule of
+    # cyclic_min at 128 + 16 bits
+    near = [n for t, n in norms if t <= best * (1 + 1e-9) + 2.0 ** -70]
+    exact_rows = cyclic_wedge_rows(*map(Fraction, w))
+    exact = {n: sum(abs(sum(n[i] * exact_rows[i][k] for i in range(3)))
+                    for k in range(6)) / q_index for n in near}
+    low = min(exact.values())
+    tol = Fraction(1, 2 ** 72) * max(low, 1)
+    assert argmin == min(n for n in near if exact[n] <= low + tol)
+    # certified iff min(c12, c3) * (bound + 1) / den >= value, and then
+    # no triple in a wider box does better
+    outside = float(min(cyclic_lower_bounds(*w))) * (bound + 1) / q_index
     if abs(outside - best) > 1e-6 * best:
         assert certified == (outside > best)
+    if certified:
+        wide = brute_min_one_norm(rows, q_index, bound + 3,
+                                  parity_even=q_index == 2)
+        assert wide >= best * (1 - 1e-9)
 
 
-LATTICE_SHAPES = [(1, None), (2, None), (2, "even"), (4, None), (1, "even")]
-
-
-@settings(max_examples=40, deadline=None)
-@given(logs=st.lists(st.tuples(*[st.floats(-4, 4) for _ in range(3)]),
-                     min_size=3, max_size=3),
+@settings(max_examples=60, deadline=None)
+@given(w=st.tuples(*[st.floats(-4, 4) for _ in range(3)]),
        scales=st.tuples(*[st.sampled_from((1, 10, 300)) for _ in range(3)]),
-       shape=st.sampled_from(LATTICE_SHAPES), bound=st.integers(1, 5))
-# exact argmin (-1, 0, 1) at 18.999999999997, 2e-12 below (-1, 0, -1)
-@example(logs=[(0.0, -2.0, 0.0), (-1.0, 0.0, -0.999999999999),
-               (0.0, 0.0, 1.0)], scales=(1, 1, 10), shape=(2, "even"),
+       q_index=st.sampled_from((1, 2)), bound=st.integers(1, 3))
+# (0, 0, -1) at 8 lies 8e-13 below (-1, 0, 0), which comes first
+@example(w=(1.0000000000001, 1.0, 1.0), scales=(1, 1, 1), q_index=1,
          bound=1)
-# a well-conditioned basis of small scale: Gram determinant 8e-25
-@example(logs=[(0.0, 0.0, 0.0078125), (0.0, 0.0078125, 0.0),
-               (0.0078125, 0.0, 0.0)], scales=(1, 1, 1), shape=(1, None),
-         bound=1)
-def test_min_one_norm_matches_full_box(logs, scales, shape, bound):
-    vecs = []
-    with mpf_ctx(128):
-        for log, scale in zip(logs, scales):
-            coords = [mpmath.mpf(c) * scale for c in log]
-            vecs.append(LogVector(tuple(coords + [-sum(coords)]), "klein",
-                                  128))
-    l1, l2, l3 = vecs
-    spec = LatticeSpec((wedge2(l2, l3), wedge2(l1, l3), wedge2(l1, l2)),
-                       denominator=shape[0], parity_constraint=shape[1])
-    eig = gram_eigenvalues(spec)
-    assume(eig[0] > 1e-6 * eig[-1])
-    assert_matches_full_box(spec, bound)
+# exact ties at 8: (+-1, 0, 0), (0, +-1, 0) and (0, 0, +-1)
+@example(w=(1.0, 1.0, 1.0), scales=(1, 1, 1), q_index=1, bound=2)
+# W1 small against r: the n1, n2 radius reaches the bound
+@example(w=(0.01, 3.0, 1.0), scales=(1, 1, 1), q_index=2, bound=3)
+def test_min_one_norm_matches_full_box(w, scales, q_index, bound):
+    w = tuple(c * s for c, s in zip(w, scales))
+    assume(w[0] != 0 and (w[1] or w[2]))
+    # the oracle's float rows must not underflow
+    assume(all(c == 0 or abs(c) > 1e-6 for c in w))
+    assert_matches_full_box(w, q_index, bound)
 
 
-@pytest.mark.parametrize("shape", LATTICE_SHAPES)
+# (W, Q): W1 far below or above r, W2 near +-W3, one W tiny
+SKEWED_SHAPES = [((0.05, 3.0, 1.0), 1), ((0.05, 3.0, 1.0), 2),
+                 ((40.0, 0.3, 0.4), 2), ((2.0, 1.5, -1.5000001), 1),
+                 ((1.0, 1e-3, 2.0), 2)]
+
+
+@pytest.mark.parametrize("shape", SKEWED_SHAPES)
 def test_min_one_norm_skewed_basis(shape):
-    # Q(sqrt2, sqrt661): subfield regulators 0.88, 11.0 and 14.4
-    spec = klein_spec(us.klein_unit_structure(2, 661))
-    spec = LatticeSpec(spec.basis, denominator=shape[0],
-                       parity_constraint=shape[1])
-    assert_matches_full_box(spec, 6)
+    assert_matches_full_box(*shape, 6)
 
 
 def test_min_one_norm_keeps_argmin_lost_to_cancellation():
-    # row 1 minus row 0 is (-1 - 1.5e-9, 0, ...), but 3e7 + 1 + 1.5e-9
-    # rounds to 3e7 + 1 in float, so its float norm is exactly 1 and a
-    # fixed relative slack drops the true argmin (0, 0, -1), 1 + 1.2e-9
-    m = mpmath.mpf(3) * 10 ** 7
-    with mpmath.workprec(144):
-        rows = ((m + 1 + mpmath.mpf("1.5e-9"), 0, m, 0, 0, 0),
-                (m, 0, m, 0, 0, 0),
-                (0, 1 + mpmath.mpf("1.2e-9"), 0, 0, 0, 0))
-        spec = LatticeSpec(tuple(Wedge2Vector(tuple(mpmath.mpf(c) for c in r),
-                                              "klein", 128) for r in rows))
-    value, argmin, certified = min_one_norm(spec, 5)
-    assert argmin == (0, 0, -1)
-    with mpmath.workprec(144):
-        assert abs(value - (1 + mpmath.mpf("1.2e-9"))) < mpmath.mpf(2) ** -100
+    # W = (1, 1, -1 + e), e = 2^-60: in float W3 rounds to -1 and
+    # y4 = W1*(W2 + W3) cancels to 0, so (+-1, 0, 0), (0, +-1, 0) and
+    # (0, 0, +-1) all read 8 and a float scan returns (-1, 0, 0); in fact
+    # those are 8 - 2e and (0, 0, -1) is 8 - 8e + 4e^2
+    with mpf_ctx(128):
+        e = mpmath.mpf(2) ** -60
+        value, argmin, certified = cyclic_min(1, 1, e - 1, 1, 5)
+        assert argmin == (0, 0, -1)
+        assert value == 8 - 8 * e + 4 * e * e
     assert certified
 
 
@@ -280,12 +285,12 @@ def test_klein_lattice_rows_are_wedges(pair):
     order = struct.galois_order()
     l1, l2, l3 = (log_embed_klein(struct.field.lift_quad(u), order=order)
                   for u in struct.units)
-    spec = klein_spec(struct)
+    rows, _ = klein_e_wedge(struct)
     with mpmath.workprec(144):
-        for got, want in zip(spec.basis, (wedge2(l2, l3), wedge2(l1, l3),
-                                          wedge2(l1, l2))):
+        for got, want in zip(rows, (wedge2(l2, l3), wedge2(l1, l3),
+                                    wedge2(l1, l2))):
             scale = max(abs(c) for c in want.coords)
-            err = max(abs(g - w) for g, w in zip(got.coords, want.coords))
+            err = max(abs(g - w) for g, w in zip(got, want.coords))
             assert err <= mpmath.mpf(2) ** -120 * scale
 
 
@@ -298,22 +303,22 @@ def _dot(a, b):
                      max_size=2, unique=True))
 @example(pair=[2, 5])
 def test_klein_report_minimum_is_sound(pair):
-    # the report's closed-form minimum is what min_one_norm enumerates on
-    # the E-wedge lattice, and it is at least 2*X3
+    # the report's closed-form minimum is what brute force finds on the
+    # E-wedge lattice, and it is at least 2*X3
     struct, value, reports = klein_field_report(*pair)
     detail = reports[0].details
-    spec = klein_spec(struct)
-    enum_value, enum_argmin, enum_certified = min_one_norm(spec, 20)
+    rows, den = klein_e_wedge(struct)
+    enum_value, enum_argmin = min(brute_norms(float_rows(rows), den, 3))
     assert tuple(detail["argmin"]) == enum_argmin == (0, 0, -1)
-    assert detail["certified"] is enum_certified is True
+    assert detail["certified"] is True
+    assert abs(float(value) - enum_value) <= 1e-12 * enum_value
     w1, w2, _ = struct.logs
     with mpmath.workprec(160):
-        assert abs(value - enum_value) <= mpmath.mpf(2) ** -120 * value
         assert value >= 2 * w1 * w2 * (1 - mpmath.mpf(2) ** -120)
     # the wedges of the generators of O_L^* have den-integral coordinates
     # in the E-wedge basis, so their lattice lies inside the reported one
     # and its minimum is no smaller
-    den, order = spec.denominator, struct.galois_order()
+    order = struct.galois_order()
     l1, l2, l3 = (log_embed_klein(struct.field.lift_quad(u), 192, order)
                   for u in struct.units)
     g1, g2, g3 = (log_embed_klein(g, 192, order) for g in struct.generators)
@@ -324,55 +329,58 @@ def test_klein_report_minimum_is_sound(pair):
             for row in e_rows:  # the E-wedge rows are orthogonal
                 c = den * _dot(w, row) / _dot(row, row)
                 assert abs(c - mpmath.nint(c)) < mpmath.mpf(2) ** -100
-    gen_value, _, gen_certified = min_one_norm(LatticeSpec(gen_wedges), 20)
-    assert gen_certified
-    with mpmath.workprec(160):
-        assert gen_value >= value * (1 - mpmath.mpf(2) ** -100)
+    gen_value = brute_min_one_norm(float_rows(w.coords for w in gen_wedges),
+                                   1, 3)
+    assert gen_value >= float(value) * (1 - 1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(w=st.tuples(*[st.integers(-100, 100) for _ in range(3)]))
+@example(w=(1, 1, 1))
+def test_cyclic_lower_bounds(w):
+    # cyclic_min's box rests on f(n) >= c12*||(n1, n2)||_2 and
+    # f(n) >= c3*|n3| for every n; f and both constants are homogeneous of
+    # degree 2 in W, so integer W stand for rational ones
+    assume(w[0] != 0 and (w[1] or w[2]))
+    axis = np.arange(-5, 6)
+    n1, n2, n3 = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
+                          axis=-1).reshape(-1, 3).T
+    f = cyclic_f(n1, n2, n3, *w)  # exact in int64
+    c12, c3 = map(float, cyclic_lower_bounds(*w))
+    slack = 1 - 1e-12
+    assert np.all(f >= c3 * np.abs(n3) * slack)
+    assert np.all(f >= c12 * np.hypot(n1, n2) * slack)
 
 
 def test_min_one_norm_radius_is_tight():
-    # orthogonal rows of 1-norm 1, 1.5, 3 with n1+n2+n3 even: the minimum
-    # 2 at (-2, 0, 0) lies on the boundary of the radius-2 box that the
-    # best norm over {-1, 0, 1}^3, 2.5 at (1, 1, 0), allows
-    rows = ((1, 0, 0, 0, 0, 0), (0, 1.5, 0, 0, 0, 0), (0, 0, 3, 0, 0, 0))
-    spec = LatticeSpec(tuple(Wedge2Vector(tuple(mpmath.mpf(c) for c in r),
-                                          "klein", 128) for r in rows),
-                       parity_constraint="even")
-    assert_matches_full_box(spec, 6)
-    assert min_one_norm(spec, 6)[1] == (-2, 0, 0)
+    # W = (2, 1, 1), Q = 2: the best value over the parity cube is 10, so
+    # |n3| <= 10*2/(4*r^2) = 2.5, and the minimum 8 at (0, 0, -2) lies on
+    # the boundary of that box
+    with mpf_ctx(128):
+        assert cyclic_min(2, 1, 1, 2, 6) == (8, (0, 0, -2), True)
+    assert_matches_full_box((2.0, 1.0, 1.0), 2, 6)
 
 
-def test_min_one_norm_certified_and_deterministic(klein25):
-    struct, (l1, l2, l3) = klein25
-    basis = (wedge2(l2, l3), wedge2(l1, l3), wedge2(l1, l2))
-    spec = LatticeSpec(basis, denominator=2)
-    r1 = min_one_norm(spec, 20)
-    r2 = min_one_norm(spec, 20)
-    assert r1[1] == r2[1] and r1[0] == r2[0]
-    assert r1[2] is True
+def test_min_one_norm_certified_and_deterministic(cyclic_logs):
+    # the shipped entries are certified from coeff_bound 1 on, and the
+    # result does not depend on the bound once it is certified
+    for q_index, l_ul, l_u0, _ in cyclic_logs:
+        ws = (l_ul.coords[0], l_u0.coords[0], l_u0.coords[1])
+        with mpf_ctx(128):
+            results = [cyclic_min(*ws, q_index, b) for b in (1, 1, 2, 20)]
+        assert all(r == results[0] for r in results)
+        assert results[0][2] is True
 
 
-def test_dependent_basis_rejected(klein25):
-    _, (l1, l2, _) = klein25
-    w = wedge2(l1, l2)
-    spec = LatticeSpec((w, w, w))
+def test_dependent_basis_rejected():
+    # W1 = 0 zeroes the first two rows, W2 = W3 = 0 the third
+    for w in ((0, 1, 2), (1, 0, 0)):
+        with pytest.raises(ValueError, match="dependent"):
+            cyclic_min(*w, 1, 3)
+
+
+def test_spec_validation():
     with pytest.raises(ValueError):
-        min_one_norm(spec, 3)
-
-
-def test_spec_validation(klein25):
-    _, (l1, l2, l3) = klein25
-    basis = (wedge2(l2, l3), wedge2(l1, l3), wedge2(l1, l2))
+        cyclic_min(1, 1, 2, 3, 3)
     with pytest.raises(ValueError):
-        LatticeSpec(basis, denominator=3)
-    with pytest.raises(ValueError):
-        LatticeSpec(basis, parity_constraint="odd")
-    with pytest.raises(ValueError):
-        min_one_norm(LatticeSpec(basis), 0)
-
-
-def test_norm_helpers(klein25):
-    _, (l1, l2, _) = klein25
-    w = wedge2(l1, l2)
-    g = gram_matrix(LatticeSpec((w, w, w)))
-    assert g[0][0] > 0 and g[0][1] == g[1][0]
+        cyclic_min(1, 1, 2, 1, 0)

@@ -15,7 +15,7 @@ from unitlat.biquadratic import BiquadElem, biq_mul, biq_neg, is_unit
 from unitlat.loglattice import (LogVector, cyclic_wedge_rows,
                                 log_embed_cyclic, wedge2)
 from unitlat.quadratic import QuadElem, fundamental_unit, quad_norm
-from unitlat.verifier import cyclic_lattice, load_default_catalog
+from unitlat.verifier import cyclic_entry_report, load_default_catalog
 from oracles import (SQUAREFREE_1000, char_poly, klein_patterns_tower,
                      sigma_loop_log)
 
@@ -379,15 +379,17 @@ def test_regulator_cross_check_needs_hits(entry, ctx):
 @pytest.mark.parametrize("shipped", load_default_catalog(),
                          ids=lambda e: e.label)
 def test_cyclic_wedge_rows_are_wedges(shipped):
-    # cyclic_wedge_rows in terms of (W1, W2, W3) against wedge2 of the log
-    # vectors of u_l, u0 and sigma(u0), at working precision
+    # cyclic_wedge_rows in terms of the report's (W1, W2, W3) against
+    # wedge2 of the log vectors of u_l, u0 and sigma(u0), at working
+    # precision
     ctx = us.cyclic_context(shipped.coeffs, shipped.quad_subfield_d,
                             shipped.u_l)
     u0 = qt.QuarticElem(ctx.field, shipped.u0)
     lv_ul, lv_u0, lv_su0 = (log_embed_cyclic(x) for x in
                             (ctx.u_l_emb, u0, ctx.field.sigma(u0)))
-    _, ws = cyclic_lattice(shipped, us.cyclic_generator_logs(
-        shipped, ctx, us.verify_hasse_relations(shipped, ctx)))
+    _, reports = cyclic_entry_report(shipped)
+    detail = next(r.details for r in reports if r.name == "cyclic_min_1norm")
+    ws = (detail["W1"], detail["W2"], detail["W3"])
     wedges = (wedge2(lv_ul, lv_u0), wedge2(lv_ul, lv_su0),
               wedge2(lv_u0, lv_su0))
     with mpmath.workprec(128):
@@ -400,7 +402,7 @@ def test_cyclic_wedge_rows_are_wedges(shipped):
 def test_cyclic_log_vectors(entry, ctx):
     gen_logs = us.cyclic_generator_logs(entry, ctx,
                                         us.verify_hasse_relations(entry, ctx))
-    _, (w1, w2, w3) = cyclic_lattice(entry, gen_logs)
+    w1, (w2, w3) = gen_logs[0].coords[0], gen_logs[1].coords[:2]
     assert abs(float(w1) - 0.8813735870195430) < 1e-12  # log(1+sqrt2)
     assert float(w2) > 0 and float(w3) > 0
     for lv in gen_logs:
