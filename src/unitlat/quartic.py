@@ -1,32 +1,94 @@
 """Power-basis arithmetic in cyclic quartic fields L = Q(alpha).
 
 alpha is a root of a monic integer quartic with four real roots and
-cyclic Galois group.  A generator sigma of the Galois group is recovered
-once per field by matching root permutations numerically, rationally
-reconstructing the image of alpha, and verifying the automorphism
-exactly.  Everything else is exact in the tower L > k > Q, where
-k = Q(sqrt(d)) is the fixed field of sigma^2 and sigma restricts to the
-non-trivial automorphism of k.
+cyclic Galois group.  The roots are solved for once per polynomial.  A
+generator sigma of the Galois group is recovered once per field by
+matching 4-cycles of the roots numerically, rationally reconstructing the
+image of alpha, and verifying the automorphism exactly.  Everything else
+is exact in the tower L > k > Q, where k = Q(sqrt(d)) is the fixed field
+of sigma^2 and sigma restricts to the non-trivial automorphism of k.
 """
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 
-from .precision import mpf_ctx, reconstruct_rational
+from .precision import DEFAULT_PRECISION, mpf_ctx, reconstruct_rational
 from .quadratic import _rational_sqrt
-
-_AUT_PRECISION = 192
-_AUT_DENOM_BOUND = 10 ** 12
 
 
 class NotCyclicError(ValueError):
     """Defining polynomial is not a totally real cyclic quartic."""
 
 
+# coeffs -> {precision_bits: {"roots": all four roots, "real": the real
+# roots descending, "powers": (r, r^2, r^3) per real root}}; "real" and
+# "powers" are filled on first use
 _ROOTS_CACHE = {}
+
+
+def _solve(coeffs, precision_bits):
+    """The four complex roots of a monic integer quartic at precision_bits
+    (plus mpf_ctx headroom), cached.  mpmath.polyroots runs once per
+    polynomial: a later request is rounded from the most precise roots
+    held, or refined from them by Newton's method when it asks for more."""
+    held = _ROOTS_CACHE.setdefault(coeffs, {})
+    entry = held.get(precision_bits)
+    if entry is not None:
+        return entry
+    best = max(held, default=None)
+    if best is None:
+        with mpf_ctx(precision_bits):
+            poly = [mpmath.mpf(c) for c in coeffs[::-1]]
+            rts = mpmath.polyroots(poly, maxsteps=200,
+                                   extraprec=precision_bits)
+    elif best >= precision_bits:
+        with mpf_ctx(precision_bits):
+            rts = [+r for r in held[best]["roots"]]
+    else:
+        rts = [_newton(coeffs, r, precision_bits) for r in held[best]["roots"]]
+    entry = held[precision_bits] = {"roots": tuple(rts)}
+    return entry
+
+
+def _newton(coeffs, root, precision_bits):
+    """A simple root of the quartic refined from an approximation by
+    Newton steps at 32 guard bits until a step is below the target
+    precision, then rounded to it."""
+    target = precision_bits + 16
+    with mpmath.workprec(target + 32):
+        x = +root
+        for _ in range(64):
+            fx, dfx = mpmath.mpf(1), mpmath.mpf(0)
+            for c in coeffs[3::-1]:
+                dfx = dfx * x + fx
+                fx = fx * x + c
+            step = fx / dfx
+            x -= step
+            if abs(step) <= max(abs(x), 1) * mpmath.mpf(2) ** -(target + 8):
+                break
+        else:
+            raise ArithmeticError("Newton refinement of a root did not "
+                                  "converge")
+    with mpf_ctx(precision_bits):
+        return +x
+
+
+def discriminant(coeffs):
+    """Discriminant of the monic quartic x^4 + b x^3 + c x^2 + d x + e,
+    exact."""
+    e, d, c, b, _ = coeffs
+    return (256 * e ** 3 - 192 * b * d * e ** 2 - 128 * c ** 2 * e ** 2
+            + 144 * c * d ** 2 * e - 27 * d ** 4 + 144 * b ** 2 * c * e ** 2
+            - 6 * b ** 2 * d ** 2 * e - 80 * b * c ** 2 * d * e
+            + 18 * b * c * d ** 3 + 16 * c ** 4 * e - 4 * c ** 3 * d ** 2
+            - 27 * b ** 4 * e ** 2 + 18 * b ** 3 * c * d * e
+            - 4 * b ** 3 * d ** 3 - 4 * b ** 2 * c ** 3 * e
+            + b ** 2 * c ** 2 * d ** 2)
 
 
 @dataclass(frozen=True)
@@ -68,22 +130,31 @@ class CyclicQuarticField:
         perm = self.sigma.root_perm
         return (0, perm[0], perm[perm[0]], perm[perm[perm[0]]])
 
-    def roots(self, precision_bits=_AUT_PRECISION):
+    def roots(self, precision_bits=DEFAULT_PRECISION):
         """Real roots, descending; index 0 is the chosen id-embedding.
-        Cached per (polynomial, precision): embeddings are hot paths."""
-        key = (self.coeffs, precision_bits)
-        cached = _ROOTS_CACHE.get(key)
-        if cached is not None:
-            return cached
-        with mpf_ctx(precision_bits):
-            poly = [mpmath.mpf(1)] + [mpmath.mpf(c) for c in self.coeffs[3::-1]]
-            rts = mpmath.polyroots(poly, maxsteps=200, extraprec=precision_bits)
-            if any(abs(mpmath.im(r)) > mpmath.mpf(2) ** (-precision_bits // 2)
-                   for r in rts):
-                raise NotCyclicError("defining polynomial is not totally real")
-            out = sorted((mpmath.re(r) for r in rts), reverse=True)
-        _ROOTS_CACHE[key] = out
-        return out
+        Cached per (polynomial, precision) from the polynomial's one
+        solve: embeddings are hot paths."""
+        entry = _solve(self.coeffs, precision_bits)
+        if "real" not in entry:
+            rts = entry["roots"]
+            with mpf_ctx(precision_bits):
+                tol = mpmath.mpf(2) ** (-precision_bits // 2)
+                if any(abs(mpmath.im(r)) > tol for r in rts):
+                    raise NotCyclicError(
+                        "defining polynomial is not totally real")
+                entry["real"] = tuple(sorted((mpmath.re(r) for r in rts),
+                                             reverse=True))
+        return entry["real"]
+
+    def root_powers(self, precision_bits=DEFAULT_PRECISION):
+        """(r, r^2, r^3) for each root of roots(precision_bits), cached
+        with them."""
+        real = self.roots(precision_bits)
+        entry = _ROOTS_CACHE[self.coeffs][precision_bits]
+        if "powers" not in entry:
+            with mpf_ctx(precision_bits):
+                entry["powers"] = tuple((r, r ** 2, r ** 3) for r in real)
+        return entry["powers"]
 
 
 @dataclass(frozen=True)
@@ -122,22 +193,27 @@ def qr_neg(a):
 
 def qr_mul(a, b):
     _same(a, b)
-    c0, c1, c2, c3 = a.field.coeffs[:4]
-    prod = [Fraction(0)] * 7
-    for i, x in enumerate(a.coords):
+    return QuarticElem(a.field, mul_coords(a.coords, b.coords, a.field.coeffs))
+
+
+def mul_coords(a, b, coeffs):
+    """Power-basis coordinates of a*b modulo the monic quartic coeffs;
+    exact on ints and on Fractions alike."""
+    c0, c1, c2, c3 = coeffs[:4]
+    prod = [0] * 7
+    for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b.coords):
+            for j, y in enumerate(b):
                 prod[i + j] += x * y
     # reduce degrees 6..4 using a^4 = -(c3 a^3 + c2 a^2 + c1 a + c0)
     for deg in (6, 5, 4):
         v = prod[deg]
         if v:
-            prod[deg] = Fraction(0)
             prod[deg - 1] -= c3 * v
             prod[deg - 2] -= c2 * v
             prod[deg - 3] -= c1 * v
             prod[deg - 4] -= c0 * v
-    return QuarticElem(a.field, tuple(prod[:4]))
+    return tuple(prod[:4])
 
 
 def qr_pow(a, k):
@@ -233,89 +309,137 @@ class Automorphism:
     def compose(self, other):
         return Automorphism(self.field, self(other.image))
 
+    def integer_matrix(self):
+        """(den, rows): den * self(x) has coordinates rows @ x, den the
+        least common denominator of the images of 1, alpha, alpha^2,
+        alpha^3, and rows integer."""
+        den = math.lcm(*(v.denominator for p in self._powers
+                         for v in p.coords))
+        return den, tuple(tuple(int(p.coords[i] * den) for p in self._powers)
+                          for i in range(4))
+
     def is_identity(self):
         return self.image == self.field.gen()
 
 
-def _reconstruct_elem(field, roots, values, denom_bound):
-    """Solve Vandermonde(roots) * c = values and reconstruct rational c."""
-    n = len(roots)
-    mat = mpmath.matrix([[roots[i] ** k for k in range(n)] for i in range(n)])
-    vec = mpmath.matrix(values)
-    sol = mpmath.lu_solve(mat, vec)
-    return QuarticElem(field, tuple(reconstruct_rational(sol[i], denom_bound)
-                                    for i in range(n)))
-
-
 def quartic_is_irreducible(coeffs):
-    """Exact irreducibility over Q for a monic integer quartic: no integer
-    roots, no monic integer quadratic factors (Gauss)."""
-    c0, c1, c2, c3, _ = coeffs
-    if c0 == 0:
+    """Exact irreducibility over Q for a monic integer quartic (Gauss: a
+    factor may be taken monic with integer coefficients).
+
+    A repeated root (discriminant 0) makes f reducible.  Otherwise each
+    integer root is round(r_i) and each monic quadratic factor is
+    x^2 - round(r_i + r_j) x + round(r_i r_j) for a pair of complex roots;
+    every candidate is confirmed by exact division.  The roots come from
+    the polynomial's one solve, at twice the bit length of the Cauchy
+    bound |r| <= 1 + max |c_i| plus 32 guard bits, so that sums and
+    products of roots, at most R^2, are off by far less than 1/2 and
+    rounding finds every factor.
+    """
+    if discriminant(coeffs) == 0:
         return False
-    for r in _divisors(abs(c0)):
-        for root in (r, -r):
-            if ((root ** 4) + c3 * root ** 3 + c2 * root ** 2
-                    + c1 * root + c0) == 0:
+    bits = _cauchy_bits(coeffs)
+    rts = _solve(tuple(coeffs), bits)["roots"]
+    with mpf_ctx(bits):
+        for r in rts:
+            if _divides(coeffs, (-int(mpmath.nint(mpmath.re(r))), 1)):
                 return False
-    for b in _divisors(abs(c0)):
-        for bb in (b, -b):
-            dd = c0 // bb
-            # (x^2+ax+bb)(x^2+cx+dd): a+c = c3, ac = c2-bb-dd, a*dd+c*bb = c1
-            s, prod = c3, c2 - bb - dd
-            sq = _rational_sqrt(s * s - 4 * prod)
-            if sq is None or (s + sq) % 2 != 0:
-                continue
-            for a in {(s + sq) // 2, (s - sq) // 2}:
-                c = s - a
-                if a * dd + c * bb == c1:
-                    return False
+        for r, s in itertools.combinations(rts, 2):
+            factor = (int(mpmath.nint(mpmath.re(r * s))),
+                      -int(mpmath.nint(mpmath.re(r + s))), 1)
+            if _divides(coeffs, factor):
+                return False
     return True
 
 
-def _divisors(n):
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.extend((i, n // i))
-        i += 1
-    return sorted(set(out))
+def _cauchy_bits(coeffs):
+    """Precision of a quartic's first solve: twice the bit length of its
+    Cauchy root bound 1 + max |c_i|, plus 32 guard bits."""
+    return 2 * (1 + max(abs(c) for c in coeffs[:4])).bit_length() + 32
+
+
+def _divides(coeffs, factor):
+    """Exact test that the monic integer polynomial factor (constant term
+    first) divides the quartic coeffs."""
+    rem = list(coeffs)
+    deg = len(factor) - 1
+    for top in range(4, deg - 1, -1):
+        q = rem[top]
+        for i, c in enumerate(factor):
+            rem[top - deg + i] -= q * c
+    return not any(rem[:deg])
+
+
+# root permutations that are 4-cycles, in lexicographic order: the root
+# permutation of an automorphism of order 4 (a generator of the cyclic
+# Galois group, acting simply transitively on the roots) is one of them
+FOUR_CYCLES = tuple(
+    p for p in itertools.permutations(range(4))
+    if p[0] != 0 and p[p[0]] != 0 and p[p[p[0]]] != 0)
+
+
+def automorphism_bounds(field):
+    """(denominator bound, precision in bits) for reconstructing sigma(alpha).
+
+    sigma(alpha) lies in O_L, and [O_L : Z[alpha]] O_L lies in Z[alpha]
+    with [O_L : Z[alpha]]^2 dividing disc f (Cohen, GTM 138, 4.4), so its
+    power-basis coordinates have denominators at most isqrt(|disc f|) = N.
+    Two rationals of denominator at most N differ by at least 1/N^2, so
+    the reconstruction is the true coordinate once the numeric error is
+    below 1/(2 N^2).  The precision adds to those 2 log2 N + 1 bits the
+    growth of the error through the Vandermonde solve, read off the root
+    sizes: with R = max(1, |r_i|) and gap the least |r_i - r_j|, the
+    entries of the inverse Vandermonde matrix are at most
+    V = ((1 + R)/gap)^3 (Lagrange basis), the coordinates at most 4 R V,
+    and a root error of R 2^-bits moves them, to first order, by at most
+    64 R^4 V (1 + 4 R V) 2^-bits; 32 guard bits cover the rounding of
+    the solve itself.  So, within this first-order error model, the
+    reconstruction at the 4-cycle of sigma returns sigma(alpha) for a
+    cyclic field, and none succeeding indicates the field is not cyclic.
+    The model is evaluated at 53 bits, not in interval arithmetic, so the
+    bound is heuristic: a failed reconstruction is not a proof.
+    """
+    disc = discriminant(field.coeffs)
+    denom_bound = math.isqrt(abs(disc))
+    sizes = field.roots(_cauchy_bits(field.coeffs))
+    with mpmath.workprec(53):
+        big = max([abs(r) for r in sizes] + [mpmath.mpf(1)])
+        gap = min(abs(r - s) for r, s in itertools.combinations(sizes, 2))
+        v = ((1 + big) / gap) ** 3
+        growth = 64 * big ** 4 * v * (1 + 4 * big * v)
+        bits = (2 * denom_bound.bit_length() + 1
+                + int(mpmath.ceil(mpmath.log(growth, 2))) + 32)
+    return denom_bound, bits
 
 
 def galois_generator(field):
     """An exact order-4 automorphism, or raise NotCyclicError.
 
     Refuses reducible polynomials, whose quotient ring is not a field.
-    Tries every root permutation fixing no root, reconstructs the image of
-    alpha, and keeps the first exactly-verified generator.  Deterministic:
-    permutations are tried in lexicographic order over root indices.
+    Tries the 4-cycles of the roots, reconstructs the image of alpha at
+    the bounds of automorphism_bounds, and keeps the first
+    exactly-verified generator.  Deterministic: 4-cycles are tried in
+    lexicographic order over root indices.
     """
-    import itertools
-
     if not quartic_is_irreducible(field.coeffs):
         raise NotCyclicError("defining polynomial is reducible")
-    with mpf_ctx(_AUT_PRECISION):
-        roots = field.roots(_AUT_PRECISION)
-        for j in range(1, 4):
-            rest = [k for k in range(4) if k != j]
-            for tail in itertools.permutations(rest):
-                perm = (j,) + tail
-                try:
-                    cand = _reconstruct_elem(
-                        field, roots, [roots[perm[i]] for i in range(4)],
-                        _AUT_DENOM_BOUND)
-                except (ZeroDivisionError, ValueError):
-                    continue
-                if not eval_poly_at(field, cand).is_zero():
-                    continue
-                tau = Automorphism(field, cand, perm)
-                t2 = tau.compose(tau)
-                if t2.is_identity():
-                    continue
-                t4 = t2.compose(t2)
-                if t4.is_identity():
-                    return tau
+    denom_bound, bits = automorphism_bounds(field)
+    roots = field.roots(bits)
+    with mpf_ctx(bits):
+        vinv = mpmath.inverse(mpmath.matrix([[r ** k for k in range(4)]
+                                             for r in roots]))
+        for perm in FOUR_CYCLES:
+            sol = vinv * mpmath.matrix([roots[p] for p in perm])
+            cand = QuarticElem(field, tuple(
+                reconstruct_rational(v, denom_bound) for v in sol))
+            if not eval_poly_at(field, cand).is_zero():
+                continue
+            tau = Automorphism(field, cand, perm)
+            t2 = tau.compose(tau)
+            if t2.is_identity():
+                continue
+            t4 = t2.compose(t2)
+            if t4.is_identity():
+                return tau
     raise NotCyclicError("no order-4 automorphism found; field is not cyclic")
 
 
@@ -349,16 +473,11 @@ def sqrt_of_rational(field, q):
     return qr_neg(root) if embed_all(root)[0] < 0 else root
 
 
-def embed_all(a, precision_bits=128):
+def embed_all(a, precision_bits=DEFAULT_PRECISION):
     """Values of a at the four real roots (descending root order)."""
     with mpf_ctx(precision_bits):
-        roots = a.field.roots(precision_bits)
-
-        def frac(v):
-            return mpmath.mpf(v.numerator) / v.denominator
-
-        out = []
-        for r in roots:
-            out.append(frac(a.coords[0]) + frac(a.coords[1]) * r
-                       + frac(a.coords[2]) * r ** 2 + frac(a.coords[3]) * r ** 3)
-        return tuple(out)
+        c0, c1, c2, c3 = (v.numerator if v.denominator == 1
+                          else mpmath.mpf(v.numerator) / v.denominator
+                          for v in a.coords)
+        return tuple(c0 + c1 * r + c2 * r2 + c3 * r3
+                     for r, r2, r3 in a.field.root_powers(precision_bits))

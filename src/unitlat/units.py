@@ -327,24 +327,34 @@ def search_relative_units(ctx, height_bound):
     Returns a list of (element, k, LOG) triples, LOG at the context's
     precision: k = 0 marks a relative unit, odd k a u_star witness.  Hits
     +-u_l^m are kept: they are units too, and their even k = 2m != 0
-    keeps them out of populate's choices.  The relative-norm test proves
-    each hit a unit: it lies in Z[alpha], inside O_L, and N_{L/Q} =
-    N_{k/Q}(+-u_l^k) = +-1.  One evaluation at the roots gives the LOG and
-    the sort key, sum |log| of the values rounded to float64, ties by
-    coords: the order populate picks from.
+    keeps them out of populate's choices.  The relative-norm test
+    (relative_norm_screen, on integers) proves each hit a unit: it lies
+    in Z[alpha], inside O_L, and N_{L/Q} = N_{k/Q}(+-u_l^k) = +-1.  One
+    evaluation at the roots gives the LOG of each hit; hits are sorted by
+    hit_sort_key, ties by coords: the order populate picks from.
     """
     field, prec = ctx.field, ctx.precision_bits
-    s2 = field.sigma2
-    # +-u_l^k -> k; u_l has infinite order, so these 50 elements are distinct
-    ul_powers = {}
-    for step, sign in ((ctx.u_l_emb, 1), (qt.qr_inv(ctx.u_l_emb), -1)):
-        p = field.one()
-        for k in range(13):
-            ul_powers[p.coords] = ul_powers[qt.qr_neg(p).coords] = sign * k
-            p = qt.qr_mul(p, step)
+    exponent = relative_norm_screen(ctx)
+    found = []
+    for c in grid_candidates(field, height_bound, prec):
+        if not any(c[1:]):
+            continue
+        k = exponent(c)
+        if k is None:
+            continue
+        elem = qt.QuarticElem(field, c)
+        lv = orbit_log(field, qt.embed_all(elem, prec), prec)
+        found.append(((hit_sort_key(lv), c), (elem, k, lv)))
+    found.sort(key=lambda t: t[0])
+    return [hit for _, hit in found]
 
+
+def grid_candidates(field, height_bound, precision_bits):
+    """Integer vectors c, |c_i| <= height_bound, whose float64 norm
+    prod |c(r_i)| is within 1e-4 of 1, as lists; of each pair +-c the one
+    the grid reaches first, whose first nonzero entry is negative."""
     vr = np.array([[float(r) ** k for k in range(4)]
-                   for r in field.roots(prec)])  # 4 x 4
+                   for r in field.roots(precision_bits)])  # 4 x 4
     h = height_bound
     rng = np.arange(-h, h + 1)
     grid = np.stack(np.meshgrid(rng, rng, rng, rng, indexing="ij"), axis=-1)
@@ -352,25 +362,48 @@ def search_relative_units(ctx, height_bound):
     emb = coords @ vr.T
     norms = np.abs(emb).prod(axis=1)
     candidates = coords[np.abs(norms - 1.0) < 1e-4].astype(int)
-    # of +-c keep the one the grid reaches first: first nonzero entry < 0
     first = candidates[np.arange(len(candidates)),
                        np.argmax(candidates != 0, axis=1)]
-    candidates = candidates[first < 0]
+    return candidates[first < 0].tolist()
 
-    found = []
-    for c in candidates:
-        elem = qt.QuarticElem(field, tuple(Fraction(int(v)) for v in c))
-        if elem.is_rational():
-            continue
-        k = ul_powers.get(qt.qr_mul(elem, s2(elem)).coords)
-        if k is None:
-            continue
-        emb = qt.embed_all(elem, prec)
-        key = float(sum(abs(mpmath.log(abs(float(v)))) for v in emb))
-        lv = orbit_log(field, emb, prec)
-        found.append(((key, elem.coords), (elem, k, lv)))
-    found.sort(key=lambda t: t[0])
-    return [hit for _, hit in found]
+
+def relative_norm_screen(ctx):
+    """The exact relative-norm test of the search, on integers: a function
+    of an integer power-basis vector c returning k with
+    N_{L/l}(c) = c * sigma^2(c) = +-u_l^k, |k| <= 12, or None.
+
+    sigma^2 is an integer matrix over its common denominator D, so
+    D * c * sigma^2(c) reduced mod f is an integer vector, looked up in
+    the table of the integral +-D * u_l^k; a non-integral one equals no
+    such product.  u_l has infinite order, so the 50 elements +-u_l^k are
+    distinct.
+    """
+    field = ctx.field
+    den, s2_rows = field.sigma2.integer_matrix()
+    ul_powers = {}
+    for step, sign in ((ctx.u_l_emb, 1), (qt.qr_inv(ctx.u_l_emb), -1)):
+        p = field.one()
+        for k in range(13):
+            scaled = tuple(v * den for v in p.coords)
+            if all(v.denominator == 1 for v in scaled):
+                scaled = tuple(int(v) for v in scaled)
+                neg = tuple(-v for v in scaled)
+                ul_powers[scaled] = ul_powers[neg] = sign * k
+            p = qt.qr_mul(p, step)
+
+    def exponent(c):
+        s2c = [sum(m * v for m, v in zip(row, c)) for row in s2_rows]
+        return ul_powers.get(qt.mul_coords(c, s2c, field.coeffs))
+    return exponent
+
+
+def hit_sort_key(lv):
+    """Sort key of a search hit: sum |LOG| rounded to float64.  A Galois
+    conjugate permutes the LOG coordinates, so the sums of conjugates
+    agree to the working precision and their rounded keys tie: coords
+    decide the order among them, not rounding noise."""
+    with mpf_ctx(lv.precision_bits):
+        return float(sum((abs(v) for v in lv.coords), mpmath.mpf(0)))
 
 
 def populate_cyclic_entry(coeffs, quad_subfield_d, label, height_bound=6):
@@ -412,8 +445,9 @@ def regulator_cross_check(gen_logs, hit_logs):
     """Compare the generators' log lattice (cyclic_generator_logs) against
     the search hits' log vectors, at the same precision: every hit must be
     an integer combination of the generators (one least-squares
-    pseudo-inverse), and the found sublattice must have rank 3, so no
-    hits fail, and a plausible integer index <= 4.  Returns (ok, index)."""
+    pseudo-inverse, its rows dotted with each hit), and the found
+    sublattice must have rank 3, so no hits fail, and a plausible integer
+    index <= 4.  Returns (ok, index)."""
     prec = gen_logs[0].precision_bits
     if any(lv.precision_bits != prec for lv in hit_logs):
         raise ValueError("hit log vectors are not at the generators' "
@@ -422,11 +456,13 @@ def regulator_cross_check(gen_logs, hit_logs):
         gmat = mpmath.matrix([[lv.coords[i] for lv in gen_logs]
                               for i in range(4)])
         pinv = mpmath.inverse(gmat.T * gmat) * gmat.T
+        pinv_rows = pinv.tolist()
+        tol = mpmath.mpf(2) ** -32
         coeff_rows = []
         for lv in hit_logs:
-            sol = pinv * mpmath.matrix(list(lv.coords))
+            sol = [mpmath.fdot(row, lv.coords) for row in pinv_rows]
             row = [mpmath.nint(v) for v in sol]
-            if any(abs(v - r) > mpmath.mpf(2) ** (-32) for v, r in zip(sol, row)):
+            if any(abs(v - r) > tol for v, r in zip(sol, row)):
                 return False, None
             coeff_rows.append([int(r) for r in row])
         idx = _integer_lattice_index(coeff_rows)

@@ -13,7 +13,13 @@ klein_e_wedge builds the E-wedge lattice of a Klein field from
 vectors, so `brute_min_one_norm` can check the report's closed-form
 minimum.  klein_patterns_tower decides all seven Klein square classes by
 the exact tower square root, knowing nothing of the integer criterion on
-traces.
+traces.  Three cyclic oracles keep the earlier direct forms:
+trial_division_irreducible finds integer roots and quadratic factors
+from the divisors of the constant term, with no roots computed;
+galois_generator_all_perms reconstructs sigma from every root
+permutation moving root 0, not only 4-cycles, by one Vandermonde solve
+each; fraction_norm_exponent tests a relative norm in Fraction
+arithmetic through qr_mul and the exact sigma^2.
 
 The rest is package-style code that only tests call: biquadratic norm,
 inverse and power (biq_norm_to_Q, biq_inv, biq_pow) and the Pohst floor
@@ -30,9 +36,11 @@ from unitlat.biquadratic import (BiquadElem, BiquadField, biq_mul,
                                  galois_apply, sqrt_in_field)
 from unitlat.loglattice import (klein_wedge_rows, log_embed_cyclic,
                                 log_embed_klein)
-from unitlat.precision import DEFAULT_PRECISION, mpf_ctx
-from unitlat.quadratic import is_squarefree
-from unitlat.quartic import QuarticElem, embed_all, qr_mul
+from unitlat.precision import (DEFAULT_PRECISION, mpf_ctx,
+                               reconstruct_rational)
+from unitlat.quadratic import _rational_sqrt, is_squarefree
+from unitlat.quartic import (Automorphism, QuarticElem, embed_all,
+                             eval_poly_at, qr_inv, qr_mul, qr_neg)
 from unitlat.units import (KleinUnitStructure, _f2_basis, klein_denominator,
                            subfield_units)
 from unitlat.verifier import DERIVED_TOL, BoundReport, constants
@@ -256,3 +264,73 @@ def pohst_check(u, precision_bits=DEFAULT_PRECISION):
         ok = sq >= floor - DERIVED_TOL
         return BoundReport("pohst_2norm_sq", sq, floor,
                            "holds" if ok else "violated", DERIVED_TOL)
+
+
+def trial_division_irreducible(coeffs):
+    """Exact irreducibility over Q for a monic integer quartic: no integer
+    roots, no monic integer quadratic factors (Gauss), each found among
+    the divisors of the constant term."""
+    c0, c1, c2, c3, _ = coeffs
+    if c0 == 0:
+        return False
+    divisors = [i for i in range(1, isqrt(abs(c0)) + 1) if c0 % i == 0]
+    divisors = sorted(set(divisors + [abs(c0) // i for i in divisors]))
+    for r in divisors:
+        for root in (r, -r):
+            if (root ** 4 + c3 * root ** 3 + c2 * root ** 2 + c1 * root
+                    + c0 == 0):
+                return False
+    for b in divisors:
+        for bb in (b, -b):
+            dd = c0 // bb
+            # (x^2+ax+bb)(x^2+cx+dd): a+c = c3, ac = c2-bb-dd, a*dd+c*bb = c1
+            s, prod = c3, c2 - bb - dd
+            sq = _rational_sqrt(s * s - 4 * prod)
+            if sq is None or (s + sq) % 2 != 0:
+                continue
+            for a in {(s + sq) // 2, (s - sq) // 2}:
+                if a * dd + (s - a) * bb == c1:
+                    return False
+    return True
+
+
+def galois_generator_all_perms(field, denom_bound, precision_bits):
+    """The first exactly verified order-4 automorphism over all 18 root
+    permutations moving root 0, in lexicographic order, each image of
+    alpha from its own Vandermonde solve at precision_bits reconstructed
+    with denominators <= denom_bound; None if there is none."""
+    with mpf_ctx(precision_bits):
+        roots = field.roots(precision_bits)
+        mat = mpmath.matrix([[r ** k for k in range(4)] for r in roots])
+        for perm in itertools.permutations(range(4)):
+            if perm[0] == 0:
+                continue
+            try:
+                sol = mpmath.lu_solve(
+                    mat, mpmath.matrix([roots[p] for p in perm]))
+            except ZeroDivisionError:
+                continue
+            cand = QuarticElem(field, tuple(
+                reconstruct_rational(v, denom_bound) for v in sol))
+            if not eval_poly_at(field, cand).is_zero():
+                continue
+            tau = Automorphism(field, cand, perm)
+            t2 = tau.compose(tau)
+            if not t2.is_identity() and t2.compose(t2).is_identity():
+                return tau
+    return None
+
+
+def fraction_norm_exponent(ctx, c):
+    """k with c * sigma^2(c) = +-u_l^k, |k| <= 12, or None, for a
+    power-basis vector c, in Fraction arithmetic."""
+    field = ctx.field
+    elem = QuarticElem(field, tuple(Fraction(v) for v in c))
+    norm = qr_mul(elem, field.sigma2(elem))
+    for step, sign in ((ctx.u_l_emb, 1), (qr_inv(ctx.u_l_emb), -1)):
+        p = field.one()
+        for k in range(13):
+            if norm == p or norm == qr_neg(p):
+                return sign * k
+            p = qr_mul(p, step)
+    return None

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import isqrt
@@ -5,12 +6,16 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mpmath
+
+from unitlat import quartic as qt
 from unitlat.quartic import (CyclicQuarticField, NotCyclicError, QuarticElem,
                              embed_all, eval_poly_at,
                              galois_generator, is_algebraic_integer, is_unit,
                              norm_to_Q, qr_add, qr_inv, qr_mul, qr_neg, qr_pow,
                              quartic_is_irreducible, sqrt_of_rational)
-from oracles import char_poly
+from oracles import (char_poly, galois_generator_all_perms,
+                     trial_division_irreducible)
 
 # maximal real subfield of the 16th cyclotomic field
 F = CyclicQuarticField((2, 0, -4, 0, 1))
@@ -25,6 +30,10 @@ FIELDS = {
     "2*sqrt(2+sqrt2)": (CyclicQuarticField((32, 0, -16, 0, 1)), 2),
     "u0 of sqrt(2+sqrt2)": (CyclicQuarticField((1, 4, -6, -4, 1)), 2),
 }
+# Q(sqrt(2+sqrt2)) again through alpha = 10^7 sqrt(2+sqrt2):
+# sigma(alpha) = -3 alpha + alpha^3 / 10^14 has a denominator above any
+# fixed bound of 10^12, and trial division of c0 = 2 10^28 never ends
+SCALED = CyclicQuarticField((2 * 10 ** 28, 0, -4 * 10 ** 14, 0, 1))
 
 
 def rand_elem(field, rng, span=5):
@@ -115,6 +124,121 @@ def test_galois_generator_exact():
     for _ in range(20):
         a, b = rand_elem(F, rng), rand_elem(F, rng)
         assert sigma(qr_mul(a, b)) == qr_mul(sigma(a), sigma(b))
+
+
+def test_galois_generator_bounds_from_polynomial(monkeypatch):
+    # a fixed denominator bound of 10^12 at 192 bits finds no sigma here;
+    # isqrt(|disc f|) and the precision derived with it do
+    monkeypatch.setattr(qt, "quartic_is_irreducible", lambda coeffs: True)
+    sigma = galois_generator(SCALED)
+    assert sigma.image == QuarticElem(
+        SCALED, (0, -3, 0, Fraction(1, 10 ** 14)))
+    assert sigma.compose(sigma).compose(sigma.compose(sigma)).is_identity()
+
+
+def test_scaled_field_is_cyclic():
+    assert quartic_is_irreducible(SCALED.coeffs)
+    denom_bound, bits = qt.automorphism_bounds(SCALED)
+    assert denom_bound == isqrt(qt.discriminant(SCALED.coeffs)) > 10 ** 14
+    assert SCALED.sigma.root_perm == F.sigma.root_perm
+
+
+def test_four_cycles():
+    # exactly the 6 permutations whose orbit of root 0 has length 4, in
+    # lexicographic order
+    def orbit(p):
+        seen, i = [0], p[0]
+        while i != 0:
+            seen.append(i)
+            i = p[i]
+        return seen
+    want = [p for p in itertools.permutations(range(4)) if len(orbit(p)) == 4]
+    assert list(qt.FOUR_CYCLES) == want and len(want) == 6
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS) + ["scaled"])
+def test_four_cycle_sigma_matches_all_permutations(name, monkeypatch):
+    # the 4-cycle loop returns the sigma the loop over all 18 permutations
+    # moving root 0 returns, and reconstructs only at 4-cycles up to it
+    field = SCALED if name == "scaled" else FIELDS[name][0]
+    denom_bound, bits = qt.automorphism_bounds(field)
+    want = galois_generator_all_perms(field, denom_bound, bits)
+    calls = []
+    reconstruct = qt.reconstruct_rational
+
+    def counting(x, bound):
+        calls.append(bound)
+        return reconstruct(x, bound)
+
+    monkeypatch.setattr(qt, "reconstruct_rational", counting)
+    got = galois_generator(field)
+    assert got.image == want.image
+    assert got.root_perm == want.root_perm
+    assert len(calls) == 4 * (qt.FOUR_CYCLES.index(got.root_perm) + 1)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS) + ["scaled"])
+def test_discriminant(name):
+    field = SCALED if name == "scaled" else FIELDS[name][0]
+    disc = qt.discriminant(field.coeffs)
+    bits = 2 * disc.bit_length() + 64
+    with mpmath.workprec(bits):
+        roots = field.roots(bits)
+        prod = mpmath.fprod((r - s) ** 2 for i, r in enumerate(roots)
+                            for s in roots[i + 1:])
+        assert abs(prod - disc) < 1e-6 * abs(disc)
+    known = {"sqrt(2+sqrt2)": 2048, "zeta20+": 2000, "zeta15+": 1125}
+    assert disc == known.get(name, disc)
+
+
+def test_one_root_solve_per_polynomial(monkeypatch):
+    # a later precision is rounded from the one solve or refined from it
+    # by Newton's method; both agree with a direct solve at that precision
+    calls = []
+    polyroots = mpmath.polyroots
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["extraprec"])
+        return polyroots(*args, **kwargs)
+
+    monkeypatch.setattr(qt, "_ROOTS_CACHE", {})
+    monkeypatch.setattr(mpmath, "polyroots", counting)
+    field = FIELDS["zeta15+"][0]
+    got = {bits: field.roots(bits) for bits in (128, 300, 64, 128)}
+    assert len(calls) == 1
+    for bits in (64, 128, 300):
+        monkeypatch.setattr(qt, "_ROOTS_CACHE", {})
+        direct = field.roots(bits)
+        with qt.mpf_ctx(bits):
+            assert all(abs(g - d) <= abs(d) * mpmath.mpf(2) ** -(bits + 14)
+                       for g, d in zip(got[bits], direct))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-12, 12), min_size=4, max_size=4))
+def test_irreducible_matches_trial_division(low):
+    coeffs = tuple(low) + (1,)
+    assert quartic_is_irreducible(coeffs) == trial_division_irreducible(coeffs)
+
+
+@pytest.mark.parametrize("factors", [
+    ((-7 * 10 ** 6, 1), (3 * 10 ** 5, 0, 0, 1), (1,)),  # linear times cubic
+    ((10 ** 6 + 3, 1), (-(10 ** 6 + 3), 1), (2, 0, 1)),
+    ((10 ** 6, -3, 1), (10 ** 6 + 7, 5, 1), (1,)),
+    ((-10 ** 7, 1), (-10 ** 7, 1), (10 ** 14, -2 * 10 ** 7, 1)),  # a 4-fold root
+])
+def test_irreducible_finds_large_factors(factors):
+    # constant terms from 2 10^12 to 10^28: trial division of c0 takes
+    # 0.1 s at the first and never ends at the last
+    def mul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+    coeffs = tuple(mul(mul(factors[0], factors[1]), factors[2]))
+    assert len(coeffs) == 5 and coeffs[4] == 1
+    assert not quartic_is_irreducible(coeffs)
 
 
 def test_sqrt_of_rational():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 from fractions import Fraction
@@ -16,8 +17,8 @@ from unitlat.loglattice import (LogVector, cyclic_wedge_rows,
                                 log_embed_cyclic, wedge2)
 from unitlat.quadratic import QuadElem, fundamental_unit, quad_norm
 from unitlat.verifier import cyclic_entry_report, load_default_catalog
-from oracles import (SQUAREFREE_1000, char_poly, klein_patterns_tower,
-                     sigma_loop_log)
+from oracles import (SQUAREFREE_1000, char_poly, fraction_norm_exponent,
+                     klein_patterns_tower, sigma_loop_log)
 
 DATA = Path(__file__).parent / "data"
 
@@ -282,6 +283,101 @@ def test_search_hit_order_matches_pinned(pinned):
     hits = us.search_relative_units(ctx, 6)
     assert [[[int(c) for c in e.coords], k] for e, k, _ in hits] \
         == pinned["hits"]
+
+
+def _pinned_context(pinned):
+    d = pinned["quad_subfield_d"]
+    return us.cyclic_context(pinned["coeffs"], d, fundamental_unit(d).unit)
+
+
+# the pinned fields, and zeta15+ through alpha = 2*beta, where sigma^2 has
+# common denominator 4 (sigma^2(alpha) = 2 - 4 alpha + alpha^3/4)
+SCREEN_FIELDS = [(tuple(f["coeffs"]), f["quad_subfield_d"])
+                 for f in _pinned_hit_fields()] + [((16, 32, -16, -2, 1), 5)]
+
+
+@functools.lru_cache(maxsize=None)
+def _screen_case(coeffs, d):
+    ctx = us.cyclic_context(coeffs, d, fundamental_unit(d).unit)
+    return ctx, [e.coords for e, _, _ in us.search_relative_units(ctx, 6)]
+
+
+@pytest.mark.parametrize("coeffs, d", SCREEN_FIELDS)
+def test_integer_screen_matches_fraction_screen(coeffs, d):
+    # every float-filtered grid candidate at height 6 gets the same k
+    # (or None) from the integer screen as from qr_mul in Fractions
+    ctx, hits = _screen_case(coeffs, d)
+    if coeffs == SCREEN_FIELDS[-1][0]:
+        assert ctx.field.sigma2.integer_matrix()[0] == 4
+    exponent = us.relative_norm_screen(ctx)
+    cands = us.grid_candidates(ctx.field, 6, ctx.precision_bits)
+    got = [exponent(c) for c in cands]
+    assert got == [fraction_norm_exponent(ctx, c) for c in cands]
+    # the search keeps every screened candidate but -1
+    assert sum(k is not None and any(c[1:])
+               for k, c in zip(got, cands)) == len(hits) > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SCREEN_FIELDS), st.lists(st.integers(-40, 40),
+                                                min_size=4, max_size=4),
+       st.sampled_from([None, 1, 2, 3]))
+def test_integer_screen_matches_fraction_screen_drawn(field, vec, conj):
+    # drawn vectors, or hits moved by sigma^j where that stays integral,
+    # so that both None and hits are exercised
+    ctx, hits = _screen_case(*field)
+    c = vec
+    if conj is not None:
+        hit = qt.QuarticElem(ctx.field, hits[vec[0] % len(hits)])
+        for _ in range(conj):
+            hit = ctx.field.sigma(hit)
+        if any(v.denominator != 1 for v in hit.coords):
+            return
+        c = [int(v) for v in hit.coords]
+        assert fraction_norm_exponent(ctx, c) is not None
+    assert us.relative_norm_screen(ctx)(c) == fraction_norm_exponent(ctx, c)
+
+
+@pytest.mark.parametrize("pinned", _pinned_hit_fields(),
+                         ids=lambda f: "x4_%s_d%d" % (
+                             "_".join(map(str, f["coeffs"][:4])),
+                             f["quad_subfield_d"]))
+def test_conjugate_hits_tie_exactly(pinned):
+    # a hit and its Galois conjugate (up to sign) among the hits have the
+    # identical sort key, so coords, not rounding, order them
+    ctx = _pinned_context(pinned)
+    hits = us.search_relative_units(ctx, 6)
+    keys = {e.coords: us.hit_sort_key(lv) for e, _, lv in hits}
+    pairs = 0
+    for e, _, _ in hits:
+        conj = e
+        for _ in range(3):
+            conj = ctx.field.sigma(conj)
+            for cand in (conj, qt.qr_neg(conj)):
+                if cand.coords in keys and cand.coords != e.coords:
+                    assert keys[cand.coords] == keys[e.coords]
+                    pairs += 1
+    assert pairs >= len(hits) // 2
+
+
+@pytest.mark.parametrize("bits", [None, 64, 300])
+def test_one_root_solve_per_field_per_op(bits, monkeypatch):
+    # a fresh field's cyclic report solves its polynomial once, at any
+    # working precision
+    calls = []
+    polyroots = mpmath.polyroots
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["extraprec"])
+        return polyroots(*args, **kwargs)
+
+    monkeypatch.setattr(qt, "_ROOTS_CACHE", {})
+    monkeypatch.setattr(mpmath, "polyroots", counting)
+    shipped = load_default_catalog()[2]
+    kwargs = {} if bits is None else {"precision_bits": bits}
+    value, _ = cyclic_entry_report(shipped, **kwargs)
+    assert value is not None
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("bits", [64, 128, 300])
