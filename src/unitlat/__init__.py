@@ -4,7 +4,7 @@
 __version__ = "0.1.0"
 
 from .quadratic import QuadElem, fundamental_unit, smallest_fundamental_units
-from .biquadratic import BiquadField, BiquadElem, sqrt_in_field
+from .biquadratic import BiquadField, BiquadElem
 from .quartic import CyclicQuarticField, QuarticElem, galois_generator
 from .loglattice import log_embed_klein, log_embed_cyclic, wedge2
 from .units import (KleinUnitStructure, klein_unit_structure,
@@ -14,7 +14,7 @@ from .verifier import verify_paper, klein_field_report, theorem_constants
 
 __all__ = [
     "QuadElem", "fundamental_unit", "smallest_fundamental_units",
-    "BiquadField", "BiquadElem", "sqrt_in_field",
+    "BiquadField", "BiquadElem",
     "CyclicQuarticField", "QuarticElem", "galois_generator",
     "log_embed_klein", "log_embed_cyclic", "wedge2",
     "KleinUnitStructure", "klein_unit_structure", "CyclicCatalogEntry",

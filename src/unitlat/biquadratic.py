@@ -3,8 +3,8 @@
 Elements live in the basis {1, sqrt(d1), sqrt(d2), sqrt(d3)} where d3 is
 the squarefree part of d1*d2 and sqrt(d1)*sqrt(d2) = s*sqrt(d3) with
 s = gcd(d1, d2).  Coordinates stay rational under multiplication even
-when d1*d2 is not squarefree.  Integrality and square roots are exact,
-computed in the tower L = K(sqrt(d2)) over K = Q(sqrt(d1)).
+when d1*d2 is not squarefree.  Integrality is exact, computed in the
+tower L = K(sqrt(d2)) over K = Q(sqrt(d1)).
 """
 
 import math
@@ -14,8 +14,7 @@ from fractions import Fraction
 import mpmath
 
 from .precision import DEFAULT_PRECISION, mpf_ctx
-from .quadratic import (QuadElem, is_quad_integer, is_squarefree, quad_inv,
-                        quad_mul, quad_norm, quad_sqrt, surd_sign)
+from .quadratic import QuadElem, is_quad_integer, is_squarefree, quad_norm
 
 GALOIS_KLEIN = ("id", "s1", "s2", "s3")
 
@@ -106,10 +105,6 @@ def biq_add(a, b):
     return BiquadElem(a.field, a.x + b.x, a.y + b.y, a.z + b.z, a.w + b.w)
 
 
-def biq_neg(a):
-    return BiquadElem(a.field, -a.x, -a.y, -a.z, -a.w)
-
-
 def biq_mul(a, b):
     _same_field(a, b)
     f = a.field
@@ -176,43 +171,3 @@ def embed_real(a, precision_bits=DEFAULT_PRECISION):
             img = galois_apply(g, a)
             out.append(sum(frac(c) * r for c, r in zip(img.coords(), roots)))
         return tuple(out)
-
-
-def sqrt_in_field(a):
-    """Exact square root of a with positive id-embedding, or None when a
-    is not a square in L.  As in quad_sqrt, one level up: if
-    (g + h*sqrt(d2))^2 = alpha + beta*sqrt(d2) then g^2 = (alpha +- n)/2
-    with n^2 = N_{L/K}(a), and h = beta/(2g), or h^2 = (alpha -+ n)/(2*d2)
-    when g = 0.
-
-    klein_unit_structure calls it once per field, and only when all three
-    subfield units have norm -1, for the pattern u1*u2*u3; every other
-    pattern is decided by integers."""
-    f = a.field
-    alpha = QuadElem(f.d1, a.x, a.y)
-    beta = QuadElem(f.d1, a.z, a.w / f.s)  # sqrt(d3) = sqrt(d1)*sqrt(d2)/s
-    n = quad_sqrt(_relative_norm(a))
-    if n is None:
-        return None
-    for sign in (1, -1):
-        g = quad_sqrt(QuadElem(f.d1, (alpha.a + sign * n.a) / 2,
-                               (alpha.b + sign * n.b) / 2))
-        if g is None:
-            continue
-        if g.a or g.b:
-            h = quad_mul(beta, quad_inv(QuadElem(f.d1, 2 * g.a, 2 * g.b)))
-        else:
-            h = quad_sqrt(QuadElem(f.d1, (alpha.a - sign * n.a) / (2 * f.d2),
-                                   (alpha.b - sign * n.b) / (2 * f.d2)))
-            if h is None:
-                continue
-        cand = BiquadElem(f, g.a, g.b, h.a, h.b * f.s)
-        if biq_mul(cand, cand) == a:
-            # exact sign at the id-embedding: when g and h*sqrt(d2) differ
-            # in sign, the larger of g^2 and d2*h^2 wins
-            sg, sh = (surd_sign(x.a, x.b, f.d1) for x in (g, h))
-            if sg * sh < 0:
-                g2, h2 = quad_mul(g, g), quad_mul(h, h)
-                sg *= surd_sign(g2.a - f.d2 * h2.a, g2.b - f.d2 * h2.b, f.d1)
-            return cand if (sg or sh) > 0 else biq_neg(cand)
-    return None

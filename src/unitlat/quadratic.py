@@ -109,24 +109,6 @@ def _rational_sqrt(q):
     return Fraction(n, d)
 
 
-def quad_sqrt(x):
-    """Exact square root in Q(sqrt(d)), or None when x is not a square.
-    If (u + v*sqrt(d))^2 = a + b*sqrt(d) then u^2 - d*v^2 = +-m with
-    m^2 = N(x), so u^2 = (a +- m)/2 and v = b/(2u), or v^2 = (a -+ m)/(2d)
-    when u = 0; either way the result squares to x exactly."""
-    m = _rational_sqrt(quad_norm(x))
-    if m is None:
-        return None
-    for pm in (m, -m):
-        u = _rational_sqrt((x.a + pm) / 2)
-        if u is None:
-            continue
-        v = x.b / (2 * u) if u else _rational_sqrt((x.a - pm) / (2 * x.d))
-        if v is not None:
-            return QuadElem(x.d, u, v)
-    return None
-
-
 def quad_embed(x, precision_bits=DEFAULT_PRECISION):
     """Real value of x under the positive-root embedding sqrt(d) > 0."""
     with mpf_ctx(precision_bits):
@@ -195,28 +177,14 @@ class FundamentalUnitResult:
     log_value: object  # mpf, natural log of the real embedding
 
 
-def _floor_surd(p, q, d, sqrt_floor):
-    """Exact floor((p + sqrt(d)) / q) for integers p, q != 0 and nonsquare d."""
-    if q > 0:
-        return (p + sqrt_floor) // q
-    # sqrt(d) in (sqrt_floor, sqrt_floor + 1); with q < 0 the two endpoint
-    # floors can differ by one, resolve by exact comparison.
-    lo = (p + sqrt_floor + 1) // q  # floor of left endpoint value / q (q<0 flips)
-    hi = (p + sqrt_floor) // q
-    if lo == hi:
-        return lo
-    # candidate m = hi: m <= (p + sqrt(d))/q  iff  m*q >= p + sqrt(d) (q<0)
-    m = hi
-    rhs = m * q - p  # need rhs >= sqrt(d)
-    if rhs >= 0 and rhs * rhs >= d:
-        return hi
-    return lo
-
-
 def _cf_unit_search(d, max_steps=100000):
     """Walk the continued fraction of sqrt(d) (or (1+sqrt(d))/2 for d=1 mod 4)
     and return the first convergent giving a norm +-1 unit of the maximal
-    order.  Classical theory places the fundamental unit among these."""
+    order.  Classical theory places the fundamental unit among these.
+
+    Every complete quotient xi = (P + sqrt(d))/Q it visits, the start and
+    then reduced ones, has xi > 0 > xi', so Q = 2*sqrt(d)/(xi - xi') > 0
+    and floor(xi) = (P + isqrt(d)) // Q exactly."""
     half_basis = d % 4 == 1
     s = isqrt(d)
     if half_basis:
@@ -227,7 +195,7 @@ def _cf_unit_search(d, max_steps=100000):
     k_prev, k = 1, 0
     p_cur, q_cur = pp, qq
     for _ in range(max_steps):
-        a = _floor_surd(p_cur, q_cur, d, s)
+        a = (p_cur + s) // q_cur
         h_prev, h = h, a * h + h_prev
         k_prev, k = k, a * k + k_prev
         if half_basis:

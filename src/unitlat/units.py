@@ -3,9 +3,8 @@ cyclic-quartic catalog entries validated through Hasse's exact relations.
 
 Klein case: the square classes of O_L^* over the subfield-unit group E are
 determined by which products u1^e1 u2^e2 u3^e3 are squares in L, decided
-by integer square roots on the traces (one exact tower test remains when
-all three units have norm -1); the F2-rank of the found patterns gives
-the index [O_L^*: +-E].
+by integer and rational square roots on the units' coordinates; the
+F2-rank of the found patterns gives the index [O_L^*: +-E].
 
 Cyclic case: full unit-group computation is out of scope, so entries carry
 claimed generators (relative unit u0, optional u_star) which are verified
@@ -23,11 +22,11 @@ import mpmath
 import numpy as np
 
 from .precision import DEFAULT_PRECISION, mpf_ctx
-from .quadratic import (QuadElem, fundamental_unit, is_squarefree, quad_cmp,
-                        quad_norm)
+from .quadratic import (QuadElem, _rational_sqrt, fundamental_unit,
+                        is_squarefree, quad_cmp, quad_mul, quad_norm,
+                        surd_sign)
 from . import quartic as qt
-from .biquadratic import (BiquadElem, BiquadField, biq_add, biq_mul,
-                          sqrt_in_field)
+from .biquadratic import BiquadElem, BiquadField, biq_add, biq_mul
 from .loglattice import log_sigma, orbit_log
 
 class CatalogValidationError(ValueError):
@@ -103,6 +102,52 @@ def _pattern_product(field, e, elems):
     return prod
 
 
+def _norm_minus_one_root(field, units, lifts):
+    """Square root of P = u1*u2*u3 in L, positive at the id-embedding, or
+    None, for sorted subfield units u = a + b*sqrt(d) > 1 of norm -1.
+
+    Base i = 0, the smallest unit, j and k the others; K = Q(sqrt(d_i)),
+    tau the element of Gal(L/K), Pi = b1*b2*b3*d1*d2/s = prod b*sqrt(d)
+    (sqrt(d1)*sqrt(d2) = s*sqrt(d3)).  P is a square iff one of the four
+    rationals T(eps, nu) = a_i*(a_j*a_k + eps) + Pi + nu*(a_j - eps*a_k),
+    eps, nu in {1, -1}, is a positive rational square t^2.
+
+    tau sends u_j, u_k to -1/u_j, -1/u_k.  If x^2 = P, then
+    N_{L/K}(x)^2 = N_{L/K}(P) = u_i^2, so x*tau(x) = eps*u_i, and
+    g = (x + tau(x))/2 in K has g^2 = (P + tau(P) + 2*eps*u_i)/4 = z,
+    z = u_i*w/2, w = (a_j*a_k + eps) + Pi/(b_i*d_i)*sqrt(d_i).  Since
+    b^2*d = a^2 + 1, N(w) = -(a_j - eps*a_k)^2, so N(g) = nu' with
+    nu' = nu*(a_j - eps*a_k)/2, and (Tr g)^2 = Tr z + 2*nu' = T(eps, nu).
+    The base is the smallest unit, and the three smallest norm -1 units
+    are (1+sqrt5)/2, 1+sqrt2 and (3+sqrt13)/2 (a = 1/2, 1, 3/2), so
+    a_j*a_k >= 3/2 and a_j*a_k + eps > 0.  Then w has positive
+    coordinates, so w != 0 (hence nu' != 0), and z has a positive
+    sqrt(d_i) coordinate, so z is not rational and Tr g != 0.
+    Conversely, if T = t^2 > 0, g = (z + nu')/t squares to z (z^2 =
+    Tr(z)*z - nu'^2), and x = (P + eps*u_i)/(2g) squares to P, because
+    (P + eps*u_i)^2 = 2*u_i*w*P.  With N(z + nu') = nu'*t^2,
+    x = (P + eps*u_i) * (z + nu')'/(2*nu'*t), (.)' the conjugate of K;
+    P + eps*u_i > 0 at the id-embedding, so the K factor gives the sign.
+    """
+    (ai, bi, di), (aj, _, _), (ak, _, _) = ((u.a, u.b, u.d) for u in units)
+    pi = units[0].b * units[1].b * units[2].b * field.d1 * field.d2 / field.s
+    for eps, nu in itertools.product((1, -1), repeat=2):
+        t = _rational_sqrt(ai * (aj * ak + eps) + pi + nu * (aj - eps * ak))
+        if not t:
+            continue
+        nu1 = nu * (aj - eps * ak) / 2
+        z = quad_mul(units[0], QuadElem(di, (aj * ak + eps) / 2,
+                                        pi / (2 * bi * di)))
+        den = 2 * nu1 * t
+        factor = QuadElem(di, (z.a + nu1) / den, -z.b / den)
+        if surd_sign(factor.a, factor.b, di) < 0:
+            factor = QuadElem(di, -factor.a, -factor.b)
+        shifted = biq_add(_pattern_product(field, (1, 1, 1), lifts),
+                          field.lift_quad(QuadElem(di, eps * ai, eps * bi)))
+        return biq_mul(shifted, field.lift_quad(factor))
+    return None
+
+
 def klein_unit_structure(d1, d2, precision_bits=DEFAULT_PRECISION):
     """Determine [O_L^*: +-E] and a generating set from the square classes
     of the seven patterns u1^e1 u2^e2 u3^e3, decided with integers.
@@ -112,7 +157,8 @@ def klein_unit_structure(d1, d2, precision_bits=DEFAULT_PRECISION):
     s_j the sign of the product over a pattern P is
     prod_{i in P, i != j} N(u_i).  So a pattern containing a norm -1 unit
     is not a square unless it is (1, 1, 1) with all three norms -1; that
-    pattern keeps one exact tower test, sqrt_in_field on u1*u2*u3.
+    pattern is decided by four rational-square tests
+    (_norm_minus_one_root).
 
     Norm +1 patterns: for a unit u > 1 of norm +1, (u + 1)^2 = u*(Tr u + 2),
     and Tr u + 2 = 2a + 2 (u = a + b*sqrt(d)) is a positive integer.  So
@@ -146,7 +192,7 @@ def klein_unit_structure(d1, d2, precision_bits=DEFAULT_PRECISION):
                     root = biq_mul(_pattern_product(field, e, shifted), scale)
                     break
         elif e == (1, 1, 1) and not any(positive):
-            root = sqrt_in_field(_pattern_product(field, e, lifts))
+            root = _norm_minus_one_root(field, units, lifts)
         # a square root of a unit is a unit: it is integral over O_L, as a
         # root of t^2 - prod, and its norm squared is +-1
         if root is not None:
@@ -217,18 +263,30 @@ class CyclicCatalogEntry:
 
 @dataclass
 class CyclicFieldContext:
-    """A cyclic quartic field (sigma cached on it), the image of u_l, and
-    the precision of the field's log vectors."""
+    """A cyclic quartic field (sigma cached on it), the fundamental unit
+    u_l of its quadratic subfield k = Q(sqrt(d)) with the image of
+    sqrt(d), and the precision of the field's log vectors."""
 
     field: qt.CyclicQuarticField
-    u_l_emb: qt.QuarticElem   # image of the quadratic unit u_l
+    u_l: QuadElem
+    sqrt_d: qt.QuarticElem    # image of sqrt(d)
     precision_bits: int
+
+    def lift(self, x):
+        """Image of x = a + b*sqrt(d) in k."""
+        s0, *rest = self.sqrt_d.coords
+        return qt.QuarticElem(self.field,
+                              (x.a + x.b * s0,) + tuple(x.b * c for c in rest))
+
+    @functools.cached_property
+    def u_l_emb(self):
+        return self.lift(self.u_l)
 
 
 def cyclic_context(coeffs, quad_subfield_d, u_l,
                    precision_bits=DEFAULT_PRECISION):
     """The cyclic quartic field defined by coeffs, with sigma found, and the
-    image of the quadratic unit u_l in it; entry callers pass the entry's
+    image of sqrt(quad_subfield_d) in it; entry callers pass the entry's
     coeffs, quad_subfield_d and u_l."""
     if quad_subfield_d <= 1 or not is_squarefree(quad_subfield_d):
         raise CatalogValidationError(
@@ -243,9 +301,7 @@ def cyclic_context(coeffs, quad_subfield_d, u_l,
     if sqrt_d is None:
         raise CatalogValidationError(
             "sqrt(%d) does not lie in the field" % quad_subfield_d)
-    u_l_emb = qt.qr_add(field.from_rational(u_l.a),
-                        qt.QuarticElem(field, tuple(u_l.b * c for c in sqrt_d.coords)))
-    return CyclicFieldContext(field, u_l_emb, precision_bits)
+    return CyclicFieldContext(field, u_l, sqrt_d, precision_bits)
 
 
 def _is_pm(x, target):
@@ -380,21 +436,32 @@ def relative_norm_screen(ctx):
     """
     field = ctx.field
     den, s2_rows = field.sigma2.integer_matrix()
-    ul_powers = {}
-    for step, sign in ((ctx.u_l_emb, 1), (qt.qr_inv(ctx.u_l_emb), -1)):
-        p = field.one()
-        for k in range(13):
-            scaled = tuple(v * den for v in p.coords)
-            if all(v.denominator == 1 for v in scaled):
-                scaled = tuple(int(v) for v in scaled)
-                neg = tuple(-v for v in scaled)
-                ul_powers[scaled] = ul_powers[neg] = sign * k
-            p = qt.qr_mul(p, step)
+    table = {}
+    for k, power in u_l_powers(ctx):
+        scaled = tuple(v * den for v in power.coords)
+        if all(v.denominator == 1 for v in scaled):
+            scaled = tuple(int(v) for v in scaled)
+            table[scaled] = table[tuple(-v for v in scaled)] = k
 
     def exponent(c):
         s2c = [sum(m * v for m, v in zip(row, c)) for row in s2_rows]
-        return ul_powers.get(qt.mul_coords(c, s2c, field.coeffs))
+        return table.get(qt.mul_coords(c, s2c, field.coeffs))
     return exponent
+
+
+def u_l_powers(ctx):
+    """(k, image of u_l^k) for |k| <= 12, k = 0 twice: the powers are
+    running products in Q(sqrt(d)), with u_l^-1 = N(u_l) * conj(u_l), and
+    each is lifted once."""
+    ul = ctx.u_l
+    n = quad_norm(ul)
+    powers = []
+    for step, sign in ((ul, 1), (QuadElem(ul.d, n * ul.a, -n * ul.b), -1)):
+        p = QuadElem(ul.d, 1, 0)
+        for k in range(13):
+            powers.append((sign * k, ctx.lift(p)))
+            p = quad_mul(p, step)
+    return powers
 
 
 def hit_sort_key(lv):

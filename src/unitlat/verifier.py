@@ -23,6 +23,8 @@ from .loglattice import (cyclic_f, cyclic_min, cyclic_wedge_rows,
 
 THEOREM_TOL = mpmath.mpf("1e-5")
 DERIVED_TOL = mpmath.mpf("1e-9")
+# height of the relative-unit search behind the regulator cross-check
+REGULATOR_HEIGHT = 6
 
 
 def _log_phi():
@@ -194,8 +196,8 @@ def klein_field_report(d1, d2, precision_bits=DEFAULT_PRECISION):
         return struct, value, reports
 
 
-def cyclic_entry_report(entry, coeff_bound=20, precision_bits=DEFAULT_PRECISION,
-                        regulator_height=6):
+def cyclic_entry_report(entry, coeff_bound=20,
+                        precision_bits=DEFAULT_PRECISION):
     with mpf_ctx(precision_bits):
         ctx = us.cyclic_context(entry.coeffs, entry.quad_subfield_d,
                                 entry.u_l, precision_bits)
@@ -207,7 +209,7 @@ def cyclic_entry_report(entry, coeff_bound=20, precision_bits=DEFAULT_PRECISION,
             return None, reports
         gen_logs = us.cyclic_generator_logs(entry, ctx, hasse)
         reg_ok, reg_idx = us.regulator_cross_check(gen_logs, [
-            lv for _, _, lv in us.search_relative_units(ctx, regulator_height)])
+            lv for _, _, lv in us.search_relative_units(ctx, REGULATOR_HEIGHT)])
         reports.append(BoundReport(
             "regulator_cross_check", None, None,
             "holds" if reg_ok else "violated",

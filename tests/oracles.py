@@ -12,8 +12,8 @@ klein_e_wedge builds the E-wedge lattice of a Klein field from
 `klein_wedge_rows`, which the wedge tests pin to `wedge2` of real log
 vectors, so `brute_min_one_norm` can check the report's closed-form
 minimum.  klein_patterns_tower decides all seven Klein square classes by
-the exact tower square root, knowing nothing of the integer criterion on
-traces.  Three cyclic oracles keep the earlier direct forms:
+the exact tower square root sqrt_in_field (built on quad_sqrt), knowing
+nothing of the library's criteria on traces and coordinates.  Three cyclic oracles keep the earlier direct forms:
 trial_division_irreducible finds integer roots and quadratic factors
 from the divisors of the constant term, with no roots computed;
 galois_generator_all_perms reconstructs sigma from every root
@@ -21,9 +21,9 @@ permutation moving root 0, not only 4-cycles, by one Vandermonde solve
 each; fraction_norm_exponent tests a relative norm in Fraction
 arithmetic through qr_mul and the exact sigma^2.
 
-The rest is package-style code that only tests call: biquadratic norm,
-inverse and power (biq_norm_to_Q, biq_inv, biq_pow) and the Pohst floor
-check on one unit (pohst_check).
+The rest is package-style code that only tests call: biquadratic
+negation, norm, inverse and power (biq_neg, biq_norm_to_Q, biq_inv,
+biq_pow) and the Pohst floor check on one unit (pohst_check).
 """
 
 import itertools
@@ -32,13 +32,14 @@ from math import isqrt, log, sqrt
 
 import mpmath
 
-from unitlat.biquadratic import (BiquadElem, BiquadField, biq_mul,
-                                 galois_apply, sqrt_in_field)
+from unitlat.biquadratic import (BiquadElem, BiquadField, _relative_norm,
+                                 biq_mul, galois_apply)
 from unitlat.loglattice import (klein_wedge_rows, log_embed_cyclic,
                                 log_embed_klein)
 from unitlat.precision import (DEFAULT_PRECISION, mpf_ctx,
                                reconstruct_rational)
-from unitlat.quadratic import _rational_sqrt, is_squarefree
+from unitlat.quadratic import (QuadElem, _rational_sqrt, is_squarefree,
+                               quad_inv, quad_mul, quad_norm, surd_sign)
 from unitlat.quartic import (Automorphism, QuarticElem, embed_all,
                              eval_poly_at, qr_inv, qr_mul, qr_neg)
 from unitlat.units import (KleinUnitStructure, _f2_basis, klein_denominator,
@@ -107,6 +108,61 @@ def klein_e_wedge(struct):
         rows = tuple(tuple(map(mpmath.mpf, row))
                      for row in klein_wedge_rows(w2 * w3, w1 * w3, w1 * w2))
     return rows, klein_denominator(struct.index_over_E)
+
+
+def quad_sqrt(x):
+    """Exact square root in Q(sqrt(d)), or None when x is not a square.
+    If (u + v*sqrt(d))^2 = a + b*sqrt(d) then u^2 - d*v^2 = +-m with
+    m^2 = N(x), so u^2 = (a +- m)/2 and v = b/(2u), or v^2 = (a -+ m)/(2d)
+    when u = 0; either way the result squares to x exactly."""
+    m = _rational_sqrt(quad_norm(x))
+    if m is None:
+        return None
+    for pm in (m, -m):
+        u = _rational_sqrt((x.a + pm) / 2)
+        if u is None:
+            continue
+        v = x.b / (2 * u) if u else _rational_sqrt((x.a - pm) / (2 * x.d))
+        if v is not None:
+            return QuadElem(x.d, u, v)
+    return None
+
+
+def sqrt_in_field(a):
+    """Exact square root of a biquadratic element a with positive
+    id-embedding, or None when a is not a square in L, in the tower
+    L = K(sqrt(d2)) over K = Q(sqrt(d1)).  As in quad_sqrt, one level up:
+    if (g + h*sqrt(d2))^2 = alpha + beta*sqrt(d2) then g^2 = (alpha +- n)/2
+    with n^2 = N_{L/K}(a), and h = beta/(2g), or h^2 = (alpha -+ n)/(2*d2)
+    when g = 0."""
+    f = a.field
+    alpha = QuadElem(f.d1, a.x, a.y)
+    beta = QuadElem(f.d1, a.z, a.w / f.s)  # sqrt(d3) = sqrt(d1)*sqrt(d2)/s
+    n = quad_sqrt(_relative_norm(a))
+    if n is None:
+        return None
+    for sign in (1, -1):
+        g = quad_sqrt(QuadElem(f.d1, (alpha.a + sign * n.a) / 2,
+                               (alpha.b + sign * n.b) / 2))
+        if g is None:
+            continue
+        if g.a or g.b:
+            h = quad_mul(beta, quad_inv(QuadElem(f.d1, 2 * g.a, 2 * g.b)))
+        else:
+            h = quad_sqrt(QuadElem(f.d1, (alpha.a - sign * n.a) / (2 * f.d2),
+                                   (alpha.b - sign * n.b) / (2 * f.d2)))
+            if h is None:
+                continue
+        cand = BiquadElem(f, g.a, g.b, h.a, h.b * f.s)
+        if biq_mul(cand, cand) == a:
+            # exact sign at the id-embedding: when g and h*sqrt(d2) differ
+            # in sign, the larger of g^2 and d2*h^2 wins
+            sg, sh = (surd_sign(x.a, x.b, f.d1) for x in (g, h))
+            if sg * sh < 0:
+                g2, h2 = quad_mul(g, g), quad_mul(h, h)
+                sg *= surd_sign(g2.a - f.d2 * h2.a, g2.b - f.d2 * h2.b, f.d1)
+            return cand if (sg or sh) > 0 else biq_neg(cand)
+    return None
 
 
 def klein_patterns_tower(d1, d2):
@@ -221,6 +277,10 @@ def biq_norm_to_Q(a):
                    biq_mul(galois_apply("s2", a), galois_apply("s3", a)))
     assert prod.is_rational(), "norm must land in Q"
     return prod.x
+
+
+def biq_neg(a):
+    return BiquadElem(a.field, -a.x, -a.y, -a.z, -a.w)
 
 
 def biq_inv(a):

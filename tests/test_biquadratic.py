@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from unitlat import units as us
 from unitlat.biquadratic import (BiquadElem, BiquadField, biq_add, biq_mul,
-                                 biq_neg, embed_real, galois_apply,
-                                 is_algebraic_integer, is_unit, sqrt_in_field,
-                                 GALOIS_KLEIN)
+                                 embed_real, galois_apply,
+                                 is_algebraic_integer, is_unit, GALOIS_KLEIN)
 from unitlat.quadratic import fundamental_unit, is_squarefree
-from oracles import biq_inv, biq_norm_to_Q, biq_pow, char_poly
+from oracles import (biq_inv, biq_neg, biq_norm_to_Q, biq_pow, char_poly,
+                     sqrt_in_field)
 
 SQUAREFREE = [d for d in range(2, 60) if is_squarefree(d)]
 

@@ -7,18 +7,22 @@ from unittest import mock
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import unitlat
 from unitlat import units as us
 from unitlat import quartic as qt
 from unitlat import biquadratic as bq
-from unitlat.biquadratic import BiquadElem, biq_mul, biq_neg, is_unit
+from unitlat.biquadratic import (BiquadElem, biq_add, biq_mul, galois_apply,
+                                 is_unit)
 from unitlat.loglattice import (LogVector, cyclic_wedge_rows,
                                 log_embed_cyclic, wedge2)
 from unitlat.quadratic import QuadElem, fundamental_unit, quad_norm
 from unitlat.verifier import cyclic_entry_report, load_default_catalog
-from oracles import (SQUAREFREE_1000, char_poly, fraction_norm_exponent,
-                     klein_patterns_tower, sigma_loop_log)
+import oracles
+from oracles import (SQUAREFREE_1000, biq_neg, char_poly,
+                     fraction_norm_exponent, klein_patterns_tower,
+                     sigma_loop_log)
 
 DATA = Path(__file__).parent / "data"
 
@@ -127,16 +131,14 @@ def test_f2_basis_rank():
 def _matches_tower_oracle(d1, d2):
     """klein_unit_structure against the seven-test tower oracle: same
     patterns, roots, index and generators; every root squares to its
-    pattern product; sqrt_in_field runs once when all three subfield
-    units have norm -1, and never otherwise."""
+    pattern product; the tower square root never runs inside the
+    library."""
     want = klein_patterns_tower(d1, d2)
-    calls = []
 
-    def counting(a):
-        calls.append(a)
-        return bq.sqrt_in_field(a)
+    def forbidden(a):
+        raise AssertionError("klein_unit_structure ran a tower square root")
 
-    with mock.patch.object(us, "sqrt_in_field", counting):
+    with mock.patch.object(oracles, "sqrt_in_field", forbidden):
         got = us.klein_unit_structure(d1, d2)
     assert got.sqrt_patterns == want.sqrt_patterns
     assert got.sqrt_elements == want.sqrt_elements
@@ -149,8 +151,6 @@ def _matches_tower_oracle(d1, d2):
             if ei:
                 prod = biq_mul(prod, lift)
         assert biq_mul(root, root) == prod
-    all_negative = all(quad_norm(u) < 0 for u in got.units)
-    assert len(calls) == (1 if all_negative else 0)
     return got
 
 
@@ -161,15 +161,52 @@ def test_klein_square_classes_match_tower_oracle(pair):
     _matches_tower_oracle(*pair)
 
 
+NORM_MINUS_ONE_1000 = [d for d in SQUAREFREE_1000
+                       if fundamental_unit(d).norm_sign == -1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=st.lists(st.sampled_from(NORM_MINUS_ONE_1000), min_size=2,
+                     max_size=2, unique=True))
+def test_norm_minus_one_square_class_matches_tower_oracle(pair):
+    # the fields whose three subfield units all have norm -1: u1*u2*u3 is
+    # decided by the four rational-square tests
+    units = us.subfield_units(*pair)[0]
+    assume(all(quad_norm(u) < 0 for u in units))
+    _matches_tower_oracle(*pair)
+
+
 @pytest.mark.parametrize("d1, d2, patterns", [
     (2, 3, ((0, 0, 1), (0, 1, 0), (0, 1, 1))),  # delta = d2, d3, d1
     (2, 7, ((0, 0, 1), (0, 1, 0), (0, 1, 1))),  # delta = d1, d1, 1
     (2, 5, ((1, 1, 1),)),      # all norms -1: u1*u2*u3 is a square
     (2, 85, ()),               # all norms -1: u1*u2*u3 is not
     (383, 503, ((0, 0, 1), (1, 1, 0), (1, 1, 1))),
+    (2, 29, ((1, 1, 1),)),     # all norms -1: the other (eps, nu) branches
+    (2, 37, ((1, 1, 1),)),
+    (2, 53, ((1, 1, 1),)),
 ])
 def test_klein_square_classes_fixed(d1, d2, patterns):
     assert _matches_tower_oracle(d1, d2).sqrt_patterns == patterns
+
+
+@pytest.mark.parametrize("d1, d2, eps, nu", [
+    (2, 29, 1, 1), (2, 37, -1, 1), (2, 53, -1, -1), (2, 5, 1, -1)])
+def test_norm_minus_one_root_branches(d1, d2, eps, nu):
+    # the four fields take the four branches (eps, nu), read off the root
+    # x itself: with tau fixing the smallest unit's subfield K,
+    # x*tau(x) = eps*u_i, and g = (x + tau(x))/2 in K has
+    # N(g) = nu*(a_j - eps*a_k)/2
+    s = _matches_tower_oracle(d1, d2)
+    x = s.sqrt_elements[(1, 1, 1)]
+    ui, uj, uk = s.units
+    xt = galois_apply(s.fixers[0], x)
+    assert biq_mul(x, xt) == s.field.lift_quad(
+        QuadElem(ui.d, eps * ui.a, eps * ui.b))
+    g2 = biq_add(x, xt)  # 2g
+    norm = biq_mul(g2, galois_apply(s.fixers[1], g2))
+    assert norm.is_rational()
+    assert norm.x / 4 == nu * (uj.a - eps * uk.a) / 2
 
 
 @pytest.mark.parametrize("d1, d2", [(2, 3), (3, 5), (383, 503)])
@@ -180,11 +217,20 @@ def test_norm_plus_one_fields_skip_tower_test(d1, d2, monkeypatch):
     def forbidden(a):
         raise AssertionError("sqrt_in_field must not run")
 
-    monkeypatch.setattr(us, "sqrt_in_field", forbidden)
+    monkeypatch.setattr(oracles, "sqrt_in_field", forbidden)
     got = us.klein_unit_structure(d1, d2)
     assert any(quad_norm(u) > 0 for u in got.units)
     assert got.sqrt_elements == want.sqrt_elements
     assert got.generators == want.generators
+
+
+def test_library_has_no_tower_square_root():
+    # one square-class algorithm: the tower square root is a test oracle
+    for name in ("biquadratic", "quadratic", "units"):
+        module = getattr(unitlat, name)
+        assert not hasattr(module, "sqrt_in_field")
+        assert not hasattr(module, "quad_sqrt")
+    assert "sqrt_in_field" not in unitlat.__all__
 
 
 def test_catalog_roundtrip(entry):
@@ -316,6 +362,16 @@ def test_integer_screen_matches_fraction_screen(coeffs, d):
     # the search keeps every screened candidate but -1
     assert sum(k is not None and any(c[1:])
                for k, c in zip(got, cands)) == len(hits) > 0
+
+
+@pytest.mark.parametrize("coeffs, d", SCREEN_FIELDS)
+def test_u_l_powers_match_qr_pow(coeffs, d):
+    # powers taken in Q(sqrt(d)) and lifted equal the powers in L
+    ctx, _ = _screen_case(coeffs, d)
+    powers = us.u_l_powers(ctx)
+    assert sorted(k for k, _ in powers) == sorted(list(range(-12, 13)) + [0])
+    for k, power in powers:
+        assert power == qt.qr_pow(ctx.u_l_emb, k)
 
 
 @settings(max_examples=150, deadline=None)
