@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .quadratic import QuadElem, fundamental_unit, smallest_fundamental_units
 from .biquadratic import BiquadField, BiquadElem
 from .quartic import CyclicQuarticField, QuarticElem, galois_generator
-from .loglattice import log_embed_klein, log_embed_cyclic, wedge2
+from .loglattice import log_embed_klein, wedge2
 from .units import (KleinUnitStructure, klein_unit_structure,
                     CyclicCatalogEntry, verify_hasse_relations,
                     populate_cyclic_entry)
@@ -16,7 +16,7 @@ __all__ = [
     "QuadElem", "fundamental_unit", "smallest_fundamental_units",
     "BiquadField", "BiquadElem",
     "CyclicQuarticField", "QuarticElem", "galois_generator",
-    "log_embed_klein", "log_embed_cyclic", "wedge2",
+    "log_embed_klein", "wedge2",
     "KleinUnitStructure", "klein_unit_structure", "CyclicCatalogEntry",
     "verify_hasse_relations", "populate_cyclic_entry",
     "verify_paper", "klein_field_report", "theorem_constants",

@@ -4,8 +4,8 @@ Configuration precedence: flags > UNITLAT_* environment variables >
 defaults.  Decimal output is fixed at 12 significant digits so runs at a
 fixed configuration are byte-stable.
 
-Exit codes: 0 success, 1 assertable-check violation, 2 invalid input,
-4 catalog validation failure.
+Exit codes: 0 success, 1 assertable-check violation, 2 invalid input (a
+flag out of range, a malformed catalog), 4 catalog validation failure.
 """
 
 import argparse
@@ -15,9 +15,7 @@ import json
 import os
 import sys
 
-import mpmath
-
-from .precision import fmt_sig
+from .precision import DEFAULT_PRECISION, fmt_sig
 from .quadratic import fundamental_unit, is_squarefree
 from . import units as us
 from . import verifier as vf
@@ -28,7 +26,7 @@ EXIT_INVALID_INPUT = 2
 EXIT_CATALOG = 4
 
 _DEFAULTS = {
-    "precision": 128,
+    "precision": DEFAULT_PRECISION,
     "coeff_bound": 20,
     "scan_limit": 30,
 }
@@ -60,6 +58,8 @@ def _config(args):
         raise CliError("--precision must be >= 64", EXIT_INVALID_INPUT)
     if cfg["coeff_bound"] < 1:
         raise CliError("--coeff-bound must be >= 1", EXIT_INVALID_INPUT)
+    if cfg["scan_limit"] < 3:  # below 3 the scan has no pair
+        raise CliError("--scan-limit must be >= 3", EXIT_INVALID_INPUT)
     return cfg
 
 
@@ -133,7 +133,10 @@ def _load_catalog(path):
     if path is None:
         return vf.load_default_catalog()
     with open(path) as fh:
-        return [us.CyclicCatalogEntry.from_json(obj) for obj in json.load(fh)]
+        data = json.load(fh)
+    if not isinstance(data, list) or not all(isinstance(o, dict) for o in data):
+        raise ValueError("a catalog is a JSON list of entry objects")
+    return [us.CyclicCatalogEntry.from_json(obj) for obj in data]
 
 
 def cmd_cyclic(args, out):

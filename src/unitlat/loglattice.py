@@ -15,7 +15,7 @@ import mpmath
 import numpy as np
 
 from .precision import DEFAULT_PRECISION, mpf_ctx
-from . import biquadratic, quartic
+from . import biquadratic
 
 # index pairs of the wedge basis, identical for both conventions
 WEDGE_PAIRS = ((0, 1), (2, 3), (0, 3), (1, 2), (0, 2), (1, 3))
@@ -60,14 +60,6 @@ def log_embed_klein(x, precision_bits=DEFAULT_PRECISION,
         native = dict(zip(biquadratic.GALOIS_KLEIN, emb))
         return LogVector(tuple(mpmath.log(abs(native[g])) for g in order),
                          "klein", precision_bits)
-
-
-def log_embed_cyclic(x, precision_bits=DEFAULT_PRECISION):
-    """LOG of a unit of a cyclic quartic field; domain error on non-units."""
-    if not quartic.is_unit(x):
-        raise ValueError("log_embed requires a unit")
-    emb = quartic.embed_all(x, precision_bits)
-    return orbit_log(x.field, emb, precision_bits)
 
 
 def orbit_log(field, emb, precision_bits):

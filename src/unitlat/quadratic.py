@@ -64,33 +64,8 @@ def quad_mul(x, y):
     return QuadElem(x.d, x.a * y.a + x.b * y.b * x.d, x.a * y.b + x.b * y.a)
 
 
-def quad_conj(x):
-    """The nontrivial automorphism of Q(sqrt(d)): sqrt(d) -> -sqrt(d)."""
-    return QuadElem(x.d, x.a, -x.b)
-
-
 def quad_norm(x):
     return x.a * x.a - x.d * x.b * x.b
-
-
-def quad_inv(x):
-    n = quad_norm(x)
-    if n == 0:
-        raise ZeroDivisionError("zero element has no inverse")
-    return QuadElem(x.d, x.a / n, -x.b / n)
-
-
-def quad_pow(x, k):
-    if k < 0:
-        return quad_pow(quad_inv(x), -k)
-    r = QuadElem(x.d, Fraction(1), Fraction(0))
-    base = x
-    while k:
-        if k & 1:
-            r = quad_mul(r, base)
-        base = quad_mul(base, base)
-        k >>= 1
-    return r
 
 
 def is_quad_integer(x):
@@ -177,7 +152,10 @@ class FundamentalUnitResult:
     log_value: object  # mpf, natural log of the real embedding
 
 
-def _cf_unit_search(d, max_steps=100000):
+CF_MAX_STEPS = 100000  # _cf_unit_search gives up after this many steps
+
+
+def _cf_unit_search(d):
     """Walk the continued fraction of sqrt(d) (or (1+sqrt(d))/2 for d=1 mod 4)
     and return the first convergent giving a norm +-1 unit of the maximal
     order.  Classical theory places the fundamental unit among these.
@@ -194,7 +172,7 @@ def _cf_unit_search(d, max_steps=100000):
     h_prev, h = 0, 1  # h_{-2}, h_{-1}: convergent numerators
     k_prev, k = 1, 0
     p_cur, q_cur = pp, qq
-    for _ in range(max_steps):
+    for _ in range(CF_MAX_STEPS):
         a = (p_cur + s) // q_cur
         h_prev, h = h, a * h + h_prev
         k_prev, k = k, a * k + k_prev

@@ -216,19 +216,6 @@ def mul_coords(a, b, coeffs):
     return tuple(prod[:4])
 
 
-def qr_pow(a, k):
-    if k < 0:
-        return qr_pow(qr_inv(a), -k)
-    r = a.field.one()
-    base = a
-    while k:
-        if k & 1:
-            r = qr_mul(r, base)
-        base = qr_mul(base, base)
-        k >>= 1
-    return r
-
-
 def _same(a, b):
     if a.field != b.field:
         raise ValueError("elements from different quartic fields")
@@ -265,16 +252,6 @@ def norm_to_Q(a):
 
 def is_unit(a):
     return is_algebraic_integer(a) and abs(norm_to_Q(a)) == 1
-
-
-def qr_inv(a):
-    """1/a = sigma^2(a) sigma(N_{L/k}(a)) / N_{L/Q}(a)."""
-    if a.is_zero():
-        raise ZeroDivisionError("zero element has no inverse")
-    sigma_n = a.field.sigma(_relative_norm(a))
-    cofactor = qr_mul(a.field.sigma2(a), sigma_n)
-    n = qr_mul(a, cofactor).rational_value()
-    return QuarticElem(a.field, tuple(c / n for c in cofactor.coords))
 
 
 def eval_poly_at(field, elem):

@@ -42,10 +42,9 @@ def subfield_units(d1, d2, precision_bits=DEFAULT_PRECISION):
     """Fundamental units of the three quadratic subfields of Q(sqrt(d1),
     sqrt(d2)), sorted ascending by real value.
 
-    Returns (units, logs, fixers, permutation): logs[i] is the regulator
+    Returns (units, logs, fixers): logs[i] is the regulator
     log(units[i]) at precision_bits; fixers[i] is the Galois element
-    fixing the subfield of units[i]; permutation maps sorted positions to
-    the native (d1, d2, d3) order.
+    fixing the subfield of units[i].
     """
     field = BiquadField(d1, d2)
     native = [(fundamental_unit(d, precision_bits), fixer)
@@ -56,7 +55,7 @@ def subfield_units(d1, d2, precision_bits=DEFAULT_PRECISION):
     units = tuple(native[i][0].unit for i in order)
     logs = tuple(native[i][0].log_value for i in order)
     fixers = tuple(native[i][1] for i in order)
-    return units, logs, fixers, tuple(order)
+    return units, logs, fixers
 
 
 @dataclass(frozen=True)
@@ -69,9 +68,6 @@ class KleinUnitStructure:
     sqrt_elements: dict    # pattern -> exact square root (BiquadElem)
     index_over_E: int
     generators: tuple      # 3 BiquadElems generating O_L^* mod +-1
-
-    def galois_order(self):
-        return ("id",) + self.fixers
 
 
 def _f2_basis(patterns):
@@ -169,7 +165,7 @@ def klein_unit_structure(d1, d2, precision_bits=DEFAULT_PRECISION):
     id-embedding because every factor is.
     """
     field = BiquadField(d1, d2)
-    units, logs, fixers, _ = subfield_units(d1, d2, precision_bits)
+    units, logs, fixers = subfield_units(d1, d2, precision_bits)
     lifts = [field.lift_quad(u) for u in units]
     positive = [quad_norm(u) > 0 for u in units]
     shifted = [biq_add(x, field.one()) for x in lifts]
@@ -231,7 +227,7 @@ class CyclicCatalogEntry:
     Q_index: int = 1
 
     def __post_init__(self):
-        if self.Q_index not in (1, 2):
+        if type(self.Q_index) is not int or self.Q_index not in (1, 2):
             raise CatalogValidationError("Q_index must be 1 or 2")
         if self.Q_index == 2 and self.u_star is None:
             raise CatalogValidationError("Q_index = 2 requires u_star")
@@ -249,16 +245,31 @@ class CyclicCatalogEntry:
 
     @classmethod
     def from_json(cls, obj):
-        star = obj.get("u_star")
-        return cls(
-            label=obj["label"],
-            coeffs=tuple(obj["defining_polynomial"]),
-            quad_subfield_d=obj["quad_subfield_d"],
-            u_l=QuadElem.from_json(obj["u_l"]),
-            u0=tuple(Fraction(c) for c in obj["u0"]),
-            u_star=None if star is None else tuple(Fraction(c) for c in star),
-            Q_index=obj["Q_index"],
-        )
+        """The entry of one catalog object; a value of the wrong shape or
+        type, or a zero denominator, raises CatalogValidationError."""
+        try:
+            return cls(
+                label=obj["label"],
+                coeffs=tuple(obj["defining_polynomial"]),
+                quad_subfield_d=obj["quad_subfield_d"],
+                u_l=QuadElem.from_json(obj["u_l"]),
+                u0=_coords(obj, "u0"),
+                u_star=None if obj.get("u_star") is None
+                else _coords(obj, "u_star"),
+                Q_index=obj["Q_index"],
+            )
+        except (TypeError, ArithmeticError) as exc:
+            raise CatalogValidationError("entry %r is malformed: %s: %s" % (
+                obj.get("label"), type(exc).__name__, exc)) from exc
+
+
+def _coords(obj, key):
+    """obj[key] as 4 power-basis coordinates (Fractions)."""
+    raw = obj[key]
+    if not isinstance(raw, list) or len(raw) != 4:
+        raise CatalogValidationError(
+            "%s must list 4 power-basis coordinates, got %r" % (key, raw))
+    return tuple(Fraction(c) for c in raw)
 
 
 @dataclass
@@ -288,7 +299,8 @@ def cyclic_context(coeffs, quad_subfield_d, u_l,
     """The cyclic quartic field defined by coeffs, with sigma found, and the
     image of sqrt(quad_subfield_d) in it; entry callers pass the entry's
     coeffs, quad_subfield_d and u_l."""
-    if quad_subfield_d <= 1 or not is_squarefree(quad_subfield_d):
+    if (not isinstance(quad_subfield_d, int) or quad_subfield_d <= 1
+            or not is_squarefree(quad_subfield_d)):
         raise CatalogValidationError(
             "quad_subfield_d must be a squarefree integer > 1, got %r"
             % (quad_subfield_d,))
@@ -308,21 +320,8 @@ def _is_pm(x, target):
     return x == target or x == qt.qr_neg(target)
 
 
-@dataclass
-class HasseReport:
-    relations: dict  # name -> bool
-
-    @property
-    def passed(self):
-        return all(self.relations.values())
-
-    def failures(self):
-        return [k for k, v in self.relations.items() if not v]
-
-
-def verify_hasse_relations(entry, ctx=None):
-    """Exact pass/fail per Hasse relation for a catalog entry."""
-    ctx = ctx or cyclic_context(entry.coeffs, entry.quad_subfield_d, entry.u_l)
+def verify_hasse_relations(entry, ctx):
+    """{relation: bool}, exact, for a catalog entry in its context."""
     field = ctx.field
     sigma, s2 = field.sigma, field.sigma2
     one = field.one()
@@ -349,18 +348,18 @@ def verify_hasse_relations(entry, ctx=None):
         rel["u_star^2 = +-u_l u0 / sigma(u0)"] = _is_pm(
             qt.qr_mul(qt.qr_mul(us, us), sigma(u0)),
             qt.qr_mul(ctx.u_l_emb, u0))
-    return HasseReport(rel)
+    return rel
 
 
 def cyclic_generator_logs(entry, ctx, hasse):
     """LOG of the generators of O_L^* mod +-1, (u_l, u0, sigma(u0)) for
     Q=1 and (u_l, u0, u_star) for Q=2, at the context's precision, given
-    the entry's Hasse report, which must have passed: it proved them
+    the entry's Hasse relations, which must all hold: they proved them
     units, so each is evaluated at the roots once and not re-proved;
     LOG(sigma(u0)) is read off LOG(u0)."""
-    if not hasse.passed:
-        raise CatalogValidationError(
-            "entry failed relations: %s" % ", ".join(hasse.failures()))
+    if not all(hasse.values()):
+        raise CatalogValidationError("entry failed relations: %s" % ", ".join(
+            name for name, ok in hasse.items() if not ok))
     field, prec = ctx.field, ctx.precision_bits
     gens = [ctx.u_l_emb, qt.QuarticElem(field, entry.u0)]
     if entry.Q_index == 2:
@@ -484,7 +483,8 @@ def populate_cyclic_entry(coeffs, quad_subfield_d, label, height_bound=6):
     star_hit = next(((e, k) for e, k, _ in hits if k % 2 != 0), None)
     if star_hit is not None:
         star, k = star_hit
-        star = qt.qr_mul(star, qt.qr_pow(ctx.u_l_emb, -(k - 1) // 2))
+        # |k| <= 11, so the exponent lies in the table's range [-12, 12]
+        star = qt.qr_mul(star, dict(u_l_powers(ctx))[-(k - 1) // 2])
         if qt.embed_all(star, ctx.precision_bits)[0] < 0:
             star = qt.qr_neg(star)
         u0 = qt.qr_mul(star, ctx.field.sigma(star))

@@ -204,8 +204,8 @@ def cyclic_entry_report(entry, coeff_bound=20,
         hasse = us.verify_hasse_relations(entry, ctx)
         reports = [BoundReport("hasse_" + name, None, None,
                                "holds" if ok else "violated")
-                   for name, ok in hasse.relations.items()]
-        if not hasse.passed:
+                   for name, ok in hasse.items()]
+        if not all(hasse.values()):
             return None, reports
         gen_logs = us.cyclic_generator_logs(entry, ctx, hasse)
         reg_ok, reg_idx = us.regulator_cross_check(gen_logs, [
@@ -256,24 +256,38 @@ def cyclic_entry_report(entry, coeff_bound=20,
 # ---------------------------------------------------------------------------
 # Fuzz and equivalence suites
 
+# summax_fuzz and absin_fuzz draw FUZZ_SAMPLES cases each, from seeds 0
+# and 1.  closed_form_equivalence samples TRIALS integer triples
+# x1 > x2 > x3 > 0 and (W1, W2, W3) with 0 < |W_i| <= SAMPLE_MAX, each
+# against every n with max|n_i| <= NMAX.  Both closed forms are
+# homogeneous (degree 1 in x, degree 2 in W), so integer samples stand
+# for all rational ones.  smallest_units_report sorts the fundamental
+# units of every squarefree d <= SMALLEST_UNITS_BOUND.
+FUZZ_SAMPLES = 10 ** 5
+TRIALS = 100
+NMAX = 5
+SAMPLE_MAX = 100
+EQUIVALENCE_SEED = 2
+SMALLEST_UNITS_BOUND = 200
 
-def summax_fuzz(samples=10 ** 5, seed=0):
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-1e3, 1e3, samples)
-    y = rng.uniform(-1e3, 1e3, samples)
+
+def summax_fuzz():
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-1e3, 1e3, FUZZ_SAMPLES)
+    y = rng.uniform(-1e3, 1e3, FUZZ_SAMPLES)
     lhs = np.abs(x + y) + np.abs(x - y)
     rhs = 2 * np.maximum(np.abs(x), np.abs(y))
     bad = int(np.sum(np.abs(lhs - rhs)
                      > 2.0 ** -45 * np.maximum(np.abs(lhs), 1)))
     return BoundReport("summax_identity_fuzz", mpmath.mpf(bad), mpmath.mpf(0),
                        "holds" if bad == 0 else "violated",
-                       details={"samples": samples})
+                       details={"samples": FUZZ_SAMPLES})
 
 
-def absin_fuzz(samples=10 ** 5, seed=1):
-    rng = np.random.default_rng(seed)
-    m = rng.integers(-50, 51, samples)
-    n = rng.integers(-50, 51, samples)
+def absin_fuzz():
+    rng = np.random.default_rng(1)
+    m = rng.integers(-50, 51, FUZZ_SAMPLES)
+    n = rng.integers(-50, 51, FUZZ_SAMPLES)
     keep = (m != 0) | (n != 0)
     m, n = m[keep], n[keep]
     x = rng.uniform(-1e3, 1e3, m.size)
@@ -284,16 +298,6 @@ def absin_fuzz(samples=10 ** 5, seed=1):
     return BoundReport("absin_inequality_fuzz", mpmath.mpf(bad), mpmath.mpf(0),
                        "holds" if bad == 0 else "violated",
                        details={"samples": int(m.size)})
-
-
-# closed_form_equivalence samples: TRIALS integer triples x1 > x2 > x3 > 0
-# and (W1, W2, W3) with 0 < |W_i| <= SAMPLE_MAX, each against every n with
-# max|n_i| <= NMAX.  Both closed forms are homogeneous (degree 1 in x,
-# degree 2 in W), so integer samples stand for all rational ones.
-TRIALS = 100
-NMAX = 5
-SAMPLE_MAX = 100
-EQUIVALENCE_SEED = 2
 
 
 def closed_form_equivalence():
@@ -320,8 +324,8 @@ def closed_form_equivalence():
                        details={"trials": TRIALS, "nmax": NMAX})
 
 
-def smallest_units_report(bound=200):
-    entries = smallest_fundamental_units(bound)
+def smallest_units_report():
+    entries = smallest_fundamental_units(SMALLEST_UNITS_BOUND)
     first = [d for d, _ in entries[:4]]
     order_ok = first == [5, 2, 13, 3]
     tail_ok = all(surd_cmp(e.unit.a, e.unit.b, d, 2, 1, 3) > 0
@@ -332,7 +336,7 @@ def smallest_units_report(bound=200):
                     details={"order": first}),
         BoundReport("smallest_units_tail_exceeds_2_plus_sqrt3", None, None,
                     "holds" if tail_ok else "violated",
-                    details={"bound": bound}),
+                    details={"bound": SMALLEST_UNITS_BOUND}),
     ]
 
 
@@ -346,8 +350,7 @@ def scan_pairs(scan_limit):
 
 
 def verify_paper(scan_limit=30, coeff_bound=20,
-                 precision_bits=DEFAULT_PRECISION, catalog=None,
-                 progress=None):
+                 precision_bits=DEFAULT_PRECISION, catalog=None):
     """Run every check; returns a report dict.  Exit-status contract: the
     caller fails iff any assertable relation is 'violated'."""
     checks = []
@@ -378,8 +381,6 @@ def verify_paper(scan_limit=30, coeff_bound=20,
         if key in named:
             name, paper = named[key]
             checks.append(_reproduced(name, value, paper, mpmath.mpf("1e-6")))
-        if progress:
-            progress(row)
     theorem = constants(precision_bits)["theorem_lower"]
     all_above = all(r["min_1norm"] > theorem and r["certified"]
                     for r in scan_rows)
@@ -410,7 +411,7 @@ def verify_paper(scan_limit=30, coeff_bound=20,
 def _wedge_fixture_reports(precision_bits):
     """The printed wedge coordinate tables, checked on Q(sqrt2, sqrt5)."""
     struct = us.klein_unit_structure(2, 5, precision_bits)
-    order = struct.galois_order()
+    order = ("id",) + struct.fixers
     l1, l2, l3 = (log_embed_klein(struct.field.lift_quad(u), precision_bits,
                                   order=order) for u in struct.units)
     with mpf_ctx(precision_bits):

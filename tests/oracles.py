@@ -21,9 +21,11 @@ permutation moving root 0, not only 4-cycles, by one Vandermonde solve
 each; fraction_norm_exponent tests a relative norm in Fraction
 arithmetic through qr_mul and the exact sigma^2.
 
-The rest is package-style code that only tests call: biquadratic
-negation, norm, inverse and power (biq_neg, biq_norm_to_Q, biq_inv,
-biq_pow) and the Pohst floor check on one unit (pohst_check).
+The rest is package-style code that only tests call: quadratic,
+biquadratic and cyclic quartic inverses and powers (quad_inv, biq_neg,
+biq_norm_to_Q, biq_inv, biq_pow, qr_inv, qr_pow), the cyclic LOG of one
+unit (log_embed_cyclic, the library's orbit_log after a unit test) and
+the Pohst floor check on one unit (pohst_check).
 """
 
 import itertools
@@ -34,14 +36,13 @@ import mpmath
 
 from unitlat.biquadratic import (BiquadElem, BiquadField, _relative_norm,
                                  biq_mul, galois_apply)
-from unitlat.loglattice import (klein_wedge_rows, log_embed_cyclic,
-                                log_embed_klein)
+from unitlat.loglattice import klein_wedge_rows, log_embed_klein, orbit_log
 from unitlat.precision import (DEFAULT_PRECISION, mpf_ctx,
                                reconstruct_rational)
 from unitlat.quadratic import (QuadElem, _rational_sqrt, is_squarefree,
-                               quad_inv, quad_mul, quad_norm, surd_sign)
+                               quad_mul, quad_norm, surd_sign)
 from unitlat.quartic import (Automorphism, QuarticElem, embed_all,
-                             eval_poly_at, qr_inv, qr_mul, qr_neg)
+                             eval_poly_at, is_unit, qr_mul, qr_neg)
 from unitlat.units import (KleinUnitStructure, _f2_basis, klein_denominator,
                            subfield_units)
 from unitlat.verifier import DERIVED_TOL, BoundReport, constants
@@ -171,7 +172,7 @@ def klein_patterns_tower(d1, d2):
     `sqrt_in_field`; the F2 step that turns patterns into generators is
     the library's."""
     field = BiquadField(d1, d2)
-    units, logs, fixers, _ = subfield_units(d1, d2)
+    units, logs, fixers = subfield_units(d1, d2)
     lifts = [field.lift_quad(u) for u in units]
     patterns = []
     roots = {}
@@ -304,6 +305,43 @@ def biq_pow(a, k):
         base = biq_mul(base, base)
         k >>= 1
     return r
+
+
+def quad_inv(x):
+    n = quad_norm(x)
+    if n == 0:
+        raise ZeroDivisionError("zero element has no inverse")
+    return QuadElem(x.d, x.a / n, -x.b / n)
+
+
+def qr_inv(a):
+    """1/a = sigma^2(a) sigma(N_{L/k}(a)) / N_{L/Q}(a)."""
+    if a.is_zero():
+        raise ZeroDivisionError("zero element has no inverse")
+    sigma_n = a.field.sigma(qr_mul(a, a.field.sigma2(a)))
+    cofactor = qr_mul(a.field.sigma2(a), sigma_n)
+    n = qr_mul(a, cofactor).rational_value()
+    return QuarticElem(a.field, tuple(c / n for c in cofactor.coords))
+
+
+def qr_pow(a, k):
+    if k < 0:
+        return qr_pow(qr_inv(a), -k)
+    r = a.field.one()
+    base = a
+    while k:
+        if k & 1:
+            r = qr_mul(r, base)
+        base = qr_mul(base, base)
+        k >>= 1
+    return r
+
+
+def log_embed_cyclic(x, precision_bits=DEFAULT_PRECISION):
+    """LOG of a unit of a cyclic quartic field; domain error on non-units."""
+    if not is_unit(x):
+        raise ValueError("log_embed requires a unit")
+    return orbit_log(x.field, embed_all(x, precision_bits), precision_bits)
 
 
 def pohst_check(u, precision_bits=DEFAULT_PRECISION):

@@ -97,6 +97,7 @@ BAD_ENTRIES = {
     "non-monic": {"defining_polynomial": [2, 0, -4, 0, 2]},
     "non-integer": {"defining_polynomial": [2.5, 0, -4, 0, 1]},
     "d-not-squarefree": {"quad_subfield_d": 4},
+    "d-string": {"quad_subfield_d": "2"},
 }
 
 
@@ -117,6 +118,32 @@ def test_verify_paper_bad_catalog_polynomial(tmp_path, capsys, bad):
     assert code == 4
     assert out == ""
     assert err.startswith("error:")
+
+
+# catalog files that cannot be loaded: invalid input, as Q_index 3 is,
+# not a traceback; each maps the first shipped entry to the file's JSON
+MALFORMED_CATALOGS = {
+    "u0-number": lambda obj: [dict(obj, u0=5)],
+    "u0-two-coordinates": lambda obj: [dict(obj, u0=["1", "2"])],
+    "u0-zero-denominator": lambda obj: [dict(obj, u0=["1/0", "0", "0", "0"])],
+    "Q_index-float": lambda obj: [dict(obj, Q_index=2.0)],
+    "object-not-list": lambda obj: obj,
+}
+
+
+@pytest.mark.parametrize("command", ["cyclic", "verify-paper"])
+@pytest.mark.parametrize("bad", sorted(MALFORMED_CATALOGS))
+def test_malformed_catalog_is_invalid_input(tmp_path, capsys, bad, command):
+    obj = vf.load_default_catalog()[0].to_json()
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(MALFORMED_CATALOGS[bad](obj)))
+    argv = ["--catalog", str(path), "--scan-limit", "3", command]
+    if command == "cyclic":
+        argv.append(obj["label"])
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot load catalog: ")
 
 
 def test_scan_csv(capsys):
@@ -210,6 +237,23 @@ def test_cyclic_json_matches_pinned(capsys, monkeypatch, label, pinned):
         assert out == fh.read()
 
 
+@pytest.mark.parametrize("d1, d2", [(2, 5), (2, 29), (2, 3), (5, 34),
+                                    (6, 10)])
+def test_klein_json_matches_pinned(capsys, monkeypatch, d1, d2):
+    # tests/data/klein_D1_D2.json pin `--format json klein D1 D2` byte for
+    # byte: all-norm -1 roots at (2, 5) and (2, 29), index 4 at (2, 3),
+    # index 1 at (5, 34), gcd(d1, d2) > 1 at (6, 10); regenerate them only
+    # for an intended change of output
+    for name in ("PRECISION", "COEFF_BOUND", "SCAN_LIMIT"):
+        monkeypatch.delenv("UNITLAT_" + name, raising=False)
+    code, out, _ = run(capsys, "--format", "json", "klein", str(d1), str(d2))
+    assert code == 0
+    path = os.path.join(os.path.dirname(__file__), "data",
+                        "klein_%d_%d.json" % (d1, d2))
+    with open(path, newline="") as fh:
+        assert out == fh.read()
+
+
 def _verify_paper_10(capsys, monkeypatch, fmt):
     for name in ("PRECISION", "COEFF_BOUND", "SCAN_LIMIT"):
         monkeypatch.delenv("UNITLAT_" + name, raising=False)
@@ -252,9 +296,17 @@ def test_bad_env_value(capsys, monkeypatch):
     assert run(capsys, "fund-unit", "5")[0] == 2
 
 
-def test_config_validation(capsys):
+def test_config_validation(capsys, monkeypatch):
     assert run(capsys, "--precision", "32", "fund-unit", "5")[0] == 2
     assert run(capsys, "--coeff-bound", "0", "klein", "2", "5")[0] == 2
+    # below 3 the scan has no pair, and an empty scan must not pass
+    assert run(capsys, "--scan-limit", "2", "verify-paper")[0] == 2
+    code, out, err = run(capsys, "--scan-limit", "-3", "scan")
+    assert (code, out) == (2, "")
+    assert err == "error: --scan-limit must be >= 3\n"
+    monkeypatch.setenv("UNITLAT_SCAN_LIMIT", "2")
+    assert run(capsys, "verify-paper")[0] == 2
+    assert run(capsys, "--scan-limit", "3", "scan")[0] == 0
 
 
 def test_verify_paper_exit_codes(capsys, monkeypatch):

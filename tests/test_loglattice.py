@@ -9,15 +9,14 @@ from hypothesis import assume, example, given, settings, strategies as st
 from unitlat.loglattice import (LogVector, cyclic_f, cyclic_lower_bounds,
                                 cyclic_min, cyclic_wedge_rows,
                                 klein_norm_closed, klein_wedge_rows,
-                                log_embed_cyclic, log_embed_klein, wedge2)
+                                log_embed_klein, wedge2)
 from unitlat.biquadratic import BiquadField
 from unitlat.precision import mpf_ctx
 from unitlat.quartic import QuarticElem
-from unitlat.quadratic import fundamental_unit
 from unitlat import units as us
 from unitlat.verifier import klein_field_report, load_default_catalog
 from oracles import (SQUAREFREE_1000, brute_min_one_norm, brute_norms,
-                     float_rows, klein_e_wedge)
+                     float_rows, klein_e_wedge, log_embed_cyclic)
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +38,7 @@ def cyclic_logs():
 def klein25():
     struct = us.klein_unit_structure(2, 5)
     vecs = tuple(log_embed_klein(struct.field.lift_quad(u),
-                                 order=struct.galois_order())
+                                 order=("id",) + struct.fixers)
                  for u in struct.units)
     return struct, vecs
 
@@ -282,7 +281,7 @@ def test_klein_lattice_rows_are_wedges(pair):
     # the basis built from the subfield regulators W_i equals wedge2 of the
     # log embeddings of the lifted units, at working precision
     struct = us.klein_unit_structure(*pair)
-    order = struct.galois_order()
+    order = ("id",) + struct.fixers
     l1, l2, l3 = (log_embed_klein(struct.field.lift_quad(u), order=order)
                   for u in struct.units)
     rows, _ = klein_e_wedge(struct)
@@ -318,7 +317,7 @@ def test_klein_report_minimum_is_sound(pair):
     # the wedges of the generators of O_L^* have den-integral coordinates
     # in the E-wedge basis, so their lattice lies inside the reported one
     # and its minimum is no smaller
-    order = struct.galois_order()
+    order = ("id",) + struct.fixers
     l1, l2, l3 = (log_embed_klein(struct.field.lift_quad(u), 192, order)
                   for u in struct.units)
     g1, g2, g3 = (log_embed_klein(g, 192, order) for g in struct.generators)

@@ -12,9 +12,9 @@ from unitlat import quartic as qt
 from unitlat.quartic import (CyclicQuarticField, NotCyclicError, QuarticElem,
                              embed_all, eval_poly_at,
                              galois_generator, is_algebraic_integer, is_unit,
-                             norm_to_Q, qr_add, qr_inv, qr_mul, qr_neg, qr_pow,
+                             norm_to_Q, qr_add, qr_mul,
                              quartic_is_irreducible, sqrt_of_rational)
-from oracles import (char_poly, galois_generator_all_perms,
+from oracles import (char_poly, galois_generator_all_perms, qr_inv, qr_pow,
                      trial_division_irreducible)
 
 # maximal real subfield of the 16th cyclotomic field
