@@ -8,8 +8,8 @@ from .biquadratic import BiquadField, BiquadElem
 from .quartic import CyclicQuarticField, QuarticElem, galois_generator
 from .loglattice import log_embed_klein, wedge2
 from .units import (KleinUnitStructure, klein_unit_structure,
-                    CyclicCatalogEntry, verify_hasse_relations,
-                    populate_cyclic_entry)
+                    klein_pattern_root, klein_generators, CyclicCatalogEntry,
+                    verify_hasse_relations, populate_cyclic_entry)
 from .verifier import verify_paper, klein_field_report, theorem_constants
 
 __all__ = [
@@ -17,7 +17,8 @@ __all__ = [
     "BiquadField", "BiquadElem",
     "CyclicQuarticField", "QuarticElem", "galois_generator",
     "log_embed_klein", "wedge2",
-    "KleinUnitStructure", "klein_unit_structure", "CyclicCatalogEntry",
+    "KleinUnitStructure", "klein_unit_structure", "klein_pattern_root",
+    "klein_generators", "CyclicCatalogEntry",
     "verify_hasse_relations", "populate_cyclic_entry",
     "verify_paper", "klein_field_report", "theorem_constants",
 ]

@@ -95,20 +95,20 @@ def cmd_klein(args, out):
     struct, value, reports = vf.klein_field_report(args.d1, args.d2,
                                                    cfg["precision"])
     detail = reports[0].details
-    payload = {
-        "d1": args.d1, "d2": args.d2, "d3": struct.field.d3,
-        "subfield_units": [str(u) for u in struct.units],
-        "sqrt_patterns": [list(p) for p in struct.sqrt_patterns],
-        "index_over_E": struct.index_over_E,
-        "generators": [str(g) for g in struct.generators],
-        "denominator": detail["denominator"],
-        "min_1norm": fmt_sig(value),
-        "argmin": detail["argmin"],
-        "certified": detail["certified"],
-        "bounds": [{"name": r.name, "value": fmt_sig(r.paper_value),
-                    "relation": r.relation} for r in reports[1:]],
-    }
     if args.format == "json":
+        payload = {
+            "d1": args.d1, "d2": args.d2, "d3": struct.field.d3,
+            "subfield_units": [str(u) for u in struct.units],
+            "sqrt_patterns": [list(p) for p in struct.sqrt_patterns],
+            "index_over_E": struct.index_over_E,
+            "generators": [str(g) for g in us.klein_generators(struct)],
+            "denominator": detail["denominator"],
+            "min_1norm": fmt_sig(value),
+            "argmin": detail["argmin"],
+            "certified": detail["certified"],
+            "bounds": [{"name": r.name, "value": fmt_sig(r.paper_value),
+                        "relation": r.relation} for r in reports[1:]],
+        }
         json.dump(payload, out, indent=2)
         out.write("\n")
     else:

@@ -205,14 +205,31 @@ def fundamental_unit(d, precision_bits=DEFAULT_PRECISION):
     return FundamentalUnitResult(unit, norm, log_value)
 
 
-def smallest_fundamental_units(bound, precision_bits=DEFAULT_PRECISION):
-    """All (d, fundamental unit) for squarefree 2 <= d <= bound, sorted
-    ascending by the real value of the unit (exact comparison)."""
-    entries = [(d, fundamental_unit(d, precision_bits))
-               for d in range(2, bound + 1) if is_squarefree(d)]
+def sort_by_unit(entries, precision_bits=DEFAULT_PRECISION):
+    """Pairs (tag, FundamentalUnitResult) sorted ascending by the real
+    value of the unit, exactly.
+
+    log_value, at precision p, is off by about 2^-p * (1 + log_value).
+    A unit found in CF_MAX_STEPS steps has log_value of at most about
+    CF_MAX_STEPS * log(2*sqrt(d) + 2), under 2^29 when log d < 10^4, so
+    for p >= 64 the error is below 2^(-p/2 - 1): two logs more than
+    2^(-p/2) apart order their units, and closer ones, equal ones
+    included, are compared by quad_cmp.
+    """
+    tol = mpmath.ldexp(1, -(precision_bits // 2))
 
     def cmp(lhs, rhs):
-        return quad_cmp(lhs[1].unit, rhs[1].unit)
+        a, b = lhs[1].log_value, rhs[1].log_value
+        if abs(a - b) <= tol:
+            return quad_cmp(lhs[1].unit, rhs[1].unit)
+        return -1 if a < b else 1
 
-    entries.sort(key=functools.cmp_to_key(cmp))
-    return entries
+    return sorted(entries, key=functools.cmp_to_key(cmp))
+
+
+def smallest_fundamental_units(bound, precision_bits=DEFAULT_PRECISION):
+    """All (d, fundamental unit) for squarefree 2 <= d <= bound, sorted
+    ascending by the real value of the unit (exact, sort_by_unit)."""
+    return sort_by_unit([(d, fundamental_unit(d, precision_bits))
+                         for d in range(2, bound + 1) if is_squarefree(d)],
+                        precision_bits)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .precision import DEFAULT_PRECISION, mpf_ctx
 from .quadratic import (QuadElem, _rational_sqrt, fundamental_unit,
-                        is_squarefree, quad_cmp, quad_mul, quad_norm,
+                        is_squarefree, quad_mul, quad_norm, sort_by_unit,
                         surd_sign)
 from . import quartic as qt
 from .biquadratic import BiquadElem, BiquadField, biq_add, biq_mul
@@ -40,34 +40,37 @@ class CatalogValidationError(ValueError):
 
 def subfield_units(d1, d2, precision_bits=DEFAULT_PRECISION):
     """Fundamental units of the three quadratic subfields of Q(sqrt(d1),
-    sqrt(d2)), sorted ascending by real value.
+    sqrt(d2)), sorted ascending by real value (sort_by_unit).
 
-    Returns (units, logs, fixers): logs[i] is the regulator
+    Returns (units, logs, fixers, norm_signs): logs[i] is the regulator
     log(units[i]) at precision_bits; fixers[i] is the Galois element
-    fixing the subfield of units[i].
+    fixing the subfield of units[i]; norm_signs[i] is its norm, +-1.
     """
     field = BiquadField(d1, d2)
-    native = [(fundamental_unit(d, precision_bits), fixer)
-              for d, fixer in ((field.d1, "s1"), (field.d2, "s2"),
-                               (field.d3, "s3"))]
-    order = sorted(range(3), key=functools.cmp_to_key(
-        lambda i, j: quad_cmp(native[i][0].unit, native[j][0].unit)))
-    units = tuple(native[i][0].unit for i in order)
-    logs = tuple(native[i][0].log_value for i in order)
-    fixers = tuple(native[i][1] for i in order)
-    return units, logs, fixers
+    ranked = sort_by_unit([(fixer, fundamental_unit(d, precision_bits))
+                           for d, fixer in ((field.d1, "s1"), (field.d2, "s2"),
+                                            (field.d3, "s3"))],
+                          precision_bits)
+    return (tuple(res.unit for _, res in ranked),
+            tuple(res.log_value for _, res in ranked),
+            tuple(fixer for fixer, _ in ranked),
+            tuple(res.norm_sign for _, res in ranked))
 
 
 @dataclass(frozen=True)
 class KleinUnitStructure:
+    """The square classes of a Klein field as integer and log data; the
+    square roots and generators are built on request (klein_pattern_root,
+    klein_generators)."""
+
     field: BiquadField
     units: tuple           # (u1, u2, u3) sorted ascending, QuadElems
     logs: tuple            # (W1, W2, W3), W_i = log(u_i) = LOG(u_i)[id]
     fixers: tuple          # Galois element fixing the subfield of each unit
     sqrt_patterns: tuple   # exponent triples e with sqrt(u1^e1 u2^e2 u3^e3) in O_L^*
-    sqrt_elements: dict    # pattern -> exact square root (BiquadElem)
+    witnesses: dict        # pattern -> (k, r) or (eps, nu, t): how it was decided
+    basis: tuple           # _f2_basis pairs (pattern, slot): roots among the generators
     index_over_E: int
-    generators: tuple      # 3 BiquadElems generating O_L^* mod +-1
 
 
 def _f2_basis(patterns):
@@ -98,9 +101,15 @@ def _pattern_product(field, e, elems):
     return prod
 
 
-def _norm_minus_one_root(field, units, lifts):
-    """Square root of P = u1*u2*u3 in L, positive at the id-embedding, or
-    None, for sorted subfield units u = a + b*sqrt(d) > 1 of norm -1.
+def _norm_minus_one_pi(field, units):
+    """Pi = b1*b2*b3*d1*d2/s, the rational prod b*sqrt(d)."""
+    return units[0].b * units[1].b * units[2].b * field.d1 * field.d2 / field.s
+
+
+def _norm_minus_one_witness(field, units):
+    """(eps, nu, t) with T(eps, nu) = t^2 > 0, deciding that P = u1*u2*u3
+    is a square in L, or None, for sorted subfield units
+    u = a + b*sqrt(d) > 1 of norm -1.
 
     Base i = 0, the smallest unit, j and k the others; K = Q(sqrt(d_i)),
     tau the element of Gal(L/K), Pi = b1*b2*b3*d1*d2/s = prod b*sqrt(d)
@@ -121,89 +130,113 @@ def _norm_minus_one_root(field, units, lifts):
     sqrt(d_i) coordinate, so z is not rational and Tr g != 0.
     Conversely, if T = t^2 > 0, g = (z + nu')/t squares to z (z^2 =
     Tr(z)*z - nu'^2), and x = (P + eps*u_i)/(2g) squares to P, because
-    (P + eps*u_i)^2 = 2*u_i*w*P.  With N(z + nu') = nu'*t^2,
-    x = (P + eps*u_i) * (z + nu')'/(2*nu'*t), (.)' the conjugate of K;
-    P + eps*u_i > 0 at the id-embedding, so the K factor gives the sign.
+    (P + eps*u_i)^2 = 2*u_i*w*P (_norm_minus_one_root builds it).
     """
-    (ai, bi, di), (aj, _, _), (ak, _, _) = ((u.a, u.b, u.d) for u in units)
-    pi = units[0].b * units[1].b * units[2].b * field.d1 * field.d2 / field.s
+    ai, aj, ak = (u.a for u in units)
+    pi = _norm_minus_one_pi(field, units)
     for eps, nu in itertools.product((1, -1), repeat=2):
         t = _rational_sqrt(ai * (aj * ak + eps) + pi + nu * (aj - eps * ak))
-        if not t:
-            continue
-        nu1 = nu * (aj - eps * ak) / 2
-        z = quad_mul(units[0], QuadElem(di, (aj * ak + eps) / 2,
-                                        pi / (2 * bi * di)))
-        den = 2 * nu1 * t
-        factor = QuadElem(di, (z.a + nu1) / den, -z.b / den)
-        if surd_sign(factor.a, factor.b, di) < 0:
-            factor = QuadElem(di, -factor.a, -factor.b)
-        shifted = biq_add(_pattern_product(field, (1, 1, 1), lifts),
-                          field.lift_quad(QuadElem(di, eps * ai, eps * bi)))
-        return biq_mul(shifted, field.lift_quad(factor))
+        if t:
+            return eps, nu, t
     return None
 
 
+def _norm_minus_one_root(field, units, eps, nu, t):
+    """The square root x of P = u1*u2*u3, positive at the id-embedding,
+    from the witness (eps, nu, t) of _norm_minus_one_witness.  With
+    N(z + nu') = nu'*t^2, x = (P + eps*u_i) * (z + nu')'/(2*nu'*t), (.)'
+    the conjugate of K; P + eps*u_i > 0 at the id-embedding, so the K
+    factor gives the sign."""
+    (ai, bi, di), (aj, _, _), (ak, _, _) = ((u.a, u.b, u.d) for u in units)
+    pi = _norm_minus_one_pi(field, units)
+    nu1 = nu * (aj - eps * ak) / 2
+    z = quad_mul(units[0], QuadElem(di, (aj * ak + eps) / 2,
+                                    pi / (2 * bi * di)))
+    den = 2 * nu1 * t
+    factor = QuadElem(di, (z.a + nu1) / den, -z.b / den)
+    if surd_sign(factor.a, factor.b, di) < 0:
+        factor = QuadElem(di, -factor.a, -factor.b)
+    lifts = [field.lift_quad(u) for u in units]
+    shifted = biq_add(_pattern_product(field, (1, 1, 1), lifts),
+                      field.lift_quad(QuadElem(di, eps * ai, eps * bi)))
+    return biq_mul(shifted, field.lift_quad(factor))
+
+
 def klein_unit_structure(d1, d2, precision_bits=DEFAULT_PRECISION):
-    """Determine [O_L^*: +-E] and a generating set from the square classes
-    of the seven patterns u1^e1 u2^e2 u3^e3, decided with integers.
+    """Determine [O_L^*: +-E] and the square classes of the seven patterns
+    u1^e1 u2^e2 u3^e3, decided with integers; no element of L is built.
 
     Norm rule: a square is totally positive.  s_j fixes the subfield of
     u_j > 0 and sends each other u_i to its conjugate N(u_i)/u_i, so under
     s_j the sign of the product over a pattern P is
     prod_{i in P, i != j} N(u_i).  So a pattern containing a norm -1 unit
     is not a square unless it is (1, 1, 1) with all three norms -1; that
-    pattern is decided by four rational-square tests
-    (_norm_minus_one_root).
+    pattern is decided by four rational-square tests, and its witness is
+    (eps, nu, t) (_norm_minus_one_witness).
 
     Norm +1 patterns: for a unit u > 1 of norm +1, (u + 1)^2 = u*(Tr u + 2),
     and Tr u + 2 = 2a + 2 (u = a + b*sqrt(d)) is a positive integer.  So
     prod_P u_i is a square in L iff m = prod_P (Tr u_i + 2) is, and a
     positive rational is a square in L iff m*delta is a rational square
-    for some delta in {1, d1, d2, d3}.  The root is
-    prod_P (u_i + 1) * sqrt(delta) / isqrt(m*delta), positive at the
-    id-embedding because every factor is.
+    for some delta in {1, d1, d2, d3}.  The witness is (k, r): delta is
+    basis slot k of (1, d1, d2, d3) and r = isqrt(m*delta).
     """
     field = BiquadField(d1, d2)
-    units, logs, fixers = subfield_units(d1, d2, precision_bits)
-    lifts = [field.lift_quad(u) for u in units]
-    positive = [quad_norm(u) > 0 for u in units]
-    shifted = [biq_add(x, field.one()) for x in lifts]
+    units, logs, fixers, norm_signs = subfield_units(d1, d2, precision_bits)
     trace_plus_2 = [int(2 * u.a) + 2 for u in units]
     deltas = (1, field.d1, field.d2, field.d3)  # sqrt(delta): basis slot k
 
-    patterns = []
-    roots = {}
+    witnesses = {}
     for e in itertools.product((0, 1), repeat=3):
         if e == (0, 0, 0):
             continue
-        root = None
-        if all(pos for ei, pos in zip(e, positive) if ei):
+        if all(sign > 0 for ei, sign in zip(e, norm_signs) if ei):
             m = math.prod(t for ei, t in zip(e, trace_plus_2) if ei)
             for k, delta in enumerate(deltas):
                 r = math.isqrt(m * delta)
                 if r * r == m * delta:
-                    scale = BiquadElem(field, *(Fraction(int(i == k), r)
-                                                for i in range(4)))
-                    root = biq_mul(_pattern_product(field, e, shifted), scale)
+                    witnesses[e] = (k, r)
                     break
-        elif e == (1, 1, 1) and not any(positive):
-            root = _norm_minus_one_root(field, units, lifts)
-        # a square root of a unit is a unit: it is integral over O_L, as a
-        # root of t^2 - prod, and its norm squared is +-1
-        if root is not None:
-            patterns.append(e)
-            roots[e] = root
+        elif e == (1, 1, 1) and all(sign < 0 for sign in norm_signs):
+            witness = _norm_minus_one_witness(field, units)
+            if witness is not None:
+                witnesses[e] = witness
 
-    rank, basis_patterns = _f2_basis(patterns)
-    generators = list(lifts)
-    for p, slot in basis_patterns:
-        generators[slot] = roots[p]
-
+    patterns = tuple(witnesses)
+    rank, basis = _f2_basis(patterns)
     return KleinUnitStructure(
         field=field, units=units, logs=logs, fixers=fixers,
-        sqrt_patterns=tuple(patterns), sqrt_elements=roots,
-        index_over_E=2 ** rank, generators=tuple(generators))
+        sqrt_patterns=patterns, witnesses=witnesses,
+        basis=tuple(basis), index_over_E=2 ** rank)
+
+
+def klein_pattern_root(struct, e):
+    """The square root of u1^e1 u2^e2 u3^e3 in L, positive at the
+    id-embedding, for a found pattern e of struct, in closed form from its
+    witness.  A square root of a unit is a unit: it is integral over O_L,
+    as a root of t^2 - prod, and its norm squared is +-1.
+
+    Norm +1 witness (k, r): the root is
+    prod_P (u_i + 1) * sqrt(delta_k) / r, positive because every factor
+    is (klein_unit_structure).
+    """
+    field = struct.field
+    witness = struct.witnesses[e]
+    if len(witness) == 3:
+        return _norm_minus_one_root(field, struct.units, *witness)
+    k, r = witness
+    shifted = [biq_add(field.lift_quad(u), field.one()) for u in struct.units]
+    scale = BiquadElem(field, *(Fraction(int(i == k), r) for i in range(4)))
+    return biq_mul(_pattern_product(field, e, shifted), scale)
+
+
+def klein_generators(struct):
+    """Three BiquadElems generating O_L^* mod +-1: the lifted subfield
+    units, with the root of each F2 basis pattern in its pivot slot."""
+    generators = [struct.field.lift_quad(u) for u in struct.units]
+    for p, slot in struct.basis:
+        generators[slot] = klein_pattern_root(struct, p)
+    return tuple(generators)
 
 
 def klein_denominator(index_over_E):

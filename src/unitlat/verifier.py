@@ -9,6 +9,8 @@ surfaced, never asserted.  The downstream bound that remains derivable
 (8*log(phi)^2 for the relative-unit branch) is asserted instead.
 """
 
+import functools
+import types
 from dataclasses import dataclass, field as dc_field
 
 import mpmath
@@ -31,16 +33,19 @@ def _log_phi():
     return mpmath.log((1 + mpmath.sqrt(5)) / 2)
 
 
+@functools.lru_cache(maxsize=None)
 def constants(precision_bits=DEFAULT_PRECISION):
+    """The paper's constants at precision_bits, computed once per
+    precision; a read-only mapping, since every caller shares it."""
     with mpf_ctx(precision_bits):
         lp = _log_phi()
-        return {
+        return types.MappingProxyType({
             "log_phi": lp,
             "costa_friedman": 2 * mpmath.sqrt(3) * lp ** 2,
             "theorem_lower": 3 * mpmath.sqrt(3) * lp ** 2,
             "upper_bound": 8 * lp * mpmath.log(1 + mpmath.sqrt(2)),
             "pohst_floor": 4 * lp ** 2,
-        }
+        })
 
 
 @dataclass
@@ -158,7 +163,7 @@ def klein_field_report(d1, d2, precision_bits=DEFAULT_PRECISION):
 
     The lattice is (1/den) times the integer span of klein_wedge_rows(X1,
     X2, X3), with X1 = W2*W3, X2 = W1*W3, X3 = W1*W2 and W_i = log u_i.
-    The subfield units are > 1 and sorted exactly by quad_cmp, and units
+    The subfield units are > 1 and sorted exactly (sort_by_unit), and units
     of distinct fields differ, so 0 < W1 < W2 < W3 and X1 > X2 > X3 > 0.
     By klein_norm_closed, which closed_form_equivalence re-checks exactly
     against klein_wedge_rows on every verify-paper, n has 1-norm

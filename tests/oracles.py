@@ -13,7 +13,9 @@ klein_e_wedge builds the E-wedge lattice of a Klein field from
 vectors, so `brute_min_one_norm` can check the report's closed-form
 minimum.  klein_patterns_tower decides all seven Klein square classes by
 the exact tower square root sqrt_in_field (built on quad_sqrt), knowing
-nothing of the library's criteria on traces and coordinates.  Three cyclic oracles keep the earlier direct forms:
+nothing of the library's criteria on traces and coordinates, and
+tower_witness reads the library's witness of each class off its root.
+Three cyclic oracles keep the earlier direct forms:
 trial_division_irreducible finds integer roots and quadratic factors
 from the divisors of the constant term, with no roots computed;
 galois_generator_all_perms reconstructs sigma from every root
@@ -169,12 +171,13 @@ def sqrt_in_field(a):
 def klein_patterns_tower(d1, d2):
     """The Klein unit structure with every one of the seven square-root
     patterns u1^e1 u2^e2 u3^e3 tested by the exact tower square root
-    `sqrt_in_field`; the F2 step that turns patterns into generators is
-    the library's."""
+    `sqrt_in_field`, each witness read off its root (tower_witness); the
+    F2 step that turns patterns into generators is the library's.
+    Returns (struct, roots, generators): roots maps each found pattern to
+    its tower root."""
     field = BiquadField(d1, d2)
-    units, logs, fixers = subfield_units(d1, d2)
+    units, logs, fixers, _ = subfield_units(d1, d2)
     lifts = [field.lift_quad(u) for u in units]
-    patterns = []
     roots = {}
     for e in itertools.product((0, 1), repeat=3):
         if e == (0, 0, 0):
@@ -185,16 +188,48 @@ def klein_patterns_tower(d1, d2):
                 prod = biq_mul(prod, lift)
         root = sqrt_in_field(prod)
         if root is not None:
-            patterns.append(e)
             roots[e] = root
-    rank, basis_patterns = _f2_basis(patterns)
+    patterns = tuple(roots)
+    rank, basis = _f2_basis(patterns)
     generators = list(lifts)
-    for p, slot in basis_patterns:
+    for p, slot in basis:
         generators[slot] = roots[p]
-    return KleinUnitStructure(
+    struct = KleinUnitStructure(
         field=field, units=units, logs=logs, fixers=fixers,
-        sqrt_patterns=tuple(patterns), sqrt_elements=roots,
-        index_over_E=2 ** rank, generators=tuple(generators))
+        sqrt_patterns=patterns,
+        witnesses={e: tower_witness(units, fixers, e, roots[e])
+                   for e in patterns},
+        basis=tuple(basis), index_over_E=2 ** rank)
+    return struct, roots, tuple(generators)
+
+
+def tower_witness(units, fixers, e, x):
+    """The witness the library records for pattern e, read off a square
+    root x of its product, with no square test.  Norm +1 units only:
+    x = prod_e (u_i + 1) * sqrt(delta_k) / r, so x / prod_e (u_i + 1) has
+    one nonzero coordinate, 1/r at slot k; a quotient of another shape
+    is returned as its (slot, 1/coordinate) pairs.  Otherwise, with tau
+    fixing the subfield of the smallest unit u_i: x*tau(x) = eps*u_i,
+    g = (x + tau(x))/2 has N(g) = nu*(a_j - eps*a_k)/2 and t = |Tr g|."""
+    field = x.field
+    lifts = [field.lift_quad(u) for u in units]
+    if all(quad_norm(u) > 0 for ei, u in zip(e, units) if ei):
+        shifted = field.one()
+        for ei, lift in zip(e, lifts):
+            if ei:
+                shifted = biq_mul(shifted, BiquadElem(field, lift.x + 1, lift.y,
+                                                      lift.z, lift.w))
+        q = biq_mul(x, biq_inv(shifted))
+        nonzero = tuple((k, 1 / c) for k, c in enumerate(q.coords()) if c)
+        return nonzero[0] if len(nonzero) == 1 else nonzero
+    _, uj, uk = units
+    xt = galois_apply(fixers[0], x)
+    eps = {lifts[0]: 1, biq_neg(lifts[0]): -1}.get(biq_mul(x, xt))
+    if eps is None:
+        return None
+    g2 = BiquadElem(field, *(c + ct for c, ct in zip(x.coords(), xt.coords())))
+    norm_g = biq_mul(g2, galois_apply(fixers[1], g2)).x / 4
+    return eps, norm_g / ((uj.a - eps * uk.a) / 2), abs(g2.x)
 
 
 def float_rows(rows):

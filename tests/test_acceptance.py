@@ -95,7 +95,7 @@ def test_criterion_02_smallest_units_ordering():
 def test_criterion_03_klein_2_5(klein25):
     struct, _, (value, argmin, certified) = klein25
     assert struct.index_over_E == 2
-    root = struct.sqrt_elements[(1, 1, 1)]
+    root = us.klein_pattern_root(struct, (1, 1, 1))
     assert is_unit(root)
     prod = struct.field.one()
     for u in struct.units:
@@ -190,7 +190,7 @@ def test_criterion_09_pohst_floor(scan, cyclic):
                 lv = log_embed_klein(struct.field.lift_quad(u), 128, order)
                 assert sum(c * c for c in lv.coords) >= floor - 1e-9
                 checked += 1
-            for g in struct.generators:
+            for g in us.klein_generators(struct):
                 lv = log_embed_klein(g, 128, order)
                 assert sum(c * c for c in lv.coords) >= floor - 1e-9
                 checked += 1

@@ -320,7 +320,8 @@ def test_klein_report_minimum_is_sound(pair):
     order = ("id",) + struct.fixers
     l1, l2, l3 = (log_embed_klein(struct.field.lift_quad(u), 192, order)
                   for u in struct.units)
-    g1, g2, g3 = (log_embed_klein(g, 192, order) for g in struct.generators)
+    g1, g2, g3 = (log_embed_klein(g, 192, order)
+                  for g in us.klein_generators(struct))
     e_rows = (wedge2(l2, l3), wedge2(l1, l3), wedge2(l1, l2))
     gen_wedges = (wedge2(g2, g3), wedge2(g1, g3), wedge2(g1, g2))
     with mpmath.workprec(208):

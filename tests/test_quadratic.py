@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -5,10 +6,12 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from unitlat.quadratic import (QuadElem, fundamental_unit, is_quad_integer,
+from unitlat import quadratic
+from unitlat.quadratic import (FundamentalUnitResult, QuadElem,
+                               fundamental_unit, is_quad_integer,
                                is_squarefree, quad_cmp, quad_embed, quad_mul,
-                               quad_norm, smallest_fundamental_units, surd_cmp,
-                               surd_sign)
+                               quad_norm, smallest_fundamental_units,
+                               sort_by_unit, surd_cmp, surd_sign)
 from oracles import quad_inv, smaller_quad_unit_exists
 
 KNOWN_UNITS = {
@@ -115,3 +118,47 @@ def test_fundamental_unit_cached_per_d_and_precision():
     with pytest.raises(ValueError):
         fundamental_unit(94.0)  # a cached int key does not admit a float
 
+
+
+def _fake(d, log_value):
+    """The fundamental unit of Q(sqrt(d)) carrying a chosen log_value."""
+    res = fundamental_unit(d)
+    return FundamentalUnitResult(res.unit, res.norm_sign, log_value)
+
+
+@pytest.mark.parametrize("bits", [64, 128, 300])
+def test_sort_by_unit_breaks_close_logs_exactly(bits):
+    # logs that are equal or closer than 2^(-p/2) say nothing about the
+    # order: quad_cmp decides, here against the logs' own order
+    # (phi < 1+sqrt2 < 2+sqrt3)
+    with mpmath.workprec(bits + 16):
+        half = mpmath.ldexp(1, -(bits // 2) - 1)
+        for logs in ((1, 1, 1), (1 + 2 * half, 1 + half, 1)):
+            entries = [(d, _fake(d, mpmath.mpf(v)))
+                       for d, v in zip((5, 2, 3), logs)][::-1]
+            assert [d for d, _ in sort_by_unit(entries, bits)] == [5, 2, 3]
+
+
+@pytest.mark.parametrize("bits", [64, 128, 300])
+def test_sort_by_unit_trusts_distant_logs(bits, monkeypatch):
+    # logs more than 2^(-p/2) apart are ordered by value, with no quad_cmp
+    def forbidden(*args):
+        raise AssertionError("quad_cmp must not run")
+
+    monkeypatch.setattr(quadratic, "quad_cmp", forbidden)
+    with mpmath.workprec(bits + 16):
+        step = mpmath.ldexp(3, -(bits // 2) - 1)
+        entries = [(d, _fake(d, 1 + k * step)) for k, d in enumerate((3, 2, 5))]
+    assert [d for d, _ in sort_by_unit(entries[::-1], bits)] == [3, 2, 5]
+    real = [(d, fundamental_unit(d, bits)) for d in (3, 13, 2, 5)]
+    assert [d for d, _ in sort_by_unit(real, bits)] == [5, 2, 13, 3]
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+def test_smallest_units_keep_exact_order(bits):
+    # the log sort reproduces the all-quad_cmp sort on every d <= 200
+    entries = [(d, fundamental_unit(d, bits))
+               for d in range(2, 201) if is_squarefree(d)]
+    exact = sorted(entries, key=functools.cmp_to_key(
+        lambda x, y: quad_cmp(x[1].unit, y[1].unit)))
+    assert smallest_fundamental_units(200, bits) == exact

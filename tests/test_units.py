@@ -1,4 +1,5 @@
 import functools
+import importlib
 import itertools
 import json
 from fractions import Fraction
@@ -16,8 +17,9 @@ from unitlat import biquadratic as bq
 from unitlat.biquadratic import (BiquadElem, biq_add, biq_mul, galois_apply,
                                  is_unit)
 from unitlat.loglattice import LogVector, cyclic_wedge_rows, wedge2
-from unitlat.quadratic import QuadElem, fundamental_unit, quad_norm
-from unitlat.verifier import cyclic_entry_report, load_default_catalog
+from unitlat.quadratic import QuadElem, fundamental_unit, quad_cmp, quad_norm
+from unitlat.verifier import (cyclic_entry_report, klein_field_report,
+                              load_default_catalog)
 import oracles
 from oracles import (SQUAREFREE_1000, biq_neg, char_poly,
                      fraction_norm_exponent, klein_patterns_tower,
@@ -37,23 +39,38 @@ def ctx(entry):
 
 
 def test_subfield_units_sorted():
-    units, logs, fixers = us.subfield_units(2, 5)
+    units, logs, fixers, norm_signs = us.subfield_units(2, 5)
     # ascending: (1+sqrt5)/2 < 1+sqrt2 < 3+sqrt10
     assert [u.d for u in units] == [5, 2, 10]
     assert logs == tuple(fundamental_unit(u.d).log_value for u in units)
     assert fixers == ("s2", "s1", "s3")
+    assert norm_signs == (-1, -1, -1)
+    assert us.subfield_units(2, 3)[3] == (-1, 1, 1)  # 1+sqrt2, 2+sqrt3, 5+sqrt6
+
+
+def test_subfield_units_keep_exact_order(monkeypatch):
+    # the log sort reproduces the all-quad_cmp sort on the 864 pairs of
+    # the pinned klein-random pool of perfbench
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    pool = [pair for cell in importlib.import_module("workloads").klein_pool()
+            for pair in cell]
+    assert len(pool) == 864
+    for d1, d2 in pool:
+        units = us.subfield_units(d1, d2)[0]
+        exact = sorted(units, key=functools.cmp_to_key(quad_cmp))
+        assert list(units) == exact, (d1, d2)
 
 
 def test_klein_structure_2_5():
     s = us.klein_unit_structure(2, 5)
     assert s.index_over_E == 2
     assert s.sqrt_patterns == ((1, 1, 1),)
-    root = s.sqrt_elements[(1, 1, 1)]
+    root = us.klein_pattern_root(s, (1, 1, 1))
     assert root == BiquadElem(s.field, Fraction(3, 2), Fraction(1, 2),
                               Fraction(1, 2), Fraction(1, 2))
     assert is_unit(root)
     # the square root replaces exactly one subfield generator
-    assert sum(g == root for g in s.generators) == 1
+    assert sum(g == root for g in us.klein_generators(s)) == 1
 
 
 def test_klein_structure_5_13():
@@ -92,7 +109,31 @@ def test_klein_structure_makes_no_float_embedding(d1, d2, monkeypatch):
     monkeypatch.setattr(bq, "embed_real", forbidden)
     got = us.klein_unit_structure(d1, d2)
     assert got.sqrt_patterns == want.sqrt_patterns
-    assert got.generators == want.generators
+    assert us.klein_generators(got) == us.klein_generators(want)
+
+
+@pytest.mark.parametrize("d1, d2", [(2, 5), (383, 503), (922, 991)])
+def test_klein_structure_builds_no_element(d1, d2, monkeypatch):
+    # the structure and the report are integer and log data: patterns,
+    # index and minimum come out with no element of L built or multiplied
+    want = us.klein_unit_structure(d1, d2)
+    want_report = klein_field_report(d1, d2)
+
+    def forbidden(*args):
+        raise AssertionError("klein_unit_structure must build no element")
+
+    for module in list(vars(unitlat).values()):
+        if getattr(module, "__name__", "").startswith("unitlat."):
+            for name in ("BiquadElem", "biq_mul", "biq_add"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+    got = us.klein_unit_structure(d1, d2)
+    assert got.sqrt_patterns == want.sqrt_patterns
+    assert got.witnesses == want.witnesses
+    assert got.index_over_E == want.index_over_E
+    _, value, reports = klein_field_report(d1, d2)
+    assert value == want_report[1]
+    assert reports[0].details == want_report[2][0].details
 
 
 def test_generator_squares_land_in_E():
@@ -107,7 +148,7 @@ def test_generator_squares_land_in_E():
                 for _ in range(mi):
                     p = biq_mul(p, lift)
             products.update((p, biq_neg(p)))
-        for g in s.generators:
+        for g in us.klein_generators(s):
             assert biq_mul(g, g) in products
 
 
@@ -128,22 +169,26 @@ def test_f2_basis_rank():
 
 def _matches_tower_oracle(d1, d2):
     """klein_unit_structure against the seven-test tower oracle: same
-    patterns, roots, index and generators; every root squares to its
-    pattern product; the tower square root never runs inside the
-    library."""
-    want = klein_patterns_tower(d1, d2)
+    patterns, witnesses, F2 basis, index, roots of every found pattern and
+    generators; every root squares to its pattern product; the tower
+    square root never runs inside the library."""
+    want, want_roots, want_generators = klein_patterns_tower(d1, d2)
 
     def forbidden(a):
         raise AssertionError("klein_unit_structure ran a tower square root")
 
     with mock.patch.object(oracles, "sqrt_in_field", forbidden):
         got = us.klein_unit_structure(d1, d2)
+        roots = {e: us.klein_pattern_root(got, e) for e in got.sqrt_patterns}
+        generators = us.klein_generators(got)
     assert got.sqrt_patterns == want.sqrt_patterns
-    assert got.sqrt_elements == want.sqrt_elements
+    assert got.witnesses == want.witnesses
+    assert got.basis == want.basis
     assert got.index_over_E == want.index_over_E
-    assert got.generators == want.generators
+    assert roots == want_roots
+    assert generators == want_generators
     lifts = [got.field.lift_quad(u) for u in got.units]
-    for e, root in got.sqrt_elements.items():
+    for e, root in roots.items():
         prod = got.field.one()
         for ei, lift in zip(e, lifts):
             if ei:
@@ -196,7 +241,8 @@ def test_norm_minus_one_root_branches(d1, d2, eps, nu):
     # x*tau(x) = eps*u_i, and g = (x + tau(x))/2 in K has
     # N(g) = nu*(a_j - eps*a_k)/2
     s = _matches_tower_oracle(d1, d2)
-    x = s.sqrt_elements[(1, 1, 1)]
+    assert s.witnesses[(1, 1, 1)][:2] == (eps, nu)
+    x = us.klein_pattern_root(s, (1, 1, 1))
     ui, uj, uk = s.units
     xt = galois_apply(s.fixers[0], x)
     assert biq_mul(x, xt) == s.field.lift_quad(
@@ -210,7 +256,7 @@ def test_norm_minus_one_root_branches(d1, d2, eps, nu):
 @pytest.mark.parametrize("d1, d2", [(2, 3), (3, 5), (383, 503)])
 def test_norm_plus_one_fields_skip_tower_test(d1, d2, monkeypatch):
     # a field with a norm +1 subfield unit is decided by integers alone
-    want = klein_patterns_tower(d1, d2)
+    want, want_roots, want_generators = klein_patterns_tower(d1, d2)
 
     def forbidden(a):
         raise AssertionError("sqrt_in_field must not run")
@@ -218,8 +264,10 @@ def test_norm_plus_one_fields_skip_tower_test(d1, d2, monkeypatch):
     monkeypatch.setattr(oracles, "sqrt_in_field", forbidden)
     got = us.klein_unit_structure(d1, d2)
     assert any(quad_norm(u) > 0 for u in got.units)
-    assert got.sqrt_elements == want.sqrt_elements
-    assert got.generators == want.generators
+    assert got.witnesses == want.witnesses
+    assert {e: us.klein_pattern_root(got, e)
+            for e in got.sqrt_patterns} == want_roots
+    assert us.klein_generators(got) == want_generators
 
 
 def test_library_has_no_tower_square_root():
