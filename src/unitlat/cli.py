@@ -5,7 +5,8 @@ defaults.  Decimal output is fixed at 12 significant digits so runs at a
 fixed configuration are byte-stable.
 
 Exit codes: 0 success, 1 assertable-check violation, 2 invalid input (a
-flag out of range, a malformed catalog), 4 catalog validation failure.
+flag out of range, a malformed catalog), 4 catalog validation failure (a
+failed Hasse relation, or a failed regulator cross-check for `cyclic`).
 """
 
 import argparse
@@ -198,6 +199,12 @@ def cmd_cyclic(args, out):
                           % (b["name"], b["relation"], b["value"]))
     if failures:
         sys.stderr.write("failed relations: %s\n" % "; ".join(failures))
+        return EXIT_CATALOG
+    cross = next((r for r in reports if r.name == "regulator_cross_check"),
+                 None)
+    if cross is not None and cross.relation == "violated":
+        sys.stderr.write("failed check: regulator_cross_check (sublattice "
+                         "index %s)\n" % cross.details["sublattice_index"])
         return EXIT_CATALOG
     return EXIT_OK
 

@@ -384,23 +384,27 @@ def verify_hasse_relations(entry, ctx):
     return rel
 
 
-def cyclic_generator_logs(entry, ctx, hasse):
-    """LOG of the generators of O_L^* mod +-1, (u_l, u0, sigma(u0)) for
-    Q=1 and (u_l, u0, u_star) for Q=2, at the context's precision, given
-    the entry's Hasse relations, which must all hold: they proved them
-    units, so each is evaluated at the roots once and not re-proved;
-    LOG(sigma(u0)) is read off LOG(u0)."""
+def cyclic_generators(entry, ctx, hasse):
+    """The generators of O_L^* mod +-1 the entry claims, (u_l, u0,
+    sigma(u0)) for Q=1 and (u_l, u0, u_star) for Q=2, and their LOGs at
+    the context's precision, given the entry's Hasse relations, which must
+    all hold: they proved them units, so each is evaluated at the roots
+    once and not re-proved; LOG(sigma(u0)) is read off LOG(u0).
+    Returns (gens, logs)."""
     if not all(hasse.values()):
         raise CatalogValidationError("entry failed relations: %s" % ", ".join(
             name for name, ok in hasse.items() if not ok))
     field, prec = ctx.field, ctx.precision_bits
-    gens = [ctx.u_l_emb, qt.QuarticElem(field, entry.u0)]
-    if entry.Q_index == 2:
-        gens.append(qt.QuarticElem(field, entry.u_star))
-    logs = [orbit_log(field, qt.embed_all(x, prec), prec) for x in gens]
+    u0 = qt.QuarticElem(field, entry.u0)
+    if entry.Q_index == 1:
+        gens = (ctx.u_l_emb, u0, field.sigma(u0))
+    else:
+        gens = (ctx.u_l_emb, u0, qt.QuarticElem(field, entry.u_star))
+    logs = [orbit_log(field, qt.embed_all(x, prec), prec)
+            for x in gens[:entry.Q_index + 1]]
     if entry.Q_index == 1:
         logs.append(log_sigma(logs[1]))
-    return tuple(logs)
+    return gens, tuple(logs)
 
 
 # ---------------------------------------------------------------------------
@@ -409,40 +413,40 @@ def cyclic_generator_logs(entry, ctx, hasse):
 
 def search_relative_units(ctx, height_bound):
     """Enumerate power-basis integer vectors c with |c_i| <= height_bound,
-    one of each pair +-c, keep those whose relative norm is +-u_l^k,
-    |k| <= 12, and return them sorted by log magnitude.
+    one of each pair +-c, and keep those whose relative norm is +-u_l^k,
+    |k| <= 12.
 
-    Returns a list of (element, k, LOG) triples, LOG at the context's
-    precision: k = 0 marks a relative unit, odd k a u_star witness.  Hits
-    +-u_l^m are kept: they are units too, and their even k = 2m != 0
-    keeps them out of populate's choices.  The relative-norm test
-    (relative_norm_screen, on integers) proves each hit a unit: it lies
-    in Z[alpha], inside O_L, and N_{L/Q} = N_{k/Q}(+-u_l^k) = +-1.  One
-    evaluation at the roots gives the LOG of each hit; hits are sorted by
-    hit_sort_key, ties by coords: the order populate picks from.
+    Returns (c, k) pairs, c a tuple of ints, in grid order: k = 0 marks a
+    relative unit, odd k a u_star witness.  Hits +-u_l^m are kept: they
+    are units too, and their even k = 2m != 0 keeps them out of populate's
+    choices.  The relative-norm test (relative_norm_screen, on integers)
+    proves each hit a unit: it lies in Z[alpha], inside O_L, and
+    N_{L/Q} = N_{k/Q}(+-u_l^k) = +-1.  Nothing is evaluated at the roots
+    beyond the float64 grid filter.
     """
-    field, prec = ctx.field, ctx.precision_bits
     exponent = relative_norm_screen(ctx)
-    found = []
-    for c in grid_candidates(field, height_bound, prec):
-        if not any(c[1:]):
-            continue
-        k = exponent(c)
-        if k is None:
-            continue
-        elem = qt.QuarticElem(field, c)
-        lv = orbit_log(field, qt.embed_all(elem, prec), prec)
-        found.append(((hit_sort_key(lv), c), (elem, k, lv)))
-    found.sort(key=lambda t: t[0])
-    return [hit for _, hit in found]
+    hits = []
+    for c in grid_candidates(ctx.field, height_bound, ctx.precision_bits):
+        if any(c[1:]):
+            k = exponent(c)
+            if k is not None:
+                hits.append((tuple(c), k))
+    return hits
+
+
+def _float_vandermonde(field, precision_bits):
+    """The 4 x 4 float64 matrix of r^k, one row per real root r
+    (descending), k = 0..3: c evaluated at the roots is its product
+    with c."""
+    return np.array([[float(r) ** k for k in range(4)]
+                     for r in field.roots(precision_bits)])
 
 
 def grid_candidates(field, height_bound, precision_bits):
     """Integer vectors c, |c_i| <= height_bound, whose float64 norm
     prod |c(r_i)| is within 1e-4 of 1, as lists; of each pair +-c the one
     the grid reaches first, whose first nonzero entry is negative."""
-    vr = np.array([[float(r) ** k for k in range(4)]
-                   for r in field.roots(precision_bits)])  # 4 x 4
+    vr = _float_vandermonde(field, precision_bits)
     h = height_bound
     rng = np.arange(-h, h + 1)
     grid = np.stack(np.meshgrid(rng, rng, rng, rng, indexing="ij"), axis=-1)
@@ -505,15 +509,31 @@ def hit_sort_key(lv):
         return float(sum((abs(v) for v in lv.coords), mpmath.mpf(0)))
 
 
+def order_hits(ctx, hits):
+    """The search hits as (element, k, LOG) triples in populate's order:
+    each hit is evaluated at the roots once, at the context's precision,
+    and the hits are sorted by hit_sort_key, ties by coords."""
+    field, prec = ctx.field, ctx.precision_bits
+    keyed = []
+    for c, k in hits:
+        elem = qt.QuarticElem(field, c)
+        lv = orbit_log(field, qt.embed_all(elem, prec), prec)
+        keyed.append(((hit_sort_key(lv), c), (elem, k, lv)))
+    keyed.sort(key=lambda t: t[0])
+    return [hit for _, hit in keyed]
+
+
 def populate_cyclic_entry(coeffs, quad_subfield_d, label, height_bound=6):
     """Build a catalog entry by brute-force search, then verify it: Q = 2
     from the first u_star witness (odd k), else Q = 1 from the first
-    relative unit (k = 0).  CatalogValidationError unless the entry passes
-    its Hasse relations and the regulator cross-check on the same hits."""
+    relative unit (k = 0), first in order_hits' order.
+    CatalogValidationError unless the entry passes its Hasse relations and
+    the regulator cross-check on the same hits."""
     ul = fundamental_unit(quad_subfield_d).unit
     ctx = cyclic_context(coeffs, quad_subfield_d, ul)
     hits = search_relative_units(ctx, height_bound)
-    star_hit = next(((e, k) for e, k, _ in hits if k % 2 != 0), None)
+    ordered = order_hits(ctx, hits)
+    star_hit = next(((e, k) for e, k, _ in ordered if k % 2 != 0), None)
     if star_hit is not None:
         star, k = star_hit
         # |k| <= 11, so the exponent lies in the table's range [-12, 12]
@@ -523,7 +543,7 @@ def populate_cyclic_entry(coeffs, quad_subfield_d, label, height_bound=6):
         u0 = qt.qr_mul(star, ctx.field.sigma(star))
         q2 = {"u_star": star.coords, "Q_index": 2}
     else:
-        u0 = next((e for e, k, _ in hits if k == 0), None)
+        u0 = next((e for e, k, _ in ordered if k == 0), None)
         if u0 is None:
             raise CatalogValidationError(
                 "no relative units found at height %d" % height_bound)
@@ -531,9 +551,9 @@ def populate_cyclic_entry(coeffs, quad_subfield_d, label, height_bound=6):
     entry = CyclicCatalogEntry(
         label=label, coeffs=tuple(coeffs), quad_subfield_d=quad_subfield_d,
         u_l=ul, u0=u0.coords, **q2)
-    gen_logs = cyclic_generator_logs(entry, ctx,
-                                     verify_hasse_relations(entry, ctx))
-    ok, index = regulator_cross_check(gen_logs, [lv for _, _, lv in hits])
+    gens, gen_logs = cyclic_generators(entry, ctx,
+                                       verify_hasse_relations(entry, ctx))
+    ok, index = regulator_cross_check(gens, gen_logs, [c for c, _ in hits])
     if not ok:
         raise CatalogValidationError(
             "populated entry fails the regulator cross-check at height %d "
@@ -541,32 +561,85 @@ def populate_cyclic_entry(coeffs, quad_subfield_d, label, height_bound=6):
     return entry
 
 
-def regulator_cross_check(gen_logs, hit_logs):
-    """Compare the generators' log lattice (cyclic_generator_logs) against
-    the search hits' log vectors, at the same precision: every hit must be
-    an integer combination of the generators (one least-squares
-    pseudo-inverse, its rows dotted with each hit), and the found
-    sublattice must have rank 3, so no hits fail, and a plausible integer
-    index <= 4.  Returns (ok, index)."""
+def regulator_cross_check(gens, gen_logs, hits):
+    """Prove every search hit an integer combination of the generators
+    (cyclic_generators: their elements and LOGs) and compare the lattice
+    the hits span with theirs.  hits are power-basis coordinate vectors of
+    units.  Each hit's row n is proposed in float64 (propose_rows) and
+    proved exactly (row_prover): hit = +-prod g_i^n_i.  The check fails,
+    with index None, when a row fails that proof; otherwise the rows must
+    have rank 3, so no hits fail, and a plausible integer index <= 4.
+    Returns (ok, index).
+
+    Only the proof accepts a row: a wrong proposal can fail a true
+    combination, never pass a false one.
+    """
+    if not hits:
+        return False, None
+    rows = propose_rows(gens[0].field, gen_logs, hits)
+    proves = row_prover(gens)
+    if rows is None or not all(proves(c, n) for c, n in zip(hits, rows)):
+        return False, None
+    idx = _integer_lattice_index(rows)
+    return (idx is not None and 1 <= idx <= 4), idx
+
+
+def propose_rows(field, gen_logs, hits):
+    """The nearest integer rows n with LOG(hit) = sum n_i LOG(g_i), in
+    float64, or None if a LOG is not finite.  LOG(hit) is log|c(r)| at
+    the roots in sigma-orbit order (root_orbit); the least-squares
+    pseudo-inverse of the generators' LOGs is built once in mpmath at
+    their precision and applied as a float64 matrix."""
     prec = gen_logs[0].precision_bits
-    if any(lv.precision_bits != prec for lv in hit_logs):
-        raise ValueError("hit log vectors are not at the generators' "
-                         "precision of %d bits" % prec)
     with mpf_ctx(prec):
         gmat = mpmath.matrix([[lv.coords[i] for lv in gen_logs]
                               for i in range(4)])
-        pinv = mpmath.inverse(gmat.T * gmat) * gmat.T
-        pinv_rows = pinv.tolist()
-        tol = mpmath.mpf(2) ** -32
-        coeff_rows = []
-        for lv in hit_logs:
-            sol = [mpmath.fdot(row, lv.coords) for row in pinv_rows]
-            row = [mpmath.nint(v) for v in sol]
-            if any(abs(v - r) > tol for v, r in zip(sol, row)):
-                return False, None
-            coeff_rows.append([int(r) for r in row])
-        idx = _integer_lattice_index(coeff_rows)
-        return (idx is not None and 1 <= idx <= 4), idx
+        pinv = np.array((mpmath.inverse(gmat.T * gmat) * gmat.T).tolist(),
+                        dtype=float)
+    vr = _float_vandermonde(field, prec)[list(field.root_orbit)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sol = np.log(np.abs(np.array(hits, dtype=float) @ vr.T)) @ pinv.T
+    if not np.all(np.isfinite(sol)):
+        return None
+    return np.rint(sol).astype(int).tolist()
+
+
+def row_prover(gens):
+    """A function of a coordinate vector c and an integer row n telling,
+    exactly, whether c = +-prod g_i^n_i.
+
+    Each g_i is G_i/D, G_i integer coordinates over the generators' common
+    denominator D.  With P and N the sums of the positive and of the
+    negated negative n_i, c = +-prod g_i^n_i iff
+    D^P * c * prod_{n_i<0} G_i^|n_i| = +-D^N * prod_{n_i>0} G_i^n_i,
+    all in Z[alpha] but c.  The powers G_i^m are cached, so each row costs
+    a few products of integers.
+    """
+    coeffs = gens[0].field.coeffs
+    den = math.lcm(*(v.denominator for g in gens for v in g.coords))
+    numers = [tuple(int(v * den) for v in g.coords) for g in gens]
+    powers = {}
+
+    def power(i, m):
+        if (i, m) not in powers:
+            powers[i, m] = (numers[i] if m == 1 else
+                            qt.mul_coords(power(i, m - 1), numers[i], coeffs))
+        return powers[i, m]
+
+    def proves(c, n):
+        lhs, rhs = c, (1, 0, 0, 0)
+        scale_lhs = scale_rhs = 1
+        for i, m in enumerate(n):
+            if m < 0:
+                lhs = qt.mul_coords(lhs, power(i, -m), coeffs)
+                scale_rhs *= den ** -m
+            elif m > 0:
+                rhs = qt.mul_coords(rhs, power(i, m), coeffs)
+                scale_lhs *= den ** m
+        lhs = [scale_lhs * v for v in lhs]
+        rhs = [scale_rhs * v for v in rhs]
+        return lhs == rhs or lhs == [-v for v in rhs]
+    return proves
 
 
 def _integer_lattice_index(rows):

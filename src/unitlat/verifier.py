@@ -212,9 +212,9 @@ def cyclic_entry_report(entry, coeff_bound=20,
                    for name, ok in hasse.items()]
         if not all(hasse.values()):
             return None, reports
-        gen_logs = us.cyclic_generator_logs(entry, ctx, hasse)
-        reg_ok, reg_idx = us.regulator_cross_check(gen_logs, [
-            lv for _, _, lv in us.search_relative_units(ctx, REGULATOR_HEIGHT)])
+        gens, gen_logs = us.cyclic_generators(entry, ctx, hasse)
+        reg_ok, reg_idx = us.regulator_cross_check(gens, gen_logs, [
+            c for c, _ in us.search_relative_units(ctx, REGULATOR_HEIGHT)])
         reports.append(BoundReport(
             "regulator_cross_check", None, None,
             "holds" if reg_ok else "violated",

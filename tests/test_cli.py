@@ -81,6 +81,22 @@ def test_cyclic_corrupted_entry(tmp_path, capsys):
     assert "u_star" in err
 
 
+def test_cyclic_failed_cross_check_exits_4(tmp_path, capsys):
+    # Q(zeta15)+ with u0 replaced by u0^2: every Hasse relation holds, the
+    # regulator cross-check fails; stdout is the same report as ever
+    obj = vf.load_default_catalog()[2].to_json()
+    obj["u0"] = ["8", "-4", "-2", "1"]
+    path = tmp_path / "squared.json"
+    path.write_text(json.dumps([obj]))
+    code, out, err = run(capsys, "--catalog", str(path),
+                         "cyclic", obj["label"])
+    assert code == 4
+    assert "FAIL" not in out
+    assert "min 1-norm:" in out
+    assert err == ("failed check: regulator_cross_check "
+                   "(sublattice index None)\n")
+
+
 def _catalog_with(tmp_path, changes):
     obj = vf.load_default_catalog()[0].to_json()
     obj.update(changes)

@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -202,9 +203,11 @@ def test_min_one_norm_against_brute_force(cyclic_logs):
 def assert_matches_full_box(w, q_index, bound):
     """cyclic_min on float W agrees with brute force over the whole box on
     cyclic_wedge_rows(W): value, lexicographically first near-minimal
-    triple, and certification."""
-    with mpf_ctx(128):
+    triple, and certification.  cyclic_f warns exactly when some W_i = 0."""
+    with mpf_ctx(128), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         value, argmin, certified = cyclic_min(*w, q_index, bound)
+    assert bool(caught) == (0 in w)
     rows = cyclic_wedge_rows(*w)
     norms = list(brute_norms(rows, q_index, bound, parity_even=q_index == 2))
     best = min(t for t, _ in norms)
@@ -337,15 +340,20 @@ def test_klein_report_minimum_is_sound(pair):
 @settings(max_examples=200, deadline=None)
 @given(w=st.tuples(*[st.integers(-100, 100) for _ in range(3)]))
 @example(w=(1, 1, 1))
+@example(w=(1, 0, 1))
 def test_cyclic_lower_bounds(w):
     # cyclic_min's box rests on f(n) >= c12*||(n1, n2)||_2 and
     # f(n) >= c3*|n3| for every n; f and both constants are homogeneous of
-    # degree 2 in W, so integer W stand for rational ones
+    # degree 2 in W, so integer W stand for rational ones.  W2 = 0 or
+    # W3 = 0 is drawn too: cyclic_f warns exactly when some W_i = 0
     assume(w[0] != 0 and (w[1] or w[2]))
     axis = np.arange(-5, 6)
     n1, n2, n3 = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
                           axis=-1).reshape(-1, 3).T
-    f = cyclic_f(n1, n2, n3, *w)  # exact in int64
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        f = cyclic_f(n1, n2, n3, *w)  # exact in int64
+    assert bool(caught) == (0 in w)
     c12, c3 = map(float, cyclic_lower_bounds(*w))
     slack = 1 - 1e-12
     assert np.all(f >= c3 * np.abs(n3) * slack)

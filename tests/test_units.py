@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import importlib
 import itertools
@@ -12,11 +13,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 import unitlat
 from unitlat import units as us
+from unitlat import verifier as vf
 from unitlat import quartic as qt
 from unitlat import biquadratic as bq
 from unitlat.biquadratic import (BiquadElem, biq_add, biq_mul, galois_apply,
                                  is_unit)
-from unitlat.loglattice import LogVector, cyclic_wedge_rows, wedge2
+from unitlat.loglattice import cyclic_wedge_rows, wedge2
 from unitlat.quadratic import QuadElem, fundamental_unit, quad_cmp, quad_norm
 from unitlat.verifier import (cyclic_entry_report, klein_field_report,
                               load_default_catalog)
@@ -326,7 +328,7 @@ def test_hasse_relations_fail_on_corruption(entry, ctx):
     report2 = us.verify_hasse_relations(bad2, ctx)
     assert not report2["N_{L/l}(u_star) = u_star sigma^2(u_star) = +-u_l"]
     with pytest.raises(us.CatalogValidationError):
-        us.cyclic_generator_logs(bad, ctx, report)
+        us.cyclic_generators(bad, ctx, report)
 
 
 def test_hasse_relations_report_non_unit_u0(entry, ctx):
@@ -345,12 +347,14 @@ def test_search_relative_units_finds_u_star(entry, ctx):
     assert hits
     # each k is exact: the relative norm is +-u_l^k; so each hit is a unit
     s2 = ctx.field.sigma2
-    for e, k, _ in hits:
+    for c, k in hits:
+        assert all(type(v) is int for v in c)
+        e = qt.QuarticElem(ctx.field, c)
         power = qr_pow(ctx.u_l_emb, k)
         assert qt.qr_mul(e, s2(e)) in (power, qt.qr_neg(power))
         assert qt.is_unit(e)
         assert abs(char_poly(e)[4]) == 1
-    odd = [(e, k) for e, k, _ in hits if k % 2 != 0]
+    odd = [(qt.QuarticElem(ctx.field, c), k) for c, k in hits if k % 2 != 0]
     assert odd, "no u_star witness at height 2"
     # the committed u_star is among them up to sign
     star = qt.QuarticElem(ctx.field, entry.u_star)
@@ -367,11 +371,10 @@ def _pinned_hit_fields():
                              "_".join(map(str, f["coeffs"][:4])),
                              f["quad_subfield_d"]))
 def test_search_hit_order_matches_pinned(pinned):
-    # the order populate picks u0 and u_star from, pinned at height 6 for
-    # the three shipped fields and the two populate rejects
-    d = pinned["quad_subfield_d"]
-    ctx = us.cyclic_context(pinned["coeffs"], d, fundamental_unit(d).unit)
-    hits = us.search_relative_units(ctx, 6)
+    # the order populate picks u0 and u_star from (order_hits), pinned at
+    # height 6 for the three shipped fields and the two populate rejects
+    ctx = _pinned_context(pinned)
+    hits = us.order_hits(ctx, us.search_relative_units(ctx, 6))
     assert [[[int(c) for c in e.coords], k] for e, k, _ in hits] \
         == pinned["hits"]
 
@@ -390,7 +393,7 @@ SCREEN_FIELDS = [(tuple(f["coeffs"]), f["quad_subfield_d"])
 @functools.lru_cache(maxsize=None)
 def _screen_case(coeffs, d):
     ctx = us.cyclic_context(coeffs, d, fundamental_unit(d).unit)
-    return ctx, [e.coords for e, _, _ in us.search_relative_units(ctx, 6)]
+    return ctx, [c for c, _ in us.search_relative_units(ctx, 6)]
 
 
 @pytest.mark.parametrize("coeffs, d", SCREEN_FIELDS)
@@ -445,9 +448,10 @@ def test_integer_screen_matches_fraction_screen_drawn(field, vec, conj):
                              f["quad_subfield_d"]))
 def test_conjugate_hits_tie_exactly(pinned):
     # a hit and its Galois conjugate (up to sign) among the hits have the
-    # identical sort key, so coords, not rounding, order them
+    # identical sort key in populate's order, so coords, not rounding,
+    # order them
     ctx = _pinned_context(pinned)
-    hits = us.search_relative_units(ctx, 6)
+    hits = us.order_hits(ctx, us.search_relative_units(ctx, 6))
     keys = {e.coords: us.hit_sort_key(lv) for e, _, lv in hits}
     pairs = 0
     for e, _, _ in hits:
@@ -485,36 +489,124 @@ def test_one_root_solve_per_field_per_op(bits, monkeypatch):
 def test_search_logs_equal_log_embed_cyclic(entry, bits):
     ctx = us.cyclic_context(entry.coeffs, entry.quad_subfield_d, entry.u_l,
                             bits)
-    hits = us.search_relative_units(ctx, 4)
+    hits = us.order_hits(ctx, us.search_relative_units(ctx, 4))
     assert hits
     for e, _, lv in hits:
         assert lv.precision_bits == bits
         assert lv == log_embed_cyclic(e, bits)
 
 
-def test_each_hit_embedded_once_and_cross_check_embeds_nothing(
-        entry, ctx, monkeypatch):
-    gen_logs = us.cyclic_generator_logs(entry, ctx,
-                                        us.verify_hasse_relations(entry, ctx))
-    calls = []
-    embed_all = qt.embed_all
+def _up_to_sign(vectors):
+    return sorted(max(v, tuple(-x for x in v)) for v in vectors)
 
-    def counting(a, *args):
-        calls.append(a.coords)
+
+@pytest.mark.parametrize("shipped", load_default_catalog(),
+                         ids=lambda e: e.label)
+def test_report_evaluates_only_generators(shipped, monkeypatch):
+    # cyclic_entry_report evaluates at the roots only the generators it
+    # embeds and the image of sqrt(d) that cyclic_context signs; its
+    # mpmath.log calls and QuarticElems do not grow with the hits, which
+    # it handles as integer vectors
+    ctx = us.cyclic_context(shipped.coeffs, shipped.quad_subfield_d,
+                            shipped.u_l)
+    gens, _ = us.cyclic_generators(shipped, ctx,
+                                   us.verify_hasse_relations(shipped, ctx))
+    want = _up_to_sign([ctx.sqrt_d.coords]
+                       + [g.coords for g in gens[:shipped.Q_index + 1]])
+    n_hits = [len(us.search_relative_units(ctx, h)) for h in (4, 6)]
+    assert n_hits[0] < n_hits[1]
+    cyclic_entry_report(shipped)  # the per-precision constants, once
+    embedded, counts = [], {"log": 0, "elem": 0}
+    embed_all, log = qt.embed_all, mpmath.log
+    post_init = qt.QuarticElem.__post_init__
+
+    def counting_embed(a, *args):
+        embedded.append(a.coords)
         return embed_all(a, *args)
 
-    monkeypatch.setattr(qt, "embed_all", counting)
-    hits = us.search_relative_units(ctx, 6)
-    assert sorted(calls) == sorted(e.coords for e, _, _ in hits)
+    def counting_log(*args, **kwargs):
+        counts["log"] += 1
+        return log(*args, **kwargs)
 
-    def forbidden(*args):
-        raise AssertionError("regulator_cross_check must not embed or "
-                             "prove units")
+    def counting_post_init(self):
+        counts["elem"] += 1
+        post_init(self)
 
-    monkeypatch.setattr(qt, "embed_all", forbidden)
-    monkeypatch.setattr(qt, "is_unit", forbidden)
-    assert us.regulator_cross_check(gen_logs, [lv for _, _, lv in hits]) \
-        == (True, 1)
+    monkeypatch.setattr(qt, "embed_all", counting_embed)
+    monkeypatch.setattr(mpmath, "log", counting_log)
+    monkeypatch.setattr(qt.QuarticElem, "__post_init__", counting_post_init)
+    seen = []
+    for height in (4, 6):
+        monkeypatch.setattr(vf, "REGULATOR_HEIGHT", height)
+        embedded.clear()
+        counts.update(log=0, elem=0)
+        _, reports = cyclic_entry_report(shipped)
+        assert next(r.relation for r in reports
+                    if r.name == "regulator_cross_check") == "holds"
+        assert _up_to_sign(embedded) == want
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
+    assert seen[0]["log"] < n_hits[0]
+
+
+# each shipped entry, and Q(zeta15)+ through alpha = 2*beta, where
+# u0 = -3 + alpha^2/4 has a denominator
+PROOF_ENTRIES = load_default_catalog() + [us.CyclicCatalogEntry(
+    "Q(zeta15)+ at 2*beta", (16, 32, -16, -2, 1), 5,
+    fundamental_unit(5).unit, (-3, 0, Fraction(1, 4), 0))]
+
+
+@functools.lru_cache(maxsize=None)
+def _proof_generators(i):
+    entry = PROOF_ENTRIES[i]
+    ctx = us.cyclic_context(entry.coeffs, entry.quad_subfield_d, entry.u_l)
+    return us.cyclic_generators(entry, ctx,
+                                us.verify_hasse_relations(entry, ctx))
+
+
+def test_proof_entries_have_denominators():
+    # the last entry's generators need the common denominator D > 1
+    gens, _ = _proof_generators(len(PROOF_ENTRIES) - 1)
+    assert max(v.denominator for g in gens for v in g.coords) > 1
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, len(PROOF_ENTRIES) - 1),
+       st.tuples(*[st.integers(-3, 3)] * 3), st.sampled_from([1, -1]),
+       st.integers(0, 2), st.sampled_from([1, -1]))
+def test_row_proof_is_exact(i, row, sign, slot, step):
+    # x = +-prod g_i^n_i: the float64 proposal finds exactly n, the
+    # integer proof accepts n and rejects n with one entry off by one
+    gens, gen_logs = _proof_generators(i)
+    x = gens[0].field.one()
+    for g, n in zip(gens, row):
+        x = qt.qr_mul(x, qr_pow(g, n))
+    c = x.coords if sign > 0 else qt.qr_neg(x).coords
+    assert us.propose_rows(x.field, gen_logs, [c]) == [list(row)]
+    proves = us.row_prover(gens)
+    assert proves(c, row)
+    off = list(row)
+    off[slot] += step
+    assert not proves(c, off)
+    assert us.regulator_cross_check(
+        gens, gen_logs, [g.coords for g in gens] + [c]) == (True, 1)
+
+
+def test_cross_check_rejects_u0_squared():
+    # Q(zeta15)+ with u0 replaced by u0^2: the Hasse relations hold, but
+    # the hit u0 has the row (0, 1/2, 0), which no integer row proves
+    shipped = load_default_catalog()[2]
+    ctx = us.cyclic_context(shipped.coeffs, shipped.quad_subfield_d,
+                            shipped.u_l)
+    u0 = qt.QuarticElem(ctx.field, shipped.u0)
+    assert qt.qr_mul(u0, u0).coords == (8, -4, -2, 1)
+    bad = dataclasses.replace(shipped, u0=(8, -4, -2, 1))
+    hasse = us.verify_hasse_relations(bad, ctx)
+    assert all(hasse.values())
+    gens, gen_logs = us.cyclic_generators(bad, ctx, hasse)
+    hits = [c for c, _ in us.search_relative_units(ctx, 6)]
+    assert u0.coords in hits or qt.qr_neg(u0).coords in hits
+    assert us.regulator_cross_check(gens, gen_logs, hits) == (False, None)
 
 
 @pytest.mark.parametrize("shipped", load_default_catalog(),
@@ -530,11 +622,12 @@ def test_generator_logs_do_not_reprove_units(shipped, monkeypatch):
     want = [log_embed_cyclic(x) for x in gens]
 
     def forbidden(*args):
-        raise AssertionError("cyclic_generator_logs must not prove units")
+        raise AssertionError("cyclic_generators must not prove units")
 
     monkeypatch.setattr(qt, "is_unit", forbidden)
-    got = us.cyclic_generator_logs(shipped, ctx, hasse)
+    got_gens, got = us.cyclic_generators(shipped, ctx, hasse)
     assert list(got[:len(want)]) == want
+    assert list(got_gens[:len(gens)]) == gens
 
 
 @pytest.mark.parametrize("shipped", load_default_catalog(),
@@ -555,24 +648,20 @@ def test_populated_entry_matches_catalog(shipped):
 
 
 def test_regulator_cross_check(entry, ctx):
-    gen_logs = us.cyclic_generator_logs(entry, ctx,
-                                        us.verify_hasse_relations(entry, ctx))
+    gens, gen_logs = us.cyclic_generators(
+        entry, ctx, us.verify_hasse_relations(entry, ctx))
     hits = us.search_relative_units(ctx, 4)
-    ok, index = us.regulator_cross_check(gen_logs, [lv for _, _, lv in hits])
+    ok, index = us.regulator_cross_check(gens, gen_logs,
+                                         [c for c, _ in hits])
     assert ok
     assert index == 1
 
 
 def test_regulator_cross_check_needs_hits(entry, ctx):
     # an empty search proves nothing, so it must not read as "holds"
-    gen_logs = us.cyclic_generator_logs(entry, ctx,
-                                        us.verify_hasse_relations(entry, ctx))
-    assert us.regulator_cross_check(gen_logs, []) == (False, None)
-    # and hits at another precision are refused, not compared
-    lv = gen_logs[1]
-    lv64 = LogVector(lv.coords, lv.convention, 64)
-    with pytest.raises(ValueError, match="precision"):
-        us.regulator_cross_check(gen_logs, [lv64])
+    gens, gen_logs = us.cyclic_generators(
+        entry, ctx, us.verify_hasse_relations(entry, ctx))
+    assert us.regulator_cross_check(gens, gen_logs, []) == (False, None)
 
 
 @pytest.mark.parametrize("shipped", load_default_catalog(),
@@ -599,8 +688,8 @@ def test_cyclic_wedge_rows_are_wedges(shipped):
 
 
 def test_cyclic_log_vectors(entry, ctx):
-    gen_logs = us.cyclic_generator_logs(entry, ctx,
-                                        us.verify_hasse_relations(entry, ctx))
+    _, gen_logs = us.cyclic_generators(entry, ctx,
+                                       us.verify_hasse_relations(entry, ctx))
     w1, (w2, w3) = gen_logs[0].coords[0], gen_logs[1].coords[:2]
     assert abs(float(w1) - 0.8813735870195430) < 1e-12  # log(1+sqrt2)
     assert float(w2) > 0 and float(w3) > 0
@@ -619,10 +708,10 @@ def test_orbit_log_matches_sigma_loop(shipped):
     units = [ctx.u_l_emb, u0, ctx.field.sigma(u0)]
     if shipped.u_star is not None:
         units.append(qt.QuarticElem(ctx.field, shipped.u_star))
-    hits = us.search_relative_units(ctx, 6)
+    hits = us.order_hits(ctx, us.search_relative_units(ctx, 6))
     assert len(hits) >= 80
-    # log_embed_cyclic on the generators and the hits, and the LOG the
-    # search returns with each hit
+    # log_embed_cyclic on the generators and the hits, and the LOG
+    # order_hits sorts each hit by
     logs = [(x, log_embed_cyclic(x)) for x in units + [e for e, _, _ in hits]]
     logs += [(e, lv) for e, _, lv in hits]
     with mpmath.workprec(144):
