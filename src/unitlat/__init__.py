@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .quadratic import QuadElem, fundamental_unit, smallest_fundamental_units
 from .biquadratic import BiquadField, BiquadElem
 from .quartic import CyclicQuarticField, QuarticElem, galois_generator
-from .loglattice import log_embed_klein, wedge2
+from .loglattice import wedge2
 from .units import (KleinUnitStructure, klein_unit_structure,
                     klein_pattern_root, klein_generators, CyclicCatalogEntry,
                     verify_hasse_relations, populate_cyclic_entry)
@@ -16,7 +16,7 @@ __all__ = [
     "QuadElem", "fundamental_unit", "smallest_fundamental_units",
     "BiquadField", "BiquadElem",
     "CyclicQuarticField", "QuarticElem", "galois_generator",
-    "log_embed_klein", "wedge2",
+    "wedge2",
     "KleinUnitStructure", "klein_unit_structure", "klein_pattern_root",
     "klein_generators", "CyclicCatalogEntry",
     "verify_hasse_relations", "populate_cyclic_entry",

@@ -322,11 +322,19 @@ def main(argv=None):
     if args.format is None:
         args.format = "csv" if args.command == "scan" else "text"
     buf = io.StringIO()
+    # exact units can run past the 4300 digits that Python >= 3.10.7
+    # converts from int to str by default; print them in full
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         code = args.func(args, buf)
     except CliError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return exc.code
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
     sys.stdout.write(buf.getvalue())
     return code
 

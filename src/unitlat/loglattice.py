@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from .precision import DEFAULT_PRECISION, mpf_ctx
-from . import biquadratic
+from .precision import mpf_ctx
 
 # index pairs of the wedge basis, identical for both conventions
 WEDGE_PAIRS = ((0, 1), (2, 3), (0, 3), (1, 2), (0, 2), (1, 3))
@@ -41,25 +40,6 @@ class Wedge2Vector:
     coords: tuple  # 6 mpfs
     convention: str
     precision_bits: int
-
-
-def log_embed_klein(x, precision_bits=DEFAULT_PRECISION,
-                    order=biquadratic.GALOIS_KLEIN):
-    """LOG of a unit of a biquadratic field; domain error on non-units.
-
-    order lists the Galois elements occupying the four coordinates; pass
-    the sorted-unit fixers to reproduce the labelling where s_i fixes the
-    subfield of u_i.
-    """
-    if not biquadratic.is_unit(x):
-        raise ValueError("log_embed requires a unit")
-    if order[0] != "id" or sorted(order) != sorted(biquadratic.GALOIS_KLEIN):
-        raise ValueError("order must list id first and all Galois elements")
-    with mpf_ctx(precision_bits):
-        emb = biquadratic.embed_real(x, precision_bits)
-        native = dict(zip(biquadratic.GALOIS_KLEIN, emb))
-        return LogVector(tuple(mpmath.log(abs(native[g])) for g in order),
-                         "klein", precision_bits)
 
 
 def orbit_log(field, emb, precision_bits):

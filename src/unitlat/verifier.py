@@ -17,11 +17,11 @@ import mpmath
 import numpy as np
 
 from .precision import DEFAULT_PRECISION, mpf_ctx, fmt_sig
-from .quadratic import is_squarefree, smallest_fundamental_units, surd_cmp
+from .quadratic import (QuadElem, is_squarefree, quad_embed,
+                        smallest_fundamental_units, surd_cmp)
 from . import units as us
-from .loglattice import (cyclic_f, cyclic_min, cyclic_wedge_rows,
-                         klein_norm_closed, klein_wedge_rows,
-                         log_embed_klein, wedge2)
+from .loglattice import (LogVector, cyclic_f, cyclic_min, cyclic_wedge_rows,
+                         klein_norm_closed, klein_wedge_rows, wedge2)
 
 THEOREM_TOL = mpmath.mpf("1e-5")
 DERIVED_TOL = mpmath.mpf("1e-9")
@@ -413,12 +413,31 @@ def verify_paper(scan_limit=30, coeff_bound=20,
     }
 
 
+def _subfield_log(field, u, order, precision_bits):
+    """LOG of a unit u = a + b*sqrt(d) of the subfield Q(sqrt(d)) of a
+    Klein field, its coordinates in the Galois order `order`.  s_k fixes
+    sqrt(d_k), so log|u| sits at id and at the s_k with d_k = d, and
+    log|a - b*sqrt(d)| at the other two.  That conjugate is about 1/|u|,
+    so both are embedded with headroom for twice the coordinate bits."""
+    fixer = "s%d" % ((field.d1, field.d2, field.d3).index(u.d) + 1)
+    bits = max(abs(c.numerator).bit_length() + c.denominator.bit_length()
+               for c in (u.a, u.b))
+    emb = [quad_embed(x, precision_bits + 2 * bits + 16)
+           for x in (u, QuadElem(u.d, u.a, -u.b))]
+    with mpf_ctx(precision_bits):
+        log_u, log_conj = (mpmath.log(abs(v)) for v in emb)
+        return LogVector(tuple(log_u if g in ("id", fixer) else log_conj
+                               for g in order), "klein", precision_bits)
+
+
 def _wedge_fixture_reports(precision_bits):
-    """The printed wedge coordinate tables, checked on Q(sqrt2, sqrt5)."""
+    """The printed wedge coordinate tables, checked on Q(sqrt2, sqrt5):
+    wedge2 of the subfield units' LOGs, in the order of their fixers,
+    against klein_wedge_rows."""
     struct = us.klein_unit_structure(2, 5, precision_bits)
     order = ("id",) + struct.fixers
-    l1, l2, l3 = (log_embed_klein(struct.field.lift_quad(u), precision_bits,
-                                  order=order) for u in struct.units)
+    l1, l2, l3 = (_subfield_log(struct.field, u, order, precision_bits)
+                  for u in struct.units)
     with mpf_ctx(precision_bits):
         x1 = l2.coords[0] * l3.coords[0]
         x2 = l1.coords[0] * l3.coords[0]

@@ -3,8 +3,8 @@
 Deliberately naive: plain Python loops and integer arithmetic, sharing no
 code with the library's closed forms or numpy enumeration.  char_poly
 uses only the library's basis multiplications `biq_mul` and `qr_mul`,
-which the ring axiom tests check, and nothing of their tower integrality
-tests, norms or Galois actions.  sigma_loop_log applies the exact sigma
+which the ring axiom tests check, and no tower integrality test, norm
+or Galois action.  sigma_loop_log applies the exact sigma
 and evaluates at root 0 only, sharing nothing with the root orbit.
 sampled_constrained_min restates the cyclic-case minimization problems
 in floats and samples a grid, knowing nothing of their candidate points.
@@ -23,6 +23,13 @@ permutation moving root 0, not only 4-cycles, by one Vandermonde solve
 each; fraction_norm_exponent tests a relative norm in Fraction
 arithmetic through qr_mul and the exact sigma^2.
 
+The Klein embedding chain is the reference LOG of a biquadratic
+element: the Galois action (galois_apply), tower integrality
+(is_algebraic_integer, is_unit), the four real embeddings (embed_real)
+and log_embed_klein.  The library needs none of it: its Klein lattices
+are built from the subfield regulators W_i, and verify-paper's wedge
+fixture embeds each unit in its own Q(sqrt(d_i)).
+
 The rest is package-style code that only tests call: quadratic,
 biquadratic and cyclic quartic inverses and powers (quad_inv, biq_neg,
 biq_norm_to_Q, biq_inv, biq_pow, qr_inv, qr_pow), the cyclic LOG of one
@@ -36,15 +43,15 @@ from math import isqrt, log, sqrt
 
 import mpmath
 
-from unitlat.biquadratic import (BiquadElem, BiquadField, _relative_norm,
-                                 biq_mul, galois_apply)
-from unitlat.loglattice import klein_wedge_rows, log_embed_klein, orbit_log
+from unitlat.biquadratic import BiquadElem, BiquadField, biq_mul
+from unitlat.loglattice import LogVector, klein_wedge_rows, orbit_log
 from unitlat.precision import (DEFAULT_PRECISION, mpf_ctx,
                                reconstruct_rational)
-from unitlat.quadratic import (QuadElem, _rational_sqrt, is_squarefree,
-                               quad_mul, quad_norm, surd_sign)
+from unitlat.quadratic import (QuadElem, _rational_sqrt, is_quad_integer,
+                               is_squarefree, quad_mul, quad_norm, surd_sign)
 from unitlat.quartic import (Automorphism, QuarticElem, embed_all,
-                             eval_poly_at, is_unit, qr_mul, qr_neg)
+                             eval_poly_at, qr_mul, qr_neg)
+from unitlat.quartic import is_unit as qr_is_unit
 from unitlat.units import (KleinUnitStructure, _f2_basis, klein_denominator,
                            subfield_units)
 from unitlat.verifier import DERIVED_TOL, BoundReport, constants
@@ -220,14 +227,15 @@ def tower_witness(units, fixers, e, x):
                 shifted = biq_mul(shifted, BiquadElem(field, lift.x + 1, lift.y,
                                                       lift.z, lift.w))
         q = biq_mul(x, biq_inv(shifted))
-        nonzero = tuple((k, 1 / c) for k, c in enumerate(q.coords()) if c)
+        nonzero = tuple((k, 1 / c) for k, c in enumerate(biq_coords(q)) if c)
         return nonzero[0] if len(nonzero) == 1 else nonzero
     _, uj, uk = units
     xt = galois_apply(fixers[0], x)
     eps = {lifts[0]: 1, biq_neg(lifts[0]): -1}.get(biq_mul(x, xt))
     if eps is None:
         return None
-    g2 = BiquadElem(field, *(c + ct for c, ct in zip(x.coords(), xt.coords())))
+    g2 = BiquadElem(field, *(c + ct for c, ct in zip(biq_coords(x),
+                                                     biq_coords(xt))))
     norm_g = biq_mul(g2, galois_apply(fixers[1], g2)).x / 4
     return eps, norm_g / ((uj.a - eps * uk.a) / 2), abs(g2.x)
 
@@ -248,7 +256,7 @@ def char_poly(a):
     if isinstance(a, QuarticElem):
         m = [qr_mul(a, QuarticElem(a.field, e)).coords for e in unit]
     else:
-        m = [biq_mul(a, BiquadElem(a.field, *e)).coords() for e in unit]
+        m = [biq_coords(biq_mul(a, BiquadElem(a.field, *e))) for e in unit]
     m = [[m[j][i] for j in range(4)] for i in range(4)]  # columns -> matrix
 
     def mat_mul(p, q):
@@ -307,11 +315,113 @@ def sampled_constrained_min(objective, steps=60):
     return best
 
 
+# ---------------------------------------------------------------------------
+# The Klein embedding chain: Galois action, tower integrality and the four
+# real embeddings of a biquadratic element, ending in its LOG.
+
+GALOIS_KLEIN = ("id", "s1", "s2", "s3")
+
+# coordinate signs (on y, z, w) applied by each Galois element
+_GALOIS_SIGNS = {
+    "id": (1, 1, 1),
+    "s1": (1, -1, -1),   # fixes sqrt(d1)
+    "s2": (-1, 1, -1),   # fixes sqrt(d2)
+    "s3": (-1, -1, 1),   # fixes sqrt(d3)
+}
+
+
+def biq_coords(a):
+    return (a.x, a.y, a.z, a.w)
+
+
+def biq_is_zero(a):
+    return not any(biq_coords(a))
+
+
+def biq_is_rational(a):
+    return a.y == 0 and a.z == 0 and a.w == 0
+
+
+def biq_from_rational(field, q):
+    return BiquadElem(field, q, 0, 0, 0)
+
+
+def galois_apply(g, a):
+    """Apply a Klein Galois element; sign flips per the fixed subfield."""
+    sy, sz, sw = _GALOIS_SIGNS[g]
+    return BiquadElem(a.field, a.x, sy * a.y, sz * a.z, sw * a.w)
+
+
+def _relative_norm(a):
+    """N_{L/K}(a) = alpha^2 - d2*beta^2, an element of K = Q(sqrt(d1))."""
+    f = a.field
+    x, y, z, w = a.x, a.y, a.z, a.w / f.s
+    return QuadElem(f.d1, x * x + f.d1 * y * y - f.d2 * (z * z + f.d1 * w * w),
+                    2 * (x * y - f.d2 * z * w))
+
+
+def is_algebraic_integer(a):
+    """a lies in O_L iff its relative trace 2*alpha and norm N_{L/K}(a)
+    lie in O_K, each tested by trace and norm in Z."""
+    return (is_quad_integer(QuadElem(a.field.d1, 2 * a.x, 2 * a.y))
+            and is_quad_integer(_relative_norm(a)))
+
+
+def is_unit(a):
+    # N_{L/Q}(a) = N_{K/Q}(N_{L/K}(a))
+    return is_algebraic_integer(a) and abs(quad_norm(_relative_norm(a))) == 1
+
+
+def _coord_bits(coords):
+    return max((abs(c.numerator).bit_length() + c.denominator.bit_length()
+                for c in coords), default=1)
+
+
+def embed_real(a, precision_bits=DEFAULT_PRECISION):
+    """The four real embeddings (id, s1, s2, s3 images), sqrt always the
+    positive root.
+
+    A unit's conjugate is about 1/|a|, so cancellation spans twice the
+    coefficient magnitude: the working precision gets headroom for the
+    full coefficient bit-size to survive it.
+    """
+    f = a.field
+    with mpf_ctx(precision_bits + 2 * _coord_bits(biq_coords(a)) + 16):
+        roots = (mpmath.mpf(1), mpmath.sqrt(f.d1), mpmath.sqrt(f.d2),
+                 mpmath.sqrt(f.d3))
+
+        def frac(q):
+            return mpmath.mpf(q.numerator) / q.denominator
+
+        out = []
+        for g in GALOIS_KLEIN:
+            img = galois_apply(g, a)
+            out.append(sum(frac(c) * r for c, r in zip(biq_coords(img), roots)))
+        return tuple(out)
+
+
+def log_embed_klein(x, precision_bits=DEFAULT_PRECISION, order=GALOIS_KLEIN):
+    """LOG of a unit of a biquadratic field; domain error on non-units.
+
+    order lists the Galois elements occupying the four coordinates; pass
+    the sorted-unit fixers to reproduce the labelling where s_i fixes the
+    subfield of u_i.
+    """
+    if not is_unit(x):
+        raise ValueError("log_embed requires a unit")
+    if order[0] != "id" or sorted(order) != sorted(GALOIS_KLEIN):
+        raise ValueError("order must list id first and all Galois elements")
+    with mpf_ctx(precision_bits):
+        native = dict(zip(GALOIS_KLEIN, embed_real(x, precision_bits)))
+        return LogVector(tuple(mpmath.log(abs(native[g])) for g in order),
+                         "klein", precision_bits)
+
+
 def biq_norm_to_Q(a):
     """N_{L/Q}(a) = a * s1(a) * s2(a) * s3(a), an exact rational."""
     prod = biq_mul(biq_mul(a, galois_apply("s1", a)),
                    biq_mul(galois_apply("s2", a), galois_apply("s3", a)))
-    assert prod.is_rational(), "norm must land in Q"
+    assert biq_is_rational(prod), "norm must land in Q"
     return prod.x
 
 
@@ -320,7 +430,7 @@ def biq_neg(a):
 
 
 def biq_inv(a):
-    if a.is_zero():
+    if biq_is_zero(a):
         raise ZeroDivisionError("zero element has no inverse")
     cofactor = biq_mul(biq_mul(galois_apply("s1", a), galois_apply("s2", a)),
                        galois_apply("s3", a))
@@ -374,7 +484,7 @@ def qr_pow(a, k):
 
 def log_embed_cyclic(x, precision_bits=DEFAULT_PRECISION):
     """LOG of a unit of a cyclic quartic field; domain error on non-units."""
-    if not is_unit(x):
+    if not qr_is_unit(x):
         raise ValueError("log_embed requires a unit")
     return orbit_log(x.field, embed_all(x, precision_bits), precision_bits)
 
@@ -384,12 +494,12 @@ def pohst_check(u, precision_bits=DEFAULT_PRECISION):
     quartic field."""
     with mpf_ctx(precision_bits):
         if isinstance(u, BiquadElem):
-            log_embed = log_embed_klein
+            log_embed, rational = log_embed_klein, biq_is_rational(u)
         elif isinstance(u, QuarticElem):
-            log_embed = log_embed_cyclic
+            log_embed, rational = log_embed_cyclic, u.is_rational()
         else:
             raise TypeError("expected a quartic-field unit")
-        if u.is_rational():
+        if rational:
             raise ValueError("Pohst bound excludes u = +-1")
         lv = log_embed(u, precision_bits)
         sq = sum((c * c for c in lv.coords), mpmath.mpf(0))

@@ -12,12 +12,12 @@ import pytest
 
 from unitlat import units as us
 from unitlat import verifier as vf
-from unitlat.biquadratic import BiquadField, biq_mul, is_unit
-from unitlat.loglattice import log_embed_klein
+from unitlat.biquadratic import BiquadField, biq_mul
 from unitlat.precision import mpf_ctx
 from unitlat.quadratic import (fundamental_unit, quad_cmp,
                                smallest_fundamental_units)
-from oracles import brute_min_one_norm, float_rows, klein_e_wedge
+from oracles import (brute_min_one_norm, float_rows, is_unit, klein_e_wedge,
+                     log_embed_klein)
 
 COEFF_BOUND = 20
 SCAN_LIMIT = 30

@@ -2,11 +2,18 @@ import csv
 import io
 import json
 import os
+import sys
+from fractions import Fraction
 
 import pytest
 
 from unitlat import cli
 from unitlat import verifier as vf
+from unitlat.quadratic import fundamental_unit
+
+# the fundamental unit of Q(sqrt(30000331)) has 5984-digit coordinates,
+# past the 4300 digits Python converts from int to str by default
+LONG_UNIT_D = 30000331
 
 
 def run(capsys, *argv):
@@ -28,6 +35,42 @@ def test_fund_unit_json(capsys):
     payload = json.loads(out)
     assert payload["unit"] == {"d": 7, "a": "8", "b": "3"}
     assert payload["norm_sign"] == 1
+
+
+def _check_long_unit(a, b):
+    # the printed coordinates are the exact unit
+    assert len(a) > 4300
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        a, b = Fraction(a), Fraction(b)
+    finally:
+        sys.set_int_max_str_digits(digits)
+    unit = fundamental_unit(LONG_UNIT_D).unit
+    assert (a, b) == (unit.a, unit.b)
+    assert a * a - LONG_UNIT_D * b * b == 1
+
+
+def test_fund_unit_text_prints_long_unit(capsys):
+    # the CLI prints the exact unit and leaves the caller's limit as it was
+    before = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "fund-unit", str(LONG_UNIT_D))
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == before
+    head = "fundamental unit of Q(sqrt(%d)): (" % LONG_UNIT_D
+    line, norm = out.splitlines()[:2]
+    assert line.startswith(head) and norm == "norm: 1"
+    a, b = line[len(head):].split(") + (")
+    _check_long_unit(a, b[:-len(")*sqrt(%d)" % LONG_UNIT_D)])
+
+
+def test_fund_unit_json_prints_long_unit(capsys):
+    code, out, err = run(capsys, "--format", "json", "fund-unit",
+                         str(LONG_UNIT_D))
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["norm_sign"] == 1
+    _check_long_unit(payload["unit"]["a"], payload["unit"]["b"])
 
 
 def test_fund_unit_invalid(capsys):

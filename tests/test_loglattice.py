@@ -9,15 +9,15 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from unitlat.loglattice import (LogVector, cyclic_f, cyclic_lower_bounds,
                                 cyclic_min, cyclic_wedge_rows,
-                                klein_norm_closed, klein_wedge_rows,
-                                log_embed_klein, wedge2)
+                                klein_norm_closed, klein_wedge_rows, wedge2)
 from unitlat.biquadratic import BiquadField
 from unitlat.precision import mpf_ctx
 from unitlat.quartic import QuarticElem
 from unitlat import units as us
 from unitlat.verifier import klein_field_report, load_default_catalog
-from oracles import (SQUAREFREE_1000, brute_min_one_norm, brute_norms,
-                     float_rows, klein_e_wedge, log_embed_cyclic)
+from oracles import (SQUAREFREE_1000, biq_from_rational, brute_min_one_norm,
+                     brute_norms, float_rows, klein_e_wedge, log_embed_cyclic,
+                     log_embed_klein)
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +70,7 @@ def test_log_vector_zero_sum_checked_at_its_precision():
 def test_log_embed_rejects_non_units():
     f = BiquadField(2, 5)
     with pytest.raises(ValueError):
-        log_embed_klein(f.from_rational(2))
+        log_embed_klein(biq_from_rational(f, 2))
 
 
 def test_klein_log_patterns(klein25):

@@ -1,15 +1,18 @@
+import dataclasses
 import json
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unitlat import loglattice as ll
 from unitlat import units as us
 from unitlat import verifier as vf
 from unitlat.biquadratic import BiquadField
-from unitlat.precision import mpf_ctx
+from unitlat.precision import fmt_sig, mpf_ctx
 from unitlat.quadratic import fundamental_unit
-from oracles import pohst_check, sampled_constrained_min
+from oracles import (SQUAREFREE_1000, biq_from_rational, log_embed_klein,
+                     pohst_check, sampled_constrained_min)
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +48,7 @@ def test_pohst_check_units(entry):
 def test_pohst_check_domain_errors():
     f = BiquadField(2, 5)
     with pytest.raises(ValueError):
-        pohst_check(f.from_rational(-1))
+        pohst_check(biq_from_rational(f, -1))
     with pytest.raises(TypeError):
         pohst_check(1.5)
 
@@ -181,3 +184,63 @@ def test_hasse_relations_verified_once_per_entry(monkeypatch):
         value, _ = vf.cyclic_entry_report(entry)
         assert value is not None
     assert calls == [entry.label for entry in catalog]
+
+
+def _oracle_wedge_errors(precision_bits):
+    """The wedge_L* errors of Q(sqrt2, sqrt5) with each LOG(u_i) taken by
+    the oracle embedding chain on the unit lifted to L."""
+    struct = us.klein_unit_structure(2, 5, precision_bits)
+    order = ("id",) + struct.fixers
+    l1, l2, l3 = (log_embed_klein(struct.field.lift_quad(u), precision_bits,
+                                  order) for u in struct.units)
+    w1, w2, w3 = (lv.coords[0] for lv in (l1, l2, l3))
+    with mpf_ctx(precision_bits):
+        rows = ll.klein_wedge_rows(w2 * w3, w1 * w3, w1 * w2)
+        wedges = (ll.wedge2(l2, l3), ll.wedge2(l1, l3), ll.wedge2(l1, l2))
+        return [fmt_sig(max(abs(g - w) for g, w in zip(got.coords, want)))
+                for got, want in zip(wedges, rows)]
+
+
+@pytest.mark.parametrize("precision_bits", [64, 128, 300])
+def test_wedge_fixture_matches_embedding_chain(precision_bits):
+    # LOG(u_i) embedded in Q(sqrt(d_i)) prints the digits of the oracle's
+    # embedding of the lifted unit in L
+    reports = vf._wedge_fixture_reports(precision_bits)
+    assert [r.name for r in reports] == ["wedge_L2^L3", "wedge_L1^L3",
+                                         "wedge_L1^L2"]
+    assert ([fmt_sig(r.computed_value) for r in reports]
+            == _oracle_wedge_errors(precision_bits))
+    assert all(r.relation == "holds" for r in reports)
+
+
+@pytest.mark.parametrize("swap", [(1, 0, 2), (0, 2, 1), (2, 1, 0)])
+def test_wedge_fixture_catches_swapped_fixers(swap, monkeypatch):
+    # each LOG(u_i) places log|u_i| at the Galois element fixing sqrt(d_i),
+    # not at the structure's fixer, so mislabelled fixers show in every
+    # wedge table
+    real = us.klein_unit_structure
+
+    def swapped(*args):
+        struct = real(*args)
+        return dataclasses.replace(
+            struct, fixers=tuple(struct.fixers[i] for i in swap))
+
+    monkeypatch.setattr(us, "klein_unit_structure", swapped)
+    reports = vf._wedge_fixture_reports(128)
+    assert [r.relation for r in reports] == ["violated"] * 3
+
+
+@settings(max_examples=25, deadline=None)
+@given(pair=st.lists(st.sampled_from(SQUAREFREE_1000), min_size=2,
+                     max_size=2, unique=True),
+       precision_bits=st.sampled_from([64, 128, 300]))
+def test_subfield_log_equals_embedding_chain(pair, precision_bits):
+    # the subfield route gives the oracle's LOG of the lifted unit exactly,
+    # digit for digit
+    struct = us.klein_unit_structure(*pair, precision_bits)
+    order = ("id",) + struct.fixers
+    for u in struct.units:
+        got = vf._subfield_log(struct.field, u, order, precision_bits)
+        want = log_embed_klein(struct.field.lift_quad(u), precision_bits,
+                               order)
+        assert got == want
