@@ -5,8 +5,10 @@ defaults.  Decimal output is fixed at 12 significant digits so runs at a
 fixed configuration are byte-stable.
 
 Exit codes: 0 success, 1 assertable-check violation, 2 invalid input (a
-flag out of range, a malformed catalog), 4 catalog validation failure (a
-failed Hasse relation, or a failed regulator cross-check for `cyclic`).
+flag out of range, a `--format` the command does not take, a malformed
+catalog, a d whose continued fraction does not close within
+CF_MAX_STEPS), 4 catalog validation failure (a failed Hasse relation, or
+a failed regulator cross-check for `cyclic`).
 """
 
 import argparse
@@ -17,7 +19,7 @@ import os
 import sys
 
 from .precision import DEFAULT_PRECISION, fmt_sig
-from .quadratic import fundamental_unit, is_squarefree
+from .quadratic import UnitSearchError, fundamental_unit, is_squarefree
 from . import units as us
 from . import verifier as vf
 
@@ -73,7 +75,10 @@ def _check_squarefree_arg(d):
 def cmd_fund_unit(args, out):
     cfg = _config(args)
     _check_squarefree_arg(args.d)
-    res = fundamental_unit(args.d, cfg["precision"])
+    try:
+        res = fundamental_unit(args.d, cfg["precision"])
+    except UnitSearchError as exc:
+        raise CliError(str(exc), EXIT_INVALID_INPUT)
     if args.format == "json":
         json.dump({"d": args.d, "unit": res.unit.to_json(),
                    "norm_sign": res.norm_sign,
@@ -93,8 +98,11 @@ def cmd_klein(args, out):
         _check_squarefree_arg(d)
     if args.d1 == args.d2:
         raise CliError("d1 and d2 must be distinct", EXIT_INVALID_INPUT)
-    struct, value, reports = vf.klein_field_report(args.d1, args.d2,
-                                                   cfg["precision"])
+    try:
+        struct, value, reports = vf.klein_field_report(args.d1, args.d2,
+                                                       cfg["precision"])
+    except UnitSearchError as exc:
+        raise CliError(str(exc), EXIT_INVALID_INPUT)
     detail = reports[0].details
     if args.format == "json":
         payload = {
@@ -319,8 +327,13 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    formats = ("csv", "json") if args.command == "scan" else ("text", "json")
     if args.format is None:
-        args.format = "csv" if args.command == "scan" else "text"
+        args.format = formats[0]
+    elif args.format not in formats:
+        sys.stderr.write("error: %s takes --format %s, not %s\n"
+                         % (args.command, " or ".join(formats), args.format))
+        return EXIT_INVALID_INPUT
     buf = io.StringIO()
     # exact units can run past the 4300 digits that Python >= 3.10.7
     # converts from int to str by default; print them in full

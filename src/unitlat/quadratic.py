@@ -112,39 +112,6 @@ def surd_sign(a, b, d):
     return 1 if b > 0 else -1
 
 
-def surd_cmp(a, b, d, c, e, f):
-    """Exact sign of (a + b*sqrt(d)) - (c + e*sqrt(f)); b, e >= 0 required."""
-    a, b, c, e = Fraction(a), Fraction(b), Fraction(c), Fraction(e)
-    if b < 0 or e < 0:
-        raise ValueError("surd_cmp requires nonnegative radical coefficients")
-    s = a - c
-    lhs, rhs = b * b * d, e * e * f
-    diff_sign = (lhs > rhs) - (lhs < rhs)  # sign of b*sqrt(d) - e*sqrt(f)
-    if s == 0:
-        return diff_sign
-    if diff_sign == 0:
-        return 1 if s > 0 else -1
-    s_sign = 1 if s > 0 else -1
-    if s_sign == diff_sign:
-        return s_sign
-    # |s| vs |b*sqrt(d) - e*sqrt(f)|: compare s^2 with (b^2 d + e^2 f) - 2be*sqrt(df)
-    t = s * s - lhs - rhs
-    u = 2 * b * e
-    if t >= 0:
-        mag = 1 if (t > 0 or u > 0) else 0
-    else:
-        uu, tt = u * u * d * f, t * t
-        mag = (uu > tt) - (uu < tt)
-    if mag == 0:
-        return 0
-    return s_sign if mag > 0 else diff_sign
-
-
-def quad_cmp(x, y):
-    """Exact comparison of two surds with nonnegative sqrt coefficients."""
-    return surd_cmp(x.a, x.b, x.d, y.a, y.b, y.d)
-
-
 @dataclass(frozen=True)
 class FundamentalUnitResult:
     unit: QuadElem
@@ -155,41 +122,46 @@ class FundamentalUnitResult:
 CF_MAX_STEPS = 100000  # _cf_unit_search gives up after this many steps
 
 
+class UnitSearchError(ArithmeticError):
+    """The continued fraction did not close within CF_MAX_STEPS steps."""
+
+
 def _cf_unit_search(d):
     """Walk the continued fraction of sqrt(d) (or (1+sqrt(d))/2 for d=1 mod 4)
     and return the first convergent giving a norm +-1 unit of the maximal
-    order.  Classical theory places the fundamental unit among these.
+    order, with its norm.  Classical theory places the fundamental unit
+    among these.
 
     Every complete quotient xi = (P + sqrt(d))/Q it visits, the start and
     then reduced ones, has xi > 0 > xi', so Q = 2*sqrt(d)/(xi - xi') > 0
-    and floor(xi) = (P + isqrt(d)) // Q exactly."""
-    half_basis = d % 4 == 1
+    and floor(xi) = (P + isqrt(d)) // Q exactly.
+
+    For the n-th convergent h/k of xi_0 = (P_0 + sqrt(d))/Q_0,
+    (Q_0*h - P_0*k)^2 - d*k^2 = (-1)^(n+1) * Q_0 * Q_(n+1) (Perron).  The
+    candidate unit ((Q_0*h - P_0*k) + k*sqrt(d))/Q_0, h + k*sqrt(d) or
+    h - k*(1 - sqrt(d))/2, has that left side over Q_0^2 as its norm,
+    (-1)^(n+1) * Q_(n+1)/Q_0: it is +-1 exactly when the next
+    denominator Q_(n+1) is back at Q_0, and its sign flips each step.
+    """
     s = isqrt(d)
-    if half_basis:
-        pp, qq = 1, 2  # omega = (1 + sqrt(d)) / 2
-    else:
-        pp, qq = 0, 1  # sqrt(d)
+    # xi_0 = (P_0 + sqrt(d))/Q_0: (1 + sqrt(d))/2 for d = 1 mod 4, else sqrt(d)
+    pp, qq = (1, 2) if d % 4 == 1 else (0, 1)
     h_prev, h = 0, 1  # h_{-2}, h_{-1}: convergent numerators
     k_prev, k = 1, 0
     p_cur, q_cur = pp, qq
+    sign = 1
     for _ in range(CF_MAX_STEPS):
         a = (p_cur + s) // q_cur
         h_prev, h = h, a * h + h_prev
         k_prev, k = k, a * k + k_prev
-        if half_basis:
-            # candidate h - k*(1 - sqrt(d))/2 = (2h - k)/2 + (k/2) sqrt(d)
-            norm = h * h - h * k + k * k * (1 - d) // 4
-            if norm in (1, -1):
-                unit = QuadElem(d, Fraction(2 * h - k, 2), Fraction(k, 2))
-                return unit, norm
-        else:
-            norm = h * h - d * k * k
-            if norm in (1, -1):
-                unit = QuadElem(d, Fraction(h), Fraction(k))
-                return unit, norm
         p_cur = a * q_cur - p_cur
         q_cur = (d - p_cur * p_cur) // q_cur
-    raise ArithmeticError("continued fraction of sqrt(%d) did not close" % d)
+        sign = -sign
+        if q_cur == qq:
+            return QuadElem(d, Fraction(qq * h - pp * k, qq),
+                            Fraction(k, qq)), sign
+    raise UnitSearchError("continued fraction of sqrt(%d) did not close "
+                          "within %d steps" % (d, CF_MAX_STEPS))
 
 
 @functools.lru_cache(maxsize=1024, typed=True)
@@ -198,38 +170,32 @@ def fundamental_unit(d, precision_bits=DEFAULT_PRECISION):
     Cached per (d, precision_bits); the result is immutable."""
     _check_squarefree(d)
     unit, norm = _cf_unit_search(d)
-    assert is_quad_integer(unit) and abs(quad_norm(unit)) == 1
+    assert is_quad_integer(unit) and quad_norm(unit) == norm in (1, -1)
     assert surd_sign(unit.a - 1, unit.b, d) > 0, "unit must exceed 1"
     with mpf_ctx(precision_bits):
         log_value = mpmath.log(quad_embed(unit, precision_bits))
     return FundamentalUnitResult(unit, norm, log_value)
 
 
-def sort_by_unit(entries, precision_bits=DEFAULT_PRECISION):
-    """Pairs (tag, FundamentalUnitResult) sorted ascending by the real
-    value of the unit, exactly.
+def unit_key(res):
+    """Sort key (T, -N) of a FundamentalUnitResult: T = 2a the trace and
+    N = +-1 the norm of its unit u = a + b*sqrt(d) > 1.
 
-    log_value, at precision p, is off by about 2^-p * (1 + log_value).
-    A unit found in CF_MAX_STEPS steps has log_value of at most about
-    CF_MAX_STEPS * log(2*sqrt(d) + 2), under 2^29 when log d < 10^4, so
-    for p >= 64 the error is below 2^(-p/2 - 1): two logs more than
-    2^(-p/2) apart order their units, and closer ones, equal ones
-    included, are compared by quad_cmp.
+    u is the larger root of x^2 - T*x + N, u(T, N) = (T + sqrt(T^2 - 4N))/2.
+    For a fixed N it grows strictly with T, and for a fixed T, N = -1
+    gives the larger u.  Across traces, u(T, -1) < u(T + 1, +1) for
+    T >= 2, as sqrt(T^2 + 4) < 1 + sqrt(T^2 + 2T - 3) (squared:
+    3 - T < sqrt((T + 3)(T - 1))); for T = 1, u(2, +1) = 1 is no unit
+    > 1.  So on units > 1, u increases strictly with (T, -N) in
+    lexicographic order.  T^2 - 4N = (2b)^2 * d with d squarefree, so
+    units of distinct fields have distinct keys.
     """
-    tol = mpmath.ldexp(1, -(precision_bits // 2))
-
-    def cmp(lhs, rhs):
-        a, b = lhs[1].log_value, rhs[1].log_value
-        if abs(a - b) <= tol:
-            return quad_cmp(lhs[1].unit, rhs[1].unit)
-        return -1 if a < b else 1
-
-    return sorted(entries, key=functools.cmp_to_key(cmp))
+    return int(2 * res.unit.a), -res.norm_sign
 
 
 def smallest_fundamental_units(bound, precision_bits=DEFAULT_PRECISION):
     """All (d, fundamental unit) for squarefree 2 <= d <= bound, sorted
-    ascending by the real value of the unit (exact, sort_by_unit)."""
-    return sort_by_unit([(d, fundamental_unit(d, precision_bits))
-                         for d in range(2, bound + 1) if is_squarefree(d)],
-                        precision_bits)
+    ascending by the real value of the unit (exact, unit_key)."""
+    return sorted(((d, fundamental_unit(d, precision_bits))
+                   for d in range(2, bound + 1) if is_squarefree(d)),
+                  key=lambda entry: unit_key(entry[1]))

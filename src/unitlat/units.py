@@ -23,8 +23,8 @@ import numpy as np
 
 from .precision import DEFAULT_PRECISION, mpf_ctx
 from .quadratic import (QuadElem, _rational_sqrt, fundamental_unit,
-                        is_squarefree, quad_mul, quad_norm, sort_by_unit,
-                        surd_sign)
+                        is_squarefree, quad_mul, quad_norm, surd_sign,
+                        unit_key)
 from . import quartic as qt
 from .biquadratic import BiquadElem, BiquadField, biq_add, biq_mul
 from .loglattice import log_sigma, orbit_log
@@ -40,17 +40,17 @@ class CatalogValidationError(ValueError):
 
 def subfield_units(d1, d2, precision_bits=DEFAULT_PRECISION):
     """Fundamental units of the three quadratic subfields of Q(sqrt(d1),
-    sqrt(d2)), sorted ascending by real value (sort_by_unit).
+    sqrt(d2)), sorted ascending by real value (exact, unit_key).
 
     Returns (units, logs, fixers, norm_signs): logs[i] is the regulator
     log(units[i]) at precision_bits; fixers[i] is the Galois element
     fixing the subfield of units[i]; norm_signs[i] is its norm, +-1.
     """
     field = BiquadField(d1, d2)
-    ranked = sort_by_unit([(fixer, fundamental_unit(d, precision_bits))
-                           for d, fixer in ((field.d1, "s1"), (field.d2, "s2"),
-                                            (field.d3, "s3"))],
-                          precision_bits)
+    ranked = sorted(((fixer, fundamental_unit(d, precision_bits))
+                     for d, fixer in ((field.d1, "s1"), (field.d2, "s2"),
+                                      (field.d3, "s3"))),
+                    key=lambda entry: unit_key(entry[1]))
     return (tuple(res.unit for _, res in ranked),
             tuple(res.log_value for _, res in ranked),
             tuple(fixer for fixer, _ in ranked),

@@ -17,8 +17,8 @@ import mpmath
 import numpy as np
 
 from .precision import DEFAULT_PRECISION, mpf_ctx, fmt_sig
-from .quadratic import (QuadElem, is_squarefree, quad_embed,
-                        smallest_fundamental_units, surd_cmp)
+from .quadratic import (QuadElem, fundamental_unit, is_squarefree,
+                        quad_embed, smallest_fundamental_units, unit_key)
 from . import units as us
 from .loglattice import (LogVector, cyclic_f, cyclic_min, cyclic_wedge_rows,
                          klein_norm_closed, klein_wedge_rows, wedge2)
@@ -163,7 +163,7 @@ def klein_field_report(d1, d2, precision_bits=DEFAULT_PRECISION):
 
     The lattice is (1/den) times the integer span of klein_wedge_rows(X1,
     X2, X3), with X1 = W2*W3, X2 = W1*W3, X3 = W1*W2 and W_i = log u_i.
-    The subfield units are > 1 and sorted exactly (sort_by_unit), and units
+    The subfield units are > 1 and sorted exactly (unit_key), and units
     of distinct fields differ, so 0 < W1 < W2 < W3 and X1 > X2 > X3 > 0.
     By klein_norm_closed, which closed_form_equivalence re-checks exactly
     against klein_wedge_rows on every verify-paper, n has 1-norm
@@ -333,8 +333,8 @@ def smallest_units_report():
     entries = smallest_fundamental_units(SMALLEST_UNITS_BOUND)
     first = [d for d, _ in entries[:4]]
     order_ok = first == [5, 2, 13, 3]
-    tail_ok = all(surd_cmp(e.unit.a, e.unit.b, d, 2, 1, 3) > 0
-                  for d, e in entries[4:])
+    threshold = unit_key(fundamental_unit(3))  # 2 + sqrt(3)
+    tail_ok = all(unit_key(e) > threshold for _, e in entries[4:])
     return [
         BoundReport("smallest_units_order", None, None,
                     "holds" if order_ok else "violated",

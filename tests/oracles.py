@@ -1,7 +1,11 @@
 """Independent brute-force oracles used to cross-check library results.
 
 Deliberately naive: plain Python loops and integer arithmetic, sharing no
-code with the library's closed forms or numpy enumeration.  char_poly
+code with the library's closed forms or numpy enumeration.
+cf_unit_search_by_norm finds a fundamental unit by the full norm of
+every convergent, where the library reads the complete quotient's
+denominator; surd_cmp and quad_cmp compare surds exactly by squaring,
+the reference for the library's (trace, -norm) order of units.  char_poly
 uses only the library's basis multiplications `biq_mul` and `qr_mul`,
 which the ring axiom tests check, and no tower integrality test, norm
 or Galois action.  sigma_loop_log applies the exact sigma
@@ -47,8 +51,9 @@ from unitlat.biquadratic import BiquadElem, BiquadField, biq_mul
 from unitlat.loglattice import LogVector, klein_wedge_rows, orbit_log
 from unitlat.precision import (DEFAULT_PRECISION, mpf_ctx,
                                reconstruct_rational)
-from unitlat.quadratic import (QuadElem, _rational_sqrt, is_quad_integer,
-                               is_squarefree, quad_mul, quad_norm, surd_sign)
+from unitlat.quadratic import (CF_MAX_STEPS, QuadElem, _rational_sqrt,
+                               is_quad_integer, is_squarefree, quad_mul,
+                               quad_norm, surd_sign)
 from unitlat.quartic import (Automorphism, QuarticElem, embed_all,
                              eval_poly_at, qr_mul, qr_neg)
 from unitlat.quartic import is_unit as qr_is_unit
@@ -81,6 +86,72 @@ def smaller_quad_unit_exists(d, q2_limit):
             elif p % 2 == 0 and q % 2 == 0:
                 return True
     return False
+
+
+def cf_unit_search_by_norm(d):
+    """The first continued-fraction convergent of sqrt(d) (of (1+sqrt(d))/2
+    for d = 1 mod 4) whose candidate unit has norm +-1, found by computing
+    that norm in full at every step; returns (unit, norm)."""
+    half_basis = d % 4 == 1
+    s = isqrt(d)
+    if half_basis:
+        pp, qq = 1, 2  # omega = (1 + sqrt(d)) / 2
+    else:
+        pp, qq = 0, 1  # sqrt(d)
+    h_prev, h = 0, 1  # h_{-2}, h_{-1}: convergent numerators
+    k_prev, k = 1, 0
+    p_cur, q_cur = pp, qq
+    for _ in range(CF_MAX_STEPS):
+        a = (p_cur + s) // q_cur
+        h_prev, h = h, a * h + h_prev
+        k_prev, k = k, a * k + k_prev
+        if half_basis:
+            # candidate h - k*(1 - sqrt(d))/2 = (2h - k)/2 + (k/2) sqrt(d)
+            norm = h * h - h * k + k * k * (1 - d) // 4
+            if norm in (1, -1):
+                unit = QuadElem(d, Fraction(2 * h - k, 2), Fraction(k, 2))
+                return unit, norm
+        else:
+            norm = h * h - d * k * k
+            if norm in (1, -1):
+                unit = QuadElem(d, Fraction(h), Fraction(k))
+                return unit, norm
+        p_cur = a * q_cur - p_cur
+        q_cur = (d - p_cur * p_cur) // q_cur
+    raise ArithmeticError("continued fraction of sqrt(%d) did not close" % d)
+
+
+def surd_cmp(a, b, d, c, e, f):
+    """Exact sign of (a + b*sqrt(d)) - (c + e*sqrt(f)); b, e >= 0 required."""
+    a, b, c, e = Fraction(a), Fraction(b), Fraction(c), Fraction(e)
+    if b < 0 or e < 0:
+        raise ValueError("surd_cmp requires nonnegative radical coefficients")
+    s = a - c
+    lhs, rhs = b * b * d, e * e * f
+    diff_sign = (lhs > rhs) - (lhs < rhs)  # sign of b*sqrt(d) - e*sqrt(f)
+    if s == 0:
+        return diff_sign
+    if diff_sign == 0:
+        return 1 if s > 0 else -1
+    s_sign = 1 if s > 0 else -1
+    if s_sign == diff_sign:
+        return s_sign
+    # |s| vs |b*sqrt(d) - e*sqrt(f)|: compare s^2 with (b^2 d + e^2 f) - 2be*sqrt(df)
+    t = s * s - lhs - rhs
+    u = 2 * b * e
+    if t >= 0:
+        mag = 1 if (t > 0 or u > 0) else 0
+    else:
+        uu, tt = u * u * d * f, t * t
+        mag = (uu > tt) - (uu < tt)
+    if mag == 0:
+        return 0
+    return s_sign if mag > 0 else diff_sign
+
+
+def quad_cmp(x, y):
+    """Exact comparison of two surds with nonnegative sqrt coefficients."""
+    return surd_cmp(x.a, x.b, x.d, y.a, y.b, y.d)
 
 
 def brute_norms(basis, denominator, bound, parity_even=False):

@@ -14,10 +14,9 @@ from unitlat import units as us
 from unitlat import verifier as vf
 from unitlat.biquadratic import BiquadField, biq_mul
 from unitlat.precision import mpf_ctx
-from unitlat.quadratic import (fundamental_unit, quad_cmp,
-                               smallest_fundamental_units)
+from unitlat.quadratic import fundamental_unit, smallest_fundamental_units
 from oracles import (brute_min_one_norm, float_rows, is_unit, klein_e_wedge,
-                     log_embed_klein)
+                     log_embed_klein, quad_cmp)
 
 COEFF_BOUND = 20
 SCAN_LIMIT = 30

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from unitlat import cli
+from unitlat import cli, quadratic
 from unitlat import verifier as vf
 from unitlat.quadratic import fundamental_unit
 
@@ -78,6 +78,33 @@ def test_fund_unit_invalid(capsys):
     assert code == 2
     assert out == ""
     assert "squarefree" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", ["fund-unit 331", "klein 2 331"])
+def test_unit_search_give_up_is_invalid_input(capsys, monkeypatch, fmt,
+                                              command):
+    # the continued fraction of sqrt(331) closes after 34 steps
+    monkeypatch.setattr(quadratic, "CF_MAX_STEPS", 20)
+    fundamental_unit.cache_clear()
+    try:
+        code, out, err = run(capsys, "--format", fmt, *command.split())
+    finally:
+        fundamental_unit.cache_clear()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: continued fraction of sqrt(")
+    assert err.endswith(" did not close within 20 steps\n")
+
+
+@pytest.mark.parametrize("fmt, command", [
+    ("csv", "fund-unit 5"), ("csv", "klein 2 5"), ("csv", "cyclic Q(zeta15)+"),
+    ("csv", "verify-paper"), ("text", "scan")])
+def test_format_mismatch_is_invalid_input(capsys, fmt, command):
+    code, out, err = run(capsys, "--format", fmt, *command.split())
+    name = command.split()[0]
+    assert (code, out) == (2, "")
+    assert err == "error: %s takes --format %s, not %s\n" % (
+        name, "csv or json" if name == "scan" else "text or json", fmt)
 
 
 def test_klein_text_and_json(capsys):

@@ -5,14 +5,17 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unitlat import quadratic
+from unitlat import units as us
 from unitlat.quadratic import (FundamentalUnitResult, QuadElem,
                                fundamental_unit, is_quad_integer,
-                               is_squarefree, quad_cmp, quad_embed, quad_mul,
+                               is_squarefree, quad_embed, quad_mul,
                                quad_norm, smallest_fundamental_units,
-                               sort_by_unit, surd_cmp, surd_sign)
-from oracles import quad_inv, smaller_quad_unit_exists
+                               surd_sign, unit_key)
+from oracles import (cf_unit_search_by_norm, quad_cmp, quad_inv,
+                     smaller_quad_unit_exists, surd_cmp)
 
 KNOWN_UNITS = {
     5: (Fraction(1, 2), Fraction(1, 2)),
@@ -120,43 +123,66 @@ def test_fundamental_unit_cached_per_d_and_precision():
 
 
 
-def _fake(d, log_value):
-    """The fundamental unit of Q(sqrt(d)) carrying a chosen log_value."""
-    res = fundamental_unit(d)
-    return FundamentalUnitResult(res.unit, res.norm_sign, log_value)
+def test_cf_unit_search_matches_norm_criterion():
+    # stopping on the complete quotient's denominator finds the same unit
+    # and sign as the full norm of every convergent
+    for d in range(2, 5001):
+        if is_squarefree(d):
+            assert quadratic._cf_unit_search(d) == cf_unit_search_by_norm(d), d
+
+
+SQUAREFREE_D = st.integers(2, 10 ** 5).filter(is_squarefree)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SQUAREFREE_D, SQUAREFREE_D)
+def test_unit_key_order_matches_quad_cmp(d1, d2):
+    r1, r2 = fundamental_unit(d1), fundamental_unit(d2)
+    k1, k2 = unit_key(r1), unit_key(r2)
+    assert (k1 > k2) - (k1 < k2) == quad_cmp(r1.unit, r2.unit)
+    assert (k1 == k2) == (d1 == d2)
+
+
+def test_unit_key_sorts_like_quad_cmp_to_2000():
+    entries = [(d, fundamental_unit(d))
+               for d in range(2, 2001) if is_squarefree(d)]
+    exact = sorted(entries, key=functools.cmp_to_key(
+        lambda x, y: quad_cmp(x[1].unit, y[1].unit)))
+    assert smallest_fundamental_units(2000) == exact
+    keys = [unit_key(res) for _, res in exact]
+    assert len(set(keys)) == len(keys)
 
 
 @pytest.mark.parametrize("bits", [64, 128, 300])
-def test_sort_by_unit_breaks_close_logs_exactly(bits):
-    # logs that are equal or closer than 2^(-p/2) say nothing about the
-    # order: quad_cmp decides, here against the logs' own order
-    # (phi < 1+sqrt2 < 2+sqrt3)
-    with mpmath.workprec(bits + 16):
-        half = mpmath.ldexp(1, -(bits // 2) - 1)
-        for logs in ((1, 1, 1), (1 + 2 * half, 1 + half, 1)):
-            entries = [(d, _fake(d, mpmath.mpf(v)))
-                       for d, v in zip((5, 2, 3), logs)][::-1]
-            assert [d for d, _ in sort_by_unit(entries, bits)] == [5, 2, 3]
+def test_sort_by_unit_breaks_close_logs_exactly(bits, monkeypatch):
+    # the order never reads log_value: with every log faked equal, or
+    # reversed against the units, the exact order comes back
+    # (phi < 1+sqrt2 < (3+sqrt13)/2 < 2+sqrt3)
+    real = smallest_fundamental_units(200, bits)
+    subfields = {pair: [u.d for u in us.subfield_units(*pair, bits)[0]]
+                 for pair in ((2, 5), (2, 3), (3, 13))}
+    for fake_log in (lambda res: mpmath.mpf(1), lambda res: -res.log_value):
+        def faked(d, precision_bits=bits, fake_log=fake_log,
+                  real_unit=fundamental_unit):
+            res = real_unit(d, precision_bits)
+            return FundamentalUnitResult(res.unit, res.norm_sign, fake_log(res))
 
-
-@pytest.mark.parametrize("bits", [64, 128, 300])
-def test_sort_by_unit_trusts_distant_logs(bits, monkeypatch):
-    # logs more than 2^(-p/2) apart are ordered by value, with no quad_cmp
-    def forbidden(*args):
-        raise AssertionError("quad_cmp must not run")
-
-    monkeypatch.setattr(quadratic, "quad_cmp", forbidden)
-    with mpmath.workprec(bits + 16):
-        step = mpmath.ldexp(3, -(bits // 2) - 1)
-        entries = [(d, _fake(d, 1 + k * step)) for k, d in enumerate((3, 2, 5))]
-    assert [d for d, _ in sort_by_unit(entries[::-1], bits)] == [3, 2, 5]
-    real = [(d, fundamental_unit(d, bits)) for d in (3, 13, 2, 5)]
-    assert [d for d, _ in sort_by_unit(real, bits)] == [5, 2, 13, 3]
+        monkeypatch.setattr(quadratic, "fundamental_unit", faked)
+        monkeypatch.setattr(us, "fundamental_unit", faked)
+        entries = smallest_fundamental_units(200, bits)
+        assert [d for d, _ in entries[:4]] == [5, 2, 13, 3]
+        assert ([(d, res.unit) for d, res in entries]
+                == [(d, res.unit) for d, res in real])
+        for pair, order in subfields.items():
+            assert [u.d for u in us.subfield_units(*pair, bits)[0]] == order
+    assert subfields == {(2, 5): [5, 2, 10], (2, 3): [2, 3, 6],
+                         (3, 13): [13, 3, 39]}
 
 
 @pytest.mark.parametrize("bits", [64, 128])
 def test_smallest_units_keep_exact_order(bits):
-    # the log sort reproduces the all-quad_cmp sort on every d <= 200
+    # the (trace, -norm) sort reproduces the all-quad_cmp sort on every
+    # d <= 200
     entries = [(d, fundamental_unit(d, bits))
                for d in range(2, 201) if is_squarefree(d)]
     exact = sorted(entries, key=functools.cmp_to_key(

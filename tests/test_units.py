@@ -17,14 +17,14 @@ from unitlat import verifier as vf
 from unitlat import quartic as qt
 from unitlat.biquadratic import BiquadElem, biq_add, biq_mul
 from unitlat.loglattice import cyclic_wedge_rows, wedge2
-from unitlat.quadratic import QuadElem, fundamental_unit, quad_cmp, quad_norm
+from unitlat.quadratic import QuadElem, fundamental_unit, quad_norm
 from unitlat.verifier import (cyclic_entry_report, klein_field_report,
                               load_default_catalog)
 import oracles
 from oracles import (SQUAREFREE_1000, biq_is_rational, biq_neg, char_poly,
                      fraction_norm_exponent, galois_apply, is_unit,
                      klein_patterns_tower, log_embed_cyclic, qr_pow,
-                     sigma_loop_log)
+                     quad_cmp, sigma_loop_log)
 
 DATA = Path(__file__).parent / "data"
 
@@ -50,8 +50,8 @@ def test_subfield_units_sorted():
 
 
 def test_subfield_units_keep_exact_order(monkeypatch):
-    # the log sort reproduces the all-quad_cmp sort on the 864 pairs of
-    # the pinned klein-random pool of perfbench
+    # the (trace, -norm) sort reproduces the all-quad_cmp sort on the 864
+    # pairs of the pinned klein-random pool of perfbench
     monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
     pool = [pair for cell in importlib.import_module("workloads").klein_pool()
             for pair in cell]
