@@ -142,26 +142,31 @@ def _cf_unit_search(d):
     h - k*(1 - sqrt(d))/2, has that left side over Q_0^2 as its norm,
     (-1)^(n+1) * Q_(n+1)/Q_0: it is +-1 exactly when the next
     denominator Q_(n+1) is back at Q_0, and its sign flips each step.
+    So the walk steps the small integers P, Q alone, keeping the partial
+    quotients; h and k are built once, from those, when the period closes.
     """
     s = isqrt(d)
     # xi_0 = (P_0 + sqrt(d))/Q_0: (1 + sqrt(d))/2 for d = 1 mod 4, else sqrt(d)
     pp, qq = (1, 2) if d % 4 == 1 else (0, 1)
-    h_prev, h = 0, 1  # h_{-2}, h_{-1}: convergent numerators
-    k_prev, k = 1, 0
     p_cur, q_cur = pp, qq
-    sign = 1
+    quotients = []  # the partial quotients a_0 .. a_n
     for _ in range(CF_MAX_STEPS):
         a = (p_cur + s) // q_cur
-        h_prev, h = h, a * h + h_prev
-        k_prev, k = k, a * k + k_prev
+        quotients.append(a)
         p_cur = a * q_cur - p_cur
         q_cur = (d - p_cur * p_cur) // q_cur
-        sign = -sign
         if q_cur == qq:
-            return QuadElem(d, Fraction(qq * h - pp * k, qq),
-                            Fraction(k, qq)), sign
-    raise UnitSearchError("continued fraction of sqrt(%d) did not close "
-                          "within %d steps" % (d, CF_MAX_STEPS))
+            break
+    else:
+        raise UnitSearchError("continued fraction of sqrt(%d) did not close "
+                              "within %d steps" % (d, CF_MAX_STEPS))
+    h_prev, h = 0, 1  # h_{-2}, h_{-1}: convergent numerators
+    k_prev, k = 1, 0
+    for a in quotients:
+        h_prev, h = h, a * h + h_prev
+        k_prev, k = k, a * k + k_prev
+    return (QuadElem(d, Fraction(qq * h - pp * k, qq), Fraction(k, qq)),
+            (-1) ** len(quotients))
 
 
 @functools.lru_cache(maxsize=1024, typed=True)

@@ -25,40 +25,39 @@ class NotCyclicError(ValueError):
     """Defining polynomial is not a totally real cyclic quartic."""
 
 
-# coeffs -> {precision_bits: {"roots": all four roots, "real": the real
-# roots descending, "powers": (r, r^2, r^3) per real root}}; "real" and
-# "powers" are filled on first use
-_ROOTS_CACHE = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _solve(coeffs, precision_bits):
     """The four complex roots of a monic integer quartic at precision_bits
-    (plus mpf_ctx headroom), cached.  mpmath.polyroots runs once per
-    polynomial: a later request is rounded from the most precise roots
-    held, or refined from them by Newton's method when it asks for more."""
-    held = _ROOTS_CACHE.setdefault(coeffs, {})
-    entry = held.get(precision_bits)
-    if entry is not None:
-        return entry
-    best = max(held, default=None)
-    if best is None:
-        with mpf_ctx(precision_bits):
-            poly = [mpmath.mpf(c) for c in coeffs[::-1]]
-            rts = mpmath.polyroots(poly, maxsteps=200,
-                                   extraprec=precision_bits)
-    elif best >= precision_bits:
-        with mpf_ctx(precision_bits):
-            rts = [+r for r in held[best]["roots"]]
-    else:
-        rts = [_newton(coeffs, r, precision_bits) for r in held[best]["roots"]]
-    entry = held[precision_bits] = {"roots": tuple(rts)}
-    return entry
+    (plus mpf_ctx headroom), cached by (coeffs, precision_bits).
+    mpmath.polyroots runs once per polynomial, at _cauchy_bits, the
+    precision quartic_is_irreducible asks for; every other precision is
+    refined from those roots by Newton's method, up or down."""
+    bits = _cauchy_bits(coeffs)
+    if precision_bits != bits:
+        return tuple(_newton(coeffs, r, precision_bits)
+                     for r in _solve(coeffs, bits))
+    with mpf_ctx(bits):
+        poly = [mpmath.mpf(c) for c in coeffs[::-1]]
+        return tuple(mpmath.polyroots(poly, maxsteps=200, extraprec=bits))
+
+
+@functools.lru_cache(maxsize=None)
+def _real_roots(coeffs, precision_bits):
+    """The roots of _solve, descending, or NotCyclicError if one is not
+    real; cached by (coeffs, precision_bits), so no field is kept alive."""
+    rts = _solve(coeffs, precision_bits)
+    with mpf_ctx(precision_bits):
+        tol = mpmath.mpf(2) ** (-precision_bits // 2)
+        if any(abs(mpmath.im(r)) > tol for r in rts):
+            raise NotCyclicError("defining polynomial is not totally real")
+        return tuple(sorted((mpmath.re(r) for r in rts), reverse=True))
 
 
 def _newton(coeffs, root, precision_bits):
     """A simple root of the quartic refined from an approximation by
     Newton steps at 32 guard bits until a step is below the target
-    precision, then rounded to it."""
+    precision, then rounded to it; from a more precise root that is one
+    step."""
     target = precision_bits + 16
     with mpmath.workprec(target + 32):
         x = +root
@@ -134,27 +133,7 @@ class CyclicQuarticField:
         """Real roots, descending; index 0 is the chosen id-embedding.
         Cached per (polynomial, precision) from the polynomial's one
         solve: embeddings are hot paths."""
-        entry = _solve(self.coeffs, precision_bits)
-        if "real" not in entry:
-            rts = entry["roots"]
-            with mpf_ctx(precision_bits):
-                tol = mpmath.mpf(2) ** (-precision_bits // 2)
-                if any(abs(mpmath.im(r)) > tol for r in rts):
-                    raise NotCyclicError(
-                        "defining polynomial is not totally real")
-                entry["real"] = tuple(sorted((mpmath.re(r) for r in rts),
-                                             reverse=True))
-        return entry["real"]
-
-    def root_powers(self, precision_bits=DEFAULT_PRECISION):
-        """(r, r^2, r^3) for each root of roots(precision_bits), cached
-        with them."""
-        real = self.roots(precision_bits)
-        entry = _ROOTS_CACHE[self.coeffs][precision_bits]
-        if "powers" not in entry:
-            with mpf_ctx(precision_bits):
-                entry["powers"] = tuple((r, r ** 2, r ** 3) for r in real)
-        return entry["powers"]
+        return _real_roots(self.coeffs, precision_bits)
 
 
 @dataclass(frozen=True)
@@ -315,7 +294,7 @@ def quartic_is_irreducible(coeffs):
     if discriminant(coeffs) == 0:
         return False
     bits = _cauchy_bits(coeffs)
-    rts = _solve(tuple(coeffs), bits)["roots"]
+    rts = _solve(tuple(coeffs), bits)
     with mpf_ctx(bits):
         for r in rts:
             if _divides(coeffs, (-int(mpmath.nint(mpmath.re(r))), 1)):
@@ -451,10 +430,11 @@ def sqrt_of_rational(field, q):
 
 
 def embed_all(a, precision_bits=DEFAULT_PRECISION):
-    """Values of a at the four real roots (descending root order)."""
+    """Values of a at the four real roots (descending root order), by
+    Horner's rule."""
     with mpf_ctx(precision_bits):
         c0, c1, c2, c3 = (v.numerator if v.denominator == 1
                           else mpmath.mpf(v.numerator) / v.denominator
                           for v in a.coords)
-        return tuple(c0 + c1 * r + c2 * r2 + c3 * r3
-                     for r, r2, r3 in a.field.root_powers(precision_bits))
+        return tuple(((c3 * r + c2) * r + c1) * r + c0
+                     for r in a.field.roots(precision_bits))

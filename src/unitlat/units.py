@@ -587,15 +587,13 @@ def regulator_cross_check(gens, gen_logs, hits):
 def propose_rows(field, gen_logs, hits):
     """The nearest integer rows n with LOG(hit) = sum n_i LOG(g_i), in
     float64, or None if a LOG is not finite.  LOG(hit) is log|c(r)| at
-    the roots in sigma-orbit order (root_orbit); the least-squares
-    pseudo-inverse of the generators' LOGs is built once in mpmath at
-    their precision and applied as a float64 matrix."""
+    the roots in sigma-orbit order (root_orbit), mapped by the
+    least-squares pseudo-inverse (G^T G)^-1 G^T of the generators' LOGs
+    G, solved once in float64."""
     prec = gen_logs[0].precision_bits
-    with mpf_ctx(prec):
-        gmat = mpmath.matrix([[lv.coords[i] for lv in gen_logs]
-                              for i in range(4)])
-        pinv = np.array((mpmath.inverse(gmat.T * gmat) * gmat.T).tolist(),
-                        dtype=float)
+    gmat = np.array([[float(lv.coords[i]) for lv in gen_logs]
+                     for i in range(4)])
+    pinv = np.linalg.solve(gmat.T @ gmat, gmat.T)
     vr = _float_vandermonde(field, prec)[list(field.root_orbit)]
     with np.errstate(divide="ignore", invalid="ignore"):
         sol = np.log(np.abs(np.array(hits, dtype=float) @ vr.T)) @ pinv.T

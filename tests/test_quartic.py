@@ -191,9 +191,17 @@ def test_discriminant(name):
     assert disc == known.get(name, disc)
 
 
-def test_one_root_solve_per_polynomial(monkeypatch):
-    # a later precision is rounded from the one solve or refined from it
-    # by Newton's method; both agree with a direct solve at that precision
+def _direct_roots(coeffs, bits):
+    """Real roots, descending, from a fresh mpmath.polyroots at bits."""
+    with qt.mpf_ctx(bits):
+        rts = mpmath.polyroots([mpmath.mpf(c) for c in coeffs[::-1]],
+                               maxsteps=200, extraprec=bits)
+        return sorted((mpmath.re(r) for r in rts), reverse=True)
+
+
+def _count_root_solves(monkeypatch):
+    """Clear the root caches; the returned list then receives the
+    extraprec of every mpmath.polyroots call."""
     calls = []
     polyroots = mpmath.polyroots
 
@@ -201,17 +209,42 @@ def test_one_root_solve_per_polynomial(monkeypatch):
         calls.append(kwargs["extraprec"])
         return polyroots(*args, **kwargs)
 
-    monkeypatch.setattr(qt, "_ROOTS_CACHE", {})
+    qt._solve.cache_clear()
+    qt._real_roots.cache_clear()
     monkeypatch.setattr(mpmath, "polyroots", counting)
+    return calls
+
+
+def _close(got, direct, bits):
+    with qt.mpf_ctx(bits):
+        return all(abs(g - d) <= abs(d) * mpmath.mpf(2) ** -(bits + 14)
+                   for g, d in zip(got, direct))
+
+
+def test_one_root_solve_per_polynomial(monkeypatch):
+    # every later precision is refined from the one solve by Newton's
+    # method and agrees with a direct solve at that precision
     field = FIELDS["zeta15+"][0]
+    direct = {bits: _direct_roots(field.coeffs, bits)
+              for bits in (64, 128, 300)}
+    calls = _count_root_solves(monkeypatch)
     got = {bits: field.roots(bits) for bits in (128, 300, 64, 128)}
     assert len(calls) == 1
     for bits in (64, 128, 300):
-        monkeypatch.setattr(qt, "_ROOTS_CACHE", {})
-        direct = field.roots(bits)
-        with qt.mpf_ctx(bits):
-            assert all(abs(g - d) <= abs(d) * mpmath.mpf(2) ** -(bits + 14)
-                       for g, d in zip(got[bits], direct))
+        assert _close(got[bits], direct[bits], bits)
+
+
+def test_newton_down_from_cauchy_precision(monkeypatch):
+    # SCALED is solved at its Cauchy precision, 222 bits, above the
+    # working precisions 64 and 128: Newton goes down to them as it goes
+    # up to 300, each as close to a direct solve
+    assert qt._cauchy_bits(SCALED.coeffs) == 222
+    direct = {bits: _direct_roots(SCALED.coeffs, bits)
+              for bits in (64, 128, 300)}
+    calls = _count_root_solves(monkeypatch)
+    for bits in (64, 128, 300):
+        assert _close(SCALED.roots(bits), direct[bits], bits)
+    assert calls == [222]
 
 
 @settings(max_examples=300, deadline=None)

@@ -461,7 +461,8 @@ def test_one_root_solve_per_field_per_op(bits, monkeypatch):
         calls.append(kwargs["extraprec"])
         return polyroots(*args, **kwargs)
 
-    monkeypatch.setattr(qt, "_ROOTS_CACHE", {})
+    qt._solve.cache_clear()
+    qt._real_roots.cache_clear()
     monkeypatch.setattr(mpmath, "polyroots", counting)
     shipped = load_default_catalog()[2]
     kwargs = {} if bits is None else {"precision_bits": bits}
