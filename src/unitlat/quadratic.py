@@ -119,11 +119,30 @@ class FundamentalUnitResult:
     log_value: object  # mpf, natural log of the real embedding
 
 
-CF_MAX_STEPS = 100000  # _cf_unit_search gives up after this many steps
+CF_MAX_STEPS = 100000  # _cf_walk gives up after this many steps
 
 
 class UnitSearchError(ArithmeticError):
     """The continued fraction did not close within CF_MAX_STEPS steps."""
+
+
+def _cf_walk(d, p, q):
+    """Yield (a, P, Q) per step of the continued fraction of (p + sqrt(d))/q:
+    the partial quotient and the next complete quotient (P + sqrt(d))/Q,
+    until Q is back at q.  Each complete quotient xi it visits, the start
+    and then reduced ones, has xi > 0 > xi', so Q = 2*sqrt(d)/(xi - xi') > 0
+    and floor(xi) = (P + isqrt(d)) // Q exactly; a reduced one has
+    0 < P < sqrt(d) and 0 < Q < 2*sqrt(d): the walk holds small integers."""
+    s, q_start = isqrt(d), q
+    for _ in range(CF_MAX_STEPS):
+        a = (p + s) // q
+        p = a * q - p
+        q = (d - p * p) // q
+        yield a, p, q
+        if q == q_start:
+            return
+    raise UnitSearchError("continued fraction of sqrt(%d) did not close "
+                          "within %d steps" % (d, CF_MAX_STEPS))
 
 
 def _cf_unit_search(d):
@@ -132,10 +151,6 @@ def _cf_unit_search(d):
     order, with its norm.  Classical theory places the fundamental unit
     among these.
 
-    Every complete quotient xi = (P + sqrt(d))/Q it visits, the start and
-    then reduced ones, has xi > 0 > xi', so Q = 2*sqrt(d)/(xi - xi') > 0
-    and floor(xi) = (P + isqrt(d)) // Q exactly.
-
     For the n-th convergent h/k of xi_0 = (P_0 + sqrt(d))/Q_0,
     (Q_0*h - P_0*k)^2 - d*k^2 = (-1)^(n+1) * Q_0 * Q_(n+1) (Perron).  The
     candidate unit ((Q_0*h - P_0*k) + k*sqrt(d))/Q_0, h + k*sqrt(d) or
@@ -143,23 +158,10 @@ def _cf_unit_search(d):
     (-1)^(n+1) * Q_(n+1)/Q_0: it is +-1 exactly when the next
     denominator Q_(n+1) is back at Q_0, and its sign flips each step.
     So the walk steps the small integers P, Q alone, keeping the partial
-    quotients; h and k are built once, from those, when the period closes.
-    """
-    s = isqrt(d)
+    quotients; h and k are built once, from those, when the period closes."""
     # xi_0 = (P_0 + sqrt(d))/Q_0: (1 + sqrt(d))/2 for d = 1 mod 4, else sqrt(d)
     pp, qq = (1, 2) if d % 4 == 1 else (0, 1)
-    p_cur, q_cur = pp, qq
-    quotients = []  # the partial quotients a_0 .. a_n
-    for _ in range(CF_MAX_STEPS):
-        a = (p_cur + s) // q_cur
-        quotients.append(a)
-        p_cur = a * q_cur - p_cur
-        q_cur = (d - p_cur * p_cur) // q_cur
-        if q_cur == qq:
-            break
-    else:
-        raise UnitSearchError("continued fraction of sqrt(%d) did not close "
-                              "within %d steps" % (d, CF_MAX_STEPS))
+    quotients = [a for a, _, _ in _cf_walk(d, pp, qq)]  # a_0 .. a_n
     h_prev, h = 0, 1  # h_{-2}, h_{-1}: convergent numerators
     k_prev, k = 1, 0
     for a in quotients:

@@ -10,18 +10,18 @@ surfaced, never asserted.  The downstream bound that remains derivable
 """
 
 import functools
+import itertools
 import types
 from dataclasses import dataclass, field as dc_field
 
 import mpmath
-import numpy as np
 
 from .precision import DEFAULT_PRECISION, mpf_ctx, fmt_sig
-from .quadratic import (QuadElem, fundamental_unit, is_squarefree,
-                        quad_embed, smallest_fundamental_units, unit_key)
+from .quadratic import (fundamental_unit, is_squarefree, quad_norm,
+                        smallest_fundamental_units, unit_key)
 from . import units as us
-from .loglattice import (LogVector, cyclic_f, cyclic_min, cyclic_wedge_rows,
-                         klein_norm_closed, klein_wedge_rows, wedge2)
+from .loglattice import (WEDGE_PAIRS, cyclic_f, cyclic_min, cyclic_wedge_rows,
+                         klein_norm_closed, klein_wedge_rows)
 
 THEOREM_TOL = mpmath.mpf("1e-5")
 DERIVED_TOL = mpmath.mpf("1e-9")
@@ -75,6 +75,11 @@ class BoundReport:
 def _reproduced(name, computed, paper, tol=THEOREM_TOL):
     rel = "reproduced" if abs(computed - paper) <= tol else "violated"
     return BoundReport(name, computed, paper, rel, tol)
+
+
+def _at_least(name, value, floor):
+    rel = "holds" if value >= floor - DERIVED_TOL else "violated"
+    return BoundReport(name, value, floor, rel, DERIVED_TOL)
 
 
 def theorem_constants(precision_bits=DEFAULT_PRECISION):
@@ -165,7 +170,7 @@ def klein_field_report(d1, d2, precision_bits=DEFAULT_PRECISION):
     X2, X3), with X1 = W2*W3, X2 = W1*W3, X3 = W1*W2 and W_i = log u_i.
     The subfield units are > 1 and sorted exactly (unit_key), and units
     of distinct fields differ, so 0 < W1 < W2 < W3 and X1 > X2 > X3 > 0.
-    By klein_norm_closed, which closed_form_equivalence re-checks exactly
+    By klein_norm_closed, which closed_form_equivalence proves
     against klein_wedge_rows on every verify-paper, n has 1-norm
     4*(max(t2, t3) + max(t1, t2) + max(t1, t3)) with t_i = |n_i|*X_i.
     Each nonzero t_i is at least X_i >= X3, and the largest t_i appears
@@ -179,8 +184,6 @@ def klein_field_report(d1, d2, precision_bits=DEFAULT_PRECISION):
         w1, w2, w3 = struct.logs
         x3 = w1 * w2
         value = klein_norm_closed(0, 0, 1, w2 * w3, w1 * w3, x3) / den
-        bound_8x3 = 8 * x3 / den
-        thin = 2 * x3
         theorem = constants(precision_bits)["theorem_lower"]
         reports = [
             BoundReport("min_1norm", value, None, "holds", None,
@@ -189,12 +192,8 @@ def klein_field_report(d1, d2, precision_bits=DEFAULT_PRECISION):
                                  "denominator": den,
                                  "argmin": [0, 0, -1],
                                  "certified": True}),
-            BoundReport("min_ge_8X3_over_den", value, bound_8x3,
-                        "holds" if value >= bound_8x3 - DERIVED_TOL
-                        else "violated", DERIVED_TOL),
-            BoundReport("min_ge_2X3", value, thin,
-                        "holds" if value >= thin - DERIVED_TOL
-                        else "violated", DERIVED_TOL),
+            _at_least("min_ge_8X3_over_den", value, 8 * x3 / den),
+            _at_least("min_ge_2X3", value, 2 * x3),
             BoundReport("min_gt_theorem_constant", value, theorem,
                         "holds" if value > theorem else "violated"),
         ]
@@ -234,99 +233,104 @@ def cyclic_entry_report(entry, coeff_bound=20,
             "cyclic_min_gt_theorem_constant", value, c["theorem_lower"],
             "holds" if value > c["theorem_lower"] else "violated"))
         # Pohst floor on the relative unit: W2^2 + W3^2 >= 2 log(phi)^2
-        rel_floor = 2 * c["log_phi"] ** 2
-        sq = w2 * w2 + w3 * w3
-        reports.append(BoundReport(
-            "relative_unit_pohst_W2W3", sq, rel_floor,
-            "holds" if sq >= rel_floor - DERIVED_TOL else "violated",
-            DERIVED_TOL))
+        reports.append(_at_least("relative_unit_pohst_W2W3",
+                                 w2 * w2 + w3 * w3, 2 * c["log_phi"] ** 2))
         if entry.Q_index == 1:
             # n3-branch floor combined with the corrected (n1,n2) minimum
-            q1_floor = 8 * c["log_phi"] ** 2
-            reports.append(BoundReport(
-                "q1_min_ge_8log2phi", value, q1_floor,
-                "holds" if value >= q1_floor - DERIVED_TOL else "violated",
-                DERIVED_TOL))
+            reports.append(_at_least("q1_min_ge_8log2phi", value,
+                                     8 * c["log_phi"] ** 2))
         else:
             # (n1, n2) != 0 branch floor that survives the corrected
             # constrained minimum: 2*sqrt(6)*log(phi)^2
-            q2_floor = 2 * mpmath.sqrt(6) * c["log_phi"] ** 2
-            reports.append(BoundReport(
-                "q2_min_ge_2sqrt6_log2phi", value, q2_floor,
-                "holds" if value >= q2_floor - DERIVED_TOL else "violated",
-                DERIVED_TOL))
+            reports.append(_at_least("q2_min_ge_2sqrt6_log2phi", value,
+                                     2 * mpmath.sqrt(6) * c["log_phi"] ** 2))
         return value, reports
 
 
 # ---------------------------------------------------------------------------
-# Fuzz and equivalence suites
+# Identities decided in integers on finite sets, proved sufficient in each
+# docstring
 
-# summax_fuzz and absin_fuzz draw FUZZ_SAMPLES cases each, from seeds 0
-# and 1.  closed_form_equivalence samples TRIALS integer triples
-# x1 > x2 > x3 > 0 and (W1, W2, W3) with 0 < |W_i| <= SAMPLE_MAX, each
-# against every n with max|n_i| <= NMAX.  Both closed forms are
-# homogeneous (degree 1 in x, degree 2 in W), so integer samples stand
-# for all rational ones.  smallest_units_report sorts the fundamental
-# units of every squarefree d <= SMALLEST_UNITS_BOUND.
-FUZZ_SAMPLES = 10 ** 5
-TRIALS = 100
-NMAX = 5
-SAMPLE_MAX = 100
-EQUIVALENCE_SEED = 2
-SMALLEST_UNITS_BOUND = 200
+SMALLEST_UNITS_BOUND = 200  # smallest_units_report sorts d <= this
+# the integer pairs with m^2 + n^2 = 1, which are also the axis points
+UNIT_PAIRS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+# degree + 1 values per variable (1 in each n_i and X_i, 2 in each W_i),
+# with X1 > X2 > X3 > 0 and W_i != 0, as the closed forms expect
+N_GRID, X_GRID, W_GRID = (-1, 1), ((5, 6), (3, 4), (1, 2)), ((-1, 1, 2),) * 3
+
+
+def _exact_report(name, bad, details):
+    return BoundReport(name, mpmath.mpf(bad), mpmath.mpf(0),
+                       "holds" if bad == 0 else "violated", details=details)
 
 
 def summax_fuzz():
-    rng = np.random.default_rng(0)
-    x = rng.uniform(-1e3, 1e3, FUZZ_SAMPLES)
-    y = rng.uniform(-1e3, 1e3, FUZZ_SAMPLES)
-    lhs = np.abs(x + y) + np.abs(x - y)
-    rhs = 2 * np.maximum(np.abs(x), np.abs(y))
-    bad = int(np.sum(np.abs(lhs - rhs)
-                     > 2.0 ** -45 * np.maximum(np.abs(lhs), 1)))
-    return BoundReport("summax_identity_fuzz", mpmath.mpf(bad), mpmath.mpf(0),
-                       "holds" if bad == 0 else "violated",
-                       details={"samples": FUZZ_SAMPLES})
+    """|x + y| + |x - y| = 2*max(|x|, |y|) for all real x, y, decided at
+    the 8 integer points (x, y) != 0 with |x|, |y| <= 1.  Each |.| and the
+    max change branch only on the lines x = 0, y = 0, x = +-y, which cut
+    the plane into 8 closed cones, each spanned by two of the points; both
+    sides are linear on each, so agree on it iff they agree at those two."""
+    points = [(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1) if x or y]
+    bad = sum(abs(x + y) + abs(x - y) != 2 * max(abs(x), abs(y))
+              for x, y in points)
+    return _exact_report("summax_identity_fuzz", bad, {"points": len(points)})
 
 
 def absin_fuzz():
-    rng = np.random.default_rng(1)
-    m = rng.integers(-50, 51, FUZZ_SAMPLES)
-    n = rng.integers(-50, 51, FUZZ_SAMPLES)
-    keep = (m != 0) | (n != 0)
-    m, n = m[keep], n[keep]
-    x = rng.uniform(-1e3, 1e3, m.size)
-    y = rng.uniform(-1e3, 1e3, m.size)
-    lhs = np.abs(m * x + n * y) + np.abs(n * x - m * y)
-    rhs = np.abs(x) + np.abs(y)
-    bad = int(np.sum(lhs < rhs * (1 - 1e-12)))
-    return BoundReport("absin_inequality_fuzz", mpmath.mpf(bad), mpmath.mpf(0),
-                       "holds" if bad == 0 else "violated",
-                       details={"samples": int(m.size)})
+    """|m*x + n*y| + |n*x - m*y| >= |x| + |y| for all integers (m, n) != 0
+    and real x, y, decided for (m, n) in UNIT_PAIRS at the 4 axis points.
+    (m*x + n*y, n*x - m*y) is (x, y) reflected and scaled by
+    sqrt(m^2 + n^2), so the left side is >= its 2-norm, which for
+    m^2 + n^2 >= 2 is >= sqrt(2)*|(x, y)|_2 >= |x| + |y| (Cauchy-Schwarz).
+    For the UNIT_PAIRS the two terms are +-x and +-y, so both sides are
+    linear on each closed quadrant: it holds there iff it holds at the two
+    axis points spanning it."""
+    bad = sum(abs(m * x + n * y) + abs(n * x - m * y) < abs(x) + abs(y)
+              for m, n in UNIT_PAIRS for x, y in UNIT_PAIRS)
+    return _exact_report("absin_inequality_fuzz", bad,
+                         {"unit_pairs": len(UNIT_PAIRS)})
+
+
+def _klein_pairs(n, x):
+    a1, a2, a3 = (2 * ni * xi for ni, xi in zip(n, x))
+    return (-a2, -a3), (a1, a2), (-a1, a3)
+
+
+def _cyclic_pairs(n, w):
+    (n1, n2, n3), (w1, w2, w3) = n, w
+    b, y4, y5 = n3 * (w2 * w2 + w3 * w3), w1 * (w2 + w3), w1 * (w2 - w3)
+    return (-b, n1 * y4 - n2 * y5), (n1 * y5 + n2 * y4, b)
 
 
 def closed_form_equivalence():
-    """klein_norm_closed and cyclic_f against direct evaluation of the
-    wedge rows, exact in integers: the report counts mismatches."""
-    rng = np.random.default_rng(EQUIVALENCE_SEED)
-    xs = np.array([sorted(rng.choice(SAMPLE_MAX, 3, replace=False) + 1,
-                          reverse=True) for _ in range(TRIALS)])
-    ws = (rng.integers(1, SAMPLE_MAX + 1, (TRIALS, 3))
-          * rng.choice([-1, 1], (TRIALS, 3)))
-    axis = np.arange(-NMAX, NMAX + 1)
-    n = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
-                 axis=-1).reshape(-1, 3)
-    n1, n2, n3 = n.T
-    bad = 0
-    for samples, rows, closed in ((xs, klein_wedge_rows, klein_norm_closed),
-                                  (ws, cyclic_wedge_rows, cyclic_f)):
-        basis = np.array([rows(*v) for v in samples.tolist()])
-        direct = np.abs(np.einsum("ki,tij->tkj", n, basis)).sum(axis=2)
-        a, b, c = (samples[:, i, None] for i in range(3))
-        bad += int(np.sum(direct != closed(n1, n2, n3, a, b, c)))
-    return BoundReport("closed_form_equivalence", mpmath.mpf(bad),
-                       mpmath.mpf(0), "holds" if bad == 0 else "violated",
-                       details={"trials": TRIALS, "nmax": NMAX})
+    """klein_norm_closed and cyclic_f against the 1-norm of n*rows for
+    klein_wedge_rows and cyclic_wedge_rows; the report counts failures.
+    The coordinates c_1 .. c_6 of n*rows pair up: (c_2k-1, c_2k) =
+    (A + B, A - B) for the k-th (A, B) of _klein_pairs or _cyclic_pairs
+    (c_5 and c_6 enter cyclic_f as they are).  Each such equation is a
+    polynomial identity of degree <= 1 in each n_i and X_i and <= 2 in
+    each W_i.  A polynomial vanishing on a product of (degree + 1)
+    distinct values per variable is zero (in the last variable it has
+    more roots than its degree; induct), so the grid proves the pairing
+    for all real inputs.  By the summax identity, the 1-norm is then the
+    sum of 2*max(|A|, |B|) over the pairs (plus |c_5| + |c_6|): the sum
+    each closed form writes out with its own formulas.  Each closed form
+    is evaluated against the direct 1-norm at every grid point."""
+    bad = points = 0
+    for rows, closed, pairs, grid in (
+            (klein_wedge_rows, klein_norm_closed, _klein_pairs, X_GRID),
+            (cyclic_wedge_rows, cyclic_f, _cyclic_pairs, W_GRID)):
+        for n in itertools.product(N_GRID, repeat=3):
+            for v in itertools.product(*grid):
+                basis = rows(*v)
+                c = [sum(ni * row[k] for ni, row in zip(n, basis))
+                     for k in range(6)]
+                paired = all(c[2 * k:2 * k + 2] == [a + b, a - b]
+                             for k, (a, b) in enumerate(pairs(n, v)))
+                bad += (not paired) + int(closed(*n, *v) != sum(map(abs, c)))
+                points += 1
+    return _exact_report("closed_form_equivalence", bad,
+                         {"grid_points": points})
 
 
 def smallest_units_report():
@@ -361,10 +365,8 @@ def verify_paper(scan_limit=30, coeff_bound=20,
     checks = []
     checks.extend(theorem_constants(precision_bits))
     checks.extend(smallest_units_report())
-    checks.append(summax_fuzz())
-    checks.append(absin_fuzz())
-    checks.append(closed_form_equivalence())
-    checks.extend(_wedge_fixture_reports(precision_bits))
+    checks += [summax_fuzz(), absin_fuzz(), closed_form_equivalence()]
+    checks.extend(_wedge_fixture_reports())
 
     with mpf_ctx(precision_bits):
         checks.extend(constrained_min_reports())
@@ -413,45 +415,40 @@ def verify_paper(scan_limit=30, coeff_bound=20,
     }
 
 
-def _subfield_log(field, u, order, precision_bits):
-    """LOG of a unit u = a + b*sqrt(d) of the subfield Q(sqrt(d)) of a
-    Klein field, its coordinates in the Galois order `order`.  s_k fixes
-    sqrt(d_k), so log|u| sits at id and at the s_k with d_k = d, and
-    log|a - b*sqrt(d)| at the other two.  That conjugate is about 1/|u|,
-    so both are embedded with headroom for twice the coordinate bits."""
-    fixer = "s%d" % ((field.d1, field.d2, field.d3).index(u.d) + 1)
-    bits = max(abs(c.numerator).bit_length() + c.denominator.bit_length()
-               for c in (u.a, u.b))
-    emb = [quad_embed(x, precision_bits + 2 * bits + 16)
-           for x in (u, QuadElem(u.d, u.a, -u.b))]
-    with mpf_ctx(precision_bits):
-        log_u, log_conj = (mpmath.log(abs(v)) for v in emb)
-        return LogVector(tuple(log_u if g in ("id", fixer) else log_conj
-                               for g in order), "klein", precision_bits)
+def _log_signs(struct):
+    """s_i in {+1, -1}^4 with LOG(u_i) = W_i*s_i in the Galois order
+    ("id",) + struct.fixers, for units of norm +-1: s_k fixes sqrt(d_k),
+    so the s_k fixing the field of u_i fixes u_i, and the other two send
+    it to N(u_i)/u_i, whose log|.| is -W_i."""
+    f = struct.field
+    fixers = ("s%d" % ((f.d1, f.d2, f.d3).index(u.d) + 1)
+              for u in struct.units)
+    return tuple(tuple(1 if g in ("id", fixer) else -1
+                       for g in ("id",) + struct.fixers) for fixer in fixers)
 
 
-def _wedge_fixture_reports(precision_bits):
-    """The printed wedge coordinate tables, checked on Q(sqrt2, sqrt5):
-    wedge2 of the subfield units' LOGs, in the order of their fixers,
-    against klein_wedge_rows."""
-    struct = us.klein_unit_structure(2, 5, precision_bits)
-    order = ("id",) + struct.fixers
-    l1, l2, l3 = (_subfield_log(struct.field, u, order, precision_bits)
-                  for u in struct.units)
-    with mpf_ctx(precision_bits):
-        x1 = l2.coords[0] * l3.coords[0]
-        x2 = l1.coords[0] * l3.coords[0]
-        x3 = l1.coords[0] * l2.coords[0]
-        wedges = (("wedge_L2^L3", wedge2(l2, l3)),
-                  ("wedge_L1^L3", wedge2(l1, l3)),
-                  ("wedge_L1^L2", wedge2(l1, l2)))
-        out = []
-        tol = mpmath.mpf(2) ** (-precision_bits // 2)
-        for (name, got), want in zip(wedges, klein_wedge_rows(x1, x2, x3)):
-            err = max(abs(g - w) for g, w in zip(got.coords, want))
-            out.append(BoundReport(name, err, mpmath.mpf(0),
-                                   "holds" if err <= tol else "violated", tol))
-        return out
+def _wedge_fixture_reports():
+    """The printed wedge tables, proved on Q(sqrt2, sqrt5): with N(u_i) =
+    +-1 exactly, LOG(u_i)^LOG(u_j) = W_i*W_j*(s_i^s_j) (_log_signs), so row
+    k of klein_wedge_rows(X) must be X_k*(s_i^s_j), X1 = W2*W3, X2 = W1*W3,
+    X3 = W1*W2.  Rows have degree <= 1 in each X_k, so {0, 1}^3 proves it
+    (see closed_form_equivalence).  Each report is the largest integer
+    error there, and holds iff that is 0 and the norms are +-1."""
+    struct = us.klein_unit_structure(2, 5)
+    norms_ok = all(quad_norm(u) in (1, -1) for u in struct.units)
+    s1, s2, s3 = _log_signs(struct)
+    out = []
+    for k, (name, a, b) in enumerate((("wedge_L2^L3", s2, s3),
+                                      ("wedge_L1^L3", s1, s3),
+                                      ("wedge_L1^L2", s1, s2))):
+        wedge = [a[i] * b[j] - a[j] * b[i] for i, j in WEDGE_PAIRS]
+        err = max(abs(got - x[k] * w)
+                  for x in itertools.product((0, 1), repeat=3)
+                  for got, w in zip(klein_wedge_rows(*x)[k], wedge))
+        out.append(BoundReport(name, mpmath.mpf(err), mpmath.mpf(0),
+                               "holds" if err == 0 and norms_ok
+                               else "violated"))
+    return out
 
 
 def load_default_catalog():

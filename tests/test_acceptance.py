@@ -164,19 +164,20 @@ def test_criterion_06_constants_reproduced(constants):
 def test_criterion_07_closed_form_equivalence():
     r = vf.closed_form_equivalence()
     assert r.relation == "holds" and r.computed_value == 0
-    assert r.details == {"trials": 100, "nmax": 5}
+    assert r.details == {"grid_points": 280}
     _report("criterion 7",
-            "closed forms equal direct wedge 1-norms exactly: 0 mismatches "
-            "over 100 integer triples x |n| <= 5, both forms")
+            "closed forms equal direct wedge 1-norms: the pairing identity "
+            "and both closed forms exact on 64 + 216 grid points, 0 failures")
 
 
 def test_criterion_08_inequality_fuzz():
     r1 = vf.summax_fuzz()
     r2 = vf.absin_fuzz()
     assert r1.relation == "holds" and r2.relation == "holds"
+    assert (r1.details, r2.details) == ({"points": 8}, {"unit_pairs": 4})
     _report("criterion 8",
-            "0 violations in 10^5 samples each for the sum-max identity "
-            "and the integer-pair inequality")
+            "sum-max identity exact on its 8 rays, integer-pair inequality "
+            "exact on its 4 unit pairs: 0 failures")
 
 
 def test_criterion_09_pohst_floor(scan, cyclic):

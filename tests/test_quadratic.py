@@ -131,6 +131,30 @@ def test_cf_unit_search_matches_norm_criterion():
             assert quadratic._cf_unit_search(d) == cf_unit_search_by_norm(d), d
 
 
+def _largest_values_held(d):
+    """At each step of the (P, Q) walk of _cf_unit_search, the largest
+    integer it holds but its input d and its step counter."""
+    walk = quadratic._cf_walk(d, *((1, 2) if d % 4 == 1 else (0, 1)))
+    for _ in walk:
+        yield max(abs(v) for k, v in walk.gi_frame.f_locals.items()
+                  if k not in ("d", "_"))
+
+
+def test_cf_walk_holds_small_integers(monkeypatch):
+    # the walk, and so the give-up, holds only integers up to
+    # 2*isqrt(d) + 2, however long the period: no convergent grows in it
+    for d in range(2, 5001):
+        if is_squarefree(d):
+            assert max(_largest_values_held(d)) <= 2 * math.isqrt(d) + 2, d
+    monkeypatch.setattr(quadratic, "CF_MAX_STEPS", 2000)
+    d = 10000000019
+    with pytest.raises(quadratic.UnitSearchError):
+        for largest in _largest_values_held(d):
+            assert largest <= 2 * math.isqrt(d) + 2
+    with pytest.raises(quadratic.UnitSearchError, match="within 2000 steps"):
+        quadratic._cf_unit_search(d)
+
+
 SQUAREFREE_D = st.integers(2, 10 ** 5).filter(is_squarefree)
 
 

@@ -1,5 +1,7 @@
 import dataclasses
+import inspect
 import json
+import textwrap
 
 import mpmath
 import pytest
@@ -9,8 +11,8 @@ from unitlat import loglattice as ll
 from unitlat import units as us
 from unitlat import verifier as vf
 from unitlat.biquadratic import BiquadField
-from unitlat.precision import fmt_sig, mpf_ctx
-from unitlat.quadratic import fundamental_unit
+from unitlat.precision import mpf_ctx
+from unitlat.quadratic import fundamental_unit, quad_norm
 from oracles import (SQUAREFREE_1000, biq_from_rational, log_embed_klein,
                      pohst_check, sampled_constrained_min)
 
@@ -96,11 +98,74 @@ def test_constrained_min_no_sampled_point_lower(objective):
     assert sampled < 1.05 * value  # the grid comes close to the minimum
 
 
-def test_fuzz_suites():
-    assert vf.summax_fuzz().relation == "holds"
-    assert vf.absin_fuzz().relation == "holds"
-    r = vf.closed_form_equivalence()
-    assert r.relation == "holds" and r.computed_value == 0
+# The sampling that verify-paper no longer does: each identity it proves on
+# a finite set, tested here on random exact inputs.
+nonzero = st.fractions(max_denominator=1000).filter(bool)
+triples = st.tuples(*[st.integers(-10 ** 6, 10 ** 6)] * 3)
+
+
+def _direct_one_norm(n, rows):
+    return sum(abs(sum(ni * row[k] for ni, row in zip(n, rows)))
+               for k in range(6))
+
+
+@given(x=st.fractions(), y=st.fractions())
+def test_summax_identity_on_fractions(x, y):
+    assert abs(x + y) + abs(x - y) == 2 * max(abs(x), abs(y))
+
+
+@given(mn=st.tuples(st.integers(), st.integers()).filter(any),
+       x=st.fractions(), y=st.fractions())
+def test_absin_inequality_on_integers_and_fractions(mn, x, y):
+    m, n = mn
+    assert abs(m * x + n * y) + abs(n * x - m * y) >= abs(x) + abs(y)
+
+
+@given(n=triples, x=st.sets(nonzero.map(abs), min_size=3, max_size=3))
+def test_klein_norm_closed_equals_direct(n, x):
+    x = sorted(x, reverse=True)
+    assert (ll.klein_norm_closed(*n, *x)
+            == _direct_one_norm(n, ll.klein_wedge_rows(*x)))
+
+
+@given(n=triples, w=st.tuples(nonzero, nonzero, nonzero))
+def test_cyclic_f_equals_direct(n, w):
+    assert ll.cyclic_f(*n, *w) == _direct_one_norm(n, ll.cyclic_wedge_rows(*w))
+
+
+def _mutate(monkeypatch, module, name, old, new):
+    """Rebind `name` in the library to its source with the one occurrence
+    of `old` replaced by `new`."""
+    original = getattr(module, name)
+    source = textwrap.dedent(inspect.getsource(original))
+    assert source.count(old) == 1
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), inspect.getsourcefile(original),
+                 "exec"), namespace)
+    for mod in (ll, vf):
+        if getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, namespace[name])
+
+
+@pytest.mark.parametrize("module, name, old, new, check", [
+    # a wrong sign in one wedge row
+    (ll, "klein_wedge_rows", "(0, 0, 2 * x1, 2 * x1,",
+     "(0, 0, 2 * x1, -2 * x1,", "wedge_L2^L3"),
+    # the factor 2 dropped from the summax identity
+    (vf, "summax_fuzz", "!= 2 * max(", "!= max(", "summax_identity_fuzz"),
+    # 2 in place of 4 in the Klein closed form
+    (ll, "klein_norm_closed", "return 4 * (", "return 2 * (",
+     "closed_form_equivalence"),
+    # a wrong sign in one cyclic wedge row
+    (ll, "cyclic_wedge_rows", "(-y1, -y1, y1, -y1, 0, 0)",
+     "(-y1, -y1, y1, y1, 0, 0)", "closed_form_equivalence"),
+])
+def test_verify_paper_catches_mutation(monkeypatch, module, name, old, new,
+                                       check):
+    _mutate(monkeypatch, module, name, old, new)
+    report = vf.verify_paper(scan_limit=3, catalog=[])
+    assert not report["ok"]
+    assert check in report["violations"]
 
 
 def test_smallest_units_report():
@@ -186,31 +251,26 @@ def test_hasse_relations_verified_once_per_entry(monkeypatch):
     assert calls == [entry.label for entry in catalog]
 
 
-def _oracle_wedge_errors(precision_bits):
-    """The wedge_L* errors of Q(sqrt2, sqrt5) with each LOG(u_i) taken by
-    the oracle embedding chain on the unit lifted to L."""
+@pytest.mark.parametrize("precision_bits", [64, 128, 300])
+def test_wedge_fixture_matches_embedding_chain(precision_bits):
+    # the tables are decided exactly, and wedge2 of the oracle embedding
+    # chain's LOGs of the lifted units agrees with them
+    reports = vf._wedge_fixture_reports()
+    assert [r.name for r in reports] == ["wedge_L2^L3", "wedge_L1^L3",
+                                         "wedge_L1^L2"]
+    assert all(r.computed_value == 0 and r.tolerance is None
+               and r.relation == "holds" for r in reports)
     struct = us.klein_unit_structure(2, 5, precision_bits)
     order = ("id",) + struct.fixers
     l1, l2, l3 = (log_embed_klein(struct.field.lift_quad(u), precision_bits,
                                   order) for u in struct.units)
-    w1, w2, w3 = (lv.coords[0] for lv in (l1, l2, l3))
+    w1, w2, w3 = struct.logs
     with mpf_ctx(precision_bits):
         rows = ll.klein_wedge_rows(w2 * w3, w1 * w3, w1 * w2)
         wedges = (ll.wedge2(l2, l3), ll.wedge2(l1, l3), ll.wedge2(l1, l2))
-        return [fmt_sig(max(abs(g - w) for g, w in zip(got.coords, want)))
-                for got, want in zip(wedges, rows)]
-
-
-@pytest.mark.parametrize("precision_bits", [64, 128, 300])
-def test_wedge_fixture_matches_embedding_chain(precision_bits):
-    # LOG(u_i) embedded in Q(sqrt(d_i)) prints the digits of the oracle's
-    # embedding of the lifted unit in L
-    reports = vf._wedge_fixture_reports(precision_bits)
-    assert [r.name for r in reports] == ["wedge_L2^L3", "wedge_L1^L3",
-                                         "wedge_L1^L2"]
-    assert ([fmt_sig(r.computed_value) for r in reports]
-            == _oracle_wedge_errors(precision_bits))
-    assert all(r.relation == "holds" for r in reports)
+        tol = mpmath.mpf(2) ** -(precision_bits - 8)
+        assert all(abs(g - w) <= tol for got, want in zip(wedges, rows)
+                   for g, w in zip(got.coords, want))
 
 
 @pytest.mark.parametrize("swap", [(1, 0, 2), (0, 2, 1), (2, 1, 0)])
@@ -226,7 +286,7 @@ def test_wedge_fixture_catches_swapped_fixers(swap, monkeypatch):
             struct, fixers=tuple(struct.fixers[i] for i in swap))
 
     monkeypatch.setattr(us, "klein_unit_structure", swapped)
-    reports = vf._wedge_fixture_reports(128)
+    reports = vf._wedge_fixture_reports()
     assert [r.relation for r in reports] == ["violated"] * 3
 
 
@@ -234,13 +294,16 @@ def test_wedge_fixture_catches_swapped_fixers(swap, monkeypatch):
 @given(pair=st.lists(st.sampled_from(SQUAREFREE_1000), min_size=2,
                      max_size=2, unique=True),
        precision_bits=st.sampled_from([64, 128, 300]))
-def test_subfield_log_equals_embedding_chain(pair, precision_bits):
-    # the subfield route gives the oracle's LOG of the lifted unit exactly,
-    # digit for digit
+def test_log_signs_equal_embedding_chain(pair, precision_bits):
+    # LOG(u_i) = W_i*s_i: each unit has norm +-1 exactly, and its regulator
+    # times its sign vector is the oracle's LOG of the lifted unit
     struct = us.klein_unit_structure(*pair, precision_bits)
     order = ("id",) + struct.fixers
-    for u in struct.units:
-        got = vf._subfield_log(struct.field, u, order, precision_bits)
+    tol = mpmath.mpf(2) ** -(precision_bits - 8)
+    for u, w, signs in zip(struct.units, struct.logs, vf._log_signs(struct)):
+        assert quad_norm(u) in (1, -1)
         want = log_embed_klein(struct.field.lift_quad(u), precision_bits,
                                order)
-        assert got == want
+        with mpmath.workprec(precision_bits + 64):
+            assert all(abs(w * s - c) <= tol
+                       for s, c in zip(signs, want.coords))
