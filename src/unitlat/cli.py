@@ -8,11 +8,13 @@ Exit codes: 0 success, 1 assertable-check violation, 2 invalid input (a
 flag out of range, a `--format` the command does not take, a malformed
 catalog, a d whose continued fraction does not close within
 CF_MAX_STEPS), 4 catalog validation failure (a failed Hasse relation, or
-a failed regulator cross-check for `cyclic`).
+a failed regulator cross-check for `cyclic`).  `main` alone parses the
+arguments, resolves the configuration and maps library errors to codes.
 """
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -72,13 +74,9 @@ def _check_squarefree_arg(d):
                        EXIT_INVALID_INPUT)
 
 
-def cmd_fund_unit(args, out):
-    cfg = _config(args)
+def cmd_fund_unit(args, cfg, out):
     _check_squarefree_arg(args.d)
-    try:
-        res = fundamental_unit(args.d, cfg["precision"])
-    except UnitSearchError as exc:
-        raise CliError(str(exc), EXIT_INVALID_INPUT)
+    res = fundamental_unit(args.d, cfg["precision"])
     if args.format == "json":
         json.dump({"d": args.d, "unit": res.unit.to_json(),
                    "norm_sign": res.norm_sign,
@@ -92,17 +90,13 @@ def cmd_fund_unit(args, out):
     return EXIT_OK
 
 
-def cmd_klein(args, out):
-    cfg = _config(args)
+def cmd_klein(args, cfg, out):
     for d in (args.d1, args.d2):
         _check_squarefree_arg(d)
     if args.d1 == args.d2:
         raise CliError("d1 and d2 must be distinct", EXIT_INVALID_INPUT)
-    try:
-        struct, value, reports = vf.klein_field_report(args.d1, args.d2,
-                                                       cfg["precision"])
-    except UnitSearchError as exc:
-        raise CliError(str(exc), EXIT_INVALID_INPUT)
+    struct, value, reports = vf.klein_field_report(args.d1, args.d2,
+                                                   cfg["precision"])
     detail = reports[0].details
     if args.format == "json":
         payload = {
@@ -141,29 +135,26 @@ def cmd_klein(args, out):
 def _load_catalog(path):
     if path is None:
         return vf.load_default_catalog()
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, list) or not all(isinstance(o, dict) for o in data):
-        raise ValueError("a catalog is a JSON list of entry objects")
-    return [us.CyclicCatalogEntry.from_json(obj) for obj in data]
-
-
-def cmd_cyclic(args, out):
-    cfg = _config(args)
     try:
-        catalog = _load_catalog(args.catalog)
+        with open(path) as fh:
+            data = json.load(fh)
+        if not isinstance(data, list) or not all(isinstance(o, dict)
+                                                 for o in data):
+            raise ValueError("a catalog is a JSON list of entry objects")
+        return [us.CyclicCatalogEntry.from_json(obj) for obj in data]
     except (OSError, KeyError, ValueError) as exc:
         raise CliError("cannot load catalog: %s" % exc, EXIT_INVALID_INPUT)
+
+
+def cmd_cyclic(args, cfg, out):
+    catalog = _load_catalog(args.catalog)
     entry = next((e for e in catalog if e.label == args.label), None)
     if entry is None:
         raise CliError("no catalog entry labelled %r (have: %s)"
                        % (args.label, ", ".join(e.label for e in catalog)),
                        EXIT_INVALID_INPUT)
-    try:
-        value, reports = vf.cyclic_entry_report(
-            entry, cfg["coeff_bound"], cfg["precision"])
-    except us.CatalogValidationError as exc:
-        raise CliError(str(exc), EXIT_CATALOG)
+    value, reports = vf.cyclic_entry_report(
+        entry, cfg["coeff_bound"], cfg["precision"])
     relations = [(r.name[len("hasse_"):], r.relation)
                  for r in reports if r.name.startswith("hasse_")]
     failures = [name for name, rel in relations if rel == "violated"]
@@ -221,8 +212,7 @@ SCAN_COLUMNS = ("d1", "d2", "d3", "index", "min_1norm", "certified",
                 "bound_8X3", "theorem_margin")
 
 
-def cmd_scan(args, out):
-    cfg = _config(args)
+def cmd_scan(args, cfg, out):
     theorem = vf.constants(cfg["precision"])["theorem_lower"]
     rows = []
     for d1, d2 in vf.scan_pairs(cfg["scan_limit"]):
@@ -251,24 +241,15 @@ def cmd_scan(args, out):
     else:
         writer = csv.DictWriter(out, fieldnames=SCAN_COLUMNS, lineterminator="\n")
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
     return EXIT_OK
 
 
-def cmd_verify_paper(args, out):
-    cfg = _config(args)
-    try:
-        catalog = _load_catalog(args.catalog)
-    except (OSError, KeyError, ValueError) as exc:
-        raise CliError("cannot load catalog: %s" % exc, EXIT_INVALID_INPUT)
-    try:
-        report = vf.verify_paper(scan_limit=cfg["scan_limit"],
-                                 coeff_bound=cfg["coeff_bound"],
-                                 precision_bits=cfg["precision"],
-                                 catalog=catalog)
-    except us.CatalogValidationError as exc:
-        raise CliError(str(exc), EXIT_CATALOG)
+def cmd_verify_paper(args, cfg, out):
+    report = vf.verify_paper(scan_limit=cfg["scan_limit"],
+                             coeff_bound=cfg["coeff_bound"],
+                             precision_bits=cfg["precision"],
+                             catalog=_load_catalog(args.catalog))
     if args.format == "json":
         json.dump(report, out, indent=2)
         out.write("\n")
@@ -289,6 +270,7 @@ def cmd_verify_paper(args, out):
     return EXIT_OK if report["ok"] else EXIT_VIOLATION
 
 
+@functools.cache  # built once per process, however often main runs
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="unitlat",
@@ -324,16 +306,14 @@ def build_parser():
     return parser
 
 
+def _fail(exc, code):
+    sys.stderr.write("error: %s\n" % exc)
+    return code
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     formats = ("csv", "json") if args.command == "scan" else ("text", "json")
-    if args.format is None:
-        args.format = formats[0]
-    elif args.format not in formats:
-        sys.stderr.write("error: %s takes --format %s, not %s\n"
-                         % (args.command, " or ".join(formats), args.format))
-        return EXIT_INVALID_INPUT
     buf = io.StringIO()
     # exact units can run past the 4300 digits that Python >= 3.10.7
     # converts from int to str by default; print them in full
@@ -341,10 +321,19 @@ def main(argv=None):
     if digits is not None:
         sys.set_int_max_str_digits(0)
     try:
-        code = args.func(args, buf)
+        if args.format is None:
+            args.format = formats[0]
+        elif args.format not in formats:
+            raise CliError("%s takes --format %s, not %s"
+                           % (args.command, " or ".join(formats), args.format),
+                           EXIT_INVALID_INPUT)
+        code = args.func(args, _config(args), buf)
     except CliError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return exc.code
+        return _fail(exc, exc.code)
+    except UnitSearchError as exc:  # a continued fraction gave up
+        return _fail(exc, EXIT_INVALID_INPUT)
+    except us.CatalogValidationError as exc:
+        return _fail(exc, EXIT_CATALOG)
     finally:
         if digits is not None:
             sys.set_int_max_str_digits(digits)

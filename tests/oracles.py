@@ -2,6 +2,8 @@
 
 Deliberately naive: plain Python loops and integer arithmetic, sharing no
 code with the library's closed forms or numpy enumeration.
+squarefree_by_trial_division tests every i^2 up to d, where the library
+divides out each i up to the cube root and reads the cofactor.
 cf_unit_search_by_norm finds a fundamental unit by the full norm of
 every convergent, where the library reads the complete quotient's
 denominator; surd_cmp and quad_cmp compare surds exactly by squaring,
@@ -62,6 +64,18 @@ from unitlat.units import (KleinUnitStructure, _f2_basis, klein_denominator,
 from unitlat.verifier import DERIVED_TOL, BoundReport, constants
 
 SQUAREFREE_1000 = [d for d in range(2, 1001) if is_squarefree(d)]
+
+
+def squarefree_by_trial_division(d):
+    """True iff d >= 1 has no square factor > 1, by every i^2 <= d."""
+    if d < 1:
+        return False
+    i = 2
+    while i * i <= d:
+        if d % (i * i) == 0:
+            return False
+        i += 1
+    return True
 
 
 def smaller_quad_unit_exists(d, q2_limit):

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -80,12 +81,18 @@ def test_fund_unit_invalid(capsys):
     assert "squarefree" in err
 
 
+# the continued fraction of sqrt(331) closes after 34 steps; the cyclic
+# and verify-paper paths first need sqrt(5) and sqrt(2), which close in one
+GIVE_UP_STEPS = {"fund-unit 331": 20, "klein 2 331": 20,
+                 "cyclic Q(zeta15)+": 0, "verify-paper": 0}
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize("command", ["fund-unit 331", "klein 2 331"])
+@pytest.mark.parametrize("command", list(GIVE_UP_STEPS))
 def test_unit_search_give_up_is_invalid_input(capsys, monkeypatch, fmt,
                                               command):
-    # the continued fraction of sqrt(331) closes after 34 steps
-    monkeypatch.setattr(quadratic, "CF_MAX_STEPS", 20)
+    steps = GIVE_UP_STEPS[command]
+    monkeypatch.setattr(quadratic, "CF_MAX_STEPS", steps)
     fundamental_unit.cache_clear()
     try:
         code, out, err = run(capsys, "--format", fmt, *command.split())
@@ -93,7 +100,24 @@ def test_unit_search_give_up_is_invalid_input(capsys, monkeypatch, fmt,
         fundamental_unit.cache_clear()
     assert (code, out) == (2, "")
     assert err.startswith("error: continued fraction of sqrt(")
-    assert err.endswith(" did not close within 20 steps\n")
+    assert err.endswith(" did not close within %d steps\n" % steps)
+    assert err.count("\n") == 1
+
+
+def test_main_builds_parser_once(capsys, monkeypatch):
+    # in-process callers (perfbench's worker, this file's run) call main
+    # once per command; the parser is built on the first call only
+    run(capsys, "fund-unit", "5")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(capsys, "klein", "2", "5")[0] == 0
+    assert built == []
 
 
 @pytest.mark.parametrize("fmt, command", [

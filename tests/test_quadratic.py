@@ -15,7 +15,8 @@ from unitlat.quadratic import (FundamentalUnitResult, QuadElem,
                                quad_norm, smallest_fundamental_units,
                                surd_sign, unit_key)
 from oracles import (cf_unit_search_by_norm, quad_cmp, quad_inv,
-                     smaller_quad_unit_exists, surd_cmp)
+                     smaller_quad_unit_exists, squarefree_by_trial_division,
+                     surd_cmp)
 
 KNOWN_UNITS = {
     5: (Fraction(1, 2), Fraction(1, 2)),
@@ -26,6 +27,34 @@ KNOWN_UNITS = {
     3: (Fraction(2), Fraction(1)),
     7: (Fraction(8), Fraction(3)),
 }
+
+
+def test_is_squarefree_matches_trial_division():
+    # the memo is bypassed, so every d runs the cube-root loop
+    for d in range(-2, 10 ** 5 + 1):
+        expected = squarefree_by_trial_division(d)
+        assert is_squarefree.__wrapped__(d) == expected, d
+
+
+# the largest primes below 10^6; the cube-root loop leaves each product
+# below with a cofactor m = P^2 or P*Q, decided by the perfect-square test
+P, Q = 999983, 999979
+
+
+@pytest.mark.parametrize("d, expected", [
+    (P * P, False), (2 * P * P, False), (P * Q, True), (2 * P * Q, True),
+    (P * P * Q, False)])
+def test_is_squarefree_cofactor(d, expected):
+    assert is_squarefree.__wrapped__(d) is expected
+    assert squarefree_by_trial_division(d) is expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10 ** 4), st.integers(1, 10 ** 4))
+def test_is_squarefree_on_square_times_b(a, b):
+    # a^2*b has the square factor a^2, and is squarefree iff b is when a = 1
+    expected = a == 1 and squarefree_by_trial_division(b)
+    assert is_squarefree.__wrapped__(a * a * b) == expected
 
 
 def test_known_fundamental_units_exact():
