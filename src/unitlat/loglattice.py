@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import mpmath
-import numpy as np
 
 from .precision import mpf_ctx
 
@@ -96,32 +95,39 @@ def cyclic_wedge_rows(w1, w2, w3):
     )
 
 
-# The closed forms below take scalars (int, float, Fraction, mpf) or numpy
-# arrays that broadcast together, so one call can cover a whole box of n.
+# The closed forms below take scalars: int, float, Fraction or mpf.
 
 
 def klein_norm_closed(n1, n2, n3, x1, x2, x3):
     """Closed form for the 1-norm of n1*L2^L3 + n2*L1^L3 + n3*L1^L2."""
-    if not np.all((x1 > x2) & (x2 > x3) & (x3 > 0)):
+    if not x1 > x2 > x3 > 0:
         warnings.warn("expected X1 > X2 > X3 > 0 for a sorted Klein field",
                       stacklevel=2)
-    t1, t2, t3 = np.abs(n1 * x1), np.abs(n2 * x2), np.abs(n3 * x3)
-    return 4 * (np.maximum(t2, t3) + np.maximum(t1, t2) + np.maximum(t1, t3))
+    t1, t2, t3 = abs(n1 * x1), abs(n2 * x2), abs(n3 * x3)
+    return 4 * (max(t2, t3) + max(t1, t2) + max(t1, t3))
 
 
 def cyclic_f(n1, n2, n3, w1, w2, w3):
     """Closed form for the 1-norm of the cyclic wedge combination."""
-    if not np.all(w1 * w2 * w3):
+    return _cyclic_closed_form(w1, w2, w3)(n1, n2, n3)
+
+
+def _cyclic_closed_form(w1, w2, w3):
+    """cyclic_f as a function of n at fixed W: y1 .. y5 are computed once."""
+    if not w1 * w2 * w3:
         warnings.warn("W1, W2, W3 should be nonzero for a unit triple",
-                      stacklevel=2)
+                      stacklevel=3)
     y1 = w2 * w2 + w3 * w3
     y2 = 2 * w1 * w2
     y3 = 2 * w1 * w3
     y4 = w1 * w2 + w1 * w3
     y5 = w1 * w2 - w1 * w3
-    return (2 * np.maximum(np.abs(n1 * y4 - n2 * y5), np.abs(n3 * y1))
-            + 2 * np.maximum(np.abs(n1 * y5 + n2 * y4), np.abs(n3 * y1))
-            + np.abs(-n1 * y2 - n2 * y3) + np.abs(n1 * y3 - n2 * y2))
+
+    def f(n1, n2, n3):
+        return (2 * max(abs(n1 * y4 - n2 * y5), abs(n3 * y1))
+                + 2 * max(abs(n1 * y5 + n2 * y4), abs(n3 * y1))
+                + abs(-n1 * y2 - n2 * y3) + abs(n1 * y3 - n2 * y2))
+    return f
 
 
 def cyclic_lower_bounds(w1, w2, w3):
@@ -167,13 +173,14 @@ def cyclic_min(w1, w2, w3, q_index, coeff_bound):
         raise ValueError("dependent basis: W1 = 0 or W2 = W3 = 0")
     den = q_index
     slack = mpmath.mpf(2) ** (-mpmath.mp.prec // 2)
+    f = _cyclic_closed_form(w1, w2, w3)
 
     def evaluate(radii):
         axes = (range(-k, k + 1) for k in radii)
         # n1 + n2 + n3 even when den = 2
-        n = np.array([t for t in itertools.product(*axes)
-                      if any(t) and sum(t) % den == 0], dtype=object)
-        return n, cyclic_f(*n.T, w1, w2, w3) / den
+        n = [t for t in itertools.product(*axes)
+             if any(t) and sum(t) % den == 0]
+        return n, [f(*t) / den for t in n]
 
     box = (1, 1, 1)
     n, values = evaluate(box)
@@ -185,6 +192,6 @@ def cyclic_min(w1, w2, w3, q_index, coeff_bound):
         n, values = evaluate(radii)
     value = min(values)
     tol = slack * max(value, 1)
-    argmin = min(tuple(t) for t, v in zip(n, values) if v <= value + tol)
+    argmin = min(t for t, v in zip(n, values) if v <= value + tol)
     certified = bool(min(c12, c3) * (coeff_bound + 1) / den >= value)
     return value, argmin, certified

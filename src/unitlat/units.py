@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 
 from .precision import DEFAULT_PRECISION, mpf_ctx
 from .quadratic import (QuadElem, _rational_sqrt, fundamental_unit,
@@ -434,29 +433,31 @@ def search_relative_units(ctx, height_bound):
     return hits
 
 
-def _float_vandermonde(field, precision_bits):
-    """The 4 x 4 float64 matrix of r^k, one row per real root r
-    (descending), k = 0..3: c evaluated at the roots is its product
-    with c."""
-    return np.array([[float(r) ** k for k in range(4)]
-                     for r in field.roots(precision_bits)])
+def _float_powers(field, precision_bits):
+    """(r, r^2, r^3) in float64 for each real root r, descending."""
+    return [(r, r * r, r ** 3)
+            for r in (float(x) for x in field.roots(precision_bits))]
 
 
 def grid_candidates(field, height_bound, precision_bits):
     """Integer vectors c, |c_i| <= height_bound, whose float64 norm
-    prod |c(r_i)| is within 1e-4 of 1, as lists; of each pair +-c the one
-    the grid reaches first, whose first nonzero entry is negative."""
-    vr = _float_vandermonde(field, precision_bits)
-    h = height_bound
-    rng = np.arange(-h, h + 1)
-    grid = np.stack(np.meshgrid(rng, rng, rng, rng, indexing="ij"), axis=-1)
-    coords = grid.reshape(-1, 4).astype(float)
-    emb = coords @ vr.T
-    norms = np.abs(emb).prod(axis=1)
-    candidates = coords[np.abs(norms - 1.0) < 1e-4].astype(int)
-    first = candidates[np.arange(len(candidates)),
-                       np.argmax(candidates != 0, axis=1)]
-    return candidates[first < 0].tolist()
+    prod c(r_i) is within 1e-4 of +-1, as lists; of each pair +-c the one
+    whose first nonzero entry is negative, i.e. the c lexicographically
+    below 0, in lexicographic order: (c0, c1) below (0, 0) with every
+    (c2, c3), then (0, 0) with the pairs[:half] below it."""
+    powers = _float_powers(field, precision_bits)
+    pairs = list(itertools.product(range(-height_bound, height_bound + 1),
+                                   repeat=2))
+    half = len(pairs) // 2
+    table = [(c2, c3) + tuple(c2 * r2 + c3 * r3 for _, r2, r3 in powers)
+             for c2, c3 in pairs]
+    found = []
+    for (c0, c1), rest in zip(pairs, [table] * half + [table[:half]]):
+        b0, b1, b2, b3 = [c0 + c1 * r for r, _, _ in powers]
+        found += [[c0, c1, c2, c3] for c2, c3, u0, u1, u2, u3 in rest
+                  if 1 - 1e-4 < abs((b0 + u0) * (b1 + u1) * (b2 + u2)
+                                    * (b3 + u3)) < 1 + 1e-4]
+    return found
 
 
 def relative_norm_screen(ctx):
@@ -589,17 +590,24 @@ def propose_rows(field, gen_logs, hits):
     float64, or None if a LOG is not finite.  LOG(hit) is log|c(r)| at
     the roots in sigma-orbit order (root_orbit), mapped by the
     least-squares pseudo-inverse (G^T G)^-1 G^T of the generators' LOGs
-    G, solved once in float64."""
-    prec = gen_logs[0].precision_bits
-    gmat = np.array([[float(lv.coords[i]) for lv in gen_logs]
-                     for i in range(4)])
-    pinv = np.linalg.solve(gmat.T @ gmat, gmat.T)
-    vr = _float_vandermonde(field, prec)[list(field.root_orbit)]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sol = np.log(np.abs(np.array(hits, dtype=float) @ vr.T)) @ pinv.T
-    if not np.all(np.isfinite(sol)):
+    G, formed once per call: (G^T G)^-1 = adj(m)/det(m) for the Gram
+    matrix m, the rows of adj(m) being cross products of rows of m."""
+    g = [[float(v) for v in lv.coords] for lv in gen_logs]
+    m = [[sum(x * y for x, y in zip(a, b)) for b in g] for a in g]
+    adj = [[a[k - 2] * b[k - 1] - a[k - 1] * b[k - 2] for k in range(3)]
+           for a, b in ((m[1], m[2]), (m[2], m[0]), (m[0], m[1]))]
+    det = sum(x * y for x, y in zip(m[0], adj[0]))
+    pinv = [[sum(x * y for x, y in zip(row, col)) / det for col in zip(*g)]
+            for row in adj]
+    roots = _float_powers(field, gen_logs[0].precision_bits)
+    orbit = [roots[p] for p in field.root_orbit]
+    logs = ([math.log(abs(c0 + c1 * r + c2 * r2 + c3 * r3))
+             for r, r2, r3 in orbit] for c0, c1, c2, c3 in hits)
+    try:  # log(0) and round(nan) raise ValueError, round(inf) OverflowError
+        return [[round(p0 * l0 + p1 * l1 + p2 * l2 + p3 * l3)
+                 for p0, p1, p2, p3 in pinv] for l0, l1, l2, l3 in logs]
+    except (ValueError, OverflowError):
         return None
-    return np.rint(sol).astype(int).tolist()
 
 
 def row_prover(gens):

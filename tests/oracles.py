@@ -1,7 +1,7 @@
 """Independent brute-force oracles used to cross-check library results.
 
 Deliberately naive: plain Python loops and integer arithmetic, sharing no
-code with the library's closed forms or numpy enumeration.
+code with the library's closed forms or float64 enumeration.
 squarefree_by_trial_division tests every i^2 up to d, where the library
 divides out each i up to the cube root and reads the cofactor.
 cf_unit_search_by_norm finds a fundamental unit by the full norm of
@@ -27,7 +27,10 @@ from the divisors of the constant term, with no roots computed;
 galois_generator_all_perms reconstructs sigma from every root
 permutation moving root 0, not only 4-cycles, by one Vandermonde solve
 each; fraction_norm_exponent tests a relative norm in Fraction
-arithmetic through qr_mul and the exact sigma^2.
+arithmetic through qr_mul and the exact sigma^2.  unit_half_box keeps
+the units of a box of power-basis vectors by power_basis_norm, the
+integer determinant of multiplication by c, with no root, float or
+Galois action.
 
 The Klein embedding chain is the reference LOG of a biquadratic
 element: the Galois action (galois_apply), tower integrality
@@ -44,6 +47,7 @@ the Pohst floor check on one unit (pohst_check).
 """
 
 import itertools
+import math
 from fractions import Fraction
 from math import isqrt, log, sqrt
 
@@ -662,3 +666,33 @@ def fraction_norm_exponent(ctx, c):
                 return sign * k
             p = qr_mul(p, step)
     return None
+
+
+# (permutation, sign) pairs of range(4), signs by counting inversions
+_PERM_SIGNS = [(p, (-1) ** sum(a > b for a, b in itertools.combinations(p, 2)))
+               for p in itertools.permutations(range(4))]
+
+
+def power_basis_norm(coeffs, c):
+    """N(c(alpha)) for alpha a root of the monic integer quartic whose
+    coefficients, constant term first, are coeffs: the determinant of
+    multiplication by c on 1, alpha, alpha^2, alpha^3.  Column j is
+    alpha^j * c, reduced by alpha^4 = -sum_{k<4} coeffs[k] * alpha^k, and
+    the determinant is the Leibniz sum over the 24 permutations."""
+    cols = [list(c)]
+    for _ in range(3):
+        prev = cols[-1]
+        cols.append([-prev[3] * coeffs[0]]
+                    + [prev[k - 1] - prev[3] * coeffs[k] for k in range(1, 4)])
+    return sum(sign * math.prod(cols[j][p[j]] for j in range(4))
+               for p, sign in _PERM_SIGNS)
+
+
+def unit_half_box(coeffs, height_bound):
+    """Every integer vector c with |c_i| <= height_bound and
+    N(c(alpha)) = +-1 whose first nonzero entry is negative, as lists in
+    lexicographic order, by the exact norm over the whole box."""
+    span = range(-height_bound, height_bound + 1)
+    return [list(c) for c in itertools.product(span, repeat=4)
+            if abs(power_basis_norm(coeffs, c)) == 1
+            and next(v for v in c if v) < 0]

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -440,3 +441,20 @@ def test_verify_paper_json_shape(capsys, monkeypatch):
     code, out, _ = run(capsys, "--format", "json", "verify-paper")
     assert code == 0
     assert json.loads(out)["checks"][0]["name"] == "c"
+
+
+@pytest.mark.parametrize("argv", [("--format", "json", "klein", "2", "5"),
+                                  ("cyclic", "Q(zeta15)+"),
+                                  ("verify-paper",)])
+def test_cli_runs_without_numpy(capsys, argv):
+    # the library imports no numpy: with its import blocked, a fresh
+    # interpreter exits 0 and prints what the same command prints here
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    blocked = ("import sys; sys.modules['numpy'] = None; "
+               "from unitlat import cli; sys.exit(cli.main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", blocked, *argv],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    code, out, err = run(capsys, *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, err)
+    assert code == 0

@@ -398,6 +398,18 @@ def test_integer_screen_matches_fraction_screen(coeffs, d):
 
 
 @pytest.mark.parametrize("coeffs, d", SCREEN_FIELDS)
+def test_grid_candidates_match_exact_norm(coeffs, d):
+    # the float64 filter keeps exactly the half box's c with N(c) = +-1,
+    # in lexicographic order; x^4 - x^3 - 4x^2 + 4x + 1 has the unit
+    # alpha^3, so its (0, 0, 0, -1) is in the list
+    ctx, _ = _screen_case(coeffs, d)
+    for h in (1, 2, 3):
+        want = oracles.unit_half_box(coeffs, h)
+        assert us.grid_candidates(ctx.field, h, ctx.precision_bits) == want
+        assert ([0, 0, 0, -1] in want) == (coeffs[0] == 1)
+
+
+@pytest.mark.parametrize("coeffs, d", SCREEN_FIELDS)
 def test_u_l_powers_match_qr_pow(coeffs, d):
     # powers taken in Q(sqrt(d)) and lifted equal the powers in L
     ctx, _ = _screen_case(coeffs, d)
@@ -576,6 +588,22 @@ def test_row_proof_is_exact(i, row, sign, slot, step):
     assert not proves(c, off)
     assert us.regulator_cross_check(
         gens, gen_logs, [g.coords for g in gens] + [c]) == (True, 1)
+
+
+@pytest.mark.parametrize("shipped", load_default_catalog(),
+                         ids=lambda e: e.label)
+def test_proposed_rows_of_search_hits_are_proved(shipped):
+    # every height-6 search hit of a shipped entry gets, from the float64
+    # proposal, a row that the exact prover accepts
+    ctx = us.cyclic_context(shipped.coeffs, shipped.quad_subfield_d,
+                            shipped.u_l)
+    gens, gen_logs = us.cyclic_generators(
+        shipped, ctx, us.verify_hasse_relations(shipped, ctx))
+    hits = [c for c, _ in us.search_relative_units(ctx, 6)]
+    rows = us.propose_rows(ctx.field, gen_logs, hits)
+    proves = us.row_prover(gens)
+    assert len(rows) == len(hits) > 0
+    assert all(proves(c, n) for c, n in zip(hits, rows))
 
 
 def test_cross_check_rejects_u0_squared():
