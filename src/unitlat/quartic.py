@@ -1,10 +1,13 @@
 """Power-basis arithmetic in cyclic quartic fields L = Q(alpha).
 
-alpha is a root of a monic integer quartic with four real roots and
-cyclic Galois group.  The roots are solved for once per polynomial.  A
-generator sigma of the Galois group is recovered once per field by
-matching 4-cycles of the roots numerically, rationally reconstructing the
-image of alpha, and verifying the automorphism exactly.  Everything else
+alpha is a root of a monic integer quartic f with four real roots and
+cyclic Galois group.  The trace matrix M[j][k] = Tr(alpha^(j+k)) of the
+power basis is exact and decides three things: disc f = det M, total
+reality (Hermite: all roots are real and distinct iff M is positive
+definite), and the image of alpha under a generator sigma of the Galois
+group, which solves M c = t for the integer traces t_j of
+sigma(alpha) alpha^j, read off the roots by rounding and verified
+exactly.  The roots are solved for once per polynomial.  Everything else
 is exact in the tower L > k > Q, where k = Q(sqrt(d)) is the fixed field
 of sigma^2 and sigma restricts to the non-trivial automorphism of k.
 """
@@ -17,7 +20,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .precision import DEFAULT_PRECISION, mpf_ctx, reconstruct_rational
+from .precision import DEFAULT_PRECISION, mpf_ctx
 from .quadratic import _rational_sqrt
 
 
@@ -43,23 +46,39 @@ def _solve(coeffs, precision_bits):
 
 @functools.lru_cache(maxsize=None)
 def _real_roots(coeffs, precision_bits):
-    """The roots of _solve, descending, or NotCyclicError if one is not
-    real; cached by (coeffs, precision_bits), so no field is kept alive."""
+    """The roots of _solve, descending; cached by (coeffs, precision_bits),
+    so no field is kept alive.  Before any root is solved, NotCyclicError
+    unless the trace matrix is positive definite, that is (Sylvester),
+    unless its leading minors are > 0: by Hermite the trace form has
+    signature (r1 + r2, r2) when the roots are distinct, and det M =
+    disc f = 0 when they are not."""
+    mat = trace_matrix(coeffs)
+    minors = [_det(tuple(row[:k] for row in mat[:k])) for k in (2, 3, 4)]
+    if minors[-1] == 0:
+        raise NotCyclicError("defining polynomial has a repeated root")
+    if min(minors) <= 0:
+        raise NotCyclicError("defining polynomial is not totally real")
     rts = _solve(coeffs, precision_bits)
     with mpf_ctx(precision_bits):
-        tol = mpmath.mpf(2) ** (-precision_bits // 2)
-        if any(abs(mpmath.im(r)) > tol for r in rts):
-            raise NotCyclicError("defining polynomial is not totally real")
         return tuple(sorted((mpmath.re(r) for r in rts), reverse=True))
 
 
 def _newton(coeffs, root, precision_bits):
     """A simple root of the quartic refined from an approximation by
-    Newton steps at 32 guard bits until a step is below the target
-    precision, then rounded to it; from a more precise root that is one
-    step."""
+    Newton steps until a step is below the target precision, then rounded
+    to it; from a more precise root that is one step.  Horner's rule at
+    the root loses to cancellation the bits by which sum |c_i| |x|^i
+    exceeds |x f'(x)|, the root's condition number; the steps run at 32
+    guard bits plus those, so that the rounding noise of a step stays
+    below the target."""
     target = precision_bits + 16
     with mpmath.workprec(target + 32):
+        size = sum(abs(c) * abs(root) ** i for i, c in enumerate(coeffs))
+        slope = sum(i * c * root ** (i - 1)
+                    for i, c in enumerate(coeffs[1:], 1))
+        lost = max(0, mpmath.mag(size)
+                   - mpmath.mag(slope * max(abs(root), 1)))
+    with mpmath.workprec(target + 32 + lost):
         x = +root
         for _ in range(64):
             fx, dfx = mpmath.mpf(1), mpmath.mpf(0)
@@ -77,17 +96,34 @@ def _newton(coeffs, root, precision_bits):
         return +x
 
 
+def trace_matrix(coeffs):
+    """The trace form of the power basis, M[j][k] = Tr(alpha^(j+k)), exact.
+
+    Tr(alpha^m) is the trace of multiplication by alpha^m, whose column i
+    is alpha^(m+i), so it sums coordinate i of alpha^(m+i) over i.  M =
+    V^T V for the root Vandermonde matrix V[i][j] = r_i^j, so det M =
+    disc f."""
+    powers = [(1, 0, 0, 0)]
+    for _ in range(9):
+        powers.append(mul_coords(powers[-1], (0, 1, 0, 0), coeffs))
+    tr = [sum(powers[m + i][i] for i in range(4)) for m in range(7)]
+    return tuple(tuple(tr[j:j + 4]) for j in range(4))
+
+
+def _det(rows):
+    """Determinant of a square integer matrix, by Laplace expansion along
+    its first row."""
+    if not rows:
+        return 1
+    return sum((-1) ** k * v * _det(tuple(r[:k] + r[k + 1:]
+                                          for r in rows[1:]))
+               for k, v in enumerate(rows[0]) if v)
+
+
 def discriminant(coeffs):
-    """Discriminant of the monic quartic x^4 + b x^3 + c x^2 + d x + e,
-    exact."""
-    e, d, c, b, _ = coeffs
-    return (256 * e ** 3 - 192 * b * d * e ** 2 - 128 * c ** 2 * e ** 2
-            + 144 * c * d ** 2 * e - 27 * d ** 4 + 144 * b ** 2 * c * e ** 2
-            - 6 * b ** 2 * d ** 2 * e - 80 * b * c ** 2 * d * e
-            + 18 * b * c * d ** 3 + 16 * c ** 4 * e - 4 * c ** 3 * d ** 2
-            - 27 * b ** 4 * e ** 2 + 18 * b ** 3 * c * d * e
-            - 4 * b ** 3 * d ** 3 - 4 * b ** 2 * c ** 3 * e
-            + b ** 2 * c ** 2 * d ** 2)
+    """Discriminant of the monic quartic coeffs, exact: det of its trace
+    matrix."""
+    return _det(trace_matrix(coeffs))
 
 
 @dataclass(frozen=True)
@@ -333,60 +369,39 @@ FOUR_CYCLES = tuple(
     if p[0] != 0 and p[p[0]] != 0 and p[p[p[0]]] != 0)
 
 
-def automorphism_bounds(field):
-    """(denominator bound, precision in bits) for reconstructing sigma(alpha).
-
-    sigma(alpha) lies in O_L, and [O_L : Z[alpha]] O_L lies in Z[alpha]
-    with [O_L : Z[alpha]]^2 dividing disc f (Cohen, GTM 138, 4.4), so its
-    power-basis coordinates have denominators at most isqrt(|disc f|) = N.
-    Two rationals of denominator at most N differ by at least 1/N^2, so
-    the reconstruction is the true coordinate once the numeric error is
-    below 1/(2 N^2).  The precision adds to those 2 log2 N + 1 bits the
-    growth of the error through the Vandermonde solve, read off the root
-    sizes: with R = max(1, |r_i|) and gap the least |r_i - r_j|, the
-    entries of the inverse Vandermonde matrix are at most
-    V = ((1 + R)/gap)^3 (Lagrange basis), the coordinates at most 4 R V,
-    and a root error of R 2^-bits moves them, to first order, by at most
-    64 R^4 V (1 + 4 R V) 2^-bits; 32 guard bits cover the rounding of
-    the solve itself.  So, within this first-order error model, the
-    reconstruction at the 4-cycle of sigma returns sigma(alpha) for a
-    cyclic field, and none succeeding indicates the field is not cyclic.
-    The model is evaluated at 53 bits, not in interval arithmetic, so the
-    bound is heuristic: a failed reconstruction is not a proof.
-    """
-    disc = discriminant(field.coeffs)
-    denom_bound = math.isqrt(abs(disc))
-    sizes = field.roots(_cauchy_bits(field.coeffs))
-    with mpmath.workprec(53):
-        big = max([abs(r) for r in sizes] + [mpmath.mpf(1)])
-        gap = min(abs(r - s) for r, s in itertools.combinations(sizes, 2))
-        v = ((1 + big) / gap) ** 3
-        growth = 64 * big ** 4 * v * (1 + 4 * big * v)
-        bits = (2 * denom_bound.bit_length() + 1
-                + int(mpmath.ceil(mpmath.log(growth, 2))) + 32)
-    return denom_bound, bits
-
-
 def galois_generator(field):
     """An exact order-4 automorphism, or raise NotCyclicError.
 
     Refuses reducible polynomials, whose quotient ring is not a field.
-    Tries the 4-cycles of the roots, reconstructs the image of alpha at
-    the bounds of automorphism_bounds, and keeps the first
-    exactly-verified generator.  Deterministic: 4-cycles are tried in
-    lexicographic order over root indices.
+    For each 4-cycle perm of the roots, in lexicographic order, the
+    candidate image c of alpha solves M c = t exactly by Cramer's rule,
+    with M = trace_matrix(f) and t_j = sum_i r_perm(i) r_i^j rounded to an
+    integer; the first candidate exactly verified as an automorphism of
+    order 4 is returned.  At the 4-cycle of sigma, t_j = Tr(sigma(alpha)
+    alpha^j) = sum_k M[j][k] c_k is an integer, as sigma(alpha) alpha^j
+    lies in Z[alpha].
+
+    Precision: every |r_i| < R = 1 + max |c_i| (Cauchy), and the roots at
+    b bits are each off by at most R 2^-b, so each product r_perm(i) r_i^j
+    of at most 4 factors is off by at most 4 R^4 2^-b to first order, and
+    t_j, a sum of 4 of them, by 16 R^4 2^-b.  At b = 2 _cauchy_bits(f) >=
+    4 log2 R + 64 that is below 2^-60, far below the 1/2 rounding needs.
     """
     if not quartic_is_irreducible(field.coeffs):
         raise NotCyclicError("defining polynomial is reducible")
-    denom_bound, bits = automorphism_bounds(field)
+    mat = trace_matrix(field.coeffs)
+    disc = _det(mat)
+    bits = 2 * _cauchy_bits(field.coeffs)
     roots = field.roots(bits)
     with mpf_ctx(bits):
-        vinv = mpmath.inverse(mpmath.matrix([[r ** k for k in range(4)]
-                                             for r in roots]))
         for perm in FOUR_CYCLES:
-            sol = vinv * mpmath.matrix([roots[p] for p in perm])
+            t = [int(mpmath.nint(sum(roots[p] * r ** j
+                                     for p, r in zip(perm, roots))))
+                 for j in range(4)]
             cand = QuarticElem(field, tuple(
-                reconstruct_rational(v, denom_bound) for v in sol))
+                Fraction(_det(tuple(row[:k] + (v,) + row[k + 1:]
+                                    for row, v in zip(mat, t))), disc)
+                for k in range(4)))
             if not eval_poly_at(field, cand).is_zero():
                 continue
             tau = Automorphism(field, cand, perm)

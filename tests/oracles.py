@@ -26,7 +26,8 @@ trial_division_irreducible finds integer roots and quadratic factors
 from the divisors of the constant term, with no roots computed;
 galois_generator_all_perms reconstructs sigma from every root
 permutation moving root 0, not only 4-cycles, by one Vandermonde solve
-each; fraction_norm_exponent tests a relative norm in Fraction
+each and rational reconstruction, where the library solves the trace
+matrix exactly; fraction_norm_exponent tests a relative norm in Fraction
 arithmetic through qr_mul and the exact sigma^2.  unit_half_box keeps
 the units of a box of power-basis vectors by power_basis_norm, the
 integer determinant of multiplication by c, with no root, float or
@@ -55,8 +56,7 @@ import mpmath
 
 from unitlat.biquadratic import BiquadElem, BiquadField, biq_mul
 from unitlat.loglattice import LogVector, klein_wedge_rows, orbit_log
-from unitlat.precision import (DEFAULT_PRECISION, mpf_ctx,
-                               reconstruct_rational)
+from unitlat.precision import DEFAULT_PRECISION, mpf_ctx
 from unitlat.quadratic import (CF_MAX_STEPS, QuadElem, _rational_sqrt,
                                is_quad_integer, is_squarefree, quad_mul,
                                quad_norm, surd_sign)
@@ -626,11 +626,19 @@ def trial_division_irreducible(coeffs):
     return True
 
 
+def _mpf_fraction(x):
+    """Exact rational value of an mpf (mpfs are dyadic rationals)."""
+    sign, man, exp, _ = mpmath.mpf(x)._mpf_
+    frac = Fraction(man) * Fraction(2) ** exp
+    return -frac if sign else frac
+
+
 def galois_generator_all_perms(field, denom_bound, precision_bits):
     """The first exactly verified order-4 automorphism over all 18 root
     permutations moving root 0, in lexicographic order, each image of
-    alpha from its own Vandermonde solve at precision_bits reconstructed
-    with denominators <= denom_bound; None if there is none."""
+    alpha from its own Vandermonde solve at precision_bits, reconstructed
+    as the best rational approximation with denominator <= denom_bound;
+    None if there is none."""
     with mpf_ctx(precision_bits):
         roots = field.roots(precision_bits)
         mat = mpmath.matrix([[r ** k for k in range(4)] for r in roots])
@@ -643,7 +651,7 @@ def galois_generator_all_perms(field, denom_bound, precision_bits):
             except ZeroDivisionError:
                 continue
             cand = QuarticElem(field, tuple(
-                reconstruct_rational(v, denom_bound) for v in sol))
+                _mpf_fraction(v).limit_denominator(denom_bound) for v in sol))
             if not eval_poly_at(field, cand).is_zero():
                 continue
             tau = Automorphism(field, cand, perm)

@@ -1,26 +1,6 @@
-from fractions import Fraction
-
 import mpmath
 
-from unitlat.precision import (fmt_sig, mpf_ctx, mpf_to_fraction,
-                               reconstruct_rational)
-
-
-def test_mpf_to_fraction_exact():
-    with mpf_ctx(64):
-        assert mpf_to_fraction(mpmath.mpf("0.25")) == Fraction(1, 4)
-        assert mpf_to_fraction(mpmath.mpf(-3)) == -3
-        assert mpf_to_fraction(mpmath.mpf(0)) == 0
-        x = mpmath.mpf(7) / 32
-        assert mpf_to_fraction(x) == Fraction(7, 32)
-
-
-def test_reconstruct_rational():
-    with mpf_ctx(128):
-        x = mpmath.mpf(22) / 7 + mpmath.mpf(2) ** -100
-        assert reconstruct_rational(x, 100) == Fraction(22, 7)
-        half = mpmath.mpf(10 ** 12) + mpmath.mpf("0.5")
-        assert reconstruct_rational(half, 10) == Fraction(2 * 10 ** 12 + 1, 2)
+from unitlat.precision import fmt_sig, mpf_ctx
 
 
 def test_fmt_sig_stable():

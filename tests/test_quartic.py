@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import isqrt
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +34,12 @@ FIELDS = {
 # sigma(alpha) = -3 alpha + alpha^3 / 10^14 has a denominator above any
 # fixed bound of 10^12, and trial division of c0 = 2 10^28 never ends
 SCALED = CyclicQuarticField((2 * 10 ** 28, 0, -4 * 10 ** 14, 0, 1))
+# cyclic fields whose shipped unit search fails (see ROADMAP item 9)
+SEARCH_FAILS = {
+    "x^4+x^3-6x^2-x+1": CyclicQuarticField((1, -1, -6, 1, 1)),
+    "x^4-10x^2+5": CyclicQuarticField((5, 0, -10, 0, 1)),
+    "x^4-82x^2+656": CyclicQuarticField((656, 0, -82, 0, 1)),
+}
 
 
 def rand_elem(field, rng, span=5):
@@ -127,8 +133,9 @@ def test_galois_generator_exact():
 
 
 def test_galois_generator_bounds_from_polynomial(monkeypatch):
-    # a fixed denominator bound of 10^12 at 192 bits finds no sigma here;
-    # isqrt(|disc f|) and the precision derived with it do
+    # sigma(alpha) has denominator 10^14, beyond the fixed bound of 10^12
+    # an earlier reconstruction used; the exact solve finds it at the
+    # precision read off the coefficients
     monkeypatch.setattr(qt, "quartic_is_irreducible", lambda coeffs: True)
     sigma = galois_generator(SCALED)
     assert sigma.image == QuarticElem(
@@ -137,9 +144,10 @@ def test_galois_generator_bounds_from_polynomial(monkeypatch):
 
 
 def test_scaled_field_is_cyclic():
+    # alpha scaled by 10^7 scales the root differences by 10^7, so disc f
+    # by 10^84
     assert quartic_is_irreducible(SCALED.coeffs)
-    denom_bound, bits = qt.automorphism_bounds(SCALED)
-    assert denom_bound == isqrt(qt.discriminant(SCALED.coeffs)) > 10 ** 14
+    assert qt.discriminant(SCALED.coeffs) == 10 ** 84 * 2048
     assert SCALED.sigma.root_perm == F.sigma.root_perm
 
 
@@ -158,27 +166,74 @@ def test_four_cycles():
 
 @pytest.mark.parametrize("name", sorted(FIELDS) + ["scaled"])
 def test_four_cycle_sigma_matches_all_permutations(name, monkeypatch):
-    # the 4-cycle loop returns the sigma the loop over all 18 permutations
-    # moving root 0 returns, and reconstructs only at 4-cycles up to it
+    # the 4-cycle loop returns the sigma that rational reconstruction over
+    # all 18 permutations moving root 0 returns, under the denominator
+    # bound isqrt(|disc f|) of [O_L : Z[alpha]] (Cohen, GTM 138, 4.4), and
+    # tests a candidate only at 4-cycles up to it
     field = SCALED if name == "scaled" else FIELDS[name][0]
-    denom_bound, bits = qt.automorphism_bounds(field)
-    want = galois_generator_all_perms(field, denom_bound, bits)
+    denom_bound = isqrt(abs(qt.discriminant(field.coeffs)))
+    want = galois_generator_all_perms(field, denom_bound, 512)
     calls = []
-    reconstruct = qt.reconstruct_rational
+    evaluate = qt.eval_poly_at
 
-    def counting(x, bound):
-        calls.append(bound)
-        return reconstruct(x, bound)
+    def counting(fld, elem):
+        calls.append(elem)
+        return evaluate(fld, elem)
 
-    monkeypatch.setattr(qt, "reconstruct_rational", counting)
+    monkeypatch.setattr(qt, "eval_poly_at", counting)
     got = galois_generator(field)
     assert got.image == want.image
     assert got.root_perm == want.root_perm
-    assert len(calls) == 4 * (qt.FOUR_CYCLES.index(got.root_perm) + 1)
+    assert len(calls) == qt.FOUR_CYCLES.index(got.root_perm) + 1
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS) + ["scaled"]
+                         + sorted(SEARCH_FAILS))
+def test_root_perm_maps_roots(name):
+    # sigma(alpha) at root i is root root_perm[i], the nearest of the four
+    field = {"scaled": SCALED, **SEARCH_FAILS}.get(name) or FIELDS[name][0]
+    sigma = field.sigma
+    roots = field.roots(128)
+    for i, value in enumerate(embed_all(sigma.image, 128)):
+        dist = [abs(value - r) for r in roots]
+        assert dist.index(min(dist)) == sigma.root_perm[i]
+        assert dist[sigma.root_perm[i]] < 2 ** -100 * max(1, abs(value))
+
+
+def _transport(elem, alpha):
+    """elem, a polynomial in its field's generator, evaluated at alpha."""
+    acc = alpha.field.from_rational(0)
+    for c in reversed(elem.coords):
+        acc = qr_add(qr_mul(acc, alpha), alpha.field.from_rational(c))
+    return acc
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["sqrt(2+sqrt2)", "zeta20+", "zeta15+"]),
+       st.integers(1, 10 ** 9), st.integers(-10 ** 6, 10 ** 6))
+def test_sigma_of_affine_generator(name, m, a):
+    # beta = m alpha + a has minimal polynomial m^4 f((x - a)/m), roots
+    # m r_i + a in the same order, and sigma(beta) = m sigma(alpha) + a:
+    # root sizes up to ~10^9 m + 10^6, far past SCALED's 10^7
+    base = FIELDS[name][0]
+    coeffs = [0] * 5
+    for k, c in enumerate(base.coeffs):
+        for i in range(k + 1):
+            coeffs[i] += c * m ** (4 - k) * comb(k, i) * (-a) ** (k - i)
+    field = CyclicQuarticField(tuple(coeffs))
+    alpha = QuarticElem(field, (Fraction(-a, m), Fraction(1, m), 0, 0))
+    want = qr_add(qr_mul(field.from_rational(m),
+                         _transport(base.sigma.image, alpha)),
+                  field.from_rational(a))
+    got = galois_generator(field)
+    assert got.image == want
+    assert got.root_perm == base.sigma.root_perm
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS) + ["scaled"])
 def test_discriminant(name):
+    # det of the trace matrix, whose entries are the power sums of the
+    # roots
     field = SCALED if name == "scaled" else FIELDS[name][0]
     disc = qt.discriminant(field.coeffs)
     bits = 2 * disc.bit_length() + 64
@@ -187,6 +242,10 @@ def test_discriminant(name):
         prod = mpmath.fprod((r - s) ** 2 for i, r in enumerate(roots)
                             for s in roots[i + 1:])
         assert abs(prod - disc) < 1e-6 * abs(disc)
+        for j, row in enumerate(qt.trace_matrix(field.coeffs)):
+            for k, v in enumerate(row):
+                power_sum = mpmath.fsum(r ** (j + k) for r in roots)
+                assert abs(power_sum - v) < 1e-6 * max(1, abs(v))
     known = {"sqrt(2+sqrt2)": 2048, "zeta20+": 2000, "zeta15+": 1125}
     assert disc == known.get(name, disc)
 
@@ -245,6 +304,18 @@ def test_newton_down_from_cauchy_precision(monkeypatch):
     for bits in (64, 128, 300):
         assert _close(SCALED.roots(bits), direct[bits], bits)
     assert calls == [222]
+
+
+def test_newton_at_cancelling_roots(monkeypatch):
+    # f(x - 287) for f = x^4 - 4x^2 + 2: roots near 287 with coefficients
+    # up to 6.8 10^9, so Horner's rule cancels ~24 bits at each root and
+    # Newton at a fixed 32 guard bits stalled above its stopping threshold
+    coeffs = (6784322687, -94557316, 494210, -1148, 1)
+    direct = {bits: _direct_roots(coeffs, bits) for bits in (128, 196)}
+    _count_root_solves(monkeypatch)
+    field = CyclicQuarticField(coeffs)
+    for bits in (128, 196):
+        assert _close(field.roots(bits), direct[bits], bits)
 
 
 @settings(max_examples=300, deadline=None)
@@ -330,6 +401,20 @@ def test_not_cyclic_rejected():
     for coeffs in ((4, 0, -5, 0, 1), (1, 0, -3, 0, 1)):
         with pytest.raises(NotCyclicError, match="reducible"):
             CyclicQuarticField(coeffs).sigma
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_total_reality_decided_before_solving(bits, monkeypatch):
+    # (x^2 - 10^40)^2 + 1 has no real root, but its roots lie within
+    # 10^-20 of the real axis: Newton on the real parts did not converge
+    # at 64 and 128 bits.  The trace matrix refuses it, and (x^2 - 2)^2,
+    # whose double roots it returned twice, with no root solved
+    calls = _count_root_solves(monkeypatch)
+    with pytest.raises(NotCyclicError, match="not totally real"):
+        CyclicQuarticField((10 ** 80 + 1, 0, -2 * 10 ** 40, 0, 1)).roots(bits)
+    with pytest.raises(NotCyclicError, match="repeated root"):
+        CyclicQuarticField((4, 0, -4, 0, 1)).roots(bits)
+    assert calls == []
 
 
 def test_irreducibility():
