@@ -78,12 +78,6 @@ def quad_norm(x):
     return x.a * x.a - x.d * x.b * x.b
 
 
-def is_quad_integer(x):
-    """True iff x lies in the maximal order: trace and norm both integral."""
-    trace = 2 * x.a
-    return trace.denominator == 1 and quad_norm(x).denominator == 1
-
-
 def _rational_sqrt(q):
     """Exact square root of a Fraction, or None when q is not a square."""
     if q < 0:
@@ -92,14 +86,6 @@ def _rational_sqrt(q):
     if n * n != q.numerator or d * d != q.denominator:
         return None
     return Fraction(n, d)
-
-
-def quad_embed(x, precision_bits=DEFAULT_PRECISION):
-    """Real value of x under the positive-root embedding sqrt(d) > 0."""
-    with mpf_ctx(precision_bits):
-        root = mpmath.sqrt(x.d)
-        return (mpmath.mpf(x.a.numerator) / x.a.denominator
-                + mpmath.mpf(x.b.numerator) / x.b.denominator * root)
 
 
 def surd_sign(a, b, d):
@@ -158,8 +144,9 @@ def _cf_walk(d, p, q):
 def _cf_unit_search(d):
     """Walk the continued fraction of sqrt(d) (or (1+sqrt(d))/2 for d=1 mod 4)
     and return the first convergent giving a norm +-1 unit of the maximal
-    order, with its norm.  Classical theory places the fundamental unit
-    among these.
+    order, as integers (A, B, den, N): the unit is (A + B*sqrt(d))/den,
+    den in {1, 2}, of norm N.  Classical theory places the fundamental
+    unit among these.
 
     For the n-th convergent h/k of xi_0 = (P_0 + sqrt(d))/Q_0,
     (Q_0*h - P_0*k)^2 - d*k^2 = (-1)^(n+1) * Q_0 * Q_(n+1) (Perron).  The
@@ -177,21 +164,44 @@ def _cf_unit_search(d):
     for a in quotients:
         h_prev, h = h, a * h + h_prev
         k_prev, k = k, a * k + k_prev
-    return (QuadElem(d, Fraction(qq * h - pp * k, qq), Fraction(k, qq)),
-            (-1) ** len(quotients))
+    return qq * h - pp * k, k, qq, (-1) ** len(quotients)
 
 
 @functools.lru_cache(maxsize=1024, typed=True)
 def fundamental_unit(d, precision_bits=DEFAULT_PRECISION):
     """Fundamental unit > 1 of Q(sqrt(d)), exact, with its norm sign.
-    Cached per (d, precision_bits); the result is immutable."""
+    Cached per (d, precision_bits); the result is immutable.
+
+    The search's integers (A, B, den, N), u = (A + B*sqrt(d))/den, are
+    checked as integers.  A^2 - d*B^2 = N*den^2 with N = +-1 makes u a
+    unit of the maximal order.  For den = 1, u lies in Z[sqrt(d)].  For
+    den = 2 (the search gives it for d = 1 mod 4), A^2 = d*B^2 mod 4 and
+    squares are 0 or 1 mod 4: d = 1 mod 4 gives A = B mod 2 and
+    u = (A - B)/2 + B*(1 + sqrt(d))/2, and d = 2 or 3 mod 4 makes A and
+    B even.  Either way the norm of u is (A^2 - d*B^2)/den^2 = N.
+    A, B >= 1 with den <= 2 and d >= 2 give u >= (1 + sqrt(2))/2 > 1.
+
+    The log is log((A + B*sqrt(d))/den), evaluated as
+    (mpf(A) + mpf(B)*sqrt(d))/den: the value, bit for bit, of the real
+    embedding a + b*sqrt(d) of the reduced coordinates a = A/den,
+    b = B/den evaluated as mpf(num(a))/den(a) + mpf(num(b))/den(b)*sqrt(d).
+    mpmath rounds each operation to the working precision with an
+    unbounded exponent, so scaling by a power of 2 commutes with
+    rounding, and den is 1 or 2.  For den = 1 both read
+    mpf(A) + mpf(B)*sqrt(d).  For den = 2, A = B mod 2, so a and b both
+    have denominator 2 or both are integers A/2, B/2; in each case
+    mpf(num(a))/den(a) = mpf(A)/2 and the same for b, and
+    mpf(A)/2 + (mpf(B)/2)*sqrt(d) = (mpf(A) + mpf(B)*sqrt(d))/2.
+    """
     _check_squarefree(d)
-    unit, norm = _cf_unit_search(d)
-    assert is_quad_integer(unit) and quad_norm(unit) == norm in (1, -1)
-    assert surd_sign(unit.a - 1, unit.b, d) > 0, "unit must exceed 1"
+    A, B, den, norm = _cf_unit_search(d)
+    assert A * A - d * B * B == norm * den * den and norm in (1, -1)
+    assert A > 0 and B > 0, "unit must exceed 1"
     with mpf_ctx(precision_bits):
-        log_value = mpmath.log(quad_embed(unit, precision_bits))
-    return FundamentalUnitResult(unit, norm, log_value)
+        log_value = mpmath.log(
+            (mpmath.mpf(A) + mpmath.mpf(B) * mpmath.sqrt(d)) / den)
+    return FundamentalUnitResult(QuadElem(d, Fraction(A, den),
+                                          Fraction(B, den)), norm, log_value)
 
 
 def unit_key(res):

@@ -3,8 +3,9 @@ cyclic-quartic catalog entries validated through Hasse's exact relations.
 
 Klein case: the square classes of O_L^* over the subfield-unit group E are
 determined by which products u1^e1 u2^e2 u3^e3 are squares in L, decided
-by integer and rational square roots on the units' coordinates; the
-F2-rank of the found patterns gives the index [O_L^*: +-E].
+by integer square roots on the units' doubled coordinates (2a, 2b); the
+F2-rank of the found patterns gives the index [O_L^*: +-E].  The square
+roots are products of integer numerators over one denominator.
 
 Cyclic case: full unit-group computation is out of scope, so entries carry
 claimed generators (relative unit u0, optional u_star) which are verified
@@ -21,11 +22,10 @@ from fractions import Fraction
 import mpmath
 
 from .precision import DEFAULT_PRECISION, mpf_ctx
-from .quadratic import (QuadElem, _rational_sqrt, fundamental_unit,
-                        is_squarefree, quad_mul, quad_norm, surd_sign,
-                        unit_key)
+from .quadratic import (QuadElem, fundamental_unit, is_squarefree,
+                        quad_mul, quad_norm, surd_sign, unit_key)
 from . import quartic as qt
-from .biquadratic import BiquadElem, BiquadField, biq_add, biq_mul
+from .biquadratic import BiquadElem, BiquadField, mul_coords
 from .loglattice import log_sigma, orbit_log
 
 class CatalogValidationError(ValueError):
@@ -45,7 +45,10 @@ def subfield_units(d1, d2, precision_bits=DEFAULT_PRECISION):
     log(units[i]) at precision_bits; fixers[i] is the Galois element
     fixing the subfield of units[i]; norm_signs[i] is its norm, +-1.
     """
-    field = BiquadField(d1, d2)
+    return _subfield_units(BiquadField(d1, d2), precision_bits)
+
+
+def _subfield_units(field, precision_bits):
     ranked = sorted(((fixer, fundamental_unit(d, precision_bits))
                      for d, fixer in ((field.d1, "s1"), (field.d2, "s2"),
                                       (field.d3, "s3"))),
@@ -92,17 +95,12 @@ def _f2_basis(patterns):
     return len(basis_rows), chosen
 
 
-def _pattern_product(field, e, elems):
-    prod = field.one()
-    for ei, x in zip(e, elems):
-        if ei:
-            prod = biq_mul(prod, x)
-    return prod
-
-
-def _norm_minus_one_pi(field, units):
-    """Pi = b1*b2*b3*d1*d2/s, the rational prod b*sqrt(d)."""
-    return units[0].b * units[1].b * units[2].b * field.d1 * field.d2 / field.s
+def _doubled(u):
+    """(2a, 2b) of a unit u = a + b*sqrt(d), both integers: 2a is its
+    trace, and 2b*sqrt(d) = u - u' is an algebraic integer, so (2b)^2*d
+    is an integer with d squarefree."""
+    return (2 * u.a.numerator // u.a.denominator,
+            2 * u.b.numerator // u.b.denominator)
 
 
 def _norm_minus_one_witness(field, units):
@@ -130,35 +128,55 @@ def _norm_minus_one_witness(field, units):
     Conversely, if T = t^2 > 0, g = (z + nu')/t squares to z (z^2 =
     Tr(z)*z - nu'^2), and x = (P + eps*u_i)/(2g) squares to P, because
     (P + eps*u_i)^2 = 2*u_i*w*P (_norm_minus_one_root builds it).
+
+    The test runs on integers: with (alpha, beta) = (2a, 2b) (_doubled)
+    and d1*d2/s = s*d3, 8*T = M = alpha_i*(alpha_j*alpha_k + 4*eps)
+    + beta_1*beta_2*beta_3*s*d3 + 4*nu*(alpha_j - eps*alpha_k), and
+    T = 2M/16 is a positive rational square iff M > 0 and 2M = tau^2
+    for an integer tau; then t = tau/4.
     """
-    ai, aj, ak = (u.a for u in units)
-    pi = _norm_minus_one_pi(field, units)
+    (ai, bi), (aj, bj), (ak, bk) = map(_doubled, units)
+    pi8 = bi * bj * bk * field.s * field.d3
     for eps, nu in itertools.product((1, -1), repeat=2):
-        t = _rational_sqrt(ai * (aj * ak + eps) + pi + nu * (aj - eps * ak))
-        if t:
-            return eps, nu, t
+        m = ai * (aj * ak + 4 * eps) + pi8 + 4 * nu * (aj - eps * ak)
+        tau = math.isqrt(2 * m) if m > 0 else 0
+        if tau and tau * tau == 2 * m:
+            return eps, nu, Fraction(tau, 4)
     return None
 
 
 def _norm_minus_one_root(field, units, eps, nu, t):
-    """The square root x of P = u1*u2*u3, positive at the id-embedding,
-    from the witness (eps, nu, t) of _norm_minus_one_witness.  With
+    """Integer coordinates X and denominator D > 0 of the square root
+    x = X/D of P = u1*u2*u3, positive at the id-embedding, from the
+    witness (eps, nu, t) of _norm_minus_one_witness.  With
     N(z + nu') = nu'*t^2, x = (P + eps*u_i) * (z + nu')'/(2*nu'*t), (.)'
     the conjugate of K; P + eps*u_i > 0 at the id-embedding, so the K
-    factor gives the sign."""
-    (ai, bi, di), (aj, _, _), (ak, _, _) = ((u.a, u.b, u.d) for u in units)
-    pi = _norm_minus_one_pi(field, units)
-    nu1 = nu * (aj - eps * ak) / 2
-    z = quad_mul(units[0], QuadElem(di, (aj * ak + eps) / 2,
-                                    pi / (2 * bi * di)))
-    den = 2 * nu1 * t
-    factor = QuadElem(di, (z.a + nu1) / den, -z.b / den)
-    if surd_sign(factor.a, factor.b, di) < 0:
-        factor = QuadElem(di, -factor.a, -factor.b)
-    lifts = [field.lift_quad(u) for u in units]
-    shifted = biq_add(_pattern_product(field, (1, 1, 1), lifts),
-                      field.lift_quad(QuadElem(di, eps * ai, eps * bi)))
-    return biq_mul(shifted, field.lift_quad(factor))
+    factor gives the sign.
+
+    On the doubled units U = 2u = alpha + beta*sqrt(d) (_doubled):
+    P + eps*u_i = (U1*U2*U3 + 4*eps*U_i)/8; z = U_i*W/16 with
+    W = (alpha_j*alpha_k + 4*eps) + beta_j*beta_k*c*sqrt(d_i), where
+    c = s*d3/d_i is d2/s, d1/s or s; nu' = n/4 with
+    n = nu*(alpha_j - eps*alpha_k); t = tau/4.  So, with Z = U_i*W, the
+    K factor is ((Z_a + 4n) - Z_b*sqrt(d_i))/(2*n*tau).
+    """
+    doubled = [_doubled(u) for u in units]
+    (ai, bi), (aj, bj), (ak, bk) = doubled
+    di = units[0].d
+    tau = 4 * t.numerator // t.denominator
+    n = nu * (aj - eps * ak)
+    wa, wb = aj * ak + 4 * eps, bj * bk * (field.s * field.d3 // di)
+    za, zb = ai * wa + di * bi * wb, ai * wb + bi * wa
+    fa, fb, den = za + 4 * n, -zb, 2 * n * tau
+    if den < 0:
+        fa, fb, den = -fa, -fb, -den
+    if surd_sign(fa, fb, di) < 0:
+        fa, fb = -fa, -fb
+    lifts = [field.lift_coords(u.d, a, b) for u, (a, b) in zip(units, doubled)]
+    prod = mul_coords(mul_coords(lifts[0], lifts[1], field), lifts[2], field)
+    shifted = tuple(p + 4 * eps * c for p, c in zip(prod, lifts[0]))
+    return (mul_coords(shifted, field.lift_coords(di, fa, fb), field),
+            8 * den)
 
 
 def klein_unit_structure(d1, d2, precision_bits=DEFAULT_PRECISION):
@@ -181,8 +199,8 @@ def klein_unit_structure(d1, d2, precision_bits=DEFAULT_PRECISION):
     basis slot k of (1, d1, d2, d3) and r = isqrt(m*delta).
     """
     field = BiquadField(d1, d2)
-    units, logs, fixers, norm_signs = subfield_units(d1, d2, precision_bits)
-    trace_plus_2 = [int(2 * u.a) + 2 for u in units]
+    units, logs, fixers, norm_signs = _subfield_units(field, precision_bits)
+    trace_plus_2 = [_doubled(u)[0] + 2 for u in units]
     deltas = (1, field.d1, field.d2, field.d3)  # sqrt(delta): basis slot k
 
     witnesses = {}
@@ -215,27 +233,36 @@ def klein_pattern_root(struct, e):
     witness.  A square root of a unit is a unit: it is integral over O_L,
     as a root of t^2 - prod, and its norm squared is +-1.
 
-    Norm +1 witness (k, r): the root is
+    The root is built as integer coordinates over one denominator, and
+    becomes an element once.  Norm +1 witness (k, r): the root is
     prod_P (u_i + 1) * sqrt(delta_k) / r, positive because every factor
-    is (klein_unit_structure).
+    is (klein_unit_structure); u + 1 = ((Tr u + 2) + 2b*sqrt(d))/2, so
+    its numerators are the product of the integers (Tr u_i + 2, 2b_i)
+    times sqrt(delta_k), over 2^|P| * r.
     """
     field = struct.field
     witness = struct.witnesses[e]
     if len(witness) == 3:
-        return _norm_minus_one_root(field, struct.units, *witness)
-    k, r = witness
-    shifted = [biq_add(field.lift_quad(u), field.one()) for u in struct.units]
-    scale = BiquadElem(field, *(Fraction(int(i == k), r) for i in range(4)))
-    return biq_mul(_pattern_product(field, e, shifted), scale)
+        num, den = _norm_minus_one_root(field, struct.units, *witness)
+    else:
+        k, r = witness
+        num = tuple(int(i == k) for i in range(4))  # sqrt(delta_k)
+        for ei, u in zip(e, struct.units):
+            if ei:
+                two_a, two_b = _doubled(u)
+                num = mul_coords(num, field.lift_coords(u.d, two_a + 2, two_b),
+                                 field)
+        den = 2 ** sum(e) * r
+    return BiquadElem(field, *(Fraction(c, den) for c in num))
 
 
 def klein_generators(struct):
     """Three BiquadElems generating O_L^* mod +-1: the lifted subfield
     units, with the root of each F2 basis pattern in its pivot slot."""
-    generators = [struct.field.lift_quad(u) for u in struct.units]
-    for p, slot in struct.basis:
-        generators[slot] = klein_pattern_root(struct, p)
-    return tuple(generators)
+    roots = {slot: p for p, slot in struct.basis}
+    return tuple(klein_pattern_root(struct, roots[i]) if i in roots
+                 else struct.field.lift_quad(u)
+                 for i, u in enumerate(struct.units))
 
 
 def klein_denominator(index_over_E):

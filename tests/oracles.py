@@ -21,7 +21,10 @@ minimum.  klein_patterns_tower decides all seven Klein square classes by
 the exact tower square root sqrt_in_field (built on quad_sqrt), knowing
 nothing of the library's criteria on traces and coordinates, and
 tower_witness reads the library's witness of each class off its root.
-Three cyclic oracles keep the earlier direct forms:
+fraction_route_root and fraction_route_generators keep the earlier
+Fraction route of the Klein square roots, every step an element, where
+the library multiplies integer numerators (`mul_coords`) over one
+denominator.  Three cyclic oracles keep the earlier direct forms:
 trial_division_irreducible finds integer roots and quadratic factors
 from the divisors of the constant term, with no roots computed;
 galois_generator_all_perms reconstructs sigma from every root
@@ -40,9 +43,12 @@ and log_embed_klein.  The library needs none of it: its Klein lattices
 are built from the subfield regulators W_i, and verify-paper's wedge
 fixture embeds each unit in its own Q(sqrt(d_i)).
 
-The rest is package-style code that only tests call: quadratic,
-biquadratic and cyclic quartic inverses and powers (quad_inv, biq_neg,
-biq_norm_to_Q, biq_inv, biq_pow, qr_inv, qr_pow), the cyclic LOG of one
+The rest is package-style code that only tests call: the maximal-order
+test and real embedding of a quadratic element (is_quad_integer,
+quad_embed: the Fraction forms of fundamental_unit's integer checks and
+log), quadratic, biquadratic and cyclic quartic sums, inverses and
+powers (biq_add, quad_inv, biq_neg, biq_norm_to_Q, biq_inv, biq_pow,
+qr_inv, qr_pow), the cyclic LOG of one
 unit (log_embed_cyclic, the library's orbit_log after a unit test) and
 the Pohst floor check on one unit (pohst_check).
 """
@@ -58,8 +64,7 @@ from unitlat.biquadratic import BiquadElem, BiquadField, biq_mul
 from unitlat.loglattice import LogVector, klein_wedge_rows, orbit_log
 from unitlat.precision import DEFAULT_PRECISION, mpf_ctx
 from unitlat.quadratic import (CF_MAX_STEPS, QuadElem, _rational_sqrt,
-                               is_quad_integer, is_squarefree, quad_mul,
-                               quad_norm, surd_sign)
+                               is_squarefree, quad_mul, quad_norm, surd_sign)
 from unitlat.quartic import (Automorphism, QuarticElem, embed_all,
                              eval_poly_at, qr_mul, qr_neg)
 from unitlat.quartic import is_unit as qr_is_unit
@@ -137,6 +142,21 @@ def cf_unit_search_by_norm(d):
         p_cur = a * q_cur - p_cur
         q_cur = (d - p_cur * p_cur) // q_cur
     raise ArithmeticError("continued fraction of sqrt(%d) did not close" % d)
+
+
+def is_quad_integer(x):
+    """True iff x lies in the maximal order: trace and norm both integral."""
+    trace = 2 * x.a
+    return trace.denominator == 1 and quad_norm(x).denominator == 1
+
+
+def quad_embed(x, precision_bits=DEFAULT_PRECISION):
+    """Real value of x under the positive-root embedding sqrt(d) > 0, from
+    its reduced Fraction coordinates."""
+    with mpf_ctx(precision_bits):
+        root = mpmath.sqrt(x.d)
+        return (mpmath.mpf(x.a.numerator) / x.a.denominator
+                + mpmath.mpf(x.b.numerator) / x.b.denominator * root)
 
 
 def surd_cmp(a, b, d, c, e, f):
@@ -329,6 +349,54 @@ def tower_witness(units, fixers, e, x):
     return eps, norm_g / ((uj.a - eps * uk.a) / 2), abs(g2.x)
 
 
+def _pattern_product(field, e, elems):
+    prod = field.one()
+    for ei, x in zip(e, elems):
+        if ei:
+            prod = biq_mul(prod, x)
+    return prod
+
+
+def fraction_route_root(struct, e):
+    """The square root of pattern e of a Klein structure from its witness,
+    every step an element with Fraction coordinates: prod_P (u_i + 1)
+    times sqrt(delta_k)/r for a norm +1 witness (k, r), and
+    (P + eps*u_i) times the K factor (z + nu')'/(2*nu'*t), sign-fixed,
+    for a norm -1 witness (eps, nu, t), as units._norm_minus_one_witness
+    derives them, with no integer numerators."""
+    field, units = struct.field, struct.units
+    witness = struct.witnesses[e]
+    if len(witness) == 2:
+        k, r = witness
+        shifted = [biq_add(field.lift_quad(u), field.one()) for u in units]
+        scale = BiquadElem(field, *(Fraction(int(i == k), r) for i in range(4)))
+        return biq_mul(_pattern_product(field, e, shifted), scale)
+    eps, nu, t = witness
+    (ai, bi, di), (aj, _, _), (ak, _, _) = ((u.a, u.b, u.d) for u in units)
+    pi = units[0].b * units[1].b * units[2].b * field.d1 * field.d2 / field.s
+    nu1 = nu * (aj - eps * ak) / 2
+    z = quad_mul(units[0], QuadElem(di, (aj * ak + eps) / 2,
+                                    pi / (2 * bi * di)))
+    den = 2 * nu1 * t
+    factor = QuadElem(di, (z.a + nu1) / den, -z.b / den)
+    if surd_sign(factor.a, factor.b, di) < 0:
+        factor = QuadElem(di, -factor.a, -factor.b)
+    lifts = [field.lift_quad(u) for u in units]
+    shifted = biq_add(_pattern_product(field, (1, 1, 1), lifts),
+                      field.lift_quad(QuadElem(di, eps * ai, eps * bi)))
+    return biq_mul(shifted, field.lift_quad(factor))
+
+
+def fraction_route_generators(struct):
+    """The generators of a Klein structure from fraction_route_root: the
+    lifted subfield units, the root of each F2 basis pattern in its pivot
+    slot."""
+    generators = [struct.field.lift_quad(u) for u in struct.units]
+    for p, slot in struct.basis:
+        generators[slot] = fraction_route_root(struct, p)
+    return tuple(generators)
+
+
 def float_rows(rows):
     """Float copy of three wedge rows for the brute enumerator."""
     return [[float(c) for c in row] for row in rows]
@@ -512,6 +580,11 @@ def biq_norm_to_Q(a):
                    biq_mul(galois_apply("s2", a), galois_apply("s3", a)))
     assert biq_is_rational(prod), "norm must land in Q"
     return prod.x
+
+
+def biq_add(a, b):
+    assert a.field == b.field
+    return BiquadElem(a.field, a.x + b.x, a.y + b.y, a.z + b.z, a.w + b.w)
 
 
 def biq_neg(a):

@@ -1,4 +1,6 @@
 import functools
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,12 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unitlat import units as us
-from unitlat.biquadratic import BiquadElem, BiquadField, biq_add, biq_mul
+from unitlat.biquadratic import BiquadElem, BiquadField, biq_mul, mul_coords
 from unitlat.quadratic import fundamental_unit, is_squarefree
-from oracles import (GALOIS_KLEIN, biq_coords, biq_from_rational, biq_inv,
-                     biq_is_zero, biq_neg, biq_norm_to_Q, biq_pow, char_poly,
-                     embed_real, galois_apply, is_algebraic_integer, is_unit,
-                     sqrt_in_field)
+from oracles import (GALOIS_KLEIN, biq_add, biq_coords, biq_from_rational,
+                     biq_inv, biq_is_zero, biq_neg, biq_norm_to_Q, biq_pow,
+                     char_poly, embed_real, galois_apply,
+                     is_algebraic_integer, is_unit, sqrt_in_field)
 
 SQUAREFREE = [d for d in range(2, 60) if is_squarefree(d)]
 
@@ -40,6 +42,21 @@ def test_ring_axioms_random():
         assert biq_mul(a, b) == biq_mul(b, a)
         assert biq_mul(a, biq_mul(b, c)) == biq_mul(biq_mul(a, b), c)
         assert biq_mul(a, biq_add(b, c)) == biq_add(biq_mul(a, b), biq_mul(a, c))
+
+
+@pytest.mark.parametrize("d1, d2", [(2, 5), (6, 10), (10, 15), (3, 21)])
+def test_mul_coords_basis_products(d1, d2):
+    # each product of two of sqrt(d1), sqrt(d2), sqrt(d3) is a positive
+    # multiple of one basis vector whose square is the product of the
+    # radicands, as sqrt(d_i)*sqrt(d_j) = sqrt(d_i*d_j) must be
+    f = BiquadField(d1, d2)
+    radicands = (f.d1, f.d2, f.d3)
+    basis = [tuple(int(i == k) for i in range(4)) for k in (1, 2, 3)]
+    for (i, ei), (j, ej) in itertools.combinations_with_replacement(
+            enumerate(basis), 2):
+        p = mul_coords(ei, ej, f)
+        assert sum(1 for c in p if c) == 1 and all(c >= 0 for c in p)
+        assert mul_coords(p, p, f) == (radicands[i] * radicands[j], 0, 0, 0)
 
 
 def test_galois_action_is_homomorphism():
@@ -92,6 +109,28 @@ def field_elements(draw, denominators=(1, 2, 3, 12), span=10 ** 6):
     q = draw(st.sampled_from(denominators))
     return BiquadElem(field, *[Fraction(draw(st.integers(-span, span)), q)
                                for _ in range(4)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(klein_fields(), st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=8,
+                                max_size=8), st.integers(1, 12))
+def test_mul_coords_exact_on_ints_and_fractions(f, coords, q):
+    # integer numerators over q multiply to the Fraction product over q^2
+    a, b = tuple(coords[:4]), tuple(coords[4:])
+    want = biq_mul(BiquadElem(f, *(Fraction(c, q) for c in a)),
+                   BiquadElem(f, *(Fraction(c, q) for c in b)))
+    assert BiquadElem(f, *(Fraction(c, q * q)
+                           for c in mul_coords(a, b, f))) == want
+    assert all(type(c) is int for c in mul_coords(a, b, f))
+
+
+def test_field_computes_s_and_d3_once(monkeypatch):
+    f = BiquadField(6, 10)
+    assert (f.s, f.d3) == (2, 15)
+    monkeypatch.setattr(math, "gcd", None)  # a second gcd would raise
+    a = (1, 2, 3, 4)
+    assert mul_coords(a, a, f) == (1 + 24 + 90 + 240, 4 + 120, 6 + 48, 8 + 24)
+    assert (f.s, f.d3) == (2, 15)
 
 
 @settings(max_examples=200, deadline=None)

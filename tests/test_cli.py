@@ -1,6 +1,8 @@
 import argparse
 import csv
+import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -363,6 +365,25 @@ def test_klein_json_matches_pinned(capsys, monkeypatch, d1, d2):
                         "klein_%d_%d.json" % (d1, d2))
     with open(path, newline="") as fh:
         assert out == fh.read()
+
+
+def test_klein_json_matches_pinned_digest(capsys, monkeypatch):
+    # tests/data/klein_60.sha256 pins the SHA-256 of the concatenated
+    # `--format json klein D1 D2` outputs over all 630 pairs D1 < D2 of
+    # squarefree integers up to 60, 36 of them with a norm -1 root among
+    # their generators; regenerate it only for an intended change of output
+    for name in ("PRECISION", "COEFF_BOUND", "SCAN_LIMIT"):
+        monkeypatch.delenv("UNITLAT_" + name, raising=False)
+    ds = [d for d in range(2, 61) if quadratic.is_squarefree(d)]
+    digest = hashlib.sha256()
+    for d1, d2 in itertools.combinations(ds, 2):
+        code, out, _ = run(capsys, "--format", "json", "klein", str(d1),
+                           str(d2))
+        assert code == 0
+        digest.update(out.encode())
+    path = os.path.join(os.path.dirname(__file__), "data", "klein_60.sha256")
+    with open(path) as fh:
+        assert digest.hexdigest() == fh.read().strip()
 
 
 def _verify_paper_10(capsys, monkeypatch, fmt):

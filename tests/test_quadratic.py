@@ -9,14 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from unitlat import quadratic
 from unitlat import units as us
+from unitlat.precision import mpf_ctx
 from unitlat.quadratic import (FundamentalUnitResult, QuadElem,
-                               fundamental_unit, is_quad_integer,
-                               is_squarefree, quad_embed, quad_mul,
+                               fundamental_unit, is_squarefree, quad_mul,
                                quad_norm, smallest_fundamental_units,
                                surd_sign, unit_key)
-from oracles import (cf_unit_search_by_norm, quad_cmp, quad_inv,
-                     smaller_quad_unit_exists, squarefree_by_trial_division,
-                     surd_cmp)
+from oracles import (cf_unit_search_by_norm, is_quad_integer, quad_cmp,
+                     quad_embed, quad_inv, smaller_quad_unit_exists,
+                     squarefree_by_trial_division, surd_cmp)
 
 KNOWN_UNITS = {
     5: (Fraction(1, 2), Fraction(1, 2)),
@@ -157,7 +157,9 @@ def test_cf_unit_search_matches_norm_criterion():
     # and sign as the full norm of every convergent
     for d in range(2, 5001):
         if is_squarefree(d):
-            assert quadratic._cf_unit_search(d) == cf_unit_search_by_norm(d), d
+            a, b, den, norm = quadratic._cf_unit_search(d)
+            unit = QuadElem(d, Fraction(a, den), Fraction(b, den))
+            assert (unit, norm) == cf_unit_search_by_norm(d), d
 
 
 def _largest_values_held(d):
@@ -185,6 +187,25 @@ def test_cf_walk_holds_small_integers(monkeypatch):
 
 
 SQUAREFREE_D = st.integers(2, 10 ** 5).filter(is_squarefree)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 10 ** 6).filter(is_squarefree))
+def test_unit_integers_and_log_match_fraction_oracle(d):
+    # the search's integers satisfy the norm equation, give the unit of
+    # the full-norm oracle, and the log of (A + B*sqrt(d))/den is the log
+    # of the Fraction-coordinate embedding, bit for bit
+    a, b, den, norm = quadratic._cf_unit_search(d)
+    assert a * a - d * b * b == norm * den * den
+    assert den == (2 if d % 4 == 1 else 1)
+    unit, want_norm = cf_unit_search_by_norm(d)
+    assert QuadElem(d, Fraction(a, den), Fraction(b, den)) == unit
+    assert norm == want_norm
+    for bits in (64, 128, 300):
+        res = fundamental_unit(d, bits)
+        assert (res.unit, res.norm_sign) == (unit, norm)
+        with mpf_ctx(bits):
+            assert res.log_value == mpmath.log(quad_embed(unit, bits))
 
 
 @settings(max_examples=200, deadline=None)

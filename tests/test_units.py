@@ -15,14 +15,15 @@ import unitlat
 from unitlat import units as us
 from unitlat import verifier as vf
 from unitlat import quartic as qt
-from unitlat.biquadratic import BiquadElem, biq_add, biq_mul
+from unitlat.biquadratic import BiquadElem, biq_mul
 from unitlat.loglattice import cyclic_wedge_rows, wedge2
 from unitlat.quadratic import QuadElem, fundamental_unit, quad_norm
 from unitlat.verifier import (cyclic_entry_report, klein_field_report,
                               load_default_catalog)
 import oracles
-from oracles import (SQUAREFREE_1000, biq_is_rational, biq_neg, char_poly,
-                     fraction_norm_exponent, galois_apply, is_unit,
+from oracles import (SQUAREFREE_1000, biq_add, biq_is_rational, biq_neg,
+                     char_poly, fraction_norm_exponent, fraction_route_root,
+                     fraction_route_generators, galois_apply, is_unit,
                      klein_patterns_tower, log_embed_cyclic, qr_pow,
                      quad_cmp, sigma_loop_log)
 
@@ -111,7 +112,7 @@ def test_klein_structure_builds_no_element(d1, d2, monkeypatch):
 
     for module in list(vars(unitlat).values()):
         if getattr(module, "__name__", "").startswith("unitlat."):
-            for name in ("BiquadElem", "biq_mul", "biq_add"):
+            for name in ("BiquadElem", "biq_mul", "mul_coords"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, forbidden)
     got = us.klein_unit_structure(d1, d2)
@@ -204,6 +205,22 @@ def test_norm_minus_one_square_class_matches_tower_oracle(pair):
     units = us.subfield_units(*pair)[0]
     assume(all(quad_norm(u) < 0 for u in units))
     _matches_tower_oracle(*pair)
+
+
+def _pairs(ds):
+    return st.lists(st.sampled_from(ds), min_size=2, max_size=2, unique=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=st.one_of(_pairs(SQUAREFREE_1000), _pairs(NORM_MINUS_ONE_1000)))
+def test_generators_match_fraction_route(pair):
+    # the integer numerators give the roots and generators of the Fraction
+    # route, element by element; pairs of norm -1 d's mostly have all
+    # three subfield units of norm -1, and so a norm -1 witness to build
+    s = us.klein_unit_structure(*pair)
+    for e in s.sqrt_patterns:
+        assert us.klein_pattern_root(s, e) == fraction_route_root(s, e)
+    assert us.klein_generators(s) == fraction_route_generators(s)
 
 
 @pytest.mark.parametrize("d1, d2, patterns", [
