@@ -4,7 +4,7 @@
 __version__ = "0.1.0"
 
 from .quadratic import QuadElem, fundamental_unit, smallest_fundamental_units
-from .biquadratic import BiquadField, BiquadElem
+from .biquadratic import BiquadField
 from .quartic import CyclicQuarticField, QuarticElem, galois_generator
 from .loglattice import wedge2
 from .units import (KleinUnitStructure, klein_unit_structure,
@@ -14,7 +14,7 @@ from .verifier import verify_paper, klein_field_report, theorem_constants
 
 __all__ = [
     "QuadElem", "fundamental_unit", "smallest_fundamental_units",
-    "BiquadField", "BiquadElem",
+    "BiquadField",
     "CyclicQuarticField", "QuarticElem", "galois_generator",
     "wedge2",
     "KleinUnitStructure", "klein_unit_structure", "klein_pattern_root",

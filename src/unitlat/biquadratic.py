@@ -1,21 +1,21 @@
-"""Exact arithmetic in biquadratic fields L = Q(sqrt(d1), sqrt(d2)).
+"""Biquadratic (Klein) fields L = Q(sqrt(d1), sqrt(d2)) as quartic fields.
 
-Elements live in the basis {1, sqrt(d1), sqrt(d2), sqrt(d3)} where d3 is
-the squarefree part of d1*d2 and sqrt(d1)*sqrt(d2) = s*sqrt(d3) with
-s = gcd(d1, d2).  Coordinates stay rational under multiplication even
-when d1*d2 is not squarefree.  `mul_coords` multiplies coordinate
-4-tuples, exact on ints and Fractions alike: the square-root generators
-of `units.klein_pattern_root` are products of integer numerators, and
-the library builds elements only to print them
-(`units.klein_generators`).
+The basis is (1, sqrt(d1), sqrt(d2), sqrt(d3)), d3 the squarefree part of
+d1*d2, with sqrt(d1)*sqrt(d2) = s*sqrt(d3) and s = gcd(d1, d2).  Its
+structure constants are integers even when d1*d2 is not squarefree, so
+a BiquadField is a `table` for the one quartic kernel
+(quartic.mul_coords, quartic.char_poly), and its elements are
+quartic.QuarticElems: the square-root generators of
+`units.klein_pattern_root` multiply integer numerators on the table, and
+the library builds elements only to print them (`units.klein_generators`).
 """
 
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .quadratic import QuadElem, is_squarefree
+from .quartic import QuarticElem
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class BiquadField:
         if self.d1 == self.d2:
             raise ValueError("d1 and d2 must be distinct")
 
-    # computed once per field: mul_coords reads them on every product
+    # computed once per field: the table reads them
     @functools.cached_property
     def s(self):
         return math.gcd(self.d1, self.d2)
@@ -39,8 +39,22 @@ class BiquadField:
     def d3(self):
         return (self.d1 // self.s) * (self.d2 // self.s)
 
-    def one(self):
-        return BiquadElem(self, Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+    @functools.cached_property
+    def table(self):
+        """b_i*b_j = c*b_(i xor j) on (1, sqrt(d1), sqrt(d2), sqrt(d3)), c
+        from sqrt(d_i)^2 = d_i, sqrt(d1)*sqrt(d2) = s*sqrt(d3),
+        sqrt(d1)*sqrt(d3) = (d1/s)*sqrt(d2) and
+        sqrt(d2)*sqrt(d3) = (d2/s)*sqrt(d1)."""
+        squares = (1, self.d1, self.d2, self.d3)
+        mixed = (None, self.d2 // self.s, self.d1 // self.s, self.s)  # by i ^ j
+        return tuple(tuple(((i ^ j, squares[i] if i == j else
+                             mixed[i ^ j] if i and j else 1),)
+                           for j in range(4)) for i in range(4))
+
+    def format(self, coords):
+        return "(%s) + (%s)*sqrt(%d) + (%s)*sqrt(%d) + (%s)*sqrt(%d)" % (
+            coords[0], coords[1], self.d1, coords[2], self.d2, coords[3],
+            self.d3)
 
     def lift_coords(self, d, a, b):
         """Coordinates of a + b*sqrt(d), for d in {d1, d2, d3}."""
@@ -55,49 +69,4 @@ class BiquadField:
 
     def lift_quad(self, x: QuadElem):
         """Embed an element of Q(sqrt(d)) for d in {d1, d2, d3}."""
-        return BiquadElem(self, *self.lift_coords(x.d, x.a, x.b))
-
-
-@dataclass(frozen=True)
-class BiquadElem:
-    """x + y*sqrt(d1) + z*sqrt(d2) + w*sqrt(d3), exact rational coordinates."""
-
-    field: BiquadField
-    x: Fraction
-    y: Fraction
-    z: Fraction
-    w: Fraction
-
-    def __post_init__(self):
-        for name in ("x", "y", "z", "w"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-
-    def __str__(self):
-        f = self.field
-        return "(%s) + (%s)*sqrt(%d) + (%s)*sqrt(%d) + (%s)*sqrt(%d)" % (
-            self.x, self.y, f.d1, self.z, f.d2, self.w, f.d3)
-
-
-def _same_field(a, b):
-    if a.field != b.field:
-        raise ValueError("elements from different biquadratic fields")
-
-
-def mul_coords(a, b, field):
-    """Coordinates of the product of the elements of field with coordinate
-    4-tuples a and b on (1, sqrt(d1), sqrt(d2), sqrt(d3)), exact on ints
-    and Fractions alike."""
-    ax, ay, az, aw = a
-    bx, by, bz, bw = b
-    d1, d2, d3, s = field.d1, field.d2, field.d3, field.s
-    r1, r2 = d1 // s, d2 // s  # sqrt(d1)sqrt(d3) = r1*sqrt(d2) etc.
-    return (ax * bx + d1 * ay * by + d2 * az * bz + d3 * aw * bw,
-            ax * by + ay * bx + r2 * (az * bw + aw * bz),
-            ax * bz + az * bx + r1 * (ay * bw + aw * by),
-            ax * bw + aw * bx + s * (ay * bz + az * by))
-
-
-def biq_mul(a, b):
-    _same_field(a, b)
-    return BiquadElem(a.field, *mul_coords((a.x, a.y, a.z, a.w),
-                                           (b.x, b.y, b.z, b.w), a.field))
+        return QuarticElem(self, self.lift_coords(x.d, x.a, x.b))

@@ -7,8 +7,9 @@ fixed configuration are byte-stable.
 Exit codes: 0 success, 1 assertable-check violation, 2 invalid input (a
 flag out of range, a `--format` the command does not take, a malformed
 catalog, a d whose continued fraction does not close within
-CF_MAX_STEPS), 4 catalog validation failure (a failed Hasse relation, or
-a failed regulator cross-check for `cyclic`).  `main` alone parses the
+CF_MAX_STEPS or whose squarefreeness trial division does not decide
+within SQUAREFREE_MAX_STEPS), 4 catalog validation failure (a failed
+Hasse relation, or a failed regulator cross-check for `cyclic`).  `main` alone parses the
 arguments, resolves the configuration and maps library errors to codes.
 """
 
@@ -330,7 +331,7 @@ def main(argv=None):
         code = args.func(args, _config(args), buf)
     except CliError as exc:
         return _fail(exc, exc.code)
-    except UnitSearchError as exc:  # a continued fraction gave up
+    except UnitSearchError as exc:  # a bounded search gave up
         return _fail(exc, EXIT_INVALID_INPUT)
     except us.CatalogValidationError as exc:
         return _fail(exc, EXIT_CATALOG)

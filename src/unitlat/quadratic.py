@@ -15,6 +15,15 @@ import mpmath
 
 from .precision import DEFAULT_PRECISION, mpf_ctx
 
+CF_MAX_STEPS = 100000  # _cf_walk gives up after this many steps
+SQUAREFREE_MAX_STEPS = 2000000  # is_squarefree gives up at this divisor
+
+
+class UnitSearchError(ArithmeticError):
+    """A bounded search gave up: a continued fraction did not close
+    within CF_MAX_STEPS steps, or trial division did not decide
+    squarefreeness below SQUAREFREE_MAX_STEPS."""
+
 
 @functools.lru_cache(maxsize=4096, typed=True)
 def is_squarefree(d):
@@ -23,20 +32,25 @@ def is_squarefree(d):
     Each i with i^3 <= m, m what is left of d, is divided out once; a
     second division means i^2 | d.  No prime below the final i divides
     the cofactor m, and i^3 > m, so m has at most two prime factors: it
-    is squarefree unless it is a perfect square > 1.  Worst case d = p*q,
-    both primes near sqrt(d): ~4.6e6 steps at d ~ 1e20.  Memoized, as
+    is squarefree unless it is a perfect square > 1.  At i =
+    SQUAREFREE_MAX_STEPS (every d < 8e18 is decided before), m is
+    undecided: UnitSearchError, never "not squarefree".  Memoized, as
     every QuadElem construction checks its d.
     """
     if d < 1:
         return False
-    i = 2
-    while i * i * i <= d:
-        if d % i == 0:
-            d //= i
-            if d % i == 0:
+    m, i = d, 2
+    while i * i * i <= m:
+        if i == SQUAREFREE_MAX_STEPS:
+            raise UnitSearchError(
+                "cannot decide whether %d is squarefree: trial division "
+                "gave up at the budget of %d steps" % (d, SQUAREFREE_MAX_STEPS))
+        if m % i == 0:
+            m //= i
+            if m % i == 0:
                 return False
         i += 1
-    return d == 1 or isqrt(d) ** 2 != d
+    return m == 1 or isqrt(m) ** 2 != m
 
 
 def _check_squarefree(d):
@@ -113,13 +127,6 @@ class FundamentalUnitResult:
     unit: QuadElem
     norm_sign: int
     log_value: object  # mpf, natural log of the real embedding
-
-
-CF_MAX_STEPS = 100000  # _cf_walk gives up after this many steps
-
-
-class UnitSearchError(ArithmeticError):
-    """The continued fraction did not close within CF_MAX_STEPS steps."""
 
 
 def _cf_walk(d, p, q):

@@ -1,15 +1,17 @@
-"""Power-basis arithmetic in cyclic quartic fields L = Q(alpha).
+"""One exact kernel for real quartic fields, and the roots and Galois
+generator of the cyclic ones.
 
-alpha is a root of a monic integer quartic f with four real roots and
-cyclic Galois group.  The trace matrix M[j][k] = Tr(alpha^(j+k)) of the
-power basis is exact and decides three things: disc f = det M, total
-reality (Hermite: all roots are real and distinct iff M is positive
-definite), and the image of alpha under a generator sigma of the Galois
-group, which solves M c = t for the integer traces t_j of
-sigma(alpha) alpha^j, read off the roots by rounding and verified
-exactly.  The roots are solved for once per polynomial.  Everything else
-is exact in the tower L > k > Q, where k = Q(sqrt(d)) is the fixed field
-of sigma^2 and sigma restricts to the non-trivial automorphism of k.
+A field's `table` holds the integer structure constants of its basis
+b0 = 1, b1, b2, b3: the power basis of a monic integer quartic f
+(CyclicQuarticField) or 1, sqrt(d1), sqrt(d2), sqrt(d3) (BiquadField).
+Elements (QuarticElem) of both multiply by one product (mul_coords);
+the trace form (trace_matrix) and char_poly, which decides integrality,
+the norm and units, read the table and need no Galois action.
+
+On the power basis the trace form decides disc f, total reality
+(Hermite) and the image of alpha under a generator sigma of the Galois
+group (galois_generator), from roots solved once per polynomial.  sigma
+serves Hasse's relations, the unit search and sqrt_of_rational.
 """
 
 import functools
@@ -26,6 +28,87 @@ from .quadratic import _rational_sqrt
 
 class NotCyclicError(ValueError):
     """Defining polynomial is not a totally real cyclic quartic."""
+
+
+def mul_coords(a, b, table):
+    """Coordinates of the product of the elements with coordinates a and
+    b on a basis with structure constants table; exact on ints and on
+    Fractions alike."""
+    prod = [0, 0, 0, 0]
+    for i, x in enumerate(a):
+        if x:
+            row = table[i]
+            for j, y in enumerate(b):
+                if y:
+                    xy = x * y
+                    for k, c in row[j]:
+                        prod[k] += c * xy
+    return tuple(prod)
+
+
+def power_table(coeffs):
+    """Structure constants of the power basis of the monic quartic coeffs:
+    for each (i, j) the nonzero (k, c) of alpha^(i+j), reduced by
+    alpha^4 = -(c3 alpha^3 + c2 alpha^2 + c1 alpha + c0)."""
+    powers = [tuple(int(i == k) for i in range(4)) for k in range(4)]
+    for _ in range(3):
+        prev = powers[-1]
+        powers.append((-prev[3] * coeffs[0],) + tuple(
+            prev[k - 1] - prev[3] * coeffs[k] for k in range(1, 4)))
+    return tuple(tuple(tuple((k, c) for k, c in enumerate(powers[i + j]) if c)
+                       for j in range(4)) for i in range(4))
+
+
+def trace_matrix(table):
+    """The trace form of a basis, M[i][j] = Tr(b_i b_j), exact from its
+    structure constants; Tr(b_k), the trace of multiplication by b_k, sums
+    the coefficient of b_i in b_k b_i over i, and M[0] lists them.
+
+    On the power basis M[j][k] = Tr(alpha^(j+k)) = sum_i r_i^(j+k), so
+    M = V^T V for the root Vandermonde matrix V[i][j] = r_i^j, and
+    det M = disc f."""
+    tr = [sum(c for i in range(4) for j, c in table[k][i] if j == i)
+          for k in range(4)]
+    return tuple(tuple(sum(c * tr[k] for k, c in table[i][j])
+                       for j in range(4)) for i in range(4))
+
+
+def char_poly(a):
+    """The characteristic polynomial of multiplication by a as Fractions
+    (1, c1, c2, c3, c4), highest degree first: a power of the minimal
+    polynomial, so a is integral iff every c_m is an integer, and
+    c4 = N_{L/Q}(a).  With a = A/D, A integer, the power sums
+    p_m = Tr(A^m), m <= 4, take three products; Newton's identities
+    m C_m = -(p_m + C_1 p_(m-1) + ... + C_(m-1) p_1) divide exactly, as A
+    lies in the order the table spans, and c_m = C_m / D^m."""
+    table = a.field.table
+    tr = trace_matrix(table)[0]
+    den = math.lcm(*(v.denominator for v in a.coords))
+    a1 = tuple(v.numerator * (den // v.denominator) for v in a.coords)
+    a2 = mul_coords(a1, a1, table)
+    p = [sum(t * v for t, v in zip(tr, x))
+         for x in (a1, a2, mul_coords(a2, a1, table),
+                   mul_coords(a2, a2, table))]
+    c = [1]
+    for m in range(1, 5):
+        c.append(-(p[m - 1] + sum(c[i] * p[m - 1 - i]
+                                  for i in range(1, m))) // m)
+    return tuple(Fraction(v, den ** m) for m, v in enumerate(c))
+
+
+def is_algebraic_integer(a):
+    """a lies in O_L iff its characteristic polynomial lies in Z[x]."""
+    return all(c.denominator == 1 for c in char_poly(a))
+
+
+def norm_to_Q(a):
+    """N_{L/Q}(a), an exact rational: the constant term of char_poly."""
+    return char_poly(a)[4]
+
+
+def is_unit(a):
+    poly = char_poly(a)
+    return all(c.denominator == 1 for c in poly) and abs(poly[4]) == 1
 
 
 @functools.lru_cache(maxsize=None)
@@ -52,7 +135,7 @@ def _real_roots(coeffs, precision_bits):
     unless its leading minors are > 0: by Hermite the trace form has
     signature (r1 + r2, r2) when the roots are distinct, and det M =
     disc f = 0 when they are not."""
-    mat = trace_matrix(coeffs)
+    mat = trace_matrix(power_table(coeffs))
     minors = [_det(tuple(row[:k] for row in mat[:k])) for k in (2, 3, 4)]
     if minors[-1] == 0:
         raise NotCyclicError("defining polynomial has a repeated root")
@@ -96,20 +179,6 @@ def _newton(coeffs, root, precision_bits):
         return +x
 
 
-def trace_matrix(coeffs):
-    """The trace form of the power basis, M[j][k] = Tr(alpha^(j+k)), exact.
-
-    Tr(alpha^m) is the trace of multiplication by alpha^m, whose column i
-    is alpha^(m+i), so it sums coordinate i of alpha^(m+i) over i.  M =
-    V^T V for the root Vandermonde matrix V[i][j] = r_i^j, so det M =
-    disc f."""
-    powers = [(1, 0, 0, 0)]
-    for _ in range(9):
-        powers.append(mul_coords(powers[-1], (0, 1, 0, 0), coeffs))
-    tr = [sum(powers[m + i][i] for i in range(4)) for m in range(7)]
-    return tuple(tuple(tr[j:j + 4]) for j in range(4))
-
-
 def _det(rows):
     """Determinant of a square integer matrix, by Laplace expansion along
     its first row."""
@@ -120,10 +189,10 @@ def _det(rows):
                for k, v in enumerate(rows[0]) if v)
 
 
-def discriminant(coeffs):
-    """Discriminant of the monic quartic coeffs, exact: det of its trace
-    matrix."""
-    return _det(trace_matrix(coeffs))
+def discriminant(table):
+    """Discriminant of a basis, exact: det of its trace form; disc f on
+    the power basis of f."""
+    return _det(trace_matrix(table))
 
 
 @dataclass(frozen=True)
@@ -139,14 +208,18 @@ class CyclicQuarticField:
                              "constant first")
         object.__setattr__(self, "coeffs", c)
 
-    def one(self):
-        return QuarticElem(self, (Fraction(1), Fraction(0), Fraction(0), Fraction(0)))
+    @functools.cached_property
+    def table(self):
+        return power_table(self.coeffs)
+
+    def format(self, coords):
+        return "[" + ", ".join(str(c) for c in coords) + "]"
 
     def from_rational(self, q):
-        return QuarticElem(self, (Fraction(q), Fraction(0), Fraction(0), Fraction(0)))
+        return QuarticElem(self, (q, 0, 0, 0))
 
     def gen(self):
-        return QuarticElem(self, (Fraction(0), Fraction(1), Fraction(0), Fraction(0)))
+        return QuarticElem(self, (0, 1, 0, 0))
 
     @functools.cached_property
     def sigma(self):
@@ -174,13 +247,16 @@ class CyclicQuarticField:
 
 @dataclass(frozen=True)
 class QuarticElem:
-    field: CyclicQuarticField
-    coords: tuple  # (c0, c1, c2, c3) in the power basis 1, a, a^2, a^3
+    """Exact rational coordinates on the basis of a field with a table
+    and a format: a CyclicQuarticField or a BiquadField."""
+
+    field: object
+    coords: tuple  # (c0, c1, c2, c3)
 
     def __post_init__(self):
         c = tuple(Fraction(v) for v in self.coords)
         if len(c) != 4:
-            raise ValueError("need 4 power-basis coordinates")
+            raise ValueError("need 4 coordinates")
         object.__setattr__(self, "coords", c)
 
     def is_zero(self):
@@ -189,12 +265,8 @@ class QuarticElem:
     def is_rational(self):
         return not any(self.coords[1:])
 
-    def rational_value(self):
-        assert self.is_rational()
-        return self.coords[0]
-
     def __str__(self):
-        return "[" + ", ".join(str(c) for c in self.coords) + "]"
+        return self.field.format(self.coords)
 
 
 def qr_add(a, b):
@@ -208,73 +280,12 @@ def qr_neg(a):
 
 def qr_mul(a, b):
     _same(a, b)
-    return QuarticElem(a.field, mul_coords(a.coords, b.coords, a.field.coeffs))
-
-
-def mul_coords(a, b, coeffs):
-    """Power-basis coordinates of a*b modulo the monic quartic coeffs;
-    exact on ints and on Fractions alike."""
-    c0, c1, c2, c3 = coeffs[:4]
-    prod = [0] * 7
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                prod[i + j] += x * y
-    # reduce degrees 6..4 using a^4 = -(c3 a^3 + c2 a^2 + c1 a + c0)
-    for deg in (6, 5, 4):
-        v = prod[deg]
-        if v:
-            prod[deg - 1] -= c3 * v
-            prod[deg - 2] -= c2 * v
-            prod[deg - 3] -= c1 * v
-            prod[deg - 4] -= c0 * v
-    return tuple(prod[:4])
+    return QuarticElem(a.field, mul_coords(a.coords, b.coords, a.field.table))
 
 
 def _same(a, b):
     if a.field != b.field:
         raise ValueError("elements from different quartic fields")
-
-
-def _relative_norm(a):
-    """N_{L/k}(a) = a * sigma^2(a), an element of k."""
-    return qr_mul(a, a.field.sigma2(a))
-
-
-def _trace_norm_to_Q(y):
-    """(Tr_{k/Q}(y), N_{k/Q}(y)) of y in k as rationals: sigma restricts to
-    the non-trivial automorphism of k."""
-    z = y.field.sigma(y)
-    return qr_add(y, z).rational_value(), qr_mul(y, z).rational_value()
-
-
-def _is_k_integer(y):
-    return all(v.denominator == 1 for v in _trace_norm_to_Q(y))
-
-
-def is_algebraic_integer(a):
-    """a lies in O_L iff its relative trace a + sigma^2(a) and norm
-    N_{L/k}(a) lie in O_k, each tested by trace and norm in Z."""
-    return (_is_k_integer(qr_add(a, a.field.sigma2(a)))
-            and _is_k_integer(_relative_norm(a)))
-
-
-def norm_to_Q(a):
-    """N_{L/Q}(a) = N_{k/Q}(N_{L/k}(a)), an exact rational."""
-    n = _relative_norm(a)
-    return qr_mul(n, a.field.sigma(n)).rational_value()
-
-
-def is_unit(a):
-    return is_algebraic_integer(a) and abs(norm_to_Q(a)) == 1
-
-
-def eval_poly_at(field, elem):
-    """Evaluate the defining polynomial at an element of the field."""
-    acc = field.from_rational(field.coeffs[4])
-    for c in field.coeffs[3::-1]:
-        acc = qr_add(qr_mul(acc, elem), field.from_rational(c))
-    return acc
 
 
 class Automorphism:
@@ -285,7 +296,7 @@ class Automorphism:
         self.field = field
         self.image = image
         self.root_perm = root_perm
-        gen_powers = [field.one()]
+        gen_powers = [field.from_rational(1)]
         for _ in range(3):
             gen_powers.append(qr_mul(gen_powers[-1], image))
         self._powers = gen_powers
@@ -327,7 +338,7 @@ def quartic_is_irreducible(coeffs):
     products of roots, at most R^2, are off by far less than 1/2 and
     rounding finds every factor.
     """
-    if discriminant(coeffs) == 0:
+    if discriminant(power_table(coeffs)) == 0:
         return False
     bits = _cauchy_bits(coeffs)
     rts = _solve(tuple(coeffs), bits)
@@ -377,7 +388,8 @@ def galois_generator(field):
     candidate image c of alpha solves M c = t exactly by Cramer's rule,
     with M = trace_matrix(f) and t_j = sum_i r_perm(i) r_i^j rounded to an
     integer; the first candidate exactly verified as an automorphism of
-    order 4 is returned.  At the 4-cycle of sigma, t_j = Tr(sigma(alpha)
+    order 4 is returned.  c is a root of f iff char_poly(c) = f:
+    Cayley-Hamilton one way, f irreducible the other.  At the 4-cycle of sigma, t_j = Tr(sigma(alpha)
     alpha^j) = sum_k M[j][k] c_k is an integer, as sigma(alpha) alpha^j
     lies in Z[alpha].
 
@@ -389,7 +401,7 @@ def galois_generator(field):
     """
     if not quartic_is_irreducible(field.coeffs):
         raise NotCyclicError("defining polynomial is reducible")
-    mat = trace_matrix(field.coeffs)
+    mat = trace_matrix(field.table)
     disc = _det(mat)
     bits = 2 * _cauchy_bits(field.coeffs)
     roots = field.roots(bits)
@@ -402,7 +414,7 @@ def galois_generator(field):
                 Fraction(_det(tuple(row[:k] + (v,) + row[k + 1:]
                                     for row, v in zip(mat, t))), disc)
                 for k in range(4)))
-            if not eval_poly_at(field, cand).is_zero():
+            if char_poly(cand) != field.coeffs[::-1]:
                 continue
             tau = Automorphism(field, cand, perm)
             t2 = tau.compose(tau)
@@ -419,9 +431,11 @@ def sqrt_of_rational(field, q):
     sqrt(q) is not in L (or q <= 0).
 
     Exact: y, the irrational one of Tr_{L/k}(alpha) and N_{L/k}(alpha),
-    has p = Tr_{k/Q}(y) and m = N_{k/Q}(y) rational with
-    (2y - p)^2 = p^2 - 4m, so k = Q(sqrt(p^2 - 4m)), and sqrt(q) lies in L
-    iff c = sqrt((p^2 - 4m)/q) is rational; then sqrt(q) = +-(2y - p)/c.
+    lies in k, so char_poly(y) = (x^2 - p x + m)^2 with p = Tr_{k/Q}(y)
+    and m = N_{k/Q}(y); its coefficients of x^3 and x^2 are -2p and
+    p^2 + 2m.  (2y - p)^2 = p^2 - 4m, so k = Q(sqrt(p^2 - 4m)), and
+    sqrt(q) lies in L iff c = sqrt((p^2 - 4m)/q) is rational; then
+    sqrt(q) = +-(2y - p)/c.
     """
     q = Fraction(q)
     if q <= 0:
@@ -432,8 +446,10 @@ def sqrt_of_rational(field, q):
     alpha = field.gen()
     y = qr_add(alpha, field.sigma2(alpha))
     if y.is_rational():  # then N_{L/k}(alpha) is not, as alpha has degree 4
-        y = _relative_norm(alpha)
-    p, m = _trace_norm_to_Q(y)
+        y = qr_mul(alpha, field.sigma2(alpha))
+    _, c1, c2, _, _ = char_poly(y)
+    p = -c1 / 2
+    m = (c2 - p * p) / 2
     c = _rational_sqrt((p * p - 4 * m) / q)
     if c is None:
         return None

@@ -25,7 +25,7 @@ from .precision import DEFAULT_PRECISION, mpf_ctx
 from .quadratic import (QuadElem, fundamental_unit, is_squarefree,
                         quad_mul, quad_norm, surd_sign, unit_key)
 from . import quartic as qt
-from .biquadratic import BiquadElem, BiquadField, mul_coords
+from .biquadratic import BiquadField
 from .loglattice import log_sigma, orbit_log
 
 class CatalogValidationError(ValueError):
@@ -45,10 +45,7 @@ def subfield_units(d1, d2, precision_bits=DEFAULT_PRECISION):
     log(units[i]) at precision_bits; fixers[i] is the Galois element
     fixing the subfield of units[i]; norm_signs[i] is its norm, +-1.
     """
-    return _subfield_units(BiquadField(d1, d2), precision_bits)
-
-
-def _subfield_units(field, precision_bits):
+    field = BiquadField(d1, d2)
     ranked = sorted(((fixer, fundamental_unit(d, precision_bits))
                      for d, fixer in ((field.d1, "s1"), (field.d2, "s2"),
                                       (field.d3, "s3"))),
@@ -173,9 +170,11 @@ def _norm_minus_one_root(field, units, eps, nu, t):
     if surd_sign(fa, fb, di) < 0:
         fa, fb = -fa, -fb
     lifts = [field.lift_coords(u.d, a, b) for u, (a, b) in zip(units, doubled)]
-    prod = mul_coords(mul_coords(lifts[0], lifts[1], field), lifts[2], field)
+    table = field.table
+    prod = qt.mul_coords(qt.mul_coords(lifts[0], lifts[1], table), lifts[2],
+                         table)
     shifted = tuple(p + 4 * eps * c for p, c in zip(prod, lifts[0]))
-    return (mul_coords(shifted, field.lift_coords(di, fa, fb), field),
+    return (qt.mul_coords(shifted, field.lift_coords(di, fa, fb), table),
             8 * den)
 
 
@@ -199,7 +198,7 @@ def klein_unit_structure(d1, d2, precision_bits=DEFAULT_PRECISION):
     basis slot k of (1, d1, d2, d3) and r = isqrt(m*delta).
     """
     field = BiquadField(d1, d2)
-    units, logs, fixers, norm_signs = _subfield_units(field, precision_bits)
+    units, logs, fixers, norm_signs = subfield_units(d1, d2, precision_bits)
     trace_plus_2 = [_doubled(u)[0] + 2 for u in units]
     deltas = (1, field.d1, field.d2, field.d3)  # sqrt(delta): basis slot k
 
@@ -250,14 +249,14 @@ def klein_pattern_root(struct, e):
         for ei, u in zip(e, struct.units):
             if ei:
                 two_a, two_b = _doubled(u)
-                num = mul_coords(num, field.lift_coords(u.d, two_a + 2, two_b),
-                                 field)
+                num = qt.mul_coords(
+                    num, field.lift_coords(u.d, two_a + 2, two_b), field.table)
         den = 2 ** sum(e) * r
-    return BiquadElem(field, *(Fraction(c, den) for c in num))
+    return qt.QuarticElem(field, tuple(Fraction(c, den) for c in num))
 
 
 def klein_generators(struct):
-    """Three BiquadElems generating O_L^* mod +-1: the lifted subfield
+    """Three elements generating O_L^* mod +-1: the lifted subfield
     units, with the root of each F2 basis pattern in its pivot slot."""
     roots = {slot: p for p, slot in struct.basis}
     return tuple(klein_pattern_root(struct, roots[i]) if i in roots
@@ -383,7 +382,7 @@ def verify_hasse_relations(entry, ctx):
     """{relation: bool}, exact, for a catalog entry in its context."""
     field = ctx.field
     sigma, s2 = field.sigma, field.sigma2
-    one = field.one()
+    one = field.from_rational(1)
     u0 = qt.QuarticElem(field, entry.u0)
 
     rel = {}
@@ -509,7 +508,7 @@ def relative_norm_screen(ctx):
 
     def exponent(c):
         s2c = [sum(m * v for m, v in zip(row, c)) for row in s2_rows]
-        return table.get(qt.mul_coords(c, s2c, field.coeffs))
+        return table.get(qt.mul_coords(c, s2c, field.table))
     return exponent
 
 
@@ -648,7 +647,7 @@ def row_prover(gens):
     all in Z[alpha] but c.  The powers G_i^m are cached, so each row costs
     a few products of integers.
     """
-    coeffs = gens[0].field.coeffs
+    table = gens[0].field.table
     den = math.lcm(*(v.denominator for g in gens for v in g.coords))
     numers = [tuple(int(v * den) for v in g.coords) for g in gens]
     powers = {}
@@ -656,7 +655,7 @@ def row_prover(gens):
     def power(i, m):
         if (i, m) not in powers:
             powers[i, m] = (numers[i] if m == 1 else
-                            qt.mul_coords(power(i, m - 1), numers[i], coeffs))
+                            qt.mul_coords(power(i, m - 1), numers[i], table))
         return powers[i, m]
 
     def proves(c, n):
@@ -664,10 +663,10 @@ def row_prover(gens):
         scale_lhs = scale_rhs = 1
         for i, m in enumerate(n):
             if m < 0:
-                lhs = qt.mul_coords(lhs, power(i, -m), coeffs)
+                lhs = qt.mul_coords(lhs, power(i, -m), table)
                 scale_rhs *= den ** -m
             elif m > 0:
-                rhs = qt.mul_coords(rhs, power(i, m), coeffs)
+                rhs = qt.mul_coords(rhs, power(i, m), table)
                 scale_lhs *= den ** m
         lhs = [scale_lhs * v for v in lhs]
         rhs = [scale_rhs * v for v in rhs]

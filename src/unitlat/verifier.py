@@ -176,7 +176,11 @@ def klein_field_report(d1, d2, precision_bits=DEFAULT_PRECISION):
     Each nonzero t_i is at least X_i >= X3, and the largest t_i appears
     in two of the three maxima, so every n != 0 has 1-norm >= 8*X3, with
     equality only at n = (0, 0, +-1) (n1 or n2 nonzero gives >= 8*X2).
-    So the minimum is 8*X3/den at argmin (0, 0, -1), exactly: certified.
+    So 8*X3/den at argmin (0, 0, -1) is the exact minimum of the
+    (1/den)-scaled E-wedge lattice: certified for that lattice.  That
+    lattice contains wedge^2 O_L^*, the lattice of wedges of the
+    generators of O_L^*, so the value is only a lower bound on the
+    minimum of wedge^2 O_L^*, not that minimum.
     """
     with mpf_ctx(precision_bits):
         struct = us.klein_unit_structure(d1, d2, precision_bits)

@@ -8,36 +8,41 @@ cf_unit_search_by_norm finds a fundamental unit by the full norm of
 every convergent, where the library reads the complete quotient's
 denominator; surd_cmp and quad_cmp compare surds exactly by squaring,
 the reference for the library's (trace, -norm) order of units.  char_poly
-uses only the library's basis multiplications `biq_mul` and `qr_mul`,
-which the ring axiom tests check, and no tower integrality test, norm
-or Galois action.  sigma_loop_log applies the exact sigma
-and evaluates at root 0 only, sharing nothing with the root orbit.
-sampled_constrained_min restates the cyclic-case minimization problems
-in floats and samples a grid, knowing nothing of their candidate points.
-klein_e_wedge builds the E-wedge lattice of a Klein field from
-`klein_wedge_rows`, which the wedge tests pin to `wedge2` of real log
-vectors, so `brute_min_one_norm` can check the report's closed-form
-minimum.  klein_patterns_tower decides all seven Klein square classes by
-the exact tower square root sqrt_in_field (built on quad_sqrt), knowing
-nothing of the library's criteria on traces and coordinates, and
-tower_witness reads the library's witness of each class off its root.
-fraction_route_root and fraction_route_generators keep the earlier
-Fraction route of the Klein square roots, every step an element, where
-the library multiplies integer numerators (`mul_coords`) over one
-denominator.  Three cyclic oracles keep the earlier direct forms:
-trial_division_irreducible finds integer roots and quadratic factors
-from the divisors of the constant term, with no roots computed;
+runs Faddeev-LeVerrier on the matrix of multiplication, built by the
+library's one product `qr_mul`, which the ring axiom and table tests
+check, where the library takes power sums of traces; it uses no tower
+integrality test, norm or Galois action.  sigma_loop_log applies the
+exact sigma and evaluates at root 0 only, sharing nothing with the root
+orbit.  sampled_constrained_min restates the cyclic-case minimization
+problems in floats and samples a grid, knowing nothing of their
+candidate points.  klein_e_wedge builds the E-wedge lattice of a Klein
+field from `klein_wedge_rows`, which the wedge tests pin to `wedge2` of
+real log vectors, so `brute_min_one_norm` can check the report's
+closed-form minimum.  klein_patterns_tower decides all seven Klein
+square classes by the exact tower square root sqrt_in_field (built on
+quad_sqrt), knowing nothing of the library's criteria on traces and
+coordinates, and tower_witness reads the library's witness of each class
+off its root.  fraction_route_root and fraction_route_generators keep
+the earlier Fraction route of the Klein square roots, every step an
+element, where the library multiplies integer numerators (`mul_coords`)
+over one denominator.  Four cyclic oracles keep the earlier direct
+forms: trial_division_irreducible finds integer roots and quadratic
+factors from the divisors of the constant term, with no roots computed;
 galois_generator_all_perms reconstructs sigma from every root
 permutation moving root 0, not only 4-cycles, by one Vandermonde solve
-each and rational reconstruction, where the library solves the trace
-matrix exactly; fraction_norm_exponent tests a relative norm in Fraction
-arithmetic through qr_mul and the exact sigma^2.  unit_half_box keeps
-the units of a box of power-basis vectors by power_basis_norm, the
-integer determinant of multiplication by c, with no root, float or
-Galois action.
+each and rational reconstruction, and tests each candidate root of f by
+Horner's rule (eval_poly_at), where the library solves the trace matrix
+exactly and compares char_poly with f; fraction_norm_exponent tests a relative norm in Fraction
+arithmetic through qr_mul and the exact sigma^2; and the sigma tower
+(qr_is_algebraic_integer, qr_norm_to_Q, qr_is_unit) decides integrality
+and the norm through k = Q(sqrt(d)), where the library reads the
+characteristic polynomial.  unit_half_box keeps the units of a box of
+power-basis vectors by power_basis_norm, the integer determinant of
+multiplication by c, with no root, float or Galois action.
 
 The Klein embedding chain is the reference LOG of a biquadratic
-element: the Galois action (galois_apply), tower integrality
+element: the Galois action (galois_apply), the Galois-product norm
+(biq_norm_to_Q), tower integrality over K = Q(sqrt(d1))
 (is_algebraic_integer, is_unit), the four real embeddings (embed_real)
 and log_embed_klein.  The library needs none of it: its Klein lattices
 are built from the subfield regulators W_i, and verify-paper's wedge
@@ -46,11 +51,9 @@ fixture embeds each unit in its own Q(sqrt(d_i)).
 The rest is package-style code that only tests call: the maximal-order
 test and real embedding of a quadratic element (is_quad_integer,
 quad_embed: the Fraction forms of fundamental_unit's integer checks and
-log), quadratic, biquadratic and cyclic quartic sums, inverses and
-powers (biq_add, quad_inv, biq_neg, biq_norm_to_Q, biq_inv, biq_pow,
-qr_inv, qr_pow), the cyclic LOG of one
-unit (log_embed_cyclic, the library's orbit_log after a unit test) and
-the Pohst floor check on one unit (pohst_check).
+log), inverses and powers (quad_inv, biq_inv, qr_inv, qr_pow), the
+cyclic LOG of one unit (log_embed_cyclic, the library's orbit_log after
+a unit test) and the Pohst floor check on one unit (pohst_check).
 """
 
 import itertools
@@ -60,14 +63,13 @@ from math import isqrt, log, sqrt
 
 import mpmath
 
-from unitlat.biquadratic import BiquadElem, BiquadField, biq_mul
+from unitlat.biquadratic import BiquadField
 from unitlat.loglattice import LogVector, klein_wedge_rows, orbit_log
 from unitlat.precision import DEFAULT_PRECISION, mpf_ctx
 from unitlat.quadratic import (CF_MAX_STEPS, QuadElem, _rational_sqrt,
                                is_squarefree, quad_mul, quad_norm, surd_sign)
-from unitlat.quartic import (Automorphism, QuarticElem, embed_all,
-                             eval_poly_at, qr_mul, qr_neg)
-from unitlat.quartic import is_unit as qr_is_unit
+from unitlat.quartic import (Automorphism, QuarticElem, embed_all, qr_add,
+                             qr_mul, qr_neg)
 from unitlat.units import (KleinUnitStructure, _f2_basis, klein_denominator,
                            subfield_units)
 from unitlat.verifier import DERIVED_TOL, BoundReport, constants
@@ -255,8 +257,9 @@ def sqrt_in_field(a):
     with n^2 = N_{L/K}(a), and h = beta/(2g), or h^2 = (alpha -+ n)/(2*d2)
     when g = 0."""
     f = a.field
-    alpha = QuadElem(f.d1, a.x, a.y)
-    beta = QuadElem(f.d1, a.z, a.w / f.s)  # sqrt(d3) = sqrt(d1)*sqrt(d2)/s
+    x, y, z, w = a.coords
+    alpha = QuadElem(f.d1, x, y)
+    beta = QuadElem(f.d1, z, w / f.s)  # sqrt(d3) = sqrt(d1)*sqrt(d2)/s
     n = quad_sqrt(_relative_norm(a))
     if n is None:
         return None
@@ -272,15 +275,15 @@ def sqrt_in_field(a):
                                    (alpha.b - sign * n.b) / (2 * f.d2)))
             if h is None:
                 continue
-        cand = BiquadElem(f, g.a, g.b, h.a, h.b * f.s)
-        if biq_mul(cand, cand) == a:
+        cand = QuarticElem(f, (g.a, g.b, h.a, h.b * f.s))
+        if qr_mul(cand, cand) == a:
             # exact sign at the id-embedding: when g and h*sqrt(d2) differ
             # in sign, the larger of g^2 and d2*h^2 wins
             sg, sh = (surd_sign(x.a, x.b, f.d1) for x in (g, h))
             if sg * sh < 0:
                 g2, h2 = quad_mul(g, g), quad_mul(h, h)
                 sg *= surd_sign(g2.a - f.d2 * h2.a, g2.b - f.d2 * h2.b, f.d1)
-            return cand if (sg or sh) > 0 else biq_neg(cand)
+            return cand if (sg or sh) > 0 else qr_neg(cand)
     return None
 
 
@@ -298,11 +301,7 @@ def klein_patterns_tower(d1, d2):
     for e in itertools.product((0, 1), repeat=3):
         if e == (0, 0, 0):
             continue
-        prod = field.one()
-        for ei, lift in zip(e, lifts):
-            if ei:
-                prod = biq_mul(prod, lift)
-        root = sqrt_in_field(prod)
+        root = sqrt_in_field(_pattern_product(field, e, lifts))
         if root is not None:
             roots[e] = root
     patterns = tuple(roots)
@@ -330,30 +329,26 @@ def tower_witness(units, fixers, e, x):
     field = x.field
     lifts = [field.lift_quad(u) for u in units]
     if all(quad_norm(u) > 0 for ei, u in zip(e, units) if ei):
-        shifted = field.one()
-        for ei, lift in zip(e, lifts):
-            if ei:
-                shifted = biq_mul(shifted, BiquadElem(field, lift.x + 1, lift.y,
-                                                      lift.z, lift.w))
-        q = biq_mul(x, biq_inv(shifted))
-        nonzero = tuple((k, 1 / c) for k, c in enumerate(biq_coords(q)) if c)
+        one = QuarticElem(field, (1, 0, 0, 0))
+        shifted = _pattern_product(field, e, [qr_add(v, one) for v in lifts])
+        q = qr_mul(x, biq_inv(shifted))
+        nonzero = tuple((k, 1 / c) for k, c in enumerate(q.coords) if c)
         return nonzero[0] if len(nonzero) == 1 else nonzero
     _, uj, uk = units
     xt = galois_apply(fixers[0], x)
-    eps = {lifts[0]: 1, biq_neg(lifts[0]): -1}.get(biq_mul(x, xt))
+    eps = {lifts[0]: 1, qr_neg(lifts[0]): -1}.get(qr_mul(x, xt))
     if eps is None:
         return None
-    g2 = BiquadElem(field, *(c + ct for c, ct in zip(biq_coords(x),
-                                                     biq_coords(xt))))
-    norm_g = biq_mul(g2, galois_apply(fixers[1], g2)).x / 4
-    return eps, norm_g / ((uj.a - eps * uk.a) / 2), abs(g2.x)
+    g2 = qr_add(x, xt)
+    norm_g = qr_mul(g2, galois_apply(fixers[1], g2)).coords[0] / 4
+    return eps, norm_g / ((uj.a - eps * uk.a) / 2), abs(g2.coords[0])
 
 
 def _pattern_product(field, e, elems):
-    prod = field.one()
+    prod = QuarticElem(field, (1, 0, 0, 0))
     for ei, x in zip(e, elems):
         if ei:
-            prod = biq_mul(prod, x)
+            prod = qr_mul(prod, x)
     return prod
 
 
@@ -368,9 +363,11 @@ def fraction_route_root(struct, e):
     witness = struct.witnesses[e]
     if len(witness) == 2:
         k, r = witness
-        shifted = [biq_add(field.lift_quad(u), field.one()) for u in units]
-        scale = BiquadElem(field, *(Fraction(int(i == k), r) for i in range(4)))
-        return biq_mul(_pattern_product(field, e, shifted), scale)
+        one = QuarticElem(field, (1, 0, 0, 0))
+        shifted = [qr_add(field.lift_quad(u), one) for u in units]
+        scale = QuarticElem(field, tuple(Fraction(int(i == k), r)
+                                         for i in range(4)))
+        return qr_mul(_pattern_product(field, e, shifted), scale)
     eps, nu, t = witness
     (ai, bi, di), (aj, _, _), (ak, _, _) = ((u.a, u.b, u.d) for u in units)
     pi = units[0].b * units[1].b * units[2].b * field.d1 * field.d2 / field.s
@@ -382,9 +379,9 @@ def fraction_route_root(struct, e):
     if surd_sign(factor.a, factor.b, di) < 0:
         factor = QuadElem(di, -factor.a, -factor.b)
     lifts = [field.lift_quad(u) for u in units]
-    shifted = biq_add(_pattern_product(field, (1, 1, 1), lifts),
-                      field.lift_quad(QuadElem(di, eps * ai, eps * bi)))
-    return biq_mul(shifted, field.lift_quad(factor))
+    shifted = qr_add(_pattern_product(field, (1, 1, 1), lifts),
+                     field.lift_quad(QuadElem(di, eps * ai, eps * bi)))
+    return qr_mul(shifted, field.lift_quad(factor))
 
 
 def fraction_route_generators(struct):
@@ -403,17 +400,13 @@ def float_rows(rows):
 
 
 def char_poly(a):
-    """Characteristic polynomial of multiplication-by-a on the rational
-    basis 1, sqrt(d1), sqrt(d2), sqrt(d3) of a biquadratic field, or the
-    power basis 1, alpha, alpha^2, alpha^3 of a cyclic quartic one, exact,
-    via Faddeev-LeVerrier.  Coefficients are monic, highest degree first;
-    a is an algebraic integer iff all of them are integers, and the last
-    one is the norm to Q."""
+    """Characteristic polynomial of multiplication-by-a on its field's
+    basis, exact, via Faddeev-LeVerrier on the matrix whose columns are
+    a*b_j.  Coefficients are monic, highest degree first; a is an
+    algebraic integer iff all of them are integers, and the last one is
+    the norm to Q."""
     unit = [[int(i == j) for j in range(4)] for i in range(4)]
-    if isinstance(a, QuarticElem):
-        m = [qr_mul(a, QuarticElem(a.field, e)).coords for e in unit]
-    else:
-        m = [biq_coords(biq_mul(a, BiquadElem(a.field, *e))) for e in unit]
+    m = [qr_mul(a, QuarticElem(a.field, e)).coords for e in unit]
     m = [[m[j][i] for j in range(4)] for i in range(4)]  # columns -> matrix
 
     def mat_mul(p, q):
@@ -487,32 +480,18 @@ _GALOIS_SIGNS = {
 }
 
 
-def biq_coords(a):
-    return (a.x, a.y, a.z, a.w)
-
-
-def biq_is_zero(a):
-    return not any(biq_coords(a))
-
-
-def biq_is_rational(a):
-    return a.y == 0 and a.z == 0 and a.w == 0
-
-
-def biq_from_rational(field, q):
-    return BiquadElem(field, q, 0, 0, 0)
-
-
 def galois_apply(g, a):
     """Apply a Klein Galois element; sign flips per the fixed subfield."""
+    x, y, z, w = a.coords
     sy, sz, sw = _GALOIS_SIGNS[g]
-    return BiquadElem(a.field, a.x, sy * a.y, sz * a.z, sw * a.w)
+    return QuarticElem(a.field, (x, sy * y, sz * z, sw * w))
 
 
 def _relative_norm(a):
     """N_{L/K}(a) = alpha^2 - d2*beta^2, an element of K = Q(sqrt(d1))."""
     f = a.field
-    x, y, z, w = a.x, a.y, a.z, a.w / f.s
+    x, y, z, w = a.coords
+    w /= f.s
     return QuadElem(f.d1, x * x + f.d1 * y * y - f.d2 * (z * z + f.d1 * w * w),
                     2 * (x * y - f.d2 * z * w))
 
@@ -520,7 +499,8 @@ def _relative_norm(a):
 def is_algebraic_integer(a):
     """a lies in O_L iff its relative trace 2*alpha and norm N_{L/K}(a)
     lie in O_K, each tested by trace and norm in Z."""
-    return (is_quad_integer(QuadElem(a.field.d1, 2 * a.x, 2 * a.y))
+    x, y, _, _ = a.coords
+    return (is_quad_integer(QuadElem(a.field.d1, 2 * x, 2 * y))
             and is_quad_integer(_relative_norm(a)))
 
 
@@ -543,7 +523,7 @@ def embed_real(a, precision_bits=DEFAULT_PRECISION):
     full coefficient bit-size to survive it.
     """
     f = a.field
-    with mpf_ctx(precision_bits + 2 * _coord_bits(biq_coords(a)) + 16):
+    with mpf_ctx(precision_bits + 2 * _coord_bits(a.coords) + 16):
         roots = (mpmath.mpf(1), mpmath.sqrt(f.d1), mpmath.sqrt(f.d2),
                  mpmath.sqrt(f.d3))
 
@@ -553,7 +533,7 @@ def embed_real(a, precision_bits=DEFAULT_PRECISION):
         out = []
         for g in GALOIS_KLEIN:
             img = galois_apply(g, a)
-            out.append(sum(frac(c) * r for c, r in zip(biq_coords(img), roots)))
+            out.append(sum(frac(c) * r for c, r in zip(img.coords, roots)))
         return tuple(out)
 
 
@@ -574,44 +554,26 @@ def log_embed_klein(x, precision_bits=DEFAULT_PRECISION, order=GALOIS_KLEIN):
                          "klein", precision_bits)
 
 
+def _rational(x):
+    """The value of an element that lies in Q."""
+    assert x.is_rational(), "must land in Q"
+    return x.coords[0]
+
+
 def biq_norm_to_Q(a):
     """N_{L/Q}(a) = a * s1(a) * s2(a) * s3(a), an exact rational."""
-    prod = biq_mul(biq_mul(a, galois_apply("s1", a)),
-                   biq_mul(galois_apply("s2", a), galois_apply("s3", a)))
-    assert biq_is_rational(prod), "norm must land in Q"
-    return prod.x
-
-
-def biq_add(a, b):
-    assert a.field == b.field
-    return BiquadElem(a.field, a.x + b.x, a.y + b.y, a.z + b.z, a.w + b.w)
-
-
-def biq_neg(a):
-    return BiquadElem(a.field, -a.x, -a.y, -a.z, -a.w)
+    prod = qr_mul(qr_mul(a, galois_apply("s1", a)),
+                  qr_mul(galois_apply("s2", a), galois_apply("s3", a)))
+    return _rational(prod)
 
 
 def biq_inv(a):
-    if biq_is_zero(a):
+    if a.is_zero():
         raise ZeroDivisionError("zero element has no inverse")
-    cofactor = biq_mul(biq_mul(galois_apply("s1", a), galois_apply("s2", a)),
-                       galois_apply("s3", a))
+    cofactor = qr_mul(qr_mul(galois_apply("s1", a), galois_apply("s2", a)),
+                      galois_apply("s3", a))
     n = biq_norm_to_Q(a)
-    return BiquadElem(a.field, cofactor.x / n, cofactor.y / n,
-                      cofactor.z / n, cofactor.w / n)
-
-
-def biq_pow(a, k):
-    if k < 0:
-        return biq_pow(biq_inv(a), -k)
-    r = a.field.one()
-    base = a
-    while k:
-        if k & 1:
-            r = biq_mul(r, base)
-        base = biq_mul(base, base)
-        k >>= 1
-    return r
+    return QuarticElem(a.field, tuple(c / n for c in cofactor.coords))
 
 
 def quad_inv(x):
@@ -627,14 +589,15 @@ def qr_inv(a):
         raise ZeroDivisionError("zero element has no inverse")
     sigma_n = a.field.sigma(qr_mul(a, a.field.sigma2(a)))
     cofactor = qr_mul(a.field.sigma2(a), sigma_n)
-    n = qr_mul(a, cofactor).rational_value()
+    n = _rational(qr_mul(a, cofactor))
     return QuarticElem(a.field, tuple(c / n for c in cofactor.coords))
 
 
 def qr_pow(a, k):
+    """a^k; a negative k inverts through sigma, on cyclic fields."""
     if k < 0:
         return qr_pow(qr_inv(a), -k)
-    r = a.field.one()
+    r = QuarticElem(a.field, (1, 0, 0, 0))
     base = a
     while k:
         if k & 1:
@@ -642,6 +605,32 @@ def qr_pow(a, k):
         base = qr_mul(base, base)
         k >>= 1
     return r
+
+
+def _k_trace_norm(y):
+    """(Tr_{k/Q}(y), N_{k/Q}(y)) of y in k, the fixed field of sigma^2, as
+    rationals: sigma restricts to the non-trivial automorphism of k."""
+    z = y.field.sigma(y)
+    return _rational(qr_add(y, z)), _rational(qr_mul(y, z))
+
+
+def qr_is_algebraic_integer(a):
+    """The sigma tower L > k > Q of a cyclic field: a lies in O_L iff its
+    relative trace a + sigma^2(a) and norm N_{L/k}(a) = a*sigma^2(a) lie in
+    O_k, each tested by its trace and norm in Z."""
+    conj = a.field.sigma2(a)
+    return all(v.denominator == 1
+               for y in (qr_add(a, conj), qr_mul(a, conj))
+               for v in _k_trace_norm(y))
+
+
+def qr_norm_to_Q(a):
+    """N_{L/Q}(a) = N_{k/Q}(N_{L/k}(a)) in the sigma tower."""
+    return _k_trace_norm(qr_mul(a, a.field.sigma2(a)))[1]
+
+
+def qr_is_unit(a):
+    return qr_is_algebraic_integer(a) and abs(qr_norm_to_Q(a)) == 1
 
 
 def log_embed_cyclic(x, precision_bits=DEFAULT_PRECISION):
@@ -655,13 +644,11 @@ def pohst_check(u, precision_bits=DEFAULT_PRECISION):
     """||LOG(u)||_2^2 >= 4 log(phi)^2 for a unit u != +-1 of a real
     quartic field."""
     with mpf_ctx(precision_bits):
-        if isinstance(u, BiquadElem):
-            log_embed, rational = log_embed_klein, biq_is_rational(u)
-        elif isinstance(u, QuarticElem):
-            log_embed, rational = log_embed_cyclic, u.is_rational()
-        else:
+        if not isinstance(u, QuarticElem):
             raise TypeError("expected a quartic-field unit")
-        if rational:
+        log_embed = (log_embed_klein if isinstance(u.field, BiquadField)
+                     else log_embed_cyclic)
+        if u.is_rational():
             raise ValueError("Pohst bound excludes u = +-1")
         lv = log_embed(u, precision_bits)
         sq = sum((c * c for c in lv.coords), mpmath.mpf(0))
@@ -706,6 +693,15 @@ def _mpf_fraction(x):
     return -frac if sign else frac
 
 
+def eval_poly_at(field, elem):
+    """The defining polynomial of a field at one of its elements, by
+    Horner's rule."""
+    acc = field.from_rational(field.coeffs[4])
+    for c in field.coeffs[3::-1]:
+        acc = qr_add(qr_mul(acc, elem), field.from_rational(c))
+    return acc
+
+
 def galois_generator_all_perms(field, denom_bound, precision_bits):
     """The first exactly verified order-4 automorphism over all 18 root
     permutations moving root 0, in lexicographic order, each image of
@@ -741,7 +737,7 @@ def fraction_norm_exponent(ctx, c):
     elem = QuarticElem(field, tuple(Fraction(v) for v in c))
     norm = qr_mul(elem, field.sigma2(elem))
     for step, sign in ((ctx.u_l_emb, 1), (qr_inv(ctx.u_l_emb), -1)):
-        p = field.one()
+        p = field.from_rational(1)
         for k in range(13):
             if norm == p or norm == qr_neg(p):
                 return sign * k

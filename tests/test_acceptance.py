@@ -12,7 +12,8 @@ import pytest
 
 from unitlat import units as us
 from unitlat import verifier as vf
-from unitlat.biquadratic import BiquadField, biq_mul
+from unitlat.biquadratic import BiquadField
+from unitlat.quartic import QuarticElem, qr_mul
 from unitlat.precision import mpf_ctx
 from unitlat.quadratic import fundamental_unit, smallest_fundamental_units
 from oracles import (brute_min_one_norm, float_rows, is_unit, klein_e_wedge,
@@ -96,10 +97,10 @@ def test_criterion_03_klein_2_5(klein25):
     assert struct.index_over_E == 2
     root = us.klein_pattern_root(struct, (1, 1, 1))
     assert is_unit(root)
-    prod = struct.field.one()
+    prod = QuarticElem(struct.field, (1, 0, 0, 0))
     for u in struct.units:
-        prod = biq_mul(prod, struct.field.lift_quad(u))
-    assert biq_mul(root, root) == prod
+        prod = qr_mul(prod, struct.field.lift_quad(u))
+    assert qr_mul(root, root) == prod
     assert certified
     with mpmath.workprec(160):
         target = (4 * mpmath.log((1 + mpmath.sqrt(5)) / 2)

@@ -7,19 +7,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from unitlat import quartic as qt
 from unitlat import units as us
-from unitlat.biquadratic import BiquadElem, BiquadField, biq_mul, mul_coords
+from unitlat.biquadratic import BiquadField
 from unitlat.quadratic import fundamental_unit, is_squarefree
-from oracles import (GALOIS_KLEIN, biq_add, biq_coords, biq_from_rational,
-                     biq_inv, biq_is_zero, biq_neg, biq_norm_to_Q, biq_pow,
+from unitlat.quartic import QuarticElem, mul_coords, qr_add, qr_mul, qr_neg
+from oracles import (GALOIS_KLEIN, SQUAREFREE_1000, biq_inv, biq_norm_to_Q,
                      char_poly, embed_real, galois_apply,
-                     is_algebraic_integer, is_unit, sqrt_in_field)
+                     is_algebraic_integer, is_unit, qr_pow, sqrt_in_field)
 
 SQUAREFREE = [d for d in range(2, 60) if is_squarefree(d)]
 
 
 def rand_elem(field, rng, span=6):
-    return BiquadElem(field, *[Fraction(rng.randint(-span, span),
+    return QuarticElem(field, [Fraction(rng.randint(-span, span),
                                         rng.randint(1, 3)) for _ in range(4)])
 
 
@@ -39,9 +40,9 @@ def test_ring_axioms_random():
     f = BiquadField(6, 10)
     for _ in range(100):
         a, b, c = (rand_elem(f, rng) for _ in range(3))
-        assert biq_mul(a, b) == biq_mul(b, a)
-        assert biq_mul(a, biq_mul(b, c)) == biq_mul(biq_mul(a, b), c)
-        assert biq_mul(a, biq_add(b, c)) == biq_add(biq_mul(a, b), biq_mul(a, c))
+        assert qr_mul(a, b) == qr_mul(b, a)
+        assert qr_mul(a, qr_mul(b, c)) == qr_mul(qr_mul(a, b), c)
+        assert qr_mul(a, qr_add(b, c)) == qr_add(qr_mul(a, b), qr_mul(a, c))
 
 
 @pytest.mark.parametrize("d1, d2", [(2, 5), (6, 10), (10, 15), (3, 21)])
@@ -54,9 +55,10 @@ def test_mul_coords_basis_products(d1, d2):
     basis = [tuple(int(i == k) for i in range(4)) for k in (1, 2, 3)]
     for (i, ei), (j, ej) in itertools.combinations_with_replacement(
             enumerate(basis), 2):
-        p = mul_coords(ei, ej, f)
+        p = mul_coords(ei, ej, f.table)
         assert sum(1 for c in p if c) == 1 and all(c >= 0 for c in p)
-        assert mul_coords(p, p, f) == (radicands[i] * radicands[j], 0, 0, 0)
+        assert mul_coords(p, p, f.table) == (radicands[i] * radicands[j],
+                                             0, 0, 0)
 
 
 def test_galois_action_is_homomorphism():
@@ -66,8 +68,8 @@ def test_galois_action_is_homomorphism():
         for _ in range(50):
             a, b = rand_elem(f, rng), rand_elem(f, rng)
             for g in GALOIS_KLEIN:
-                assert galois_apply(g, biq_mul(a, b)) == \
-                    biq_mul(galois_apply(g, a), galois_apply(g, b))
+                assert galois_apply(g, qr_mul(a, b)) == \
+                    qr_mul(galois_apply(g, a), galois_apply(g, b))
 
 
 def test_norm_multiplicative_and_inverse():
@@ -75,25 +77,25 @@ def test_norm_multiplicative_and_inverse():
     f = BiquadField(2, 5)
     for _ in range(50):
         a, b = rand_elem(f, rng), rand_elem(f, rng)
-        assert biq_norm_to_Q(biq_mul(a, b)) == biq_norm_to_Q(a) * biq_norm_to_Q(b)
-        if not biq_is_zero(a):
-            assert biq_mul(a, biq_inv(a)) == f.one()
+        assert biq_norm_to_Q(qr_mul(a, b)) == biq_norm_to_Q(a) * biq_norm_to_Q(b)
+        if not a.is_zero():
+            assert qr_mul(a, biq_inv(a)) == QuarticElem(f, (1, 0, 0, 0))
 
 
 def test_char_poly_and_integrality():
     f = BiquadField(2, 5)
-    sqrt2 = BiquadElem(f, 0, 1, 0, 0)
+    sqrt2 = QuarticElem(f, (0, 1, 0, 0))
     assert char_poly(sqrt2) == [Fraction(c) for c in (1, 0, -4, 0, 4)]
-    half_phi = BiquadElem(f, Fraction(1, 2), 0, Fraction(1, 2), 0)  # (1+sqrt5)/2
+    half_phi = QuarticElem(f, (Fraction(1, 2), 0, Fraction(1, 2), 0))  # (1+sqrt5)/2
     assert is_algebraic_integer(half_phi)
-    assert not is_algebraic_integer(biq_from_rational(f, Fraction(1, 2)))
+    assert not is_algebraic_integer(QuarticElem(f, (Fraction(1, 2), 0, 0, 0)))
     # (1+sqrt17)/4 has integral relative norm -1 but trace 1/2
-    quarter = BiquadElem(BiquadField(2, 17), Fraction(1, 4), 0,
-                         Fraction(1, 4), 0)
+    quarter = QuarticElem(BiquadField(2, 17), (Fraction(1, 4), 0,
+                                               Fraction(1, 4), 0))
     assert char_poly(quarter)[2] == Fraction(-7, 4)
     assert not is_algebraic_integer(quarter)
     assert is_unit(half_phi)
-    assert not is_unit(biq_from_rational(f, 2))
+    assert not is_unit(QuarticElem(f, (2, 0, 0, 0)))
 
 
 @st.composite
@@ -107,7 +109,7 @@ def klein_fields(draw):
 def field_elements(draw, denominators=(1, 2, 3, 12), span=10 ** 6):
     field = draw(klein_fields())
     q = draw(st.sampled_from(denominators))
-    return BiquadElem(field, *[Fraction(draw(st.integers(-span, span)), q)
+    return QuarticElem(field, [Fraction(draw(st.integers(-span, span)), q)
                                for _ in range(4)])
 
 
@@ -117,11 +119,11 @@ def field_elements(draw, denominators=(1, 2, 3, 12), span=10 ** 6):
 def test_mul_coords_exact_on_ints_and_fractions(f, coords, q):
     # integer numerators over q multiply to the Fraction product over q^2
     a, b = tuple(coords[:4]), tuple(coords[4:])
-    want = biq_mul(BiquadElem(f, *(Fraction(c, q) for c in a)),
-                   BiquadElem(f, *(Fraction(c, q) for c in b)))
-    assert BiquadElem(f, *(Fraction(c, q * q)
-                           for c in mul_coords(a, b, f))) == want
-    assert all(type(c) is int for c in mul_coords(a, b, f))
+    want = qr_mul(QuarticElem(f, [Fraction(c, q) for c in a]),
+                  QuarticElem(f, [Fraction(c, q) for c in b]))
+    assert QuarticElem(f, [Fraction(c, q * q)
+                           for c in mul_coords(a, b, f.table)]) == want
+    assert all(type(c) is int for c in mul_coords(a, b, f.table))
 
 
 def test_field_computes_s_and_d3_once(monkeypatch):
@@ -129,7 +131,8 @@ def test_field_computes_s_and_d3_once(monkeypatch):
     assert (f.s, f.d3) == (2, 15)
     monkeypatch.setattr(math, "gcd", None)  # a second gcd would raise
     a = (1, 2, 3, 4)
-    assert mul_coords(a, a, f) == (1 + 24 + 90 + 240, 4 + 120, 6 + 48, 8 + 24)
+    assert mul_coords(a, a, f.table) == (1 + 24 + 90 + 240, 4 + 120, 6 + 48,
+                                         8 + 24)
     assert (f.s, f.d3) == (2, 15)
 
 
@@ -142,9 +145,39 @@ def test_integrality_agrees_with_char_poly(a):
     assert is_unit(a) == (expected and abs(poly[4]) == 1)
 
 
+@st.composite
+def klein_kernel_elements(draw):
+    """An element of Q(sqrt(d1), sqrt(d2)), d <= 1000: small coordinates
+    over a small denominator, or a product of the field's generators of
+    O_L^*, itself or halved."""
+    d1, d2 = draw(st.lists(st.sampled_from(SQUAREFREE_1000), min_size=2,
+                           max_size=2, unique=True))
+    field = BiquadField(d1, d2)
+    if draw(st.booleans()):
+        q = draw(st.sampled_from((1, 2, 3, 4)))
+        return QuarticElem(field, [Fraction(draw(st.integers(-6, 6)), q)
+                                   for _ in range(4)])
+    a = QuarticElem(field, (1, 0, 0, 0))
+    for g in us.klein_generators(_structure(d1, d2)):
+        if draw(st.booleans()):
+            a = qr_mul(a, g)
+    q = draw(st.sampled_from((1, 2)))
+    return QuarticElem(field, [c / q for c in a.coords])
+
+
+@settings(max_examples=200, deadline=None)
+@given(klein_kernel_elements())
+def test_kernel_agrees_with_klein_tower(a):
+    # the char-poly kernel against the tower over K = Q(sqrt(d1)) and
+    # the Galois product a*s1(a)*s2(a)*s3(a)
+    assert qt.is_algebraic_integer(a) == is_algebraic_integer(a)
+    assert qt.norm_to_Q(a) == biq_norm_to_Q(a)
+    assert qt.is_unit(a) == is_unit(a)
+
+
 def test_embeddings_match_floats():
     f = BiquadField(2, 5)
-    a = BiquadElem(f, 1, 2, 3, 4)
+    a = QuarticElem(f, (1, 2, 3, 4))
     r2, r5, r10 = 2 ** 0.5, 5 ** 0.5, 10 ** 0.5
     expected = [1 + 2 * r2 + 3 * r5 + 4 * r10,
                 1 + 2 * r2 - 3 * r5 - 4 * r10,
@@ -160,13 +193,13 @@ def test_sqrt_roundtrip_random_squares():
     f = BiquadField(3, 5)
     for _ in range(20):
         a = rand_elem(f, rng, span=4)
-        if biq_is_zero(a):
+        if a.is_zero():
             continue
-        sq = biq_mul(a, a)
+        sq = qr_mul(a, a)
         root = sqrt_in_field(sq)
         assert root is not None
-        assert biq_mul(root, root) == sq
-        assert root == a or root == biq_neg(a)
+        assert qr_mul(root, root) == sq
+        assert root == a or root == qr_neg(a)
 
 
 @functools.lru_cache(maxsize=None)
@@ -180,12 +213,12 @@ def test_sqrt_of_square_times_unit_pattern(a):
     """sqrt(a^2) is +-a, the one with positive id-embedding; a^2 * u^e is
     a square exactly for the square patterns e of the field, with root
     +-a * sqrt(u^e)."""
-    if biq_is_zero(a):
+    if a.is_zero():
         return
     f = a.field
-    sq = biq_mul(a, a)
+    sq = qr_mul(a, a)
     root = sqrt_in_field(sq)
-    assert root in (a, biq_neg(a))
+    assert root in (a, qr_neg(a))
     assert embed_real(root)[0] > 0
     struct = _structure(f.d1, f.d2)
     lifts = [f.lift_quad(u) for u in struct.units]
@@ -194,11 +227,11 @@ def test_sqrt_of_square_times_unit_pattern(a):
         prod = sq
         for ei, lift in zip(e, lifts):
             if ei:
-                prod = biq_mul(prod, lift)
+                prod = qr_mul(prod, lift)
         root = sqrt_in_field(prod)
         if e in struct.sqrt_patterns:
-            expected = biq_mul(a, us.klein_pattern_root(struct, e))
-            assert root in (expected, biq_neg(expected))
+            expected = qr_mul(a, us.klein_pattern_root(struct, e))
+            assert root in (expected, qr_neg(expected))
         else:
             assert root is None
 
@@ -208,11 +241,11 @@ def test_sqrt_of_large_unit_product_powers(k):
     # the roots' coordinates reach 767 bits at k = 4, beyond what a
     # fixed-precision numeric search can reconstruct
     f = BiquadField(919, 991)
-    prod = biq_mul(f.lift_quad(fundamental_unit(919).unit),
+    prod = qr_mul(f.lift_quad(fundamental_unit(919).unit),
                    f.lift_quad(fundamental_unit(991).unit))
-    power = biq_pow(prod, k)
-    assert max(abs(c.numerator).bit_length() for c in biq_coords(power)) > 100 * k
-    assert sqrt_in_field(biq_mul(power, power)) in (power, biq_neg(power))
+    power = qr_pow(prod, k)
+    assert max(abs(c.numerator).bit_length() for c in power.coords) > 100 * k
+    assert sqrt_in_field(qr_mul(power, power)) in (power, qr_neg(power))
 
 
 def test_sqrt_of_known_unit_product():
@@ -221,10 +254,10 @@ def test_sqrt_of_known_unit_product():
     u1 = f.lift_quad(fundamental_unit(5).unit)
     u2 = f.lift_quad(fundamental_unit(2).unit)
     u3 = f.lift_quad(fundamental_unit(10).unit)
-    prod = biq_mul(u1, biq_mul(u2, u3))
+    prod = qr_mul(u1, qr_mul(u2, u3))
     root = sqrt_in_field(prod)
-    assert root == BiquadElem(f, Fraction(3, 2), Fraction(1, 2),
-                              Fraction(1, 2), Fraction(1, 2))
+    assert root == QuarticElem(f, (Fraction(3, 2), Fraction(1, 2),
+                                   Fraction(1, 2), Fraction(1, 2)))
     assert is_unit(root)
 
 
@@ -232,15 +265,15 @@ def test_sqrt_absent_cases():
     f = BiquadField(2, 5)
     u1 = f.lift_quad(fundamental_unit(5).unit)
     assert sqrt_in_field(u1) is None          # (1+sqrt5)/2 alone is not a square
-    assert sqrt_in_field(biq_from_rational(f, -1)) is None
-    assert sqrt_in_field(biq_from_rational(f, 3)) is None
+    assert sqrt_in_field(QuarticElem(f, (-1, 0, 0, 0))) is None
+    assert sqrt_in_field(QuarticElem(f, (3, 0, 0, 0))) is None
 
 
 def test_large_unit_embedding_precision():
     # conjugate embeddings of big powers suffer total cancellation unless
     # the precision scales with coefficient size
     f = BiquadField(2, 5)
-    u = biq_pow(f.lift_quad(fundamental_unit(10).unit), 40)
+    u = qr_pow(f.lift_quad(fundamental_unit(10).unit), 40)
     emb = embed_real(u, 64)
     assert all(v != 0 for v in emb)
     prod = float(emb[0] * emb[1] * emb[2] * emb[3])

@@ -84,6 +84,24 @@ def test_fund_unit_invalid(capsys):
     assert "squarefree" in err
 
 
+def test_squarefree_budget_gives_up_in_time():
+    # 10^39 + 3 has no factor below SQUAREFREE_MAX_STEPS and is far above
+    # its cube: trial division gives up at the budget, and a fresh
+    # interpreter exits 2 with one error line within 5 s, where the
+    # unbounded loop ran for more than a minute
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "unitlat.cli", "fund-unit", str(10 ** 39 + 3)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=5)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: cannot decide whether %d is "
+                                  "squarefree" % (10 ** 39 + 3))
+    assert str(quadratic.SQUAREFREE_MAX_STEPS) in proc.stderr
+    assert "not squarefree" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+
+
 # the continued fraction of sqrt(331) closes after 34 steps; the cyclic
 # and verify-paper paths first need sqrt(5) and sqrt(2), which close in one
 GIVE_UP_STEPS = {"fund-unit 331": 20, "klein 2 331": 20,

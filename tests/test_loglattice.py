@@ -16,7 +16,7 @@ from unitlat.precision import mpf_ctx
 from unitlat.quartic import QuarticElem
 from unitlat import units as us
 from unitlat.verifier import klein_field_report, load_default_catalog
-from oracles import (SQUAREFREE_1000, biq_from_rational, brute_min_one_norm,
+from oracles import (SQUAREFREE_1000, brute_min_one_norm,
                      brute_norms, float_rows, klein_e_wedge, log_embed_cyclic,
                      log_embed_klein)
 
@@ -71,7 +71,7 @@ def test_log_vector_zero_sum_checked_at_its_precision():
 def test_log_embed_rejects_non_units():
     f = BiquadField(2, 5)
     with pytest.raises(ValueError):
-        log_embed_klein(biq_from_rational(f, 2))
+        log_embed_klein(QuarticElem(f, (2, 0, 0, 0)))
 
 
 def test_klein_log_patterns(klein25):

@@ -49,6 +49,18 @@ def test_is_squarefree_cofactor(d, expected):
     assert squarefree_by_trial_division(d) is expected
 
 
+def test_is_squarefree_budget(monkeypatch):
+    # with the budget at 50, every d below 50^3 is decided; 53*59*61 has
+    # no factor below 50 and lies above 50^3, so it is undecided, never
+    # read as "not squarefree", while 4*53*59*61 shows its square first
+    monkeypatch.setattr(quadratic, "SQUAREFREE_MAX_STEPS", 50)
+    for d in range(1, 50 ** 3, 97):
+        assert is_squarefree.__wrapped__(d) == squarefree_by_trial_division(d)
+    assert is_squarefree.__wrapped__(4 * 53 * 59 * 61) is False
+    with pytest.raises(quadratic.UnitSearchError, match="budget of 50 steps"):
+        is_squarefree.__wrapped__(53 * 59 * 61)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 10 ** 4), st.integers(1, 10 ** 4))
 def test_is_squarefree_on_square_times_b(a, b):

@@ -8,13 +8,18 @@ from hypothesis import given, settings, strategies as st
 
 import mpmath
 
+import unitlat
+from unitlat import biquadratic
 from unitlat import quartic as qt
+from unitlat.biquadratic import BiquadField
 from unitlat.quartic import (CyclicQuarticField, NotCyclicError, QuarticElem,
-                             embed_all, eval_poly_at,
-                             galois_generator, is_algebraic_integer, is_unit,
+                             embed_all, galois_generator,
+                             is_algebraic_integer, is_unit, mul_coords,
                              norm_to_Q, qr_add, qr_mul,
                              quartic_is_irreducible, sqrt_of_rational)
-from oracles import (char_poly, galois_generator_all_perms, qr_inv, qr_pow,
+from oracles import (char_poly, eval_poly_at, galois_generator_all_perms,
+                     power_basis_norm, qr_inv, qr_is_algebraic_integer,
+                     qr_is_unit, qr_norm_to_Q, qr_pow,
                      trial_division_irreducible)
 
 # maximal real subfield of the 16th cyclotomic field
@@ -70,15 +75,57 @@ def test_norm_and_inverse():
         a = rand_elem(F, rng)
         if a.is_zero():
             continue
-        assert qr_mul(a, qr_inv(a)) == F.one()
+        assert qr_mul(a, qr_inv(a)) == F.from_rational(1)
     b = rand_elem(F, rng)
     assert norm_to_Q(qr_mul(F.gen(), b)) == 2 * norm_to_Q(b)
 
 
 def test_char_poly_of_generator():
     assert char_poly(F.gen()) == [Fraction(c) for c in (1, 0, -4, 0, 2)]
+    assert qt.char_poly(F.gen()) == (1, 0, -4, 0, 2)
     assert is_algebraic_integer(F.gen())
     assert not is_algebraic_integer(F.from_rational(Fraction(1, 2)))
+
+
+def test_integrality_reads_the_constant_term():
+    # alpha/2 in F and sqrt(2)/2 in Q(sqrt2, sqrt5) have the characteristic
+    # polynomials x^4 - x^2 + 1/8 and x^4 - x^2 + 1/4: only the norm is
+    # not an integer
+    half = Fraction(1, 2)
+    for a, norm in ((QuarticElem(F, (0, half, 0, 0)), Fraction(1, 8)),
+                    (QuarticElem(BiquadField(2, 5), (0, half, 0, 0)),
+                     Fraction(1, 4))):
+        assert qt.char_poly(a) == (1, 0, -1, 0, norm)
+        assert norm_to_Q(a) == norm
+        assert not is_algebraic_integer(a)
+        assert not is_unit(a)
+
+
+def test_library_has_one_element_type_and_one_product():
+    # Klein and cyclic fields share QuarticElem and quartic.mul_coords;
+    # the sigma-tower integrality and norm are test oracles
+    assert not any(hasattr(biquadratic, name)
+                   for name in ("BiquadElem", "biq_mul", "mul_coords"))
+    assert not any(hasattr(qt, name) for name in (
+        "_is_k_integer", "_trace_norm_to_Q", "_relative_norm"))
+    assert "BiquadElem" not in unitlat.__all__
+    assert not hasattr(BiquadField(2, 5), "one")
+
+
+@pytest.mark.parametrize("coeffs", [(1, 0, -10, 0, 1), (1, 1, -3, -1, 1)])
+def test_kernel_needs_no_sigma(coeffs):
+    # x^4 - 10x^2 + 1 (sqrt2 + sqrt3, Klein) and x^4 - x^3 - 3x^2 + x + 1
+    # (disc 725, dihedral) have no order-4 automorphism; the norm and the
+    # unit test still hold: N(alpha - r) = f(r)
+    field = CyclicQuarticField(coeffs)
+    with pytest.raises(NotCyclicError):
+        field.sigma
+    assert is_unit(field.gen())
+    for r in range(-3, 4):
+        a = qr_add(field.gen(), field.from_rational(-r))
+        f_r = sum(c * r ** i for i, c in enumerate(coeffs))
+        assert norm_to_Q(a) == f_r
+        assert is_unit(a) == (abs(f_r) == 1)
 
 
 def test_integrality_beyond_power_basis():
@@ -114,7 +161,60 @@ def test_tower_arithmetic_agrees_with_char_poly(a):
     assert norm_to_Q(a) == poly[4]
     assert is_unit(a) == (integral and abs(poly[4]) == 1)
     if not a.is_zero():
-        assert qr_mul(a, qr_inv(a)) == a.field.one()
+        assert qr_mul(a, qr_inv(a)) == a.field.from_rational(1)
+
+
+# the 9 fields of test_root_perm_maps_roots, the catalog's three among them
+KERNEL_FIELDS = {**{name: field for name, (field, _) in FIELDS.items()},
+                 "scaled": SCALED, **SEARCH_FAILS}
+
+
+@st.composite
+def kernel_elements(draw):
+    """Small coordinates over a small denominator, or a product of units
+    alpha - r, f(r) = +-1 (N(alpha - r) = f(r)), itself or halved."""
+    field = KERNEL_FIELDS[draw(st.sampled_from(sorted(KERNEL_FIELDS)))]
+    if draw(st.booleans()):
+        q = draw(st.sampled_from((1, 2, 3, 4, 8)))
+        return QuarticElem(field, [Fraction(draw(st.integers(-12, 12)), q)
+                                   for _ in range(4)])
+    a = field.from_rational(1)
+    for r in range(-3, 4):
+        if (abs(sum(c * r ** i for i, c in enumerate(field.coeffs))) == 1
+                and draw(st.booleans())):
+            a = qr_mul(a, qr_add(field.gen(), field.from_rational(-r)))
+    q = draw(st.sampled_from((1, 2)))
+    return QuarticElem(field, [c / q for c in a.coords])
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_elements())
+def test_kernel_agrees_with_sigma_tower(a):
+    # the char-poly kernel against Faddeev-LeVerrier, the Leibniz
+    # determinant of multiplication and the sigma tower over k
+    poly = qt.char_poly(a)
+    assert list(poly) == char_poly(a)
+    assert poly[4] == power_basis_norm(a.field.coeffs, a.coords)
+    assert is_algebraic_integer(a) == qr_is_algebraic_integer(a)
+    assert norm_to_Q(a) == qr_norm_to_Q(a)
+    assert is_unit(a) == qr_is_unit(a)
+
+
+@pytest.mark.parametrize("field", list(KERNEL_FIELDS.values()) + [
+    BiquadField(2, 5), BiquadField(6, 10), BiquadField(10, 15),
+    BiquadField(3, 21)], ids=list(KERNEL_FIELDS) + [
+        "klein-2-5", "klein-6-10", "klein-10-15", "klein-3-21"])
+def test_table_is_commutative_associative_with_one(field):
+    table = field.table
+    assert all(c and type(c) is int
+               for row in table for entry in row for _, c in entry)
+    basis = [tuple(int(i == k) for i in range(4)) for k in range(4)]
+    for i in range(4):
+        assert mul_coords(basis[0], basis[i], table) == basis[i]
+    for bi, bj, bk in itertools.product(basis, repeat=3):
+        assert mul_coords(bi, bj, table) == mul_coords(bj, bi, table)
+        assert (mul_coords(mul_coords(bi, bj, table), bk, table)
+                == mul_coords(bi, mul_coords(bj, bk, table), table))
 
 
 def test_galois_generator_exact():
@@ -147,7 +247,7 @@ def test_scaled_field_is_cyclic():
     # alpha scaled by 10^7 scales the root differences by 10^7, so disc f
     # by 10^84
     assert quartic_is_irreducible(SCALED.coeffs)
-    assert qt.discriminant(SCALED.coeffs) == 10 ** 84 * 2048
+    assert qt.discriminant(SCALED.table) == 10 ** 84 * 2048
     assert SCALED.sigma.root_perm == F.sigma.root_perm
 
 
@@ -171,16 +271,16 @@ def test_four_cycle_sigma_matches_all_permutations(name, monkeypatch):
     # bound isqrt(|disc f|) of [O_L : Z[alpha]] (Cohen, GTM 138, 4.4), and
     # tests a candidate only at 4-cycles up to it
     field = SCALED if name == "scaled" else FIELDS[name][0]
-    denom_bound = isqrt(abs(qt.discriminant(field.coeffs)))
+    denom_bound = isqrt(abs(qt.discriminant(field.table)))
     want = galois_generator_all_perms(field, denom_bound, 512)
     calls = []
-    evaluate = qt.eval_poly_at
+    library_char_poly = qt.char_poly
 
-    def counting(fld, elem):
+    def counting(elem):
         calls.append(elem)
-        return evaluate(fld, elem)
+        return library_char_poly(elem)
 
-    monkeypatch.setattr(qt, "eval_poly_at", counting)
+    monkeypatch.setattr(qt, "char_poly", counting)
     got = galois_generator(field)
     assert got.image == want.image
     assert got.root_perm == want.root_perm
@@ -235,14 +335,14 @@ def test_discriminant(name):
     # det of the trace matrix, whose entries are the power sums of the
     # roots
     field = SCALED if name == "scaled" else FIELDS[name][0]
-    disc = qt.discriminant(field.coeffs)
+    disc = qt.discriminant(field.table)
     bits = 2 * disc.bit_length() + 64
     with mpmath.workprec(bits):
         roots = field.roots(bits)
         prod = mpmath.fprod((r - s) ** 2 for i, r in enumerate(roots)
                             for s in roots[i + 1:])
         assert abs(prod - disc) < 1e-6 * abs(disc)
-        for j, row in enumerate(qt.trace_matrix(field.coeffs)):
+        for j, row in enumerate(qt.trace_matrix(field.table)):
             for k, v in enumerate(row):
                 power_sum = mpmath.fsum(r ** (j + k) for r in roots)
                 assert abs(power_sum - v) < 1e-6 * max(1, abs(v))

@@ -15,14 +15,12 @@ import unitlat
 from unitlat import units as us
 from unitlat import verifier as vf
 from unitlat import quartic as qt
-from unitlat.biquadratic import BiquadElem, biq_mul
 from unitlat.loglattice import cyclic_wedge_rows, wedge2
 from unitlat.quadratic import QuadElem, fundamental_unit, quad_norm
 from unitlat.verifier import (cyclic_entry_report, klein_field_report,
                               load_default_catalog)
 import oracles
-from oracles import (SQUAREFREE_1000, biq_add, biq_is_rational, biq_neg,
-                     char_poly, fraction_norm_exponent, fraction_route_root,
+from oracles import (SQUAREFREE_1000, char_poly, fraction_norm_exponent, fraction_route_root,
                      fraction_route_generators, galois_apply, is_unit,
                      klein_patterns_tower, log_embed_cyclic, qr_pow,
                      quad_cmp, sigma_loop_log)
@@ -68,8 +66,8 @@ def test_klein_structure_2_5():
     assert s.index_over_E == 2
     assert s.sqrt_patterns == ((1, 1, 1),)
     root = us.klein_pattern_root(s, (1, 1, 1))
-    assert root == BiquadElem(s.field, Fraction(3, 2), Fraction(1, 2),
-                              Fraction(1, 2), Fraction(1, 2))
+    assert root == qt.QuarticElem(s.field, (Fraction(3, 2), Fraction(1, 2),
+                                            Fraction(1, 2), Fraction(1, 2)))
     assert is_unit(root)
     # the square root replaces exactly one subfield generator
     assert sum(g == root for g in us.klein_generators(s)) == 1
@@ -112,7 +110,7 @@ def test_klein_structure_builds_no_element(d1, d2, monkeypatch):
 
     for module in list(vars(unitlat).values()):
         if getattr(module, "__name__", "").startswith("unitlat."):
-            for name in ("BiquadElem", "biq_mul", "mul_coords"):
+            for name in ("QuarticElem", "qr_mul", "mul_coords"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, forbidden)
     got = us.klein_unit_structure(d1, d2)
@@ -131,13 +129,13 @@ def test_generator_squares_land_in_E():
         lifts = [s.field.lift_quad(u) for u in s.units]
         products = set()
         for m in itertools.product(range(3), repeat=3):
-            p = s.field.one()
+            p = qt.QuarticElem(s.field, (1, 0, 0, 0))
             for mi, lift in zip(m, lifts):
                 for _ in range(mi):
-                    p = biq_mul(p, lift)
-            products.update((p, biq_neg(p)))
+                    p = qt.qr_mul(p, lift)
+            products.update((p, qt.qr_neg(p)))
         for g in us.klein_generators(s):
-            assert biq_mul(g, g) in products
+            assert qt.qr_mul(g, g) in products
 
 
 def test_klein_denominator_map():
@@ -177,11 +175,11 @@ def _matches_tower_oracle(d1, d2):
     assert generators == want_generators
     lifts = [got.field.lift_quad(u) for u in got.units]
     for e, root in roots.items():
-        prod = got.field.one()
+        prod = qt.QuarticElem(got.field, (1, 0, 0, 0))
         for ei, lift in zip(e, lifts):
             if ei:
-                prod = biq_mul(prod, lift)
-        assert biq_mul(root, root) == prod
+                prod = qt.qr_mul(prod, lift)
+        assert qt.qr_mul(root, root) == prod
     return got
 
 
@@ -249,12 +247,12 @@ def test_norm_minus_one_root_branches(d1, d2, eps, nu):
     x = us.klein_pattern_root(s, (1, 1, 1))
     ui, uj, uk = s.units
     xt = galois_apply(s.fixers[0], x)
-    assert biq_mul(x, xt) == s.field.lift_quad(
+    assert qt.qr_mul(x, xt) == s.field.lift_quad(
         QuadElem(ui.d, eps * ui.a, eps * ui.b))
-    g2 = biq_add(x, xt)  # 2g
-    norm = biq_mul(g2, galois_apply(s.fixers[1], g2))
-    assert biq_is_rational(norm)
-    assert norm.x / 4 == nu * (uj.a - eps * uk.a) / 2
+    g2 = qt.qr_add(x, xt)  # 2g
+    norm = qt.qr_mul(g2, galois_apply(s.fixers[1], g2))
+    assert norm.is_rational()
+    assert norm.coords[0] / 4 == nu * (uj.a - eps * uk.a) / 2
 
 
 @pytest.mark.parametrize("d1, d2", [(2, 3), (3, 5), (383, 503)])
@@ -593,7 +591,7 @@ def test_row_proof_is_exact(i, row, sign, slot, step):
     # x = +-prod g_i^n_i: the float64 proposal finds exactly n, the
     # integer proof accepts n and rejects n with one entry off by one
     gens, gen_logs = _proof_generators(i)
-    x = gens[0].field.one()
+    x = gens[0].field.from_rational(1)
     for g, n in zip(gens, row):
         x = qt.qr_mul(x, qr_pow(g, n))
     c = x.coords if sign > 0 else qt.qr_neg(x).coords

@@ -13,7 +13,8 @@ from unitlat import verifier as vf
 from unitlat.biquadratic import BiquadField
 from unitlat.precision import mpf_ctx
 from unitlat.quadratic import fundamental_unit, quad_norm
-from oracles import (SQUAREFREE_1000, biq_from_rational, log_embed_klein,
+from unitlat.quartic import QuarticElem
+from oracles import (SQUAREFREE_1000, log_embed_klein,
                      pohst_check, sampled_constrained_min)
 
 
@@ -41,8 +42,7 @@ def test_pohst_check_units(entry):
     # the golden-ratio lift attains the floor
     assert abs(r.computed_value - r.paper_value) < 1e-9
     ctx = us.cyclic_context(entry.coeffs, entry.quad_subfield_d, entry.u_l)
-    import unitlat.quartic as qt
-    r2 = pohst_check(qt.QuarticElem(ctx.field, entry.u0))
+    r2 = pohst_check(QuarticElem(ctx.field, entry.u0))
     assert r2.relation == "holds"
     assert r2.computed_value > r2.paper_value
 
@@ -50,7 +50,7 @@ def test_pohst_check_units(entry):
 def test_pohst_check_domain_errors():
     f = BiquadField(2, 5)
     with pytest.raises(ValueError):
-        pohst_check(biq_from_rational(f, -1))
+        pohst_check(QuarticElem(f, (-1, 0, 0, 0)))
     with pytest.raises(TypeError):
         pohst_check(1.5)
 
