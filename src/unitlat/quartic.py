@@ -10,8 +10,13 @@ the norm and units, read the table and need no Galois action.
 
 On the power basis the trace form decides disc f, total reality
 (Hermite) and the image of alpha under a generator sigma of the Galois
-group (galois_generator), from roots solved once per polynomial.  sigma
-serves Hasse's relations, the unit search and sqrt_of_rational.
+group (galois_generator).  The real roots come from one integer Sturm
+sequence per polynomial: dyadic brackets (_root_brackets) that isolate
+them, which Newton's method refines to each precision.  The same
+brackets give the integer roots of f and of its resolvent cubic, which
+decide irreducibility and the Galois group (galois_group) before any
+sigma is sought.  sigma serves Hasse's relations, the unit search and
+sqrt_of_rational.  Nothing here solves over C.
 """
 
 import functools
@@ -23,7 +28,7 @@ from fractions import Fraction
 import mpmath
 
 from .precision import DEFAULT_PRECISION, mpf_ctx
-from .quadratic import _rational_sqrt
+from .quadratic import UnitSearchError, _rational_sqrt
 
 
 class NotCyclicError(ValueError):
@@ -111,72 +116,221 @@ def is_unit(a):
     return all(c.denominator == 1 for c in poly) and abs(poly[4]) == 1
 
 
+def _sturm(poly):
+    """The Sturm sequence of a squarefree integer polynomial (constant term
+    first): poly, poly', then each remainder negated.  Each remainder is
+    the pseudo-remainder by |lc|^(deg difference + 1), then divided by the
+    gcd of its coefficients: both factors are positive, so every member
+    has the signs of the classical sequence, in integers."""
+    seq = [tuple(poly), tuple(i * c for i, c in enumerate(poly))[1:]]
+    while len(seq[-1]) > 1:
+        num, den = seq[-2], seq[-1]
+        deg, lead = len(den) - 1, den[-1]
+        rem = [c * abs(lead) ** (len(num) - deg) for c in num]
+        for top in range(len(num) - 1, deg - 1, -1):
+            q = rem[top] // lead  # exact: rem[top] carries a power of |lead|
+            for i, c in enumerate(den):
+                rem[top - deg + i] -= q * c
+        rem = rem[:deg]
+        while len(rem) > 1 and rem[-1] == 0:
+            rem.pop()
+        g = math.gcd(*rem)
+        seq.append(tuple(-c // g for c in rem))
+    return seq
+
+
+def _sign_at(poly, num, k):
+    """Sign of the integer polynomial poly at the dyadic point num / 2^k:
+    Horner's rule on 2^(k deg) poly(num / 2^k), in integers."""
+    acc, scale = poly[-1], 1
+    for c in poly[-2::-1]:
+        scale <<= k
+        acc = acc * num + c * scale
+    return (acc > 0) - (acc < 0)
+
+
 @functools.lru_cache(maxsize=None)
-def _solve(coeffs, precision_bits):
-    """The four complex roots of a monic integer quartic at precision_bits
-    (plus mpf_ctx headroom), cached by (coeffs, precision_bits).
-    mpmath.polyroots runs once per polynomial, at _cauchy_bits, the
-    precision quartic_is_irreducible asks for; every other precision is
-    refined from those roots by Newton's method, up or down."""
-    bits = _cauchy_bits(coeffs)
-    if precision_bits != bits:
-        return tuple(_newton(coeffs, r, precision_bits)
-                     for r in _solve(coeffs, bits))
-    with mpf_ctx(bits):
-        poly = [mpmath.mpf(c) for c in coeffs[::-1]]
-        return tuple(mpmath.polyroots(poly, maxsteps=200, extraprec=bits))
+def _root_brackets(poly):
+    """One dyadic bracket (lo / 2^k, hi / 2^k], as (lo, hi, k), per real
+    root of a squarefree monic integer polynomial, ascending; cached per
+    polynomial.
+
+    Sturm: the sign variations V(x) of the Sturm sequence at x fall by one
+    at each root and nowhere else, and V is right-continuous at a root, so
+    V(a) - V(b) counts the roots in (a, b] for any dyadic a < b, roots
+    included.  Every root lies in (-2^e, 2^e] with 2^e > max |c_i| (Cauchy:
+    |r| < 1 + max |c_i|), and each interval holding two or more roots is
+    bisected until each holds one."""
+    seq = _sturm(poly)
+
+    def var(num, k):
+        signs = [s for s in (_sign_at(p, num, k) for p in seq) if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    top = 1 << max(abs(c) for c in poly[:-1]).bit_length()
+    out, todo = [], [(-top, top, 0, var(-top, 0), var(top, 0))]
+    while todo:
+        lo, hi, k, v_lo, v_hi = todo.pop()
+        if v_lo - v_hi == 1:
+            out.append((lo, hi, k))
+        elif v_lo - v_hi > 1:
+            mid = lo + hi
+            v_mid = var(mid, k + 1)
+            todo.append((mid, 2 * hi, k + 1, v_mid, v_hi))
+            todo.append((2 * lo, mid, k + 1, v_lo, v_mid))
+    return tuple(out)
+
+
+def _halve(poly, bracket):
+    """The half of a bracket that holds its one root, a simple root, so
+    poly changes sign across it: from the signs at the midpoint and the
+    upper end, never at the lower end, which may be a neighbour's root."""
+    lo, hi, k = bracket
+    mid = lo + hi
+    s_hi, s_mid = _sign_at(poly, hi, k), _sign_at(poly, mid, k + 1)
+    if s_hi == 0 or s_mid == -s_hi:
+        return mid, 2 * hi, k + 1
+    return 2 * lo, mid, k + 1
+
+
+def _integer_roots(poly):
+    """The integer roots, ascending, of a squarefree monic integer
+    polynomial: each real root's bracket is halved below width 1, so it
+    holds at most one integer, floor(hi / 2^k), which is tested exactly."""
+    found = []
+    for bracket in _root_brackets(poly):
+        while bracket[1] - bracket[0] >= 1 << bracket[2]:
+            bracket = _halve(poly, bracket)
+        lo, hi, k = bracket
+        n = hi >> k
+        if n << k > lo and _sign_at(poly, n, 0) == 0:
+            found.append(n)
+    return found
 
 
 @functools.lru_cache(maxsize=None)
 def _real_roots(coeffs, precision_bits):
-    """The roots of _solve, descending; cached by (coeffs, precision_bits),
-    so no field is kept alive.  Before any root is solved, NotCyclicError
-    unless the trace matrix is positive definite, that is (Sylvester),
-    unless its leading minors are > 0: by Hermite the trace form has
-    signature (r1 + r2, r2) when the roots are distinct, and det M =
-    disc f = 0 when they are not."""
+    """The four real roots, descending, at precision_bits; cached by
+    (coeffs, precision_bits), so no field is kept alive.  Before any root
+    is sought, NotCyclicError unless the trace matrix is positive definite,
+    that is (Sylvester), unless its leading minors are > 0: by Hermite the
+    trace form has signature (r1 + r2, r2) when the roots are distinct,
+    and det M = disc f = 0 when they are not.  Then the polynomial has
+    exactly four brackets (_root_brackets, computed once per polynomial),
+    each refined to the precision by _newton."""
     mat = trace_matrix(power_table(coeffs))
     minors = [_det(tuple(row[:k] for row in mat[:k])) for k in (2, 3, 4)]
     if minors[-1] == 0:
         raise NotCyclicError("defining polynomial has a repeated root")
     if min(minors) <= 0:
         raise NotCyclicError("defining polynomial is not totally real")
-    rts = _solve(coeffs, precision_bits)
-    with mpf_ctx(precision_bits):
-        return tuple(sorted((mpmath.re(r) for r in rts), reverse=True))
+    return tuple(_newton(coeffs, b, precision_bits)
+                 for b in reversed(_root_brackets(coeffs)))
 
 
-def _newton(coeffs, root, precision_bits):
-    """A simple root of the quartic refined from an approximation by
-    Newton steps until a step is below the target precision, then rounded
-    to it; from a more precise root that is one step.  Horner's rule at
-    the root loses to cancellation the bits by which sum |c_i| |x|^i
-    exceeds |x f'(x)|, the root's condition number; the steps run at 32
-    guard bits plus those, so that the rounding noise of a step stays
-    below the target."""
+def _newton(coeffs, bracket, precision_bits):
+    """The root in a bracket, refined by Newton's method from _start until
+    a step is below the target precision, then rounded to it.  A limit
+    that _in_bracket does not prove to be the bracket's root, f' = 0 at
+    an iterate, or 64 steps without convergence halve the bracket (_halve)
+    and Newton restarts; a bracket narrower than the target precision is
+    itself the root, read at its midpoint.  The steps run at 32 guard bits
+    plus those Horner's rule loses to cancellation at the start
+    (_lost_bits), so that the rounding noise of a step stays below the
+    target."""
     target = precision_bits + 16
-    with mpmath.workprec(target + 32):
-        size = sum(abs(c) * abs(root) ** i for i, c in enumerate(coeffs))
-        slope = sum(i * c * root ** (i - 1)
-                    for i, c in enumerate(coeffs[1:], 1))
-        lost = max(0, mpmath.mag(size)
-                   - mpmath.mag(slope * max(abs(root), 1)))
-    with mpmath.workprec(target + 32 + lost):
-        x = +root
-        for _ in range(64):
-            fx, dfx = mpmath.mpf(1), mpmath.mpf(0)
-            for c in coeffs[3::-1]:
-                dfx = dfx * x + fx
-                fx = fx * x + c
-            step = fx / dfx
-            x -= step
-            if abs(step) <= max(abs(x), 1) * mpmath.mpf(2) ** -(target + 8):
-                break
+    while True:
+        lo, hi, k = bracket
+        if (hi - lo) << (target + 8) <= max(abs(lo + hi) >> 1, 1 << k):
+            with mpf_ctx(precision_bits):
+                return mpmath.ldexp(lo + hi, -k - 1)
+        num, j = _start(coeffs, bracket)
+        with mpmath.workprec(target + 32 + _lost_bits(coeffs, num, j)):
+            tol = mpmath.ldexp(1, -target - 8)
+            x = mpmath.ldexp(num, -j)
+            for _ in range(64):
+                fx, dfx = _horner(coeffs, x)
+                if not dfx:
+                    break
+                step = fx / dfx
+                x -= step
+                if abs(step) <= max(abs(x), 1) * tol:
+                    if _in_bracket(coeffs, bracket, x, target):
+                        with mpf_ctx(precision_bits):
+                            return +x
+                    break
+        bracket = _halve(coeffs, bracket)
+
+
+def _in_bracket(coeffs, bracket, x, target):
+    """Whether f vanishes or changes sign, exactly, between the dyadic
+    points x - delta and min(x + delta, hi), with delta = 2^(m - target - 6)
+    and |x| < 2^m, m >= 0, and lo < x - delta < hi: then the bracket's
+    only root lies within delta of x.  A Newton step below 2^-(target + 8)
+    max(|x|, 1) leaves x that close to the root it converged to."""
+    lo, hi, k = bracket
+    sign, man, exp, bits = x._mpf_
+    man, m = -man if sign else man, max(bits + exp, 0)
+    scale = max(k, -exp, target + 6 - m)
+    mid, delta = man << (exp + scale), 1 << (m - target - 6 + scale)
+    low, high = mid - delta, min(mid + delta, hi << (scale - k))
+    return (lo << (scale - k) < low < high
+            and _sign_at(coeffs, low, scale) * _sign_at(coeffs, high, scale)
+            <= 0)
+
+
+def _horner(coeffs, x):
+    """f(x) and f'(x) for the monic quartic coeffs, by Horner's rule, in
+    the arithmetic of x."""
+    fx, dfx = 1, 0
+    for c in coeffs[3::-1]:
+        dfx = dfx * x + fx
+        fx = fx * x + c
+    return fx, dfx
+
+
+def _lost_bits(coeffs, num, k):
+    """The bits Horner's rule loses to cancellation at x = num / 2^k: the
+    excess of sum |c_i| |x|^i over |f'(x)| max(|x|, 1), the root's
+    condition number, read off bit lengths of the terms c_i x^i 2^(4k)."""
+    terms = [c * num ** i << (k * (4 - i)) for i, c in enumerate(coeffs)]
+    size = sum(abs(t) for t in terms).bit_length()
+    slope = abs(sum(i * t for i, t in enumerate(terms))).bit_length()
+    return max(0, size - slope + min(0, abs(num).bit_length() - k))
+
+
+def _start(coeffs, bracket):
+    """A start for _newton as a dyadic (num, k), num / 2^k: Newton's method
+    in float64 from the bracket's midpoint, bisecting where a step would
+    leave the bracket (the float sign of f decides the half), until a step
+    is below 2^-50; the midpoint itself if the coefficients exceed float64
+    or the bracket is not wider than its float64 ends resolve."""
+    lo, hi, k = bracket
+    try:
+        low, high = math.ldexp(lo, -k), math.ldexp(hi, -k)
+        float(max(abs(c) for c in coeffs))
+    except OverflowError:
+        return lo + hi, k + 1
+    if not low < (low + high) / 2 < high:
+        return lo + hi, k + 1
+    f_high, x = _horner(coeffs, high)[0], (low + high) / 2
+    for _ in range(64):
+        fx, dfx = _horner(coeffs, x)
+        step = fx / dfx if dfx else math.inf
+        if fx == 0 or not math.isfinite(step):
+            break
+        if (fx > 0) == (f_high > 0):
+            high = x
         else:
-            raise ArithmeticError("Newton refinement of a root did not "
-                                  "converge")
-    with mpf_ctx(precision_bits):
-        return +x
+            low = x
+        new = x - step
+        if not low < new < high:
+            new = (low + high) / 2
+        x, step = new, x - new
+        if abs(step) <= abs(x) * 2.0 ** -50:
+            break
+    num, den = x.as_integer_ratio()
+    return num, den.bit_length() - 1
 
 
 def _det(rows):
@@ -326,38 +480,57 @@ class Automorphism:
 
 
 def quartic_is_irreducible(coeffs):
-    """Exact irreducibility over Q for a monic integer quartic (Gauss: a
-    factor may be taken monic with integer coefficients).
+    """Exact irreducibility over Q for a monic integer quartic: galois_group
+    names a group exactly for the irreducible ones."""
+    return galois_group(coeffs) is not None
 
-    A repeated root (discriminant 0) makes f reducible.  Otherwise each
-    integer root is round(r_i) and each monic quadratic factor is
-    x^2 - round(r_i + r_j) x + round(r_i r_j) for a pair of complex roots;
-    every candidate is confirmed by exact division.  The roots come from
-    the polynomial's one solve, at twice the bit length of the Cauchy
-    bound |r| <= 1 + max |c_i| plus 32 guard bits, so that sums and
-    products of roots, at most R^2, are off by far less than 1/2 and
-    rounding finds every factor.
+
+def galois_group(coeffs):
+    """The Galois group of the monic integer quartic
+    f = x^4 + a x^3 + b x^2 + c x + d, as "C4", "V4", "D4", "A4" or "S4",
+    or None when f is reducible; exact, in integers.
+
+    Reducible (Gauss: a factor may be taken monic with integer
+    coefficients): disc f = 0, an integer root, or a factor
+    (x^2 + p x + q)(x^2 + r x + s).  Then theta = q + s is an integer root
+    of the resolvent cubic R(x) = x^3 - b x^2 + (ac - 4d) x
+    - (a^2 d - 4bd + c^2), whose roots are r1 r2 + r3 r4 and its
+    conjugates, and q, s are the roots of y^2 - theta y + d and p, r those
+    of y^2 - a y + (b - theta); each integer root of R (_integer_roots;
+    disc R = disc f, so R is squarefree) is tested that way, by exact
+    division.  The integer roots of f and of R come from their brackets.
+
+    Irreducible (Kappe & Warren, Amer. Math. Monthly 96, 1989): R with no
+    rational root gives A4 when disc f is a square and S4 otherwise; three
+    rational roots give V4; exactly one, r, gives C4 iff x^2 - r x + d and
+    x^2 + a x + (b - r) both split over Q(sqrt(disc f)), and D4 otherwise.
+    A quadratic with discriminant delta splits there iff delta or
+    delta disc f is a rational square.
     """
-    if discriminant(power_table(coeffs)) == 0:
-        return False
-    bits = _cauchy_bits(coeffs)
-    rts = _solve(tuple(coeffs), bits)
-    with mpf_ctx(bits):
-        for r in rts:
-            if _divides(coeffs, (-int(mpmath.nint(mpmath.re(r))), 1)):
-                return False
-        for r, s in itertools.combinations(rts, 2):
-            factor = (int(mpmath.nint(mpmath.re(r * s))),
-                      -int(mpmath.nint(mpmath.re(r + s))), 1)
-            if _divides(coeffs, factor):
-                return False
-    return True
-
-
-def _cauchy_bits(coeffs):
-    """Precision of a quartic's first solve: twice the bit length of its
-    Cauchy root bound 1 + max |c_i|, plus 32 guard bits."""
-    return 2 * (1 + max(abs(c) for c in coeffs[:4])).bit_length() + 32
+    coeffs = tuple(coeffs)
+    disc = discriminant(power_table(coeffs))
+    if disc == 0 or _integer_roots(coeffs):
+        return None
+    d, c, b, a, _ = coeffs
+    thetas = _integer_roots((-(a * a * d - 4 * b * d + c * c), a * c - 4 * d,
+                             -b, 1))
+    for theta in thetas:  # the square roots of integers are integers
+        sq_qs, sq_pr = (_rational_sqrt(theta * theta - 4 * d),
+                        _rational_sqrt(a * a - 4 * (b - theta)))
+        if sq_qs is not None and sq_pr is not None:
+            q = (theta + sq_qs) // 2  # theta and sq_qs have one parity
+            if any(_divides(coeffs, (q, (a + sign * sq_pr) // 2, 1))
+                   for sign in (1, -1)):
+                return None
+    if not thetas:
+        return "S4" if _rational_sqrt(disc) is None else "A4"
+    if len(thetas) == 3:
+        return "V4"
+    (r,) = thetas
+    splits = all(_rational_sqrt(delta) is not None
+                 or _rational_sqrt(delta * disc) is not None
+                 for delta in (r * r - 4 * d, a * a - 4 * (b - r)))
+    return "C4" if splits else "D4"
 
 
 def _divides(coeffs, factor):
@@ -381,29 +554,44 @@ FOUR_CYCLES = tuple(
 
 
 def galois_generator(field):
-    """An exact order-4 automorphism, or raise NotCyclicError.
+    """An exact order-4 automorphism of a totally real cyclic quartic
+    field.
 
-    Refuses reducible polynomials, whose quotient ring is not a field.
-    For each 4-cycle perm of the roots, in lexicographic order, the
-    candidate image c of alpha solves M c = t exactly by Cramer's rule,
-    with M = trace_matrix(f) and t_j = sum_i r_perm(i) r_i^j rounded to an
-    integer; the first candidate exactly verified as an automorphism of
-    order 4 is returned.  c is a root of f iff char_poly(c) = f:
-    Cayley-Hamilton one way, f irreducible the other.  At the 4-cycle of sigma, t_j = Tr(sigma(alpha)
-    alpha^j) = sum_k M[j][k] c_k is an integer, as sigma(alpha) alpha^j
-    lies in Z[alpha].
+    NotCyclicError only from the exact tests that precede the search: a
+    reducible polynomial, whose quotient ring is not a field, or a Galois
+    group other than C4 (galois_group), named in the message; then the
+    roots' total reality (_real_roots).  For each 4-cycle perm of the
+    roots, in lexicographic order, the candidate image c of alpha solves
+    M c = t exactly by Cramer's rule, with M = trace_matrix(f) and
+    t_j = sum_i r_perm(i) r_i^j rounded to an integer; the first candidate
+    exactly verified as an automorphism of order 4 is returned.  c is a
+    root of f iff char_poly(c) = f: Cayley-Hamilton one way, f irreducible
+    the other.  At the 4-cycle of sigma, t_j = Tr(sigma(alpha) alpha^j) =
+    sum_k M[j][k] c_k is an integer, as sigma(alpha) alpha^j lies in
+    Z[alpha].  The group is C4, so sigma exists: a search that verifies no
+    candidate raises UnitSearchError, never NotCyclicError.
 
-    Precision: every |r_i| < R = 1 + max |c_i| (Cauchy), and the roots at
-    b bits are each off by at most R 2^-b, so each product r_perm(i) r_i^j
-    of at most 4 factors is off by at most 4 R^4 2^-b to first order, and
-    t_j, a sum of 4 of them, by 16 R^4 2^-b.  At b = 2 _cauchy_bits(f) >=
-    4 log2 R + 64 that is below 2^-60, far below the 1/2 rounding needs.
+    Precision: every |r_i| < R = 1 + max |c_i| (Cauchy).  Each root at b
+    bits is refined by Newton inside its bracket, proven within
+    2^(m-b-22) <= R 2^-(b+21) of the bracket's root, |x| < 2^m
+    (_in_bracket), and rounded to b + 16 bits, so it is off by at most
+    R 2^-b.  Each product r_perm(i) r_i^j of
+    at most 4 factors is then off by at most 4 R^4 2^-b to first order,
+    and t_j, a sum of 4 of them, by 16 R^4 2^-b.  At
+    b = 4 bitlength(R) + 64 >= 4 log2 R + 64 that is below 2^-60, far below
+    the 1/2 rounding needs.  b is the default working precision when that
+    is higher, so that embeddings at it reuse the roots.
     """
-    if not quartic_is_irreducible(field.coeffs):
+    group = galois_group(field.coeffs)
+    if group is None:
         raise NotCyclicError("defining polynomial is reducible")
+    if group != "C4":
+        raise NotCyclicError("defining polynomial has Galois group %s, not "
+                             "C4: the field is not cyclic" % group)
     mat = trace_matrix(field.table)
     disc = _det(mat)
-    bits = 2 * _cauchy_bits(field.coeffs)
+    bits = max(4 * (1 + max(abs(c) for c in field.coeffs[:4])).bit_length()
+               + 64, DEFAULT_PRECISION)
     roots = field.roots(bits)
     with mpf_ctx(bits):
         for perm in FOUR_CYCLES:
@@ -423,7 +611,9 @@ def galois_generator(field):
             t4 = t2.compose(t2)
             if t4.is_identity():
                 return tau
-    raise NotCyclicError("no order-4 automorphism found; field is not cyclic")
+    raise UnitSearchError("no 4-cycle of the roots gave an order-4 "
+                          "automorphism of the C4 field %s"
+                          % (field.coeffs,))
 
 
 def sqrt_of_rational(field, q):

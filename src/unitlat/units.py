@@ -495,16 +495,29 @@ def relative_norm_screen(ctx):
     D * c * sigma^2(c) reduced mod f is an integer vector, looked up in
     the table of the integral +-D * u_l^k; a non-integral one equals no
     such product.  u_l has infinite order, so the 50 elements +-u_l^k are
-    distinct.
+    distinct.  The table is built on integers: with u_l = (A + B sqrt(d))/Q
+    and sqrt(d) = (S_0 + S_1 alpha + S_2 alpha^2 + S_3 alpha^3)/T, each
+    power u_l^k = (A_k + B_k sqrt(d))/Q^k is a running product of integer
+    triples, u_l^-1 = N(u_l) conj(u_l), and D u_l^k has the numerators
+    D (A_k T + B_k S_0), D B_k S_1, D B_k S_2, D B_k S_3 over T Q^k.
     """
-    field = ctx.field
+    field, ul = ctx.field, ctx.u_l
     den, s2_rows = field.sigma2.integer_matrix()
+    t = math.lcm(*(v.denominator for v in ctx.sqrt_d.coords))
+    s0, *s_rest = (int(v * t) for v in ctx.sqrt_d.coords)
+    n = quad_norm(ul)
     table = {}
-    for k, power in u_l_powers(ctx):
-        scaled = tuple(v * den for v in power.coords)
-        if all(v.denominator == 1 for v in scaled):
-            scaled = tuple(int(v) for v in scaled)
-            table[scaled] = table[tuple(-v for v in scaled)] = k
+    for a, b, sign in ((ul.a, ul.b, 1), (n * ul.a, -n * ul.b, -1)):
+        q = math.lcm(a.denominator, b.denominator)
+        a, b = int(a * q), int(b * q)
+        pa, pb, pq = 1, 0, t
+        for k in range(13):
+            coords = (den * (pa * t + pb * s0),) + tuple(den * pb * v
+                                                         for v in s_rest)
+            if all(v % pq == 0 for v in coords):
+                key = tuple(v // pq for v in coords)
+                table[key] = table[tuple(-v for v in key)] = sign * k
+            pa, pb, pq = pa * a + ul.d * pb * b, pa * b + pb * a, pq * q
 
     def exponent(c):
         s2c = [sum(m * v for m, v in zip(row, c)) for row in s2_rows]

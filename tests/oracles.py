@@ -25,9 +25,12 @@ coordinates, and tower_witness reads the library's witness of each class
 off its root.  fraction_route_root and fraction_route_generators keep
 the earlier Fraction route of the Klein square roots, every step an
 element, where the library multiplies integer numerators (`mul_coords`)
-over one denominator.  Four cyclic oracles keep the earlier direct
+over one denominator.  Five cyclic oracles keep the earlier direct
 forms: trial_division_irreducible finds integer roots and quadratic
 factors from the divisors of the constant term, with no roots computed;
+polyroots_real_roots solves f over C with mpmath.polyroots, where the
+library brackets the real roots in integers (Sturm) and refines each by
+Newton's method;
 galois_generator_all_perms reconstructs sigma from every root
 permutation moving root 0, not only 4-cycles, by one Vandermonde solve
 each and rational reconstruction, and tests each candidate root of f by
@@ -684,6 +687,15 @@ def trial_division_irreducible(coeffs):
                 if a * dd + (s - a) * bb == c1:
                     return False
     return True
+
+
+def polyroots_real_roots(coeffs, bits):
+    """The real parts of the four complex roots of a monic integer quartic,
+    descending, from one mpmath.polyroots solve at bits."""
+    with mpf_ctx(bits):
+        rts = mpmath.polyroots([mpmath.mpf(c) for c in coeffs[::-1]],
+                               maxsteps=200, extraprec=bits)
+        return sorted((mpmath.re(r) for r in rts), reverse=True)
 
 
 def _mpf_fraction(x):

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from unitlat import cli, quadratic
+from unitlat import cli, quadratic, quartic
 from unitlat import verifier as vf
 from unitlat.quadratic import fundamental_unit
 
@@ -249,6 +249,34 @@ def test_verify_paper_bad_catalog_polynomial(tmp_path, capsys, bad):
     assert code == 4
     assert out == ""
     assert err.startswith("error:")
+
+
+# x^4 - 10x^2 + 1 (V4) and x^4 - x^3 - 3x^2 + x + 1 (D4, disc 725)
+NOT_CYCLIC_CATALOG = os.path.join(os.path.dirname(__file__), "data",
+                                  "not_cyclic_catalog.json")
+
+
+@pytest.mark.parametrize("label, group", [("Q(sqrt2+sqrt3)", "V4"),
+                                          ("disc725", "D4")])
+def test_cyclic_not_c4_names_the_group(capsys, label, group):
+    # the Galois group, decided in integers before any sigma search, is a
+    # catalog error that names the group
+    code, out, err = run(capsys, "--catalog", NOT_CYCLIC_CATALOG, "cyclic",
+                         label)
+    assert (code, out) == (4, "")
+    assert err == ("error: defining polynomial has Galois group %s, not C4: "
+                   "the field is not cyclic\n" % group)
+
+
+def test_failed_sigma_search_is_not_read_as_not_cyclic(capsys, monkeypatch):
+    # a C4 field whose 4-cycle search finds no sigma exits 2, a search
+    # that gave up, never the catalog error "not cyclic"
+    monkeypatch.setattr(quartic, "FOUR_CYCLES", ())
+    code, out, err = run(capsys, "cyclic", "Q(zeta15)+")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: no 4-cycle of the roots gave an order-4 "
+                          "automorphism of the C4 field")
+    assert err.count("\n") == 1 and "not cyclic" not in err
 
 
 # catalog files that cannot be loaded: invalid input, as Q_index 3 is,

@@ -4,9 +4,10 @@ from fractions import Fraction
 from math import comb, isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import mpmath
+import sympy
 
 import unitlat
 from unitlat import biquadratic
@@ -18,9 +19,9 @@ from unitlat.quartic import (CyclicQuarticField, NotCyclicError, QuarticElem,
                              norm_to_Q, qr_add, qr_mul,
                              quartic_is_irreducible, sqrt_of_rational)
 from oracles import (char_poly, eval_poly_at, galois_generator_all_perms,
-                     power_basis_norm, qr_inv, qr_is_algebraic_integer,
-                     qr_is_unit, qr_norm_to_Q, qr_pow,
-                     trial_division_irreducible)
+                     polyroots_real_roots, power_basis_norm, qr_inv,
+                     qr_is_algebraic_integer, qr_is_unit, qr_norm_to_Q,
+                     qr_pow, trial_division_irreducible)
 
 # maximal real subfield of the 16th cyclotomic field
 F = CyclicQuarticField((2, 0, -4, 0, 1))
@@ -232,11 +233,10 @@ def test_galois_generator_exact():
         assert sigma(qr_mul(a, b)) == qr_mul(sigma(a), sigma(b))
 
 
-def test_galois_generator_bounds_from_polynomial(monkeypatch):
+def test_galois_generator_bounds_from_polynomial():
     # sigma(alpha) has denominator 10^14, beyond the fixed bound of 10^12
     # an earlier reconstruction used; the exact solve finds it at the
     # precision read off the coefficients
-    monkeypatch.setattr(qt, "quartic_is_irreducible", lambda coeffs: True)
     sigma = galois_generator(SCALED)
     assert sigma.image == QuarticElem(
         SCALED, (0, -3, 0, Fraction(1, 10 ** 14)))
@@ -350,27 +350,24 @@ def test_discriminant(name):
     assert disc == known.get(name, disc)
 
 
-def _direct_roots(coeffs, bits):
-    """Real roots, descending, from a fresh mpmath.polyroots at bits."""
-    with qt.mpf_ctx(bits):
-        rts = mpmath.polyroots([mpmath.mpf(c) for c in coeffs[::-1]],
-                               maxsteps=200, extraprec=bits)
-        return sorted((mpmath.re(r) for r in rts), reverse=True)
-
-
-def _count_root_solves(monkeypatch):
-    """Clear the root caches; the returned list then receives the
-    extraprec of every mpmath.polyroots call."""
+def _count_brackets(monkeypatch):
+    """Clear the root caches and make mpmath.polyroots raise; the returned
+    list then receives the polynomial of every bracket computation, one
+    Sturm sequence each."""
     calls = []
-    polyroots = mpmath.polyroots
+    sturm = qt._sturm
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs["extraprec"])
-        return polyroots(*args, **kwargs)
+    def counting(poly):
+        calls.append(tuple(poly))
+        return sturm(poly)
 
-    qt._solve.cache_clear()
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the library called mpmath.polyroots")
+
     qt._real_roots.cache_clear()
-    monkeypatch.setattr(mpmath, "polyroots", counting)
+    qt._root_brackets.cache_clear()
+    monkeypatch.setattr(qt, "_sturm", counting)
+    monkeypatch.setattr(mpmath, "polyroots", forbidden)
     return calls
 
 
@@ -380,30 +377,37 @@ def _close(got, direct, bits):
                    for g, d in zip(got, direct))
 
 
+def _near(got, direct, bits):
+    """_close with the error measured against max(|root|, 1): Newton stops
+    on a step below 2^-(bits + 24) max(|x|, 1), absolute below 1."""
+    with qt.mpf_ctx(bits):
+        return all(abs(g - d) <= max(abs(d), 1) * mpmath.mpf(2) ** -(bits + 14)
+                   for g, d in zip(got, direct))
+
+
 def test_one_root_solve_per_polynomial(monkeypatch):
-    # every later precision is refined from the one solve by Newton's
-    # method and agrees with a direct solve at that precision
+    # the polynomial is bracketed once; every precision is refined from
+    # the brackets by Newton's method and agrees with a direct solve at
+    # that precision
     field = FIELDS["zeta15+"][0]
-    direct = {bits: _direct_roots(field.coeffs, bits)
+    direct = {bits: polyroots_real_roots(field.coeffs, bits)
               for bits in (64, 128, 300)}
-    calls = _count_root_solves(monkeypatch)
+    calls = _count_brackets(monkeypatch)
     got = {bits: field.roots(bits) for bits in (128, 300, 64, 128)}
-    assert len(calls) == 1
+    assert calls == [field.coeffs]
     for bits in (64, 128, 300):
         assert _close(got[bits], direct[bits], bits)
 
 
-def test_newton_down_from_cauchy_precision(monkeypatch):
-    # SCALED is solved at its Cauchy precision, 222 bits, above the
-    # working precisions 64 and 128: Newton goes down to them as it goes
-    # up to 300, each as close to a direct solve
-    assert qt._cauchy_bits(SCALED.coeffs) == 222
-    direct = {bits: _direct_roots(SCALED.coeffs, bits)
+def test_scaled_roots_from_brackets(monkeypatch):
+    # SCALED's roots, up to 1.8 10^7, come from one set of brackets at
+    # every working precision, each as close to a direct solve
+    direct = {bits: polyroots_real_roots(SCALED.coeffs, bits)
               for bits in (64, 128, 300)}
-    calls = _count_root_solves(monkeypatch)
+    calls = _count_brackets(monkeypatch)
     for bits in (64, 128, 300):
         assert _close(SCALED.roots(bits), direct[bits], bits)
-    assert calls == [222]
+    assert calls == [SCALED.coeffs]
 
 
 def test_newton_at_cancelling_roots(monkeypatch):
@@ -411,11 +415,93 @@ def test_newton_at_cancelling_roots(monkeypatch):
     # up to 6.8 10^9, so Horner's rule cancels ~24 bits at each root and
     # Newton at a fixed 32 guard bits stalled above its stopping threshold
     coeffs = (6784322687, -94557316, 494210, -1148, 1)
-    direct = {bits: _direct_roots(coeffs, bits) for bits in (128, 196)}
-    _count_root_solves(monkeypatch)
+    direct = {bits: polyroots_real_roots(coeffs, bits) for bits in (128, 196)}
+    _count_brackets(monkeypatch)
     field = CyclicQuarticField(coeffs)
     for bits in (128, 196):
         assert _close(field.roots(bits), direct[bits], bits)
+
+
+def _mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _shift(coeffs, t):
+    """f(x - t), constant term first."""
+    out = [0] * len(coeffs)
+    for k, c in enumerate(coeffs):
+        for i in range(k + 1):
+            out[i] += c * comb(k, i) * (-t) ** (k - i)
+    return tuple(out)
+
+
+@st.composite
+def totally_real_quartics(draw):
+    """x^4 + a x^2 + b with a < 0 < b and a^2 > 4b, or a shifted product of
+    two real quadratics x^2 + p x + q, p^2 > 4q; distinct nonzero roots."""
+    if draw(st.booleans()):
+        a = draw(st.integers(-200, -3))
+        coeffs = (draw(st.integers(1, (a * a - 1) // 4)), 0, a, 0, 1)
+    else:
+        quads = []
+        for _ in range(2):
+            p = draw(st.integers(-30, 30))
+            quads.append((draw(st.integers(-200, (p * p - 1) // 4)), p, 1))
+        coeffs = _shift(_mul(*quads), draw(st.integers(-300, 300)))
+    assume(coeffs[0] != 0 and qt.discriminant(qt.power_table(coeffs)) != 0)
+    return coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(totally_real_quartics())
+def test_roots_match_polyroots(coeffs):
+    # the bracketed Newton roots against one complex solve, at each
+    # precision; integer roots land on bracket ends, where a bracket that
+    # lost its upper end would leave its root outside
+    field = CyclicQuarticField(coeffs)
+    for bits in (64, 128, 300):
+        assert _near(field.roots(bits), polyroots_real_roots(coeffs, bits),
+                     bits)
+
+
+@pytest.mark.parametrize("a", [10 ** 6, 10 ** 9, 10 ** 12])
+def test_newton_keeps_clustered_roots_apart(a):
+    # x^4 - 2(a x - 1)^2 (Mignotte) has two roots within sqrt2 / a^3 of
+    # 1/a, closer than float64 resolves from a = 10^9 on: Newton started
+    # in one bracket converges to the other root unless the bracket holds
+    # it.  The direct solve runs at more bits, as the pair is ill
+    # conditioned
+    coeffs = (-2, 4 * a, -2 * a * a, 0, 1)
+    for bits in (64, 128, 300):
+        got = CyclicQuarticField(coeffs).roots(bits)
+        assert got[1] > got[2]
+        assert _near(got, polyroots_real_roots(coeffs, 2 * bits + 128), bits)
+
+
+def test_newton_restarts_outside_its_bracket(monkeypatch):
+    # Newton started at the neighbouring root converges there, outside
+    # the bracket: the bracket is halved and Newton restarts, and the
+    # bracket's own root comes back
+    coeffs = F.coeffs
+    brackets = qt._root_brackets(coeffs)
+    want = [qt._newton(coeffs, b, 128) for b in brackets]
+    start = qt._start
+    starts = {}
+
+    def neighbour_first(poly, bracket):
+        if bracket in brackets and bracket not in starts:
+            i = brackets.index(bracket)
+            starts[bracket] = start(poly, brackets[i - 1 if i else 1])
+            return starts[bracket]
+        return start(poly, bracket)
+
+    monkeypatch.setattr(qt, "_start", neighbour_first)
+    assert [qt._newton(coeffs, b, 128) for b in brackets] == want
+    assert len(starts) == 4
 
 
 @settings(max_examples=300, deadline=None)
@@ -434,13 +520,7 @@ def test_irreducible_matches_trial_division(low):
 def test_irreducible_finds_large_factors(factors):
     # constant terms from 2 10^12 to 10^28: trial division of c0 takes
     # 0.1 s at the first and never ends at the last
-    def mul(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return out
-    coeffs = tuple(mul(mul(factors[0], factors[1]), factors[2]))
+    coeffs = tuple(_mul(_mul(factors[0], factors[1]), factors[2]))
     assert len(coeffs) == 5 and coeffs[4] == 1
     assert not quartic_is_irreducible(coeffs)
 
@@ -503,13 +583,57 @@ def test_not_cyclic_rejected():
             CyclicQuarticField(coeffs).sigma
 
 
+def _sympy_group(coeffs):
+    """The Galois group of an irreducible quartic by sympy, named as
+    quartic.galois_group names it."""
+    x = sympy.Symbol("x")
+    group, _ = sympy.galois_group(sympy.Poly(coeffs[::-1], x), by_name=True)
+    return {"V": "V4"}.get(group.name, group.name)
+
+
+# x^4 - 10x^2 + 1 (V4), x^4 - x^3 - 3x^2 + x + 1 (D4, disc 725) and
+# x^4 - 7x^2 + x + 1 (S4), besides the 9 fields, all C4
+GROUPS = {**{name: (field.coeffs, "C4") for name, field in KERNEL_FIELDS.items()},
+          "sqrt2+sqrt3": ((1, 0, -10, 0, 1), "V4"),
+          "disc725": ((1, 1, -3, -1, 1), "D4"),
+          "x^4-7x^2+x+1": ((1, 1, -7, 0, 1), "S4")}
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_galois_group_matches_sympy(name):
+    coeffs, group = GROUPS[name]
+    assert qt.galois_group(coeffs) == group == _sympy_group(coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(-60, 60), st.integers(-400, 400))
+def test_galois_group_of_even_quartics_matches_sympy(a, b):
+    # x^4 + a x^2 + b: V4, C4 or D4 when irreducible, any signature
+    coeffs = (b, 0, a, 0, 1)
+    group = qt.galois_group(coeffs)
+    assert (group is None) == (not trial_division_irreducible(coeffs))
+    if group is not None:
+        assert group == _sympy_group(coeffs)
+
+
+@pytest.mark.parametrize("name", ["sqrt2+sqrt3", "disc725"])
+def test_not_cyclic_names_the_group(name, monkeypatch):
+    # "not cyclic" is read off the Galois group before any root is sought
+    coeffs, group = GROUPS[name]
+    calls = _count_brackets(monkeypatch)
+    with pytest.raises(NotCyclicError, match="Galois group %s, not C4" % group):
+        galois_generator(CyclicQuarticField(coeffs))
+    assert calls.count(coeffs) == 1
+    assert not any(qt._real_roots.cache_info()[:2])
+
+
 @pytest.mark.parametrize("bits", [64, 128, 256])
 def test_total_reality_decided_before_solving(bits, monkeypatch):
     # (x^2 - 10^40)^2 + 1 has no real root, but its roots lie within
     # 10^-20 of the real axis: Newton on the real parts did not converge
     # at 64 and 128 bits.  The trace matrix refuses it, and (x^2 - 2)^2,
     # whose double roots it returned twice, with no root solved
-    calls = _count_root_solves(monkeypatch)
+    calls = _count_brackets(monkeypatch)
     with pytest.raises(NotCyclicError, match="not totally real"):
         CyclicQuarticField((10 ** 80 + 1, 0, -2 * 10 ** 40, 0, 1)).roots(bits)
     with pytest.raises(NotCyclicError, match="repeated root"):

@@ -479,23 +479,29 @@ def test_conjugate_hits_tie_exactly(pinned):
 
 @pytest.mark.parametrize("bits", [None, 64, 300])
 def test_one_root_solve_per_field_per_op(bits, monkeypatch):
-    # a fresh field's cyclic report solves its polynomial once, at any
-    # working precision
+    # a fresh field's cyclic report brackets the real roots of each
+    # polynomial once, at any working precision: the defining quartic and
+    # its resolvent cubic; mpmath.polyroots is never called
     calls = []
-    polyroots = mpmath.polyroots
+    sturm = qt._sturm
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs["extraprec"])
-        return polyroots(*args, **kwargs)
+    def counting(poly):
+        calls.append(tuple(poly))
+        return sturm(poly)
 
-    qt._solve.cache_clear()
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the library called mpmath.polyroots")
+
     qt._real_roots.cache_clear()
-    monkeypatch.setattr(mpmath, "polyroots", counting)
+    qt._root_brackets.cache_clear()
+    monkeypatch.setattr(qt, "_sturm", counting)
+    monkeypatch.setattr(mpmath, "polyroots", forbidden)
     shipped = load_default_catalog()[2]
     kwargs = {} if bits is None else {"precision_bits": bits}
     value, _ = cyclic_entry_report(shipped, **kwargs)
     assert value is not None
-    assert len(calls) == 1
+    assert calls.count(shipped.coeffs) == 1
+    assert len(calls) == len(set(calls)) == 2
 
 
 @pytest.mark.parametrize("bits", [64, 128, 300])
