@@ -82,12 +82,6 @@ class QuadElem:
         return cls(obj["d"], Fraction(obj["a"]), Fraction(obj["b"]))
 
 
-def quad_mul(x, y):
-    if x.d != y.d:
-        raise ValueError("mismatched fields: sqrt(%d) vs sqrt(%d)" % (x.d, y.d))
-    return QuadElem(x.d, x.a * y.a + x.b * y.b * x.d, x.a * y.b + x.b * y.a)
-
-
 def quad_norm(x):
     return x.a * x.a - x.d * x.b * x.b
 

@@ -8,9 +8,11 @@ Elements (QuarticElem) of both multiply by one product (mul_coords);
 the trace form (trace_matrix) and char_poly, which decides integrality,
 the norm and units, read the table and need no Galois action.
 
-On the power basis the trace form decides disc f, total reality
-(Hermite) and the image of alpha under a generator sigma of the Galois
-group (galois_generator).  The real roots come from one integer Sturm
+On the power basis the trace form, built once per polynomial with the
+table and disc f (trace_form), decides disc f, total reality (Hermite)
+and the image of alpha under a generator sigma of the Galois group
+(galois_generator); sigma is one integer matrix over a denominator
+(Automorphism).  The real roots come from one integer Sturm
 sequence per polynomial: dyadic brackets (_root_brackets) that isolate
 them, which Newton's method refines to each precision.  The same
 brackets give the integer roots of f and of its resolvent cubic, which
@@ -51,6 +53,13 @@ def mul_coords(a, b, table):
     return tuple(prod)
 
 
+def integer_coords(values):
+    """(N, D): the rationals values as integer numerators N over their
+    least common denominator D > 0."""
+    den = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
 def power_table(coeffs):
     """Structure constants of the power basis of the monic quartic coeffs:
     for each (i, j) the nonzero (k, c) of alpha^(i+j), reduced by
@@ -64,18 +73,34 @@ def power_table(coeffs):
                        for j in range(4)) for i in range(4))
 
 
+def _traces(table):
+    """Tr(b_k) for each basis element, exact from the structure constants:
+    the trace of multiplication by b_k sums the coefficient of b_i in
+    b_k b_i over i."""
+    return [sum(c for i in range(4) for j, c in table[k][i] if j == i)
+            for k in range(4)]
+
+
 def trace_matrix(table):
     """The trace form of a basis, M[i][j] = Tr(b_i b_j), exact from its
-    structure constants; Tr(b_k), the trace of multiplication by b_k, sums
-    the coefficient of b_i in b_k b_i over i, and M[0] lists them.
+    structure constants; M[0] lists the Tr(b_k) (_traces).
 
     On the power basis M[j][k] = Tr(alpha^(j+k)) = sum_i r_i^(j+k), so
     M = V^T V for the root Vandermonde matrix V[i][j] = r_i^j, and
     det M = disc f."""
-    tr = [sum(c for i in range(4) for j, c in table[k][i] if j == i)
-          for k in range(4)]
+    tr = _traces(table)
     return tuple(tuple(sum(c * tr[k] for k, c in table[i][j])
                        for j in range(4)) for i in range(4))
+
+
+@functools.lru_cache(maxsize=None)
+def trace_form(coeffs):
+    """(power table, trace matrix M, disc f = det M) of the monic quartic
+    coeffs, built once per polynomial and cached by coeffs, so no field is
+    kept alive."""
+    table = power_table(coeffs)
+    mat = trace_matrix(table)
+    return table, mat, _det(mat)
 
 
 def char_poly(a):
@@ -87,9 +112,8 @@ def char_poly(a):
     m C_m = -(p_m + C_1 p_(m-1) + ... + C_(m-1) p_1) divide exactly, as A
     lies in the order the table spans, and c_m = C_m / D^m."""
     table = a.field.table
-    tr = trace_matrix(table)[0]
-    den = math.lcm(*(v.denominator for v in a.coords))
-    a1 = tuple(v.numerator * (den // v.denominator) for v in a.coords)
+    tr = _traces(table)
+    a1, den = integer_coords(a.coords)
     a2 = mul_coords(a1, a1, table)
     p = [sum(t * v for t, v in zip(tr, x))
          for x in (a1, a2, mul_coords(a2, a1, table),
@@ -215,11 +239,12 @@ def _real_roots(coeffs, precision_bits):
     is sought, NotCyclicError unless the trace matrix is positive definite,
     that is (Sylvester), unless its leading minors are > 0: by Hermite the
     trace form has signature (r1 + r2, r2) when the roots are distinct,
-    and det M = disc f = 0 when they are not.  Then the polynomial has
-    exactly four brackets (_root_brackets, computed once per polynomial),
-    each refined to the precision by _newton."""
-    mat = trace_matrix(power_table(coeffs))
-    minors = [_det(tuple(row[:k] for row in mat[:k])) for k in (2, 3, 4)]
+    and det M = disc f = 0 when they are not (M and disc f from
+    trace_form).  Then the polynomial has exactly four brackets
+    (_root_brackets, computed once per polynomial), each refined to the
+    precision by _newton."""
+    _, mat, disc = trace_form(coeffs)
+    minors = [_det(tuple(row[:k] for row in mat[:k])) for k in (2, 3)] + [disc]
     if minors[-1] == 0:
         raise NotCyclicError("defining polynomial has a repeated root")
     if min(minors) <= 0:
@@ -343,10 +368,13 @@ def _det(rows):
                for k, v in enumerate(rows[0]) if v)
 
 
-def discriminant(table):
-    """Discriminant of a basis, exact: det of its trace form; disc f on
-    the power basis of f."""
-    return _det(trace_matrix(table))
+def _adjugate(rows):
+    """The adjugate of a square integer matrix, adj[k][j] the (j, k)
+    cofactor, so that rows adj = det(rows) I."""
+    n = len(rows)
+    return tuple(tuple((-1) ** (j + k) * _det(tuple(
+        r[:k] + r[k + 1:] for i, r in enumerate(rows) if i != j))
+        for j in range(n)) for k in range(n))
 
 
 @dataclass(frozen=True)
@@ -364,7 +392,7 @@ class CyclicQuarticField:
 
     @functools.cached_property
     def table(self):
-        return power_table(self.coeffs)
+        return trace_form(self.coeffs)[0]
 
     def format(self, coords):
         return "[" + ", ".join(str(c) for c in coords) + "]"
@@ -443,39 +471,48 @@ def _same(a, b):
 
 
 class Automorphism:
-    """Field automorphism given by the exact image of alpha; root_perm, when
+    """Field automorphism as one integer matrix: den * sigma(x) has the
+    coordinates rows @ x, column j holding den * sigma(alpha^j), with
+    den > 0 least (the gcd of den and the rows is 1).  root_perm, when
     known, maps each root index i to that of sigma(alpha) at root i."""
 
-    def __init__(self, field, image, root_perm=None):
-        self.field = field
-        self.image = image
-        self.root_perm = root_perm
-        gen_powers = [field.from_rational(1)]
+    def __init__(self, field, den, rows, root_perm=None):
+        g = math.gcd(den, *itertools.chain(*rows))
+        self.field, self.den, self.root_perm = field, den // g, root_perm
+        self.rows = tuple(tuple(v // g for v in row) for row in rows)
+
+    @classmethod
+    def from_image(cls, field, image, root_perm=None):
+        """The automorphism alpha -> image, image a root of f: with
+        image = N/D, N integer coordinates, column j is D^(3-j) N^j, each
+        the one before times N over D (exact: D^(4-j) divides it), on the
+        field's integer table."""
+        num, d = integer_coords(image.coords)
+        cols = [(d ** 3, 0, 0, 0)]
         for _ in range(3):
-            gen_powers.append(qr_mul(gen_powers[-1], image))
-        self._powers = gen_powers
+            cols.append(tuple(v // d for v in mul_coords(cols[-1], num,
+                                                         field.table)))
+        return cls(field, d ** 3, tuple(zip(*cols)), root_perm)
+
+    @property
+    def image(self):
+        return self(self.field.gen())
 
     def __call__(self, elem):
-        acc = [Fraction(0)] * 4
-        for c, p in zip(elem.coords, self._powers):
-            if c:
-                for i, v in enumerate(p.coords):
-                    acc[i] += c * v
-        return QuarticElem(self.field, tuple(acc))
+        x, e = integer_coords(elem.coords)
+        return QuarticElem(self.field, tuple(
+            Fraction(sum(m * v for m, v in zip(row, x)), self.den * e)
+            for row in self.rows))
 
     def compose(self, other):
-        return Automorphism(self.field, self(other.image))
-
-    def integer_matrix(self):
-        """(den, rows): den * self(x) has coordinates rows @ x, den the
-        least common denominator of the images of 1, alpha, alpha^2,
-        alpha^3, and rows integer."""
-        den = math.lcm(*(v.denominator for p in self._powers
-                         for v in p.coords))
-        return den, tuple(tuple(int(p.coords[i] * den) for p in self._powers)
-                          for i in range(4))
+        """self after other: the product of the two integer matrices over
+        the product of their denominators, reduced by its gcd."""
+        return Automorphism(self.field, self.den * other.den, tuple(
+            tuple(sum(a * b for a, b in zip(row, col))
+                  for col in zip(*other.rows)) for row in self.rows))
 
     def is_identity(self):
+        """sigma(alpha) = alpha: alpha generates the field."""
         return self.image == self.field.gen()
 
 
@@ -508,7 +545,7 @@ def galois_group(coeffs):
     delta disc f is a rational square.
     """
     coeffs = tuple(coeffs)
-    disc = discriminant(power_table(coeffs))
+    disc = trace_form(coeffs)[2]
     if disc == 0 or _integer_roots(coeffs):
         return None
     d, c, b, a, _ = coeffs
@@ -553,6 +590,14 @@ FOUR_CYCLES = tuple(
     if p[0] != 0 and p[p[0]] != 0 and p[p[p[0]]] != 0)
 
 
+def _rounded_traces(roots, perm):
+    """t_j = sum_i r_perm(i) r_i^j, j < 4, each rounded to the nearest
+    integer, at the current mpmath precision."""
+    return [int(mpmath.nint(sum(roots[p] * r ** j
+                                for p, r in zip(perm, roots))))
+            for j in range(4)]
+
+
 def galois_generator(field):
     """An exact order-4 automorphism of a totally real cyclic quartic
     field.
@@ -562,11 +607,12 @@ def galois_generator(field):
     group other than C4 (galois_group), named in the message; then the
     roots' total reality (_real_roots).  For each 4-cycle perm of the
     roots, in lexicographic order, the candidate image c of alpha solves
-    M c = t exactly by Cramer's rule, with M = trace_matrix(f) and
-    t_j = sum_i r_perm(i) r_i^j rounded to an integer; the first candidate
-    exactly verified as an automorphism of order 4 is returned.  c is a
-    root of f iff char_poly(c) = f: Cayley-Hamilton one way, f irreducible
-    the other.  At the 4-cycle of sigma, t_j = Tr(sigma(alpha) alpha^j) =
+    M c = t exactly, c = adj(M) t / disc f, with M the trace matrix of f
+    (trace_form), its adjugate formed once, and t_j = sum_i r_perm(i) r_i^j
+    rounded to an integer (_rounded_traces); the first candidate exactly
+    verified as an automorphism of order 4 is returned.  c is a root of f
+    iff char_poly(c) = f: Cayley-Hamilton one way, f irreducible the
+    other.  At the 4-cycle of sigma, t_j = Tr(sigma(alpha) alpha^j) =
     sum_k M[j][k] c_k is an integer, as sigma(alpha) alpha^j lies in
     Z[alpha].  The group is C4, so sigma exists: a search that verifies no
     candidate raises UnitSearchError, never NotCyclicError.
@@ -588,28 +634,22 @@ def galois_generator(field):
     if group != "C4":
         raise NotCyclicError("defining polynomial has Galois group %s, not "
                              "C4: the field is not cyclic" % group)
-    mat = trace_matrix(field.table)
-    disc = _det(mat)
     bits = max(4 * (1 + max(abs(c) for c in field.coeffs[:4])).bit_length()
                + 64, DEFAULT_PRECISION)
     roots = field.roots(bits)
+    _, mat, disc = trace_form(field.coeffs)
+    adj = _adjugate(mat)
     with mpf_ctx(bits):
         for perm in FOUR_CYCLES:
-            t = [int(mpmath.nint(sum(roots[p] * r ** j
-                                     for p, r in zip(perm, roots))))
-                 for j in range(4)]
+            t = _rounded_traces(roots, perm)
             cand = QuarticElem(field, tuple(
-                Fraction(_det(tuple(row[:k] + (v,) + row[k + 1:]
-                                    for row, v in zip(mat, t))), disc)
-                for k in range(4)))
+                Fraction(sum(a * v for a, v in zip(row, t)), disc)
+                for row in adj))
             if char_poly(cand) != field.coeffs[::-1]:
                 continue
-            tau = Automorphism(field, cand, perm)
+            tau = Automorphism.from_image(field, cand, perm)
             t2 = tau.compose(tau)
-            if t2.is_identity():
-                continue
-            t4 = t2.compose(t2)
-            if t4.is_identity():
+            if not t2.is_identity() and t2.compose(t2).is_identity():
                 return tau
     raise UnitSearchError("no 4-cycle of the roots gave an order-4 "
                           "automorphism of the C4 field %s"
@@ -633,10 +673,10 @@ def sqrt_of_rational(field, q):
     r = _rational_sqrt(q)
     if r is not None:
         return field.from_rational(r)
-    alpha = field.gen()
-    y = qr_add(alpha, field.sigma2(alpha))
+    alpha, conj = field.gen(), field.sigma2.image
+    y = qr_add(alpha, conj)
     if y.is_rational():  # then N_{L/k}(alpha) is not, as alpha has degree 4
-        y = qr_mul(alpha, field.sigma2(alpha))
+        y = qr_mul(alpha, conj)
     _, c1, c2, _, _ = char_poly(y)
     p = -c1 / 2
     m = (c2 - p * p) / 2

@@ -23,7 +23,7 @@ import mpmath
 
 from .precision import DEFAULT_PRECISION, mpf_ctx
 from .quadratic import (QuadElem, fundamental_unit, is_squarefree,
-                        quad_mul, quad_norm, surd_sign, unit_key)
+                        quad_norm, surd_sign, unit_key)
 from . import quartic as qt
 from .biquadratic import BiquadField
 from .loglattice import log_sigma, orbit_log
@@ -334,22 +334,17 @@ def _coords(obj, key):
 class CyclicFieldContext:
     """A cyclic quartic field (sigma cached on it), the fundamental unit
     u_l of its quadratic subfield k = Q(sqrt(d)) with the image of
-    sqrt(d), and the precision of the field's log vectors."""
+    sqrt(d), and the precision of the field's log vectors; u_l_emb is the
+    image of u_l."""
 
     field: qt.CyclicQuarticField
     u_l: QuadElem
     sqrt_d: qt.QuarticElem    # image of sqrt(d)
     precision_bits: int
 
-    def lift(self, x):
-        """Image of x = a + b*sqrt(d) in k."""
-        s0, *rest = self.sqrt_d.coords
-        return qt.QuarticElem(self.field,
-                              (x.a + x.b * s0,) + tuple(x.b * c for c in rest))
-
     @functools.cached_property
     def u_l_emb(self):
-        return self.lift(self.u_l)
+        return u_l_power(self, 1)
 
 
 def cyclic_context(coeffs, quad_subfield_d, u_l,
@@ -491,53 +486,52 @@ def relative_norm_screen(ctx):
     of an integer power-basis vector c returning k with
     N_{L/l}(c) = c * sigma^2(c) = +-u_l^k, |k| <= 12, or None.
 
-    sigma^2 is an integer matrix over its common denominator D, so
+    sigma^2 is an integer matrix over its denominator D (Automorphism), so
     D * c * sigma^2(c) reduced mod f is an integer vector, looked up in
-    the table of the integral +-D * u_l^k; a non-integral one equals no
-    such product.  u_l has infinite order, so the 50 elements +-u_l^k are
-    distinct.  The table is built on integers: with u_l = (A + B sqrt(d))/Q
-    and sqrt(d) = (S_0 + S_1 alpha + S_2 alpha^2 + S_3 alpha^3)/T, each
-    power u_l^k = (A_k + B_k sqrt(d))/Q^k is a running product of integer
-    triples, u_l^-1 = N(u_l) conj(u_l), and D u_l^k has the numerators
-    D (A_k T + B_k S_0), D B_k S_1, D B_k S_2, D B_k S_3 over T Q^k.
+    the table of the integral +-D * u_l^k (u_l_power_table); a
+    non-integral one equals no such product.  u_l has infinite order, so
+    the 50 elements +-u_l^k are distinct.
     """
-    field, ul = ctx.field, ctx.u_l
-    den, s2_rows = field.sigma2.integer_matrix()
-    t = math.lcm(*(v.denominator for v in ctx.sqrt_d.coords))
-    s0, *s_rest = (int(v * t) for v in ctx.sqrt_d.coords)
-    n = quad_norm(ul)
+    field, s2 = ctx.field, ctx.field.sigma2
     table = {}
-    for a, b, sign in ((ul.a, ul.b, 1), (n * ul.a, -n * ul.b, -1)):
-        q = math.lcm(a.denominator, b.denominator)
-        a, b = int(a * q), int(b * q)
-        pa, pb, pq = 1, 0, t
-        for k in range(13):
-            coords = (den * (pa * t + pb * s0),) + tuple(den * pb * v
-                                                         for v in s_rest)
-            if all(v % pq == 0 for v in coords):
-                key = tuple(v // pq for v in coords)
-                table[key] = table[tuple(-v for v in key)] = sign * k
-            pa, pb, pq = pa * a + ul.d * pb * b, pa * b + pb * a, pq * q
+    for k, (num, q) in u_l_power_table(ctx).items():
+        coords = [s2.den * v for v in num]
+        if all(v % q == 0 for v in coords):
+            key = tuple(v // q for v in coords)
+            table[key] = table[tuple(-v for v in key)] = k
 
     def exponent(c):
-        s2c = [sum(m * v for m, v in zip(row, c)) for row in s2_rows]
+        s2c = [sum(m * v for m, v in zip(row, c)) for row in s2.rows]
         return table.get(qt.mul_coords(c, s2c, field.table))
     return exponent
 
 
-def u_l_powers(ctx):
-    """(k, image of u_l^k) for |k| <= 12, k = 0 twice: the powers are
-    running products in Q(sqrt(d)), with u_l^-1 = N(u_l) * conj(u_l), and
-    each is lifted once."""
+def u_l_power_table(ctx):
+    """{k: (N, E)} for |k| <= 12, with N/E the image of u_l^k: N integer
+    power-basis coordinates over E > 0.  With
+    u_l = (A + B sqrt(d))/Q and sqrt(d) = (S_0 + S_1 alpha + S_2 alpha^2
+    + S_3 alpha^3)/T, each power u_l^k = (A_k + B_k sqrt(d))/Q^k is a
+    running product of integer triples, u_l^-1 = N(u_l) conj(u_l), and its
+    image has the numerators (A_k T + B_k S_0, B_k S_1, B_k S_2, B_k S_3)
+    over T Q^k."""
     ul = ctx.u_l
+    (s0, *s_rest), t = qt.integer_coords(ctx.sqrt_d.coords)
     n = quad_norm(ul)
-    powers = []
-    for step, sign in ((ul, 1), (QuadElem(ul.d, n * ul.a, -n * ul.b), -1)):
-        p = QuadElem(ul.d, 1, 0)
+    powers = {}
+    for step, sign in (((ul.a, ul.b), 1), ((n * ul.a, -n * ul.b), -1)):
+        (a, b), q = qt.integer_coords(step)
+        pa, pb, pq = 1, 0, t
         for k in range(13):
-            powers.append((sign * k, ctx.lift(p)))
-            p = quad_mul(p, step)
+            powers[sign * k] = ((pa * t + pb * s0,)
+                                + tuple(pb * v for v in s_rest), pq)
+            pa, pb, pq = pa * a + ul.d * pb * b, pa * b + pb * a, pq * q
     return powers
+
+
+def u_l_power(ctx, k):
+    """The image of u_l^k, |k| <= 12, read off u_l_power_table."""
+    num, q = u_l_power_table(ctx)[k]
+    return qt.QuarticElem(ctx.field, tuple(Fraction(v, q) for v in num))
 
 
 def hit_sort_key(lv):
@@ -577,7 +571,7 @@ def populate_cyclic_entry(coeffs, quad_subfield_d, label, height_bound=6):
     if star_hit is not None:
         star, k = star_hit
         # |k| <= 11, so the exponent lies in the table's range [-12, 12]
-        star = qt.qr_mul(star, dict(u_l_powers(ctx))[-(k - 1) // 2])
+        star = qt.qr_mul(star, u_l_power(ctx, -(k - 1) // 2))
         if qt.embed_all(star, ctx.precision_bits)[0] < 0:
             star = qt.qr_neg(star)
         u0 = qt.qr_mul(star, ctx.field.sigma(star))

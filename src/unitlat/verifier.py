@@ -248,6 +248,13 @@ def cyclic_entry_report(entry, coeff_bound=20,
             # constrained minimum: 2*sqrt(6)*log(phi)^2
             reports.append(_at_least("q2_min_ge_2sqrt6_log2phi", value,
                                      2 * mpmath.sqrt(6) * c["log_phi"] ** 2))
+        # an uncertified minimum, which a triple outside the box may
+        # undercut, is only an upper bound: it and the floors read off it
+        # are violated; the Pohst floor reads W only
+        for r in reports[-4:]:
+            if not certified and r.name != "relative_unit_pohst_W2W3":
+                r.relation = "violated"
+                r.details["reason"] = "not certified within coeff_bound"
         return value, reports
 
 

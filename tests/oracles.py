@@ -33,9 +33,11 @@ library brackets the real roots in integers (Sturm) and refines each by
 Newton's method;
 galois_generator_all_perms reconstructs sigma from every root
 permutation moving root 0, not only 4-cycles, by one Vandermonde solve
-each and rational reconstruction, and tests each candidate root of f by
-Horner's rule (eval_poly_at), where the library solves the trace matrix
-exactly and compares char_poly with f; fraction_norm_exponent tests a relative norm in Fraction
+each and rational reconstruction, tests each candidate root of f by
+Horner's rule (eval_poly_at) and its order on FractionAutomorphism, the
+Fraction power table of the image of alpha, where the library solves the
+trace matrix exactly, compares char_poly with f and keeps sigma as one
+integer matrix; fraction_norm_exponent tests a relative norm in Fraction
 arithmetic through qr_mul and the exact sigma^2; and the sigma tower
 (qr_is_algebraic_integer, qr_norm_to_Q, qr_is_unit) decides integrality
 and the norm through k = Q(sqrt(d)), where the library reads the
@@ -54,9 +56,10 @@ fixture embeds each unit in its own Q(sqrt(d_i)).
 The rest is package-style code that only tests call: the maximal-order
 test and real embedding of a quadratic element (is_quad_integer,
 quad_embed: the Fraction forms of fundamental_unit's integer checks and
-log), inverses and powers (quad_inv, biq_inv, qr_inv, qr_pow), the
-cyclic LOG of one unit (log_embed_cyclic, the library's orbit_log after
-a unit test) and the Pohst floor check on one unit (pohst_check).
+log), products, inverses and powers (quad_mul, quad_inv, biq_inv,
+qr_inv, qr_pow), the cyclic LOG of one unit (log_embed_cyclic, the
+library's orbit_log after a unit test) and the Pohst floor check on one
+unit (pohst_check).
 """
 
 import itertools
@@ -70,9 +73,8 @@ from unitlat.biquadratic import BiquadField
 from unitlat.loglattice import LogVector, klein_wedge_rows, orbit_log
 from unitlat.precision import DEFAULT_PRECISION, mpf_ctx
 from unitlat.quadratic import (CF_MAX_STEPS, QuadElem, _rational_sqrt,
-                               is_squarefree, quad_mul, quad_norm, surd_sign)
-from unitlat.quartic import (Automorphism, QuarticElem, embed_all, qr_add,
-                             qr_mul, qr_neg)
+                               is_squarefree, quad_norm, surd_sign)
+from unitlat.quartic import QuarticElem, embed_all, qr_add, qr_mul, qr_neg
 from unitlat.units import (KleinUnitStructure, _f2_basis, klein_denominator,
                            subfield_units)
 from unitlat.verifier import DERIVED_TOL, BoundReport, constants
@@ -579,6 +581,12 @@ def biq_inv(a):
     return QuarticElem(a.field, tuple(c / n for c in cofactor.coords))
 
 
+def quad_mul(x, y):
+    if x.d != y.d:
+        raise ValueError("mismatched fields: sqrt(%d) vs sqrt(%d)" % (x.d, y.d))
+    return QuadElem(x.d, x.a * y.a + x.b * y.b * x.d, x.a * y.b + x.b * y.a)
+
+
 def quad_inv(x):
     n = quad_norm(x)
     if n == 0:
@@ -714,6 +722,36 @@ def eval_poly_at(field, elem):
     return acc
 
 
+class FractionAutomorphism:
+    """The reference field automorphism, given by the exact image of
+    alpha: the images of 1, alpha, alpha^2, alpha^3 as a table of Fraction
+    elements, powers of the image by qr_mul, where the library keeps one
+    integer matrix over a denominator; root_perm, when known, maps each
+    root index i to that of sigma(alpha) at root i."""
+
+    def __init__(self, field, image, root_perm=None):
+        self.field = field
+        self.image = image
+        self.root_perm = root_perm
+        self._powers = [field.from_rational(1)]
+        for _ in range(3):
+            self._powers.append(qr_mul(self._powers[-1], image))
+
+    def __call__(self, elem):
+        acc = [Fraction(0)] * 4
+        for c, p in zip(elem.coords, self._powers):
+            if c:
+                for i, v in enumerate(p.coords):
+                    acc[i] += c * v
+        return QuarticElem(self.field, tuple(acc))
+
+    def compose(self, other):
+        return FractionAutomorphism(self.field, self(other.image))
+
+    def is_identity(self):
+        return self.image == self.field.gen()
+
+
 def galois_generator_all_perms(field, denom_bound, precision_bits):
     """The first exactly verified order-4 automorphism over all 18 root
     permutations moving root 0, in lexicographic order, each image of
@@ -735,7 +773,7 @@ def galois_generator_all_perms(field, denom_bound, precision_bits):
                 _mpf_fraction(v).limit_denominator(denom_bound) for v in sol))
             if not eval_poly_at(field, cand).is_zero():
                 continue
-            tau = Automorphism(field, cand, perm)
+            tau = FractionAutomorphism(field, cand, perm)
             t2 = tau.compose(tau)
             if not t2.is_identity() and t2.compose(t2).is_identity():
                 return tau

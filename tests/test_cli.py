@@ -279,6 +279,24 @@ def test_failed_sigma_search_is_not_read_as_not_cyclic(capsys, monkeypatch):
     assert err.count("\n") == 1 and "not cyclic" not in err
 
 
+@pytest.mark.parametrize("command", [["cyclic", "Q(sqrt(2+sqrt2))"],
+                                     ["cyclic", "Q(zeta20)+"],
+                                     ["cyclic", "Q(zeta15)+"],
+                                     ["verify-paper"]],
+                         ids=" ".join)
+def test_traces_off_by_one_exit_2(capsys, monkeypatch, command):
+    # with every rounded trace t_j off by one, each 4-cycle's candidate is
+    # rejected: the search gives up (exit 2), it never yields a wrong sigma
+    rounded = quartic._rounded_traces
+    monkeypatch.setattr(quartic, "_rounded_traces", lambda roots, perm: [
+        v + 1 for v in rounded(roots, perm)])
+    code, out, err = run(capsys, "--scan-limit", "3", *command)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: no 4-cycle of the roots gave an order-4 "
+                          "automorphism of the C4 field")
+    assert err.count("\n") == 1
+
+
 # catalog files that cannot be loaded: invalid input, as Q_index 3 is,
 # not a traceback; each maps the first shipped entry to the file's JSON
 MALFORMED_CATALOGS = {

@@ -29,8 +29,10 @@ def test_readme_name_resolves(module, name):
 
 
 @pytest.mark.parametrize("name", ["automorphism_bounds",
-                                  "reconstruct_rational", "mpf_to_fraction"])
+                                  "reconstruct_rational", "mpf_to_fraction",
+                                  "u_l_powers", "integer_matrix"])
 def test_readme_drops_removed_names(name):
     # helpers of the numeric reconstruction of sigma, replaced by the
-    # exact trace matrix solve
+    # exact trace matrix solve, and the second forms of sigma and of the
+    # +-u_l^k table, replaced by one integer form of each
     assert name not in README

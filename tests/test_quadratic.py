@@ -11,11 +11,11 @@ from unitlat import quadratic
 from unitlat import units as us
 from unitlat.precision import mpf_ctx
 from unitlat.quadratic import (FundamentalUnitResult, QuadElem,
-                               fundamental_unit, is_squarefree, quad_mul,
+                               fundamental_unit, is_squarefree,
                                quad_norm, smallest_fundamental_units,
                                surd_sign, unit_key)
 from oracles import (cf_unit_search_by_norm, is_quad_integer, quad_cmp,
-                     quad_embed, quad_inv, smaller_quad_unit_exists,
+                     quad_embed, quad_inv, quad_mul, smaller_quad_unit_exists,
                      squarefree_by_trial_division, surd_cmp)
 
 KNOWN_UNITS = {

@@ -13,12 +13,14 @@ import unitlat
 from unitlat import biquadratic
 from unitlat import quartic as qt
 from unitlat.biquadratic import BiquadField
+from unitlat.quadratic import UnitSearchError
 from unitlat.quartic import (CyclicQuarticField, NotCyclicError, QuarticElem,
                              embed_all, galois_generator,
                              is_algebraic_integer, is_unit, mul_coords,
                              norm_to_Q, qr_add, qr_mul,
                              quartic_is_irreducible, sqrt_of_rational)
-from oracles import (char_poly, eval_poly_at, galois_generator_all_perms,
+from oracles import (FractionAutomorphism, char_poly, eval_poly_at,
+                     galois_generator_all_perms,
                      polyroots_real_roots, power_basis_norm, qr_inv,
                      qr_is_algebraic_integer, qr_is_unit, qr_norm_to_Q,
                      qr_pow, trial_division_irreducible)
@@ -171,10 +173,12 @@ KERNEL_FIELDS = {**{name: field for name, (field, _) in FIELDS.items()},
 
 
 @st.composite
-def kernel_elements(draw):
+def kernel_elements(draw, field=None):
     """Small coordinates over a small denominator, or a product of units
-    alpha - r, f(r) = +-1 (N(alpha - r) = f(r)), itself or halved."""
-    field = KERNEL_FIELDS[draw(st.sampled_from(sorted(KERNEL_FIELDS)))]
+    alpha - r, f(r) = +-1 (N(alpha - r) = f(r)), itself or halved, in
+    field or in a drawn one of KERNEL_FIELDS."""
+    if field is None:
+        field = KERNEL_FIELDS[draw(st.sampled_from(sorted(KERNEL_FIELDS)))]
     if draw(st.booleans()):
         q = draw(st.sampled_from((1, 2, 3, 4, 8)))
         return QuarticElem(field, [Fraction(draw(st.integers(-12, 12)), q)
@@ -247,7 +251,7 @@ def test_scaled_field_is_cyclic():
     # alpha scaled by 10^7 scales the root differences by 10^7, so disc f
     # by 10^84
     assert quartic_is_irreducible(SCALED.coeffs)
-    assert qt.discriminant(SCALED.table) == 10 ** 84 * 2048
+    assert qt.trace_form(SCALED.coeffs)[2] == 10 ** 84 * 2048
     assert SCALED.sigma.root_perm == F.sigma.root_perm
 
 
@@ -271,7 +275,7 @@ def test_four_cycle_sigma_matches_all_permutations(name, monkeypatch):
     # bound isqrt(|disc f|) of [O_L : Z[alpha]] (Cohen, GTM 138, 4.4), and
     # tests a candidate only at 4-cycles up to it
     field = SCALED if name == "scaled" else FIELDS[name][0]
-    denom_bound = isqrt(abs(qt.discriminant(field.table)))
+    denom_bound = isqrt(abs(qt.trace_form(field.coeffs)[2]))
     want = galois_generator_all_perms(field, denom_bound, 512)
     calls = []
     library_char_poly = qt.char_poly
@@ -298,6 +302,66 @@ def test_root_perm_maps_roots(name):
         dist = [abs(value - r) for r in roots]
         assert dist.index(min(dist)) == sigma.root_perm[i]
         assert dist[sigma.root_perm[i]] < 2 ** -100 * max(1, abs(value))
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_sigma_matches_fraction_reference(name, data):
+    # the integer matrix of sigma against the Fraction power table of its
+    # image of alpha (oracles.FractionAutomorphism)
+    field = KERNEL_FIELDS[name]
+    sigma, s2 = field.sigma, field.sigma2
+    ref = FractionAutomorphism(field, sigma.image)
+    x, y = (data.draw(kernel_elements(field)) for _ in range(2))
+    assert sigma(x) == ref(x)
+    assert s2(x) == ref.compose(ref)(x)
+    assert sigma(qr_mul(x, y)) == qr_mul(sigma(x), sigma(y))
+    assert not s2.is_identity() and s2.compose(s2).is_identity()
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+def test_traces_off_by_one_reject_every_candidate(name, monkeypatch):
+    # t_0 = Tr(alpha) at every 4-cycle, and every conjugate of alpha has
+    # trace Tr(alpha): with each t_j off by one no candidate is a root of
+    # f, so the search gives up rather than return a wrong sigma
+    rounded = qt._rounded_traces
+    monkeypatch.setattr(qt, "_rounded_traces", lambda roots, perm: [
+        v + 1 for v in rounded(roots, perm)])
+    calls = []
+    library_char_poly = qt.char_poly
+    monkeypatch.setattr(qt, "char_poly", lambda elem: calls.append(elem)
+                        or library_char_poly(elem))
+    with pytest.raises(UnitSearchError, match="no 4-cycle of the roots"):
+        galois_generator(CyclicQuarticField(KERNEL_FIELDS[name].coeffs))
+    assert len(calls) == len(qt.FOUR_CYCLES)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+def test_trace_form_built_once_per_polynomial(name, monkeypatch):
+    # sigma, sigma^2, the roots and char_poly all read one power table, one
+    # trace matrix and one disc f = det M of the polynomial
+    builds = {"power_table": 0, "trace_matrix": 0, "disc": 0}
+    for fname in ("power_table", "trace_matrix"):
+        def counting(arg, fname=fname, inner=getattr(qt, fname)):
+            builds[fname] += 1
+            return inner(arg)
+        monkeypatch.setattr(qt, fname, counting)
+    det = qt._det
+
+    def counting_det(rows):
+        builds["disc"] += len(rows) == 4
+        return det(rows)
+
+    monkeypatch.setattr(qt, "_det", counting_det)
+    for cache in (qt.trace_form, qt._real_roots, qt._root_brackets):
+        cache.cache_clear()
+    field = CyclicQuarticField(KERNEL_FIELDS[name].coeffs)
+    field.sigma, field.sigma2, field.roots(128)
+    for elem in (field.gen(), field.sigma.image, field.sigma2.image):
+        qt.char_poly(elem)
+        is_unit(elem)
+    assert builds == {"power_table": 1, "trace_matrix": 1, "disc": 1}
 
 
 def _transport(elem, alpha):
@@ -335,7 +399,7 @@ def test_discriminant(name):
     # det of the trace matrix, whose entries are the power sums of the
     # roots
     field = SCALED if name == "scaled" else FIELDS[name][0]
-    disc = qt.discriminant(field.table)
+    disc = qt.trace_form(field.coeffs)[2]
     bits = 2 * disc.bit_length() + 64
     with mpmath.workprec(bits):
         roots = field.roots(bits)
@@ -452,7 +516,7 @@ def totally_real_quartics(draw):
             p = draw(st.integers(-30, 30))
             quads.append((draw(st.integers(-200, (p * p - 1) // 4)), p, 1))
         coeffs = _shift(_mul(*quads), draw(st.integers(-300, 300)))
-    assume(coeffs[0] != 0 and qt.discriminant(qt.power_table(coeffs)) != 0)
+    assume(coeffs[0] != 0 and qt.trace_form(coeffs)[2] != 0)
     return coeffs
 
 

@@ -402,7 +402,7 @@ def test_integer_screen_matches_fraction_screen(coeffs, d):
     # (or None) from the integer screen as from qr_mul in Fractions
     ctx, hits = _screen_case(coeffs, d)
     if coeffs == SCREEN_FIELDS[-1][0]:
-        assert ctx.field.sigma2.integer_matrix()[0] == 4
+        assert ctx.field.sigma2.den == 4
     exponent = us.relative_norm_screen(ctx)
     cands = us.grid_candidates(ctx.field, 6, ctx.precision_bits)
     got = [exponent(c) for c in cands]
@@ -426,12 +426,15 @@ def test_grid_candidates_match_exact_norm(coeffs, d):
 
 @pytest.mark.parametrize("coeffs, d", SCREEN_FIELDS)
 def test_u_l_powers_match_qr_pow(coeffs, d):
-    # powers taken in Q(sqrt(d)) and lifted equal the powers in L
+    # the integer table of u_l^k, powers taken as integer triples in
+    # Q(sqrt(d)) and lifted, equals the powers in L
     ctx, _ = _screen_case(coeffs, d)
-    powers = us.u_l_powers(ctx)
-    assert sorted(k for k, _ in powers) == sorted(list(range(-12, 13)) + [0])
-    for k, power in powers:
-        assert power == qr_pow(ctx.u_l_emb, k)
+    powers = us.u_l_power_table(ctx)
+    assert sorted(powers) == list(range(-12, 13))
+    for k, (num, q) in powers.items():
+        assert all(type(v) is int for v in num) and q > 0
+        assert qt.QuarticElem(ctx.field, [Fraction(v, q) for v in num]) \
+            == qr_pow(ctx.u_l_emb, k)
 
 
 @settings(max_examples=150, deadline=None)

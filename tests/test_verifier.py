@@ -216,6 +216,31 @@ def test_cyclic_entry_report(entry):
     assert float(value) > 1.2033
 
 
+def test_uncertified_cyclic_min_never_holds(entry, monkeypatch):
+    # at W = (2.366, 0.0423, 1.045), Q = 2 and coeff_bound 1 the box
+    # minimum 7.517 at (-1, 0, -1) is not certified, and the minimum is
+    # 4.375 at (0, 0, -2): the minimum and the floors read off it are
+    # violated, with the reason; the Pohst floor reads the entry's W only
+    w = tuple(mpmath.mpf(v) for v in ("2.366", "0.0423", "1.045"))
+    monkeypatch.setattr(vf, "cyclic_min", lambda w1, w2, w3, q, bound:
+                        ll.cyclic_min(*w, q, bound))
+    value, reports = vf.cyclic_entry_report(entry, coeff_bound=1)
+    relations = {r.name: r.relation for r in reports[-4:]}
+    assert relations == {"cyclic_min_1norm": "violated",
+                         "cyclic_min_gt_theorem_constant": "violated",
+                         "relative_unit_pohst_W2W3": "holds",
+                         "q2_min_ge_2sqrt6_log2phi": "violated"}
+    assert reports[-4].details["certified"] is False
+    assert all("not certified" in r.details["reason"]
+               for r in reports if r.relation == "violated")
+    assert abs(value - mpmath.mpf("7.5174918")) < 1e-6
+    best, reports = vf.cyclic_entry_report(entry, coeff_bound=2)
+    assert reports[-4].details["argmin"] == [0, 0, -2]
+    assert all(r.relation == "holds" and "reason" not in r.details
+               for r in reports)
+    assert abs(best - mpmath.mpf("4.37525716")) < 1e-6
+
+
 def test_report_json_serializable(entry):
     _, reports = vf.cyclic_entry_report(entry, coeff_bound=4)
     blob = json.dumps([r.to_json() for r in reports])
