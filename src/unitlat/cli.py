@@ -4,13 +4,15 @@ Configuration precedence: flags > UNITLAT_* environment variables >
 defaults.  Decimal output is fixed at 12 significant digits so runs at a
 fixed configuration are byte-stable.
 
-Exit codes: 0 success, 1 assertable-check violation, 2 invalid input (a
+Exit codes: 0 success, 1 assertable-check violation (a bound that
+`klein`, `cyclic` or `verify-paper` reads violated), 2 invalid input (a
 flag out of range, a `--format` the command does not take, a malformed
 catalog, a d whose continued fraction does not close within
 CF_MAX_STEPS or whose squarefreeness trial division does not decide
 within SQUAREFREE_MAX_STEPS), 4 catalog validation failure (a failed
-Hasse relation, or a failed regulator cross-check for `cyclic`).  `main` alone parses the
-arguments, resolves the configuration and maps library errors to codes.
+Hasse relation, or a failed regulator cross-check for `cyclic`, which
+takes precedence over 1).  `main` alone parses the arguments, resolves
+the configuration and maps library errors to codes.
 """
 
 import argparse
@@ -130,7 +132,7 @@ def cmd_klein(args, cfg, out):
         for r in reports[1:]:
             out.write("%s: %s (bound %s)\n"
                       % (r.name, r.relation, fmt_sig(r.paper_value)))
-    return EXIT_OK
+    return _violation_code(reports)
 
 
 def _load_catalog(path):
@@ -206,7 +208,12 @@ def cmd_cyclic(args, cfg, out):
         sys.stderr.write("failed check: regulator_cross_check (sublattice "
                          "index %s)\n" % cross.details["sublattice_index"])
         return EXIT_CATALOG
-    return EXIT_OK
+    return _violation_code(reports)
+
+
+def _violation_code(reports):
+    violated = any(r.relation == "violated" for r in reports)
+    return EXIT_VIOLATION if violated else EXIT_OK
 
 
 SCAN_COLUMNS = ("d1", "d2", "d3", "index", "min_1norm", "certified",

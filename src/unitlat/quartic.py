@@ -9,12 +9,14 @@ the trace form (trace_matrix) and char_poly, which decides integrality,
 the norm and units, read the table and need no Galois action.
 
 On the power basis the trace form, built once per polynomial with the
-table and disc f (trace_form), decides disc f, total reality (Hermite)
-and the image of alpha under a generator sigma of the Galois group
-(galois_generator); sigma is one integer matrix over a denominator
-(Automorphism).  The real roots come from one integer Sturm
+table, its adjugate and disc f (trace_form), decides disc f, total
+reality (Hermite) and the image of alpha under a generator sigma of the
+Galois group (galois_generator); sigma is one integer matrix over a
+denominator (Automorphism).  The real roots come from one integer Sturm
 sequence per polynomial: dyadic brackets (_root_brackets) that isolate
-them, which Newton's method refines to each precision.  The same
+them, which Newton's method on dyadics refines to each precision in
+exact integers, each limit proven by a sign change of f (_newton); one
+mpf rounding per root is the only inexact step.  The same
 brackets give the integer roots of f and of its resolvent cubic, which
 decide irreducibility and the Galois group (galois_group) before any
 sigma is sought.  sigma serves Hasse's relations, the unit search and
@@ -95,12 +97,14 @@ def trace_matrix(table):
 
 @functools.lru_cache(maxsize=None)
 def trace_form(coeffs):
-    """(power table, trace matrix M, disc f = det M) of the monic quartic
-    coeffs, built once per polynomial and cached by coeffs, so no field is
-    kept alive."""
+    """(power table, trace matrix M, disc f = det M, adj M) of the monic
+    quartic coeffs, built once per polynomial and cached by coeffs, so no
+    field is kept alive; det M is M's first row against the cofactors in
+    adj M's first column."""
     table = power_table(coeffs)
     mat = trace_matrix(table)
-    return table, mat, _det(mat)
+    adj = _adjugate(mat)
+    return table, mat, sum(m * c for m, c in zip(mat[0], adj[0])), adj
 
 
 def char_poly(a):
@@ -163,13 +167,20 @@ def _sturm(poly):
     return seq
 
 
-def _sign_at(poly, num, k):
-    """Sign of the integer polynomial poly at the dyadic point num / 2^k:
-    Horner's rule on 2^(k deg) poly(num / 2^k), in integers."""
+def _value_at(poly, num, k):
+    """2^(k deg) poly(num / 2^k), the integer polynomial poly (constant
+    term first) at the dyadic point num / 2^k: Horner's rule, exact in
+    integers."""
     acc, scale = poly[-1], 1
     for c in poly[-2::-1]:
         scale <<= k
         acc = acc * num + c * scale
+    return acc
+
+
+def _sign_at(poly, num, k):
+    """Sign of the integer polynomial poly at the dyadic point num / 2^k."""
+    acc = _value_at(poly, num, k)
     return (acc > 0) - (acc < 0)
 
 
@@ -239,12 +250,12 @@ def _real_roots(coeffs, precision_bits):
     is sought, NotCyclicError unless the trace matrix is positive definite,
     that is (Sylvester), unless its leading minors are > 0: by Hermite the
     trace form has signature (r1 + r2, r2) when the roots are distinct,
-    and det M = disc f = 0 when they are not (M and disc f from
-    trace_form).  Then the polynomial has exactly four brackets
-    (_root_brackets, computed once per polynomial), each refined to the
-    precision by _newton."""
-    _, mat, disc = trace_form(coeffs)
-    minors = [_det(tuple(row[:k] for row in mat[:k])) for k in (2, 3)] + [disc]
+    and det M = disc f = 0 when they are not (M, disc f and the leading
+    3 x 3 minor, adj(M)[3][3], from trace_form).  Then the polynomial has
+    exactly four brackets (_root_brackets, computed once per polynomial),
+    each refined to the precision by _newton."""
+    _, mat, disc, adj = trace_form(coeffs)
+    minors = [_det(tuple(row[:2] for row in mat[:2])), adj[3][3], disc]
     if minors[-1] == 0:
         raise NotCyclicError("defining polynomial has a repeated root")
     if min(minors) <= 0:
@@ -253,109 +264,78 @@ def _real_roots(coeffs, precision_bits):
                  for b in reversed(_root_brackets(coeffs)))
 
 
+# bits beyond the target that Newton's last iterate carries, relative to
+# max(|x|, 1), so that rounding it to the target rarely depends on them
+GUARD_BITS = 32
+
+
 def _newton(coeffs, bracket, precision_bits):
-    """The root in a bracket, refined by Newton's method from _start until
-    a step is below the target precision, then rounded to it.  A limit
-    that _in_bracket does not prove to be the bracket's root, f' = 0 at
-    an iterate, or 64 steps without convergence halve the bracket (_halve)
-    and Newton restarts; a bracket narrower than the target precision is
-    itself the root, read at its midpoint.  The steps run at 32 guard bits
-    plus those Horner's rule loses to cancellation at the start
-    (_lost_bits), so that the rounding noise of a step stays below the
-    target."""
+    """The root in a bracket, rounded once to precision_bits + 16 bits: a
+    bracket narrower than that is itself the root, read at its midpoint;
+    else the proven limit of Newton's method (_newton_limit) from its
+    midpoint.  A failed attempt halves the bracket (_halve) and Newton
+    restarts."""
     target = precision_bits + 16
     while True:
         lo, hi, k = bracket
         if (hi - lo) << (target + 8) <= max(abs(lo + hi) >> 1, 1 << k):
+            limit = lo + hi, k + 1
+        else:
+            limit = _newton_limit(coeffs, bracket, target, (lo + hi, k + 1))
+        if limit:
             with mpf_ctx(precision_bits):
-                return mpmath.ldexp(lo + hi, -k - 1)
-        num, j = _start(coeffs, bracket)
-        with mpmath.workprec(target + 32 + _lost_bits(coeffs, num, j)):
-            tol = mpmath.ldexp(1, -target - 8)
-            x = mpmath.ldexp(num, -j)
-            for _ in range(64):
-                fx, dfx = _horner(coeffs, x)
-                if not dfx:
-                    break
-                step = fx / dfx
-                x -= step
-                if abs(step) <= max(abs(x), 1) * tol:
-                    if _in_bracket(coeffs, bracket, x, target):
-                        with mpf_ctx(precision_bits):
-                            return +x
-                    break
+                return +mpmath.ldexp(limit[0], -limit[1])
         bracket = _halve(coeffs, bracket)
 
 
-def _in_bracket(coeffs, bracket, x, target):
-    """Whether f vanishes or changes sign, exactly, between the dyadic
-    points x - delta and min(x + delta, hi), with delta = 2^(m - target - 6)
-    and |x| < 2^m, m >= 0, and lo < x - delta < hi: then the bracket's
-    only root lies within delta of x.  A Newton step below 2^-(target + 8)
-    max(|x|, 1) leaves x that close to the root it converged to."""
+def _newton_limit(coeffs, bracket, target, start):
+    """Newton's method on dyadics x = n / 2^j from start = (n, j), j > k,
+    in exact integers: with F = 2^(4j) f(x) and D = 2^(3j) f'(x), the next
+    iterate is n' = ((n D - F) << (j' - j)) // D.  A step of about
+    2^-r max(|x|, 1) shows x right to about r bits and x' to about 2r, so
+    j' doubles those bits, never falls, and stops at target + GUARD_BITS
+    bits relative to max(|x|, 1); a step below 2^-(target + 8) max(|x|, 1)
+    is the last, taken there.
+
+    Returns (n, j) when f vanishes or changes sign, exactly, between the
+    dyadics x - delta and min(x + delta, hi), with delta =
+    2^(m - target - 6), |x| < 2^m, m >= 0, and lo < x - delta: then the
+    bracket's only root lies within delta of x.  Returns (hi, k) when
+    f(hi) = 0, as an integer root lands on its bracket's upper end, which
+    Newton from below may overshoot.  None, for the caller to halve the
+    bracket, at an iterate outside (lo, hi], at f'(x) = 0, at a step no
+    shorter than the one before, or at a limit not so proven."""
     lo, hi, k = bracket
-    sign, man, exp, bits = x._mpf_
-    man, m = -man if sign else man, max(bits + exp, 0)
-    scale = max(k, -exp, target + 6 - m)
-    mid, delta = man << (exp + scale), 1 << (m - target - 6 + scale)
+    if not _value_at(coeffs, hi, k):
+        return hi, k
+    deriv = tuple(i * c for i, c in enumerate(coeffs))[1:]
+    (num, j), last = start, None
+    while True:
+        val, slope = _value_at(coeffs, num, j), _value_at(deriv, num, j)
+        if not slope:
+            return None
+        m = max(abs(num).bit_length() - j, 0)
+        cap = target + GUARD_BITS - m
+        bits = j + m + slope.bit_length() - val.bit_length()
+        done = not val or bits > target + 8
+        new_j = max(j, cap if done else min(cap, 2 * bits - m))
+        new = ((num * slope - val) << (new_j - j)) // slope
+        step = abs(new - (num << (new_j - j)))
+        if (not lo << (new_j - k) < new <= hi << (new_j - k)
+                or last and step << last[1] >= last[0] << new_j):
+            return None
+        num, j, last = new, new_j, (step, new_j)
+        if done:
+            break
+    m = max(abs(num).bit_length() - j, 0)
+    scale = max(k, j, target + 6 - m)
+    mid, delta = num << (scale - j), 1 << (m - target - 6 + scale)
     low, high = mid - delta, min(mid + delta, hi << (scale - k))
-    return (lo << (scale - k) < low < high
+    if (lo << (scale - k) < low < high
             and _sign_at(coeffs, low, scale) * _sign_at(coeffs, high, scale)
-            <= 0)
-
-
-def _horner(coeffs, x):
-    """f(x) and f'(x) for the monic quartic coeffs, by Horner's rule, in
-    the arithmetic of x."""
-    fx, dfx = 1, 0
-    for c in coeffs[3::-1]:
-        dfx = dfx * x + fx
-        fx = fx * x + c
-    return fx, dfx
-
-
-def _lost_bits(coeffs, num, k):
-    """The bits Horner's rule loses to cancellation at x = num / 2^k: the
-    excess of sum |c_i| |x|^i over |f'(x)| max(|x|, 1), the root's
-    condition number, read off bit lengths of the terms c_i x^i 2^(4k)."""
-    terms = [c * num ** i << (k * (4 - i)) for i, c in enumerate(coeffs)]
-    size = sum(abs(t) for t in terms).bit_length()
-    slope = abs(sum(i * t for i, t in enumerate(terms))).bit_length()
-    return max(0, size - slope + min(0, abs(num).bit_length() - k))
-
-
-def _start(coeffs, bracket):
-    """A start for _newton as a dyadic (num, k), num / 2^k: Newton's method
-    in float64 from the bracket's midpoint, bisecting where a step would
-    leave the bracket (the float sign of f decides the half), until a step
-    is below 2^-50; the midpoint itself if the coefficients exceed float64
-    or the bracket is not wider than its float64 ends resolve."""
-    lo, hi, k = bracket
-    try:
-        low, high = math.ldexp(lo, -k), math.ldexp(hi, -k)
-        float(max(abs(c) for c in coeffs))
-    except OverflowError:
-        return lo + hi, k + 1
-    if not low < (low + high) / 2 < high:
-        return lo + hi, k + 1
-    f_high, x = _horner(coeffs, high)[0], (low + high) / 2
-    for _ in range(64):
-        fx, dfx = _horner(coeffs, x)
-        step = fx / dfx if dfx else math.inf
-        if fx == 0 or not math.isfinite(step):
-            break
-        if (fx > 0) == (f_high > 0):
-            high = x
-        else:
-            low = x
-        new = x - step
-        if not low < new < high:
-            new = (low + high) / 2
-        x, step = new, x - new
-        if abs(step) <= abs(x) * 2.0 ** -50:
-            break
-    num, den = x.as_integer_ratio()
-    return num, den.bit_length() - 1
+            <= 0):
+        return num, j
+    return None
 
 
 def _det(rows):
@@ -369,12 +349,17 @@ def _det(rows):
 
 
 def _adjugate(rows):
-    """The adjugate of a square integer matrix, adj[k][j] the (j, k)
-    cofactor, so that rows adj = det(rows) I."""
+    """The adjugate of a symmetric integer matrix, so that
+    rows adj = det(rows) I: symmetric too, adj[j][k] = adj[k][j] the (j, k)
+    cofactor, so each of its n (n + 1) / 2 distinct cofactors is taken
+    once."""
     n = len(rows)
-    return tuple(tuple((-1) ** (j + k) * _det(tuple(
-        r[:k] + r[k + 1:] for i, r in enumerate(rows) if i != j))
-        for j in range(n)) for k in range(n))
+    cof = {}
+    for j in range(n):
+        for k in range(j, n):
+            cof[j, k] = cof[k, j] = (-1) ** (j + k) * _det(tuple(
+                r[:k] + r[k + 1:] for i, r in enumerate(rows) if i != j))
+    return tuple(tuple(cof[j, k] for k in range(n)) for j in range(n))
 
 
 @dataclass(frozen=True)
@@ -620,13 +605,13 @@ def galois_generator(field):
     Precision: every |r_i| < R = 1 + max |c_i| (Cauchy).  Each root at b
     bits is refined by Newton inside its bracket, proven within
     2^(m-b-22) <= R 2^-(b+21) of the bracket's root, |x| < 2^m
-    (_in_bracket), and rounded to b + 16 bits, so it is off by at most
-    R 2^-b.  Each product r_perm(i) r_i^j of
-    at most 4 factors is then off by at most 4 R^4 2^-b to first order,
-    and t_j, a sum of 4 of them, by 16 R^4 2^-b.  At
-    b = 4 bitlength(R) + 64 >= 4 log2 R + 64 that is below 2^-60, far below
-    the 1/2 rounding needs.  b is the default working precision when that
-    is higher, so that embeddings at it reuse the roots.
+    (_newton_limit), and rounded to b + 16 bits, so it is off by at most
+    R 2^-b.  Each product r_perm(i) r_i^j of at most 4 factors is then
+    off by at most 4 R^4 2^-b to first order, and t_j, a sum of 4 of
+    them, by 16 R^4 2^-b.  At b = 4 bitlength(R) + 64 >= 4 log2 R + 64
+    that is below 2^-60, far below the 1/2 rounding needs.  b is the
+    default working precision when that is higher, so that embeddings at
+    it reuse the roots.
     """
     group = galois_group(field.coeffs)
     if group is None:
@@ -637,8 +622,7 @@ def galois_generator(field):
     bits = max(4 * (1 + max(abs(c) for c in field.coeffs[:4])).bit_length()
                + 64, DEFAULT_PRECISION)
     roots = field.roots(bits)
-    _, mat, disc = trace_form(field.coeffs)
-    adj = _adjugate(mat)
+    _, _, disc, adj = trace_form(field.coeffs)
     with mpf_ctx(bits):
         for perm in FOUR_CYCLES:
             t = _rounded_traces(roots, perm)

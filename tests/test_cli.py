@@ -9,6 +9,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from unitlat import cli, quadratic, quartic
@@ -210,6 +211,51 @@ def test_cyclic_failed_cross_check_exits_4(tmp_path, capsys):
     assert "min 1-norm:" in out
     assert err == ("failed check: regulator_cross_check "
                    "(sublattice index None)\n")
+
+
+def test_cyclic_violated_bound_exits_1(capsys, monkeypatch):
+    # cyclic_min at W = (2.366, 0.0423, 1.045) instead of the entry's W:
+    # at coefficient bound 1 its minimum is not certified, so it and the
+    # floors read off it are violated
+    real = vf.cyclic_min
+    monkeypatch.setattr(vf, "cyclic_min", lambda w1, w2, w3, q, bound: real(
+        mpmath.mpf("2.366"), mpmath.mpf("0.0423"), mpmath.mpf("1.045"),
+        q, bound))
+    code, out, err = run(capsys, "--coeff-bound", "1",
+                         "cyclic", "Q(sqrt(2+sqrt2))")
+    assert code == 1
+    assert "cyclic_min_gt_theorem_constant: violated" in out
+    assert "q2_min_ge_2sqrt6_log2phi: violated" in out
+    assert err == ""
+
+
+def test_cyclic_catalog_failure_precedes_violation(tmp_path, capsys,
+                                                   monkeypatch):
+    # a failed regulator cross-check (exit 4) outranks a minimum below
+    # the theorem constant (exit 1)
+    monkeypatch.setattr(vf, "cyclic_min", lambda *args: (
+        mpmath.mpf("0.5"), (0, 0, 1), True))
+    obj = vf.load_default_catalog()[2].to_json()
+    obj["u0"] = ["8", "-4", "-2", "1"]
+    path = tmp_path / "squared.json"
+    path.write_text(json.dumps([obj]))
+    code, out, err = run(capsys, "--catalog", str(path),
+                         "cyclic", obj["label"])
+    assert code == 4
+    assert "cyclic_min_gt_theorem_constant: violated" in out
+    assert err.startswith("failed check: regulator_cross_check")
+
+
+def test_klein_violated_bound_exits_1(capsys, monkeypatch):
+    # the theorem constant raised above Q(sqrt2, sqrt5)'s minimum
+    real = vf.constants
+    monkeypatch.setattr(vf, "constants", lambda bits: {
+        **real(bits), "theorem_lower": mpmath.mpf(100)})
+    for argv in (("klein", "2", "5"), ("--format", "json", "klein", "2", "5")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert "min_gt_theorem_constant" in out and "violated" in out
+        assert err == ""
 
 
 def _catalog_with(tmp_path, changes):

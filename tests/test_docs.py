@@ -30,9 +30,12 @@ def test_readme_name_resolves(module, name):
 
 @pytest.mark.parametrize("name", ["automorphism_bounds",
                                   "reconstruct_rational", "mpf_to_fraction",
-                                  "u_l_powers", "integer_matrix"])
+                                  "u_l_powers", "integer_matrix", "_start",
+                                  "_lost_bits", "_horner", "_in_bracket"])
 def test_readme_drops_removed_names(name):
     # helpers of the numeric reconstruction of sigma, replaced by the
-    # exact trace matrix solve, and the second forms of sigma and of the
-    # +-u_l^k table, replaced by one integer form of each
+    # exact trace matrix solve, the second forms of sigma and of the
+    # +-u_l^k table, replaced by one integer form of each, and the float
+    # start, cancellation estimate, mpf Horner and separate proof of the
+    # root refinement, replaced by one Newton in exact integers
     assert name not in README

@@ -341,16 +341,19 @@ def test_traces_off_by_one_reject_every_candidate(name, monkeypatch):
 def test_trace_form_built_once_per_polynomial(name, monkeypatch):
     # sigma, sigma^2, the roots and char_poly all read one power table, one
     # trace matrix and one disc f = det M of the polynomial
-    builds = {"power_table": 0, "trace_matrix": 0, "disc": 0}
-    for fname in ("power_table", "trace_matrix"):
+    # one adjugate adj M, whose 10 distinct cofactors give disc f and M's
+    # leading 3 x 3 minor, so no 4 x 4 determinant is taken
+    builds = {"power_table": 0, "trace_matrix": 0, "_adjugate": 0}
+    for fname in builds:
         def counting(arg, fname=fname, inner=getattr(qt, fname)):
             builds[fname] += 1
             return inner(arg)
         monkeypatch.setattr(qt, fname, counting)
     det = qt._det
+    sizes = []
 
     def counting_det(rows):
-        builds["disc"] += len(rows) == 4
+        sizes.append(len(rows))
         return det(rows)
 
     monkeypatch.setattr(qt, "_det", counting_det)
@@ -361,7 +364,8 @@ def test_trace_form_built_once_per_polynomial(name, monkeypatch):
     for elem in (field.gen(), field.sigma.image, field.sigma2.image):
         qt.char_poly(elem)
         is_unit(elem)
-    assert builds == {"power_table": 1, "trace_matrix": 1, "disc": 1}
+    assert builds == {"power_table": 1, "trace_matrix": 1, "_adjugate": 1}
+    assert sizes.count(3) == 10 and 4 not in sizes
 
 
 def _transport(elem, alpha):
@@ -476,8 +480,8 @@ def test_scaled_roots_from_brackets(monkeypatch):
 
 def test_newton_at_cancelling_roots(monkeypatch):
     # f(x - 287) for f = x^4 - 4x^2 + 2: roots near 287 with coefficients
-    # up to 6.8 10^9, so Horner's rule cancels ~24 bits at each root and
-    # Newton at a fixed 32 guard bits stalled above its stopping threshold
+    # up to 6.8 10^9, where Horner's rule in floating point cancels ~24
+    # bits at each root; Newton evaluates f exactly, in integers
     coeffs = (6784322687, -94557316, 494210, -1148, 1)
     direct = {bits: polyroots_real_roots(coeffs, bits) for bits in (128, 196)}
     _count_brackets(monkeypatch)
@@ -546,26 +550,93 @@ def test_newton_keeps_clustered_roots_apart(a):
         assert _near(got, polyroots_real_roots(coeffs, 2 * bits + 128), bits)
 
 
+def _dyadic(x):
+    """(num, j) with num / 2^j = x, an mpf, j >= 0."""
+    sign, man, exp, _ = x._mpf_
+    return (-man if sign else man) << max(exp, 0), max(-exp, 0)
+
+
 def test_newton_restarts_outside_its_bracket(monkeypatch):
-    # Newton started at the neighbouring root converges there, outside
-    # the bracket: the bracket is halved and Newton restarts, and the
-    # bracket's own root comes back
+    # Newton started at the neighbouring root stays there, outside the
+    # bracket: the bracket is halved, Newton restarts from the half's
+    # midpoint, and the bracket's own root comes back
     coeffs = F.coeffs
     brackets = qt._root_brackets(coeffs)
     want = [qt._newton(coeffs, b, 128) for b in brackets]
-    start = qt._start
-    starts = {}
+    neighbour = {b: _dyadic(want[i - 1 if i else 1])
+                 for i, b in enumerate(brackets)}
+    limit = qt._newton_limit
+    starts = []
 
-    def neighbour_first(poly, bracket):
-        if bracket in brackets and bracket not in starts:
-            i = brackets.index(bracket)
-            starts[bracket] = start(poly, brackets[i - 1 if i else 1])
-            return starts[bracket]
-        return start(poly, bracket)
+    def neighbour_first(poly, bracket, target, start):
+        if bracket in neighbour and bracket not in starts:
+            starts.append(bracket)
+            start = neighbour[bracket]
+            assert limit(poly, bracket, target, start) is None
+        return limit(poly, bracket, target, start)
 
-    monkeypatch.setattr(qt, "_start", neighbour_first)
+    monkeypatch.setattr(qt, "_newton_limit", neighbour_first)
     assert [qt._newton(coeffs, b, 128) for b in brackets] == want
     assert len(starts) == 4
+
+
+def test_newton_limit_needs_its_proof():
+    # a bracket (lo, hi] just below the root r = -0.765... of F, with
+    # r - hi < 2^-150: Newton climbs to r from below and every iterate,
+    # rounded down, stays in the bracket, so only the sign test shows
+    # that the limit is not a root of the bracket
+    coeffs, target = F.coeffs, 80
+    lo, hi, k = qt._root_brackets(coeffs)[1]
+    r = qt._newton_limit(coeffs, (lo, hi, k), 200, (lo + hi, k + 1))
+    assert r is not None and r[1] >= 150
+    hi = r[0] >> (r[1] - 150)
+    if qt._sign_at(coeffs, hi, 150) == qt._sign_at(coeffs, hi + 1, 150):
+        hi -= 1  # keep r above hi
+    bracket = (hi - (1 << 130), hi, 150)
+    assert qt._newton_limit(coeffs, bracket, target,
+                            (2 * hi - (1 << 130), 151)) is None
+
+
+def _changes_sign_near(coeffs, root, bracket, bits):
+    """Whether f vanishes or changes sign, exactly, between the dyadics
+    root - eps and min(root + eps, hi), with eps = 2^(m - bits - 16) and
+    |root| < 2^m, m >= 0, and lo < root - eps: a root rounded to
+    bits + 16 bits from a limit proven within 2^(m - bits - 22) of the
+    bracket's root lies within eps of it."""
+    lo, hi, k = bracket
+    num, j = _dyadic(root)
+    m = max(abs(num).bit_length() - j, 0)
+    scale = max(k, j, bits + 16 - m)
+    mid, eps = num << (scale - j), 1 << (m - bits - 16 + scale)
+    low, high = mid - eps, min(mid + eps, hi << (scale - k))
+    return (lo << (scale - k) < low < high
+            and qt._sign_at(coeffs, low, scale)
+            * qt._sign_at(coeffs, high, scale) <= 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(totally_real_quartics())
+def test_roots_proven_inside_their_brackets(coeffs):
+    # each returned root lies within 2^(m - bits - 16) of a sign change of
+    # f inside its own bracket, read exactly on the integers
+    brackets = qt._root_brackets(coeffs)[::-1]
+    for bits in (64, 128, 300):
+        roots = CyclicQuarticField(coeffs).roots(bits)
+        assert all(_changes_sign_near(coeffs, r, b, bits)
+                   for r, b in zip(roots, brackets))
+
+
+def test_integer_roots_exact_on_bracket_ends():
+    # x^4 - 4x^2 + 3 = (x^2 - 1)(x^2 - 3): the roots +-1 sit on the upper
+    # ends of their brackets and come back exactly, at every precision
+    coeffs = (3, 0, -4, 0, 1)
+    assert {hi >> k for lo, hi, k in qt._root_brackets(coeffs)
+            if hi % (1 << k) == 0} >= {1, -1}
+    for bits in (64, 128, 300, 2000):
+        roots = CyclicQuarticField(coeffs).roots(bits)
+        assert roots[1] == 1 and roots[2] == -1
+        assert _changes_sign_near(coeffs, roots[0],
+                                  qt._root_brackets(coeffs)[3], bits)
 
 
 @settings(max_examples=300, deadline=None)
