@@ -10,9 +10,9 @@ flag out of range, a `--format` the command does not take, a malformed
 catalog, a d whose continued fraction does not close within
 CF_MAX_STEPS or whose squarefreeness trial division does not decide
 within SQUAREFREE_MAX_STEPS), 4 catalog validation failure (a failed
-Hasse relation, or a failed regulator cross-check for `cyclic`, which
-takes precedence over 1).  `main` alone parses the arguments, resolves
-the configuration and maps library errors to codes.
+Hasse relation, or for `cyclic` generators that do not span the unit
+group, which takes precedence over 1).  `main` alone parses the
+arguments, resolves the configuration and maps library errors to codes.
 """
 
 import argparse
@@ -202,11 +202,12 @@ def cmd_cyclic(args, cfg, out):
     if failures:
         sys.stderr.write("failed relations: %s\n" % "; ".join(failures))
         return EXIT_CATALOG
-    cross = next((r for r in reports if r.name == "regulator_cross_check"),
-                 None)
-    if cross is not None and cross.relation == "violated":
-        sys.stderr.write("failed check: regulator_cross_check (sublattice "
-                         "index %s)\n" % cross.details["sublattice_index"])
+    sat = next((r for r in reports if r.name == "unit_group_saturated"), None)
+    if sat is not None and sat.relation == "violated":
+        sys.stderr.write("failed check: unit_group_saturated (index %d over "
+                         "the catalog's generators; primes tested: %s)\n" % (
+                             sat.details["index"],
+                             ", ".join(map(str, sat.details["primes"]))))
         return EXIT_CATALOG
     return _violation_code(reports)
 

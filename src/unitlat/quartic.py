@@ -10,8 +10,9 @@ the norm and units, read the table and need no Galois action.
 
 On the power basis the trace form, built once per polynomial with the
 table, its adjugate and disc f (trace_form), decides disc f, total
-reality (Hermite) and the image of alpha under a generator sigma of the
-Galois group (galois_generator); sigma is one integer matrix over a
+reality (Hermite) and an element of O_L from its values at the roots
+(from_embeddings), such as the image of alpha under a generator sigma of
+the Galois group (galois_generator); sigma is one integer matrix over a
 denominator (Automorphism).  The real roots come from one integer Sturm
 sequence per polynomial: dyadic brackets (_root_brackets) that isolate
 them, which Newton's method on dyadics refines to each precision in
@@ -129,16 +130,6 @@ def char_poly(a):
     return tuple(Fraction(v, den ** m) for m, v in enumerate(c))
 
 
-def is_algebraic_integer(a):
-    """a lies in O_L iff its characteristic polynomial lies in Z[x]."""
-    return all(c.denominator == 1 for c in char_poly(a))
-
-
-def norm_to_Q(a):
-    """N_{L/Q}(a), an exact rational: the constant term of char_poly."""
-    return char_poly(a)[4]
-
-
 def is_unit(a):
     poly = char_poly(a)
     return all(c.denominator == 1 for c in poly) and abs(poly[4]) == 1
@@ -193,16 +184,21 @@ def _root_brackets(poly):
     Sturm: the sign variations V(x) of the Sturm sequence at x fall by one
     at each root and nowhere else, and V is right-continuous at a root, so
     V(a) - V(b) counts the roots in (a, b] for any dyadic a < b, roots
-    included.  Every root lies in (-2^e, 2^e] with 2^e > max |c_i| (Cauchy:
-    |r| < 1 + max |c_i|), and each interval holding two or more roots is
-    bisected until each holds one."""
+    included.  Every root lies in (-2^e, 2^e], 2^e the least power of 2 at
+    least Fujiwara's bound 2 max_i |c_(n-i)|^(1/i): with M that maximum, a
+    root z with |z| >= 2M would have |z|^n <= sum_i M^i |z|^(n-i)
+    <= |z|^n sum_i 2^-i < |z|^n.  2^(e-1) >= |c|^(1/i) iff
+    (e - 1) i >= bitlength(|c| - 1), or c = 0.  Each interval holding two
+    or more roots is bisected until each holds one."""
     seq = _sturm(poly)
 
     def var(num, k):
         signs = [s for s in (_sign_at(p, num, k) for p in seq) if s]
         return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    top = 1 << max(abs(c) for c in poly[:-1]).bit_length()
+    n = len(poly) - 1
+    top = 2 << max(-(-max(abs(poly[n - i]) - 1, 0).bit_length() // i)
+                   for i in range(1, n + 1))
     out, todo = [], [(-top, top, 0, var(-top, 0), var(top, 0))]
     while todo:
         lo, hi, k, v_lo, v_hi = todo.pop()
@@ -426,9 +422,6 @@ class QuarticElem:
             raise ValueError("need 4 coordinates")
         object.__setattr__(self, "coords", c)
 
-    def is_zero(self):
-        return not any(self.coords)
-
     def is_rational(self):
         return not any(self.coords[1:])
 
@@ -501,12 +494,6 @@ class Automorphism:
         return self.image == self.field.gen()
 
 
-def quartic_is_irreducible(coeffs):
-    """Exact irreducibility over Q for a monic integer quartic: galois_group
-    names a group exactly for the irreducible ones."""
-    return galois_group(coeffs) is not None
-
-
 def galois_group(coeffs):
     """The Galois group of the monic integer quartic
     f = x^4 + a x^3 + b x^2 + c x + d, as "C4", "V4", "D4", "A4" or "S4",
@@ -575,12 +562,29 @@ FOUR_CYCLES = tuple(
     if p[0] != 0 and p[p[0]] != 0 and p[p[p[0]]] != 0)
 
 
-def _rounded_traces(roots, perm):
-    """t_j = sum_i r_perm(i) r_i^j, j < 4, each rounded to the nearest
-    integer, at the current mpmath precision."""
-    return [int(mpmath.nint(sum(roots[p] * r ** j
-                                for p, r in zip(perm, roots))))
-            for j in range(4)]
+def nearest_integer(t):
+    """The integer nearest the float or mpf t, exactly: round() reads an
+    mpf through a float."""
+    return round(t) if type(t) is float else int(mpmath.nint(t))
+
+
+def from_embeddings(field, values, powers):
+    """The element c = adj(M) t / disc f of the field of the monic quartic
+    f, M its trace matrix (trace_form), with t_j = sum_i values[i]
+    powers[i][j] rounded to the nearest integer and powers[i] =
+    (1, r, r^2, r^3) at a root r, all in one arithmetic (float or mpf),
+    summed in that order.
+
+    If x lies in O_L and x(r_i) = values[i], then t_j, taken exactly,
+    is Tr(x alpha^j) = sum_k M[j][k] x_k, an integer, since x alpha^j lies
+    in O_L; so when each computed t_j is within 1/2 of it, M c = t and
+    c = x exactly, coordinates with denominators included.  The caller
+    proves that error bound."""
+    _, _, disc, adj = trace_form(field.coeffs)
+    t = [nearest_integer(sum(v * pw[j] for v, pw in zip(values, powers)))
+         for j in range(4)]
+    return QuarticElem(field, tuple(
+        Fraction(sum(a * v for a, v in zip(row, t)), disc) for row in adj))
 
 
 def galois_generator(field):
@@ -591,16 +595,14 @@ def galois_generator(field):
     reducible polynomial, whose quotient ring is not a field, or a Galois
     group other than C4 (galois_group), named in the message; then the
     roots' total reality (_real_roots).  For each 4-cycle perm of the
-    roots, in lexicographic order, the candidate image c of alpha solves
-    M c = t exactly, c = adj(M) t / disc f, with M the trace matrix of f
-    (trace_form), its adjugate formed once, and t_j = sum_i r_perm(i) r_i^j
-    rounded to an integer (_rounded_traces); the first candidate exactly
-    verified as an automorphism of order 4 is returned.  c is a root of f
-    iff char_poly(c) = f: Cayley-Hamilton one way, f irreducible the
-    other.  At the 4-cycle of sigma, t_j = Tr(sigma(alpha) alpha^j) =
-    sum_k M[j][k] c_k is an integer, as sigma(alpha) alpha^j lies in
-    Z[alpha].  The group is C4, so sigma exists: a search that verifies no
-    candidate raises UnitSearchError, never NotCyclicError.
+    roots, in lexicographic order, the candidate image c of alpha is
+    from_embeddings of the values r_perm(i) at the roots r_i; the first
+    candidate exactly verified as an automorphism of order 4 is returned.
+    c is a root of f iff char_poly(c) = f: Cayley-Hamilton one way, f
+    irreducible the other.  At the 4-cycle of sigma, sigma(alpha) takes
+    those values and lies in Z[alpha].  The group is C4, so sigma exists:
+    a search that verifies no candidate raises UnitSearchError, never
+    NotCyclicError.
 
     Precision: every |r_i| < R = 1 + max |c_i| (Cauchy).  Each root at b
     bits is refined by Newton inside its bracket, proven within
@@ -622,13 +624,10 @@ def galois_generator(field):
     bits = max(4 * (1 + max(abs(c) for c in field.coeffs[:4])).bit_length()
                + 64, DEFAULT_PRECISION)
     roots = field.roots(bits)
-    _, _, disc, adj = trace_form(field.coeffs)
     with mpf_ctx(bits):
+        powers = [(1, r, r * r, r * r * r) for r in roots]
         for perm in FOUR_CYCLES:
-            t = _rounded_traces(roots, perm)
-            cand = QuarticElem(field, tuple(
-                Fraction(sum(a * v for a, v in zip(row, t)), disc)
-                for row in adj))
+            cand = from_embeddings(field, [roots[p] for p in perm], powers)
             if char_poly(cand) != field.coeffs[::-1]:
                 continue
             tau = Automorphism.from_image(field, cand, perm)

@@ -7,12 +7,16 @@ by integer square roots on the units' doubled coordinates (2a, 2b); the
 F2-rank of the found patterns gives the index [O_L^*: +-E].  The square
 roots are products of integer numerators over one denominator.
 
-Cyclic case: full unit-group computation is out of scope, so entries carry
-claimed generators (relative unit u0, optional u_star) which are verified
-exactly against Hasse's relations plus a regulator cross-check against a
-brute-force-found sublattice.
+Cyclic case: entries carry claimed generators (relative unit u0, optional
+u_star), verified exactly against Hasse's relations and then proven to
+span the unit group, or shown not to, by saturation: p-th roots of their
+products for every prime up to an index bound from the regulator,
+screened on float64 traces with a proven error bound and checked exactly
+(saturate).
 """
 
+import collections
+import contextlib
 import functools
 import itertools
 import math
@@ -20,17 +24,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import round_nearest, to_float
 
 from .precision import DEFAULT_PRECISION, mpf_ctx
-from .quadratic import (QuadElem, fundamental_unit, is_squarefree,
-                        quad_norm, surd_sign, unit_key)
+from .quadratic import (QuadElem, UnitSearchError, fundamental_unit,
+                        is_squarefree, quad_norm, surd_sign, unit_key)
 from . import quartic as qt
 from .biquadratic import BiquadField
-from .loglattice import log_sigma, orbit_log
+from .loglattice import LogVector, log_sigma, orbit_log
 
 class CatalogValidationError(ValueError):
-    """A cyclic catalog entry is malformed, or failed an exact Hasse
-    relation or the regulator cross-check."""
+    """A cyclic catalog entry is malformed, failed an exact Hasse
+    relation, or (populate_cyclic_entry) does not span the unit group."""
 
 
 # ---------------------------------------------------------------------------
@@ -406,11 +411,11 @@ def verify_hasse_relations(entry, ctx):
 
 def cyclic_generators(entry, ctx, hasse):
     """The generators of O_L^* mod +-1 the entry claims, (u_l, u0,
-    sigma(u0)) for Q=1 and (u_l, u0, u_star) for Q=2, and their LOGs at
-    the context's precision, given the entry's Hasse relations, which must
-    all hold: they proved them units, so each is evaluated at the roots
-    once and not re-proved; LOG(sigma(u0)) is read off LOG(u0).
-    Returns (gens, logs)."""
+    sigma(u0)) for Q=1 and (u_l, u0, u_star) for Q=2, their values at the
+    roots and their LOGs at the context's precision, given the entry's
+    Hasse relations, which must all hold: they proved them units, so each
+    is evaluated at the roots once and not re-proved; LOG(sigma(u0)) is
+    read off LOG(u0).  Returns (gens, values, logs)."""
     if not all(hasse.values()):
         raise CatalogValidationError("entry failed relations: %s" % ", ".join(
             name for name, ok in hasse.items() if not ok))
@@ -420,11 +425,11 @@ def cyclic_generators(entry, ctx, hasse):
         gens = (ctx.u_l_emb, u0, field.sigma(u0))
     else:
         gens = (ctx.u_l_emb, u0, qt.QuarticElem(field, entry.u_star))
-    logs = [orbit_log(field, qt.embed_all(x, prec), prec)
-            for x in gens[:entry.Q_index + 1]]
+    values = tuple(qt.embed_all(x, prec) for x in gens)
+    logs = [orbit_log(field, v, prec) for v in values[:entry.Q_index + 1]]
     if entry.Q_index == 1:
         logs.append(log_sigma(logs[1]))
-    return gens, tuple(logs)
+    return gens, values, tuple(logs)
 
 
 # ---------------------------------------------------------------------------
@@ -454,19 +459,14 @@ def search_relative_units(ctx, height_bound):
     return hits
 
 
-def _float_powers(field, precision_bits):
-    """(r, r^2, r^3) in float64 for each real root r, descending."""
-    return [(r, r * r, r ** 3)
-            for r in (float(x) for x in field.roots(precision_bits))]
-
-
 def grid_candidates(field, height_bound, precision_bits):
     """Integer vectors c, |c_i| <= height_bound, whose float64 norm
     prod c(r_i) is within 1e-4 of +-1, as lists; of each pair +-c the one
     whose first nonzero entry is negative, i.e. the c lexicographically
     below 0, in lexicographic order: (c0, c1) below (0, 0) with every
     (c2, c3), then (0, 0) with the pairs[:half] below it."""
-    powers = _float_powers(field, precision_bits)
+    powers = [(r, r * r, r ** 3)
+              for r in (float(x) for x in field.roots(precision_bits))]
     pairs = list(itertools.product(range(-height_bound, height_bound + 1),
                                    repeat=2))
     half = len(pairs) // 2
@@ -562,7 +562,7 @@ def populate_cyclic_entry(coeffs, quad_subfield_d, label, height_bound=6):
     from the first u_star witness (odd k), else Q = 1 from the first
     relative unit (k = 0), first in order_hits' order.
     CatalogValidationError unless the entry passes its Hasse relations and
-    the regulator cross-check on the same hits."""
+    its generators span the unit group (saturate)."""
     ul = fundamental_unit(quad_subfield_d).unit
     ctx = cyclic_context(coeffs, quad_subfield_d, ul)
     hits = search_relative_units(ctx, height_bound)
@@ -585,145 +585,271 @@ def populate_cyclic_entry(coeffs, quad_subfield_d, label, height_bound=6):
     entry = CyclicCatalogEntry(
         label=label, coeffs=tuple(coeffs), quad_subfield_d=quad_subfield_d,
         u_l=ul, u0=u0.coords, **q2)
-    gens, gen_logs = cyclic_generators(entry, ctx,
-                                       verify_hasse_relations(entry, ctx))
-    ok, index = regulator_cross_check(gens, gen_logs, [c for c, _ in hits])
-    if not ok:
+    gens, values, logs = cyclic_generators(entry, ctx,
+                                           verify_hasse_relations(entry, ctx))
+    sat = saturate(ctx.field, gens, values, logs)
+    if sat.index != 1:
         raise CatalogValidationError(
-            "populated entry fails the regulator cross-check at height %d "
-            "(sublattice index %s)" % (height_bound, index))
+            "populated entry is not saturated: its generators span index %d "
+            "in the unit group (new generators: %s)" % (sat.index, ", ".join(
+                str(g) for g in sat.gens if g not in gens)))
     return entry
 
 
-def regulator_cross_check(gens, gen_logs, hits):
-    """Prove every search hit an integer combination of the generators
-    (cyclic_generators: their elements and LOGs) and compare the lattice
-    the hits span with theirs.  hits are power-basis coordinate vectors of
-    units.  Each hit's row n is proposed in float64 (propose_rows) and
-    proved exactly (row_prover): hit = +-prod g_i^n_i.  The check fails,
-    with index None, when a row fails that proof; otherwise the rows must
-    have rank 3, so no hits fail, and a plausible integer index <= 4.
-    Returns (ok, index).
-
-    Only the proof accepts a row: a wrong proposal can fail a true
-    combination, never pass a false one.
-    """
-    if not hits:
-        return False, None
-    rows = propose_rows(gens[0].field, gen_logs, hits)
-    proves = row_prover(gens)
-    if rows is None or not all(proves(c, n) for c, n in zip(hits, rows)):
-        return False, None
-    idx = _integer_lattice_index(rows)
-    return (idx is not None and 1 <= idx <= 4), idx
+# ---------------------------------------------------------------------------
+# Saturation: the generators are the whole unit group
 
 
-def propose_rows(field, gen_logs, hits):
-    """The nearest integer rows n with LOG(hit) = sum n_i LOG(g_i), in
-    float64, or None if a LOG is not finite.  LOG(hit) is log|c(r)| at
-    the roots in sigma-orbit order (root_orbit), mapped by the
-    least-squares pseudo-inverse (G^T G)^-1 G^T of the generators' LOGs
-    G, formed once per call: (G^T G)^-1 = adj(m)/det(m) for the Gram
-    matrix m, the rows of adj(m) being cross products of rows of m."""
-    g = [[float(v) for v in lv.coords] for lv in gen_logs]
-    m = [[sum(x * y for x, y in zip(a, b)) for b in g] for a in g]
-    adj = [[a[k - 2] * b[k - 1] - a[k - 1] * b[k - 2] for k in range(3)]
-           for a, b in ((m[1], m[2]), (m[2], m[0]), (m[0], m[1]))]
-    det = sum(x * y for x, y in zip(m[0], adj[0]))
-    pinv = [[sum(x * y for x, y in zip(row, col)) / det for col in zip(*g)]
-            for row in adj]
-    roots = _float_powers(field, gen_logs[0].precision_bits)
-    orbit = [roots[p] for p in field.root_orbit]
-    logs = ([math.log(abs(c0 + c1 * r + c2 * r2 + c3 * r3))
-             for r, r2, r3 in orbit] for c0, c1, c2, c3 in hits)
-    try:  # log(0) and round(nan) raise ValueError, round(inf) OverflowError
-        return [[round(p0 * l0 + p1 * l1 + p2 * l2 + p3 * l3)
-                 for p0, p1, p2, p3 in pinv] for l0, l1, l2, l3 in logs]
-    except (ValueError, OverflowError):
+# saturate gives up rather than test a prime above this: the classes of
+# the primes up to 31 take ~0.3 s on x^4 - 82x^2 + 656, whose bound is 399
+SATURATION_MAX_PRIME = 31
+# saturate's result: generators proven to span O_L^* mod +-1, the index of
+# the input generators' span in it, the index bound over the proven ones,
+# the primes tested, the classes screened and the survivors checked exactly
+Saturation = collections.namedtuple(
+    "Saturation", "gens index bound primes candidates exact_checks")
+
+
+def index_bound(logs):
+    """2 sqrt(2) R' / (2 log phi)^3 >= [O_L^* : +-<g>] for units g of a
+    totally real quartic field with LOGs logs and regulator R' > 0.
+
+    Schinzel (Acta Arith. 24, 1973): a totally real algebraic integer
+    x != 0, +-1 of degree n has Mahler measure >= phi^(n/2), so a unit
+    x != +-1 of L has ||LOG x||_1 = 2 (4/n) log M(x) >= 4 log phi; its
+    coordinates sum to 0, so ||LOG x||_2 >= ||LOG x||_1 / 2 >= 2 log phi.
+    Hermite's constant gamma_3^3 = 2 bounds the covolume of the LOG
+    lattice of O_L^* below by (2 log phi)^3 / sqrt(2); the generators'
+    LOG lattice has covolume sqrt(4) R' = 2 R', R' the |det| of any three
+    of its coordinates.  Computed at the logs' precision."""
+    with mpf_ctx(logs[0].precision_bits):
+        a, b, c = (lv.coords[:3] for lv in logs)
+        reg = abs(a[0] * (b[1] * c[2] - b[2] * c[1])
+                  - a[1] * (b[0] * c[2] - b[2] * c[0])
+                  + a[2] * (b[0] * c[1] - b[1] * c[0]))
+        return 2 * mpmath.sqrt(2) * reg / (2 * mpmath.log(
+            (1 + mpmath.sqrt(5)) / 2)) ** 3
+
+
+def saturate(field, gens, values, logs):
+    """Prove that units gens of L generate O_L^* mod +-1, or find the
+    p-th roots that do: a Saturation.  values and logs are the gens'
+    values at the roots (quartic.embed_all) and LOGs at one precision.
+
+    p divides [O_L^* : +-<g>] iff some unit x outside it has
+    x^p = +-prod g_k^e_k (Cauchy), with e != 0 mod p (else x times
+    prod g_k^(-e_k / p) is a real p-th root of +-1, so +-1); reducing e
+    mod p and raising x to a power prime to p, every e of its class
+    e F_p^* has a root, so one e per class, its first nonzero entry 1,
+    is tested (_pth_root).  A root c for e with e_j = 1 replaces g_j:
+    g_j = +-c^p prod_(k != j) g_k^(-e_k), so the new generators span the
+    old with index p, and LOG c = sum e_k LOG g_k / p.  Every prime up to
+    index_bound (with a margin of 2^-32 relative) is tested, a prime
+    again while it has a root, and the bound is recomputed after each
+    root: a prime that has none for some generators has none for any
+    generators spanning them with an index prime to it.  The p^2 + p + 1
+    classes per prime bound the work: a prime above SATURATION_MAX_PRIME
+    still to test raises UnitSearchError, never reads as saturated."""
+    gens, values, logs = list(gens), list(values), list(logs)
+    prec = logs[0].precision_bits
+    index, primes, stats, p = 1, [], [0, 0], 2
+    bound = index_bound(logs)
+    if not bound > mpmath.ldexp(1, -prec // 2):
+        raise CatalogValidationError("the generators are dependent")
+    levels = [_Level(field, gens, values, prec, True)]
+    while p <= bound * (1 + mpmath.ldexp(1, -32)):
+        if p > SATURATION_MAX_PRIME:
+            raise UnitSearchError(
+                "saturation gave up: the index bound %s needs primes above "
+                "%d" % (mpmath.nstr(bound, 6), SATURATION_MAX_PRIME))
+        root = _pth_root(field, gens, levels, p, stats)
+        if root is None:
+            primes.append(p)
+            p = next(q for q in itertools.count(p + 1)
+                     if all(q % r for r in range(2, math.isqrt(q) + 1)))
+            continue
+        j, c, e = root
+        gens[j], values[j], index = c, qt.embed_all(c, prec), index * p
+        levels = [_Level(field, gens, values, prec, True)]
+        with mpf_ctx(prec):
+            logs[j] = LogVector(tuple(
+                sum(ek * lv.coords[i] for ek, lv in zip(e, logs)) / p
+                for i in range(4)), "cyclic", prec)
+        bound = index_bound(logs)
+    return Saturation(tuple(gens), index, bound, tuple(primes), *stats)
+
+
+def _pth_root(field, gens, levels, p, stats):
+    """(j, c, e): a unit c with c^p = +-prod g_k^e_k, e in F_p^3 \\ 0
+    with first nonzero entry e_j = 1, or None when there is none.  Each e
+    is screened on floats (_screen at levels[0]); a class the floats
+    cannot decide is screened again in mpf at twice the precision, and
+    again, never rejected unscreened.  A survivor's
+    c = quartic.from_embeddings of its values is a root iff c^p = +-eta
+    (_is_root)."""
+    for lead in range(3):
+        for rest in itertools.product(range(p), repeat=2 - lead):
+            e = (0,) * lead + (1,) + rest
+            stats[0] += 1
+            for m in itertools.count():
+                if m == len(levels):
+                    bits = levels[0].bits << m
+                    if m > 6:
+                        raise UnitSearchError("saturation screen undecided "
+                                              "at p = %d, e = %s" % (p, e))
+                    levels.append(_Level(field, gens, [qt.embed_all(
+                        g, bits) for g in gens], bits, False))
+                level = levels[m]
+                with mpf_ctx(level.bits) if m else contextlib.nullcontext():
+                    found = _screen(level, p, e)
+                    if found is not None:
+                        cands = [qt.from_embeddings(field, x, level.powers)
+                                 for x in found]
+                        break
+            for c in cands:
+                stats[1] += 1
+                if _is_root(field, gens, c, e, p):
+                    return lead, c, e
+    return None
+
+
+def _is_root(field, gens, c, e, p):
+    """c^p = +-prod g_k^e_k, exactly: with c = N / D and each g_k = G_k /
+    D_k on integer coordinates, N^p prod D_k^e_k = +-D^p prod G_k^e_k."""
+    table, eta, den = field.table, (1, 0, 0, 0), 1
+    for g, ek in zip(gens, e):
+        num, d = qt.integer_coords(g.coords)
+        for _ in range(ek):
+            eta, den = qt.mul_coords(eta, num, table), den * d
+    num, d = qt.integer_coords(c.coords)
+    power = num
+    for _ in range(p - 1):
+        power = qt.mul_coords(power, num, table)
+    lhs, rhs = [v * den for v in power], [v * d ** p for v in eta]
+    return lhs == rhs or lhs == [-v for v in rhs]
+
+
+class _Level:
+    """The generators' values and the root powers (1, r, r^2, r^3) in one
+    arithmetic: float64, rounded to nearest from the b-bit mpfs, or mpf
+    at b + 16 bits; u its unit roundoff, and each input its true value
+    times (1 + theta_k).  span bounds |log2| of the float inputs: every
+    product of up to 3p of them stays normal while 3p (span + 1) < 1000,
+    and span is infinite when an input error exceeds 1/16.
+
+    Input error: root r_i at b bits is within 2^-(b+15) max(|r|, 1) of
+    its bracket's root (_newton_limit's proof, 2^-(b+21) max(|r|, 1),
+    then one rounding to b + 16 bits).  g(r_i) by Horner at b + 16 bits
+    (embed_all) is then within 2^-(b+10) H of g's value, H =
+    sum_j |c_j| max(|r|, 1)^j: gamma_8 H for the rounded coefficients and
+    the 6 operations, plus |g'| <= 3 H / max(|r|, 1) times the root's
+    error.  Both relative bounds, rho, are taken in float64 with factors
+    8 and 4 to spare, and k = 2 + floor(max rho / u) covers rho and the
+    one rounding to float."""
+
+    def __init__(self, field, gens, values, bits, as_float):
+        roots = field.roots(bits)
+        big = [max(abs(r), 1) for r in roots]
+        rho = [math.ldexp(float(b / abs(r)), -bits - 12)
+               for b, r in zip(big, roots)]
+        for g, vals in zip(gens, values):
+            for b, v in zip(big, vals):
+                h = sum(abs(float(c)) * float(b) ** j
+                        for j, c in enumerate(g.coords))
+                rho.append(math.ldexp(float(h / abs(v)), -bits - 8))
+        if as_float:
+            self.u, self.one = 2.0 ** -53, 1.0
+            roots, values = ([to_float(x._mpf_, rnd=round_nearest) for x in v]
+                             for v in (roots, itertools.chain(*values)))
+            self.span = max(abs(math.frexp(x)[1]) if x else math.inf
+                            for x in roots + values)
+            values = [values[i:i + 4] for i in range(0, len(values), 4)]
+        else:
+            self.u, self.one, self.span = (mpmath.ldexp(1, -bits - 16),
+                                           mpmath.mpf(1), 0)
+        if not max(rho) < 2.0 ** -4:
+            self.span, rho = math.inf, [0]
+        self.bits, self.k, self.gvals, self.tables = (
+            bits, 2 + int(max(rho) / self.u), values, {})
+        with mpf_ctx(bits):  # the mpf products at b + 16 bits
+            self.powers = [(self.one, r, r * r, r * r * r) for r in roots]
+
+    def power_table(self, p):
+        """table[slot][m][i] = g_slot(r_i)^m, m < p, by repeated products,
+        computed once per prime."""
+        if p not in self.tables:
+            self.tables[p] = [list(itertools.accumulate(
+                [vals] * (p - 1),
+                lambda acc, v: [a * b for a, b in zip(acc, v)],
+                initial=[self.one] * 4)) for vals in self.gvals]
+        return self.tables[p]
+
+
+def _screen(level, p, e):
+    """The values x at the roots of each p-th root of +-eta,
+    eta = prod g_k^e_k, that the traces cannot rule out, or None when the
+    screen cannot decide.  Run in level's arithmetic; [] is a proof that
+    no p-th root exists.
+
+    eta_i = prod g_k(r_i)^e_k, S = sum e_k, is formed by S - 1 products
+    of inputs, so its value is eta's times (1 + theta_((k+1)S)) (Higham,
+    Lemma 3.3: (1 + theta_a)(1 + theta_b) = 1 + theta_(a+b), |theta_n| <=
+    gamma_n = n u / (1 - n u), for u the unit roundoff of correctly
+    rounded +, -, *, /).  A root x has x_i = +-|eta_i|^(1/p) (for odd p,
+    the sign of eta_i; for p = 2, eta of one sign, +-x both roots, so x_0 >
+    0 and the 8 signs of the rest).  y_i = |eta_i|^(1/p) is a libm or mpf
+    guess, bounded by its residual q = y^p / |eta_i| in p roundings:
+    y = |x_i| (1 + theta) q^(1/p), and |q^(1/p) - 1| <= |q - 1| <= d
+    (q - 1 exact by Sterbenz once d <= 1/8).  (1 + delta)^(+-1/p), |delta|
+    <= u, is again 1 + delta', |delta'| <= u, so each root keeps the count
+    of the power it is taken of.  r_i^j costs (k+1) j, the product x_i
+    r_i^j one rounding and the sum t_j three: every term of t_j is its
+    true value times (1 + theta_n)(1 + beta), n = (k+1)(S+3) + p + 6,
+    |beta| <= d.  So with gamma = gamma_n, d <= 1/8,
+    |t_j - Tr(x alpha^j)| <= (gamma + d + gamma d) sum_i |x_i r_i^j|, and
+    sum_i |x_i r_i^j| <= A_j / ((1 - gamma)(1 - d)(1 - gamma_3)), A_j the
+    computed sum of the |terms|: within 1.5 (gamma + d) A_j, and
+    E_j = 2 (gamma + d) A_j leaves the rounding of E_j itself to spare.
+    If x is a root, t_j is an integer, so |t_j - nint t_j| > E_j for some
+    j proves there is none (t_j - nint t_j is exact); a candidate with
+    every E_j < 1/4 survives, and its t round exactly.  Floats that may
+    leave the normal range, gamma or d above 1/8, or some E_j >= 1/4 on a
+    survivor leave the class undecided."""
+    if not 3 * p * (level.span + 1) < 1000:
         return None
-
-
-def row_prover(gens):
-    """A function of a coordinate vector c and an integer row n telling,
-    exactly, whether c = +-prod g_i^n_i.
-
-    Each g_i is G_i/D, G_i integer coordinates over the generators' common
-    denominator D.  With P and N the sums of the positive and of the
-    negated negative n_i, c = +-prod g_i^n_i iff
-    D^P * c * prod_{n_i<0} G_i^|n_i| = +-D^N * prod_{n_i>0} G_i^n_i,
-    all in Z[alpha] but c.  The powers G_i^m are cached, so each row costs
-    a few products of integers.
-    """
-    table = gens[0].field.table
-    den = math.lcm(*(v.denominator for g in gens for v in g.coords))
-    numers = [tuple(int(v * den) for v in g.coords) for g in gens]
-    powers = {}
-
-    def power(i, m):
-        if (i, m) not in powers:
-            powers[i, m] = (numers[i] if m == 1 else
-                            qt.mul_coords(power(i, m - 1), numers[i], table))
-        return powers[i, m]
-
-    def proves(c, n):
-        lhs, rhs = c, (1, 0, 0, 0)
-        scale_lhs = scale_rhs = 1
-        for i, m in enumerate(n):
-            if m < 0:
-                lhs = qt.mul_coords(lhs, power(i, -m), table)
-                scale_rhs *= den ** -m
-            elif m > 0:
-                rhs = qt.mul_coords(rhs, power(i, m), table)
-                scale_lhs *= den ** m
-        lhs = [scale_lhs * v for v in lhs]
-        rhs = [scale_rhs * v for v in rhs]
-        return lhs == rhs or lhs == [-v for v in rhs]
-    return proves
-
-
-def _integer_lattice_index(rows):
-    """Index in Z^3 of the lattice spanned by integer rows (None if rank < 3),
-    via an incremental Hermite normal form over Z."""
-    basis = {}  # pivot column -> echelon row
-
-    def insert(row):
-        row = list(row)
-        while any(row):
-            piv = next(j for j, v in enumerate(row) if v)
-            if piv not in basis:
-                if row[piv] < 0:
-                    row = [-v for v in row]
-                basis[piv] = row
-                return
-            b = basis[piv]
-            g = math.gcd(b[piv], row[piv])
-            x, y = _ext_gcd(b[piv], row[piv])
-            newb = [x * bb + y * rr for bb, rr in zip(b, row)]
-            newrow = [(b[piv] // g) * rr - (row[piv] // g) * bb
-                      for bb, rr in zip(b, row)]
-            basis[piv] = newb
-            row = newrow
-
-    for r in rows:
-        insert(r)
-    if len(basis) < 3:
+    rows = level.powers
+    ta, tb, tc = level.power_table(p)
+    eta = [a * b * c for a, b, c in zip(ta[e[0]], tb[e[1]], tc[e[2]])]
+    if p == 2 and not (all(v > 0 for v in eta) or all(v < 0 for v in eta)):
+        return []  # neither +-eta is totally positive, so neither a square
+    n = (level.k + 1) * (sum(e) + 3) + p + 6
+    gamma, d, mags, inv = n * level.u / (1 - n * level.u), 0, [], level.one / p
+    for v in eta:
+        a = abs(v)
+        y = z = a ** inv
+        for _ in range(p - 1):
+            z *= y
+        d = max(d, abs(z / a - 1))
+        mags.append(y)
+    if not (gamma <= 0.125 and d <= 0.125):
         return None
-    det = 1
-    for piv in basis:
-        det *= abs(basis[piv][piv])
-    return det
+    if p == 2:
+        alive = [(mags[0],) + tuple(s * y for s, y in zip(signs, mags[1:]))
+                 for signs in itertools.product((1, -1), repeat=3)]
+    else:
+        alive = [tuple(y if v > 0 else -y for y, v in zip(mags, eta))]
+    wide = False
+    for j in range(4):
+        err = 2 * (gamma + d) * sum(y * abs(row[j])
+                                    for y, row in zip(mags, rows))
+        wide = wide or not err < 0.25
+        alive = [x for x in alive if not _distance(
+            sum(v * row[j] for v, row in zip(x, rows))) > err]
+        if not alive:
+            return []
+    return None if wide else alive
 
 
-def _ext_gcd(a, b):
-    """(x, y) with x*a + y*b = gcd(a, b)."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_x, old_y = -old_x, -old_y
-    return old_x, old_y
+def _distance(t):
+    """|t - nint t|, exact in floats and in mpfs."""
+    return abs(t - qt.nearest_integer(t))

@@ -25,8 +25,6 @@ from .loglattice import (WEDGE_PAIRS, cyclic_f, cyclic_min, cyclic_wedge_rows,
 
 THEOREM_TOL = mpmath.mpf("1e-5")
 DERIVED_TOL = mpmath.mpf("1e-9")
-# height of the relative-unit search behind the regulator cross-check
-REGULATOR_HEIGHT = 6
 
 
 def _log_phi():
@@ -215,13 +213,13 @@ def cyclic_entry_report(entry, coeff_bound=20,
                    for name, ok in hasse.items()]
         if not all(hasse.values()):
             return None, reports
-        gens, gen_logs = us.cyclic_generators(entry, ctx, hasse)
-        reg_ok, reg_idx = us.regulator_cross_check(gens, gen_logs, [
-            c for c, _ in us.search_relative_units(ctx, REGULATOR_HEIGHT)])
+        gens, values, gen_logs = us.cyclic_generators(entry, ctx, hasse)
+        sat = us.saturate(ctx.field, gens, values, gen_logs)
         reports.append(BoundReport(
-            "regulator_cross_check", None, None,
-            "holds" if reg_ok else "violated",
-            details={"sublattice_index": reg_idx}))
+            "unit_group_saturated", None, None,
+            "holds" if sat.index == 1 else "violated",
+            details={"index": sat.index, "index_bound": sat.bound,
+                     "primes": list(sat.primes)}))
         # W3 = LOG(sigma(u0))[id] is LOG(u0) one step along the orbit
         lv_ul, lv_u0 = gen_logs[:2]
         w1, (w2, w3) = lv_ul.coords[0], lv_u0.coords[:2]
@@ -248,13 +246,18 @@ def cyclic_entry_report(entry, coeff_bound=20,
             # constrained minimum: 2*sqrt(6)*log(phi)^2
             reports.append(_at_least("q2_min_ge_2sqrt6_log2phi", value,
                                      2 * mpmath.sqrt(6) * c["log_phi"] ** 2))
-        # an uncertified minimum, which a triple outside the box may
-        # undercut, is only an upper bound: it and the floors read off it
-        # are violated; the Pohst floor reads W only
+        # a minimum that a triple outside the box, or a unit outside the
+        # generators' span, may undercut is only an upper bound: it and
+        # the floors read off it are violated; the Pohst floor reads W only
+        reasons = [why for why, bad in (
+            ("not certified within coeff_bound", not certified),
+            ("the generators span index %d in the unit group" % sat.index,
+             sat.index != 1)) if bad]
+        reports[-4].details["certified"] = not reasons
         for r in reports[-4:]:
-            if not certified and r.name != "relative_unit_pohst_W2W3":
+            if reasons and r.name != "relative_unit_pohst_W2W3":
                 r.relation = "violated"
-                r.details["reason"] = "not certified within coeff_bound"
+                r.details["reason"] = "; ".join(reasons)
         return value, reports
 
 

@@ -45,6 +45,18 @@ characteristic polynomial.  unit_half_box keeps the units of a box of
 power-basis vectors by power_basis_norm, the integer determinant of
 multiplication by c, with no root, float or Galois action.
 
+cauchy_root_brackets isolates the real roots from the earlier Cauchy
+interval (-2^e, 2^e], 2^e > max |c_i|, where the library starts from
+Fujiwara's bound.
+
+regulator_cross_check is the earlier unit-group check of the cyclic
+catalog: it proves each unit found by the height-REGULATOR_HEIGHT box
+search an integer combination of the generators (a float64 row from the
+LOGs, propose_rows, proved exactly, row_prover) and reads the index of
+the hits' lattice in the generators' (_integer_lattice_index, a Hermite
+normal form), where the library proves the generators saturated by
+p-th roots of their products (units.saturate).
+
 The Klein embedding chain is the reference LOG of a biquadratic
 element: the Galois action (galois_apply), the Galois-product norm
 (biq_norm_to_Q), tower integrality over K = Q(sqrt(d1))
@@ -74,7 +86,8 @@ from unitlat.loglattice import LogVector, klein_wedge_rows, orbit_log
 from unitlat.precision import DEFAULT_PRECISION, mpf_ctx
 from unitlat.quadratic import (CF_MAX_STEPS, QuadElem, _rational_sqrt,
                                is_squarefree, quad_norm, surd_sign)
-from unitlat.quartic import QuarticElem, embed_all, qr_add, qr_mul, qr_neg
+from unitlat.quartic import (QuarticElem, _sign_at, _sturm, embed_all,
+                             mul_coords, qr_add, qr_mul, qr_neg)
 from unitlat.units import (KleinUnitStructure, _f2_basis, klein_denominator,
                            subfield_units)
 from unitlat.verifier import DERIVED_TOL, BoundReport, constants
@@ -573,7 +586,7 @@ def biq_norm_to_Q(a):
 
 
 def biq_inv(a):
-    if a.is_zero():
+    if not any(a.coords):
         raise ZeroDivisionError("zero element has no inverse")
     cofactor = qr_mul(qr_mul(galois_apply("s1", a), galois_apply("s2", a)),
                       galois_apply("s3", a))
@@ -596,7 +609,7 @@ def quad_inv(x):
 
 def qr_inv(a):
     """1/a = sigma^2(a) sigma(N_{L/k}(a)) / N_{L/Q}(a)."""
-    if a.is_zero():
+    if not any(a.coords):
         raise ZeroDivisionError("zero element has no inverse")
     sigma_n = a.field.sigma(qr_mul(a, a.field.sigma2(a)))
     cofactor = qr_mul(a.field.sigma2(a), sigma_n)
@@ -771,7 +784,7 @@ def galois_generator_all_perms(field, denom_bound, precision_bits):
                 continue
             cand = QuarticElem(field, tuple(
                 _mpf_fraction(v).limit_denominator(denom_bound) for v in sol))
-            if not eval_poly_at(field, cand).is_zero():
+            if not not any(eval_poly_at(field, cand).coords):
                 continue
             tau = FractionAutomorphism(field, cand, perm)
             t2 = tau.compose(tau)
@@ -823,3 +836,166 @@ def unit_half_box(coeffs, height_bound):
     return [list(c) for c in itertools.product(span, repeat=4)
             if abs(power_basis_norm(coeffs, c)) == 1
             and next(v for v in c if v) < 0]
+
+
+# height of the relative-unit search behind regulator_cross_check
+REGULATOR_HEIGHT = 6
+
+
+def regulator_cross_check(gens, gen_logs, hits):
+    """Prove every search hit an integer combination of the generators
+    (cyclic_generators: their elements and LOGs) and compare the lattice
+    the hits span with theirs.  hits are power-basis coordinate vectors of
+    units.  Each hit's row n is proposed in float64 (propose_rows) and
+    proved exactly (row_prover): hit = +-prod g_i^n_i.  The check fails,
+    with index None, when a row fails that proof; otherwise the rows must
+    have rank 3, so no hits fail, and a plausible integer index <= 4.
+    Returns (ok, index).
+
+    Only the proof accepts a row: a wrong proposal can fail a true
+    combination, never pass a false one.
+    """
+    if not hits:
+        return False, None
+    rows = propose_rows(gens[0].field, gen_logs, hits)
+    proves = row_prover(gens)
+    if rows is None or not all(proves(c, n) for c, n in zip(hits, rows)):
+        return False, None
+    idx = _integer_lattice_index(rows)
+    return (idx is not None and 1 <= idx <= 4), idx
+
+
+def propose_rows(field, gen_logs, hits):
+    """The nearest integer rows n with LOG(hit) = sum n_i LOG(g_i), in
+    float64, or None if a LOG is not finite.  LOG(hit) is log|c(r)| at
+    the roots in sigma-orbit order (root_orbit), mapped by the
+    least-squares pseudo-inverse (G^T G)^-1 G^T of the generators' LOGs
+    G, formed once per call: (G^T G)^-1 = adj(m)/det(m) for the Gram
+    matrix m, the rows of adj(m) being cross products of rows of m."""
+    g = [[float(v) for v in lv.coords] for lv in gen_logs]
+    m = [[sum(x * y for x, y in zip(a, b)) for b in g] for a in g]
+    adj = [[a[k - 2] * b[k - 1] - a[k - 1] * b[k - 2] for k in range(3)]
+           for a, b in ((m[1], m[2]), (m[2], m[0]), (m[0], m[1]))]
+    det = sum(x * y for x, y in zip(m[0], adj[0]))
+    pinv = [[sum(x * y for x, y in zip(row, col)) / det for col in zip(*g)]
+            for row in adj]
+    roots = [float(r) for r in field.roots(gen_logs[0].precision_bits)]
+    orbit = [roots[p] for p in field.root_orbit]
+    logs = ([math.log(abs(c0 + c1 * r + c2 * r * r + c3 * r ** 3))
+             for r in orbit] for c0, c1, c2, c3 in hits)
+    try:  # log(0) and round(nan) raise ValueError, round(inf) OverflowError
+        return [[round(p0 * l0 + p1 * l1 + p2 * l2 + p3 * l3)
+                 for p0, p1, p2, p3 in pinv] for l0, l1, l2, l3 in logs]
+    except (ValueError, OverflowError):
+        return None
+
+
+def row_prover(gens):
+    """A function of a coordinate vector c and an integer row n telling,
+    exactly, whether c = +-prod g_i^n_i.
+
+    Each g_i is G_i/D, G_i integer coordinates over the generators' common
+    denominator D.  With P and N the sums of the positive and of the
+    negated negative n_i, c = +-prod g_i^n_i iff
+    D^P * c * prod_{n_i<0} G_i^|n_i| = +-D^N * prod_{n_i>0} G_i^n_i,
+    all in Z[alpha] but c.  The powers G_i^m are cached, so each row costs
+    a few products of integers.
+    """
+    table = gens[0].field.table
+    den = math.lcm(*(v.denominator for g in gens for v in g.coords))
+    numers = [tuple(int(v * den) for v in g.coords) for g in gens]
+    powers = {}
+
+    def power(i, m):
+        if (i, m) not in powers:
+            powers[i, m] = (numers[i] if m == 1 else
+                            mul_coords(power(i, m - 1), numers[i], table))
+        return powers[i, m]
+
+    def proves(c, n):
+        lhs, rhs = c, (1, 0, 0, 0)
+        scale_lhs = scale_rhs = 1
+        for i, m in enumerate(n):
+            if m < 0:
+                lhs = mul_coords(lhs, power(i, -m), table)
+                scale_rhs *= den ** -m
+            elif m > 0:
+                rhs = mul_coords(rhs, power(i, m), table)
+                scale_lhs *= den ** m
+        lhs = [scale_lhs * v for v in lhs]
+        rhs = [scale_rhs * v for v in rhs]
+        return lhs == rhs or lhs == [-v for v in rhs]
+    return proves
+
+
+def _integer_lattice_index(rows):
+    """Index in Z^3 of the lattice spanned by integer rows (None if rank < 3),
+    via an incremental Hermite normal form over Z."""
+    basis = {}  # pivot column -> echelon row
+
+    def insert(row):
+        row = list(row)
+        while any(row):
+            piv = next(j for j, v in enumerate(row) if v)
+            if piv not in basis:
+                if row[piv] < 0:
+                    row = [-v for v in row]
+                basis[piv] = row
+                return
+            b = basis[piv]
+            g = math.gcd(b[piv], row[piv])
+            x, y = _ext_gcd(b[piv], row[piv])
+            newb = [x * bb + y * rr for bb, rr in zip(b, row)]
+            newrow = [(b[piv] // g) * rr - (row[piv] // g) * bb
+                      for bb, rr in zip(b, row)]
+            basis[piv] = newb
+            row = newrow
+
+    for r in rows:
+        insert(r)
+    if len(basis) < 3:
+        return None
+    det = 1
+    for piv in basis:
+        det *= abs(basis[piv][piv])
+    return det
+
+
+def _ext_gcd(a, b):
+    """(x, y) with x*a + y*b = gcd(a, b)."""
+    old_r, r = a, b
+    old_x, x = 1, 0
+    old_y, y = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_x, x = x, old_x - q * x
+        old_y, y = y, old_y - q * y
+    if old_r < 0:
+        old_x, old_y = -old_x, -old_y
+    return old_x, old_y
+
+
+def cauchy_root_brackets(poly):
+    """Dyadic brackets (lo / 2^k, hi / 2^k], ascending, one per real root
+    of a squarefree monic integer polynomial: the Sturm sign variations
+    over the Cauchy interval (-2^e, 2^e], 2^e > max |c_i|, bisected until
+    each interval holds one root."""
+    seq = _sturm(poly)
+
+    def var(num, k):
+        signs = [s for s in (_sign_at(p, num, k) for p in seq) if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    top = 1 << max(abs(c) for c in poly[:-1]).bit_length()
+    out, todo = [], [(-top, top, 0, var(-top, 0), var(top, 0))]
+    while todo:
+        lo, hi, k, v_lo, v_hi = todo.pop()
+        if v_lo - v_hi == 1:
+            out.append((lo, hi, k))
+        elif v_lo - v_hi > 1:
+            mid = lo + hi
+            v_mid = var(mid, k + 1)
+            todo.append((mid, 2 * hi, k + 1, v_mid, v_hi))
+            todo.append((2 * lo, mid, k + 1, v_lo, v_mid))
+    return tuple(out)

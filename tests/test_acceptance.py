@@ -198,7 +198,7 @@ def test_criterion_09_pohst_floor(scan, cyclic):
         entry, _, _ = cyclic
         ctx = us.cyclic_context(entry.coeffs, entry.quad_subfield_d, entry.u_l)
         for lv in us.cyclic_generators(
-                entry, ctx, us.verify_hasse_relations(entry, ctx))[1]:
+                entry, ctx, us.verify_hasse_relations(entry, ctx))[2]:
             assert sum(c * c for c in lv.coords) >= floor - 1e-9
             checked += 1
         # equality at the lift of (1+sqrt5)/2

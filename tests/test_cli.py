@@ -197,20 +197,49 @@ def test_cyclic_corrupted_entry(tmp_path, capsys):
     assert "u_star" in err
 
 
-def test_cyclic_failed_cross_check_exits_4(tmp_path, capsys):
-    # Q(zeta15)+ with u0 replaced by u0^2: every Hasse relation holds, the
-    # regulator cross-check fails; stdout is the same report as ever
-    obj = vf.load_default_catalog()[2].to_json()
-    obj["u0"] = ["8", "-4", "-2", "1"]
-    path = tmp_path / "squared.json"
-    path.write_text(json.dumps([obj]))
-    code, out, err = run(capsys, "--catalog", str(path),
-                         "cyclic", obj["label"])
+U0_SQUARED = os.path.join(os.path.dirname(__file__), "data",
+                          "cyclic_u0_squared.json")
+U0_SQUARED_ERR = ("failed check: unit_group_saturated (index 4 over the "
+                  "catalog's generators; primes tested: 2, 3)\n")
+
+
+def test_cyclic_failed_cross_check_exits_4(capsys):
+    # the unit group check (saturate) on Q(zeta15)+ with u0 replaced by
+    # u0^2 (tests/data/cyclic_u0_squared.json): every Hasse relation
+    # holds, but u0 and sigma(u0) are square roots of generators, so the
+    # generators span index 4 in the unit group; the report keeps its
+    # lines, and the minimum, now only an upper bound, and its floors
+    # read violated
+    code, out, err = run(capsys, "--catalog", U0_SQUARED,
+                         "cyclic", "Q(zeta15)+")
     assert code == 4
     assert "FAIL" not in out
-    assert "min 1-norm:" in out
-    assert err == ("failed check: regulator_cross_check "
-                   "(sublattice index None)\n")
+    assert "min 1-norm: 6.62465310922 at (-1, 0, 0) (certified: False)" in out
+    assert "cyclic_min_gt_theorem_constant: violated" in out
+    assert "q1_min_ge_8log2phi: violated" in out
+    assert "relative_unit_pohst_W2W3: holds" in out
+    assert err == U0_SQUARED_ERR
+
+
+def test_cyclic_failed_cross_check_json_and_verify_paper(capsys):
+    # the same entry in json: the same stderr line, and the bounds read
+    # violated; verify-paper reads the check violated with its reason
+    code, out, err = run(capsys, "--catalog", U0_SQUARED, "--format", "json",
+                         "cyclic", "Q(zeta15)+")
+    payload = json.loads(out)
+    assert (code, err) == (4, U0_SQUARED_ERR)
+    assert payload["certified"] is False
+    assert all(r == "holds" for r in payload["relations"].values())
+    assert [b["relation"] for b in payload["bounds"]] == [
+        "violated", "holds", "violated"]
+    code, out, _ = run(capsys, "--catalog", U0_SQUARED, "--scan-limit", "3",
+                       "--format", "json", "verify-paper")
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert code == 1
+    assert checks["unit_group_saturated"]["relation"] == "violated"
+    assert checks["unit_group_saturated"]["details"]["index"] == 4
+    assert checks["cyclic_min_1norm"]["details"]["reason"] == (
+        "the generators span index 4 in the unit group")
 
 
 def test_cyclic_violated_bound_exits_1(capsys, monkeypatch):
@@ -231,19 +260,15 @@ def test_cyclic_violated_bound_exits_1(capsys, monkeypatch):
 
 def test_cyclic_catalog_failure_precedes_violation(tmp_path, capsys,
                                                    monkeypatch):
-    # a failed regulator cross-check (exit 4) outranks a minimum below
-    # the theorem constant (exit 1)
+    # generators that do not span the unit group (exit 4) outrank a
+    # minimum below the theorem constant (exit 1)
     monkeypatch.setattr(vf, "cyclic_min", lambda *args: (
         mpmath.mpf("0.5"), (0, 0, 1), True))
-    obj = vf.load_default_catalog()[2].to_json()
-    obj["u0"] = ["8", "-4", "-2", "1"]
-    path = tmp_path / "squared.json"
-    path.write_text(json.dumps([obj]))
-    code, out, err = run(capsys, "--catalog", str(path),
-                         "cyclic", obj["label"])
+    code, out, err = run(capsys, "--catalog", U0_SQUARED,
+                         "cyclic", "Q(zeta15)+")
     assert code == 4
     assert "cyclic_min_gt_theorem_constant: violated" in out
-    assert err.startswith("failed check: regulator_cross_check")
+    assert err == U0_SQUARED_ERR
 
 
 def test_klein_violated_bound_exits_1(capsys, monkeypatch):
@@ -333,9 +358,8 @@ def test_failed_sigma_search_is_not_read_as_not_cyclic(capsys, monkeypatch):
 def test_traces_off_by_one_exit_2(capsys, monkeypatch, command):
     # with every rounded trace t_j off by one, each 4-cycle's candidate is
     # rejected: the search gives up (exit 2), it never yields a wrong sigma
-    rounded = quartic._rounded_traces
-    monkeypatch.setattr(quartic, "_rounded_traces", lambda roots, perm: [
-        v + 1 for v in rounded(roots, perm)])
+    nearest = quartic.nearest_integer
+    monkeypatch.setattr(quartic, "nearest_integer", lambda t: nearest(t) + 1)
     code, out, err = run(capsys, "--scan-limit", "3", *command)
     assert (code, out) == (2, "")
     assert err.startswith("error: no 4-cycle of the roots gave an order-4 "

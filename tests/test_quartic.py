@@ -15,15 +15,28 @@ from unitlat import quartic as qt
 from unitlat.biquadratic import BiquadField
 from unitlat.quadratic import UnitSearchError
 from unitlat.quartic import (CyclicQuarticField, NotCyclicError, QuarticElem,
-                             embed_all, galois_generator,
-                             is_algebraic_integer, is_unit, mul_coords,
-                             norm_to_Q, qr_add, qr_mul,
-                             quartic_is_irreducible, sqrt_of_rational)
-from oracles import (FractionAutomorphism, char_poly, eval_poly_at,
-                     galois_generator_all_perms,
+                             embed_all, galois_generator, is_unit,
+                             mul_coords, qr_add, qr_mul, sqrt_of_rational)
+from oracles import (FractionAutomorphism, cauchy_root_brackets, char_poly,
+                     eval_poly_at, galois_generator_all_perms,
                      polyroots_real_roots, power_basis_norm, qr_inv,
                      qr_is_algebraic_integer, qr_is_unit, qr_norm_to_Q,
                      qr_pow, trial_division_irreducible)
+
+
+def is_integral(a):
+    """a lies in O_L iff its characteristic polynomial lies in Z[x]."""
+    return all(c.denominator == 1 for c in qt.char_poly(a))
+
+
+def norm_of(a):
+    return qt.char_poly(a)[4]
+
+
+def is_irreducible(coeffs):
+    """galois_group names a group exactly for the irreducible quartics."""
+    return qt.galois_group(coeffs) is not None
+
 
 # maximal real subfield of the 16th cyclotomic field
 F = CyclicQuarticField((2, 0, -4, 0, 1))
@@ -42,7 +55,7 @@ FIELDS = {
 # sigma(alpha) = -3 alpha + alpha^3 / 10^14 has a denominator above any
 # fixed bound of 10^12, and trial division of c0 = 2 10^28 never ends
 SCALED = CyclicQuarticField((2 * 10 ** 28, 0, -4 * 10 ** 14, 0, 1))
-# cyclic fields whose shipped unit search fails (see ROADMAP item 9)
+# cyclic fields whose shipped unit search fails (see ROADMAP item 7)
 SEARCH_FAILS = {
     "x^4+x^3-6x^2-x+1": CyclicQuarticField((1, -1, -6, 1, 1)),
     "x^4-10x^2+5": CyclicQuarticField((5, 0, -10, 0, 1)),
@@ -68,26 +81,26 @@ def test_defining_relation():
     alpha = F.gen()
     # alpha^4 = 4 alpha^2 - 2
     assert qr_pow(alpha, 4) == QuarticElem(F, (-2, 0, 4, 0))
-    assert eval_poly_at(F, alpha).is_zero()
+    assert eval_poly_at(F, alpha).coords == (0, 0, 0, 0)
 
 
 def test_norm_and_inverse():
     rng = random.Random(2)
-    assert norm_to_Q(F.gen()) == 2
+    assert norm_of(F.gen()) == 2
     for _ in range(40):
         a = rand_elem(F, rng)
-        if a.is_zero():
+        if not any(a.coords):
             continue
         assert qr_mul(a, qr_inv(a)) == F.from_rational(1)
     b = rand_elem(F, rng)
-    assert norm_to_Q(qr_mul(F.gen(), b)) == 2 * norm_to_Q(b)
+    assert norm_of(qr_mul(F.gen(), b)) == 2 * norm_of(b)
 
 
 def test_char_poly_of_generator():
     assert char_poly(F.gen()) == [Fraction(c) for c in (1, 0, -4, 0, 2)]
     assert qt.char_poly(F.gen()) == (1, 0, -4, 0, 2)
-    assert is_algebraic_integer(F.gen())
-    assert not is_algebraic_integer(F.from_rational(Fraction(1, 2)))
+    assert is_integral(F.gen())
+    assert not is_integral(F.from_rational(Fraction(1, 2)))
 
 
 def test_integrality_reads_the_constant_term():
@@ -99,8 +112,8 @@ def test_integrality_reads_the_constant_term():
                     (QuarticElem(BiquadField(2, 5), (0, half, 0, 0)),
                      Fraction(1, 4))):
         assert qt.char_poly(a) == (1, 0, -1, 0, norm)
-        assert norm_to_Q(a) == norm
-        assert not is_algebraic_integer(a)
+        assert norm_of(a) == norm
+        assert not is_integral(a)
         assert not is_unit(a)
 
 
@@ -110,7 +123,9 @@ def test_library_has_one_element_type_and_one_product():
     assert not any(hasattr(biquadratic, name)
                    for name in ("BiquadElem", "biq_mul", "mul_coords"))
     assert not any(hasattr(qt, name) for name in (
-        "_is_k_integer", "_trace_norm_to_Q", "_relative_norm"))
+        "_is_k_integer", "_trace_norm_to_Q", "_relative_norm", "norm_to_Q",
+        "is_algebraic_integer", "quartic_is_irreducible"))
+    assert not hasattr(QuarticElem, "is_zero")
     assert "BiquadElem" not in unitlat.__all__
     assert not hasattr(BiquadField(2, 5), "one")
 
@@ -127,7 +142,7 @@ def test_kernel_needs_no_sigma(coeffs):
     for r in range(-3, 4):
         a = qr_add(field.gen(), field.from_rational(-r))
         f_r = sum(c * r ** i for i, c in enumerate(coeffs))
-        assert norm_to_Q(a) == f_r
+        assert norm_of(a) == f_r
         assert is_unit(a) == (abs(f_r) == 1)
 
 
@@ -136,14 +151,14 @@ def test_integrality_beyond_power_basis():
     # half of sqrt(2+sqrt2), not integral
     g, _ = FIELDS["2*sqrt(2+sqrt2)"]
     half, eighth = Fraction(1, 2), Fraction(1, 8)
-    assert is_algebraic_integer(QuarticElem(g, (0, half, 0, 0)))
-    assert is_algebraic_integer(QuarticElem(g, (0, 0, 0, eighth)))
-    assert not is_algebraic_integer(QuarticElem(g, (0, Fraction(1, 4), 0, 0)))
+    assert is_integral(QuarticElem(g, (0, half, 0, 0)))
+    assert is_integral(QuarticElem(g, (0, 0, 0, eighth)))
+    assert not is_integral(QuarticElem(g, (0, Fraction(1, 4), 0, 0)))
     # 17 splits completely in F; with 56, 25 roots of the polynomial mod
     # 17^2 not paired by sigma^2 (alpha -> -alpha), a = (alpha - 56)
     # (alpha - 25)/17 has N_{L/k}(a) in O_k but Tr_{L/k}(a) not
     a = QuarticElem(F, (Fraction(-45, 17), Fraction(-81, 17), Fraction(1, 17), 0))
-    assert not is_algebraic_integer(a)
+    assert not is_integral(a)
     assert not all(c.denominator == 1 for c in char_poly(a))
 
 
@@ -160,10 +175,10 @@ def quartic_elements(draw, denominators=(1, 2, 4, 5), span=12):
 def test_tower_arithmetic_agrees_with_char_poly(a):
     poly = char_poly(a)
     integral = all(c.denominator == 1 for c in poly)
-    assert is_algebraic_integer(a) == integral
-    assert norm_to_Q(a) == poly[4]
+    assert is_integral(a) == integral
+    assert norm_of(a) == poly[4]
     assert is_unit(a) == (integral and abs(poly[4]) == 1)
-    if not a.is_zero():
+    if any(a.coords):
         assert qr_mul(a, qr_inv(a)) == a.field.from_rational(1)
 
 
@@ -200,8 +215,8 @@ def test_kernel_agrees_with_sigma_tower(a):
     poly = qt.char_poly(a)
     assert list(poly) == char_poly(a)
     assert poly[4] == power_basis_norm(a.field.coeffs, a.coords)
-    assert is_algebraic_integer(a) == qr_is_algebraic_integer(a)
-    assert norm_to_Q(a) == qr_norm_to_Q(a)
+    assert is_integral(a) == qr_is_algebraic_integer(a)
+    assert norm_of(a) == qr_norm_to_Q(a)
     assert is_unit(a) == qr_is_unit(a)
 
 
@@ -226,7 +241,7 @@ def test_galois_generator_exact():
     sigma = galois_generator(F)
     # sigma(alpha) = alpha^3 - 3*alpha
     assert sigma.image == QuarticElem(F, (0, -3, 0, 1))
-    assert eval_poly_at(F, sigma.image).is_zero()
+    assert eval_poly_at(F, sigma.image).coords == (0, 0, 0, 0)
     s2 = sigma.compose(sigma)
     assert not s2.is_identity()
     assert s2.compose(s2).is_identity()
@@ -250,7 +265,7 @@ def test_galois_generator_bounds_from_polynomial():
 def test_scaled_field_is_cyclic():
     # alpha scaled by 10^7 scales the root differences by 10^7, so disc f
     # by 10^84
-    assert quartic_is_irreducible(SCALED.coeffs)
+    assert is_irreducible(SCALED.coeffs)
     assert qt.trace_form(SCALED.coeffs)[2] == 10 ** 84 * 2048
     assert SCALED.sigma.root_perm == F.sigma.root_perm
 
@@ -325,9 +340,8 @@ def test_traces_off_by_one_reject_every_candidate(name, monkeypatch):
     # t_0 = Tr(alpha) at every 4-cycle, and every conjugate of alpha has
     # trace Tr(alpha): with each t_j off by one no candidate is a root of
     # f, so the search gives up rather than return a wrong sigma
-    rounded = qt._rounded_traces
-    monkeypatch.setattr(qt, "_rounded_traces", lambda roots, perm: [
-        v + 1 for v in rounded(roots, perm)])
+    nearest = qt.nearest_integer
+    monkeypatch.setattr(qt, "nearest_integer", lambda t: nearest(t) + 1)
     calls = []
     library_char_poly = qt.char_poly
     monkeypatch.setattr(qt, "char_poly", lambda elem: calls.append(elem)
@@ -626,6 +640,32 @@ def test_roots_proven_inside_their_brackets(coeffs):
                    for r, b in zip(roots, brackets))
 
 
+def test_root_brackets_start_from_fujiwara(monkeypatch):
+    # SCALED's roots lie below 1.9 10^7 and its c0 is 2 10^28: Fujiwara's
+    # start 2^25 takes 35 Sturm sign evaluations, where the Cauchy start
+    # 2^95 took 725
+    calls = []
+    sign_at = qt._sign_at
+    monkeypatch.setattr(qt, "_sign_at",
+                        lambda *args: calls.append(args) or sign_at(*args))
+    qt._root_brackets.cache_clear()
+    qt._root_brackets(SCALED.coeffs)
+    assert len(calls) == 35
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.sampled_from(sorted(KERNEL_FIELDS)).map(
+    lambda name: KERNEL_FIELDS[name].coeffs), totally_real_quartics()))
+def test_roots_match_cauchy_brackets(coeffs):
+    # Newton from the brackets of the earlier Cauchy start gives the very
+    # same roots, bit for bit, at every precision
+    brackets = cauchy_root_brackets(coeffs)
+    assert len(brackets) == len(qt._root_brackets(coeffs)) == 4
+    for bits in (64, 128, 300):
+        assert [r._mpf_ for r in qt._real_roots(coeffs, bits)] == [
+            qt._newton(coeffs, b, bits)._mpf_ for b in reversed(brackets)]
+
+
 def test_integer_roots_exact_on_bracket_ends():
     # x^4 - 4x^2 + 3 = (x^2 - 1)(x^2 - 3): the roots +-1 sit on the upper
     # ends of their brackets and come back exactly, at every precision
@@ -643,7 +683,7 @@ def test_integer_roots_exact_on_bracket_ends():
 @given(st.lists(st.integers(-12, 12), min_size=4, max_size=4))
 def test_irreducible_matches_trial_division(low):
     coeffs = tuple(low) + (1,)
-    assert quartic_is_irreducible(coeffs) == trial_division_irreducible(coeffs)
+    assert is_irreducible(coeffs) == trial_division_irreducible(coeffs)
 
 
 @pytest.mark.parametrize("factors", [
@@ -657,7 +697,7 @@ def test_irreducible_finds_large_factors(factors):
     # 0.1 s at the first and never ends at the last
     coeffs = tuple(_mul(_mul(factors[0], factors[1]), factors[2]))
     assert len(coeffs) == 5 and coeffs[4] == 1
-    assert not quartic_is_irreducible(coeffs)
+    assert not is_irreducible(coeffs)
 
 
 def test_sqrt_of_rational():
@@ -702,7 +742,7 @@ def test_embeddings_descending_and_conjugate():
     prod = 1.0
     for v in embed_all(a, 96):
         prod *= float(v)
-    assert abs(prod - float(norm_to_Q(a))) < 1e-9
+    assert abs(prod - float(norm_of(a))) < 1e-9
 
 
 def test_not_cyclic_rejected():
@@ -777,12 +817,12 @@ def test_total_reality_decided_before_solving(bits, monkeypatch):
 
 
 def test_irreducibility():
-    assert quartic_is_irreducible((2, 0, -4, 0, 1))
-    assert not quartic_is_irreducible((4, 0, -4, 0, 1))   # (x^2-2)^2
-    assert not quartic_is_irreducible((4, 0, -5, 0, 1))   # (x^2-1)(x^2-4)
-    assert not quartic_is_irreducible((1, 0, -3, 0, 1))   # (x^2-x-1)(x^2+x-1)
-    assert not quartic_is_irreducible((-2, 1, 0, -2, 1))  # root x = 2
-    assert quartic_is_irreducible((1, 0, -10, 0, 1))  # min poly of sqrt2+sqrt3
+    assert is_irreducible((2, 0, -4, 0, 1))
+    assert not is_irreducible((4, 0, -4, 0, 1))   # (x^2-2)^2
+    assert not is_irreducible((4, 0, -5, 0, 1))   # (x^2-1)(x^2-4)
+    assert not is_irreducible((1, 0, -3, 0, 1))   # (x^2-x-1)(x^2+x-1)
+    assert not is_irreducible((-2, 1, 0, -2, 1))  # root x = 2
+    assert is_irreducible((1, 0, -10, 0, 1))  # min poly of sqrt2+sqrt3
 
 
 def test_bad_polynomial_rejected():

@@ -3,6 +3,7 @@ import functools
 import importlib
 import itertools
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -13,9 +14,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import unitlat
 from unitlat import units as us
-from unitlat import verifier as vf
 from unitlat import quartic as qt
-from unitlat.loglattice import cyclic_wedge_rows, wedge2
+from unitlat.loglattice import cyclic_wedge_rows, orbit_log, wedge2
 from unitlat.quadratic import QuadElem, fundamental_unit, quad_norm
 from unitlat.verifier import (cyclic_entry_report, klein_field_report,
                               load_default_catalog)
@@ -525,22 +525,18 @@ def _up_to_sign(vectors):
 @pytest.mark.parametrize("shipped", load_default_catalog(),
                          ids=lambda e: e.label)
 def test_report_evaluates_only_generators(shipped, monkeypatch):
-    # cyclic_entry_report evaluates at the roots only the generators it
-    # embeds and the image of sqrt(d) that cyclic_context signs; its
-    # mpmath.log calls and QuarticElems do not grow with the hits, which
-    # it handles as integer vectors
+    # cyclic_entry_report evaluates at the roots only its three generators,
+    # once each, and the image of sqrt(d) that cyclic_context signs; it
+    # runs no unit search, and saturating the catalog's generators
+    # embeds nothing more
     ctx = us.cyclic_context(shipped.coeffs, shipped.quad_subfield_d,
                             shipped.u_l)
-    gens, _ = us.cyclic_generators(shipped, ctx,
-                                   us.verify_hasse_relations(shipped, ctx))
-    want = _up_to_sign([ctx.sqrt_d.coords]
-                       + [g.coords for g in gens[:shipped.Q_index + 1]])
-    n_hits = [len(us.search_relative_units(ctx, h)) for h in (4, 6)]
-    assert n_hits[0] < n_hits[1]
+    gens, _, _ = us.cyclic_generators(shipped, ctx,
+                                      us.verify_hasse_relations(shipped, ctx))
+    want = _up_to_sign([ctx.sqrt_d.coords] + [g.coords for g in gens])
     cyclic_entry_report(shipped)  # the per-precision constants, once
-    embedded, counts = [], {"log": 0, "elem": 0}
+    embedded, counts = [], {"log": 0}
     embed_all, log = qt.embed_all, mpmath.log
-    post_init = qt.QuarticElem.__post_init__
 
     def counting_embed(a, *args):
         embedded.append(a.coords)
@@ -550,25 +546,21 @@ def test_report_evaluates_only_generators(shipped, monkeypatch):
         counts["log"] += 1
         return log(*args, **kwargs)
 
-    def counting_post_init(self):
-        counts["elem"] += 1
-        post_init(self)
+    def forbidden(*args):
+        raise AssertionError("the report ran the unit search")
 
     monkeypatch.setattr(qt, "embed_all", counting_embed)
     monkeypatch.setattr(mpmath, "log", counting_log)
-    monkeypatch.setattr(qt.QuarticElem, "__post_init__", counting_post_init)
-    seen = []
-    for height in (4, 6):
-        monkeypatch.setattr(vf, "REGULATOR_HEIGHT", height)
-        embedded.clear()
-        counts.update(log=0, elem=0)
-        _, reports = cyclic_entry_report(shipped)
-        assert next(r.relation for r in reports
-                    if r.name == "regulator_cross_check") == "holds"
-        assert _up_to_sign(embedded) == want
-        seen.append(dict(counts))
-    assert seen[0] == seen[1]
-    assert seen[0]["log"] < n_hits[0]
+    monkeypatch.setattr(us, "search_relative_units", forbidden)
+    monkeypatch.setattr(us, "grid_candidates", forbidden)
+    _, reports = cyclic_entry_report(shipped)
+    assert next(r.relation for r in reports
+                if r.name == "unit_group_saturated") == "holds"
+    assert len(embedded) == 4
+    assert _up_to_sign(embedded) == want
+    # the LOGs of u_l and u0 (and u_star), one log per root, and the
+    # index bound's log(phi)
+    assert counts["log"] == 4 * (shipped.Q_index + 1) + 1
 
 
 # each shipped entry, and Q(zeta15)+ through alpha = 2*beta, where
@@ -588,7 +580,7 @@ def _proof_generators(i):
 
 def test_proof_entries_have_denominators():
     # the last entry's generators need the common denominator D > 1
-    gens, _ = _proof_generators(len(PROOF_ENTRIES) - 1)
+    gens, _, _ = _proof_generators(len(PROOF_ENTRIES) - 1)
     assert max(v.denominator for g in gens for v in g.coords) > 1
 
 
@@ -597,35 +589,35 @@ def test_proof_entries_have_denominators():
        st.tuples(*[st.integers(-3, 3)] * 3), st.sampled_from([1, -1]),
        st.integers(0, 2), st.sampled_from([1, -1]))
 def test_row_proof_is_exact(i, row, sign, slot, step):
-    # x = +-prod g_i^n_i: the float64 proposal finds exactly n, the
-    # integer proof accepts n and rejects n with one entry off by one
-    gens, gen_logs = _proof_generators(i)
+    # x = +-prod g_i^n_i: the oracle's float64 proposal finds exactly n,
+    # its integer proof accepts n and rejects n with one entry off by one
+    gens, _, gen_logs = _proof_generators(i)
     x = gens[0].field.from_rational(1)
     for g, n in zip(gens, row):
         x = qt.qr_mul(x, qr_pow(g, n))
     c = x.coords if sign > 0 else qt.qr_neg(x).coords
-    assert us.propose_rows(x.field, gen_logs, [c]) == [list(row)]
-    proves = us.row_prover(gens)
+    assert oracles.propose_rows(x.field, gen_logs, [c]) == [list(row)]
+    proves = oracles.row_prover(gens)
     assert proves(c, row)
     off = list(row)
     off[slot] += step
     assert not proves(c, off)
-    assert us.regulator_cross_check(
+    assert oracles.regulator_cross_check(
         gens, gen_logs, [g.coords for g in gens] + [c]) == (True, 1)
 
 
 @pytest.mark.parametrize("shipped", load_default_catalog(),
                          ids=lambda e: e.label)
 def test_proposed_rows_of_search_hits_are_proved(shipped):
-    # every height-6 search hit of a shipped entry gets, from the float64
-    # proposal, a row that the exact prover accepts
+    # every height-6 search hit of a shipped entry gets, from the oracle's
+    # float64 proposal, a row that its exact prover accepts
     ctx = us.cyclic_context(shipped.coeffs, shipped.quad_subfield_d,
                             shipped.u_l)
-    gens, gen_logs = us.cyclic_generators(
+    gens, _, gen_logs = us.cyclic_generators(
         shipped, ctx, us.verify_hasse_relations(shipped, ctx))
     hits = [c for c, _ in us.search_relative_units(ctx, 6)]
-    rows = us.propose_rows(ctx.field, gen_logs, hits)
-    proves = us.row_prover(gens)
+    rows = oracles.propose_rows(ctx.field, gen_logs, hits)
+    proves = oracles.row_prover(gens)
     assert len(rows) == len(hits) > 0
     assert all(proves(c, n) for c, n in zip(hits, rows))
 
@@ -641,10 +633,11 @@ def test_cross_check_rejects_u0_squared():
     bad = dataclasses.replace(shipped, u0=(8, -4, -2, 1))
     hasse = us.verify_hasse_relations(bad, ctx)
     assert all(hasse.values())
-    gens, gen_logs = us.cyclic_generators(bad, ctx, hasse)
+    gens, _, gen_logs = us.cyclic_generators(bad, ctx, hasse)
     hits = [c for c, _ in us.search_relative_units(ctx, 6)]
     assert u0.coords in hits or qt.qr_neg(u0).coords in hits
-    assert us.regulator_cross_check(gens, gen_logs, hits) == (False, None)
+    assert oracles.regulator_cross_check(gens, gen_logs, hits) \
+        == (False, None)
 
 
 @pytest.mark.parametrize("shipped", load_default_catalog(),
@@ -663,7 +656,7 @@ def test_generator_logs_do_not_reprove_units(shipped, monkeypatch):
         raise AssertionError("cyclic_generators must not prove units")
 
     monkeypatch.setattr(qt, "is_unit", forbidden)
-    got_gens, got = us.cyclic_generators(shipped, ctx, hasse)
+    got_gens, _, got = us.cyclic_generators(shipped, ctx, hasse)
     assert list(got[:len(want)]) == want
     assert list(got_gens[:len(gens)]) == gens
 
@@ -686,20 +679,20 @@ def test_populated_entry_matches_catalog(shipped):
 
 
 def test_regulator_cross_check(entry, ctx):
-    gens, gen_logs = us.cyclic_generators(
+    gens, _, gen_logs = us.cyclic_generators(
         entry, ctx, us.verify_hasse_relations(entry, ctx))
     hits = us.search_relative_units(ctx, 4)
-    ok, index = us.regulator_cross_check(gens, gen_logs,
-                                         [c for c, _ in hits])
+    ok, index = oracles.regulator_cross_check(gens, gen_logs,
+                                              [c for c, _ in hits])
     assert ok
     assert index == 1
 
 
 def test_regulator_cross_check_needs_hits(entry, ctx):
     # an empty search proves nothing, so it must not read as "holds"
-    gens, gen_logs = us.cyclic_generators(
+    gens, _, gen_logs = us.cyclic_generators(
         entry, ctx, us.verify_hasse_relations(entry, ctx))
-    assert us.regulator_cross_check(gens, gen_logs, []) == (False, None)
+    assert oracles.regulator_cross_check(gens, gen_logs, []) == (False, None)
 
 
 @pytest.mark.parametrize("shipped", load_default_catalog(),
@@ -726,8 +719,8 @@ def test_cyclic_wedge_rows_are_wedges(shipped):
 
 
 def test_cyclic_log_vectors(entry, ctx):
-    _, gen_logs = us.cyclic_generators(entry, ctx,
-                                       us.verify_hasse_relations(entry, ctx))
+    _, _, gen_logs = us.cyclic_generators(
+        entry, ctx, us.verify_hasse_relations(entry, ctx))
     w1, (w2, w3) = gen_logs[0].coords[0], gen_logs[1].coords[:2]
     assert abs(float(w1) - 0.8813735870195430) < 1e-12  # log(1+sqrt2)
     assert float(w2) > 0 and float(w3) > 0
@@ -759,10 +752,221 @@ def test_orbit_log_matches_sigma_loop(shipped):
                 < mpmath.mpf(2) ** -100
 
 
+# what populate raises on each field whose entry the unit group check
+# rejects
+POPULATE_ERRORS = {5: "not saturated.*index 8", 41: "saturation gave up.*399"}
+
+
 @pytest.mark.parametrize("coeffs, d", [((5, 0, -10, 0, 1), 5),
                                        ((656, 0, -82, 0, 1), 41)])
 def test_populate_rejects_failed_cross_check(coeffs, d):
-    # both searches return an entry whose Hasse relations hold, but a unit
-    # found at height 6 is not an integer combination of its generators
-    with pytest.raises(us.CatalogValidationError, match="cross-check"):
+    # both searches return an entry whose Hasse relations hold, and
+    # saturate, which replaced the regulator cross-check, rejects both:
+    # the first entry's generators span index 8 in the unit group, and
+    # the second's index bound of 399 needs primes above
+    # SATURATION_MAX_PRIME, so it gives up rather than read as saturated
+    with pytest.raises((us.CatalogValidationError, qt.UnitSearchError),
+                       match=POPULATE_ERRORS[d]):
         us.populate_cyclic_entry(coeffs, d, "probe")
+
+
+# ---------------------------------------------------------------------------
+# Saturation
+
+
+def _saturation(entry):
+    ctx = us.cyclic_context(entry.coeffs, entry.quad_subfield_d, entry.u_l)
+    gens, values, logs = us.cyclic_generators(
+        entry, ctx, us.verify_hasse_relations(entry, ctx))
+    return ctx, gens, logs, us.saturate(ctx.field, gens, values, logs)
+
+
+# the index bound 2 sqrt(2) R' / (2 log phi)^3 of each shipped entry, and
+# the primes up to it
+SHIPPED_BOUNDS = {"Q(sqrt(2+sqrt2))": 7.7474, "Q(zeta20)+": 5.8786,
+                  "Q(zeta15)+": 3.6978}
+SHIPPED_PRIMES = {"Q(sqrt(2+sqrt2))": (2, 3, 5, 7), "Q(zeta20)+": (2, 3, 5),
+                  "Q(zeta15)+": (2, 3)}
+
+
+@pytest.mark.parametrize("shipped", load_default_catalog(),
+                         ids=lambda e: e.label)
+def test_saturate_proves_shipped_entries(shipped):
+    # no p-th root for any prime up to the bound: the catalog's
+    # generators are the whole unit group, and none reached the exact
+    # test
+    ctx, gens, logs, sat = _saturation(shipped)
+    assert (sat.index, sat.gens) == (1, gens)
+    assert round(float(sat.bound), 4) == SHIPPED_BOUNDS[shipped.label]
+    assert sat.primes == SHIPPED_PRIMES[shipped.label]
+    assert sat.candidates == sum(p * p + p + 1 for p in sat.primes)
+    assert sat.exact_checks == 0
+    # the oracle's cross-check holds for the height-6 search hits
+    assert oracles.regulator_cross_check(
+        sat.gens, logs, [c for c, _ in us.search_relative_units(ctx, 6)]) \
+        == (True, 1)
+
+
+def test_index_bound_against_determinant():
+    # 2 sqrt(2) R' / (2 log phi)^3 with R' = |det| of any three LOG
+    # coordinates, from mpmath's determinant
+    for entry in load_default_catalog():
+        ctx = us.cyclic_context(entry.coeffs, entry.quad_subfield_d,
+                                entry.u_l)
+        _, _, logs = us.cyclic_generators(
+            entry, ctx, us.verify_hasse_relations(entry, ctx))
+        with mpmath.workprec(144):
+            for drop in range(4):
+                reg = abs(mpmath.det(mpmath.matrix(
+                    [[c for i, c in enumerate(lv.coords) if i != drop]
+                     for lv in logs])))
+                want = 2 * mpmath.sqrt(2) * reg / (2 * mpmath.log(
+                    (1 + mpmath.sqrt(5)) / 2)) ** 3
+                assert abs(us.index_bound(logs) - want) < mpmath.mpf(2) ** -100
+
+
+def test_saturate_finds_u0_squared_roots():
+    # Q(zeta15)+ with u0 replaced by u0^2: the Hasse relations hold, and
+    # the square roots u0 and sigma(u0) restore the shipped unit group,
+    # with the shipped bound
+    shipped = load_default_catalog()[2]
+    bad = dataclasses.replace(shipped, u0=(8, -4, -2, 1))
+    ctx, _, _, sat = _saturation(bad)
+    u0 = qt.QuarticElem(ctx.field, shipped.u0)
+    assert sat.index == 4
+    assert _up_to_sign(g.coords for g in sat.gens[1:]) == _up_to_sign(
+        [u0.coords, ctx.field.sigma(u0).coords])
+    assert round(float(sat.bound), 4) == SHIPPED_BOUNDS[shipped.label]
+    assert sat.primes == (2, 3)
+    assert sat.exact_checks == 2
+
+
+def test_saturate_conductor_17_finds_fifth_root(monkeypatch):
+    # x^4 + x^3 - 6x^2 - x + 1 with the generators populate picks (Q = 2):
+    # +-g1 g2^4 g3^3 is the fifth power of -1/2 + 2a + 8a^2 + (5/2)a^3, a
+    # unit outside Z[alpha]; no other prime up to the new bound has a root
+    seen = []
+    saturate = us.saturate
+    monkeypatch.setattr(us, "saturate", lambda *args: seen.append(
+        saturate(*args)) or seen[-1])
+    with pytest.raises(us.CatalogValidationError,
+                       match=r"index 5 .*\[-1/2, 2, 8, 5/2\]"):
+        us.populate_cyclic_entry((1, -1, -6, 1, 1), 17, "conductor 17")
+    (sat,) = seen
+    root = qt.QuarticElem(sat.gens[0].field, (Fraction(-1, 2), 2, 8,
+                                              Fraction(5, 2)))
+    assert sat.index == 5
+    assert sum(g == root or g == qt.qr_neg(root) for g in sat.gens) == 1
+    assert round(float(sat.bound), 4) == 10.9843  # 54.9214 before the root
+    assert sat.primes == (2, 3, 5, 7)
+
+
+def _planted(i, p, slot):
+    """A shipped entry's generators with gens[slot] raised to the p-th
+    power, so that they span index p, with their values and LOGs."""
+    entry = load_default_catalog()[i]
+    ctx = us.cyclic_context(entry.coeffs, entry.quad_subfield_d, entry.u_l)
+    gens, _, _ = us.cyclic_generators(
+        entry, ctx, us.verify_hasse_relations(entry, ctx))
+    gens = list(gens)
+    gens[slot] = qr_pow(gens[slot], p)
+    prec = ctx.precision_bits
+    values = [qt.embed_all(g, prec) for g in gens]
+    logs = [orbit_log(ctx.field, v, prec) for v in values]
+    return ctx, gens, values, logs
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("slot", [0, 1, 2])
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_saturate_finds_planted_roots(i, p, slot):
+    # a generator replaced by its p-th power: saturate finds a p-th root,
+    # the index is p and the bound returns to the shipped one; every root
+    # of a totally mixed-sign generator needs the sign patterns at p = 2
+    ctx, gens, values, logs = _planted(i, p, slot)
+    sat = us.saturate(ctx.field, gens, values, logs)
+    assert sat.index == p
+    label = load_default_catalog()[i].label
+    assert round(float(sat.bound), 4) == SHIPPED_BOUNDS[label]
+    assert 1 <= sat.exact_checks <= 2
+
+
+@pytest.mark.parametrize("shipped", load_default_catalog(),
+                         ids=lambda e: e.label)
+def test_planted_square_roots_have_mixed_signs(shipped):
+    # u0, the root planted in slot 1 at p = 2, changes sign across the
+    # roots of f: a screen trying only the all-positive sign pattern at
+    # p = 2 would miss it
+    ctx = us.cyclic_context(shipped.coeffs, shipped.quad_subfield_d,
+                            shipped.u_l)
+    values = qt.embed_all(qt.QuarticElem(ctx.field, shipped.u0))
+    assert {v > 0 for v in values} == {True, False}
+
+
+def test_screen_error_bound_covers_float_traces():
+    # at each planted root the float traces t_j lie within E_j of the
+    # exact traces Tr(x alpha^j), and E_j is far below 1/4; the observed
+    # error is not zero, so a bound shrunk below it rejects the root.
+    # 2 gamma A_j leaves out the residual d, below 2^-50 here: it is
+    # stricter than E_j
+    worst = 0
+    for i, p, slot in itertools.product(range(3), (2, 3, 5, 7), range(3)):
+        ctx, gens, values, logs = _planted(i, p, slot)
+        level = us._Level(ctx.field, gens, values, ctx.precision_bits, True)
+        e = tuple(int(k == slot) for k in range(3))
+        found = us._screen(level, p, e)
+        assert found, (i, p, slot)
+        root = qt.from_embeddings(ctx.field, found[0], level.powers)
+        _, mat, _, _ = qt.trace_form(ctx.field.coeffs)
+        exact = [sum(m * c for m, c in zip(row, root.coords))
+                 for row in mat]
+        n = (level.k + 1) * (1 + 3) + p + 6
+        gamma = n * level.u / (1 - n * level.u)
+        for j in range(4):
+            t = sum(v * row[j] for v, row in zip(found[0], level.powers))
+            mags = sum(abs(v * row[j]) for v, row in zip(found[0],
+                                                          level.powers))
+            err = abs(Fraction(t) - exact[j])
+            assert err <= 2 * gamma * mags < 0.25
+            worst = max(worst, err / mags)
+    assert worst > 2 ** -60
+
+
+def test_saturate_checks_every_survivor_exactly(monkeypatch):
+    # a screen that lets every class through hands the exact test only
+    # the generators' own values, none a p-th root of its class: a
+    # survivor accepted unchecked would read as a root
+    def every_class(level, p, e):
+        return [level.gvals[0]]
+
+    monkeypatch.setattr(us, "_screen", every_class)
+    _, gens, _, sat = _saturation(load_default_catalog()[2])
+    assert sat.index == 1 and sat.gens == gens
+    assert sat.exact_checks == sat.candidates == 20
+
+
+def test_saturate_escalates_undecided_candidates(monkeypatch):
+    # with the float screen deciding nothing, every class is screened
+    # again in mpf at twice the precision, with the same results
+    init = us._Level.__init__
+
+    def undecided_floats(level, field, gens, values, bits, as_float):
+        init(level, field, gens, values, bits, as_float)
+        if as_float:
+            level.span = math.inf
+
+    monkeypatch.setattr(us._Level, "__init__", undecided_floats)
+    for entry in load_default_catalog():
+        _, gens, _, sat = _saturation(entry)
+        assert (sat.index, sat.gens) == (1, gens)
+    shipped = load_default_catalog()[2]
+    sat = _saturation(dataclasses.replace(shipped, u0=(8, -4, -2, 1)))[3]
+    assert sat.index == 4
+
+
+def test_saturate_gives_up_above_max_prime(monkeypatch):
+    # a bound that needs primes above SATURATION_MAX_PRIME raises, never
+    # reads as saturated
+    monkeypatch.setattr(us, "SATURATION_MAX_PRIME", 3)
+    with pytest.raises(qt.UnitSearchError, match="saturation gave up"):
+        _saturation(load_default_catalog()[1])
