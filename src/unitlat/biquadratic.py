@@ -29,15 +29,10 @@ class BiquadField:
                 raise ValueError("need squarefree d > 1, got %r" % (d,))
         if self.d1 == self.d2:
             raise ValueError("d1 and d2 must be distinct")
-
-    # computed once per field: the table reads them
-    @functools.cached_property
-    def s(self):
-        return math.gcd(self.d1, self.d2)
-
-    @functools.cached_property
-    def d3(self):
-        return (self.d1 // self.s) * (self.d2 // self.s)
+        # s = gcd(d1, d2) and d3 = d1*d2/s^2, which a scan reads per field
+        s = math.gcd(self.d1, self.d2)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "d3", (self.d1 // s) * (self.d2 // s))
 
     @functools.cached_property
     def table(self):

@@ -222,35 +222,34 @@ SCAN_COLUMNS = ("d1", "d2", "d3", "index", "min_1norm", "certified",
 
 
 def cmd_scan(args, cfg, out):
+    # rows are written as made, as json.dump(rows, indent=2) or csv would
     theorem = vf.constants(cfg["precision"])["theorem_lower"]
-    rows = []
+    writer, sep = csv.writer(out, lineterminator="\n"), "[\n  "
+    if args.format == "csv":
+        writer.writerow(SCAN_COLUMNS)
     for d1, d2 in vf.scan_pairs(cfg["scan_limit"]):
         try:
             struct, value, reports = vf.klein_field_report(
                 d1, d2, cfg["precision"])
         except (ArithmeticError, ValueError) as exc:
             sys.stderr.write("error at (%d, %d): %s\n" % (d1, d2, exc))
-            rows.append({"d1": d1, "d2": d2, "d3": "", "index": "",
-                         "min_1norm": "error", "certified": False,
-                         "bound_8X3": "", "theorem_margin": ""})
-            continue
-        bound = next(r.paper_value for r in reports
-                     if r.name == "min_ge_8X3_over_den")
-        rows.append({
-            "d1": d1, "d2": d2, "d3": struct.field.d3,
-            "index": struct.index_over_E,
-            "min_1norm": fmt_sig(value),
-            "certified": reports[0].details["certified"],
-            "bound_8X3": fmt_sig(bound),
-            "theorem_margin": fmt_sig(value - theorem),
-        })
+            row = (d1, d2, "", "", "error", False, "", "")
+        else:
+            bound = next(r.paper_value for r in reports
+                         if r.name == "min_ge_8X3_over_den")
+            value_s = fmt_sig(value)  # the E-wedge minimum is its own bound
+            row = (d1, d2, struct.field.d3, struct.index_over_E, value_s,
+                   reports[0].details["certified"],
+                   value_s if bound is value else fmt_sig(bound),
+                   fmt_sig(value - theorem))
+        if args.format == "csv":
+            writer.writerow(row)
+        else:  # indent=2 puts no newline inside a value
+            out.write(sep + json.dumps(dict(zip(SCAN_COLUMNS, row)),
+                                       indent=2).replace("\n", "\n  "))
+            sep = ",\n  "
     if args.format == "json":
-        json.dump(rows, out, indent=2)
-        out.write("\n")
-    else:
-        writer = csv.DictWriter(out, fieldnames=SCAN_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+        out.write("\n]\n")
     return EXIT_OK
 
 
@@ -323,7 +322,8 @@ def _fail(exc, code):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     formats = ("csv", "json") if args.command == "scan" else ("text", "json")
-    buf = io.StringIO()
+    # scan streams its rows; the others print only once they succeed
+    buf = sys.stdout if args.command == "scan" else io.StringIO()
     # exact units can run past the 4300 digits that Python >= 3.10.7
     # converts from int to str by default; print them in full
     digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
@@ -346,7 +346,8 @@ def main(argv=None):
     finally:
         if digits is not None:
             sys.set_int_max_str_digits(digits)
-    sys.stdout.write(buf.getvalue())
+    if buf is not sys.stdout:
+        sys.stdout.write(buf.getvalue())
     return code
 
 

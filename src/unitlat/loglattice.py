@@ -98,11 +98,16 @@ def cyclic_wedge_rows(w1, w2, w3):
 # The closed forms below take scalars: int, float, Fraction or mpf.
 
 
-def klein_norm_closed(n1, n2, n3, x1, x2, x3):
-    """Closed form for the 1-norm of n1*L2^L3 + n2*L1^L3 + n3*L1^L2."""
+def check_klein_order(x1, x2, x3):
+    """Warn, at the caller's caller, unless X1 > X2 > X3 > 0."""
     if not x1 > x2 > x3 > 0:
         warnings.warn("expected X1 > X2 > X3 > 0 for a sorted Klein field",
-                      stacklevel=2)
+                      stacklevel=3)
+
+
+def klein_norm_closed(n1, n2, n3, x1, x2, x3):
+    """Closed form for the 1-norm of n1*L2^L3 + n2*L1^L3 + n3*L1^L2."""
+    check_klein_order(x1, x2, x3)
     t1, t2, t3 = abs(n1 * x1), abs(n2 * x2), abs(n3 * x3)
     return 4 * (max(t2, t3) + max(t1, t2) + max(t1, t3))
 

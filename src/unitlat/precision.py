@@ -6,6 +6,7 @@ Numeric quantities are evaluated once, at the working precision p plus
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import mpf_pos, round_nearest, to_str
 
 
 DEFAULT_PRECISION = 128
@@ -17,6 +18,7 @@ def mpf_ctx(bits):
 
 
 def fmt_sig(x, digits=12):
-    """Decimal string with a fixed number of significant digits."""
-    with mpmath.workprec(max(mp.prec, 4 * digits)):
-        return mpmath.nstr(mpmath.mpf(x), digits, strip_zeros=False)
+    """The mpf x with a fixed number of significant digits, as mpmath.nstr
+    prints +x at precision max(mp.prec, 4*digits) with strip_zeros False."""
+    prec = max(mp.prec, 4 * digits)
+    return to_str(mpf_pos(x._mpf_, prec, round_nearest), digits, False)

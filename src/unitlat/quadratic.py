@@ -124,8 +124,8 @@ class FundamentalUnitResult:
 
 
 def _cf_walk(d, p, q):
-    """Yield (a, P, Q) per step of the continued fraction of (p + sqrt(d))/q:
-    the partial quotient and the next complete quotient (P + sqrt(d))/Q,
+    """Yield the partial quotient a per step of the continued fraction of
+    (p + sqrt(d))/q, stepping to the next complete quotient (P + sqrt(d))/Q
     until Q is back at q.  Each complete quotient xi it visits, the start
     and then reduced ones, has xi > 0 > xi', so Q = 2*sqrt(d)/(xi - xi') > 0
     and floor(xi) = (P + isqrt(d)) // Q exactly; a reduced one has
@@ -135,7 +135,7 @@ def _cf_walk(d, p, q):
         a = (p + s) // q
         p = a * q - p
         q = (d - p * p) // q
-        yield a, p, q
+        yield a
         if q == q_start:
             return
     raise UnitSearchError("continued fraction of sqrt(%d) did not close "
@@ -159,7 +159,7 @@ def _cf_unit_search(d):
     quotients; h and k are built once, from those, when the period closes."""
     # xi_0 = (P_0 + sqrt(d))/Q_0: (1 + sqrt(d))/2 for d = 1 mod 4, else sqrt(d)
     pp, qq = (1, 2) if d % 4 == 1 else (0, 1)
-    quotients = [a for a, _, _ in _cf_walk(d, pp, qq)]  # a_0 .. a_n
+    quotients = list(_cf_walk(d, pp, qq))  # a_0 .. a_n
     h_prev, h = 0, 1  # h_{-2}, h_{-1}: convergent numerators
     k_prev, k = 1, 0
     for a in quotients:
@@ -168,10 +168,10 @@ def _cf_unit_search(d):
     return qq * h - pp * k, k, qq, (-1) ** len(quotients)
 
 
-@functools.lru_cache(maxsize=1024, typed=True)
+@functools.lru_cache(maxsize=None, typed=True)
 def fundamental_unit(d, precision_bits=DEFAULT_PRECISION):
     """Fundamental unit > 1 of Q(sqrt(d)), exact, with its norm sign.
-    Cached per (d, precision_bits); the result is immutable.
+    Cached per (d, precision_bits), with no bound; the result is immutable.
 
     The search's integers (A, B, den, N), u = (A + B*sqrt(d))/den, are
     checked as integers.  A^2 - d*B^2 = N*den^2 with N = +-1 makes u a
@@ -218,12 +218,14 @@ def unit_key(res):
     lexicographic order.  T^2 - 4N = (2b)^2 * d with d squarefree, so
     units of distinct fields have distinct keys.
     """
-    return int(2 * res.unit.a), -res.norm_sign
+    return 2 * res.unit.a.numerator // res.unit.a.denominator, -res.norm_sign
 
 
-def smallest_fundamental_units(bound, precision_bits=DEFAULT_PRECISION):
-    """All (d, fundamental unit) for squarefree 2 <= d <= bound, sorted
-    ascending by the real value of the unit (exact, unit_key)."""
-    return sorted(((d, fundamental_unit(d, precision_bits))
-                   for d in range(2, bound + 1) if is_squarefree(d)),
-                  key=lambda entry: unit_key(entry[1]))
+def smallest_fundamental_units(bound):
+    """All (d, unit_key) for squarefree 2 <= d <= bound, sorted ascending
+    by the real value of the fundamental unit; each key, T = 2A/den, is
+    read off _cf_unit_search's integers, with no log and no QuadElem."""
+    found = ((d, _cf_unit_search(d)) for d in range(2, bound + 1)
+             if is_squarefree(d))
+    return sorted(((d, (2 * A // den, -norm)) for d, (A, _, den, norm)
+                   in found), key=lambda entry: entry[1])

@@ -42,23 +42,22 @@ class CatalogValidationError(ValueError):
 # Klein case
 
 
-def subfield_units(d1, d2, precision_bits=DEFAULT_PRECISION):
+def subfield_units(d1, d2, precision_bits=DEFAULT_PRECISION, field=None):
     """Fundamental units of the three quadratic subfields of Q(sqrt(d1),
-    sqrt(d2)), sorted ascending by real value (exact, unit_key).
+    sqrt(d2)), sorted ascending by real value (exact, unit_key); field is
+    BiquadField(d1, d2), when the caller has built it.
 
     Returns (units, logs, fixers, norm_signs): logs[i] is the regulator
     log(units[i]) at precision_bits; fixers[i] is the Galois element
     fixing the subfield of units[i]; norm_signs[i] is its norm, +-1.
     """
-    field = BiquadField(d1, d2)
-    ranked = sorted(((fixer, fundamental_unit(d, precision_bits))
-                     for d, fixer in ((field.d1, "s1"), (field.d2, "s2"),
-                                      (field.d3, "s3"))),
-                    key=lambda entry: unit_key(entry[1]))
-    return (tuple(res.unit for _, res in ranked),
-            tuple(res.log_value for _, res in ranked),
-            tuple(fixer for fixer, _ in ranked),
-            tuple(res.norm_sign for _, res in ranked))
+    field = field or BiquadField(d1, d2)
+    ds = (field.d1, field.d2, field.d3)  # fixed by s1, s2, s3
+    ranked = sorted((fundamental_unit(d, precision_bits) for d in ds),
+                    key=unit_key)
+    return (tuple(r.unit for r in ranked), tuple(r.log_value for r in ranked),
+            tuple("s%d" % (ds.index(r.unit.d) + 1) for r in ranked),
+            tuple(r.norm_sign for r in ranked))
 
 
 @dataclass(frozen=True)
@@ -79,22 +78,18 @@ class KleinUnitStructure:
 
 def _f2_basis(patterns):
     """Greedy F2 Gaussian elimination; returns (rank, [(pattern, pivot)]).
-
     Pivots of the reduced rows are distinct, so they give a valid slot
-    assignment when square roots replace generators.
-    """
-    basis_rows = []
-    chosen = []
+    assignment when square roots replace generators."""
+    rows, chosen = [], []  # reduced rows with their pivots
     for p in patterns:
         row = list(p)
-        for b in basis_rows:
-            pivot = next(i for i, v in enumerate(b) if v)
+        for b, pivot in rows:
             if row[pivot]:
-                row = [(x + y) % 2 for x, y in zip(row, b)]
+                row = [x ^ y for x, y in zip(row, b)]
         if any(row):
-            basis_rows.append(row)
-            chosen.append((p, next(i for i, v in enumerate(row) if v)))
-    return len(basis_rows), chosen
+            rows.append((row, row.index(1)))
+            chosen.append((p, row.index(1)))
+    return len(rows), chosen
 
 
 def _doubled(u):
@@ -105,10 +100,10 @@ def _doubled(u):
             2 * u.b.numerator // u.b.denominator)
 
 
-def _norm_minus_one_witness(field, units):
+def _norm_minus_one_witness(field, doubled):
     """(eps, nu, t) with T(eps, nu) = t^2 > 0, deciding that P = u1*u2*u3
     is a square in L, or None, for sorted subfield units
-    u = a + b*sqrt(d) > 1 of norm -1.
+    u = a + b*sqrt(d) > 1 of norm -1, given by their (2a, 2b) (_doubled).
 
     Base i = 0, the smallest unit, j and k the others; K = Q(sqrt(d_i)),
     tau the element of Gal(L/K), Pi = b1*b2*b3*d1*d2/s = prod b*sqrt(d)
@@ -137,7 +132,7 @@ def _norm_minus_one_witness(field, units):
     T = 2M/16 is a positive rational square iff M > 0 and 2M = tau^2
     for an integer tau; then t = tau/4.
     """
-    (ai, bi), (aj, bj), (ak, bk) = map(_doubled, units)
+    (ai, bi), (aj, bj), (ak, bk) = doubled
     pi8 = bi * bj * bk * field.s * field.d3
     for eps, nu in itertools.product((1, -1), repeat=2):
         m = ai * (aj * ak + 4 * eps) + pi8 + 4 * nu * (aj - eps * ak)
@@ -203,25 +198,25 @@ def klein_unit_structure(d1, d2, precision_bits=DEFAULT_PRECISION):
     basis slot k of (1, d1, d2, d3) and r = isqrt(m*delta).
     """
     field = BiquadField(d1, d2)
-    units, logs, fixers, norm_signs = subfield_units(d1, d2, precision_bits)
-    trace_plus_2 = [_doubled(u)[0] + 2 for u in units]
+    units, logs, fixers, signs = subfield_units(d1, d2, precision_bits, field)
+    doubled = [_doubled(u) for u in units]
+    # Tr u_i + 2, or 0 for norm -1: m = 0 iff P holds a norm -1 unit
+    t1, t2, t3 = [alpha + 2 if sign > 0 else 0
+                  for (alpha, _), sign in zip(doubled, signs)]
     deltas = (1, field.d1, field.d2, field.d3)  # sqrt(delta): basis slot k
 
     witnesses = {}
-    for e in itertools.product((0, 1), repeat=3):
-        if e == (0, 0, 0):
-            continue
-        if all(sign > 0 for ei, sign in zip(e, norm_signs) if ei):
-            m = math.prod(t for ei, t in zip(e, trace_plus_2) if ei)
-            for k, delta in enumerate(deltas):
-                r = math.isqrt(m * delta)
-                if r * r == m * delta:
-                    witnesses[e] = (k, r)
-                    break
-        elif e == (1, 1, 1) and all(sign < 0 for sign in norm_signs):
-            witness = _norm_minus_one_witness(field, units)
-            if witness is not None:
-                witnesses[e] = witness
+    for e, m in zip(itertools.product((0, 1), repeat=3),  # m = 0 at e = 0
+                    (0, t3, t2, t2 * t3, t1, t1 * t3, t1 * t2, t1 * t2 * t3)):
+        for k, delta in enumerate(deltas if m else ()):
+            r = math.isqrt(m * delta)
+            if r * r == m * delta:
+                witnesses[e] = (k, r)
+                break
+    if signs == (-1, -1, -1):
+        witness = _norm_minus_one_witness(field, doubled)
+        if witness is not None:
+            witnesses[1, 1, 1] = witness
 
     patterns = tuple(witnesses)
     rank, basis = _f2_basis(patterns)

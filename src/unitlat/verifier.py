@@ -17,11 +17,10 @@ from dataclasses import dataclass, field as dc_field
 import mpmath
 
 from .precision import DEFAULT_PRECISION, mpf_ctx, fmt_sig
-from .quadratic import (fundamental_unit, is_squarefree, quad_norm,
-                        smallest_fundamental_units, unit_key)
+from .quadratic import is_squarefree, quad_norm, smallest_fundamental_units
 from . import units as us
-from .loglattice import (WEDGE_PAIRS, cyclic_f, cyclic_min, cyclic_wedge_rows,
-                         klein_norm_closed, klein_wedge_rows)
+from .loglattice import (WEDGE_PAIRS, check_klein_order, cyclic_f, cyclic_min,
+                         cyclic_wedge_rows, klein_norm_closed, klein_wedge_rows)
 
 THEOREM_TOL = mpmath.mpf("1e-5")
 DERIVED_TOL = mpmath.mpf("1e-9")
@@ -179,13 +178,17 @@ def klein_field_report(d1, d2, precision_bits=DEFAULT_PRECISION):
     lattice contains wedge^2 O_L^*, the lattice of wedges of the
     generators of O_L^*, so the value is only a lower bound on the
     minimum of wedge^2 O_L^*, not that minimum.
+    The X_i are formed for klein_norm_closed's order check; 8*X3/den and
+    2*X3 scale X3 exactly, by powers of 2 (den is 1, 2 or 4).
     """
+    struct = us.klein_unit_structure(d1, d2, precision_bits)
+    den = us.klein_denominator(struct.index_over_E)
+    w1, w2, w3 = struct.logs
     with mpf_ctx(precision_bits):
-        struct = us.klein_unit_structure(d1, d2, precision_bits)
-        den = us.klein_denominator(struct.index_over_E)
-        w1, w2, w3 = struct.logs
         x3 = w1 * w2
-        value = klein_norm_closed(0, 0, 1, w2 * w3, w1 * w3, x3) / den
+        check_klein_order(w2 * w3, w1 * w3, x3)
+        bound = mpmath.ldexp(x3, 4 - den.bit_length())  # 8*X3/den
+        value = bound  # klein_norm_closed(0, 0, 1, X)/den = 4*(X3 + X3)/den
         theorem = constants(precision_bits)["theorem_lower"]
         reports = [
             BoundReport("min_1norm", value, None, "holds", None,
@@ -194,8 +197,8 @@ def klein_field_report(d1, d2, precision_bits=DEFAULT_PRECISION):
                                  "denominator": den,
                                  "argmin": [0, 0, -1],
                                  "certified": True}),
-            _at_least("min_ge_8X3_over_den", value, 8 * x3 / den),
-            _at_least("min_ge_2X3", value, 2 * x3),
+            _at_least("min_ge_8X3_over_den", value, bound),
+            _at_least("min_ge_2X3", value, mpmath.ldexp(x3, 1)),
             BoundReport("min_gt_theorem_constant", value, theorem,
                         "holds" if value > theorem else "violated"),
         ]
@@ -351,8 +354,8 @@ def smallest_units_report():
     entries = smallest_fundamental_units(SMALLEST_UNITS_BOUND)
     first = [d for d, _ in entries[:4]]
     order_ok = first == [5, 2, 13, 3]
-    threshold = unit_key(fundamental_unit(3))  # 2 + sqrt(3)
-    tail_ok = all(unit_key(e) > threshold for _, e in entries[4:])
+    threshold = dict(entries)[3]  # 2 + sqrt(3)
+    tail_ok = all(key > threshold for _, key in entries[4:])
     return [
         BoundReport("smallest_units_order", None, None,
                     "holds" if order_ok else "violated",
@@ -368,8 +371,9 @@ def smallest_units_report():
 
 
 def scan_pairs(scan_limit):
+    """The pairs d1 < d2 of squarefree d in [2, scan_limit], lazily."""
     ds = [d for d in range(2, scan_limit + 1) if is_squarefree(d)]
-    return [(a, b) for i, a in enumerate(ds) for b in ds[i + 1:]]
+    return itertools.combinations(ds, 2)
 
 
 def verify_paper(scan_limit=30, coeff_bound=20,
@@ -390,21 +394,19 @@ def verify_paper(scan_limit=30, coeff_bound=20,
             (5, 13): ("klein_min_5_13",
                       4 * lp * mpmath.log((3 + mpmath.sqrt(13)) / 2)),
         }
-    scan_rows = []
-    for d1, d2 in scan_pairs(scan_limit):
+    theorem = constants(precision_bits)["theorem_lower"]
+    scan_rows, all_above = [], True
+    for d1, d2 in scan_pairs(scan_limit):  # d1 < d2
         struct, value, reports = klein_field_report(d1, d2, precision_bits)
         checks.extend(r for r in reports if r.relation == "violated")
-        row = {"d1": d1, "d2": d2, "d3": struct.field.d3,
-               "index": struct.index_over_E, "min_1norm": value,
-               "certified": reports[0].details["certified"]}
-        scan_rows.append(row)
-        key = tuple(sorted((d1, d2)))
-        if key in named:
-            name, paper = named[key]
+        certified = reports[0].details["certified"]
+        all_above = all_above and value > theorem and certified
+        scan_rows.append({"d1": d1, "d2": d2, "d3": struct.field.d3,
+                          "index": struct.index_over_E,
+                          "min_1norm": fmt_sig(value), "certified": certified})
+        if (d1, d2) in named:
+            name, paper = named[d1, d2]
             checks.append(_reproduced(name, value, paper, mpmath.mpf("1e-6")))
-    theorem = constants(precision_bits)["theorem_lower"]
-    all_above = all(r["min_1norm"] > theorem and r["certified"]
-                    for r in scan_rows)
     checks.append(BoundReport(
         "klein_scan_all_above_theorem_constant", None, None,
         "holds" if all_above else "violated",
@@ -421,9 +423,7 @@ def verify_paper(scan_limit=30, coeff_bound=20,
         "config": {"scan_limit": scan_limit, "coeff_bound": coeff_bound,
                    "precision_bits": precision_bits},
         "checks": [c.to_json() for c in checks],
-        "scan": [{"d1": r["d1"], "d2": r["d2"], "d3": r["d3"],
-                  "index": r["index"], "min_1norm": fmt_sig(r["min_1norm"]),
-                  "certified": r["certified"]} for r in scan_rows],
+        "scan": scan_rows,
         "violations": violations,
         "ok": not violations,
     }

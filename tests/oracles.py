@@ -72,6 +72,10 @@ log), products, inverses and powers (quad_mul, quad_inv, biq_inv,
 qr_inv, qr_pow), the cyclic LOG of one unit (log_embed_cyclic, the
 library's orbit_log after a unit test) and the Pohst floor check on one
 unit (pohst_check).
+
+nstr_fmt_sig keeps the earlier decimal formatting, mpmath.nstr of mpf(x)
+under a working-precision context, where the library rounds x once and
+calls mpmath's to_str.
 """
 
 import itertools
@@ -93,6 +97,12 @@ from unitlat.units import (KleinUnitStructure, _f2_basis, klein_denominator,
 from unitlat.verifier import DERIVED_TOL, BoundReport, constants
 
 SQUAREFREE_1000 = [d for d in range(2, 1001) if is_squarefree(d)]
+
+
+def nstr_fmt_sig(x, digits=12):
+    """fmt_sig by mpmath.nstr under workprec(max(mp.prec, 4*digits))."""
+    with mpmath.workprec(max(mpmath.mp.prec, 4 * digits)):
+        return mpmath.nstr(mpmath.mpf(x), digits, strip_zeros=False)
 
 
 def squarefree_by_trial_division(d):

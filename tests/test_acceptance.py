@@ -84,9 +84,9 @@ def test_criterion_01_fundamental_units_exact():
 def test_criterion_02_smallest_units_ordering():
     entries = smallest_fundamental_units(200)
     assert [d for d, _ in entries[:4]] == [5, 2, 13, 3]
-    threshold = entries[3][1].unit
-    for d, res in entries[4:]:
-        assert quad_cmp(res.unit, threshold) > 0
+    threshold = fundamental_unit(3).unit  # 2 + sqrt(3)
+    for d, _ in entries[4:]:
+        assert quad_cmp(fundamental_unit(d).unit, threshold) > 0
     _report("criterion 2",
             "smallest units ordered d = 5, 2, 13, 3; remaining %d exceed "
             "2+sqrt(3) by exact comparison" % (len(entries) - 4))

@@ -4,6 +4,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -415,7 +416,7 @@ def test_klein_minimum_certified_at_coeff_bound_1(capsys):
                        "scan")
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
-    assert len(rows) == len(vf.scan_pairs(10))
+    assert len(rows) == len(list(vf.scan_pairs(10)))
     assert all(r["certified"] == "True" for r in rows)
     code, out, _ = run(capsys, "--coeff-bound", "1", "--scan-limit", "10",
                        "verify-paper")
@@ -464,6 +465,62 @@ def test_scan_60_matches_pinned_csv(capsys, monkeypatch):
     path = os.path.join(os.path.dirname(__file__), "data", "scan_60.csv")
     with open(path, newline="") as fh:
         assert out == fh.read()
+
+
+def test_scan_30_matches_pinned_json(capsys, monkeypatch):
+    # tests/data/scan_30.json pins `--format json --scan-limit 30 scan`
+    # byte for byte, as json.dump wrote the whole table before rows were
+    # streamed; regenerate it only for an intended change of output
+    for name in ("PRECISION", "COEFF_BOUND", "SCAN_LIMIT"):
+        monkeypatch.delenv("UNITLAT_" + name, raising=False)
+    code, out, _ = run(capsys, "--format", "json", "--scan-limit", "30",
+                       "scan")
+    assert code == 0
+    path = os.path.join(os.path.dirname(__file__), "data", "scan_30.json")
+    with open(path) as fh:
+        assert out == fh.read()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_scan_streams_rows(capsys, monkeypatch, fmt):
+    # each row reaches stdout as it is made: a scan stopped at its fourth
+    # field has printed the start of the full output, with three rows
+    argv = ["--format", fmt, "--scan-limit", "6", "scan"]
+    full = run(capsys, *argv)[1]
+    real, calls = vf.klein_field_report, []
+
+    def stop_at_fourth(*args):
+        calls.append(args)
+        if len(calls) == 4:
+            raise KeyboardInterrupt
+        return real(*args)
+
+    monkeypatch.setattr(vf, "klein_field_report", stop_at_fourth)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(argv)
+    out = capsys.readouterr().out
+    assert full.startswith(out)
+    rows = out.count("\n2,") if fmt == "csv" else out.count('"d1"')
+    assert rows == 3
+
+
+def test_scan_computes_each_unit_once(capsys, monkeypatch):
+    # the fundamental-unit cache has no bound: `--scan-limit 200 scan`
+    # meets 4,345 distinct d, and runs the continued fraction of each
+    # once (an lru_cache of 1,024 entries ran it 5,357 times)
+    ds = {d for d1, d2 in vf.scan_pairs(200)
+          for d in (d1, d2, d1 * d2 // math.gcd(d1, d2) ** 2)}
+    assert len(ds) == 4345
+    searched, real = [], quadratic._cf_unit_search
+    monkeypatch.setattr(quadratic, "_cf_unit_search",
+                        lambda d: searched.append(d) or real(d))
+    fundamental_unit.cache_clear()
+    try:
+        code, _, err = run(capsys, "--scan-limit", "200", "scan")
+    finally:
+        fundamental_unit.cache_clear()
+    assert (code, err) == (0, "")
+    assert len(searched) == len(ds) and set(searched) == ds
 
 
 @pytest.mark.parametrize("label, pinned", [

@@ -108,9 +108,10 @@ def test_invalid_d_rejected():
 def test_smallest_units_ordering():
     entries = smallest_fundamental_units(200)
     assert [d for d, _ in entries[:4]] == [5, 2, 13, 3]
-    threshold = entries[3][1].unit  # 2 + sqrt(3)
-    for d, res in entries[4:]:
-        assert quad_cmp(res.unit, threshold) > 0, "v_%d below 2+sqrt(3)" % d
+    threshold = fundamental_unit(3).unit  # 2 + sqrt(3)
+    for d, _ in entries[4:]:
+        assert quad_cmp(fundamental_unit(d).unit, threshold) > 0, \
+            "v_%d below 2+sqrt(3)" % d
 
 
 def test_arithmetic_identities():
@@ -234,8 +235,10 @@ def test_unit_key_sorts_like_quad_cmp_to_2000():
                for d in range(2, 2001) if is_squarefree(d)]
     exact = sorted(entries, key=functools.cmp_to_key(
         lambda x, y: quad_cmp(x[1].unit, y[1].unit)))
-    assert smallest_fundamental_units(2000) == exact
     keys = [unit_key(res) for _, res in exact]
+    # the search's integers give each unit's key, with no log or QuadElem
+    assert smallest_fundamental_units(2000) == [
+        (d, key) for (d, _), key in zip(exact, keys)]
     assert len(set(keys)) == len(keys)
 
 
@@ -244,7 +247,7 @@ def test_sort_by_unit_breaks_close_logs_exactly(bits, monkeypatch):
     # the order never reads log_value: with every log faked equal, or
     # reversed against the units, the exact order comes back
     # (phi < 1+sqrt2 < (3+sqrt13)/2 < 2+sqrt3)
-    real = smallest_fundamental_units(200, bits)
+    real = smallest_fundamental_units(200)
     subfields = {pair: [u.d for u in us.subfield_units(*pair, bits)[0]]
                  for pair in ((2, 5), (2, 3), (3, 13))}
     for fake_log in (lambda res: mpmath.mpf(1), lambda res: -res.log_value):
@@ -255,10 +258,8 @@ def test_sort_by_unit_breaks_close_logs_exactly(bits, monkeypatch):
 
         monkeypatch.setattr(quadratic, "fundamental_unit", faked)
         monkeypatch.setattr(us, "fundamental_unit", faked)
-        entries = smallest_fundamental_units(200, bits)
-        assert [d for d, _ in entries[:4]] == [5, 2, 13, 3]
-        assert ([(d, res.unit) for d, res in entries]
-                == [(d, res.unit) for d, res in real])
+        assert smallest_fundamental_units(200) == real
+        assert [d for d, _ in real[:4]] == [5, 2, 13, 3]
         for pair, order in subfields.items():
             assert [u.d for u in us.subfield_units(*pair, bits)[0]] == order
     assert subfields == {(2, 5): [5, 2, 10], (2, 3): [2, 3, 6],
@@ -273,4 +274,5 @@ def test_smallest_units_keep_exact_order(bits):
                for d in range(2, 201) if is_squarefree(d)]
     exact = sorted(entries, key=functools.cmp_to_key(
         lambda x, y: quad_cmp(x[1].unit, y[1].unit)))
-    assert smallest_fundamental_units(200, bits) == exact
+    assert smallest_fundamental_units(200) == [(d, unit_key(res))
+                                               for d, res in exact]

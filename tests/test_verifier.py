@@ -174,6 +174,20 @@ def test_smallest_units_report():
     assert reports[0].details["order"] == [5, 2, 13, 3]
 
 
+def test_klein_field_report_keeps_order_check(monkeypatch):
+    # the report forms X1 and X2 only for klein_norm_closed's order check:
+    # logs out of order warn, as the closed form does
+    real = us.klein_unit_structure
+
+    def reversed_logs(*args):
+        struct = real(*args)
+        return dataclasses.replace(struct, logs=struct.logs[::-1])
+
+    monkeypatch.setattr(us, "klein_unit_structure", reversed_logs)
+    with pytest.warns(UserWarning, match="X1 > X2 > X3 > 0"):
+        vf.klein_field_report(2, 5)
+
+
 def test_klein_field_report_3_5():
     struct, value, reports = vf.klein_field_report(3, 5)
     assert reports[0].details["certified"]
@@ -202,7 +216,7 @@ def test_klein_field_report_enumerates_nothing(monkeypatch):
 
 
 def test_scan_pairs():
-    pairs = vf.scan_pairs(6)
+    pairs = list(vf.scan_pairs(6))
     assert pairs == [(2, 3), (2, 5), (2, 6), (3, 5), (3, 6), (5, 6)]
 
 
@@ -251,7 +265,7 @@ def test_verify_paper_small_scan(entry):
     report = vf.verify_paper(scan_limit=10, catalog=[entry])
     assert report["ok"], report["violations"]
     assert report["violations"] == []
-    assert len(report["scan"]) == len(vf.scan_pairs(10))
+    assert len(report["scan"]) == len(list(vf.scan_pairs(10)))
     names = [c["name"] for c in report["checks"]]
     assert "klein_min_2_5" in names
     assert "constrained_min_q1_expr" in names
