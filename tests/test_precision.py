@@ -35,12 +35,23 @@ def test_fmt_sig_matches_nstr(prec, digits, man, exp, inside):
     assert fmt_sig(x, digits) == nstr_fmt_sig(x, digits)
 
 
+# a quarter of a 53-bit ulp below the least 53-bit value at or above the
+# 12-digit rounding boundary 0.1234567890125: rounded to nearest, not
+# down, before its digits are cut, it prints 0.123456789013
+with mpmath.workprec(200):
+    NEAR_TIE = (mpmath.mpf("0.1234567890125", prec=53, rounding="u")
+                - mpmath.ldexp(1, -58))
+
+
 @pytest.mark.parametrize("x", [mpmath.mpf(0), mpmath.inf, -mpmath.inf,
                                mpmath.nan, mpmath.mpf(-0.5),
                                mpmath.mpf("9.9999999999995"),
-                               mpmath.mpf("1e-400000"), mpmath.mpf("-1e400000")])
+                               mpmath.mpf("1e-400000"), mpmath.mpf("-1e400000"),
+                               NEAR_TIE, -NEAR_TIE])
 @pytest.mark.parametrize("digits", [3, 12])
 def test_fmt_sig_special_values_match_nstr(x, digits):
-    # zero, the infinities, nan, a carry that rounds up to 10.0 and
-    # exponents far outside float range
+    # zero, the infinities, nan, a carry that rounds up to 10.0, exponents
+    # far outside float range and the one rounding's direction
     assert fmt_sig(x, digits) == nstr_fmt_sig(x, digits)
+    if x == NEAR_TIE and digits == 12:
+        assert fmt_sig(x) == "0.123456789013"
