@@ -563,23 +563,24 @@ FOUR_CYCLES = tuple(
 
 
 def nearest_integer(t):
-    """The integer nearest the float or mpf t, exactly: round() reads an
-    mpf through a float."""
-    return round(t) if type(t) is float else int(mpmath.nint(t))
+    """The integer nearest the mpf t, exactly: round() reads an mpf
+    through a float."""
+    return int(mpmath.nint(t))
 
 
 def from_embeddings(field, values, powers):
     """The element c = adj(M) t / disc f of the field of the monic quartic
     f, M its trace matrix (trace_form), with t_j = sum_i values[i]
     powers[i][j] rounded to the nearest integer and powers[i] =
-    (1, r, r^2, r^3) at a root r, all in one arithmetic (float or mpf),
-    summed in that order.
+    (1, r, r^2, r^3) at a root r, in the ambient mpf arithmetic, summed
+    in that order.
 
     If x lies in O_L and x(r_i) = values[i], then t_j, taken exactly,
     is Tr(x alpha^j) = sum_k M[j][k] x_k, an integer, since x alpha^j lies
     in O_L; so when each computed t_j is within 1/2 of it, M c = t and
     c = x exactly, coordinates with denominators included.  The caller
-    proves that error bound."""
+    proves that error bound (galois_generator) or checks c exactly
+    (units.saturate)."""
     _, _, disc, adj = trace_form(field.coeffs)
     t = [nearest_integer(sum(v * pw[j] for v, pw in zip(values, powers)))
          for j in range(4)]

@@ -10,13 +10,26 @@ roots are products of integer numerators over one denominator.
 Cyclic case: entries carry claimed generators (relative unit u0, optional
 u_star), verified exactly against Hasse's relations and then proven to
 span the unit group, or shown not to, by saturation: p-th roots of their
-products for every prime up to an index bound from the regulator,
-screened on float64 traces with a proven error bound and checked exactly
-(saturate).
+products for every prime up to an index bound from the regulator
+(saturate), sieved by exact characters mod split primes and checked
+exactly.
+
+The characters.  Let f be the monic defining polynomial, q a prime with
+q = 1 mod 2p, q prime to disc f, and rho a root of f mod q.  Since
+disc f = [O_L : Z[alpha]]^2 disc L, q is prime to the index, which
+kills O_L / Z[alpha]: every x in O_L has power-basis coordinates with
+denominators prime to q.  On those coordinates, x -> x(rho) mod q is
+the composite Z_(q)[X]/(f) -> F_q[X]/(f) -> F_q, X -> rho, of ring maps
+(f(rho) = 0 mod q), so it is a ring map on O_L; a unit maps to F_q^*.
+So chi(x) = dlog_zeta x(rho)^((q-1)/p), zeta a primitive p-th root of
+unity mod q, is a homomorphism O_L^* -> F_p that vanishes on p-th
+powers, and on -1, since 2p divides q - 1.  A unit x with
+x^p = +-prod g_k^e_k then has sum e_k chi(g_k) = 0: a class e outside
+the kernel of the rows (chi(g_1), chi(g_2), chi(g_3)) has no p-th root,
+exactly.  The generators' own denominators are kept prime to q too.
 """
 
 import collections
-import contextlib
 import functools
 import itertools
 import math
@@ -24,7 +37,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-from mpmath.libmp import round_nearest, to_float
 
 from .precision import DEFAULT_PRECISION, mpf_ctx
 from .quadratic import (QuadElem, UnitSearchError, fundamental_unit,
@@ -382,7 +394,8 @@ def verify_hasse_relations(entry, ctx):
 
     rel = {}
     rel["u_l is the fundamental unit of Q(sqrt(d))"] = (
-        entry.u_l == fundamental_unit(entry.quad_subfield_d).unit)
+        entry.u_l == fundamental_unit(entry.quad_subfield_d,
+                                      ctx.precision_bits).unit)
     rel["u0 is a unit"] = qt.is_unit(u0)
     rel["N_{L/l}(u0) = +-1"] = _is_pm(qt.qr_mul(u0, s2(u0)), one)
     rel["sigma^2(u0) = +-1/u0"] = rel["N_{L/l}(u0) = +-1"]
@@ -595,14 +608,23 @@ def populate_cyclic_entry(coeffs, quad_subfield_d, label, height_bound=6):
 # Saturation: the generators are the whole unit group
 
 
-# saturate gives up rather than test a prime above this: the classes of
-# the primes up to 31 take ~0.3 s on x^4 - 82x^2 + 656, whose bound is 399
-SATURATION_MAX_PRIME = 31
+# saturate gives up rather than test a prime above this: the characters of
+# the 78 primes up to 397 take ~0.5 s on x^4 - 82x^2 + 656, whose bound is
+# 399, and a prime's places cost O(q) each, q = 1 mod 2p
+SATURATION_MAX_PRIME = 1000
+# _pth_root tests the kernel classes once this many characters in a row
+# leave the rank unchanged (two primes q of a cyclic field, whose four
+# places above q are Galois conjugates, so their rows are not
+# independent), and gives up on a prime after SATURATION_MAX_CHARACTERS
+# characters
+SIEVE_STALL = 8
+SATURATION_MAX_CHARACTERS = 64
 # saturate's result: generators proven to span O_L^* mod +-1, the index of
 # the input generators' span in it, the index bound over the proven ones,
-# the primes tested, the classes screened and the survivors checked exactly
+# the primes tested, the characters drawn and the candidates checked
+# exactly
 Saturation = collections.namedtuple(
-    "Saturation", "gens index bound primes candidates exact_checks")
+    "Saturation", "gens index bound primes characters exact_checks")
 
 
 def index_bound(logs):
@@ -642,70 +664,169 @@ def saturate(field, gens, values, logs):
     index_bound (with a margin of 2^-32 relative) is tested, a prime
     again while it has a root, and the bound is recomputed after each
     root: a prime that has none for some generators has none for any
-    generators spanning them with an index prime to it.  The p^2 + p + 1
-    classes per prime bound the work: a prime above SATURATION_MAX_PRIME
-    still to test raises UnitSearchError, never reads as saturated."""
+    generators spanning them with an index prime to it.  A prime above
+    SATURATION_MAX_PRIME still to test raises UnitSearchError, never
+    reads as saturated."""
     gens, values, logs = list(gens), list(values), list(logs)
     prec = logs[0].precision_bits
     index, primes, stats, p = 1, [], [0, 0], 2
     bound = index_bound(logs)
     if not bound > mpmath.ldexp(1, -prec // 2):
         raise CatalogValidationError("the generators are dependent")
-    levels = [_Level(field, gens, values, prec, True)]
-    while p <= bound * (1 + mpmath.ldexp(1, -32)):
-        if p > SATURATION_MAX_PRIME:
-            raise UnitSearchError(
-                "saturation gave up: the index bound %s needs primes above "
-                "%d" % (mpmath.nstr(bound, 6), SATURATION_MAX_PRIME))
-        root = _pth_root(field, gens, levels, p, stats)
-        if root is None:
-            primes.append(p)
-            p = next(q for q in itertools.count(p + 1)
-                     if all(q % r for r in range(2, math.isqrt(q) + 1)))
-            continue
-        j, c, e = root
-        gens[j], values[j], index = c, qt.embed_all(c, prec), index * p
-        levels = [_Level(field, gens, values, prec, True)]
-        with mpf_ctx(prec):
+    with mpf_ctx(prec):
+        powers = [(1, r, r * r, r * r * r) for r in field.roots(prec)]
+        while p <= bound * (1 + mpmath.ldexp(1, -32)):
+            if p > SATURATION_MAX_PRIME:
+                raise UnitSearchError(
+                    "saturation gave up: the index bound %s needs primes "
+                    "above %d" % (mpmath.nstr(bound, 6), SATURATION_MAX_PRIME))
+            root = _pth_root(field, gens, values, powers, p, stats)
+            if root is None:
+                primes.append(p)
+                p = next(q for q in itertools.count(p + 1) if _is_prime(q))
+                continue
+            j, c, e = root
+            gens[j], values[j], index = c, qt.embed_all(c, prec), index * p
             logs[j] = LogVector(tuple(
                 sum(ek * lv.coords[i] for ek, lv in zip(e, logs)) / p
                 for i in range(4)), "cyclic", prec)
-        bound = index_bound(logs)
+            bound = index_bound(logs)
     return Saturation(tuple(gens), index, bound, tuple(primes), *stats)
 
 
-def _pth_root(field, gens, levels, p, stats):
+def _is_prime(n):
+    """n >= 2 is prime, by trial division."""
+    return all(n % r for r in range(2, math.isqrt(n) + 1))
+
+
+def _pth_root(field, gens, values, powers, p, stats):
     """(j, c, e): a unit c with c^p = +-prod g_k^e_k, e in F_p^3 \\ 0
-    with first nonzero entry e_j = 1, or None when there is none.  Each e
-    is screened on floats (_screen at levels[0]); a class the floats
-    cannot decide is screened again in mpf at twice the precision, and
-    again, never rejected unscreened.  A survivor's
-    c = quartic.from_embeddings of its values is a root iff c^p = +-eta
-    (_is_root)."""
-    for lead in range(3):
-        for rest in itertools.product(range(p), repeat=2 - lead):
-            e = (0,) * lead + (1,) + rest
-            stats[0] += 1
-            for m in itertools.count():
-                if m == len(levels):
-                    bits = levels[0].bits << m
-                    if m > 6:
-                        raise UnitSearchError("saturation screen undecided "
-                                              "at p = %d, e = %s" % (p, e))
-                    levels.append(_Level(field, gens, [qt.embed_all(
-                        g, bits) for g in gens], bits, False))
-                level = levels[m]
-                with mpf_ctx(level.bits) if m else contextlib.nullcontext():
-                    found = _screen(level, p, e)
-                    if found is not None:
-                        cands = [qt.from_embeddings(field, x, level.powers)
-                                 for x in found]
-                        break
-            for c in cands:
-                stats[1] += 1
-                if _is_root(field, gens, c, e, p):
-                    return lead, c, e
-    return None
+    with first nonzero entry e_j = 1, or None when there is none; powers
+    are (1, r, r^2, r^3) at the roots r, in the ambient mpf arithmetic.
+
+    Each character chi (_characters) is a homomorphism O_L^* -> F_p that
+    vanishes on -1 and on p-th powers, so chi(eta) = 0 for every eta with
+    a root: the rows (chi(g_1), chi(g_2), chi(g_3)), reduced over F_p,
+    leave every class with a root in their kernel.  Rank 3 proves that
+    there is none.  Once SIEVE_STALL characters in a row leave the rank
+    unchanged, each kernel class, in the order of its leading slot and
+    then lexicographic, is tested once: c = quartic.from_embeddings of
+    x_i = +-|eta_i|^(1/p) (the 8 sign patterns with x_0 > 0 at p = 2,
+    the sign of eta_i for odd p) is a root iff c^p = +-eta (_is_root), so
+    a wrong candidate is never accepted.  A class that fails the test is
+    left to the characters, which must then bring the rank to 3: a prime
+    that SATURATION_MAX_CHARACTERS characters leave below rank 3 raises
+    UnitSearchError, never reads as having no root, so a root the
+    candidates missed, whose class stays in the kernel, raises too."""
+    rows, stall, tested = [], 0, False
+    for row in itertools.islice(_characters(field, gens, p),
+                                SATURATION_MAX_CHARACTERS):
+        stats[0] += 1
+        stall = 0 if _reduce_row(rows, row, p) else stall + 1
+        if len(rows) == 3:
+            return None
+        if stall == SIEVE_STALL and not tested:
+            tested = True
+            for e in _kernel_classes(rows, p):
+                for c in _candidates(field, values, powers, e, p):
+                    stats[1] += 1
+                    if _is_root(field, gens, c, e, p):
+                        return e.index(1), c, e
+    raise UnitSearchError("saturation undecided at p = %d after %d characters"
+                          % (p, SATURATION_MAX_CHARACTERS))
+
+
+def _places(field, den, p):
+    """(q, rho): the primes q = 1 mod 2p prime to disc f and to den,
+    ascending, each with the roots rho of f mod q, ascending."""
+    c0, c1, c2, c3, _ = field.coeffs
+    bad = qt.trace_form(field.coeffs)[2] * den
+    for q in itertools.count(2 * p + 1, 2 * p):
+        if bad % q and _is_prime(q):
+            for rho in range(q):
+                if ((((rho + c3) * rho + c2) * rho + c1) * rho + c0) % q == 0:
+                    yield q, rho
+
+
+def character(x, q, rho, p):
+    """chi(x) in F_p at a place (q, rho) of _places, for x in L whose
+    coordinates have denominators prime to q and x(rho) != 0 mod q: the
+    k < p with x(rho)^((q-1)/p) = zeta^k mod q, where x(rho) is x's
+    power-basis polynomial at rho and zeta = a^((q-1)/p) for the least
+    a >= 2 with zeta != 1, a primitive p-th root of unity mod q."""
+    num, den = qt.integer_coords(x.coords)
+    value = ((((num[3] * rho + num[2]) * rho + num[1]) * rho + num[0])
+             * pow(den, -1, q) % q)
+    m = (q - 1) // p
+    zeta = next(z for z in (pow(a, m, q) for a in itertools.count(2))
+                if z != 1)
+    return [pow(zeta, k, q) for k in range(p)].index(pow(value, m, q))
+
+
+def _characters(field, gens, p):
+    """The rows (chi(g_1), chi(g_2), chi(g_3)) of the characters at the
+    places (q, rho) of _places prime to the gens' denominators, in their
+    order."""
+    den = math.lcm(*(qt.integer_coords(g.coords)[1] for g in gens))
+    for q, rho in _places(field, den, p):
+        yield tuple(character(g, q, rho, p) for g in gens)
+
+
+def _reduce_row(rows, row, p):
+    """Add row to rows, (slot, row) pairs over F_p, each row 1 at its
+    slot and 0 at the others' slots; True iff the rank rose."""
+    for k, r in rows:
+        row = [(a - row[k] * b) % p for a, b in zip(row, r)]
+    k = next((i for i, v in enumerate(row) if v % p), None)
+    if k is None:
+        return False
+    inv = pow(row[k], -1, p)
+    row = [v * inv % p for v in row]
+    rows[:] = [(j, [(a - r[k] * b) % p for a, b in zip(r, row)])
+               for j, r in rows] + [(k, row)]
+    return True
+
+
+def _kernel_classes(rows, p):
+    """The classes e F_p^* of e in F_p^3 \\ 0 on which every row of
+    rows (_reduce_row) vanishes, each as its e with first nonzero entry
+    1, ordered by that entry's slot, then lexicographically.  A slot f
+    that no row leads gives the kernel vector with e_f = 1, e_k = -r_f
+    at the slot k of each row r and 0 at the other free slots."""
+    lead = dict(rows)
+    basis = []
+    for f in (f for f in range(3) if f not in lead):
+        e = [0, 0, 0]
+        e[f] = 1
+        for k, r in lead.items():
+            e[k] = -r[f] % p
+        basis.append(e)
+    classes = set()
+    for coef in itertools.product(range(p), repeat=len(basis)):
+        e = [sum(c * b[k] for c, b in zip(coef, basis)) % p for k in range(3)]
+        first = next((v for v in e if v), 0)
+        if first:
+            inv = pow(first, -1, p)
+            classes.add(tuple(v * inv % p for v in e))
+    return sorted(classes, key=lambda e: (e.index(1), e))
+
+
+def _candidates(field, values, powers, e, p):
+    """The elements c = quartic.from_embeddings(field, x, powers) that
+    _pth_root tests for a p-th root of +-eta, eta = prod g_k^e_k, in the
+    ambient mpf arithmetic: x_i = +-|eta_i|^(1/p), eta_i =
+    prod g_k(r_i)^e_k from the values, with x_0 > 0 and the 8 signs of
+    the rest at p = 2 (+-x are both roots), the sign of eta_i for odd
+    p."""
+    eta = [math.prod((v[i] ** ek for v, ek in zip(values, e)), start=1)
+           for i in range(4)]
+    mags = [mpmath.root(abs(v), p) for v in eta]
+    if p == 2:
+        signs = [(1,) + s for s in itertools.product((1, -1), repeat=3)]
+    else:
+        signs = [tuple(1 if v > 0 else -1 for v in eta)]
+    return [qt.from_embeddings(field, [s * y for s, y in zip(sign, mags)],
+                               powers) for sign in signs]
 
 
 def _is_root(field, gens, c, e, p):
@@ -722,129 +843,3 @@ def _is_root(field, gens, c, e, p):
         power = qt.mul_coords(power, num, table)
     lhs, rhs = [v * den for v in power], [v * d ** p for v in eta]
     return lhs == rhs or lhs == [-v for v in rhs]
-
-
-class _Level:
-    """The generators' values and the root powers (1, r, r^2, r^3) in one
-    arithmetic: float64, rounded to nearest from the b-bit mpfs, or mpf
-    at b + 16 bits; u its unit roundoff, and each input its true value
-    times (1 + theta_k).  span bounds |log2| of the float inputs: every
-    product of up to 3p of them stays normal while 3p (span + 1) < 1000,
-    and span is infinite when an input error exceeds 1/16.
-
-    Input error: root r_i at b bits is within 2^-(b+15) max(|r|, 1) of
-    its bracket's root (_newton_limit's proof, 2^-(b+21) max(|r|, 1),
-    then one rounding to b + 16 bits).  g(r_i) by Horner at b + 16 bits
-    (embed_all) is then within 2^-(b+10) H of g's value, H =
-    sum_j |c_j| max(|r|, 1)^j: gamma_8 H for the rounded coefficients and
-    the 6 operations, plus |g'| <= 3 H / max(|r|, 1) times the root's
-    error.  Both relative bounds, rho, are taken in float64 with factors
-    8 and 4 to spare, and k = 2 + floor(max rho / u) covers rho and the
-    one rounding to float."""
-
-    def __init__(self, field, gens, values, bits, as_float):
-        roots = field.roots(bits)
-        big = [max(abs(r), 1) for r in roots]
-        rho = [math.ldexp(float(b / abs(r)), -bits - 12)
-               for b, r in zip(big, roots)]
-        for g, vals in zip(gens, values):
-            for b, v in zip(big, vals):
-                h = sum(abs(float(c)) * float(b) ** j
-                        for j, c in enumerate(g.coords))
-                rho.append(math.ldexp(float(h / abs(v)), -bits - 8))
-        if as_float:
-            self.u, self.one = 2.0 ** -53, 1.0
-            roots, values = ([to_float(x._mpf_, rnd=round_nearest) for x in v]
-                             for v in (roots, itertools.chain(*values)))
-            self.span = max(abs(math.frexp(x)[1]) if x else math.inf
-                            for x in roots + values)
-            values = [values[i:i + 4] for i in range(0, len(values), 4)]
-        else:
-            self.u, self.one, self.span = (mpmath.ldexp(1, -bits - 16),
-                                           mpmath.mpf(1), 0)
-        if not max(rho) < 2.0 ** -4:
-            self.span, rho = math.inf, [0]
-        self.bits, self.k, self.gvals, self.tables = (
-            bits, 2 + int(max(rho) / self.u), values, {})
-        with mpf_ctx(bits):  # the mpf products at b + 16 bits
-            self.powers = [(self.one, r, r * r, r * r * r) for r in roots]
-
-    def power_table(self, p):
-        """table[slot][m][i] = g_slot(r_i)^m, m < p, by repeated products,
-        computed once per prime."""
-        if p not in self.tables:
-            self.tables[p] = [list(itertools.accumulate(
-                [vals] * (p - 1),
-                lambda acc, v: [a * b for a, b in zip(acc, v)],
-                initial=[self.one] * 4)) for vals in self.gvals]
-        return self.tables[p]
-
-
-def _screen(level, p, e):
-    """The values x at the roots of each p-th root of +-eta,
-    eta = prod g_k^e_k, that the traces cannot rule out, or None when the
-    screen cannot decide.  Run in level's arithmetic; [] is a proof that
-    no p-th root exists.
-
-    eta_i = prod g_k(r_i)^e_k, S = sum e_k, is formed by S - 1 products
-    of inputs, so its value is eta's times (1 + theta_((k+1)S)) (Higham,
-    Lemma 3.3: (1 + theta_a)(1 + theta_b) = 1 + theta_(a+b), |theta_n| <=
-    gamma_n = n u / (1 - n u), for u the unit roundoff of correctly
-    rounded +, -, *, /).  A root x has x_i = +-|eta_i|^(1/p) (for odd p,
-    the sign of eta_i; for p = 2, eta of one sign, +-x both roots, so x_0 >
-    0 and the 8 signs of the rest).  y_i = |eta_i|^(1/p) is a libm or mpf
-    guess, bounded by its residual q = y^p / |eta_i| in p roundings:
-    y = |x_i| (1 + theta) q^(1/p), and |q^(1/p) - 1| <= |q - 1| <= d
-    (q - 1 exact by Sterbenz once d <= 1/8).  (1 + delta)^(+-1/p), |delta|
-    <= u, is again 1 + delta', |delta'| <= u, so each root keeps the count
-    of the power it is taken of.  r_i^j costs (k+1) j, the product x_i
-    r_i^j one rounding and the sum t_j three: every term of t_j is its
-    true value times (1 + theta_n)(1 + beta), n = (k+1)(S+3) + p + 6,
-    |beta| <= d.  So with gamma = gamma_n, d <= 1/8,
-    |t_j - Tr(x alpha^j)| <= (gamma + d + gamma d) sum_i |x_i r_i^j|, and
-    sum_i |x_i r_i^j| <= A_j / ((1 - gamma)(1 - d)(1 - gamma_3)), A_j the
-    computed sum of the |terms|: within 1.5 (gamma + d) A_j, and
-    E_j = 2 (gamma + d) A_j leaves the rounding of E_j itself to spare.
-    If x is a root, t_j is an integer, so |t_j - nint t_j| > E_j for some
-    j proves there is none (t_j - nint t_j is exact); a candidate with
-    every E_j < 1/4 survives, and its t round exactly.  Floats that may
-    leave the normal range, gamma or d above 1/8, or some E_j >= 1/4 on a
-    survivor leave the class undecided."""
-    if not 3 * p * (level.span + 1) < 1000:
-        return None
-    rows = level.powers
-    ta, tb, tc = level.power_table(p)
-    eta = [a * b * c for a, b, c in zip(ta[e[0]], tb[e[1]], tc[e[2]])]
-    if p == 2 and not (all(v > 0 for v in eta) or all(v < 0 for v in eta)):
-        return []  # neither +-eta is totally positive, so neither a square
-    n = (level.k + 1) * (sum(e) + 3) + p + 6
-    gamma, d, mags, inv = n * level.u / (1 - n * level.u), 0, [], level.one / p
-    for v in eta:
-        a = abs(v)
-        y = z = a ** inv
-        for _ in range(p - 1):
-            z *= y
-        d = max(d, abs(z / a - 1))
-        mags.append(y)
-    if not (gamma <= 0.125 and d <= 0.125):
-        return None
-    if p == 2:
-        alive = [(mags[0],) + tuple(s * y for s, y in zip(signs, mags[1:]))
-                 for signs in itertools.product((1, -1), repeat=3)]
-    else:
-        alive = [tuple(y if v > 0 else -y for y, v in zip(mags, eta))]
-    wide = False
-    for j in range(4):
-        err = 2 * (gamma + d) * sum(y * abs(row[j])
-                                    for y, row in zip(mags, rows))
-        wide = wide or not err < 0.25
-        alive = [x for x in alive if not _distance(
-            sum(v * row[j] for v, row in zip(x, rows))) > err]
-        if not alive:
-            return []
-    return None if wide else alive
-
-
-def _distance(t):
-    """|t - nint t|, exact in floats and in mpfs."""
-    return abs(t - qt.nearest_integer(t))

@@ -222,6 +222,26 @@ def test_cyclic_failed_cross_check_exits_4(capsys):
     assert err == U0_SQUARED_ERR
 
 
+CONDUCTOR_17 = os.path.join(os.path.dirname(__file__), "data",
+                            "cyclic_conductor17.json")
+
+
+def test_cyclic_conductor_17_exits_4(capsys):
+    # the Q = 2 entry populate_cyclic_entry picks on x^4 + x^3 - 6x^2 -
+    # x + 1 (tests/data/cyclic_conductor17.json): every Hasse relation
+    # holds, but +-g1 g2^4 g3^3 is the fifth power of -1/2 + 2a + 8a^2 +
+    # (5/2)a^3, so the generators span index 5 and the minimum reads
+    # violated
+    code, out, err = run(capsys, "--catalog", CONDUCTOR_17,
+                         "cyclic", "conductor 17")
+    assert code == 4
+    assert "FAIL" not in out
+    assert "(certified: False)" in out
+    assert "cyclic_min_gt_theorem_constant: violated" in out
+    assert err == ("failed check: unit_group_saturated (index 5 over the "
+                   "catalog's generators; primes tested: 2, 3, 5, 7)\n")
+
+
 def test_cyclic_failed_cross_check_json_and_verify_paper(capsys):
     # the same entry in json: the same stderr line, and the bounds read
     # violated; verify-paper reads the check violated with its reason
@@ -521,6 +541,25 @@ def test_scan_computes_each_unit_once(capsys, monkeypatch):
         fundamental_unit.cache_clear()
     assert (code, err) == (0, "")
     assert len(searched) == len(ds) and set(searched) == ds
+
+
+def test_verify_paper_keys_units_at_its_precision(capsys, monkeypatch):
+    # `--precision 300 verify-paper` runs the continued fraction 231
+    # times: once for each of the 121 squarefree d <= 200 of the
+    # smallest-units order, and once per fundamental_unit(d, 300) for the
+    # 110 distinct d of the scan, which the Hasse check of the catalog's
+    # d = 2 and 5 shares; a Hasse check keyed at the default precision
+    # searches those two again (233)
+    searched, real = [], quadratic._cf_unit_search
+    monkeypatch.setattr(quadratic, "_cf_unit_search",
+                        lambda d: searched.append(d) or real(d))
+    fundamental_unit.cache_clear()
+    try:
+        code, _, err = run(capsys, "--precision", "300", "verify-paper")
+    finally:
+        fundamental_unit.cache_clear()
+    assert (code, err) == (0, "")
+    assert len(searched) == 231
 
 
 @pytest.mark.parametrize("label, pinned", [

@@ -31,11 +31,15 @@ def test_readme_name_resolves(module, name):
 @pytest.mark.parametrize("name", ["automorphism_bounds",
                                   "reconstruct_rational", "mpf_to_fraction",
                                   "u_l_powers", "integer_matrix", "_start",
-                                  "_lost_bits", "_horner", "_in_bracket"])
+                                  "_lost_bits", "_horner", "_in_bracket",
+                                  "units._screen", "_Level"])
 def test_readme_drops_removed_names(name):
     # helpers of the numeric reconstruction of sigma, replaced by the
     # exact trace matrix solve, the second forms of sigma and of the
-    # +-u_l^k table, replaced by one integer form of each, and the float
+    # +-u_l^k table, replaced by one integer form of each, the float
     # start, cancellation estimate, mpf Horner and separate proof of the
-    # root refinement, replaced by one Newton in exact integers
+    # root refinement, replaced by one Newton in exact integers, and the
+    # float screen of saturation and its precision levels, replaced by
+    # exact characters (named with its module: relative_norm_screen
+    # stays)
     assert name not in README

@@ -55,7 +55,10 @@ FIELDS = {
 # sigma(alpha) = -3 alpha + alpha^3 / 10^14 has a denominator above any
 # fixed bound of 10^12, and trial division of c0 = 2 10^28 never ends
 SCALED = CyclicQuarticField((2 * 10 ** 28, 0, -4 * 10 ** 14, 0, 1))
-# cyclic fields whose shipped unit search fails (see ROADMAP item 7)
+# cyclic fields off the catalog where the height-6 unit search is put to
+# the test: populate_cyclic_entry rejects the first two, whose picked
+# generators span index 5 and 8 in the unit group, and proves the third
+# saturated at index bound 399 (see ROADMAP item 7)
 SEARCH_FAILS = {
     "x^4+x^3-6x^2-x+1": CyclicQuarticField((1, -1, -6, 1, 1)),
     "x^4-10x^2+5": CyclicQuarticField((5, 0, -10, 0, 1)),

@@ -4,6 +4,7 @@ import importlib
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -752,22 +753,38 @@ def test_orbit_log_matches_sigma_loop(shipped):
                 < mpmath.mpf(2) ** -100
 
 
-# what populate raises on each field whose entry the unit group check
+# what populate raises on the field whose entry the unit group check
 # rejects
-POPULATE_ERRORS = {5: "not saturated.*index 8", 41: "saturation gave up.*399"}
+POPULATE_ERRORS = {5: "not saturated.*index 8"}
 
 
-@pytest.mark.parametrize("coeffs, d", [((5, 0, -10, 0, 1), 5),
-                                       ((656, 0, -82, 0, 1), 41)])
+@pytest.mark.parametrize("coeffs, d", [((5, 0, -10, 0, 1), 5)])
 def test_populate_rejects_failed_cross_check(coeffs, d):
-    # both searches return an entry whose Hasse relations hold, and
-    # saturate, which replaced the regulator cross-check, rejects both:
-    # the first entry's generators span index 8 in the unit group, and
-    # the second's index bound of 399 needs primes above
-    # SATURATION_MAX_PRIME, so it gives up rather than read as saturated
-    with pytest.raises((us.CatalogValidationError, qt.UnitSearchError),
-                       match=POPULATE_ERRORS[d]):
+    # the search returns an entry whose Hasse relations hold, and
+    # saturate, which replaced the regulator cross-check, rejects it: its
+    # generators span index 8 in the unit group
+    with pytest.raises(us.CatalogValidationError, match=POPULATE_ERRORS[d]):
         us.populate_cyclic_entry(coeffs, d, "probe")
+
+
+def test_populate_saturates_bound_399_field(monkeypatch):
+    # x^4 - 82x^2 + 656 (d = 41): the generators populate picks have index
+    # bound 399, and the characters reach rank 3 at each of the 78 primes
+    # up to it, so the entry is proven saturated; no class reaches the
+    # exact test
+    seen = []
+    saturate = us.saturate
+    monkeypatch.setattr(us, "saturate", lambda *args: seen.append(
+        saturate(*args)) or seen[-1])
+    entry = us.populate_cyclic_entry((656, 0, -82, 0, 1), 41, "probe")
+    assert (entry.Q_index, entry.u_star) == (2, (3, 1, 0, 0))
+    assert entry.u0 == (Fraction(-119, 5), Fraction(-69, 10), Fraction(4, 5),
+                        Fraction(3, 20))
+    (sat,) = seen
+    assert sat.index == 1
+    assert round(float(sat.bound), 4) == 399.006
+    assert len(sat.primes) == 78 and sat.primes[-1] == 397
+    assert (sat.characters, sat.exact_checks) == (245, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -787,19 +804,22 @@ SHIPPED_BOUNDS = {"Q(sqrt(2+sqrt2))": 7.7474, "Q(zeta20)+": 5.8786,
                   "Q(zeta15)+": 3.6978}
 SHIPPED_PRIMES = {"Q(sqrt(2+sqrt2))": (2, 3, 5, 7), "Q(zeta20)+": (2, 3, 5),
                   "Q(zeta15)+": (2, 3)}
+# the characters each shipped entry draws to reach rank 3 at those primes
+SHIPPED_CHARACTERS = {"Q(sqrt(2+sqrt2))": 12, "Q(zeta20)+": 11,
+                      "Q(zeta15)+": 8}
 
 
 @pytest.mark.parametrize("shipped", load_default_catalog(),
                          ids=lambda e: e.label)
 def test_saturate_proves_shipped_entries(shipped):
-    # no p-th root for any prime up to the bound: the catalog's
-    # generators are the whole unit group, and none reached the exact
-    # test
+    # no p-th root for any prime up to the bound: the characters reach
+    # rank 3 at each, so the catalog's generators are the whole unit
+    # group, and no class reached the exact test
     ctx, gens, logs, sat = _saturation(shipped)
     assert (sat.index, sat.gens) == (1, gens)
     assert round(float(sat.bound), 4) == SHIPPED_BOUNDS[shipped.label]
     assert sat.primes == SHIPPED_PRIMES[shipped.label]
-    assert sat.candidates == sum(p * p + p + 1 for p in sat.primes)
+    assert sat.characters == SHIPPED_CHARACTERS[shipped.label]
     assert sat.exact_checks == 0
     # the oracle's cross-check holds for the height-6 search hits
     assert oracles.regulator_cross_check(
@@ -838,7 +858,8 @@ def test_saturate_finds_u0_squared_roots():
         [u0.coords, ctx.field.sigma(u0).coords])
     assert round(float(sat.bound), 4) == SHIPPED_BOUNDS[shipped.label]
     assert sat.primes == (2, 3)
-    assert sat.exact_checks == 2
+    # each root is found among the 8 sign patterns of its class at p = 2
+    assert (sat.characters, sat.exact_checks) == (34, 11)
 
 
 def test_saturate_conductor_17_finds_fifth_root(monkeypatch):
@@ -859,6 +880,7 @@ def test_saturate_conductor_17_finds_fifth_root(monkeypatch):
     assert sum(g == root or g == qt.qr_neg(root) for g in sat.gens) == 1
     assert round(float(sat.bound), 4) == 10.9843  # 54.9214 before the root
     assert sat.primes == (2, 3, 5, 7)
+    assert (sat.characters, sat.exact_checks) == (22, 1)
 
 
 def _planted(i, p, slot):
@@ -882,13 +904,30 @@ def _planted(i, p, slot):
 def test_saturate_finds_planted_roots(i, p, slot):
     # a generator replaced by its p-th power: saturate finds a p-th root,
     # the index is p and the bound returns to the shipped one; every root
-    # of a totally mixed-sign generator needs the sign patterns at p = 2
+    # of a totally mixed-sign generator needs the sign patterns at p = 2,
+    # and an odd p reaches the exact test with its one candidate
     ctx, gens, values, logs = _planted(i, p, slot)
     sat = us.saturate(ctx.field, gens, values, logs)
     assert sat.index == p
     label = load_default_catalog()[i].label
     assert round(float(sat.bound), 4) == SHIPPED_BOUNDS[label]
-    assert 1 <= sat.exact_checks <= 2
+    assert 1 <= sat.exact_checks <= (8 if p == 2 else 1)
+
+
+@pytest.mark.parametrize("slot", [0, 1, 2])
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_saturate_finds_planted_negative_square(i, slot):
+    # a generator replaced by eta = -g^2, totally negative: g is a square
+    # root of -eta only, so the characters must vanish on -1, which
+    # q = 1 mod 4 makes them do; a character at q = 3 mod 4 would reject
+    # the class
+    ctx, gens, values, logs = _planted(i, 2, slot)
+    gens[slot] = qt.qr_neg(gens[slot])
+    values[slot] = qt.embed_all(gens[slot], ctx.precision_bits)
+    sat = us.saturate(ctx.field, gens, values, logs)
+    g = _shipped_units(i)[1][slot]
+    assert sat.index == 2
+    assert sat.gens[slot] in (g, qt.qr_neg(g))
 
 
 @pytest.mark.parametrize("shipped", load_default_catalog(),
@@ -903,65 +942,92 @@ def test_planted_square_roots_have_mixed_signs(shipped):
     assert {v > 0 for v in values} == {True, False}
 
 
-def test_screen_error_bound_covers_float_traces():
-    # at each planted root the float traces t_j lie within E_j of the
-    # exact traces Tr(x alpha^j), and E_j is far below 1/4; the observed
-    # error is not zero, so a bound shrunk below it rejects the root.
-    # 2 gamma A_j leaves out the residual d, below 2^-50 here: it is
-    # stricter than E_j
-    worst = 0
-    for i, p, slot in itertools.product(range(3), (2, 3, 5, 7), range(3)):
-        ctx, gens, values, logs = _planted(i, p, slot)
-        level = us._Level(ctx.field, gens, values, ctx.precision_bits, True)
-        e = tuple(int(k == slot) for k in range(3))
-        found = us._screen(level, p, e)
-        assert found, (i, p, slot)
-        root = qt.from_embeddings(ctx.field, found[0], level.powers)
-        _, mat, _, _ = qt.trace_form(ctx.field.coeffs)
-        exact = [sum(m * c for m, c in zip(row, root.coords))
-                 for row in mat]
-        n = (level.k + 1) * (1 + 3) + p + 6
-        gamma = n * level.u / (1 - n * level.u)
-        for j in range(4):
-            t = sum(v * row[j] for v, row in zip(found[0], level.powers))
-            mags = sum(abs(v * row[j]) for v, row in zip(found[0],
-                                                          level.powers))
-            err = abs(Fraction(t) - exact[j])
-            assert err <= 2 * gamma * mags < 0.25
-            worst = max(worst, err / mags)
-    assert worst > 2 ** -60
+def _shipped_units(i):
+    """The shipped entry i's field and generators."""
+    entry = load_default_catalog()[i]
+    ctx = us.cyclic_context(entry.coeffs, entry.quad_subfield_d, entry.u_l)
+    gens, _, _ = us.cyclic_generators(
+        entry, ctx, us.verify_hasse_relations(entry, ctx))
+    return ctx.field, gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(i=st.integers(0, 2), p=st.sampled_from([2, 3, 5, 7]),
+       place=st.integers(0, 39),
+       m=st.tuples(*[st.integers(0, 3)] * 3),
+       n=st.tuples(*[st.integers(0, 3)] * 3))
+def test_character_is_a_homomorphism(i, p, place, m, n):
+    # chi at an admissible place (q, rho) of products a, b of the shipped
+    # generators: chi(ab) = chi(a) + chi(b) and chi(-a) = chi(a) mod p,
+    # and chi vanishes on the p-th power a^p; each place is a prime
+    # q = 1 mod 2p prime to disc f and the denominators, with f(rho) = 0
+    # mod q
+    field, gens = _shipped_units(i)
+    den = math.lcm(*(qt.integer_coords(g.coords)[1] for g in gens))
+    q, rho = next(itertools.islice(us._places(field, den, p), place, None))
+    assert q % (2 * p) == 1 and all(q % r for r in range(2, q))
+    assert qt.trace_form(field.coeffs)[2] % q and den % q
+    assert sum(c * rho ** k for k, c in enumerate(field.coeffs)) % q == 0
+
+    def product(exps):
+        x = field.from_rational(1)
+        for g, k in zip(gens, exps):
+            x = qt.qr_mul(x, qr_pow(g, k))
+        return x
+
+    a, b = product(m), product(n)
+    chi = functools.partial(us.character, q=q, rho=rho, p=p)
+    assert chi(qt.qr_mul(a, b)) == (chi(a) + chi(b)) % p
+    assert chi(qt.qr_neg(a)) == chi(a)
+    assert chi(qr_pow(a, p)) == 0
 
 
 def test_saturate_checks_every_survivor_exactly(monkeypatch):
-    # a screen that lets every class through hands the exact test only
-    # the generators' own values, none a p-th root of its class: a
-    # survivor accepted unchecked would read as a root
-    def every_class(level, p, e):
-        return [level.gvals[0]]
+    # characters that begin with SIEVE_STALL zero rows send every class
+    # to the exact test: none of the shipped generators' classes has a
+    # root, so the 8 sign patterns of each of the 7 classes at p = 2 and
+    # the one candidate of each of the 13 at p = 3 are checked and
+    # rejected; a class accepted unchecked would read as a root
+    characters = us._characters
 
-    monkeypatch.setattr(us, "_screen", every_class)
+    def zero_rows_first(field, gens, p):
+        return itertools.chain([(0, 0, 0)] * us.SIEVE_STALL,
+                               characters(field, gens, p))
+
+    monkeypatch.setattr(us, "_characters", zero_rows_first)
     _, gens, _, sat = _saturation(load_default_catalog()[2])
     assert sat.index == 1 and sat.gens == gens
-    assert sat.exact_checks == sat.candidates == 20
+    assert sat.exact_checks == 7 * 8 + 13
 
 
-def test_saturate_escalates_undecided_candidates(monkeypatch):
-    # with the float screen deciding nothing, every class is screened
-    # again in mpf at twice the precision, with the same results
-    init = us._Level.__init__
+def test_saturate_zero_characters_never_read_as_saturated(monkeypatch):
+    # characters that are all zero leave every class in the kernel: the
+    # exact test rejects each, and the prime stays undecided after
+    # SATURATION_MAX_CHARACTERS characters, which raises
+    monkeypatch.setattr(us, "_characters",
+                        lambda field, gens, p: itertools.repeat((0, 0, 0)))
+    with pytest.raises(qt.UnitSearchError,
+                       match="undecided at p = 2 after 64 characters"):
+        _saturation(load_default_catalog()[2])
 
-    def undecided_floats(level, field, gens, values, bits, as_float):
-        init(level, field, gens, values, bits, as_float)
-        if as_float:
-            level.span = math.inf
 
-    monkeypatch.setattr(us._Level, "__init__", undecided_floats)
-    for entry in load_default_catalog():
-        _, gens, _, sat = _saturation(entry)
-        assert (sat.index, sat.gens) == (1, gens)
-    shipped = load_default_catalog()[2]
-    sat = _saturation(dataclasses.replace(shipped, u0=(8, -4, -2, 1)))[3]
-    assert sat.index == 4
+def test_kernel_classes_against_brute_force():
+    # the classes that _kernel_classes lists are those of every e in
+    # F_p^3 \ 0 on which the rows vanish, at random rows of rank 0 to 2
+    rng = random.Random(5)
+    for p in (2, 3, 5, 7):
+        for _ in range(40):
+            rows = []
+            for _ in range(rng.randrange(3)):
+                us._reduce_row(rows, [rng.randrange(p) for _ in range(3)], p)
+            if len(rows) == 3:
+                continue
+            want = sorted(
+                e for e in itertools.product(range(p), repeat=3)
+                if any(e) and e[next(k for k in range(3) if e[k])] == 1
+                and all(sum(a * b for a, b in zip(r, e)) % p == 0
+                        for _, r in rows))
+            assert sorted(us._kernel_classes(rows, p)) == want
 
 
 def test_saturate_gives_up_above_max_prime(monkeypatch):
