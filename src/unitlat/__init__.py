@@ -9,7 +9,7 @@ from .quartic import CyclicQuarticField, QuarticElem, galois_generator
 from .loglattice import wedge2
 from .units import (KleinUnitStructure, klein_unit_structure,
                     klein_pattern_root, klein_generators, CyclicCatalogEntry,
-                    verify_hasse_relations, populate_cyclic_entry)
+                    verify_hasse_relations)
 from .verifier import verify_paper, klein_field_report, theorem_constants
 
 __all__ = [
@@ -19,6 +19,6 @@ __all__ = [
     "wedge2",
     "KleinUnitStructure", "klein_unit_structure", "klein_pattern_root",
     "klein_generators", "CyclicCatalogEntry",
-    "verify_hasse_relations", "populate_cyclic_entry",
+    "verify_hasse_relations",
     "verify_paper", "klein_field_report", "theorem_constants",
 ]

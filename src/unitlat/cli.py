@@ -287,7 +287,9 @@ def build_parser():
                     "reproduction of the published bound chain.")
     parser.add_argument("--precision", type=int, help="working precision in bits")
     parser.add_argument("--coeff-bound", type=int, dest="coeff_bound",
-                        help="coefficient box half-width for lattice enumeration")
+                        help="coefficient box half-width of the cyclic "
+                             "minimum's enumeration (the Klein minimum is "
+                             "closed-form)")
     parser.add_argument("--scan-limit", type=int, dest="scan_limit",
                         help="largest squarefree d for field scans")
     parser.add_argument("--catalog", help="path to a cyclic-field catalog JSON")

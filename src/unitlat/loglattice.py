@@ -18,6 +18,14 @@ from .precision import mpf_ctx
 # index pairs of the wedge basis, identical for both conventions
 WEDGE_PAIRS = ((0, 1), (2, 3), (0, 3), (1, 2), (0, 2), (1, 3))
 
+
+def log_phi():
+    """log of the golden ratio phi = (1 + sqrt(5))/2, at the current
+    mpmath precision: the paper's constants and the index bound of
+    saturation are built on it."""
+    return mpmath.log((1 + mpmath.sqrt(5)) / 2)
+
+
 @dataclass(frozen=True)
 class LogVector:
     coords: tuple  # 4 mpfs

@@ -20,8 +20,8 @@ exact integers, each limit proven by a sign change of f (_newton); one
 mpf rounding per root is the only inexact step.  The same
 brackets give the integer roots of f and of its resolvent cubic, which
 decide irreducibility and the Galois group (galois_group) before any
-sigma is sought.  sigma serves Hasse's relations, the unit search and
-sqrt_of_rational.  Nothing here solves over C.
+sigma is sought.  sigma serves Hasse's relations, the cyclic generators
+and sqrt_of_rational.  Nothing here solves over C.
 """
 
 import functools

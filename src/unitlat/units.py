@@ -40,14 +40,15 @@ import mpmath
 
 from .precision import DEFAULT_PRECISION, mpf_ctx
 from .quadratic import (QuadElem, UnitSearchError, fundamental_unit,
-                        is_squarefree, quad_norm, surd_sign, unit_key)
+                        is_squarefree, surd_sign, unit_key)
 from . import quartic as qt
 from .biquadratic import BiquadField
-from .loglattice import LogVector, log_sigma, orbit_log
+from .loglattice import LogVector, log_phi, log_sigma, orbit_log
 
 class CatalogValidationError(ValueError):
-    """A cyclic catalog entry is malformed, failed an exact Hasse
-    relation, or (populate_cyclic_entry) does not span the unit group."""
+    """A cyclic catalog entry is malformed, names a field that is not
+    cyclic, or failed an exact Hasse relation; saturate raises it for
+    dependent generators."""
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +348,7 @@ class CyclicFieldContext:
     """A cyclic quartic field (sigma cached on it), the fundamental unit
     u_l of its quadratic subfield k = Q(sqrt(d)) with the image of
     sqrt(d), and the precision of the field's log vectors; u_l_emb is the
-    image of u_l."""
+    image of u_l = a + b sqrt(d), a + b times the image of sqrt(d)."""
 
     field: qt.CyclicQuarticField
     u_l: QuadElem
@@ -356,7 +357,10 @@ class CyclicFieldContext:
 
     @functools.cached_property
     def u_l_emb(self):
-        return u_l_power(self, 1)
+        s0, *rest = self.sqrt_d.coords
+        a, b = self.u_l.a, self.u_l.b
+        return qt.QuarticElem(self.field,
+                              (a + b * s0, *(b * s for s in rest)))
 
 
 def cyclic_context(coeffs, quad_subfield_d, u_l,
@@ -441,170 +445,6 @@ def cyclic_generators(entry, ctx, hasse):
 
 
 # ---------------------------------------------------------------------------
-# Relative unit search (desk-scale oracle used to populate catalog entries)
-
-
-def search_relative_units(ctx, height_bound):
-    """Enumerate power-basis integer vectors c with |c_i| <= height_bound,
-    one of each pair +-c, and keep those whose relative norm is +-u_l^k,
-    |k| <= 12.
-
-    Returns (c, k) pairs, c a tuple of ints, in grid order: k = 0 marks a
-    relative unit, odd k a u_star witness.  Hits +-u_l^m are kept: they
-    are units too, and their even k = 2m != 0 keeps them out of populate's
-    choices.  The relative-norm test (relative_norm_screen, on integers)
-    proves each hit a unit: it lies in Z[alpha], inside O_L, and
-    N_{L/Q} = N_{k/Q}(+-u_l^k) = +-1.  Nothing is evaluated at the roots
-    beyond the float64 grid filter.
-    """
-    exponent = relative_norm_screen(ctx)
-    hits = []
-    for c in grid_candidates(ctx.field, height_bound, ctx.precision_bits):
-        if any(c[1:]):
-            k = exponent(c)
-            if k is not None:
-                hits.append((tuple(c), k))
-    return hits
-
-
-def grid_candidates(field, height_bound, precision_bits):
-    """Integer vectors c, |c_i| <= height_bound, whose float64 norm
-    prod c(r_i) is within 1e-4 of +-1, as lists; of each pair +-c the one
-    whose first nonzero entry is negative, i.e. the c lexicographically
-    below 0, in lexicographic order: (c0, c1) below (0, 0) with every
-    (c2, c3), then (0, 0) with the pairs[:half] below it."""
-    powers = [(r, r * r, r ** 3)
-              for r in (float(x) for x in field.roots(precision_bits))]
-    pairs = list(itertools.product(range(-height_bound, height_bound + 1),
-                                   repeat=2))
-    half = len(pairs) // 2
-    table = [(c2, c3) + tuple(c2 * r2 + c3 * r3 for _, r2, r3 in powers)
-             for c2, c3 in pairs]
-    found = []
-    for (c0, c1), rest in zip(pairs, [table] * half + [table[:half]]):
-        b0, b1, b2, b3 = [c0 + c1 * r for r, _, _ in powers]
-        found += [[c0, c1, c2, c3] for c2, c3, u0, u1, u2, u3 in rest
-                  if 1 - 1e-4 < abs((b0 + u0) * (b1 + u1) * (b2 + u2)
-                                    * (b3 + u3)) < 1 + 1e-4]
-    return found
-
-
-def relative_norm_screen(ctx):
-    """The exact relative-norm test of the search, on integers: a function
-    of an integer power-basis vector c returning k with
-    N_{L/l}(c) = c * sigma^2(c) = +-u_l^k, |k| <= 12, or None.
-
-    sigma^2 is an integer matrix over its denominator D (Automorphism), so
-    D * c * sigma^2(c) reduced mod f is an integer vector, looked up in
-    the table of the integral +-D * u_l^k (u_l_power_table); a
-    non-integral one equals no such product.  u_l has infinite order, so
-    the 50 elements +-u_l^k are distinct.
-    """
-    field, s2 = ctx.field, ctx.field.sigma2
-    table = {}
-    for k, (num, q) in u_l_power_table(ctx).items():
-        coords = [s2.den * v for v in num]
-        if all(v % q == 0 for v in coords):
-            key = tuple(v // q for v in coords)
-            table[key] = table[tuple(-v for v in key)] = k
-
-    def exponent(c):
-        s2c = [sum(m * v for m, v in zip(row, c)) for row in s2.rows]
-        return table.get(qt.mul_coords(c, s2c, field.table))
-    return exponent
-
-
-def u_l_power_table(ctx):
-    """{k: (N, E)} for |k| <= 12, with N/E the image of u_l^k: N integer
-    power-basis coordinates over E > 0.  With
-    u_l = (A + B sqrt(d))/Q and sqrt(d) = (S_0 + S_1 alpha + S_2 alpha^2
-    + S_3 alpha^3)/T, each power u_l^k = (A_k + B_k sqrt(d))/Q^k is a
-    running product of integer triples, u_l^-1 = N(u_l) conj(u_l), and its
-    image has the numerators (A_k T + B_k S_0, B_k S_1, B_k S_2, B_k S_3)
-    over T Q^k."""
-    ul = ctx.u_l
-    (s0, *s_rest), t = qt.integer_coords(ctx.sqrt_d.coords)
-    n = quad_norm(ul)
-    powers = {}
-    for step, sign in (((ul.a, ul.b), 1), ((n * ul.a, -n * ul.b), -1)):
-        (a, b), q = qt.integer_coords(step)
-        pa, pb, pq = 1, 0, t
-        for k in range(13):
-            powers[sign * k] = ((pa * t + pb * s0,)
-                                + tuple(pb * v for v in s_rest), pq)
-            pa, pb, pq = pa * a + ul.d * pb * b, pa * b + pb * a, pq * q
-    return powers
-
-
-def u_l_power(ctx, k):
-    """The image of u_l^k, |k| <= 12, read off u_l_power_table."""
-    num, q = u_l_power_table(ctx)[k]
-    return qt.QuarticElem(ctx.field, tuple(Fraction(v, q) for v in num))
-
-
-def hit_sort_key(lv):
-    """Sort key of a search hit: sum |LOG| rounded to float64.  A Galois
-    conjugate permutes the LOG coordinates, so the sums of conjugates
-    agree to the working precision and their rounded keys tie: coords
-    decide the order among them, not rounding noise."""
-    with mpf_ctx(lv.precision_bits):
-        return float(sum((abs(v) for v in lv.coords), mpmath.mpf(0)))
-
-
-def order_hits(ctx, hits):
-    """The search hits as (element, k, LOG) triples in populate's order:
-    each hit is evaluated at the roots once, at the context's precision,
-    and the hits are sorted by hit_sort_key, ties by coords."""
-    field, prec = ctx.field, ctx.precision_bits
-    keyed = []
-    for c, k in hits:
-        elem = qt.QuarticElem(field, c)
-        lv = orbit_log(field, qt.embed_all(elem, prec), prec)
-        keyed.append(((hit_sort_key(lv), c), (elem, k, lv)))
-    keyed.sort(key=lambda t: t[0])
-    return [hit for _, hit in keyed]
-
-
-def populate_cyclic_entry(coeffs, quad_subfield_d, label, height_bound=6):
-    """Build a catalog entry by brute-force search, then verify it: Q = 2
-    from the first u_star witness (odd k), else Q = 1 from the first
-    relative unit (k = 0), first in order_hits' order.
-    CatalogValidationError unless the entry passes its Hasse relations and
-    its generators span the unit group (saturate)."""
-    ul = fundamental_unit(quad_subfield_d).unit
-    ctx = cyclic_context(coeffs, quad_subfield_d, ul)
-    hits = search_relative_units(ctx, height_bound)
-    ordered = order_hits(ctx, hits)
-    star_hit = next(((e, k) for e, k, _ in ordered if k % 2 != 0), None)
-    if star_hit is not None:
-        star, k = star_hit
-        # |k| <= 11, so the exponent lies in the table's range [-12, 12]
-        star = qt.qr_mul(star, u_l_power(ctx, -(k - 1) // 2))
-        if qt.embed_all(star, ctx.precision_bits)[0] < 0:
-            star = qt.qr_neg(star)
-        u0 = qt.qr_mul(star, ctx.field.sigma(star))
-        q2 = {"u_star": star.coords, "Q_index": 2}
-    else:
-        u0 = next((e for e, k, _ in ordered if k == 0), None)
-        if u0 is None:
-            raise CatalogValidationError(
-                "no relative units found at height %d" % height_bound)
-        q2 = {}
-    entry = CyclicCatalogEntry(
-        label=label, coeffs=tuple(coeffs), quad_subfield_d=quad_subfield_d,
-        u_l=ul, u0=u0.coords, **q2)
-    gens, values, logs = cyclic_generators(entry, ctx,
-                                           verify_hasse_relations(entry, ctx))
-    sat = saturate(ctx.field, gens, values, logs)
-    if sat.index != 1:
-        raise CatalogValidationError(
-            "populated entry is not saturated: its generators span index %d "
-            "in the unit group (new generators: %s)" % (sat.index, ", ".join(
-                str(g) for g in sat.gens if g not in gens)))
-    return entry
-
-
-# ---------------------------------------------------------------------------
 # Saturation: the generators are the whole unit group
 
 
@@ -640,12 +480,8 @@ def index_bound(logs):
     LOG lattice has covolume sqrt(4) R' = 2 R', R' the |det| of any three
     of its coordinates.  Computed at the logs' precision."""
     with mpf_ctx(logs[0].precision_bits):
-        a, b, c = (lv.coords[:3] for lv in logs)
-        reg = abs(a[0] * (b[1] * c[2] - b[2] * c[1])
-                  - a[1] * (b[0] * c[2] - b[2] * c[0])
-                  + a[2] * (b[0] * c[1] - b[1] * c[0]))
-        return 2 * mpmath.sqrt(2) * reg / (2 * mpmath.log(
-            (1 + mpmath.sqrt(5)) / 2)) ** 3
+        reg = abs(qt._det(tuple(lv.coords[:3] for lv in logs)))
+        return 2 * mpmath.sqrt(2) * reg / (2 * log_phi()) ** 3
 
 
 def saturate(field, gens, values, logs):
@@ -748,28 +584,38 @@ def _places(field, den, p):
                     yield q, rho
 
 
-def character(x, q, rho, p):
+def character(x, q, rho, dlog):
     """chi(x) in F_p at a place (q, rho) of _places, for x in L whose
     coordinates have denominators prime to q and x(rho) != 0 mod q: the
     k < p with x(rho)^((q-1)/p) = zeta^k mod q, where x(rho) is x's
-    power-basis polynomial at rho and zeta = a^((q-1)/p) for the least
-    a >= 2 with zeta != 1, a primitive p-th root of unity mod q."""
+    power-basis polynomial at rho and dlog is _dlog_table(q, p), so p is
+    its size."""
     num, den = qt.integer_coords(x.coords)
     value = ((((num[3] * rho + num[2]) * rho + num[1]) * rho + num[0])
              * pow(den, -1, q) % q)
+    return dlog[pow(value, (q - 1) // len(dlog), q)]
+
+
+def _dlog_table(q, p):
+    """{zeta^k mod q: k} for k < p, where zeta = a^((q-1)/p) for the least
+    a >= 2 with zeta != 1, a primitive p-th root of unity mod q (p a
+    prime dividing q - 1)."""
     m = (q - 1) // p
     zeta = next(z for z in (pow(a, m, q) for a in itertools.count(2))
                 if z != 1)
-    return [pow(zeta, k, q) for k in range(p)].index(pow(value, m, q))
+    return {pow(zeta, k, q): k for k in range(p)}
 
 
 def _characters(field, gens, p):
     """The rows (chi(g_1), chi(g_2), chi(g_3)) of the characters at the
     places (q, rho) of _places prime to the gens' denominators, in their
-    order."""
+    order; zeta's dlog table is built once per prime q."""
     den = math.lcm(*(qt.integer_coords(g.coords)[1] for g in gens))
-    for q, rho in _places(field, den, p):
-        yield tuple(character(g, q, rho, p) for g in gens)
+    for q, places in itertools.groupby(_places(field, den, p),
+                                       key=lambda place: place[0]):
+        dlog = _dlog_table(q, p)
+        for _, rho in places:
+            yield tuple(character(g, q, rho, dlog) for g in gens)
 
 
 def _reduce_row(rows, row, p):

@@ -20,14 +20,11 @@ from .precision import DEFAULT_PRECISION, mpf_ctx, fmt_sig
 from .quadratic import is_squarefree, quad_norm, smallest_fundamental_units
 from . import units as us
 from .loglattice import (WEDGE_PAIRS, check_klein_order, cyclic_f, cyclic_min,
-                         cyclic_wedge_rows, klein_norm_closed, klein_wedge_rows)
+                         cyclic_wedge_rows, klein_norm_closed,
+                         klein_wedge_rows, log_phi)
 
 THEOREM_TOL = mpmath.mpf("1e-5")
 DERIVED_TOL = mpmath.mpf("1e-9")
-
-
-def _log_phi():
-    return mpmath.log((1 + mpmath.sqrt(5)) / 2)
 
 
 @functools.lru_cache(maxsize=None)
@@ -35,7 +32,7 @@ def constants(precision_bits=DEFAULT_PRECISION):
     """The paper's constants at precision_bits, computed once per
     precision; a read-only mapping, since every caller shares it."""
     with mpf_ctx(precision_bits):
-        lp = _log_phi()
+        lp = log_phi()
         return types.MappingProxyType({
             "log_phi": lp,
             "costa_friedman": 2 * mpmath.sqrt(3) * lp ** 2,
@@ -126,7 +123,7 @@ def constrained_min(objective):
     are reported, never asserted."""
     if objective not in ("q1_expr", "q2_expr"):
         raise ValueError("unknown objective %r" % (objective,))
-    lp = _log_phi()
+    lp = log_phi()
     q1 = objective == "q1_expr"
     candidates = []
     for r in (mpmath.sqrt(k) * lp for k in ((2,) if q1 else (2, 3))):
@@ -142,7 +139,7 @@ def constrained_min(objective):
 
 
 def constrained_min_reports():
-    lp = _log_phi()
+    lp = log_phi()
     out = []
     for tag, expected in (("q1_expr", 4 * lp),
                           ("q2_expr", 4 * mpmath.sqrt(6) * lp ** 2)):
@@ -388,7 +385,7 @@ def verify_paper(scan_limit=30, coeff_bound=20,
 
     with mpf_ctx(precision_bits):
         checks.extend(constrained_min_reports())
-        lp = _log_phi()
+        lp = log_phi()
         named = {
             (2, 5): ("klein_min_2_5", 4 * lp * mpmath.log(1 + mpmath.sqrt(2))),
             (5, 13): ("klein_min_5_13",

@@ -50,12 +50,17 @@ interval (-2^e, 2^e], 2^e > max |c_i|, where the library starts from
 Fujiwara's bound.
 
 regulator_cross_check is the earlier unit-group check of the cyclic
-catalog: it proves each unit found by the height-REGULATOR_HEIGHT box
-search an integer combination of the generators (a float64 row from the
-LOGs, propose_rows, proved exactly, row_prover) and reads the index of
+catalog: it proves each unit found by the height-6 box search an
+integer combination of the generators (a float64 row from the LOGs,
+propose_rows, proved exactly, row_prover) and reads the index of
 the hits' lattice in the generators' (_integer_lattice_index, a Hermite
 normal form), where the library proves the generators saturated by
 p-th roots of their products (units.saturate).
+
+search_relative_units and populate_cyclic_entry are the height-6 box
+search in Z[alpha] that proposed the shipped cyclic catalog; the library
+builds no entry, and takes the image of u_l from that of sqrt(d), where
+u_l_power reads it off the table of +-u_l^k.
 
 The Klein embedding chain is the reference LOG of a biquadratic
 element: the Galois action (galois_apply), the Galois-product norm
@@ -88,12 +93,16 @@ import mpmath
 from unitlat.biquadratic import BiquadField
 from unitlat.loglattice import LogVector, klein_wedge_rows, orbit_log
 from unitlat.precision import DEFAULT_PRECISION, mpf_ctx
+from unitlat import quartic as qt
 from unitlat.quadratic import (CF_MAX_STEPS, QuadElem, _rational_sqrt,
-                               is_squarefree, quad_norm, surd_sign)
+                               fundamental_unit, is_squarefree, quad_norm,
+                               surd_sign)
 from unitlat.quartic import (QuarticElem, _sign_at, _sturm, embed_all,
                              mul_coords, qr_add, qr_mul, qr_neg)
-from unitlat.units import (KleinUnitStructure, _f2_basis, klein_denominator,
-                           subfield_units)
+from unitlat.units import (CatalogValidationError, CyclicCatalogEntry,
+                           KleinUnitStructure, _f2_basis, cyclic_context,
+                           cyclic_generators, klein_denominator, saturate,
+                           subfield_units, verify_hasse_relations)
 from unitlat.verifier import DERIVED_TOL, BoundReport, constants
 
 SQUAREFREE_1000 = [d for d in range(2, 1001) if is_squarefree(d)]
@@ -803,6 +812,171 @@ def galois_generator_all_perms(field, denom_bound, precision_bits):
     return None
 
 
+# ---------------------------------------------------------------------------
+# Relative unit search: the height-6 box search in Z[alpha] that proposed
+# the shipped catalog entries
+
+
+def search_relative_units(ctx, height_bound):
+    """Enumerate power-basis integer vectors c with |c_i| <= height_bound,
+    one of each pair +-c, and keep those whose relative norm is +-u_l^k,
+    |k| <= 12.
+
+    Returns (c, k) pairs, c a tuple of ints, in grid order: k = 0 marks a
+    relative unit, odd k a u_star witness.  Hits +-u_l^m are kept: they
+    are units too, and their even k = 2m != 0 keeps them out of populate's
+    choices.  The relative-norm test (relative_norm_screen, on integers)
+    proves each hit a unit: it lies in Z[alpha], inside O_L, and
+    N_{L/Q} = N_{k/Q}(+-u_l^k) = +-1.  Nothing is evaluated at the roots
+    beyond the float64 grid filter.
+    """
+    exponent = relative_norm_screen(ctx)
+    hits = []
+    for c in grid_candidates(ctx.field, height_bound, ctx.precision_bits):
+        if any(c[1:]):
+            k = exponent(c)
+            if k is not None:
+                hits.append((tuple(c), k))
+    return hits
+
+
+def grid_candidates(field, height_bound, precision_bits):
+    """Integer vectors c, |c_i| <= height_bound, whose float64 norm
+    prod c(r_i) is within 1e-4 of +-1, as lists; of each pair +-c the one
+    whose first nonzero entry is negative, i.e. the c lexicographically
+    below 0, in lexicographic order: (c0, c1) below (0, 0) with every
+    (c2, c3), then (0, 0) with the pairs[:half] below it."""
+    powers = [(r, r * r, r ** 3)
+              for r in (float(x) for x in field.roots(precision_bits))]
+    pairs = list(itertools.product(range(-height_bound, height_bound + 1),
+                                   repeat=2))
+    half = len(pairs) // 2
+    table = [(c2, c3) + tuple(c2 * r2 + c3 * r3 for _, r2, r3 in powers)
+             for c2, c3 in pairs]
+    found = []
+    for (c0, c1), rest in zip(pairs, [table] * half + [table[:half]]):
+        b0, b1, b2, b3 = [c0 + c1 * r for r, _, _ in powers]
+        found += [[c0, c1, c2, c3] for c2, c3, u0, u1, u2, u3 in rest
+                  if 1 - 1e-4 < abs((b0 + u0) * (b1 + u1) * (b2 + u2)
+                                    * (b3 + u3)) < 1 + 1e-4]
+    return found
+
+
+def relative_norm_screen(ctx):
+    """The exact relative-norm test of the search, on integers: a function
+    of an integer power-basis vector c returning k with
+    N_{L/l}(c) = c * sigma^2(c) = +-u_l^k, |k| <= 12, or None.
+
+    sigma^2 is an integer matrix over its denominator D (Automorphism), so
+    D * c * sigma^2(c) reduced mod f is an integer vector, looked up in
+    the table of the integral +-D * u_l^k (u_l_power_table); a
+    non-integral one equals no such product.  u_l has infinite order, so
+    the 50 elements +-u_l^k are distinct.
+    """
+    field, s2 = ctx.field, ctx.field.sigma2
+    table = {}
+    for k, (num, q) in u_l_power_table(ctx).items():
+        coords = [s2.den * v for v in num]
+        if all(v % q == 0 for v in coords):
+            key = tuple(v // q for v in coords)
+            table[key] = table[tuple(-v for v in key)] = k
+
+    def exponent(c):
+        s2c = [sum(m * v for m, v in zip(row, c)) for row in s2.rows]
+        return table.get(qt.mul_coords(c, s2c, field.table))
+    return exponent
+
+
+def u_l_power_table(ctx):
+    """{k: (N, E)} for |k| <= 12, with N/E the image of u_l^k: N integer
+    power-basis coordinates over E > 0.  With
+    u_l = (A + B sqrt(d))/Q and sqrt(d) = (S_0 + S_1 alpha + S_2 alpha^2
+    + S_3 alpha^3)/T, each power u_l^k = (A_k + B_k sqrt(d))/Q^k is a
+    running product of integer triples, u_l^-1 = N(u_l) conj(u_l), and its
+    image has the numerators (A_k T + B_k S_0, B_k S_1, B_k S_2, B_k S_3)
+    over T Q^k."""
+    ul = ctx.u_l
+    (s0, *s_rest), t = qt.integer_coords(ctx.sqrt_d.coords)
+    n = quad_norm(ul)
+    powers = {}
+    for step, sign in (((ul.a, ul.b), 1), ((n * ul.a, -n * ul.b), -1)):
+        (a, b), q = qt.integer_coords(step)
+        pa, pb, pq = 1, 0, t
+        for k in range(13):
+            powers[sign * k] = ((pa * t + pb * s0,)
+                                + tuple(pb * v for v in s_rest), pq)
+            pa, pb, pq = pa * a + ul.d * pb * b, pa * b + pb * a, pq * q
+    return powers
+
+
+def u_l_power(ctx, k):
+    """The image of u_l^k, |k| <= 12, read off u_l_power_table."""
+    num, q = u_l_power_table(ctx)[k]
+    return qt.QuarticElem(ctx.field, tuple(Fraction(v, q) for v in num))
+
+
+def hit_sort_key(lv):
+    """Sort key of a search hit: sum |LOG| rounded to float64.  A Galois
+    conjugate permutes the LOG coordinates, so the sums of conjugates
+    agree to the working precision and their rounded keys tie: coords
+    decide the order among them, not rounding noise."""
+    with mpf_ctx(lv.precision_bits):
+        return float(sum((abs(v) for v in lv.coords), mpmath.mpf(0)))
+
+
+def order_hits(ctx, hits):
+    """The search hits as (element, k, LOG) triples in populate's order:
+    each hit is evaluated at the roots once, at the context's precision,
+    and the hits are sorted by hit_sort_key, ties by coords."""
+    field, prec = ctx.field, ctx.precision_bits
+    keyed = []
+    for c, k in hits:
+        elem = qt.QuarticElem(field, c)
+        lv = orbit_log(field, qt.embed_all(elem, prec), prec)
+        keyed.append(((hit_sort_key(lv), c), (elem, k, lv)))
+    keyed.sort(key=lambda t: t[0])
+    return [hit for _, hit in keyed]
+
+
+def populate_cyclic_entry(coeffs, quad_subfield_d, label, height_bound=6):
+    """Build a catalog entry by brute-force search, then verify it: Q = 2
+    from the first u_star witness (odd k), else Q = 1 from the first
+    relative unit (k = 0), first in order_hits' order.
+    CatalogValidationError unless the entry passes its Hasse relations and
+    its generators span the unit group (saturate)."""
+    ul = fundamental_unit(quad_subfield_d).unit
+    ctx = cyclic_context(coeffs, quad_subfield_d, ul)
+    hits = search_relative_units(ctx, height_bound)
+    ordered = order_hits(ctx, hits)
+    star_hit = next(((e, k) for e, k, _ in ordered if k % 2 != 0), None)
+    if star_hit is not None:
+        star, k = star_hit
+        # |k| <= 11, so the exponent lies in the table's range [-12, 12]
+        star = qt.qr_mul(star, u_l_power(ctx, -(k - 1) // 2))
+        if qt.embed_all(star, ctx.precision_bits)[0] < 0:
+            star = qt.qr_neg(star)
+        u0 = qt.qr_mul(star, ctx.field.sigma(star))
+        q2 = {"u_star": star.coords, "Q_index": 2}
+    else:
+        u0 = next((e for e, k, _ in ordered if k == 0), None)
+        if u0 is None:
+            raise CatalogValidationError(
+                "no relative units found at height %d" % height_bound)
+        q2 = {}
+    entry = CyclicCatalogEntry(
+        label=label, coeffs=tuple(coeffs), quad_subfield_d=quad_subfield_d,
+        u_l=ul, u0=u0.coords, **q2)
+    gens, values, logs = cyclic_generators(entry, ctx,
+                                           verify_hasse_relations(entry, ctx))
+    sat = saturate(ctx.field, gens, values, logs)
+    if sat.index != 1:
+        raise CatalogValidationError(
+            "populated entry is not saturated: its generators span index %d "
+            "in the unit group (new generators: %s)" % (sat.index, ", ".join(
+                str(g) for g in sat.gens if g not in gens)))
+    return entry
+
+
 def fraction_norm_exponent(ctx, c):
     """k with c * sigma^2(c) = +-u_l^k, |k| <= 12, or None, for a
     power-basis vector c, in Fraction arithmetic."""
@@ -846,10 +1020,6 @@ def unit_half_box(coeffs, height_bound):
     return [list(c) for c in itertools.product(span, repeat=4)
             if abs(power_basis_norm(coeffs, c)) == 1
             and next(v for v in c if v) < 0]
-
-
-# height of the relative-unit search behind regulator_cross_check
-REGULATOR_HEIGHT = 6
 
 
 def regulator_cross_check(gens, gen_logs, hits):

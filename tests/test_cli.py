@@ -227,11 +227,11 @@ CONDUCTOR_17 = os.path.join(os.path.dirname(__file__), "data",
 
 
 def test_cyclic_conductor_17_exits_4(capsys):
-    # the Q = 2 entry populate_cyclic_entry picks on x^4 + x^3 - 6x^2 -
-    # x + 1 (tests/data/cyclic_conductor17.json): every Hasse relation
-    # holds, but +-g1 g2^4 g3^3 is the fifth power of -1/2 + 2a + 8a^2 +
-    # (5/2)a^3, so the generators span index 5 and the minimum reads
-    # violated
+    # the Q = 2 entry oracles.populate_cyclic_entry picks on
+    # x^4 + x^3 - 6x^2 - x + 1 (tests/data/cyclic_conductor17.json): every
+    # Hasse relation holds, but +-g1 g2^4 g3^3 is the fifth power of
+    # -1/2 + 2a + 8a^2 + (5/2)a^3, so the generators span index 5 and the
+    # minimum reads violated
     code, out, err = run(capsys, "--catalog", CONDUCTOR_17,
                          "cyclic", "conductor 17")
     assert code == 4

@@ -1,4 +1,4 @@
-"""The README names only what the library has."""
+"""The README names only what the library and the test oracles have."""
 
 import importlib
 import pkgutil
@@ -11,21 +11,26 @@ import unitlat
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 MODULES = {m.name for m in pkgutil.iter_modules(unitlat.__path__)}
-# backticked `module.name` with module a unitlat module; file names such
-# as `quartic.py` are not attributes
+# backticked `module.name` with module a unitlat module (file names such
+# as `quartic.py` are not attributes), and backticked
+# `tests/oracles.py::name`, a name of the oracles module the tests import
 NAMED = sorted({m.groups() for m in re.finditer(
     r"`([a-z_]+)\.([A-Za-z_]\w*)`", README)
-    if m.group(1) in MODULES and m.group(2) != "py"})
+    if m.group(1) in MODULES and m.group(2) != "py"}
+    | {("oracles", m.group(1)) for m in re.finditer(
+        r"`tests/oracles\.py::([A-Za-z_]\w*)`", README)})
 
 
 def test_readme_names_library_attributes():
     assert len(NAMED) >= 20
+    assert sum(module == "oracles" for module, _ in NAMED) >= 8
 
 
 @pytest.mark.parametrize("module,name", NAMED,
                          ids=[".".join(n) for n in NAMED])
 def test_readme_name_resolves(module, name):
-    assert hasattr(importlib.import_module("unitlat." + module), name)
+    path = module if module == "oracles" else "unitlat." + module
+    assert hasattr(importlib.import_module(path), name)
 
 
 @pytest.mark.parametrize("name", ["automorphism_bounds",

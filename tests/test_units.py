@@ -344,7 +344,7 @@ def test_hasse_relations_report_non_unit_u0(entry, ctx):
 
 
 def test_search_relative_units_finds_u_star(entry, ctx):
-    hits = us.search_relative_units(ctx, 2)
+    hits = oracles.search_relative_units(ctx, 2)
     assert hits
     # each k is exact: the relative norm is +-u_l^k; so each hit is a unit
     s2 = ctx.field.sigma2
@@ -373,9 +373,10 @@ def _pinned_hit_fields():
                              f["quad_subfield_d"]))
 def test_search_hit_order_matches_pinned(pinned):
     # the order populate picks u0 and u_star from (order_hits), pinned at
-    # height 6 for the three shipped fields and the two populate rejects
+    # height 6 for the three shipped fields, x^4 - 10x^2 + 5 and
+    # x^4 - 82x^2 + 656
     ctx = _pinned_context(pinned)
-    hits = us.order_hits(ctx, us.search_relative_units(ctx, 6))
+    hits = oracles.order_hits(ctx, oracles.search_relative_units(ctx, 6))
     assert [[[int(c) for c in e.coords], k] for e, k, _ in hits] \
         == pinned["hits"]
 
@@ -394,7 +395,7 @@ SCREEN_FIELDS = [(tuple(f["coeffs"]), f["quad_subfield_d"])
 @functools.lru_cache(maxsize=None)
 def _screen_case(coeffs, d):
     ctx = us.cyclic_context(coeffs, d, fundamental_unit(d).unit)
-    return ctx, [c for c, _ in us.search_relative_units(ctx, 6)]
+    return ctx, [c for c, _ in oracles.search_relative_units(ctx, 6)]
 
 
 @pytest.mark.parametrize("coeffs, d", SCREEN_FIELDS)
@@ -404,8 +405,8 @@ def test_integer_screen_matches_fraction_screen(coeffs, d):
     ctx, hits = _screen_case(coeffs, d)
     if coeffs == SCREEN_FIELDS[-1][0]:
         assert ctx.field.sigma2.den == 4
-    exponent = us.relative_norm_screen(ctx)
-    cands = us.grid_candidates(ctx.field, 6, ctx.precision_bits)
+    exponent = oracles.relative_norm_screen(ctx)
+    cands = oracles.grid_candidates(ctx.field, 6, ctx.precision_bits)
     got = [exponent(c) for c in cands]
     assert got == [fraction_norm_exponent(ctx, c) for c in cands]
     # the search keeps every screened candidate but -1
@@ -421,7 +422,8 @@ def test_grid_candidates_match_exact_norm(coeffs, d):
     ctx, _ = _screen_case(coeffs, d)
     for h in (1, 2, 3):
         want = oracles.unit_half_box(coeffs, h)
-        assert us.grid_candidates(ctx.field, h, ctx.precision_bits) == want
+        assert oracles.grid_candidates(ctx.field, h,
+                                       ctx.precision_bits) == want
         assert ([0, 0, 0, -1] in want) == (coeffs[0] == 1)
 
 
@@ -430,12 +432,47 @@ def test_u_l_powers_match_qr_pow(coeffs, d):
     # the integer table of u_l^k, powers taken as integer triples in
     # Q(sqrt(d)) and lifted, equals the powers in L
     ctx, _ = _screen_case(coeffs, d)
-    powers = us.u_l_power_table(ctx)
+    powers = oracles.u_l_power_table(ctx)
     assert sorted(powers) == list(range(-12, 13))
     for k, (num, q) in powers.items():
         assert all(type(v) is int for v in num) and q > 0
         assert qt.QuarticElem(ctx.field, [Fraction(v, q) for v in num]) \
             == qr_pow(ctx.u_l_emb, k)
+
+
+# the default catalog and the cyclic catalogs under tests/data
+# (not_cyclic_catalog.json names no cyclic field); the screen's fields
+# are checked at every k by test_u_l_powers_match_qr_pow
+U_L_ENTRIES = load_default_catalog() + [
+    us.CyclicCatalogEntry.from_json(obj)
+    for name in ("cyclic_u0_squared.json", "cyclic_conductor17.json")
+    for obj in json.loads((DATA / name).read_text())]
+
+
+@pytest.mark.parametrize("catalog_entry", U_L_ENTRIES, ids=lambda e: e.label)
+def test_u_l_image_matches_power_table(catalog_entry):
+    # the image of u_l, a + b times the image of sqrt(d), equals the
+    # oracle's k = 1 entry of the table of +-u_l^k
+    e = catalog_entry
+    ctx = us.cyclic_context(e.coeffs, e.quad_subfield_d, e.u_l)
+    assert ctx.u_l_emb == oracles.u_l_power(ctx, 1)
+
+
+MOVED_TO_ORACLES = ("search_relative_units", "grid_candidates",
+                    "relative_norm_screen", "u_l_power_table", "u_l_power",
+                    "hit_sort_key", "order_hits", "populate_cyclic_entry")
+
+
+def test_package_exports_only_library_names():
+    # every exported name resolves, and the box search lives only in the
+    # test oracles: no library module defines or names it
+    assert all(hasattr(unitlat, name) for name in unitlat.__all__)
+    sources = [path.read_text()
+               for path in Path(unitlat.__file__).parent.glob("*.py")]
+    for name in MOVED_TO_ORACLES:
+        assert not hasattr(us, name) and not hasattr(unitlat, name)
+        assert not any(name in text for text in sources)
+        assert callable(getattr(oracles, name))
 
 
 @settings(max_examples=150, deadline=None)
@@ -455,7 +492,8 @@ def test_integer_screen_matches_fraction_screen_drawn(field, vec, conj):
             return
         c = [int(v) for v in hit.coords]
         assert fraction_norm_exponent(ctx, c) is not None
-    assert us.relative_norm_screen(ctx)(c) == fraction_norm_exponent(ctx, c)
+    assert oracles.relative_norm_screen(ctx)(c) \
+        == fraction_norm_exponent(ctx, c)
 
 
 @pytest.mark.parametrize("pinned", _pinned_hit_fields(),
@@ -467,8 +505,8 @@ def test_conjugate_hits_tie_exactly(pinned):
     # identical sort key in populate's order, so coords, not rounding,
     # order them
     ctx = _pinned_context(pinned)
-    hits = us.order_hits(ctx, us.search_relative_units(ctx, 6))
-    keys = {e.coords: us.hit_sort_key(lv) for e, _, lv in hits}
+    hits = oracles.order_hits(ctx, oracles.search_relative_units(ctx, 6))
+    keys = {e.coords: oracles.hit_sort_key(lv) for e, _, lv in hits}
     pairs = 0
     for e, _, _ in hits:
         conj = e
@@ -512,7 +550,7 @@ def test_one_root_solve_per_field_per_op(bits, monkeypatch):
 def test_search_logs_equal_log_embed_cyclic(entry, bits):
     ctx = us.cyclic_context(entry.coeffs, entry.quad_subfield_d, entry.u_l,
                             bits)
-    hits = us.order_hits(ctx, us.search_relative_units(ctx, 4))
+    hits = oracles.order_hits(ctx, oracles.search_relative_units(ctx, 4))
     assert hits
     for e, _, lv in hits:
         assert lv.precision_bits == bits
@@ -527,9 +565,8 @@ def _up_to_sign(vectors):
                          ids=lambda e: e.label)
 def test_report_evaluates_only_generators(shipped, monkeypatch):
     # cyclic_entry_report evaluates at the roots only its three generators,
-    # once each, and the image of sqrt(d) that cyclic_context signs; it
-    # runs no unit search, and saturating the catalog's generators
-    # embeds nothing more
+    # once each, and the image of sqrt(d) that cyclic_context signs, and
+    # saturating the catalog's generators embeds nothing more
     ctx = us.cyclic_context(shipped.coeffs, shipped.quad_subfield_d,
                             shipped.u_l)
     gens, _, _ = us.cyclic_generators(shipped, ctx,
@@ -547,13 +584,8 @@ def test_report_evaluates_only_generators(shipped, monkeypatch):
         counts["log"] += 1
         return log(*args, **kwargs)
 
-    def forbidden(*args):
-        raise AssertionError("the report ran the unit search")
-
     monkeypatch.setattr(qt, "embed_all", counting_embed)
     monkeypatch.setattr(mpmath, "log", counting_log)
-    monkeypatch.setattr(us, "search_relative_units", forbidden)
-    monkeypatch.setattr(us, "grid_candidates", forbidden)
     _, reports = cyclic_entry_report(shipped)
     assert next(r.relation for r in reports
                 if r.name == "unit_group_saturated") == "holds"
@@ -616,7 +648,7 @@ def test_proposed_rows_of_search_hits_are_proved(shipped):
                             shipped.u_l)
     gens, _, gen_logs = us.cyclic_generators(
         shipped, ctx, us.verify_hasse_relations(shipped, ctx))
-    hits = [c for c, _ in us.search_relative_units(ctx, 6)]
+    hits = [c for c, _ in oracles.search_relative_units(ctx, 6)]
     rows = oracles.propose_rows(ctx.field, gen_logs, hits)
     proves = oracles.row_prover(gens)
     assert len(rows) == len(hits) > 0
@@ -635,7 +667,7 @@ def test_cross_check_rejects_u0_squared():
     hasse = us.verify_hasse_relations(bad, ctx)
     assert all(hasse.values())
     gens, _, gen_logs = us.cyclic_generators(bad, ctx, hasse)
-    hits = [c for c, _ in us.search_relative_units(ctx, 6)]
+    hits = [c for c, _ in oracles.search_relative_units(ctx, 6)]
     assert u0.coords in hits or qt.qr_neg(u0).coords in hits
     assert oracles.regulator_cross_check(gens, gen_logs, hits) \
         == (False, None)
@@ -666,13 +698,14 @@ def test_generator_logs_do_not_reprove_units(shipped, monkeypatch):
                          ids=lambda e: e.label)
 def test_populated_entry_matches_catalog(shipped):
     # the shipped entries were produced at height 6; reproduction is exact
-    rebuilt = us.populate_cyclic_entry(shipped.coeffs, shipped.quad_subfield_d,
-                                       shipped.label, height_bound=6)
+    rebuilt = oracles.populate_cyclic_entry(
+        shipped.coeffs, shipped.quad_subfield_d, shipped.label, height_bound=6)
     assert rebuilt == shipped
     if shipped.Q_index == 2:
         # a smaller search window finds a different but still valid witness
-        small = us.populate_cyclic_entry(shipped.coeffs, shipped.quad_subfield_d,
-                                         shipped.label, height_bound=2)
+        small = oracles.populate_cyclic_entry(
+            shipped.coeffs, shipped.quad_subfield_d, shipped.label,
+            height_bound=2)
         assert small.Q_index == 2
         small_ctx = us.cyclic_context(small.coeffs, small.quad_subfield_d,
                                       small.u_l)
@@ -682,7 +715,7 @@ def test_populated_entry_matches_catalog(shipped):
 def test_regulator_cross_check(entry, ctx):
     gens, _, gen_logs = us.cyclic_generators(
         entry, ctx, us.verify_hasse_relations(entry, ctx))
-    hits = us.search_relative_units(ctx, 4)
+    hits = oracles.search_relative_units(ctx, 4)
     ok, index = oracles.regulator_cross_check(gens, gen_logs,
                                               [c for c, _ in hits])
     assert ok
@@ -740,7 +773,7 @@ def test_orbit_log_matches_sigma_loop(shipped):
     units = [ctx.u_l_emb, u0, ctx.field.sigma(u0)]
     if shipped.u_star is not None:
         units.append(qt.QuarticElem(ctx.field, shipped.u_star))
-    hits = us.order_hits(ctx, us.search_relative_units(ctx, 6))
+    hits = oracles.order_hits(ctx, oracles.search_relative_units(ctx, 6))
     assert len(hits) >= 80
     # log_embed_cyclic on the generators and the hits, and the LOG
     # order_hits sorts each hit by
@@ -764,7 +797,7 @@ def test_populate_rejects_failed_cross_check(coeffs, d):
     # saturate, which replaced the regulator cross-check, rejects it: its
     # generators span index 8 in the unit group
     with pytest.raises(us.CatalogValidationError, match=POPULATE_ERRORS[d]):
-        us.populate_cyclic_entry(coeffs, d, "probe")
+        oracles.populate_cyclic_entry(coeffs, d, "probe")
 
 
 def test_populate_saturates_bound_399_field(monkeypatch):
@@ -773,10 +806,10 @@ def test_populate_saturates_bound_399_field(monkeypatch):
     # up to it, so the entry is proven saturated; no class reaches the
     # exact test
     seen = []
-    saturate = us.saturate
-    monkeypatch.setattr(us, "saturate", lambda *args: seen.append(
+    saturate = oracles.saturate
+    monkeypatch.setattr(oracles, "saturate", lambda *args: seen.append(
         saturate(*args)) or seen[-1])
-    entry = us.populate_cyclic_entry((656, 0, -82, 0, 1), 41, "probe")
+    entry = oracles.populate_cyclic_entry((656, 0, -82, 0, 1), 41, "probe")
     assert (entry.Q_index, entry.u_star) == (2, (3, 1, 0, 0))
     assert entry.u0 == (Fraction(-119, 5), Fraction(-69, 10), Fraction(4, 5),
                         Fraction(3, 20))
@@ -823,7 +856,8 @@ def test_saturate_proves_shipped_entries(shipped):
     assert sat.exact_checks == 0
     # the oracle's cross-check holds for the height-6 search hits
     assert oracles.regulator_cross_check(
-        sat.gens, logs, [c for c, _ in us.search_relative_units(ctx, 6)]) \
+        sat.gens, logs,
+        [c for c, _ in oracles.search_relative_units(ctx, 6)]) \
         == (True, 1)
 
 
@@ -867,12 +901,12 @@ def test_saturate_conductor_17_finds_fifth_root(monkeypatch):
     # +-g1 g2^4 g3^3 is the fifth power of -1/2 + 2a + 8a^2 + (5/2)a^3, a
     # unit outside Z[alpha]; no other prime up to the new bound has a root
     seen = []
-    saturate = us.saturate
-    monkeypatch.setattr(us, "saturate", lambda *args: seen.append(
+    saturate = oracles.saturate
+    monkeypatch.setattr(oracles, "saturate", lambda *args: seen.append(
         saturate(*args)) or seen[-1])
     with pytest.raises(us.CatalogValidationError,
                        match=r"index 5 .*\[-1/2, 2, 8, 5/2\]"):
-        us.populate_cyclic_entry((1, -1, -6, 1, 1), 17, "conductor 17")
+        oracles.populate_cyclic_entry((1, -1, -6, 1, 1), 17, "conductor 17")
     (sat,) = seen
     root = qt.QuarticElem(sat.gens[0].field, (Fraction(-1, 2), 2, 8,
                                               Fraction(5, 2)))
@@ -976,7 +1010,9 @@ def test_character_is_a_homomorphism(i, p, place, m, n):
         return x
 
     a, b = product(m), product(n)
-    chi = functools.partial(us.character, q=q, rho=rho, p=p)
+    dlog = us._dlog_table(q, p)
+    assert sorted(dlog.values()) == list(range(p)) and 1 in dlog
+    chi = functools.partial(us.character, q=q, rho=rho, dlog=dlog)
     assert chi(qt.qr_mul(a, b)) == (chi(a) + chi(b)) % p
     assert chi(qt.qr_neg(a)) == chi(a)
     assert chi(qr_pow(a, p)) == 0
