@@ -11,17 +11,19 @@ catalog, a d whose continued fraction does not close within
 CF_MAX_STEPS or whose squarefreeness trial division does not decide
 within SQUAREFREE_MAX_STEPS), 4 catalog validation failure (a failed
 Hasse relation, or for `cyclic` generators that do not span the unit
-group, which takes precedence over 1).  `main` alone parses the
-arguments, resolves the configuration and maps library errors to codes.
+group, which takes precedence over 1).  `main` alone reads argv
+(`parse`, from the OPTIONS and COMMANDS tables), resolves the
+configuration and maps library errors to codes.
 """
 
-import argparse
 import csv
-import functools
 import io
 import json
 import os
+import re
 import sys
+import types
+from json.encoder import encode_basestring_ascii
 
 from .precision import DEFAULT_PRECISION, fmt_sig
 from .quadratic import UnitSearchError, fundamental_unit, is_squarefree
@@ -41,7 +43,7 @@ _DEFAULTS = {
 
 
 class CliError(Exception):
-    def __init__(self, message, code):
+    def __init__(self, message, code=EXIT_INVALID_INPUT):
         super().__init__(message)
         self.code = code
 
@@ -54,7 +56,7 @@ def _env_default(name):
         return int(raw)
     except ValueError:
         raise CliError("UNITLAT_%s must be an integer, got %r"
-                       % (name.upper(), raw), EXIT_INVALID_INPUT)
+                       % (name.upper(), raw))
 
 
 def _config(args):
@@ -63,28 +65,27 @@ def _config(args):
         flag = getattr(args, name, None)
         cfg[name] = flag if flag is not None else _env_default(name)
     if cfg["precision"] < 64:
-        raise CliError("--precision must be >= 64", EXIT_INVALID_INPUT)
+        raise CliError("--precision must be >= 64")
     if cfg["coeff_bound"] < 1:
-        raise CliError("--coeff-bound must be >= 1", EXIT_INVALID_INPUT)
+        raise CliError("--coeff-bound must be >= 1")
     if cfg["scan_limit"] < 3:  # below 3 the scan has no pair
-        raise CliError("--scan-limit must be >= 3", EXIT_INVALID_INPUT)
+        raise CliError("--scan-limit must be >= 3")
     return cfg
 
 
 def _check_squarefree_arg(d):
     if d <= 1 or not is_squarefree(d):
-        raise CliError("d must be a squarefree integer > 1, got %d" % d,
-                       EXIT_INVALID_INPUT)
+        raise CliError("d must be a squarefree integer > 1, got %d" % d)
 
 
 def cmd_fund_unit(args, cfg, out):
     _check_squarefree_arg(args.d)
     res = fundamental_unit(args.d, cfg["precision"])
     if args.format == "json":
-        json.dump({"d": args.d, "unit": res.unit.to_json(),
-                   "norm_sign": res.norm_sign,
-                   "log_value": fmt_sig(res.log_value)}, out, indent=2)
-        out.write("\n")
+        out.write(json.dumps({"d": args.d, "unit": res.unit.to_json(),
+                              "norm_sign": res.norm_sign,
+                              "log_value": fmt_sig(res.log_value)},
+                             indent=2) + "\n")
     else:
         out.write("fundamental unit of Q(sqrt(%d)): %s\n"
                   % (args.d, res.unit))
@@ -97,7 +98,7 @@ def cmd_klein(args, cfg, out):
     for d in (args.d1, args.d2):
         _check_squarefree_arg(d)
     if args.d1 == args.d2:
-        raise CliError("d1 and d2 must be distinct", EXIT_INVALID_INPUT)
+        raise CliError("d1 and d2 must be distinct")
     struct, value, reports = vf.klein_field_report(args.d1, args.d2,
                                                    cfg["precision"])
     detail = reports[0].details
@@ -115,8 +116,7 @@ def cmd_klein(args, cfg, out):
             "bounds": [{"name": r.name, "value": fmt_sig(r.paper_value),
                         "relation": r.relation} for r in reports[1:]],
         }
-        json.dump(payload, out, indent=2)
-        out.write("\n")
+        out.write(json.dumps(payload, indent=2) + "\n")
     else:
         out.write("Q(sqrt(%d), sqrt(%d)), third subfield sqrt(%d)\n"
                   % (args.d1, args.d2, struct.field.d3))
@@ -146,7 +146,7 @@ def _load_catalog(path):
             raise ValueError("a catalog is a JSON list of entry objects")
         return [us.CyclicCatalogEntry.from_json(obj) for obj in data]
     except (OSError, KeyError, ValueError) as exc:
-        raise CliError("cannot load catalog: %s" % exc, EXIT_INVALID_INPUT)
+        raise CliError("cannot load catalog: %s" % exc)
 
 
 def cmd_cyclic(args, cfg, out):
@@ -154,8 +154,7 @@ def cmd_cyclic(args, cfg, out):
     entry = next((e for e in catalog if e.label == args.label), None)
     if entry is None:
         raise CliError("no catalog entry labelled %r (have: %s)"
-                       % (args.label, ", ".join(e.label for e in catalog)),
-                       EXIT_INVALID_INPUT)
+                       % (args.label, ", ".join(e.label for e in catalog)))
     value, reports = vf.cyclic_entry_report(
         entry, cfg["coeff_bound"], cfg["precision"])
     relations = [(r.name[len("hasse_"):], r.relation)
@@ -181,8 +180,7 @@ def cmd_cyclic(args, cfg, out):
                        if r.paper_value is not None],
         })
     if args.format == "json":
-        json.dump(payload, out, indent=2)
-        out.write("\n")
+        out.write(json.dumps(payload, indent=2) + "\n")
     else:
         out.write("%s: x^4 + %d x^3 + %d x^2 + %d x + %d, Q = %d\n"
                   % (entry.label, entry.coeffs[3], entry.coeffs[2],
@@ -219,6 +217,10 @@ def _violation_code(reports):
 
 SCAN_COLUMNS = ("d1", "d2", "d3", "index", "min_1norm", "certified",
                 "bound_8X3", "theorem_margin")
+# a row as json.dumps(dict(zip(SCAN_COLUMNS, row)), indent=2) prints it,
+# indented one level further
+SCAN_JSON_ROW = "{\n%s\n  }" % ",\n".join('    "%s": %%s' % c
+                                           for c in SCAN_COLUMNS)
 
 
 def cmd_scan(args, cfg, out):
@@ -244,9 +246,11 @@ def cmd_scan(args, cfg, out):
                    fmt_sig(value - theorem))
         if args.format == "csv":
             writer.writerow(row)
-        else:  # indent=2 puts no newline inside a value
-            out.write(sep + json.dumps(dict(zip(SCAN_COLUMNS, row)),
-                                       indent=2).replace("\n", "\n  "))
+        else:
+            # json.dumps of each str, bool and int value
+            out.write(sep + SCAN_JSON_ROW % tuple(
+                encode_basestring_ascii(v) if isinstance(v, str)
+                else str(v).lower() for v in row))
             sep = ",\n  "
     if args.format == "json":
         out.write("\n]\n")
@@ -259,8 +263,7 @@ def cmd_verify_paper(args, cfg, out):
                              precision_bits=cfg["precision"],
                              catalog=_load_catalog(args.catalog))
     if args.format == "json":
-        json.dump(report, out, indent=2)
-        out.write("\n")
+        out.write(json.dumps(report, indent=2) + "\n")
     else:
         out.write("checks:\n")
         for c in report["checks"]:
@@ -278,42 +281,103 @@ def cmd_verify_paper(args, cfg, out):
     return EXIT_OK if report["ok"] else EXIT_VIOLATION
 
 
-@functools.cache  # built once per process, however often main runs
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="unitlat",
-        description="Unit lattices of real quartic fields: fundamental "
-                    "units, exterior-square minimal 1-norms, and full "
-                    "reproduction of the published bound chain.")
-    parser.add_argument("--precision", type=int, help="working precision in bits")
-    parser.add_argument("--coeff-bound", type=int, dest="coeff_bound",
-                        help="coefficient box half-width of the cyclic "
-                             "minimum's enumeration (the Klein minimum is "
-                             "closed-form)")
-    parser.add_argument("--scan-limit", type=int, dest="scan_limit",
-                        help="largest squarefree d for field scans")
-    parser.add_argument("--catalog", help="path to a cyclic-field catalog JSON")
-    parser.add_argument("--format", choices=("json", "csv", "text"),
-                        help="output format (default: csv for scan, else text)")
+TEXT_JSON, CSV_JSON = ("text", "json"), ("csv", "json")
+# the global options, before the command: flag -> (dest, type, metavar, help)
+OPTIONS = {
+    "--precision": ("precision", int, "BITS", "working precision in bits"),
+    "--coeff-bound": ("coeff_bound", int, "N", "cyclic box half-width"),
+    "--scan-limit": ("scan_limit", int, "D", "largest d of a field scan"),
+    "--catalog": ("catalog", str, "PATH", "cyclic-field catalog JSON"),
+    "--format": ("format", str, "FORMAT", "text or json (scan: csv or json)"),
+}
+# the commands: name -> (handler, operands as (name, type), formats, help)
+COMMANDS = {
+    "fund-unit": (cmd_fund_unit, (("d", int),), TEXT_JSON,
+                  "fundamental unit of Q(sqrt(d))"),
+    "klein": (cmd_klein, (("d1", int), ("d2", int)), TEXT_JSON,
+              "unit structure and minimal 1-norm of Q(sqrt(d1), sqrt(d2))"),
+    "cyclic": (cmd_cyclic, (("label", str),), TEXT_JSON,
+               "check a cyclic catalog entry and enumerate its minimum"),
+    "scan": (cmd_scan, (), CSV_JSON,
+             "table of all Klein fields up to the scan limit"),
+    "verify-paper": (cmd_verify_paper, (), TEXT_JSON,
+                     "run every reproduction check"),
+}
 
-    sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("fund-unit", help="fundamental unit of Q(sqrt(d))")
-    p.add_argument("d", type=int)
-    p.set_defaults(func=cmd_fund_unit)
-    p = sub.add_parser("klein", help="unit structure and minimal 1-norm of "
-                                     "Q(sqrt(d1), sqrt(d2))")
-    p.add_argument("d1", type=int)
-    p.add_argument("d2", type=int)
-    p.set_defaults(func=cmd_klein)
-    p = sub.add_parser("cyclic", help="validate a cyclic catalog entry and "
-                                      "enumerate its lattice minimum")
-    p.add_argument("label")
-    p.set_defaults(func=cmd_cyclic)
-    p = sub.add_parser("scan", help="table of all Klein fields up to the scan limit")
-    p.set_defaults(func=cmd_scan)
-    p = sub.add_parser("verify-paper", help="run every reproduction check")
-    p.set_defaults(func=cmd_verify_paper)
-    return parser
+
+def _option(tok, flags):
+    """(flag, value after "=" or None) for a token naming a flag of `flags`
+    or -h/--help in full or by a unique prefix; None for what argparse reads
+    as a value: no leading "-", "-" alone, a negative number or a space."""
+    name, eq, value = tok.partition("=")
+    found = ([f for f in (*flags, "--help") if f.startswith(name)]
+             if name[:2] == "--" else [name] * (name == "-h"))
+    if len(found) > 1:
+        raise CliError("ambiguous option: %s could match %s"
+                       % (name, ", ".join(found)))
+    if found and eq and found[0] not in flags:
+        raise CliError("--help takes no value")
+    if found:
+        return found[0], value if eq else None
+    if (tok[:1] != "-" or tok == "-" or " " in tok
+            or re.match(r"^-\d+$|^-\d*\.\d+$", tok)):
+        return None
+    raise CliError("unrecognized option %s" % tok)
+
+
+def _convert(kind, tok, what):
+    try:
+        return kind(tok)
+    except ValueError:
+        raise CliError("%s takes an integer, not %r" % (what, tok))
+
+
+def parse(argv):
+    """argv's options, command and operands as a namespace, or the help
+    text for -h/--help; any misuse raises a CliError with exit 2."""
+    opts, i = dict.fromkeys(o[0] for o in OPTIONS.values()), 0
+    while i < len(argv) and (hit := _option(argv[i], OPTIONS)):
+        (flag, value), i = hit, i + 1
+        if flag not in OPTIONS:
+            return _help()
+        if value is None:
+            if i == len(argv) or _option(argv[i], OPTIONS):
+                raise CliError("%s takes a value" % flag)
+            value, i = argv[i], i + 1
+        opts[OPTIONS[flag][0]] = _convert(OPTIONS[flag][1], value, flag)
+    if i == len(argv) or argv[i] not in COMMANDS:
+        raise CliError("expected a command, one of %s" % ", ".join(COMMANDS))
+    command, rest = argv[i], argv[i + 1:]
+    func, names, formats, _ = COMMANDS[command]
+    # argparse reads each token against the global options first, then
+    # against the command's own, -h and --help
+    if any(_option(tok, OPTIONS) and _option(tok, ()) for tok in rest):
+        return _help(command)
+    if len(rest) != len(names):
+        raise CliError("%s takes %d operand(s), got %d"
+                       % (command, len(names), len(rest)))
+    if opts["format"] not in (None, *formats):
+        raise CliError("%s takes --format %s, not %s"
+                       % (command, " or ".join(formats), opts["format"]))
+    opts["format"] = opts["format"] or formats[0]
+    return types.SimpleNamespace(command=command, func=func, **opts, **{
+        name: _convert(kind, tok, name)
+        for (name, kind), tok in zip(names, rest)})
+
+
+def _help(command=None):
+    """The usage, the options and the commands (or the one command)."""
+    row = "  %-19s %s\n"
+    lines = {c: " ".join([c, *(n for n, _ in COMMANDS[c][1])])
+             for c in ([command] if command else COMMANDS)}
+    return ("usage: unitlat [OPTION ...] %s\n\noptions, before the command "
+            "(--flag VALUE, --flag=VALUE or a unique prefix):\n%s%s\n"
+            "commands:\n%s" % (
+                lines[command] if command else "COMMAND [OPERAND ...]",
+                "".join(row % (f + " " + o[2], o[3])
+                        for f, o in OPTIONS.items()),
+                row % ("-h, --help", "print this help, after COMMAND its own"),
+                "".join(row % (lines[c], COMMANDS[c][3]) for c in lines)))
 
 
 def _fail(exc, code):
@@ -322,8 +386,13 @@ def _fail(exc, code):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    formats = ("csv", "json") if args.command == "scan" else ("text", "json")
+    try:
+        args = parse(sys.argv[1:] if argv is None else argv)
+    except CliError as exc:
+        return _fail(exc, exc.code)
+    if isinstance(args, str):  # -h or --help
+        sys.stdout.write(args)
+        return EXIT_OK
     # scan streams its rows; the others print only once they succeed
     buf = sys.stdout if args.command == "scan" else io.StringIO()
     # exact units can run past the 4300 digits that Python >= 3.10.7
@@ -332,12 +401,6 @@ def main(argv=None):
     if digits is not None:
         sys.set_int_max_str_digits(0)
     try:
-        if args.format is None:
-            args.format = formats[0]
-        elif args.format not in formats:
-            raise CliError("%s takes --format %s, not %s"
-                           % (args.command, " or ".join(formats), args.format),
-                           EXIT_INVALID_INPUT)
         code = args.func(args, _config(args), buf)
     except CliError as exc:
         return _fail(exc, exc.code)

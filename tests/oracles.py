@@ -81,8 +81,14 @@ unit (pohst_check).
 nstr_fmt_sig keeps the earlier decimal formatting, mpmath.nstr of mpf(x)
 under a working-precision context, where the library rounds x once and
 calls mpmath's to_str.
+
+argparse_parser is the earlier command line: six argparse parsers, the
+program's and one per command, where the library reads argv from one
+table of options and commands (cli.parse).
 """
 
+import argparse
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -90,6 +96,7 @@ from math import isqrt, log, sqrt
 
 import mpmath
 
+from unitlat import cli
 from unitlat.biquadratic import BiquadField
 from unitlat.loglattice import LogVector, klein_wedge_rows, orbit_log
 from unitlat.precision import DEFAULT_PRECISION, mpf_ctx
@@ -1179,3 +1186,41 @@ def cauchy_root_brackets(poly):
             todo.append((mid, 2 * hi, k + 1, v_mid, v_hi))
             todo.append((2 * lo, mid, k + 1, v_lo, v_mid))
     return tuple(out)
+
+
+@functools.cache  # built once per process, however often main runs
+def argparse_parser():
+    parser = argparse.ArgumentParser(
+        prog="unitlat",
+        description="Unit lattices of real quartic fields: fundamental "
+                    "units, exterior-square minimal 1-norms, and full "
+                    "reproduction of the published bound chain.")
+    parser.add_argument("--precision", type=int, help="working precision in bits")
+    parser.add_argument("--coeff-bound", type=int, dest="coeff_bound",
+                        help="coefficient box half-width of the cyclic "
+                             "minimum's enumeration (the Klein minimum is "
+                             "closed-form)")
+    parser.add_argument("--scan-limit", type=int, dest="scan_limit",
+                        help="largest squarefree d for field scans")
+    parser.add_argument("--catalog", help="path to a cyclic-field catalog JSON")
+    parser.add_argument("--format", choices=("json", "csv", "text"),
+                        help="output format (default: csv for scan, else text)")
+
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("fund-unit", help="fundamental unit of Q(sqrt(d))")
+    p.add_argument("d", type=int)
+    p.set_defaults(func=cli.cmd_fund_unit)
+    p = sub.add_parser("klein", help="unit structure and minimal 1-norm of "
+                                     "Q(sqrt(d1), sqrt(d2))")
+    p.add_argument("d1", type=int)
+    p.add_argument("d2", type=int)
+    p.set_defaults(func=cli.cmd_klein)
+    p = sub.add_parser("cyclic", help="validate a cyclic catalog entry and "
+                                      "enumerate its lattice minimum")
+    p.add_argument("label")
+    p.set_defaults(func=cli.cmd_cyclic)
+    p = sub.add_parser("scan", help="table of all Klein fields up to the scan limit")
+    p.set_defaults(func=cli.cmd_scan)
+    p = sub.add_parser("verify-paper", help="run every reproduction check")
+    p.set_defaults(func=cli.cmd_verify_paper)
+    return parser

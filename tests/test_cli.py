@@ -1,4 +1,4 @@
-import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -12,7 +12,9 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
+import oracles
 from unitlat import cli, quadratic, quartic
 from unitlat import verifier as vf
 from unitlat.quadratic import fundamental_unit
@@ -127,20 +129,172 @@ def test_unit_search_give_up_is_invalid_input(capsys, monkeypatch, fmt,
     assert err.count("\n") == 1
 
 
-def test_main_builds_parser_once(capsys, monkeypatch):
-    # in-process callers (perfbench's worker, this file's run) call main
-    # once per command; the parser is built on the first call only
-    run(capsys, "fund-unit", "5")
-    built = []
-    init = argparse.ArgumentParser.__init__
+def test_cli_imports_no_argparse():
+    # the command line is read from cli's own table: a fresh interpreter
+    # that runs klein, cyclic and verify-paper has imported none of
+    # argparse, gettext or the locale module gettext loads on first use
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = ("import sys; from unitlat import cli; "
+             "codes = [cli.main(a.split()) for a in sys.argv[1:]]; "
+             "sys.stderr.write(repr((codes, sorted({'argparse', 'gettext', "
+             "'locale'} & set(sys.modules)))))")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, "--format json klein 2 5",
+         "cyclic Q(zeta15)+", "--scan-limit 10 verify-paper"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert proc.stderr == "([0, 0, 0], [])"
 
-    def counting_init(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    assert run(capsys, "klein", "2", "5")[0] == 0
-    assert built == []
+HELP = """\
+usage: unitlat [OPTION ...] COMMAND [OPERAND ...]
+
+options, before the command (--flag VALUE, --flag=VALUE or a unique prefix):
+  --precision BITS    working precision in bits
+  --coeff-bound N     cyclic box half-width
+  --scan-limit D      largest d of a field scan
+  --catalog PATH      cyclic-field catalog JSON
+  --format FORMAT     text or json (scan: csv or json)
+  -h, --help          print this help, after COMMAND its own
+
+commands:
+  fund-unit d         fundamental unit of Q(sqrt(d))
+  klein d1 d2         unit structure and minimal 1-norm of Q(sqrt(d1), sqrt(d2))
+  cyclic label        check a cyclic catalog entry and enumerate its minimum
+  scan                table of all Klein fields up to the scan limit
+  verify-paper        run every reproduction check
+"""
+KLEIN_HELP = """\
+usage: unitlat [OPTION ...] klein d1 d2
+
+options, before the command (--flag VALUE, --flag=VALUE or a unique prefix):
+  --precision BITS    working precision in bits
+  --coeff-bound N     cyclic box half-width
+  --scan-limit D      largest d of a field scan
+  --catalog PATH      cyclic-field catalog JSON
+  --format FORMAT     text or json (scan: csv or json)
+  -h, --help          print this help, after COMMAND its own
+
+commands:
+  klein d1 d2         unit structure and minimal 1-norm of Q(sqrt(d1), sqrt(d2))
+"""
+
+
+@pytest.mark.parametrize("argv", ["--help", "-h", "--precision 80 --he",
+                                  "klein --help", "klein 2 -h",
+                                  "--format csv klein --hel"])
+def test_help_text(capsys, monkeypatch, argv):
+    # help is built from cli's tables, the same on every Python version,
+    # and read before the environment: a bad UNITLAT_* value does not stop it
+    monkeypatch.setenv("UNITLAT_PRECISION", "lots")
+    text = KLEIN_HELP if "klein" in argv else HELP
+    assert run(capsys, *argv.split()) == (0, text, "")
+
+
+@pytest.mark.parametrize("argv, err", [
+    ("", "expected a command, one of fund-unit, klein, cyclic, scan, "
+         "verify-paper"),
+    ("--c 5 klein 2 5",
+     "ambiguous option: --c could match --coeff-bound, --catalog"),
+    ("--precision", "--precision takes a value"),
+    ("--precision abc klein 2 5", "--precision takes an integer, not 'abc'"),
+    ("--bogus scan", "unrecognized option --bogus"),
+    ("klein 2", "klein takes 2 operand(s), got 1"),
+    ("klein 2 5 6", "klein takes 2 operand(s), got 3"),
+    ("klein 2 x", "d2 takes an integer, not 'x'"),
+    ("klein 2 --prec 5", "unrecognized option --prec"),
+    ("--format xml scan", "scan takes --format csv or json, not xml"),
+    ("--help=yes", "--help takes no value")])
+def test_usage_error_is_one_line(capsys, argv, err):
+    assert run(capsys, *argv.split()) == (2, "", "error: %s\n" % err)
+
+
+def test_option_forms(capsys):
+    # --flag VALUE, --flag=VALUE and unique prefixes read the same
+    _, out, _ = run(capsys, "--format", "json", "klein", "2", "5")
+    for argv in (["--format=json", "klein", "2", "5"],
+                 ["--f", "json", "klein", "2", "5"],
+                 ["--form=json", "--prec=128", "klein", "2", "5"]):
+        assert run(capsys, *argv) == (0, out, "")
+
+
+# an argv grammar for cli.parse against tests/oracles.py::argparse_parser:
+# each global option in full, by a unique prefix and as the ambiguous
+# --c, with its value separate or after "="; values of each kind; each
+# command with too few, exactly and too many operands; options and stray
+# tokens anywhere.  Left out: -h, --help and their prefixes (argparse
+# acts on them where it meets them, tested above), "--", and a second
+# --format (argparse checks each value it reads against json, csv and
+# text; cli checks the one it keeps against the command's formats)
+FLAGS = ["--precision", "--prec", "--coeff-bound", "--coe", "--scan-limit",
+         "--s", "--catalog", "--cat", "--format", "--f", "--c"]
+VALUES = ["7", "64", "-3", "0", "-1.5", "abc", "", "xml", "json", "csv",
+          "text", "a b", "-x y", "-", "-x", "klein", "Q(zeta15)+"]
+# options with values they take, twice as likely as any flag with any value
+VALID = st.sampled_from([
+    ("--precision", "80"), ("--prec", "-3"), ("--coeff-bound", "1"),
+    ("--coe", "20"), ("--scan-limit", "7"), ("--s", "0"),
+    ("--catalog", "klein"), ("--cat", "a b"), ("--cat", ""),
+    ("--format", "json"), ("--f", "text"), ("--form", "csv")])
+OPTION = st.tuples(st.one_of(
+    VALID, VALID, st.tuples(st.sampled_from(FLAGS), st.sampled_from(VALUES))),
+    st.booleans()).map(lambda o: ["=".join(o[0])] if o[1] else list(o[0]))
+STRAY = st.sampled_from(VALUES + FLAGS + ["--bogus", "scan"]).map(
+    lambda tok: [tok])
+OPERAND = st.one_of(st.sampled_from(["7", "-3", "200"]),
+                    st.sampled_from(VALUES))
+
+
+@st.composite
+def argvs(draw):
+    argv = sum(draw(st.lists(OPTION, max_size=3)), [])
+    command = draw(st.sampled_from([*cli.COMMANDS, "bogus", None]))
+    if command is not None:
+        n = len(cli.COMMANDS[command][1]) if command in cli.COMMANDS else 1
+        argv += [command] + draw(st.lists(OPERAND, min_size=max(n - 1, 0),
+                                          max_size=n + 1))
+    extras = st.lists(st.one_of(OPTION, STRAY), min_size=1, max_size=2)
+    for extra in draw(st.one_of(st.just([]), st.just([]), extras)):
+        at = draw(st.integers(0, len(argv)))
+        argv[at:at] = extra
+    assume(sum(tok.partition("=")[0] in ("--format", "--form", "--f")
+               for tok in argv) < 2)
+    return argv
+
+
+def argparse_reading(argv):
+    """What the earlier command line made of argv: argparse's namespace
+    with main's --format default and check, or None for a usage error."""
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = oracles.argparse_parser().parse_args(argv)
+        except SystemExit:
+            return None
+    formats = cli.COMMANDS[args.command][2]
+    args.format = args.format or formats[0]
+    return vars(args) if args.format in formats else None
+
+
+@settings(max_examples=1000, deadline=None)
+@given(argvs())
+@example(["cyclic", "--c=a b"])  # ambiguous to argparse's first reading
+@example(["cyclic", "--cat=a b"])  # an operand to the command's reading
+@example(["--catalog", "--prec", "scan"])  # an option where a value goes
+@example(["--catalog", "-", "cyclic", "-"])  # "-" alone is a value
+def test_parse_agrees_with_argparse(argv):
+    try:
+        reading = vars(cli.parse(argv))
+    except cli.CliError as exc:
+        assert exc.code == 2
+        reading = None
+    assert reading == argparse_reading(argv)
+    if reading is None:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
 
 
 @pytest.mark.parametrize("fmt, command", [
