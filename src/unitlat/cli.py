@@ -116,7 +116,7 @@ def cmd_klein(args, cfg, out):
             "bounds": [{"name": r.name, "value": fmt_sig(r.paper_value),
                         "relation": r.relation} for r in reports[1:]],
         }
-        out.write(json.dumps(payload, indent=2) + "\n")
+        out.write(klein_json(payload))
     else:
         out.write("Q(sqrt(%d), sqrt(%d)), third subfield sqrt(%d)\n"
                   % (args.d1, args.d2, struct.field.d3))
@@ -133,6 +133,50 @@ def cmd_klein(args, cfg, out):
             out.write("%s: %s (bound %s)\n"
                       % (r.name, r.relation, fmt_sig(r.paper_value)))
     return _violation_code(reports)
+
+
+def _json_literal(value):
+    """json.dumps of a str, bool or int."""
+    return (encode_basestring_ascii(value) if isinstance(value, str)
+            else str(value).lower())
+
+
+def _json_list(items, indent):
+    """json.dumps(list, indent=2) of items already in JSON, for a list
+    opening `indent` spaces in."""
+    pad = "\n" + " " * (indent + 2)
+    return ("[%s%s\n%s]" % (pad, ("," + pad).join(items), " " * indent)
+            if items else "[]")
+
+
+# a klein payload and one of its bounds as json.dumps(payload, indent=2)
+# prints them, each value a JSON text
+KLEIN_JSON = "{\n%s\n}\n" % ",\n".join('  "%s": %%s' % key for key in (
+    "d1", "d2", "d3", "subfield_units", "sqrt_patterns", "index_over_E",
+    "generators", "denominator", "min_1norm", "argmin", "certified",
+    "bounds"))
+KLEIN_BOUND_JSON = "{\n%s\n    }" % ",\n".join(
+    '      "%s": %%s' % key for key in ("name", "value", "relation"))
+
+
+def klein_json(payload):
+    """json.dumps(payload, indent=2) + "\\n" of cmd_klein's payload, filled
+    into KLEIN_JSON: with an indent, the json module encodes in pure
+    Python."""
+    text = _json_literal
+    return KLEIN_JSON % (
+        payload["d1"], payload["d2"], payload["d3"],
+        _json_list([text(u) for u in payload["subfield_units"]], 2),
+        _json_list([_json_list([text(e) for e in pattern], 4)
+                    for pattern in payload["sqrt_patterns"]], 2),
+        payload["index_over_E"],
+        _json_list([text(g) for g in payload["generators"]], 2),
+        payload["denominator"], text(payload["min_1norm"]),
+        _json_list([text(n) for n in payload["argmin"]], 2),
+        text(payload["certified"]),
+        _json_list([KLEIN_BOUND_JSON % (text(b["name"]), text(b["value"]),
+                                        text(b["relation"]))
+                    for b in payload["bounds"]], 2))
 
 
 def _load_catalog(path):
@@ -247,10 +291,7 @@ def cmd_scan(args, cfg, out):
         if args.format == "csv":
             writer.writerow(row)
         else:
-            # json.dumps of each str, bool and int value
-            out.write(sep + SCAN_JSON_ROW % tuple(
-                encode_basestring_ascii(v) if isinstance(v, str)
-                else str(v).lower() for v in row))
+            out.write(sep + SCAN_JSON_ROW % tuple(map(_json_literal, row)))
             sep = ",\n  "
     if args.format == "json":
         out.write("\n]\n")

@@ -106,11 +106,13 @@ def cyclic_wedge_rows(w1, w2, w3):
 # The closed forms below take scalars: int, float, Fraction or mpf.
 
 
+KLEIN_ORDER_WARNING = "expected X1 > X2 > X3 > 0 for a sorted Klein field"
+
+
 def check_klein_order(x1, x2, x3):
     """Warn, at the caller's caller, unless X1 > X2 > X3 > 0."""
     if not x1 > x2 > x3 > 0:
-        warnings.warn("expected X1 > X2 > X3 > 0 for a sorted Klein field",
-                      stacklevel=3)
+        warnings.warn(KLEIN_ORDER_WARNING, stacklevel=3)
 
 
 def klein_norm_closed(n1, n2, n3, x1, x2, x3):

@@ -15,7 +15,7 @@ import mpmath
 
 from .precision import DEFAULT_PRECISION, mpf_ctx
 
-CF_MAX_STEPS = 100000  # _cf_walk gives up after this many steps
+CF_MAX_STEPS = 100000  # _cf_unit_search gives up after this many steps
 SQUAREFREE_MAX_STEPS = 2000000  # is_squarefree gives up at this divisor
 
 
@@ -68,8 +68,10 @@ class QuadElem:
 
     def __post_init__(self):
         _check_squarefree(self.d)
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        for name in ("a", "b"):
+            value = getattr(self, name)
+            if type(value) is not Fraction:  # a Fraction is kept as it is
+                object.__setattr__(self, name, Fraction(value))
 
     def __str__(self):
         return "(%s) + (%s)*sqrt(%d)" % (self.a, self.b, self.d)
@@ -118,28 +120,23 @@ def surd_sign(a, b, d):
 
 @dataclass(frozen=True)
 class FundamentalUnitResult:
+    """The fundamental unit u = (A + B*sqrt(d))/den > 1 of Q(sqrt(d)), its
+    norm and the integers (A, B, den) it was found as; log_value, the
+    natural log of its real embedding at precision_bits, is computed on
+    first read (see fundamental_unit)."""
+
     unit: QuadElem
     norm_sign: int
-    log_value: object  # mpf, natural log of the real embedding
+    integers: tuple  # (A, B, den)
+    precision_bits: int
 
-
-def _cf_walk(d, p, q):
-    """Yield the partial quotient a per step of the continued fraction of
-    (p + sqrt(d))/q, stepping to the next complete quotient (P + sqrt(d))/Q
-    until Q is back at q.  Each complete quotient xi it visits, the start
-    and then reduced ones, has xi > 0 > xi', so Q = 2*sqrt(d)/(xi - xi') > 0
-    and floor(xi) = (P + isqrt(d)) // Q exactly; a reduced one has
-    0 < P < sqrt(d) and 0 < Q < 2*sqrt(d): the walk holds small integers."""
-    s, q_start = isqrt(d), q
-    for _ in range(CF_MAX_STEPS):
-        a = (p + s) // q
-        p = a * q - p
-        q = (d - p * p) // q
-        yield a
-        if q == q_start:
-            return
-    raise UnitSearchError("continued fraction of sqrt(%d) did not close "
-                          "within %d steps" % (d, CF_MAX_STEPS))
+    @functools.cached_property
+    def log_value(self):
+        A, B, den = self.integers
+        with mpf_ctx(self.precision_bits):
+            return mpmath.log(
+                (mpmath.mpf(A) + mpmath.mpf(B) * mpmath.sqrt(self.unit.d))
+                / den)
 
 
 def _cf_unit_search(d):
@@ -149,29 +146,44 @@ def _cf_unit_search(d):
     den in {1, 2}, of norm N.  Classical theory places the fundamental
     unit among these.
 
+    Each step takes the partial quotient a of the complete quotient
+    xi = (P + sqrt(d))/Q and steps to the next one.  Each xi the walk
+    visits, the start and then reduced ones, has xi > 0 > xi', so
+    Q = 2*sqrt(d)/(xi - xi') > 0 and floor(xi) = (P + isqrt(d)) // Q
+    exactly.  The convergents h/k are built in the same step.
+
     For the n-th convergent h/k of xi_0 = (P_0 + sqrt(d))/Q_0,
     (Q_0*h - P_0*k)^2 - d*k^2 = (-1)^(n+1) * Q_0 * Q_(n+1) (Perron).  The
     candidate unit ((Q_0*h - P_0*k) + k*sqrt(d))/Q_0, h + k*sqrt(d) or
     h - k*(1 - sqrt(d))/2, has that left side over Q_0^2 as its norm,
     (-1)^(n+1) * Q_(n+1)/Q_0: it is +-1 exactly when the next
     denominator Q_(n+1) is back at Q_0, and its sign flips each step.
-    So the walk steps the small integers P, Q alone, keeping the partial
-    quotients; h and k are built once, from those, when the period closes."""
+    A walk that gives up after CF_MAX_STEPS steps has built convergents
+    no larger than those of a period just within the budget, whose unit
+    it would have returned.
+    """
     # xi_0 = (P_0 + sqrt(d))/Q_0: (1 + sqrt(d))/2 for d = 1 mod 4, else sqrt(d)
-    pp, qq = (1, 2) if d % 4 == 1 else (0, 1)
-    quotients = list(_cf_walk(d, pp, qq))  # a_0 .. a_n
+    p0, q0 = (1, 2) if d % 4 == 1 else (0, 1)
+    s, p, q, norm = isqrt(d), p0, q0, 1
     h_prev, h = 0, 1  # h_{-2}, h_{-1}: convergent numerators
     k_prev, k = 1, 0
-    for a in quotients:
+    for _ in range(CF_MAX_STEPS):
+        a = (p + s) // q
+        p = a * q - p
+        q = (d - p * p) // q
         h_prev, h = h, a * h + h_prev
         k_prev, k = k, a * k + k_prev
-    return qq * h - pp * k, k, qq, (-1) ** len(quotients)
+        norm = -norm
+        if q == q0:
+            return q0 * h - p0 * k, k, q0, norm
+    raise UnitSearchError("continued fraction of sqrt(%d) did not close "
+                          "within %d steps" % (d, CF_MAX_STEPS))
 
 
-@functools.lru_cache(maxsize=None, typed=True)
 def fundamental_unit(d, precision_bits=DEFAULT_PRECISION):
-    """Fundamental unit > 1 of Q(sqrt(d)), exact, with its norm sign.
-    Cached per (d, precision_bits), with no bound; the result is immutable.
+    """Fundamental unit > 1 of Q(sqrt(d)), exact, with its norm sign; d
+    is checked to be a squarefree integer > 1.  Cached per
+    (d, precision_bits), with no bound; the result is immutable.
 
     The search's integers (A, B, den, N), u = (A + B*sqrt(d))/den, are
     checked as integers.  A^2 - d*B^2 = N*den^2 with N = +-1 makes u a
@@ -182,7 +194,8 @@ def fundamental_unit(d, precision_bits=DEFAULT_PRECISION):
     B even.  Either way the norm of u is (A^2 - d*B^2)/den^2 = N.
     A, B >= 1 with den <= 2 and d >= 2 give u >= (1 + sqrt(2))/2 > 1.
 
-    The log is log((A + B*sqrt(d))/den), evaluated as
+    The log, taken when log_value is first read, is
+    log((A + B*sqrt(d))/den), evaluated as
     (mpf(A) + mpf(B)*sqrt(d))/den: the value, bit for bit, of the real
     embedding a + b*sqrt(d) of the reduced coordinates a = A/den,
     b = B/den evaluated as mpf(num(a))/den(a) + mpf(num(b))/den(b)*sqrt(d).
@@ -195,14 +208,21 @@ def fundamental_unit(d, precision_bits=DEFAULT_PRECISION):
     mpf(A)/2 + (mpf(B)/2)*sqrt(d) = (mpf(A) + mpf(B)*sqrt(d))/2.
     """
     _check_squarefree(d)
+    return _fundamental_unit(d, precision_bits)
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _fundamental_unit(d, precision_bits):
+    """fundamental_unit for a d already known to be squarefree, with no
+    trial division: the Klein path's d3 (units.subfield_units)."""
     A, B, den, norm = _cf_unit_search(d)
     assert A * A - d * B * B == norm * den * den and norm in (1, -1)
     assert A > 0 and B > 0, "unit must exceed 1"
-    with mpf_ctx(precision_bits):
-        log_value = mpmath.log(
-            (mpmath.mpf(A) + mpmath.mpf(B) * mpmath.sqrt(d)) / den)
-    return FundamentalUnitResult(QuadElem(d, Fraction(A, den),
-                                          Fraction(B, den)), norm, log_value)
+    unit = object.__new__(QuadElem)  # QuadElem(d, A/den, B/den), d unchecked
+    for name, value in (("d", d), ("a", Fraction(A, den)),
+                        ("b", Fraction(B, den))):
+        object.__setattr__(unit, name, value)
+    return FundamentalUnitResult(unit, norm, (A, B, den), precision_bits)
 
 
 def unit_key(res):

@@ -417,7 +417,10 @@ class QuarticElem:
     coords: tuple  # (c0, c1, c2, c3)
 
     def __post_init__(self):
-        c = tuple(Fraction(v) for v in self.coords)
+        # a Fraction is kept as it is: Fraction(Fraction) would build a
+        # copy through the numbers.Rational check
+        c = tuple(v if type(v) is Fraction else Fraction(v)
+                  for v in self.coords)
         if len(c) != 4:
             raise ValueError("need 4 coordinates")
         object.__setattr__(self, "coords", c)

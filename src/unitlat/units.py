@@ -39,8 +39,8 @@ from fractions import Fraction
 import mpmath
 
 from .precision import DEFAULT_PRECISION, mpf_ctx
-from .quadratic import (QuadElem, UnitSearchError, fundamental_unit,
-                        is_squarefree, surd_sign, unit_key)
+from .quadratic import (QuadElem, UnitSearchError, _fundamental_unit,
+                        fundamental_unit, is_squarefree, surd_sign, unit_key)
 from . import quartic as qt
 from .biquadratic import BiquadField
 from .loglattice import LogVector, log_phi, log_sigma, orbit_log
@@ -56,37 +56,49 @@ class CatalogValidationError(ValueError):
 
 
 def subfield_units(d1, d2, precision_bits=DEFAULT_PRECISION, field=None):
-    """Fundamental units of the three quadratic subfields of Q(sqrt(d1),
-    sqrt(d2)), sorted ascending by real value (exact, unit_key); field is
-    BiquadField(d1, d2), when the caller has built it.
+    """FundamentalUnitResults of the three quadratic subfields of
+    Q(sqrt(d1), sqrt(d2)), sorted ascending by real value (exact,
+    unit_key), and the Galois element fixing each one's subfield; field
+    is BiquadField(d1, d2), when the caller has built it.  Returns
+    (ranked, fixers); a log is taken only when its log_value is read.
 
-    Returns (units, logs, fixers, norm_signs): logs[i] is the regulator
-    log(units[i]) at precision_bits; fixers[i] is the Galois element
-    fixing the subfield of units[i]; norm_signs[i] is its norm, +-1.
+    BiquadField has checked d1 and d2, and d3 = (d1/s)*(d2/s), s =
+    gcd(d1, d2), is squarefree by construction, so no d is checked
+    again: d1/s and d2/s divide squarefree numbers, so are squarefree,
+    and are coprime, since a prime p dividing both and s = gcd(d1, d2)
+    would give p^2 | d1; a product of coprime squarefree integers is
+    squarefree.  d3 > 1, since d3 = 1 would give d1 = s = d2.
     """
     field = field or BiquadField(d1, d2)
     ds = (field.d1, field.d2, field.d3)  # fixed by s1, s2, s3
-    ranked = sorted((fundamental_unit(d, precision_bits) for d in ds),
-                    key=unit_key)
-    return (tuple(r.unit for r in ranked), tuple(r.log_value for r in ranked),
-            tuple("s%d" % (ds.index(r.unit.d) + 1) for r in ranked),
-            tuple(r.norm_sign for r in ranked))
+    ranked = tuple(sorted((_fundamental_unit(d, precision_bits) for d in ds),
+                          key=unit_key))
+    return ranked, tuple("s%d" % (ds.index(r.unit.d) + 1) for r in ranked)
 
 
 @dataclass(frozen=True)
 class KleinUnitStructure:
-    """The square classes of a Klein field as integer and log data; the
-    square roots and generators are built on request (klein_pattern_root,
-    klein_generators)."""
+    """The square classes of a Klein field as integer data; the logs are
+    taken when read, and the square roots and generators are built on
+    request (klein_pattern_root, klein_generators)."""
 
     field: BiquadField
-    units: tuple           # (u1, u2, u3) sorted ascending, QuadElems
-    logs: tuple            # (W1, W2, W3), W_i = log(u_i) = LOG(u_i)[id]
+    ranked: tuple          # FundamentalUnitResults of (u1, u2, u3), ascending
     fixers: tuple          # Galois element fixing the subfield of each unit
     sqrt_patterns: tuple   # exponent triples e with sqrt(u1^e1 u2^e2 u3^e3) in O_L^*
     witnesses: dict        # pattern -> (k, r) or (eps, nu, t): how it was decided
     basis: tuple           # _f2_basis pairs (pattern, slot): roots among the generators
     index_over_E: int
+
+    @property
+    def units(self):
+        """(u1, u2, u3) sorted ascending, QuadElems."""
+        return tuple(r.unit for r in self.ranked)
+
+    @property
+    def logs(self):
+        """(W1, W2, W3), W_i = log(u_i) = LOG(u_i)[id]."""
+        return tuple(r.log_value for r in self.ranked)
 
 
 def _f2_basis(patterns):
@@ -211,8 +223,9 @@ def klein_unit_structure(d1, d2, precision_bits=DEFAULT_PRECISION):
     basis slot k of (1, d1, d2, d3) and r = isqrt(m*delta).
     """
     field = BiquadField(d1, d2)
-    units, logs, fixers, signs = subfield_units(d1, d2, precision_bits, field)
-    doubled = [_doubled(u) for u in units]
+    ranked, fixers = subfield_units(d1, d2, precision_bits, field)
+    doubled = [_doubled(r.unit) for r in ranked]
+    signs = tuple(r.norm_sign for r in ranked)
     # Tr u_i + 2, or 0 for norm -1: m = 0 iff P holds a norm -1 unit
     t1, t2, t3 = [alpha + 2 if sign > 0 else 0
                   for (alpha, _), sign in zip(doubled, signs)]
@@ -234,7 +247,7 @@ def klein_unit_structure(d1, d2, precision_bits=DEFAULT_PRECISION):
     patterns = tuple(witnesses)
     rank, basis = _f2_basis(patterns)
     return KleinUnitStructure(
-        field=field, units=units, logs=logs, fixers=fixers,
+        field=field, ranked=ranked, fixers=fixers,
         sqrt_patterns=patterns, witnesses=witnesses,
         basis=tuple(basis), index_over_E=2 ** rank)
 

@@ -12,15 +12,17 @@ surfaced, never asserted.  The downstream bound that remains derivable
 import functools
 import itertools
 import types
+import warnings
 from dataclasses import dataclass, field as dc_field
 
 import mpmath
 
 from .precision import DEFAULT_PRECISION, mpf_ctx, fmt_sig
-from .quadratic import is_squarefree, quad_norm, smallest_fundamental_units
+from .quadratic import (is_squarefree, quad_norm, smallest_fundamental_units,
+                        unit_key)
 from . import units as us
-from .loglattice import (WEDGE_PAIRS, check_klein_order, cyclic_f, cyclic_min,
-                         cyclic_wedge_rows, klein_norm_closed,
+from .loglattice import (KLEIN_ORDER_WARNING, WEDGE_PAIRS, cyclic_f,
+                         cyclic_min, cyclic_wedge_rows, klein_norm_closed,
                          klein_wedge_rows, log_phi)
 
 THEOREM_TOL = mpmath.mpf("1e-5")
@@ -175,15 +177,19 @@ def klein_field_report(d1, d2, precision_bits=DEFAULT_PRECISION):
     lattice contains wedge^2 O_L^*, the lattice of wedges of the
     generators of O_L^*, so the value is only a lower bound on the
     minimum of wedge^2 O_L^*, not that minimum.
-    The X_i are formed for klein_norm_closed's order check; 8*X3/den and
-    2*X3 scale X3 exactly, by powers of 2 (den is 1, 2 or 4).
+    The order is decided on the unit keys: they strictly increase
+    exactly when 1 < u1 < u2 < u3 (unit_key; each u > 1, fundamental_unit),
+    that is 0 < W1 < W2 < W3, so a report warns as klein_norm_closed does
+    unless they do, and reads W1 and W2 alone.  8*X3/den and 2*X3 scale
+    X3 exactly, by powers of 2 (den is 1, 2 or 4).
     """
     struct = us.klein_unit_structure(d1, d2, precision_bits)
     den = us.klein_denominator(struct.index_over_E)
-    w1, w2, w3 = struct.logs
+    r1, r2, r3 = struct.ranked
+    if not unit_key(r1) < unit_key(r2) < unit_key(r3):
+        warnings.warn(KLEIN_ORDER_WARNING, stacklevel=2)
     with mpf_ctx(precision_bits):
-        x3 = w1 * w2
-        check_klein_order(w2 * w3, w1 * w3, x3)
+        x3 = r1.log_value * r2.log_value
         bound = mpmath.ldexp(x3, 4 - den.bit_length())  # 8*X3/den
         value = bound  # klein_norm_closed(0, 0, 1, X)/den = 4*(X3 + X3)/den
         theorem = constants(precision_bits)["theorem_lower"]

@@ -190,6 +190,38 @@ def cf_unit_search_by_norm(d):
     raise ArithmeticError("continued fraction of sqrt(%d) did not close" % d)
 
 
+def cf_walk(d, p, q):
+    """Yield the partial quotient a per step of the continued fraction of
+    (p + sqrt(d))/q, stepping to the next complete quotient (P + sqrt(d))/Q
+    until Q is back at q: the (P, Q) walk alone, holding integers below
+    2*sqrt(d) + 2, as the library's search stepped it before it built
+    the convergents in the same loop."""
+    s, q_start = isqrt(d), q
+    for _ in range(CF_MAX_STEPS):
+        a = (p + s) // q
+        p = a * q - p
+        q = (d - p * p) // q
+        yield a
+        if q == q_start:
+            return
+    raise ArithmeticError("continued fraction of sqrt(%d) did not close" % d)
+
+
+def cf_unit_search_by_walk(d):
+    """(A, B, den, N) of quadratic._cf_unit_search by a second route: the
+    partial quotients of cf_walk, folded into the convergent h/k once the
+    period closes; the unit is ((Q_0*h - P_0*k) + k*sqrt(d))/Q_0 and its
+    norm is (-1) to the number of quotients."""
+    pp, qq = (1, 2) if d % 4 == 1 else (0, 1)
+    quotients = list(cf_walk(d, pp, qq))  # a_0 .. a_n
+    h_prev, h = 0, 1
+    k_prev, k = 1, 0
+    for a in quotients:
+        h_prev, h = h, a * h + h_prev
+        k_prev, k = k, a * k + k_prev
+    return qq * h - pp * k, k, qq, (-1) ** len(quotients)
+
+
 def is_quad_integer(x):
     """True iff x lies in the maximal order: trace and norm both integral."""
     trace = 2 * x.a
@@ -339,7 +371,8 @@ def klein_patterns_tower(d1, d2):
     Returns (struct, roots, generators): roots maps each found pattern to
     its tower root."""
     field = BiquadField(d1, d2)
-    units, logs, fixers, _ = subfield_units(d1, d2)
+    ranked, fixers = subfield_units(d1, d2)
+    units = tuple(r.unit for r in ranked)
     lifts = [field.lift_quad(u) for u in units]
     roots = {}
     for e in itertools.product((0, 1), repeat=3):
@@ -354,8 +387,7 @@ def klein_patterns_tower(d1, d2):
     for p, slot in basis:
         generators[slot] = roots[p]
     struct = KleinUnitStructure(
-        field=field, units=units, logs=logs, fixers=fixers,
-        sqrt_patterns=patterns,
+        field=field, ranked=ranked, fixers=fixers, sqrt_patterns=patterns,
         witnesses={e: tower_witness(units, fixers, e, roots[e])
                    for e in patterns},
         basis=tuple(basis), index_over_E=2 ** rank)

@@ -1,6 +1,8 @@
 import contextlib
 import csv
+import functools
 import hashlib
+import importlib
 import io
 import itertools
 import json
@@ -8,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from fractions import Fraction
 
 import mpmath
@@ -16,6 +19,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from unitlat import cli, quadratic, quartic
+from unitlat import units as us
 from unitlat import verifier as vf
 from unitlat.quadratic import fundamental_unit
 
@@ -118,11 +122,11 @@ def test_unit_search_give_up_is_invalid_input(capsys, monkeypatch, fmt,
                                               command):
     steps = GIVE_UP_STEPS[command]
     monkeypatch.setattr(quadratic, "CF_MAX_STEPS", steps)
-    fundamental_unit.cache_clear()
+    quadratic._fundamental_unit.cache_clear()
     try:
         code, out, err = run(capsys, "--format", fmt, *command.split())
     finally:
-        fundamental_unit.cache_clear()
+        quadratic._fundamental_unit.cache_clear()
     assert (code, out) == (2, "")
     assert err.startswith("error: continued fraction of sqrt(")
     assert err.endswith(" did not close within %d steps\n" % steps)
@@ -688,11 +692,11 @@ def test_scan_computes_each_unit_once(capsys, monkeypatch):
     searched, real = [], quadratic._cf_unit_search
     monkeypatch.setattr(quadratic, "_cf_unit_search",
                         lambda d: searched.append(d) or real(d))
-    fundamental_unit.cache_clear()
+    quadratic._fundamental_unit.cache_clear()
     try:
         code, _, err = run(capsys, "--scan-limit", "200", "scan")
     finally:
-        fundamental_unit.cache_clear()
+        quadratic._fundamental_unit.cache_clear()
     assert (code, err) == (0, "")
     assert len(searched) == len(ds) and set(searched) == ds
 
@@ -707,11 +711,11 @@ def test_verify_paper_keys_units_at_its_precision(capsys, monkeypatch):
     searched, real = [], quadratic._cf_unit_search
     monkeypatch.setattr(quadratic, "_cf_unit_search",
                         lambda d: searched.append(d) or real(d))
-    fundamental_unit.cache_clear()
+    quadratic._fundamental_unit.cache_clear()
     try:
         code, _, err = run(capsys, "--precision", "300", "verify-paper")
     finally:
-        fundamental_unit.cache_clear()
+        quadratic._fundamental_unit.cache_clear()
     assert (code, err) == (0, "")
     assert len(searched) == 231
 
@@ -768,6 +772,127 @@ def test_klein_json_matches_pinned_digest(capsys, monkeypatch):
     path = os.path.join(os.path.dirname(__file__), "data", "klein_60.sha256")
     with open(path) as fh:
         assert digest.hexdigest() == fh.read().strip()
+
+
+def _perfbench(monkeypatch, name):
+    """A module of perfbench, the benchmark beside the tests."""
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__),
+                                             os.pardir, "perfbench"))
+    return importlib.import_module(name)
+
+
+@pytest.mark.parametrize("precision", ["64", "128", "300"])
+def test_klein_pool_matches_pinned_digests(capsys, monkeypatch, precision):
+    # tests/data/klein_pool.sha256 pins the SHA-256 of the concatenated
+    # `klein D1 D2` outputs, json and text, over the 864 pairs of
+    # perfbench's pinned klein-random pool; the 12 printed digits are the
+    # same at each precision.  Regenerate it only for an intended change
+    # of output
+    for name in ("PRECISION", "COEFF_BOUND", "SCAN_LIMIT"):
+        monkeypatch.delenv("UNITLAT_" + name, raising=False)
+    pool = [pair for cell in _perfbench(monkeypatch, "workloads").klein_pool()
+            for pair in cell]
+    assert len(pool) == 864
+    path = os.path.join(os.path.dirname(__file__), "data", "klein_pool.sha256")
+    with open(path) as fh:
+        pinned = dict(line.split() for line in fh)
+    for fmt in ("json", "text"):
+        digest = hashlib.sha256()
+        for d1, d2 in pool:
+            code, out, err = run(capsys, "--precision", precision, "--format",
+                                 fmt, "klein", str(d1), str(d2))
+            assert (code, err) == (0, "")
+            digest.update(out.encode())
+        assert digest.hexdigest() == pinned[fmt], fmt
+
+
+@functools.lru_cache(maxsize=None)
+def _klein_json_out(d1, d2):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["--format", "json", "klein", str(d1), str(d2)]) == 0
+    return out.getvalue()
+
+
+NONZERO_PATTERNS = [e for e in itertools.product((0, 1), repeat=3) if any(e)]
+# no pattern, one, the norm -1 witness (u1*u2*u3 with all norms -1), three
+KLEIN_JSON_PAIRS = [(2, 85), (2, 15), (2, 5), (2, 3)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=st.sampled_from(KLEIN_JSON_PAIRS),
+       patterns=st.none() | st.lists(st.sampled_from(NONZERO_PATTERNS),
+                                     unique=True),
+       text=st.none() | st.text(), number=st.none() | st.integers())
+@example(pair=(2, 85), patterns=None, text=None, number=None)
+@example(pair=(2, 15), patterns=None, text=None, number=None)
+@example(pair=(2, 5), patterns=None, text=None, number=None)
+@example(pair=(2, 3), patterns=None, text=None, number=None)
+@example(pair=(2, 3), patterns=NONZERO_PATTERNS, text=None, number=None)
+@example(pair=(2, 5), patterns=[], text='"\\\u00e9\n\U0001f600', number=-7)
+def test_klein_json_template_equals_json_dumps(pair, patterns, text, number):
+    # klein_json fills one template with what json.dumps(payload, indent=2)
+    # prints: on the printed payloads of real fields, and on those payloads
+    # with any set of patterns (all seven: index 8), any string and any int
+    out = _klein_json_out(*pair)
+    payload = json.loads(out)
+    assert cli.klein_json(payload) == out
+    if patterns is not None:
+        payload["sqrt_patterns"] = [list(p) for p in patterns]
+        payload["index_over_E"] = 2 ** us._f2_basis(patterns)[0]
+    if text is not None:
+        payload["subfield_units"][1] = payload["generators"][2] = text
+        payload["min_1norm"] = payload["bounds"][0]["name"] = text
+    if number is not None:
+        payload["d3"] = payload["argmin"][0] = number
+    assert cli.klein_json(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+def test_scan_divides_only_its_operands(capsys, monkeypatch):
+    # d3 = d1*d2/s^2 is squarefree by construction (units.subfield_units):
+    # `--scan-limit 200 scan` runs trial division on no d above 200, where
+    # each d3 was checked twice
+    divided, real = [], quadratic.is_squarefree
+    counted = functools.lru_cache(maxsize=None)(
+        lambda d: divided.append(d) or real.__wrapped__(d))
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("unitlat")
+                and getattr(module, "is_squarefree", None) is real):
+            monkeypatch.setattr(module, "is_squarefree", counted)
+    quadratic._fundamental_unit.cache_clear()
+    try:
+        code, _, err = run(capsys, "--scan-limit", "200", "scan")
+    finally:
+        quadratic._fundamental_unit.cache_clear()
+    assert (code, err) == (0, "")
+    assert sorted(divided) == list(range(2, 201))
+
+
+def test_klein_path_takes_only_the_logs_it_reads(capsys, monkeypatch):
+    # a Klein report reads W1 and W2 alone, and a unit's log is taken when
+    # read: verify-paper at its defaults takes 40 unit logs and the 144
+    # seed-0 klein-random ops 237, where every unit's log taken made 107
+    # and 373
+    for name in ("PRECISION", "COEFF_BOUND", "SCAN_LIMIT"):
+        monkeypatch.delenv("UNITLAT_" + name, raising=False)
+    logs = []
+    monkeypatch.setattr(quadratic, "mpmath", types.SimpleNamespace(
+        log=lambda x: logs.append(x) or mpmath.log(x), mpf=mpmath.mpf,
+        sqrt=mpmath.sqrt))
+    pairs = _perfbench(monkeypatch, "workloads").klein_pairs(0)
+    counts = []
+    for argvs in ([["verify-paper"]],
+                  [["--format", "json", "klein", str(d1), str(d2)]
+                   for d1, d2 in pairs]):
+        quadratic._fundamental_unit.cache_clear()
+        del logs[:]
+        try:
+            assert [run(capsys, *argv)[0] for argv in argvs] == [0] * len(argvs)
+        finally:
+            quadratic._fundamental_unit.cache_clear()
+        counts.append(len(logs))
+    assert len(pairs) == 144
+    assert counts == [40, 237]
 
 
 def _verify_paper_10(capsys, monkeypatch, fmt):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import random
@@ -5,16 +6,16 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from unitlat import quadratic
 from unitlat import units as us
 from unitlat.precision import mpf_ctx
-from unitlat.quadratic import (FundamentalUnitResult, QuadElem,
-                               fundamental_unit, is_squarefree,
+from unitlat.quadratic import (QuadElem, fundamental_unit, is_squarefree,
                                quad_norm, smallest_fundamental_units,
                                surd_sign, unit_key)
-from oracles import (cf_unit_search_by_norm, is_quad_integer, quad_cmp,
+from oracles import (cf_unit_search_by_norm, cf_unit_search_by_walk,
+                     is_quad_integer, quad_cmp,
                      quad_embed, quad_inv, quad_mul, smaller_quad_unit_exists,
                      squarefree_by_trial_division, surd_cmp)
 
@@ -175,28 +176,26 @@ def test_cf_unit_search_matches_norm_criterion():
             assert (unit, norm) == cf_unit_search_by_norm(d), d
 
 
-def _largest_values_held(d):
-    """At each step of the (P, Q) walk of _cf_unit_search, the largest
-    integer it holds but its input d and its step counter."""
-    walk = quadratic._cf_walk(d, *((1, 2) if d % 4 == 1 else (0, 1)))
-    for _ in walk:
-        yield max(abs(v) for k, v in walk.gi_frame.f_locals.items()
-                  if k not in ("d", "_"))
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 10 ** 6 - 1).filter(is_squarefree))
+@example(d=5)
+@example(d=2)
+@example(d=94)
+@example(d=999997)
+def test_cf_unit_search_matches_walk_oracle(d):
+    # stepping P, Q and the convergents in one loop gives the integers of
+    # the (P, Q) walk whose quotients are folded once the period closes
+    assert quadratic._cf_unit_search(d) == cf_unit_search_by_walk(d)
 
 
-def test_cf_walk_holds_small_integers(monkeypatch):
-    # the walk, and so the give-up, holds only integers up to
-    # 2*isqrt(d) + 2, however long the period: no convergent grows in it
-    for d in range(2, 5001):
-        if is_squarefree(d):
-            assert max(_largest_values_held(d)) <= 2 * math.isqrt(d) + 2, d
+def test_cf_unit_search_give_up(monkeypatch):
+    # the search gives up after CF_MAX_STEPS steps with its error text;
+    # sqrt(10000000019) needs 124,134
     monkeypatch.setattr(quadratic, "CF_MAX_STEPS", 2000)
-    d = 10000000019
-    with pytest.raises(quadratic.UnitSearchError):
-        for largest in _largest_values_held(d):
-            assert largest <= 2 * math.isqrt(d) + 2
-    with pytest.raises(quadratic.UnitSearchError, match="within 2000 steps"):
-        quadratic._cf_unit_search(d)
+    with pytest.raises(quadratic.UnitSearchError,
+                       match=r"^continued fraction of sqrt\(10000000019\) "
+                             r"did not close within 2000 steps$"):
+        quadratic._cf_unit_search(10000000019)
 
 
 SQUAREFREE_D = st.integers(2, 10 ** 5).filter(is_squarefree)
@@ -219,6 +218,24 @@ def test_unit_integers_and_log_match_fraction_oracle(d):
         assert (res.unit, res.norm_sign) == (unit, norm)
         with mpf_ctx(bits):
             assert res.log_value == mpmath.log(quad_embed(unit, bits))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 10 ** 4).filter(is_squarefree),
+       st.sampled_from([64, 128, 300]))
+def test_lazy_log_equals_eager_expression(d, bits):
+    # the log is taken on first read, at the result's precision whatever
+    # the ambient one, and is the eager log((A + B*sqrt(d))/den) bit for bit
+    a, b, den, _ = quadratic._cf_unit_search(d)
+    with mpf_ctx(bits):
+        eager = mpmath.log((mpmath.mpf(a) + mpmath.mpf(b) * mpmath.sqrt(d))
+                           / den)
+    res = quadratic._fundamental_unit.__wrapped__(d, bits)  # a fresh result
+    assert "log_value" not in vars(res)
+    with mpmath.workprec(53):
+        lazy = res.log_value
+    assert lazy._mpf_ == eager._mpf_
+    assert res.log_value is lazy
 
 
 @settings(max_examples=200, deadline=None)
@@ -248,20 +265,26 @@ def test_sort_by_unit_breaks_close_logs_exactly(bits, monkeypatch):
     # reversed against the units, the exact order comes back
     # (phi < 1+sqrt2 < (3+sqrt13)/2 < 2+sqrt3)
     real = smallest_fundamental_units(200)
-    subfields = {pair: [u.d for u in us.subfield_units(*pair, bits)[0]]
+    subfields = {pair: [r.unit.d for r in us.subfield_units(*pair, bits)[0]]
                  for pair in ((2, 5), (2, 3), (3, 13))}
+    genuine = quadratic._fundamental_unit
     for fake_log in (lambda res: mpmath.mpf(1), lambda res: -res.log_value):
-        def faked(d, precision_bits=bits, fake_log=fake_log,
-                  real_unit=fundamental_unit):
-            res = real_unit(d, precision_bits)
-            return FundamentalUnitResult(res.unit, res.norm_sign, fake_log(res))
+        def faked(d, precision_bits=bits, fake_log=fake_log):
+            res = genuine(d, precision_bits)
+            fake = dataclasses.replace(res)  # a copy whose log is not taken
+            # a cached_property reads the instance's __dict__ first
+            fake.__dict__["log_value"] = fake_log(res)
+            return fake
 
-        monkeypatch.setattr(quadratic, "fundamental_unit", faked)
-        monkeypatch.setattr(us, "fundamental_unit", faked)
+        monkeypatch.setattr(quadratic, "_fundamental_unit", faked)
+        monkeypatch.setattr(us, "_fundamental_unit", faked)
         assert smallest_fundamental_units(200) == real
         assert [d for d, _ in real[:4]] == [5, 2, 13, 3]
         for pair, order in subfields.items():
-            assert [u.d for u in us.subfield_units(*pair, bits)[0]] == order
+            ranked = us.subfield_units(*pair, bits)[0]
+            assert [r.log_value for r in ranked] == [
+                fake_log(genuine(r.unit.d, bits)) for r in ranked]
+            assert [r.unit.d for r in ranked] == order
     assert subfields == {(2, 5): [5, 2, 10], (2, 3): [2, 3, 6],
                          (3, 13): [13, 3, 39]}
 

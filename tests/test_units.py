@@ -40,13 +40,16 @@ def ctx(entry):
 
 
 def test_subfield_units_sorted():
-    units, logs, fixers, norm_signs = us.subfield_units(2, 5)
+    ranked, fixers = us.subfield_units(2, 5)
+    units = [r.unit for r in ranked]
     # ascending: (1+sqrt5)/2 < 1+sqrt2 < 3+sqrt10
     assert [u.d for u in units] == [5, 2, 10]
-    assert logs == tuple(fundamental_unit(u.d).log_value for u in units)
+    assert [r.log_value for r in ranked] == [fundamental_unit(u.d).log_value
+                                             for u in units]
     assert fixers == ("s2", "s1", "s3")
-    assert norm_signs == (-1, -1, -1)
-    assert us.subfield_units(2, 3)[3] == (-1, 1, 1)  # 1+sqrt2, 2+sqrt3, 5+sqrt6
+    assert [r.norm_sign for r in ranked] == [-1, -1, -1]
+    # 1+sqrt2, 2+sqrt3, 5+sqrt6
+    assert [r.norm_sign for r in us.subfield_units(2, 3)[0]] == [-1, 1, 1]
 
 
 def test_subfield_units_keep_exact_order(monkeypatch):
@@ -57,7 +60,7 @@ def test_subfield_units_keep_exact_order(monkeypatch):
             for pair in cell]
     assert len(pool) == 864
     for d1, d2 in pool:
-        units = us.subfield_units(d1, d2)[0]
+        units = [r.unit for r in us.subfield_units(d1, d2)[0]]
         exact = sorted(units, key=functools.cmp_to_key(quad_cmp))
         assert list(units) == exact, (d1, d2)
 
@@ -201,8 +204,8 @@ NORM_MINUS_ONE_1000 = [d for d in SQUAREFREE_1000
 def test_norm_minus_one_square_class_matches_tower_oracle(pair):
     # the fields whose three subfield units all have norm -1: u1*u2*u3 is
     # decided by the four rational-square tests
-    units = us.subfield_units(*pair)[0]
-    assume(all(quad_norm(u) < 0 for u in units))
+    ranked = us.subfield_units(*pair)[0]
+    assume(all(quad_norm(r.unit) < 0 for r in ranked))
     _matches_tower_oracle(*pair)
 
 

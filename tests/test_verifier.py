@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import json
 import textwrap
+import warnings
 
 import mpmath
 import pytest
@@ -175,17 +176,22 @@ def test_smallest_units_report():
 
 
 def test_klein_field_report_keeps_order_check(monkeypatch):
-    # the report forms X1 and X2 only for klein_norm_closed's order check:
-    # logs out of order warn, as the closed form does
-    real = us.klein_unit_structure
-
-    def reversed_logs(*args):
-        struct = real(*args)
-        return dataclasses.replace(struct, logs=struct.logs[::-1])
-
-    monkeypatch.setattr(us, "klein_unit_structure", reversed_logs)
-    with pytest.warns(UserWarning, match="X1 > X2 > X3 > 0"):
+    # the report decides the order on the unit keys: units out of order
+    # warn, as klein_norm_closed does, and units in order do not; the
+    # ranked units reversed, or either adjacent pair swapped, warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         vf.klein_field_report(2, 5)
+    real = us.klein_unit_structure
+    for order in ((2, 1, 0), (1, 0, 2), (0, 2, 1)):
+        def reordered_units(*args, order=order):
+            struct = real(*args)
+            return dataclasses.replace(
+                struct, ranked=tuple(struct.ranked[i] for i in order))
+
+        monkeypatch.setattr(us, "klein_unit_structure", reordered_units)
+        with pytest.warns(UserWarning, match="X1 > X2 > X3 > 0"):
+            vf.klein_field_report(2, 5)
 
 
 def test_klein_field_report_3_5():
